@@ -106,8 +106,7 @@ def audit_constraints(instance: Instance,
                       limit_per_clause: Optional[int] = 10,
                       use_planner: bool = True,
                       plan: Optional[AuditPlan] = None,
-                      parallel: Optional[int] = None,
-                      columnar: bool = True
+                      parallel: Optional[int] = None
                       ) -> ConstraintReport:
     """Check every constraint; collect up to ``limit_per_clause``
     violations each.
@@ -132,8 +131,7 @@ def audit_constraints(instance: Instance,
                 "parallel audits shard join plans; they cannot run "
                 "with use_planner=False or an injected plan")
         return _audit_constraints_parallel(instance, constraints,
-                                           limit_per_clause, parallel,
-                                           columnar=columnar)
+                                           limit_per_clause, parallel)
     start = time.perf_counter()
     report = ConstraintReport(checked=len(constraints))
     audit_plan = plan
@@ -164,8 +162,7 @@ def audit_constraints(instance: Instance,
             else:
                 clause_plan = audit_plan.plan_for(clause)
         found = clause_violations(instance, clause, limit_per_clause,
-                                  matcher=matcher, plan=clause_plan,
-                                  columnar=columnar)
+                                  matcher=matcher, plan=clause_plan)
         if found:
             name = clause.name or f"<clause {index}>"
             report.violations.setdefault(name, []).extend(found)
@@ -183,14 +180,12 @@ def audit_constraints(instance: Instance,
 def _audit_constraints_parallel(instance: Instance,
                                 constraints: Sequence[Clause],
                                 limit_per_clause: Optional[int],
-                                workers: int,
-                                columnar: bool = True) -> ConstraintReport:
+                                workers: int) -> ConstraintReport:
     """The sharded fan-out behind ``audit_constraints(parallel=N)``."""
     from ..engine.parallel import audit_parallel
     start = time.perf_counter()
     result = audit_parallel(constraints, instance, workers,
-                            limit_per_clause=limit_per_clause,
-                            columnar=columnar)
+                            limit_per_clause=limit_per_clause)
     report = ConstraintReport(checked=len(constraints))
     for index, found in sorted(result.violations_by_clause.items()):
         if not found:

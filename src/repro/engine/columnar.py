@@ -1,20 +1,23 @@
 """Vectorized plan-step execution over columnar batches.
 
-The scalar hot path (:meth:`repro.semantics.match.Matcher.run_plan`)
-threads one binding dict at a time through the plan — a dict copy, a
-mode dispatch and a recursive ``evaluate()`` walk per step per binding.
-This module executes the *same* :class:`~repro.semantics.match.PlanStep`
-sequence one **batch** at a time instead: a batch is a dict of parallel
-binding columns (``variable -> list of values``) plus a row count, and
-each step consumes the whole batch — extent cross-products, batched
-index probes, selector filters as list comprehensions — emitting the
-surviving columns.
+This is how every planned clause body runs.  The scalar step expander
+(:meth:`repro.semantics.match.Matcher.run_plan`) threads one binding
+dict at a time through a plan — a dict copy, a mode dispatch and a
+recursive ``evaluate()`` walk per step per binding; it survives only as
+the early-exit head probe of the constraint audit and as the per-step
+fallback below.  This module executes the *same*
+:class:`~repro.semantics.match.PlanStep` sequence one **batch** at a
+time: a batch is a dict of parallel binding columns (``variable -> list
+of values``) plus a row count, and each step consumes the whole batch —
+extent cross-products, batched index probes, selector filters as list
+comprehensions — emitting the surviving columns.
 
-Equivalence with the scalar path is positional, not just set-wise: a
-batch stage maps input rows in order and expands each row's candidates
-in the scalar candidate order, so the final rows enumerate in exactly
-the depth-first order ``_run_steps`` produces.  The differential fuzz
-harness holds the two paths to byte-equal results.
+Equivalence with the scalar expander is positional, not just set-wise:
+a batch stage maps input rows in order and expands each row's
+candidates in the scalar candidate order, so the final rows enumerate
+in exactly the depth-first order ``_run_steps`` produces (matcher-level
+tests pin this); the differential fuzz harness holds the batch path to
+results byte-equal with the naive matcher's.
 
 Steps the compiler cannot vectorize — membership or ``in`` generators
 whose element is a *pattern* (unification against record/Skolem
@@ -1072,9 +1075,9 @@ def seeded_batch_columnar(matcher: Matcher, steps: Sequence[PlanStep],
                           variable: str, oids: Sequence[Oid], stats=None):
     """Binding iterator for a whole seed vector in one batch.
 
-    Equivalent to running the seeded plan once per oid (the scalar
-    incremental loop) — batch rows stay grouped by seed oid in seed
-    order, so downstream deduplication sees bindings in the same order.
+    Equivalent to running the seeded plan once per oid — batch rows
+    stay grouped by seed oid in seed order, so downstream deduplication
+    sees bindings in the same order.
     """
     columns: Columns = {variable: list(oids)}
     names, columns, count = run_steps_columnar(

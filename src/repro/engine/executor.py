@@ -20,9 +20,12 @@ default through :class:`repro.morphase.system.Morphase`) plans the whole
 program once via :mod:`repro.engine.planner`: per clause a fixed atom
 order compiled into plan steps, and across clauses one shared, prebuilt
 index pool — no per-binding atom re-classification, no per-matcher lazy
-index builds.  The **naive** path runs each clause through the dynamic
-matcher independently; it is kept both as the fallback for clauses the
-planner cannot order statically and as the oracle in differential tests
+index builds.  Every planned clause runs as batch stages over whole
+binding columns (:mod:`repro.engine.columnar`), with the scalar step
+expander serving only as the per-step fallback inside a batch.  The
+**naive** path runs each clause through the dynamic matcher
+independently; it is kept both as the fallback for clauses the planner
+cannot order statically and as the oracle in differential tests
 (planned and naive execution must produce identical target instances).
 
 The executor is deliberately independent of the normaliser: any program
@@ -92,8 +95,8 @@ class ExecutionStats:
     scans_avoided: int = 0
     #: Vectorized execution (:mod:`repro.engine.columnar`): plan steps
     #: run as whole-batch array operations vs. steps that fell back to
-    #: the scalar path, total rows entering vectorized steps, and the
-    #: largest batch seen (0s whenever ``columnar`` is off).
+    #: the scalar step expander, total rows entering vectorized steps,
+    #: and the largest batch seen (0s on the naive path).
     vectorized_steps: int = 0
     fallback_steps: int = 0
     vectorized_rows: int = 0
@@ -142,8 +145,8 @@ class Executor:
 
     ``use_planner`` selects the planned path for :meth:`run_program`:
     the program is planned once (fixed atom orders, shared prebuilt
-    index pool) and every plannable clause streams bindings from its
-    precompiled steps.  ``index_pool`` injects a pool shared beyond this
+    index pool) and every plannable clause runs its precompiled steps
+    as batch stages.  ``index_pool`` injects a pool shared beyond this
     executor (e.g. across repeated runs over the same source).
 
     ``shard`` (a ``(shard_index, shard_count)`` pair) turns this
@@ -159,16 +162,11 @@ class Executor:
     def __init__(self, source: Instance, target_schema: Schema,
                  use_planner: bool = False,
                  index_pool: Optional[IndexPool] = None,
-                 shard: Optional[Tuple[int, int]] = None,
-                 columnar: bool = True) -> None:
+                 shard: Optional[Tuple[int, int]] = None) -> None:
         self.source = source
         self.target_schema = target_schema
         self.use_planner = use_planner
         self.shard = shard
-        #: Vectorized plan execution (applies to planned clauses only;
-        #: the dynamic fallback is always object-at-a-time).  Off, the
-        #: scalar ``run_plan`` path serves as the differential oracle.
-        self.columnar = columnar
         self._matcher = Matcher(source, index_pool=index_pool)
         self._pending: Dict[Oid, _PendingObject] = {}
         #: Pending objects per class — lets the batched head prove "no
@@ -220,12 +218,11 @@ class Executor:
 
     def engine_label(self, plan: Optional[ProgramPlan] = None) -> str:
         """Which execution engine this run used (metrics label)."""
-        planned = plan is not None or self.use_planner
         if self.shard is not None:
             return "parallel"
-        if planned and self.columnar:
+        if plan is not None or self.use_planner:
             return "columnar"
-        return "planned" if planned else "naive"
+        return "naive"
 
     def run_clause(self, clause: Clause,
                    join_plan: Optional[JoinPlan] = None) -> None:
@@ -233,30 +230,24 @@ class Executor:
 
         Without ``join_plan`` this is the naive path: the dynamic matcher
         re-derives the atom order per binding (kept as the differential
-        oracle).  With a plan, bindings stream from the precompiled steps.
+        oracle).  With a plan, the precompiled steps run as batch
+        stages and the head effects apply column-wise.
         """
         self._check_source_only(clause)
         plan = _HeadPlan(clause, self.target_schema)
         self.stats.clauses_run += 1
-        mode = ("columnar" if join_plan is not None and self.columnar
-                else "planned" if join_plan is not None else "dynamic")
+        mode = "columnar" if join_plan is not None else "dynamic"
         before = self.stats.bindings_found
         with span(f"clause {clause.name or clause}",
                   mode=mode) as clause_span:
             if join_plan is not None:
                 self.stats.clauses_planned += 1
                 self.stats.atoms_reordered += join_plan.atoms_reordered
-                if self.columnar:
-                    self._run_clause_columnar(clause, plan, join_plan)
-                    clause_span.set(
-                        rows=self.stats.bindings_found - before)
-                    return
-                bindings = self._matcher.run_plan(join_plan.steps)
+                self._run_clause_columnar(clause, plan, join_plan)
             else:
-                bindings = self._matcher.solutions(clause.body)
-            for binding in bindings:
-                self.stats.bindings_found += 1
-                self._apply_head(plan, binding, clause)
+                for binding in self._matcher.solutions(clause.body):
+                    self.stats.bindings_found += 1
+                    self._apply_head(plan, binding, clause)
             clause_span.set(rows=self.stats.bindings_found - before)
 
     def _run_clause_columnar(self, clause: Clause, plan: "_HeadPlan",
@@ -1076,19 +1067,17 @@ def execute(program: Program, source: Instance,
             target_schema: Schema, validate: bool = True,
             defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
             use_planner: bool = False,
-            plan: Optional[ProgramPlan] = None,
-            columnar: bool = True
+            plan: Optional[ProgramPlan] = None
             ) -> Tuple[Instance, ExecutionStats]:
     """Run a normal-form program and return (target instance, stats).
 
     ``use_planner`` (or an explicit precomputed ``plan``) switches body
-    evaluation to the planned path; ``columnar`` (on by default, only
-    effective on planned runs) executes each planned clause as batch
-    stages over whole binding columns.  The result is identical on
-    every path.
+    evaluation to the planned path, which executes each planned clause
+    as batch stages over whole binding columns; without either, every
+    clause runs through the dynamic matcher (the oracle).  The result
+    is identical on both paths.
     """
-    executor = Executor(source, target_schema, use_planner=use_planner,
-                        columnar=columnar)
+    executor = Executor(source, target_schema, use_planner=use_planner)
     executor.run_program(program, plan=plan)
     return (executor.freeze(validate=validate, defaults=defaults),
             executor.stats)

@@ -60,6 +60,7 @@ from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
 from ..semantics.match import Matcher
 from ..semantics.satisfaction import Violation, clause_violations
+from .columnar import seeded_batch_columnar, stream_plan_columnar
 from .executor import (
     EFFECT_CREATE, EFFECT_SET, Effect, ExecutionError, _HeadPlan,
     assemble_target_value, head_effects)
@@ -309,8 +310,8 @@ def changed_attributes(delta: "Delta", old_instance: Instance
 
 def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
                      seed_oids: Mapping[str, Sequence[Oid]],
-                     counters: Optional["IncrementalStats"] = None,
-                     columnar: bool = True) -> Optional[List[Binding]]:
+                     counters: Optional["IncrementalStats"] = None
+                     ) -> Optional[List[Binding]]:
     """All clause-body solutions binding a member atom to a seed oid.
 
     Each member atom is seeded independently with the seed oids of its
@@ -319,11 +320,11 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
     a member atom with seed oids has no seeded plan — the clause cannot
     be delta-joined exactly and the caller must recompute it fully.
 
-    With ``columnar`` the whole seed vector of each member atom runs as
-    one batch through the vectorized stage compiler
+    The whole seed vector of each member atom runs as one batch through
+    the vectorized stage compiler
     (:func:`repro.engine.columnar.seeded_batch_columnar`); rows stay
-    grouped by seed oid in seed order, so the deduplication sees
-    bindings in exactly the scalar order and the result is identical.
+    grouped by seed oid in seed order, so the deduplication keeps the
+    first binding in per-seed order.
     """
     relevant = [(seed, tuple(seed_oids.get(seed.class_name, ())))
                 for seed in seeds]
@@ -338,16 +339,8 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
             return None
         if counters is not None:
             counters.seeds_probed += len(oids)
-        if columnar:
-            from .columnar import seeded_batch_columnar
-            solutions = seeded_batch_columnar(
-                matcher, seed.plan.steps, seed.variable, oids, counters)
-        else:
-            solutions = (
-                binding for oid in oids
-                for binding in matcher.run_plan_trusted(
-                    seed.plan.steps, {seed.variable: oid}))
-        for binding in solutions:
+        for binding in seeded_batch_columnar(
+                matcher, seed.plan.steps, seed.variable, oids, counters):
             key = frozenset(binding.items())
             if key not in keys:
                 keys.add(key)
@@ -511,13 +504,12 @@ class IncrementalTransform:
     def __init__(self, program: Iterable[Clause], source: Instance,
                  target_schema,
                  defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
-                 validate: bool = True, columnar: bool = True) -> None:
+                 validate: bool = True) -> None:
         self.clauses: List[Clause] = list(program)
         self.source = source
         self.target_schema = target_schema
         self.defaults = dict(defaults or {})
         self.validate = validate
-        self.columnar = columnar
         self._poisoned: Optional[str] = None
 
         source_classes = set(source.schema.class_names())
@@ -576,12 +568,8 @@ class IncrementalTransform:
         label = clause.name or str(clause)
         join_plan = self.plan.plan_for(clause)
         if join_plan is not None:
-            if self.columnar:
-                from .columnar import stream_plan_columnar
-                bindings = stream_plan_columnar(
-                    matcher, join_plan.steps, None, self.stats)
-            else:
-                bindings = matcher.run_plan(join_plan.steps)
+            bindings = stream_plan_columnar(
+                matcher, join_plan.steps, None, self.stats)
         else:
             bindings = matcher.solutions(clause.body)
         for binding in bindings:
@@ -695,8 +683,7 @@ class IncrementalTransform:
             bindings = seeded_solutions(
                 matcher_old, self._seeds[index],
                 self._clause_seeds(index, all_changed, changes,
-                                   self.source_rev, cache_old), stats,
-                columnar=self.columnar)
+                                   self.source_rev, cache_old), stats)
             if bindings is None:
                 fallback.add(index)
                 continue
@@ -740,8 +727,7 @@ class IncrementalTransform:
             bindings = seeded_solutions(
                 matcher_new, self._seeds[index],
                 self._clause_seeds(index, all_changed, changes,
-                                   self.source_rev, cache_new), stats,
-                columnar=self.columnar)
+                                   self.source_rev, cache_new), stats)
             if bindings is None:
                 fallback.add(index)
                 continue
@@ -880,11 +866,9 @@ class IncrementalAudit:
     """
 
     def __init__(self, instance: Instance,
-                 constraints: Iterable[Clause],
-                 columnar: bool = True) -> None:
+                 constraints: Iterable[Clause]) -> None:
         self.instance = instance
         self.constraints: List[Clause] = list(constraints)
-        self.columnar = columnar
         self.plan: AuditPlan = plan_audit(self.constraints, instance)
         cardinalities = instance.class_sizes()
         self._seeds = [plan_delta_seeds(clause, cardinalities)
@@ -916,7 +900,7 @@ class IncrementalAudit:
         for index, clause in enumerate(self.constraints):
             found = clause_violations(
                 instance, clause, limit=None, matcher=matcher,
-                plan=self.plan.plan_for(clause), columnar=columnar)
+                plan=self.plan.plan_for(clause))
             self._violations.append({
                 frozenset(violation.binding.items()): violation
                 for violation in found})
@@ -987,8 +971,7 @@ class IncrementalAudit:
             bindings = seeded_solutions(
                 matcher_old, self._seeds[index],
                 _pruned_seed_groups(self._reads[index], all_changed,
-                                    changes, rev, cache_old), stats,
-                columnar=self.columnar)
+                                    changes, rev, cache_old), stats)
             if bindings is None:
                 full_recheck.add(index)
                 continue
@@ -1026,16 +1009,14 @@ class IncrementalAudit:
                 bindings = seeded_solutions(
                     matcher_new, self._seeds[index],
                     _pruned_seed_groups(self._reads[index], all_changed,
-                                        changes, rev, cache_new), stats,
-                    columnar=self.columnar)
+                                        changes, rev, cache_new), stats)
                 if bindings is None:
                     full_recheck.add(index)
             if index in full_recheck:
                 stats.clauses_recomputed += 1
                 found = clause_violations(
                     new_instance, clause, limit=None, matcher=matcher_new,
-                    plan=self.plan.plan_for(clause),
-                    columnar=self.columnar)
+                    plan=self.plan.plan_for(clause))
                 fresh = {frozenset(violation.binding.items()): violation
                          for violation in found}
                 for key, violation in fresh.items():

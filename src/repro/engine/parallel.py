@@ -85,7 +85,6 @@ class TransformEnvelope:
     shard_index: int
     shard_count: int
     plan: Optional[ProgramPlan] = None
-    columnar: bool = True
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class AuditEnvelope:
     shard_count: int
     limit_per_clause: Optional[int]
     plan: Optional[AuditPlan] = None
-    columnar: bool = True
 
 
 #: Per-process payload installed by the pool initializer: the clauses,
@@ -122,12 +120,10 @@ def _install_payload(*payload) -> None:
 def _run_transform_shard(clauses: Tuple[Clause, ...], source: Instance,
                          target_schema: Schema, shard_index: int,
                          shard_count: int,
-                         plan: Optional[ProgramPlan] = None,
-                         columnar: bool = True
+                         plan: Optional[ProgramPlan] = None
                          ) -> Tuple[Dict, ExecutionStats]:
     executor = Executor(source, target_schema, use_planner=True,
-                        shard=(shard_index, shard_count),
-                        columnar=columnar)
+                        shard=(shard_index, shard_count))
     executor.run_program(clauses, plan=plan)
     executor.stats.shards_run = 1
     return executor.pending_export(), executor.stats
@@ -140,17 +136,15 @@ def _transform_shard(envelope: TransformEnvelope
                                 envelope.target_schema,
                                 envelope.shard_index,
                                 envelope.shard_count,
-                                plan=envelope.plan,
-                                columnar=envelope.columnar)
+                                plan=envelope.plan)
 
 
 def _transform_shard_from_payload(coordinates: Tuple[int, int]
                                   ) -> Tuple[Dict, ExecutionStats]:
     """Run one shard against the process-wide installed payload."""
-    clauses, source, target_schema, plan, columnar = _WORKER_PAYLOAD
+    clauses, source, target_schema, plan = _WORKER_PAYLOAD
     return _run_transform_shard(clauses, source, target_schema,
-                                *coordinates, plan=plan,
-                                columnar=columnar)
+                                *coordinates, plan=plan)
 
 
 def execute_parallel(program: Iterable[Clause], source: Instance,
@@ -159,8 +153,7 @@ def execute_parallel(program: Iterable[Clause], source: Instance,
                      defaults: Optional[Mapping[Tuple[str, str],
                                                 Value]] = None,
                      use_processes: bool = True,
-                     plan: Optional[ProgramPlan] = None,
-                     columnar: bool = True
+                     plan: Optional[ProgramPlan] = None
                      ) -> Tuple[Instance, ExecutionStats]:
     """Run a normal-form program across ``workers`` shards.
 
@@ -200,14 +193,14 @@ def execute_parallel(program: Iterable[Clause], source: Instance,
         shard_results = [
             _transform_shard(TransformEnvelope(
                 clauses, source, target_schema, index, shard_count,
-                plan=program_plan, columnar=columnar))
+                plan=program_plan))
             for index in range(shard_count)]
     else:
         with ProcessPoolExecutor(
                 max_workers=shard_count,
                 initializer=_install_payload,
                 initargs=(clauses, source, target_schema,
-                          program_plan, columnar)) as pool:
+                          program_plan)) as pool:
             shard_results = list(pool.map(
                 _transform_shard_from_payload,
                 [(index, shard_count) for index in range(shard_count)]))
@@ -276,8 +269,7 @@ def _run_audit_shard(constraints: Tuple[Clause, ...],
                      instance: Instance, shard_index: int,
                      shard_count: int,
                      limit_per_clause: Optional[int],
-                     audit_plan: Optional[AuditPlan] = None,
-                     columnar: bool = True
+                     audit_plan: Optional[AuditPlan] = None
                      ) -> Tuple[List[Tuple[int, Violation]],
                                 Tuple[int, int, int, int, int, int, int]]:
     """Audit one shard of a constraint family.
@@ -308,7 +300,7 @@ def _run_audit_shard(constraints: Tuple[Clause, ...],
         limit = limit_per_clause if sharded is constraint_plan else None
         for violation in clause_violations(
                 instance, clause, limit,
-                matcher=matcher, plan=sharded, columnar=columnar):
+                matcher=matcher, plan=sharded):
             found.append((index, violation))
     counters = (audit_plan.planned_bodies, audit_plan.planned_heads,
                 audit_plan.prebuilt_indexes,
@@ -322,24 +314,20 @@ def _audit_shard(envelope: AuditEnvelope):
     return _run_audit_shard(envelope.constraints, envelope.instance,
                             envelope.shard_index, envelope.shard_count,
                             envelope.limit_per_clause,
-                            audit_plan=envelope.plan,
-                            columnar=envelope.columnar)
+                            audit_plan=envelope.plan)
 
 
 def _audit_shard_from_payload(coordinates: Tuple[int, int]):
     """Audit one shard against the process-wide installed payload."""
-    constraints, instance, limit_per_clause, plan, columnar = \
-        _WORKER_PAYLOAD
+    constraints, instance, limit_per_clause, plan = _WORKER_PAYLOAD
     return _run_audit_shard(constraints, instance, *coordinates,
-                            limit_per_clause, audit_plan=plan,
-                            columnar=columnar)
+                            limit_per_clause, audit_plan=plan)
 
 
 def audit_parallel(constraints: Iterable[Clause], instance: Instance,
                    workers: int,
                    limit_per_clause: Optional[int] = None,
-                   use_processes: bool = True,
-                   columnar: bool = True) -> ParallelAuditResult:
+                   use_processes: bool = True) -> ParallelAuditResult:
     """Audit a constraint family across ``workers`` shards.
 
     The parent plans the audit once and ships the plan; each worker
@@ -361,15 +349,14 @@ def audit_parallel(constraints: Iterable[Clause], instance: Instance,
         shard_results = [
             _audit_shard(AuditEnvelope(family, instance, index,
                                        shard_count, limit_per_clause,
-                                       plan=audit_plan,
-                                       columnar=columnar))
+                                       plan=audit_plan))
             for index in range(shard_count)]
     else:
         with ProcessPoolExecutor(
                 max_workers=shard_count,
                 initializer=_install_payload,
                 initargs=(family, instance, limit_per_clause,
-                          audit_plan, columnar)) as pool:
+                          audit_plan)) as pool:
             shard_results = list(pool.map(
                 _audit_shard_from_payload,
                 [(index, shard_count) for index in range(shard_count)]))

@@ -188,8 +188,7 @@ class Morphase:
     # ------------------------------------------------------------------
     def check_source(self, source: Instance,
                      use_planner: bool = True,
-                     parallel: Optional[int] = None,
-                     columnar: bool = True) -> List[Violation]:
+                     parallel: Optional[int] = None) -> List[Violation]:
         """Audit the merged source instance against source constraints.
 
         Includes schema-level key specifications: a key violation is
@@ -204,8 +203,7 @@ class Morphase:
         normalized = self.compile()
         violations = list(program_violations(
             source, normalized.source_constraints, limit_per_clause=5,
-            use_planner=use_planner, parallel=parallel,
-            columnar=columnar))
+            use_planner=use_planner, parallel=parallel))
         if self.source_keys is not None:
             for bad in key_violations(source, self.source_keys):
                 violations.append(Violation(_key_violation_clause(bad), {}))
@@ -238,8 +236,7 @@ class Morphase:
                   backend: str = "direct",
                   defaults=None,
                   use_planner: bool = True,
-                  parallel: Optional[int] = None,
-                  columnar: bool = True) -> MorphaseResult:
+                  parallel: Optional[int] = None) -> MorphaseResult:
         """Run the compiled program over the source instance(s).
 
         ``backend`` is ``"direct"`` (the one-pass executor) or ``"cpl"``
@@ -298,7 +295,7 @@ class Morphase:
                 target, stats = execute_parallel(
                     normalized.program(), merged, self.target_plain,
                     parallel, validate=validate, defaults=defaults,
-                    plan=program_plan, columnar=columnar)
+                    plan=program_plan)
                 return MorphaseResult(target=target,
                                       normalized=normalized,
                                       stats=stats,
@@ -313,7 +310,7 @@ class Morphase:
                 target, stats = execute(
                     normalized.program(), merged, self.target_plain,
                     validate=validate, defaults=defaults,
-                    plan=program_plan, columnar=columnar)
+                    plan=program_plan)
             cpl_source = None
         elif backend == "cpl":
             if defaults:
@@ -343,7 +340,7 @@ class Morphase:
     # ------------------------------------------------------------------
     def begin_incremental(self, sources: Union[Instance,
                                                Sequence[Instance]],
-                          defaults=None, columnar: bool = True):
+                          defaults=None):
         """Start an incremental transformation session.
 
         Runs the compiled program once (planned, recording per-clause
@@ -358,8 +355,7 @@ class Morphase:
         merged = self._merge_sources(sources)
         normalized = self.compile()
         return IncrementalTransform(normalized.program(), merged,
-                                    self.target_plain, defaults=defaults,
-                                    columnar=columnar)
+                                    self.target_plain, defaults=defaults)
 
     def apply_delta(self, state, delta):
         """Advance an incremental session by one source delta.
@@ -375,8 +371,7 @@ class Morphase:
 
     def begin_incremental_audit(self, sources: Union[Instance,
                                                      Sequence[Instance]],
-                                constraints=None,
-                                columnar: bool = True):
+                                constraints=None):
         """Start an incremental source-constraint audit session.
 
         Audits the merged source against ``constraints`` (default: the
@@ -389,7 +384,7 @@ class Morphase:
         merged = self._merge_sources(sources)
         if constraints is None:
             constraints = list(self.compile().source_constraints)
-        return IncrementalAudit(merged, constraints, columnar=columnar)
+        return IncrementalAudit(merged, constraints)
 
     def audit_delta(self, state, delta):
         """Advance an incremental audit session by one source delta.
@@ -455,8 +450,7 @@ class Morphase:
     def audit(self, sources: Union[Instance, Sequence[Instance]],
               target: Instance,
               use_planner: bool = True,
-              parallel: Optional[int] = None,
-              columnar: bool = True) -> List[Violation]:
+              parallel: Optional[int] = None) -> List[Violation]:
         """Check the original program (transformations + constraints)
         against source and target together — the definition of a
         Tr-transformation (Section 3.2).
@@ -475,8 +469,7 @@ class Morphase:
         return list(program_violations(combined, self.program,
                                        limit_per_clause=5,
                                        use_planner=use_planner,
-                                       parallel=parallel,
-                                       columnar=columnar))
+                                       parallel=parallel))
 
 
 def _key_violation_clause(violation) -> Clause:

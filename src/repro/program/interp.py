@@ -13,12 +13,12 @@ rendering.  That single definition buys three guarantees at once:
 * sharded execution is byte-identical to sequential — a shard
   partitions the row set, and dedup-then-sort erases enumeration order.
 
-``query`` statements run the planned path (vectorized columnar batches
-by default, scalar :meth:`~repro.semantics.match.Matcher.run_plan`
-otherwise), optionally sharded via
-:func:`~repro.engine.planner.shard_join_plan`; bodies with no static
-plan fall back to the dynamic matcher.  Set-algebra statements never
-touch the instance — they fold earlier result sets.
+``query`` statements run the planned path (vectorized columnar
+batches, :meth:`~repro.semantics.match.Matcher.run_plan_columnar`),
+optionally sharded via :func:`~repro.engine.planner.shard_join_plan`;
+bodies with no static plan fall back to the dynamic matcher.
+Set-algebra statements never touch the instance — they fold earlier
+result sets.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class StatementTrace:
     op: str
     rows: int
     planned: bool = False
-    columnar: bool = False
     shards: int = 1
 
     def to_json(self) -> Dict[str, Any]:
@@ -95,7 +94,6 @@ class StatementTrace:
                                "rows": self.rows}
         if self.op == "query":
             out["planned"] = self.planned
-            out["columnar"] = self.columnar
             out["shards"] = self.shards
         return out
 
@@ -121,8 +119,7 @@ class ProgramResult:
 
 
 def run_compiled(compiled: CompiledProgram, instance: Instance,
-                 columnar: bool = True, shards: int = 1,
-                 oid_encoder=None) -> ProgramResult:
+                 shards: int = 1, oid_encoder=None) -> ProgramResult:
     """Run a compiled program against ``instance``.
 
     ``instance`` must be the instance the program was compiled against
@@ -145,7 +142,7 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
         with span(f"{op.op} {name}") as stmt_span:
             if isinstance(op, QueryOp):
                 result, trace = _run_query(statement, matcher, encoder,
-                                           columnar, shards)
+                                           shards)
             else:
                 result = _run_algebra(op, statement.columns, sets)
                 trace = StatementTrace(name=name, op=op.op,
@@ -163,12 +160,12 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
 
 
 def run_program(program: QueryProgram, instance: Instance,
-                pool=None, columnar: bool = True, shards: int = 1,
+                pool=None, shards: int = 1,
                 oid_encoder=None) -> ProgramResult:
     """Compile and run in one call (validation errors raise)."""
     compiled = compile_program(program, instance, pool=pool)
-    return run_compiled(compiled, instance, columnar=columnar,
-                        shards=shards, oid_encoder=oid_encoder)
+    return run_compiled(compiled, instance, shards=shards,
+                        oid_encoder=oid_encoder)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +173,7 @@ def run_program(program: QueryProgram, instance: Instance,
 # ----------------------------------------------------------------------
 
 def _run_query(statement: CompiledStatement, matcher: Matcher,
-               encoder, columnar: bool, shards: int
+               encoder, shards: int
                ) -> Tuple[ResultSet, StatementTrace]:
     query = statement.query
     assert query is not None
@@ -186,17 +183,15 @@ def _run_query(statement: CompiledStatement, matcher: Matcher,
     def bindings() -> Iterator[Dict[str, Any]]:
         if plan is None:
             yield from matcher.solutions(query.body)
-        elif shards > 1:
+            return
+        plans = [plan]
+        if shards > 1:
             shard_plans = [shard_join_plan(plan, i, shards)
                            for i in range(shards)]
-            if any(sp is None for sp in shard_plans):
-                yield from _run_steps(matcher, plan.steps, columnar)
-            else:
-                for shard_plan in shard_plans:
-                    yield from _run_steps(matcher, shard_plan.steps,
-                                          columnar)
-        else:
-            yield from _run_steps(matcher, plan.steps, columnar)
+            if all(sp is not None for sp in shard_plans):
+                plans = shard_plans
+        for each in plans:
+            yield from matcher.run_plan_columnar(each.steps)
 
     def rows() -> Iterator[Row]:
         for binding in bindings():
@@ -207,15 +202,8 @@ def _run_query(statement: CompiledStatement, matcher: Matcher,
     trace = StatementTrace(
         name=statement.statement.name, op="query",
         rows=len(result.rows), planned=plan is not None,
-        columnar=columnar and plan is not None,
         shards=shards if plan is not None else 1)
     return result, trace
-
-
-def _run_steps(matcher: Matcher, steps, columnar: bool):
-    if columnar:
-        return matcher.run_plan_columnar(steps)
-    return matcher.run_plan(steps)
 
 
 def _run_algebra(op, columns: Tuple[str, ...],

@@ -798,27 +798,25 @@ class Matcher:
     # ------------------------------------------------------------------
     def run_plan(self, steps: Sequence[PlanStep],
                  initial: Optional[Binding] = None) -> Iterator[Binding]:
-        """Execute a precompiled step sequence (fixed atom order).
+        """Execute a precompiled step sequence one binding at a time.
 
         Each step's readiness, direction and index selector were resolved
-        statically by the planner, so the hot loop does no atom
+        statically by the planner, so the loop does no atom
         re-classification, no term-evaluability walks and no per-binding
         selector discovery — just evaluation, unification and (indexed)
-        candidate enumeration.
+        candidate enumeration.  This is the early-exit form: the
+        constraint audit's head-satisfiability probe stops at the first
+        binding, which the batch model cannot shortcut.  Whole-clause
+        enumeration goes through :meth:`run_plan_columnar`.
 
         ``initial``'s variables must have been declared to the planner
         (``plan_clause(..., initial_bound=...)``): a step compiled to
         *bind* a variable would silently overwrite a pre-bound value.
-        Such mismatches raise :class:`MatchError`; use
+        Such mismatches raise :class:`MatchError` at call time; use
         :meth:`solutions`, which falls back to the dynamic order instead.
         """
-        steps = tuple(steps)
-        if _plan_conflicts_with(steps, initial):
-            raise MatchError(
-                "plan boundness assumptions do not match the initial "
-                "binding (re-plan with matching initial_bound, or use "
-                "solutions() for the dynamic fallback)")
-        yield from self._run_steps(steps, 0, dict(initial or {}))
+        steps = _checked_steps(steps, initial)
+        return self._run_steps(steps, 0, dict(initial or {}))
 
     def run_plan_columnar(self, steps: Sequence[PlanStep],
                           initial: Optional[Binding] = None,
@@ -828,31 +826,14 @@ class Matcher:
         Same contract and same binding sequence as :meth:`run_plan` —
         the plan runs over whole candidate columns instead of one
         binding dict at a time, falling back per-step to the scalar
-        path for steps the vectorizer cannot compile (see
+        step expander for steps the vectorizer cannot compile (see
         :func:`repro.engine.columnar.step_vectorizable`).  ``stats``
         optionally collects vectorized/fallback step and batch-size
         counters (``ExecutionStats``/``IncrementalStats`` shape).
         """
-        steps = tuple(steps)
-        if _plan_conflicts_with(steps, initial):
-            raise MatchError(
-                "plan boundness assumptions do not match the initial "
-                "binding (re-plan with matching initial_bound, or use "
-                "solutions() for the dynamic fallback)")
+        steps = _checked_steps(steps, initial)
         from ..engine.columnar import stream_plan_columnar
         return stream_plan_columnar(self, steps, initial, stats)
-
-    def run_plan_trusted(self, steps: Tuple[PlanStep, ...],
-                         initial: Binding) -> Iterator[Binding]:
-        """Execute a plan whose boundness the caller already verified.
-
-        The per-call conflict check of :meth:`run_plan` is linear in
-        the plan size — measurable overhead when a delta join runs one
-        plan per seed oid.  Callers that compiled the plan themselves
-        with exactly ``initial``'s variables as ``initial_bound`` (the
-        incremental engine's seeded plans) may skip it.
-        """
-        yield from self._run_steps(steps, 0, dict(initial))
 
     def _run_steps(self, steps: Tuple[PlanStep, ...], position: int,
                    binding: Binding) -> Iterator[Binding]:
@@ -980,6 +961,22 @@ class Matcher:
             yield from self._expand(atom, binding)
             return
         raise MatchError(f"unknown plan step mode {mode!r}")
+
+
+def _checked_steps(steps: Sequence[PlanStep],
+                   initial: Optional[Binding]) -> Tuple[PlanStep, ...]:
+    """``steps`` as a tuple, once ``initial`` is known to fit them.
+
+    The one boundness check both plan entry points share, so a mismatch
+    raises :class:`MatchError` at call time on either.
+    """
+    steps = tuple(steps)
+    if _plan_conflicts_with(steps, initial):
+        raise MatchError(
+            "plan boundness assumptions do not match the initial "
+            "binding (re-plan with matching initial_bound, or use "
+            "solutions() for the dynamic fallback)")
+    return steps
 
 
 def _plan_conflicts_with(steps: Sequence[PlanStep],

@@ -75,7 +75,7 @@ def merge_instances(name: str, instances: Sequence[Instance]) -> Instance:
 def clause_violations(instance: Instance, clause: Clause,
                       limit: Optional[int] = None,
                       matcher: Optional[Matcher] = None,
-                      plan=None, columnar: bool = True) -> List[Violation]:
+                      plan=None) -> List[Violation]:
     """Counterexamples to ``clause`` in ``instance`` (up to ``limit``).
 
     ``matcher`` injects a shared matcher (and with it a shared
@@ -88,8 +88,8 @@ def clause_violations(instance: Instance, clause: Clause,
     every partial binding.  Planned and naive runs report the same
     violations (differential tests in ``tests/constraints`` enforce it).
 
-    With both a plan and ``columnar``, the body enumeration runs as
-    batch stages through the vectorized compiler
+    A planned body enumeration runs as batch stages through the
+    vectorized compiler
     (:func:`repro.engine.columnar.stream_plan_columnar`) — same
     solutions in the same order, so ``limit`` truncates identically.
     The per-solution head probe stays scalar: it is an existence check
@@ -102,11 +102,11 @@ def clause_violations(instance: Instance, clause: Clause,
         plan is not None and plan.body is not None) else None
     head_steps = plan.head.steps if (
         plan is not None and plan.head is not None) else None
-    if body_steps is not None and columnar:
+    if body_steps is not None:
         from ..engine.columnar import stream_plan_columnar
         body_bindings = stream_plan_columnar(matcher, body_steps, None)
     else:
-        body_bindings = matcher.solutions(clause.body, plan=body_steps)
+        body_bindings = matcher.solutions(clause.body)
     violations: List[Violation] = []
     for body_binding in body_bindings:
         # Project to body variables: head checking re-derives the rest.
@@ -129,8 +129,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
                        limit_per_clause: Optional[int] = None,
                        use_planner: bool = True,
                        plan=None,
-                       parallel: Optional[int] = None,
-                       columnar: bool = True) -> List[Violation]:
+                       parallel: Optional[int] = None) -> List[Violation]:
     """All violations of all clauses (constraint audit).
 
     By default the whole audit is *planned*: every clause's body and
@@ -154,8 +153,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
                 "with use_planner=False or an injected plan")
         from ..engine.parallel import audit_parallel
         result = audit_parallel(clauses, instance, parallel,
-                                limit_per_clause=limit_per_clause,
-                                columnar=columnar)
+                                limit_per_clause=limit_per_clause)
         return result.violations(clauses)
     audit_plan = plan
     if audit_plan is not None and audit_plan.pool.instance is not instance:
@@ -170,8 +168,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
     if audit_plan is None:
         for clause in clauses:
             violations.extend(
-                clause_violations(instance, clause, limit_per_clause,
-                                  columnar=columnar))
+                clause_violations(instance, clause, limit_per_clause))
         return violations
     matcher = Matcher(instance, index_pool=audit_plan.pool)
     for index, clause in enumerate(clauses):
@@ -184,7 +181,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
             clause_plan = audit_plan.plan_for(clause)
         violations.extend(clause_violations(
             instance, clause, limit_per_clause, matcher=matcher,
-            plan=clause_plan, columnar=columnar))
+            plan=clause_plan))
     return violations
 
 

@@ -235,9 +235,6 @@ class ServiceClient:
         :meth:`repro.query.Query.parse`); ``project`` optionally names
         the output columns.  Returns ``{"columns", "count", "rows"}``
         with rows duplicate-free in canonical order.
-
-        This replaces the old ``query(class_name)`` extent dump, which
-        lives on as :meth:`extent`.
         """
         path = f"/query?body={quote(body)}"
         if project:
@@ -246,19 +243,8 @@ class ServiceClient:
             path += "&trace=1"
         return self._call("GET", path)
 
-    def extent(self, class_name: str) -> Dict[str, Any]:
-        """One target class extent (dump-labelled entries).
-
-        .. deprecated:: the ``/query?class=`` form predates the
-           conjunctive query API; prefer ``query(body="X in C")`` or
-           :meth:`target` for full dumps.  Kept because extent dumps
-           stay the cheapest way to page one class.
-        """
-        return self._call("GET", f"/query?class={quote(class_name)}")
-
     def program(self, text: Optional[str] = None,
                 ast: Optional[Dict[str, Any]] = None,
-                columnar: bool = True,
                 explain: bool = False,
                 trace: bool = False) -> Dict[str, Any]:
         """Compile and run a query program on the warm session.
@@ -278,8 +264,6 @@ class ServiceClient:
             body["text"] = text
         else:
             body["ast"] = ast
-        if not columnar:
-            body["columnar"] = False
         if explain:
             body["explain"] = True
         return self._call(

@@ -377,21 +377,6 @@ class WarehouseSession:
             self.counters.inc("queries")
             return self._target_document()
 
-    def query_json(self, class_name: str) -> Dict[str, Any]:
-        """The target extent of one class (dump-labelled entries)."""
-        with self._state_lock.read():
-            self.counters.inc("queries")
-            target = self.transform.target
-            if not target.schema.has_class(class_name):
-                raise ServiceError(
-                    f"target schema has no class {class_name!r} "
-                    f"(classes: {', '.join(target.schema.class_names())})",
-                    status=404)
-            document = self._target_document()
-        return {"class": class_name,
-                "count": len(document["objects"][class_name]),
-                "objects": document["objects"][class_name]}
-
     def _warm_query_state(self):
         """(IndexPool, oid-encoder) over the target, cached per batch.
 
@@ -461,7 +446,7 @@ class WarehouseSession:
 
         ``document`` carries the program as ``{"text": "<DSL>"}`` or
         ``{"ast": {<canonical JSON AST>}}`` (exactly one), plus
-        optional ``"columnar": false`` and ``"explain": true``.
+        optional ``"explain": true``.
         Program parse failures surface as 400, validation failures as
         422 with the WOL5xx diagnostics in the error details.
         """
@@ -474,13 +459,10 @@ class WarehouseSession:
             raise ServiceError(
                 "the request must carry exactly one of 'text' (DSL "
                 "source) or 'ast' (canonical JSON AST)")
-        columnar = document.get("columnar", True)
-        if not isinstance(columnar, bool):
-            raise ServiceError("'columnar' must be a boolean")
         explain = document.get("explain", False)
         if not isinstance(explain, bool):
             raise ServiceError("'explain' must be a boolean")
-        unknown = set(document) - {"text", "ast", "columnar", "explain"}
+        unknown = set(document) - {"text", "ast", "explain"}
         if unknown:
             raise ServiceError(
                 f"unknown request field(s): {', '.join(sorted(unknown))}")
@@ -509,8 +491,7 @@ class WarehouseSession:
                         str(exc), status=422, code="validation_failed",
                         details={"diagnostics":
                                  exc.report.to_json()}) from exc
-            outcome = run_compiled(compiled, target, columnar=columnar,
-                                   oid_encoder=encoder)
+            outcome = run_compiled(compiled, target, oid_encoder=encoder)
         response = outcome.to_json()
         if compiled.report.diagnostics:
             response["diagnostics"] = compiled.report.to_json()
@@ -608,8 +589,7 @@ class WarehouseSession:
                 "replayed_on_open": counters.replayed_on_open,
                 "spent": self._failure,
                 # Vectorization counters of the most recent delta
-                # propagation (zeros before the first ingest or with
-                # columnar execution disabled).
+                # propagation (zeros before the first ingest).
                 "vectorized_steps": self.transform.stats.vectorized_steps,
                 "fallback_steps": self.transform.stats.fallback_steps,
                 "vectorized_rows": self.transform.stats.vectorized_rows,

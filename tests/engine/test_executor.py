@@ -57,6 +57,15 @@ class TestBasicExecution:
         target, _ = execute(prog, simple_source(), TARGET)
         assert target.class_sizes() == {"Out": 1}
 
+    def test_columnar_knob_is_gone(self):
+        """Exactly two body-enumeration modes remain: planned (batch
+        stages) and the naive oracle behind ``use_planner=False``."""
+        with pytest.raises(TypeError):
+            Executor(simple_source(), TARGET, columnar=False)
+        assert Executor(simple_source(), TARGET).engine_label() == "naive"
+        assert Executor(simple_source(), TARGET,
+                        use_planner=True).engine_label() == "columnar"
+
     def test_empty_source(self):
         schema = Schema.of("Src", Item=record(name=STR, rank=INT))
         from repro.model import empty_instance

@@ -265,6 +265,22 @@ class TestPlannedNaiveAgreement:
         with pytest.raises(MatchError):
             list(matcher.run_plan(plan.steps))
 
+    @pytest.mark.parametrize("entry", ["run_plan", "run_plan_columnar"])
+    def test_plan_mismatch_raises_at_call_time(self, entry):
+        """Both plan entry points reject a mismatched initial binding
+        when called, not on the first ``next()``."""
+        instance = sample_euro_instance()
+        seeded = plan_clause(body_clause("V = C.country, N = V.name"),
+                             instance.class_sizes(), initial_bound=["C"])
+        unseeded = plan_clause(body_clause("C in CityE"),
+                               instance.class_sizes())
+        run = getattr(Matcher(instance), entry)
+        city = instance.objects_of("CityE")[0]
+        with pytest.raises(MatchError):
+            run(seeded.steps)  # declared seed missing
+        with pytest.raises(MatchError):
+            run(unseeded.steps, initial={"C": city})  # would re-bind C
+
     def test_initial_binding_falls_back_to_dynamic(self):
         """A plan compiled without initial bindings must not clobber them."""
         instance = sample_euro_instance()

@@ -1,9 +1,9 @@
 """Cross-engine differential fuzzing (the parallel PR's safety net).
 
-Six semantically-equivalent execution paths now coexist: the naive
-dynamic matcher, the planned path (scalar and columnar), the CPL
-translation, the incremental delta engine and the parallel sharded
-engine.  This suite generates random schemas (attribute width varies),
+Five semantically-equivalent execution paths coexist: the naive
+dynamic matcher (the oracle), the planned columnar path (production),
+the CPL translation, the incremental delta engine and the parallel
+sharded engine.  This suite generates random schemas (attribute width varies),
 instances and deltas with Hypothesis and holds every pair of engines to
 *byte-equal* serialised targets and *equal* violation sets — the
 strongest oracle the JSON interchange format supports.
@@ -178,20 +178,17 @@ class TestTransformEngines:
     def test_naive_planned_parallel_cpl_byte_equal(self, universe):
         width, source, _ = universe
         morphase = build_morphase(width)
-        columnar = morphase.transform(source).target
-        scalar = morphase.transform(source, columnar=False).target
+        planned = morphase.transform(source).target
         naive = morphase.transform(source, use_planner=False).target
         cpl = morphase.transform(source, backend="cpl").target
-        baseline = serialized(columnar)
-        assert serialized(scalar) == baseline
+        baseline = serialized(planned)
         assert serialized(naive) == baseline
         assert serialized(cpl) == baseline
-        for workers, columnar_flag in ((2, True), (5, False)):
+        for workers in (2, 5):
             parallel, stats = execute_parallel(
                 morphase.compile().program(),
                 morphase._merge_sources(source),
-                morphase.target_plain, workers, use_processes=False,
-                columnar=columnar_flag)
+                morphase.target_plain, workers, use_processes=False)
             assert serialized(parallel) == baseline
             assert stats.shards_run == workers
 
@@ -202,13 +199,13 @@ class TestTransformEngines:
         morphase = build_morphase(width)
         state = morphase.begin_incremental(source)
         result = morphase.apply_delta(state, delta)
-        scalar_state = morphase.begin_incremental(source, columnar=False)
-        scalar_result = morphase.apply_delta(scalar_state, delta)
         updated_source = delta.apply_to(
             morphase._merge_sources(source))
         recomputed = morphase.transform(updated_source).target
+        naive = morphase.transform(updated_source,
+                                   use_planner=False).target
         assert serialized(result.target) == serialized(recomputed)
-        assert serialized(scalar_result.target) == serialized(recomputed)
+        assert serialized(naive) == serialized(recomputed)
         parallel, _ = execute_parallel(
             morphase.compile().program(), updated_source,
             morphase.target_plain, 3, use_processes=False)
@@ -226,7 +223,7 @@ class TestTransformEngines:
 
 
 # ----------------------------------------------------------------------
-# Columnar vs scalar on a mixed vectorizable/fallback program
+# Columnar vs naive on a mixed vectorizable/fallback program
 # ----------------------------------------------------------------------
 
 MIXED_SRC_TEXT = """
@@ -266,19 +263,19 @@ class TestMixedVectorizability:
         morphase = Morphase([schema], parse_schema(MIXED_TGT_TEXT),
                             MIXED_PROGRAM_TEXT)
         columnar = morphase.transform(source)
-        scalar = morphase.transform(source, columnar=False)
-        assert serialized(columnar.target) == serialized(scalar.target)
+        naive = morphase.transform(source, use_planner=False)
+        assert serialized(columnar.target) == serialized(naive.target)
         # The clause genuinely mixes modes: batches formed AND the
         # pattern equation fell back to the row-at-a-time path.
         assert columnar.stats.vectorized_steps > 0
         assert columnar.stats.fallback_steps > 0
-        assert scalar.stats.vectorized_steps == 0
+        assert naive.stats.vectorized_steps == 0
         # Effect counts agree — fallback re-entry neither duplicates
         # nor drops work.
         assert (columnar.stats.objects_created
-                == scalar.stats.objects_created)
+                == naive.stats.objects_created)
         assert (columnar.stats.attributes_set
-                == scalar.stats.attributes_set)
+                == naive.stats.attributes_set)
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +306,6 @@ class TestAuditEngines:
             target, constraints, limit_per_clause=None,
             use_planner=False))
         assert naive == planned
-        scalar = sorted(str(v) for v in program_violations(
-            target, constraints, limit_per_clause=None,
-            columnar=False))
-        assert scalar == planned
         result = audit_parallel(constraints, target, 3,
                                 use_processes=False)
         parallel = sorted(str(v)

@@ -83,6 +83,18 @@ class TestTransform:
         direct = load_instance(str(workspace / "out_cpl.json"))
         assert direct.class_sizes()["CityT"] == 12
 
+    def test_no_columnar_flag_is_gone(self, workspace, capsys):
+        """One production pipeline: the scalar-planned knob was deleted,
+        ``--no-planner`` (the naive oracle) is the only alternative."""
+        with pytest.raises(SystemExit) as info:
+            run(workspace, "transform",
+                "--source", "$W/us.schema", "--source", "$W/euro.schema",
+                "--target", "$W/target.schema", "$W/program.wol",
+                "--data", "$W/us.json", "--data", "$W/euro.json",
+                "--out", "$W/out.json", "--no-columnar")
+        assert info.value.code == 2
+        assert "--no-columnar" in capsys.readouterr().err
+
     def test_check_source_rejects_bad_instance(self, workspace, capsys):
         builder = cities.sample_euro_instance().builder()
         builder.new("CountryE", Record.of(

@@ -3,9 +3,9 @@
 The oracle for every ``query`` statement is the batch
 :class:`repro.query.Query` API run through the *dynamic* matcher; the
 oracle for set algebra is plain Python set algebra over the oracle
-rows.  The interpreter must agree byte-for-byte — across columnar vs
-scalar execution and sharded vs sequential plans (the canonical row
-order makes those equalities exact, not just set-equal).
+rows.  The interpreter must agree byte-for-byte — with the oracle and
+across sharded vs sequential plans (the canonical row order makes those
+equalities exact, not just set-equal).
 """
 
 import json
@@ -63,13 +63,12 @@ class TestQueryStatements:
         assert result.result.columns == ("N", "L")
         assert list(result.result.rows) == oracle_rows(euro, body)
 
-    def test_columnar_and_scalar_agree(self, euro):
-        program = parse_program_text(PROGRAM_TEXT)
-        vectorized = run_program(program, euro, columnar=True)
-        scalar = run_program(program, euro, columnar=False)
-        assert vectorized.result == scalar.result
-        for name in program.statement_names():
-            assert vectorized.sets[name] == scalar.sets[name]
+    def test_program_query_statements_match_naive_oracle(self, euro):
+        outcome = run_program(parse_program_text(PROGRAM_TEXT), euro)
+        assert list(outcome.sets["caps"].rows) == oracle_rows(
+            euro, "N | X in CityE, X.is_capital = true, N = X.name")
+        assert list(outcome.sets["alln"].rows) == oracle_rows(
+            euro, "N | X in CityE, N = X.name")
 
     def test_sharded_equals_sequential(self, euro):
         program = parse_program_text(PROGRAM_TEXT)
@@ -145,7 +144,7 @@ class TestCompiledPrograms:
         program = parse_program_text(PROGRAM_TEXT)
         outcome = run_program(program, euro)
         by_name = {trace.name: trace for trace in outcome.traces}
-        assert by_name["caps"].planned and by_name["caps"].columnar
+        assert by_name["caps"].planned
         assert by_name["rest"].op == "difference"
         document = outcome.to_json()
         assert document["result"] == "top"

@@ -90,17 +90,6 @@ class TestProgramDifferential:
         assert json.dumps(via_text, sort_keys=True) \
             == json.dumps(via_ast, sort_keys=True)
 
-    def test_scalar_execution_is_byte_identical(self, service):
-        _, client = service
-        vectorized = client.program(text=PROGRAM_TEXT)
-        scalar = client.program(text=PROGRAM_TEXT, columnar=False)
-        for trace in scalar["statements"]:
-            if trace["op"] == "query":
-                assert trace["columnar"] is False
-        scalar_rows = json.dumps(scalar["rows"], sort_keys=True)
-        assert scalar_rows == json.dumps(vectorized["rows"],
-                                         sort_keys=True)
-
     def test_program_survives_an_ingest(self, service):
         """The warm pool cache invalidates at batch boundaries."""
         session, client = service
@@ -177,15 +166,18 @@ class TestProgramErrors:
         from repro.service import ServiceClientError
         _, client = service
         with pytest.raises(ServiceClientError) as info:
-            client._call("POST", "/program", body={"columnar": True})
+            client._call("POST", "/program", body={"explain": True})
         assert info.value.status == 400
         assert info.value.code == "bad_request"
 
-    def test_unknown_request_field_is_400(self, service):
+    @pytest.mark.parametrize("field, value", [("shards", 4),
+                                              ("columnar", False)])
+    def test_unknown_request_field_is_400(self, service, field, value):
         from repro.service import ServiceClientError
         _, client = service
         with pytest.raises(ServiceClientError) as info:
             client._call("POST", "/program",
                          body={"text": "a = query { X in CityT };",
-                               "shards": 4})
+                               field: value})
         assert info.value.status == 400
+        assert field in info.value.message

@@ -75,14 +75,6 @@ class TestEndpoints:
         assert json.dumps(served, sort_keys=True) \
             == json.dumps(instance_to_json(cold), sort_keys=True)
 
-    def test_extent_single_class(self, service):
-        _, session, client = service
-        document = client.extent("CountryT")
-        assert document["class"] == "CountryT"
-        assert document["count"] == len(document["objects"])
-        assert document["count"] \
-            == len(session.target.objects_of("CountryT"))
-
     def test_body_query_matches_batch_query(self, service):
         _, session, client = service
         document = client.query("X in CountryT, N = X.name",
@@ -101,7 +93,7 @@ class TestEndpoints:
         from repro.service.server import API_VERSION
         _, _, client = service
         for path in ("/health", "/stats", "/target",
-                     "/query?class=CountryT", "/check"):
+                     "/query?body=X%20in%20CountryT", "/check"):
             with urllib.request.urlopen(client.base_url + path) as resp:
                 document = json.loads(resp.read().decode("utf-8"))
             assert document["version"] == API_VERSION, path
@@ -132,13 +124,14 @@ class TestErrorMapping:
             client._call("GET", "/nothing")
         assert info.value.status == 404
 
-    def test_unknown_class_404(self, service):
+    def test_unknown_class_in_body_422(self, service):
+        """A misspelt class parses as a variable, so the body is unsafe."""
+        from repro.service import ServiceValidationError
         _, _, client = service
-        with pytest.raises(ServiceClientError) as info:
-            client.extent("Nonsense")
-        assert info.value.status == 404
-        assert info.value.code == "not_found"
-        assert "no class" in info.value.message
+        with pytest.raises(ServiceValidationError) as info:
+            client.query("X in Nonsense")
+        assert info.value.status == 422
+        assert "Nonsense" in info.value.message
 
     def test_bad_body_400(self, service):
         _, _, client = service
@@ -167,14 +160,19 @@ class TestErrorMapping:
         with pytest.raises(ServiceClientError) as info:
             client._call("GET", "/query")
         assert info.value.status == 400
+        assert "?body=" in info.value.message
 
-    def test_body_and_class_together_400(self, service):
+    @pytest.mark.parametrize("path", [
+        "/query?class=CountryT",
+        "/query?class=CountryT&body=X%20in%20CountryT"])
+    def test_retired_class_form_400_names_replacement(self, service,
+                                                      path):
         _, _, client = service
         with pytest.raises(ServiceClientError) as info:
-            client._call("GET",
-                         "/query?class=CountryT&body=X%20in%20CountryT")
+            client._call("GET", path)
         assert info.value.status == 400 \
             and info.value.code == "bad_request"
+        assert "?body=X in CountryT" in info.value.message
 
     def test_unparsable_body_is_parse_error_400(self, service):
         from repro.service import ServiceParseError
@@ -210,7 +208,7 @@ class TestConcurrency:
         def reader():
             try:
                 for _ in range(5):
-                    client.extent("CountryT")
+                    client.query("X in CountryT")
                     client.stats()
             except Exception as exc:  # pragma: no cover - fails test
                 errors.append(exc)

@@ -170,9 +170,10 @@ class TestMaintenance:
         assert_matches_cold_oracle(session)
         assert session.counters.snapshots == 1
 
-    def test_query_json_unknown_class(self, session):
-        with pytest.raises(ServiceError, match="no class"):
-            session.query_json("Nonsense")
+    def test_query_body_unknown_class(self, session):
+        with pytest.raises(ServiceError, match="Nonsense") as info:
+            session.query_body_json("X in Nonsense")
+        assert info.value.status == 422
 
     def test_stats_shape(self, session):
         session.ingest(insert_country("A")[1])
