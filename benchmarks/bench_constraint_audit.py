@@ -7,8 +7,9 @@ audit over one shared, prebuilt index pool.  The decisive move is the
 equality-join selector: a key/FD body ``X in C, Y in C, X.p = Y.p``
 turns from a quadratic self-join (naive: scan Y's extent for every X)
 into one index probe per X.  The naive path — a fresh matcher with
-private lazy indexes per clause — is kept as the differential oracle:
-both paths must report *identical* violation sets.
+private lazy indexes per clause, :func:`repro.oracle.naive_violations`
+— is the differential oracle: both must report *identical* violation
+sets.
 
 Series: the genome warehouse headline (clean and corrupted instances),
 ReLiBase, scaling with source size, and audit-plan reuse.
@@ -22,6 +23,7 @@ from repro.constraints import audit_constraints
 from repro.engine import plan_audit
 from repro.model.values import Record
 from repro.morphase import Morphase
+from repro.oracle import naive_violations
 from repro.workloads import genome, relibase
 
 #: Default genome workload size for the headline comparison.
@@ -30,10 +32,14 @@ GENOME_SIZE = {"genes": 150, "sequences": 300, "clones": 300,
 SPEEDUP_FLOOR = 1.5
 
 
-def _violation_sets(report):
-    """Violations as comparable (clause name -> sorted strings)."""
-    return {name: sorted(str(v) for v in found)
-            for name, found in report.violations.items()}
+def _violation_set(found):
+    """Violations as comparable sorted strings."""
+    return sorted(str(v) for v in found)
+
+
+def _reported(report):
+    """A ``ConstraintReport``'s violations, flattened."""
+    return [v for group in report.violations.values() for v in group]
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +66,7 @@ def test_audit_speedup_genome(genome_target, bench_report, benchmark):
     """Planned audit beats naive by >= 1.5x; violation sets identical."""
     constraints = genome.warehouse_constraints()
     naive, naive_time = best_of(
-        lambda: audit_constraints(genome_target, constraints,
-                                  limit_per_clause=None,
-                                  use_planner=False),
+        lambda: naive_violations(genome_target, constraints),
         repetitions=2)
     planned, planned_time = best_of(
         lambda: audit_constraints(genome_target, constraints,
@@ -71,8 +75,8 @@ def test_audit_speedup_genome(genome_target, bench_report, benchmark):
 
     # Differential: planned and naive audits agree violation for
     # violation (here: a clean warehouse, no violations at all).
-    assert _violation_sets(planned) == _violation_sets(naive)
-    assert planned.ok and naive.ok
+    assert _violation_set(_reported(planned)) == _violation_set(naive)
+    assert planned.ok and not naive
 
     speedup = naive_time / planned_time
     print_table(
@@ -111,18 +115,17 @@ def test_audit_differential_on_violations(genome_target, benchmark):
         symbol=some_gene.get("symbol"), description="duplicated"))
     corrupted = builder.freeze()
 
-    naive = audit_constraints(corrupted, constraints,
-                              limit_per_clause=None, use_planner=False)
+    naive = naive_violations(corrupted, constraints)
     planned = audit_constraints(corrupted, constraints,
                                 limit_per_clause=None)
     assert not planned.ok
-    assert _violation_sets(planned) == _violation_sets(naive)
+    assert _violation_set(_reported(planned)) == _violation_set(naive)
     print_table(
         "C1: differential on a corrupted warehouse",
         ("path", "violated clauses", "violations"),
-        [(path, len(report.violations),
-          sum(len(v) for v in report.violations.values()))
-         for path, report in (("naive", naive), ("planned", planned))])
+        [("naive", len({v.clause.name for v in naive}), len(naive)),
+         ("planned", len(planned.violations),
+          sum(len(v) for v in planned.violations.values()))])
     benchmark(lambda: audit_constraints(corrupted, constraints,
                                         limit_per_clause=None))
 
@@ -131,15 +134,13 @@ def test_audit_speedup_relibase(relibase_target, bench_report, benchmark):
     """The ReLiBase library (keys + inclusions + inverse) speeds up too."""
     constraints = relibase.relibase_constraints()
     naive, naive_time = best_of(
-        lambda: audit_constraints(relibase_target, constraints,
-                                  limit_per_clause=None,
-                                  use_planner=False),
+        lambda: naive_violations(relibase_target, constraints),
         repetitions=2)
     planned, planned_time = best_of(
         lambda: audit_constraints(relibase_target, constraints,
                                   limit_per_clause=None),
         repetitions=2)
-    assert _violation_sets(planned) == _violation_sets(naive)
+    assert _violation_set(_reported(planned)) == _violation_set(naive)
     speedup = naive_time / planned_time
     print_table(
         "C1: planned vs naive constraint audit (ReLiBase)",
@@ -175,15 +176,13 @@ def test_audit_speedup_scaling(benchmark):
             sparsity=0.9, seed=11)
         target = m.transform(genome.source_instance(database)).target
         naive, naive_time = best_of(
-            lambda: audit_constraints(target, constraints,
-                                      limit_per_clause=None,
-                                      use_planner=False),
+            lambda: naive_violations(target, constraints),
             repetitions=2)
         planned, planned_time = best_of(
             lambda: audit_constraints(target, constraints,
                                       limit_per_clause=None),
             repetitions=2)
-        assert _violation_sets(planned) == _violation_sets(naive)
+        assert _violation_set(_reported(planned)) == _violation_set(naive)
         rows.append((target.size(), round(naive_time * 1000, 1),
                      round(planned_time * 1000, 1),
                      f"{naive_time / planned_time:.2f}x"))
@@ -208,7 +207,8 @@ def test_audit_plan_reuse(genome_target, benchmark):
 
     shared, shared_time = best_of(audit_with_shared_plan, repetitions=3)
     fresh, fresh_time = best_of(audit_planning_each_time, repetitions=3)
-    assert _violation_sets(shared) == _violation_sets(fresh)
+    assert (_violation_set(_reported(shared))
+            == _violation_set(_reported(fresh)))
     # The shared-plan run builds no indexes at all: they were prebuilt.
     assert shared.indexes_built == 0
     print_table("C1: audit plan reuse",

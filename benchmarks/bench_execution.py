@@ -5,19 +5,17 @@ performed in one pass over the source databases".  Normal-form execution
 touches each qualifying source combination once, so time grows linearly
 with the source instance.
 
-Since the planner landed, ``Morphase.transform`` runs the planned path by
-default (fixed atom orders, shared prebuilt index pool); the series here
-therefore measure planned execution, and ``test_planner_on_vs_off``
-records the head-to-head against the naive path at one size (the full
-planner story is in ``bench_planner.py``).
+``Morphase.transform`` always runs the planned path (fixed atom orders,
+shared prebuilt index pool), so the series here measure planned
+execution; the production-vs-oracle head-to-head is the floored
+``genome_default`` row of ``bench_planner.py``.
 """
 
 import pytest
 from conftest import best_of, print_table
 
-from repro.adapters.acedb import schema_of_acedb
 from repro.morphase import Morphase
-from repro.workloads import cities, genome, relibase
+from repro.workloads import cities
 
 SIZES = (20, 40, 80, 160)
 
@@ -84,69 +82,3 @@ def test_execution_statistics(morphase, benchmark):
     assert stats.bindings_found >= stats.objects_created
     # The planned path covered every clause.
     assert stats.clauses_planned == stats.clauses_run
-
-
-def test_planner_on_vs_off(morphase, bench_report, benchmark):
-    """Head-to-head at one size; identical targets either way."""
-    sources = _sources(60)
-    naive, naive_time = best_of(
-        lambda: morphase.transform(sources, use_planner=False),
-        repetitions=2)
-    planned, planned_time = best_of(
-        lambda: morphase.transform(sources, use_planner=True),
-        repetitions=2)
-    assert planned.target.valuations == naive.target.valuations
-    print_table("E5: planner on vs off (60 countries)",
-                ("path", "ms"),
-                [("naive", round(naive_time * 1000, 1)),
-                 ("planned", round(planned_time * 1000, 1))])
-    benchmark.extra_info["speedup"] = round(naive_time / planned_time, 2)
-    bench_report.record(
-        "cities_60",
-        naive_ms=round(naive_time * 1000, 3),
-        planned_ms=round(planned_time * 1000, 3),
-        speedup=round(naive_time / planned_time, 2))
-    benchmark(lambda: morphase.transform(sources, use_planner=True))
-
-
-def test_deployment_workload_trajectory(bench_report, benchmark):
-    """Record the naive/planned head-to-head on the two deployment
-    workloads too — a ``cities_60`` row alone tracks a toy program, so
-    regressions in the genome/ReLiBase execution profile (deeper joins,
-    set accumulation) would previously go unrecorded."""
-    cases = []
-
-    gm = Morphase([schema_of_acedb(genome.sample_acedb())],
-                  genome.warehouse_schema(), genome.PROGRAM_TEXT)
-    gm.compile()
-    database = genome.generate_acedb(20, 50, 100, sparsity=0.9, seed=8)
-    cases.append(("genome_100", gm, [genome.source_instance(database)]))
-
-    rm = Morphase([relibase.swissprot_schema(), relibase.pdb_schema()],
-                  relibase.relibase_schema(), relibase.PROGRAM_TEXT)
-    rm.compile()
-    sp, pdb = relibase.generate_sources(50, 3, 25, 100, seed=3)
-    cases.append(("relibase_50", rm, [sp, pdb]))
-
-    rows = []
-    for label, case_morphase, case_sources in cases:
-        m, srcs = case_morphase, case_sources
-        naive, naive_time = best_of(
-            lambda: m.transform(srcs, use_planner=False),
-            repetitions=2)
-        planned, planned_time = best_of(
-            lambda: m.transform(srcs), repetitions=2)
-        assert planned.target.valuations == naive.target.valuations
-        speedup = round(naive_time / planned_time, 2)
-        rows.append((label, round(naive_time * 1000, 1),
-                     round(planned_time * 1000, 1), speedup))
-        bench_report.record(
-            label,
-            naive_ms=round(naive_time * 1000, 3),
-            planned_ms=round(planned_time * 1000, 3),
-            speedup=speedup)
-    print_table("E5: planner on vs off (deployment workloads)",
-                ("case", "naive ms", "planned ms", "speedup"), rows)
-
-    gm_sources = [genome.source_instance(database)]
-    benchmark(lambda: gm.transform(gm_sources))

@@ -4,9 +4,9 @@ The execution planner (:mod:`repro.engine.planner`) computes a join plan
 per clause once — fixed atom order, index selectors resolved statically,
 including containment-hop indexes through set-valued attributes — and
 shares one prebuilt index pool across all clauses.  The naive path (the
-pre-planner behaviour, kept as the differential oracle) re-derives atom
-readiness per binding and rediscovers equality selectors per candidate
-enumeration.
+pre-planner behaviour, :func:`repro.oracle.naive_transform`, the
+differential oracle) re-derives atom readiness per binding and
+rediscovers equality selectors per candidate enumeration.
 
 The headline series compares both paths on the genome workload at the
 default size; the acceptance bar is a >= 10x speedup with identical
@@ -22,6 +22,7 @@ from conftest import best_of, print_table
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
 from repro.engine import Executor, plan_program
 from repro.morphase import Morphase
+from repro.oracle import naive_transform
 from repro.workloads import genome, synthetic
 
 #: Default genome workload size for the headline comparison.
@@ -49,12 +50,10 @@ def test_planner_speedup_genome(genome_morphase, genome_source,
                                 bench_report, benchmark):
     """Planned execution beats naive by >= 10x; targets are identical."""
     naive_result, naive_time = best_of(
-        lambda: genome_morphase.transform(genome_source,
-                                          use_planner=False),
+        lambda: naive_transform(genome_morphase, genome_source),
         repetitions=2)
     planned_result, planned_time = best_of(
-        lambda: genome_morphase.transform(genome_source, use_planner=True),
-        repetitions=2)
+        lambda: genome_morphase.transform(genome_source), repetitions=2)
 
     # Differential: the two paths build the same warehouse, object for
     # object and attribute for attribute.
@@ -85,8 +84,7 @@ def test_planner_speedup_genome(genome_morphase, genome_source,
     assert speedup >= SPEEDUP_FLOOR, (
         f"planned path only {speedup:.2f}x faster (< {SPEEDUP_FLOOR}x)")
 
-    benchmark(lambda: genome_morphase.transform(genome_source,
-                                                use_planner=True))
+    benchmark(lambda: genome_morphase.transform(genome_source))
 
 
 def test_planner_speedup_scaling(genome_morphase, benchmark):
@@ -98,11 +96,10 @@ def test_planner_speedup_scaling(genome_morphase, benchmark):
             sparsity=0.9, seed=11)
         source = genome.source_instance(database)
         _, naive_time = best_of(
-            lambda: genome_morphase.transform(source, use_planner=False),
+            lambda: naive_transform(genome_morphase, source),
             repetitions=2)
         _, planned_time = best_of(
-            lambda: genome_morphase.transform(source, use_planner=True),
-            repetitions=2)
+            lambda: genome_morphase.transform(source), repetitions=2)
         rows.append((source.size(), round(naive_time * 1000, 1),
                      round(planned_time * 1000, 1),
                      f"{naive_time / planned_time:.2f}x"))
@@ -121,9 +118,9 @@ def test_planner_synthetic_wide(benchmark):
     m.compile()
     source = synthetic.wide_instance(width, items)
     naive_result, naive_time = best_of(
-        lambda: m.transform(source, use_planner=False), repetitions=2)
+        lambda: naive_transform(m, source), repetitions=2)
     planned_result, planned_time = best_of(
-        lambda: m.transform(source, use_planner=True), repetitions=2)
+        lambda: m.transform(source), repetitions=2)
     assert planned_result.target.valuations == naive_result.target.valuations
     print_table(
         "P1: planned vs naive (synthetic wide records)",
@@ -131,7 +128,7 @@ def test_planner_synthetic_wide(benchmark):
         [(width, items, round(naive_time * 1000, 1),
           round(planned_time * 1000, 1),
           f"{naive_time / planned_time:.2f}x")])
-    benchmark(lambda: m.transform(source, use_planner=True))
+    benchmark(lambda: m.transform(source))
 
 
 def test_plan_reuse_across_runs(genome_morphase, genome_source, benchmark):
@@ -148,7 +145,7 @@ def test_plan_reuse_across_runs(genome_morphase, genome_source, benchmark):
         return executor.freeze()
 
     def run_planning_each_time():
-        executor = Executor(merged, target_schema, use_planner=True)
+        executor = Executor(merged, target_schema)
         executor.run_program(program)
         return executor.freeze()
 

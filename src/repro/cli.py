@@ -17,11 +17,10 @@ Subcommands::
         Run the transformation over JSON instances; write the target.
 
     python -m repro check    --source euro.schema program.wol \\
-                             --data euro.json [--stats] [--no-planner]
+                             --data euro.json [--stats]
         Audit constraint clauses against an instance.  The audit is
-        planned by default (per-clause join orders for body and head
-        probe, one shared prebuilt index pool); ``--no-planner`` runs
-        the naive per-clause matchers and ``--stats`` prints the
+        planned (per-clause join orders for body and head probe, one
+        shared prebuilt index pool); ``--stats`` prints the
         planner/index counters.
 
     python -m repro plan     --source us.schema --target target.schema \\
@@ -87,10 +86,10 @@ Schema files use the textual schema language; ``program.wol`` is WOL
 concrete syntax; instances are the JSON interchange format of
 :mod:`repro.io` and deltas that of
 :mod:`repro.evolution.delta`.  ``transform`` runs the planned execution
-path by default; ``--no-planner`` forces the naive per-clause path and
-``--stats`` prints the executor/planner counters.  Planned execution is
-vectorized: whole binding batches flow through each clause as columns,
-with a row-at-a-time fallback per step the vectorizer cannot compile.
+path; ``--stats`` prints the executor/planner counters.  Planned
+execution is vectorized: whole binding batches flow through each clause
+as columns, with a row-at-a-time fallback per step the vectorizer cannot
+compile.
 ``transform`` and ``check`` accept ``--parallel N`` to shard the planned
 path across N worker processes (byte-identical targets, unioned
 violation sets).
@@ -163,7 +162,6 @@ def _cmd_transform(args) -> int:
         result = morphase.transform(
             instances, backend=args.backend,
             check_source_constraints=args.check_source,
-            use_planner=not args.no_planner,
             parallel=args.parallel)
     if trace is not None:
         print(trace.render())
@@ -223,16 +221,11 @@ def _cmd_check(args) -> int:
     instances = [load_instance(path) for path in args.data]
     merged = (instances[0] if len(instances) == 1
               else merge_instances("__check__", instances))
-    if args.parallel is not None and args.no_planner:
-        print("error: --parallel shards join plans; drop --no-planner",
-              file=sys.stderr)
-        return 2
     tracing = (start_trace("check", program=args.program)
                if args.trace else nullcontext(None))
     with tracing as trace:
         report = audit_constraints(merged, list(program),
                                    limit_per_clause=10,
-                                   use_planner=not args.no_planner,
                                    parallel=args.parallel)
     if trace is not None:
         print(trace.render())
@@ -630,9 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="validate source constraints first")
     transform_p.add_argument("--audit", action="store_true",
                              help="audit the result against the program")
-    transform_p.add_argument("--no-planner", action="store_true",
-                             help="disable the execution planner (naive "
-                                  "per-clause path)")
     transform_p.add_argument("--parallel", type=int, metavar="N",
                              help="shard execution across N worker "
                                   "processes (planned path only; the "
@@ -646,9 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "timings) for the run")
     check_p.add_argument("--data", action="append", required=True,
                          help="instance JSON (repeatable)")
-    check_p.add_argument("--no-planner", action="store_true",
-                         help="disable the audit planner (naive "
-                              "per-clause matchers)")
     check_p.add_argument("--parallel", type=int, metavar="N",
                          help="shard the audit across N worker "
                               "processes (violation sets union)")

@@ -9,10 +9,12 @@ Audits run on the same production execution machinery as transformations:
 :func:`audit_constraints` plans the whole constraint family once
 (:func:`repro.engine.planner.plan_audit` — a fixed join order per clause
 body *and* per head-satisfiability probe) and executes every clause over
-one shared, prebuilt :class:`~repro.semantics.match.IndexPool`.  The
+one shared, prebuilt :class:`~repro.semantics.match.IndexPool` through
+:func:`~repro.semantics.satisfaction.program_violations` — the one
+audit loop; this module adds only the grouping and the counters.  The
 pre-planner behaviour — a fresh naive matcher with private lazy indexes
-per clause — is kept behind ``use_planner=False`` as the differential
-oracle: both paths report identical violation sets.
+per clause — lives in :func:`repro.oracle.naive_violations` as the
+differential reference: both report identical violation sets.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from ..engine.planner import AuditPlan, plan_audit
 from ..lang.ast import Clause
 from ..model.instance import Instance
-from ..semantics.match import Matcher
-from ..semantics.satisfaction import Violation, clause_violations
+from ..semantics.satisfaction import Violation, program_violations
 
 
 @dataclass
@@ -38,7 +39,7 @@ class ConstraintReport:
     shared pool), ``prebuilt_indexes`` were materialised at planning
     time, and ``index_lookups`` extent scans were replaced by hash
     probes (``index_hits`` returned candidates, ``index_misses`` proved
-    no candidate exists).  All zero on the naive path.
+    no candidate exists).
     """
 
     checked: int
@@ -104,19 +105,17 @@ class ConstraintReport:
 def audit_constraints(instance: Instance,
                       constraints: Sequence[Clause],
                       limit_per_clause: Optional[int] = 10,
-                      use_planner: bool = True,
                       plan: Optional[AuditPlan] = None,
                       parallel: Optional[int] = None
                       ) -> ConstraintReport:
     """Check every constraint; collect up to ``limit_per_clause``
     violations each.
 
-    With ``use_planner`` (the default) the family is compiled once into
-    an :class:`~repro.engine.planner.AuditPlan` and every clause runs
+    The family is compiled once into an
+    :class:`~repro.engine.planner.AuditPlan` and every clause runs
     over the plan's shared, prebuilt index pool.  ``plan`` injects a
     precomputed plan (amortising planning and index builds across
-    repeated audits); ``use_planner=False`` is the naive per-clause
-    oracle.
+    repeated audits).
 
     ``parallel=N`` runs the planned audit across ``N`` worker processes
     (:func:`repro.engine.parallel.audit_parallel`): every clause's body
@@ -126,53 +125,33 @@ def audit_constraints(instance: Instance,
     reports are deterministic whatever order workers finish in.
     """
     if parallel is not None:
-        if not use_planner or plan is not None:
+        if plan is not None:
             raise ValueError(
-                "parallel audits shard join plans; they cannot run "
-                "with use_planner=False or an injected plan")
+                "parallel audits plan and shard the family themselves; "
+                "they cannot run with an injected plan")
         return _audit_constraints_parallel(instance, constraints,
                                            limit_per_clause, parallel)
     start = time.perf_counter()
     report = ConstraintReport(checked=len(constraints))
-    audit_plan = plan
-    if audit_plan is not None and audit_plan.pool.instance is not instance:
-        raise ValueError(
-            "injected audit plan was built for a different instance; "
-            "its indexes would silently produce wrong violation sets "
-            "(re-plan with plan_audit against this instance)")
-    if audit_plan is None and use_planner:
-        audit_plan = plan_audit(constraints, instance)
-    matcher: Optional[Matcher] = None
-    baseline = (0, 0, 0, 0)
-    if audit_plan is not None:
-        report.planned_bodies = audit_plan.planned_bodies
-        report.planned_heads = audit_plan.planned_heads
-        report.prebuilt_indexes = audit_plan.prebuilt_indexes
-        matcher = Matcher(instance, index_pool=audit_plan.pool)
-        pool = audit_plan.pool
-        baseline = (pool.builds, pool.lookups, pool.hits, pool.misses)
-    for index, clause in enumerate(constraints):
-        clause_plan = None
-        if audit_plan is not None:
-            # Plans align with the constraint sequence; an injected plan
-            # built from a different sequence is matched by clause.
-            if (index < len(audit_plan.plans)
-                    and audit_plan.plans[index].clause is clause):
-                clause_plan = audit_plan.plans[index]
-            else:
-                clause_plan = audit_plan.plan_for(clause)
-        found = clause_violations(instance, clause, limit_per_clause,
-                                  matcher=matcher, plan=clause_plan)
-        if found:
-            name = clause.name or f"<clause {index}>"
-            report.violations.setdefault(name, []).extend(found)
-    if audit_plan is not None:
-        pool = audit_plan.pool
-        # The pool may be shared across audits: report this run's delta.
-        report.indexes_built = pool.builds - baseline[0]
-        report.index_lookups = pool.lookups - baseline[1]
-        report.index_hits = pool.hits - baseline[2]
-        report.index_misses = pool.misses - baseline[3]
+    audit_plan = plan if plan is not None \
+        else plan_audit(constraints, instance)
+    pool = audit_plan.pool
+    # The pool may be shared across audits: report this run's delta.
+    baseline = (pool.builds, pool.lookups, pool.hits, pool.misses)
+    names = {id(clause): clause.name or f"<clause {index}>"
+             for index, clause in enumerate(constraints)}
+    for violation in program_violations(instance, constraints,
+                                        limit_per_clause,
+                                        plan=audit_plan):
+        report.violations.setdefault(
+            names[id(violation.clause)], []).append(violation)
+    report.planned_bodies = audit_plan.planned_bodies
+    report.planned_heads = audit_plan.planned_heads
+    report.prebuilt_indexes = audit_plan.prebuilt_indexes
+    report.indexes_built = pool.builds - baseline[0]
+    report.index_lookups = pool.lookups - baseline[1]
+    report.index_hits = pool.hits - baseline[2]
+    report.index_misses = pool.misses - baseline[3]
     report.elapsed_seconds = time.perf_counter() - start
     return report
 

@@ -14,19 +14,19 @@ describes a target insert.  The executor:
    (an object missing required attributes — the program is not complete,
    Section 3.2).
 
-Two body-evaluation paths exist.  The **planned** path
-(:meth:`Executor.run_program` with ``use_planner``, the production
-default through :class:`repro.morphase.system.Morphase`) plans the whole
-program once via :mod:`repro.engine.planner`: per clause a fixed atom
-order compiled into plan steps, and across clauses one shared, prebuilt
-index pool — no per-binding atom re-classification, no per-matcher lazy
-index builds.  Every planned clause runs as batch stages over whole
-binding columns (:mod:`repro.engine.columnar`), with the scalar step
-expander serving only as the per-step fallback inside a batch.  The
-**naive** path runs each clause through the dynamic matcher
-independently; it is kept both as the fallback for clauses the planner
-cannot order statically and as the oracle in differential tests
-(planned and naive execution must produce identical target instances).
+Execution is always **planned**: :meth:`Executor.run_program` plans the
+whole program once via :mod:`repro.engine.planner` (unless handed a
+precomputed plan): per clause a fixed atom order compiled into plan
+steps, and across clauses one shared, prebuilt index pool — no
+per-binding atom re-classification, no per-matcher lazy index builds.
+Every planned clause runs as batch stages over whole binding columns
+(:mod:`repro.engine.columnar`), with the scalar step expander serving
+only as the per-step fallback inside a batch.  A clause the planner
+cannot order statically falls back, alone, to the dynamic matcher
+(:meth:`Executor.run_clause` without a join plan).  Running *every*
+clause that way is the naive reference of the differential tests; it
+lives in :mod:`repro.oracle`, not behind an option here (planned and
+naive execution must produce identical target instances).
 
 The executor is deliberately independent of the normaliser: any program
 whose clause bodies mention only source classes can be run, which is what
@@ -96,7 +96,7 @@ class ExecutionStats:
     #: Vectorized execution (:mod:`repro.engine.columnar`): plan steps
     #: run as whole-batch array operations vs. steps that fell back to
     #: the scalar step expander, total rows entering vectorized steps,
-    #: and the largest batch seen (0s on the naive path).
+    #: and the largest batch seen.
     vectorized_steps: int = 0
     fallback_steps: int = 0
     vectorized_rows: int = 0
@@ -143,11 +143,11 @@ class _PendingObject:
 class Executor:
     """Runs source-only clauses against a source instance.
 
-    ``use_planner`` selects the planned path for :meth:`run_program`:
-    the program is planned once (fixed atom orders, shared prebuilt
-    index pool) and every plannable clause runs its precompiled steps
-    as batch stages.  ``index_pool`` injects a pool shared beyond this
-    executor (e.g. across repeated runs over the same source).
+    :meth:`run_program` plans the program once (fixed atom orders,
+    shared prebuilt index pool) and every plannable clause runs its
+    precompiled steps as batch stages.  ``index_pool`` injects a pool
+    shared beyond this executor (e.g. across repeated runs over the
+    same source).
 
     ``shard`` (a ``(shard_index, shard_count)`` pair) turns this
     executor into one worker of a parallel run: each clause's join plan
@@ -160,12 +160,10 @@ class Executor:
     """
 
     def __init__(self, source: Instance, target_schema: Schema,
-                 use_planner: bool = False,
                  index_pool: Optional[IndexPool] = None,
                  shard: Optional[Tuple[int, int]] = None) -> None:
         self.source = source
         self.target_schema = target_schema
-        self.use_planner = use_planner
         self.shard = shard
         self._matcher = Matcher(source, index_pool=index_pool)
         self._pending: Dict[Oid, _PendingObject] = {}
@@ -178,27 +176,27 @@ class Executor:
     # ------------------------------------------------------------------
     def run_program(self, program: Iterable[Clause],
                     plan: Optional[ProgramPlan] = None) -> "Executor":
-        """Execute a whole program, planning it once when enabled.
+        """Execute a whole program, planning it once.
 
         ``plan`` supplies a precomputed :class:`ProgramPlan` (its pool
-        replaces the matcher's); otherwise one is computed here when the
-        executor was built with ``use_planner``.  Clauses without a join
-        plan fall back to the dynamic per-clause path.
+        replaces the matcher's); otherwise one is computed here.
+        Clauses without a join plan fall back to the dynamic per-clause
+        path.
         """
         start = time.perf_counter()
         clauses = list(program)
         baseline = self._pool_snapshot()
-        if plan is None and self.use_planner:
+        if plan is None:
             # Planning here is part of this run: its prebuilds count.
             plan = plan_program(clauses, self.source,
                                 pool=self._matcher.pool)
-        if plan is not None and plan.pool is not self._matcher.pool:
+        if plan.pool is not self._matcher.pool:
             # An externally planned pool may be shared across runs; only
             # activity from this point on belongs to this run's stats.
             self._matcher.pool = plan.pool
             baseline = self._pool_snapshot()
         for clause in clauses:
-            join_plan = plan.plan_for(clause) if plan else None
+            join_plan = plan.plan_for(clause)
             if self.shard is not None:
                 shard_index, shard_count = self.shard
                 if join_plan is not None:
@@ -213,25 +211,22 @@ class Executor:
             self.run_clause(clause, join_plan)
         self._sync_index_stats(baseline)
         self.stats.elapsed_seconds += time.perf_counter() - start
-        publish_engine_stats(self.engine_label(plan), self.stats)
+        publish_engine_stats(self.engine_label(), self.stats)
         return self
 
-    def engine_label(self, plan: Optional[ProgramPlan] = None) -> str:
+    def engine_label(self) -> str:
         """Which execution engine this run used (metrics label)."""
-        if self.shard is not None:
-            return "parallel"
-        if plan is not None or self.use_planner:
-            return "columnar"
-        return "naive"
+        return "parallel" if self.shard is not None else "columnar"
 
     def run_clause(self, clause: Clause,
                    join_plan: Optional[JoinPlan] = None) -> None:
         """Execute one normal-form clause.
 
-        Without ``join_plan`` this is the naive path: the dynamic matcher
-        re-derives the atom order per binding (kept as the differential
-        oracle).  With a plan, the precompiled steps run as batch
-        stages and the head effects apply column-wise.
+        With a plan, the precompiled steps run as batch stages and the
+        head effects apply column-wise.  Without ``join_plan`` the
+        dynamic matcher re-derives the atom order per binding: the
+        fallback for clauses the planner cannot order, and the whole of
+        :func:`repro.oracle.naive_execute`.
         """
         self._check_source_only(clause)
         plan = _HeadPlan(clause, self.target_schema)
@@ -1066,18 +1061,15 @@ def _order_identities(identities: Dict[str, SkolemTerm],
 def execute(program: Program, source: Instance,
             target_schema: Schema, validate: bool = True,
             defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
-            use_planner: bool = False,
             plan: Optional[ProgramPlan] = None
             ) -> Tuple[Instance, ExecutionStats]:
     """Run a normal-form program and return (target instance, stats).
 
-    ``use_planner`` (or an explicit precomputed ``plan``) switches body
-    evaluation to the planned path, which executes each planned clause
-    as batch stages over whole binding columns; without either, every
-    clause runs through the dynamic matcher (the oracle).  The result
-    is identical on both paths.
+    The program is planned here unless a precomputed ``plan`` is given;
+    each planned clause executes as batch stages over whole binding
+    columns.
     """
-    executor = Executor(source, target_schema, use_planner=use_planner)
+    executor = Executor(source, target_schema)
     executor.run_program(program, plan=plan)
     return (executor.freeze(validate=validate, defaults=defaults),
             executor.stats)

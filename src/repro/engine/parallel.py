@@ -1,9 +1,9 @@
 """Parallel sharded execution: transforms and audits across processes.
 
-Every execution path grown so far — naive, planned, incremental — is
-single-process, so throughput caps at one core.  This module adds the
-fourth engine: the source instance's *driving* class extents are
-partitioned into shards by a stable hash of each object identity
+The planned and incremental execution paths are single-process, so
+throughput caps at one core.  This module adds the parallel engine: the
+source instance's *driving* class extents are partitioned into shards
+by a stable hash of each object identity
 (:func:`repro.semantics.match.shard_of`), every worker process runs the
 whole program over the full instance but with each clause's driving
 membership generator restricted to its shard
@@ -122,7 +122,7 @@ def _run_transform_shard(clauses: Tuple[Clause, ...], source: Instance,
                          shard_count: int,
                          plan: Optional[ProgramPlan] = None
                          ) -> Tuple[Dict, ExecutionStats]:
-    executor = Executor(source, target_schema, use_planner=True,
+    executor = Executor(source, target_schema,
                         shard=(shard_index, shard_count))
     executor.run_program(clauses, plan=plan)
     executor.stats.shards_run = 1

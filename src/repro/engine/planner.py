@@ -22,8 +22,9 @@ This module plans a whole :class:`~repro.lang.ast.Program` once:
 Planning is purely static: it reads only clause syntax plus class
 cardinalities of the source instance, so a plan is deterministic for a
 given (program, instance-size) pair and ``explain()`` output is stable.
-The planned and naive paths enumerate identical solution sets — the
-differential tests in ``tests/engine/test_planner.py`` and
+Planned execution and the naive reference (:mod:`repro.oracle`, every
+clause through the dynamic matcher) enumerate identical solution sets —
+the differential tests in ``tests/engine/test_planner.py`` and
 ``benchmarks/bench_planner.py`` hold the planner to that.
 """
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from ..lang.ast import Clause
 from ..model.instance import Instance
 from ..model.isomorphism import isomorphic
-from ..semantics.satisfaction import satisfies_program
+from ..semantics.satisfaction import satisfies_clause
 
 #: A transformation under analysis: source instance -> target instance.
 Transform = Callable[[Instance], Instance]
@@ -104,13 +104,14 @@ def filter_by_constraints(instances: Iterable[Instance],
     Used to reproduce Section 4.3: a transformation non-injective on the
     full family becomes injective on the constrained sub-family.
 
-    The naive path is deliberate: the family members are tiny and the
-    check short-circuits on the first violation, so per-instance audit
-    planning (and eager index prebuilds) would cost more than it saves.
+    Per-clause checks are deliberate: the family members are tiny and
+    the check short-circuits on the first violation, so per-instance
+    audit planning (and eager index prebuilds) would cost more than it
+    saves.
     """
     return [instance for instance in instances
-            if satisfies_program(instance, constraints,
-                                 use_planner=False)]
+            if all(satisfies_clause(instance, clause)
+                   for clause in constraints)]
 
 
 @dataclass

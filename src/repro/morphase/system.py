@@ -187,23 +187,21 @@ class Morphase:
 
     # ------------------------------------------------------------------
     def check_source(self, source: Instance,
-                     use_planner: bool = True,
                      parallel: Optional[int] = None) -> List[Violation]:
         """Audit the merged source instance against source constraints.
 
         Includes schema-level key specifications: a key violation is
         reported as a violation of the corresponding identity clause.
-        The audit is planned by default (one shared prebuilt index pool
-        across all constraint clauses); ``use_planner=False`` runs the
-        naive per-clause matchers, kept as the differential oracle.
-        ``parallel=N`` fans the audit out across ``N`` worker processes
-        with hash-sharded body enumerations (violation sets union).
+        The audit is planned (one shared prebuilt index pool across
+        all constraint clauses).  ``parallel=N`` fans the audit out
+        across ``N`` worker processes with hash-sharded body
+        enumerations (violation sets union).
         """
         self._ensure_preflight()
         normalized = self.compile()
         violations = list(program_violations(
             source, normalized.source_constraints, limit_per_clause=5,
-            use_planner=use_planner, parallel=parallel))
+            parallel=parallel))
         if self.source_keys is not None:
             for bad in key_violations(source, self.source_keys):
                 violations.append(Violation(_key_violation_clause(bad), {}))
@@ -235,7 +233,6 @@ class Morphase:
                   check_source_constraints: bool = False,
                   backend: str = "direct",
                   defaults=None,
-                  use_planner: bool = True,
                   parallel: Optional[int] = None) -> MorphaseResult:
         """Run the compiled program over the source instance(s).
 
@@ -245,18 +242,14 @@ class Morphase:
         attributes no clause derived (direct backend only); see
         :meth:`repro.engine.executor.Executor.freeze`.
 
-        The direct backend plans the program once per run by default
-        (fixed atom orders plus a shared prebuilt index pool);
-        ``use_planner=False`` forces the naive per-clause path, kept as
-        the differential oracle.
+        The direct backend plans the program once per run (fixed atom
+        orders plus a shared prebuilt index pool).
 
         ``parallel=N`` shards the planned direct path across ``N``
         worker processes (:func:`repro.engine.parallel.execute_parallel`)
         — every clause's driving generator is hash-partitioned and the
         shards merge into a target byte-identical to the sequential
-        result.  Parallel execution *is* planned execution, so it
-        cannot be combined with ``use_planner=False`` or the CPL
-        backend.
+        result.  It cannot be combined with the CPL backend.
         """
         with span("preflight"):
             self._ensure_preflight()
@@ -277,40 +270,26 @@ class Morphase:
                 raise MorphaseError(
                     "parallel execution supports only the direct "
                     "backend")
-            if not use_planner:
-                raise MorphaseError(
-                    "parallel execution shards join plans; it cannot "
-                    "run with use_planner=False (drop --no-planner)")
             if parallel < 1:
                 raise MorphaseError("parallel worker count must be >= 1")
 
         program_plan: Optional[ProgramPlan] = None
         if backend == "direct":
+            with span("plan") as plan_span:
+                program_plan = plan_program(normalized.program(), merged)
+                plan_span.set(indexes=program_plan.prebuilt_indexes)
             if parallel is not None:
                 from ..engine.parallel import execute_parallel
-                with span("plan") as plan_span:
-                    program_plan = plan_program(normalized.program(),
-                                                merged)
-                    plan_span.set(indexes=program_plan.prebuilt_indexes)
                 target, stats = execute_parallel(
                     normalized.program(), merged, self.target_plain,
                     parallel, validate=validate, defaults=defaults,
                     plan=program_plan)
-                return MorphaseResult(target=target,
-                                      normalized=normalized,
-                                      stats=stats,
-                                      source_violations=source_violations,
-                                      plan=program_plan)
-            if use_planner:
-                with span("plan") as plan_span:
-                    program_plan = plan_program(normalized.program(),
-                                                merged)
-                    plan_span.set(indexes=program_plan.prebuilt_indexes)
-            with span("execute"):
-                target, stats = execute(
-                    normalized.program(), merged, self.target_plain,
-                    validate=validate, defaults=defaults,
-                    plan=program_plan)
+            else:
+                with span("execute"):
+                    target, stats = execute(
+                        normalized.program(), merged, self.target_plain,
+                        validate=validate, defaults=defaults,
+                        plan=program_plan)
             cpl_source = None
         elif backend == "cpl":
             if defaults:
@@ -449,16 +428,14 @@ class Morphase:
     # ------------------------------------------------------------------
     def audit(self, sources: Union[Instance, Sequence[Instance]],
               target: Instance,
-              use_planner: bool = True,
               parallel: Optional[int] = None) -> List[Violation]:
         """Check the original program (transformations + constraints)
         against source and target together — the definition of a
         Tr-transformation (Section 3.2).
 
-        The whole audit is planned once by default: every clause body
-        and head-satisfiability probe is compiled into a fixed join
-        order and executed over one shared, prebuilt index pool.
-        ``use_planner=False`` is the naive per-clause oracle.
+        The whole audit is planned once: every clause body and
+        head-satisfiability probe is compiled into a fixed join order
+        and executed over one shared, prebuilt index pool.
         ``parallel=N`` shards every clause's body enumeration across
         ``N`` worker processes and unions the violation sets.
         """
@@ -468,7 +445,6 @@ class Morphase:
         combined = merge_instances("__audit__", list(sources) + [target])
         return list(program_violations(combined, self.program,
                                        limit_per_clause=5,
-                                       use_planner=use_planner,
                                        parallel=parallel))
 
 

@@ -80,13 +80,15 @@ def clause_violations(instance: Instance, clause: Clause,
 
     ``matcher`` injects a shared matcher (and with it a shared
     :class:`~repro.semantics.match.IndexPool`); by default the clause
-    gets a private one with lazy indexes — the naive path, kept as the
-    differential oracle for the planned audit.  ``plan`` supplies a
+    gets a private one with lazy indexes.  ``plan`` supplies a
     :class:`~repro.engine.planner.ConstraintPlan`: the body enumeration
     and the per-solution head-satisfiability probe then run their
     precompiled step orders instead of re-deriving atom readiness for
-    every partial binding.  Planned and naive runs report the same
-    violations (differential tests in ``tests/constraints`` enforce it).
+    every partial binding.  Without a plan (or for the half of a plan
+    the planner could not order) the dynamic matcher enumerates — the
+    per-clause fallback, and what :mod:`repro.oracle` runs as the
+    differential reference; both report the same violations
+    (``tests/constraints`` enforces it).  ``limit=0`` reports none.
 
     A planned body enumeration runs as batch stages through the
     vectorized compiler
@@ -95,6 +97,8 @@ def clause_violations(instance: Instance, clause: Clause,
     The per-solution head probe stays scalar: it is an existence check
     with an early exit, which the batch model cannot shortcut.
     """
+    if limit is not None and limit <= 0:
+        return []
     matcher = matcher if matcher is not None else Matcher(instance)
     body_vars = frozenset().union(
         *(atom.variables() for atom in clause.body)) if clause.body else frozenset()
@@ -127,19 +131,17 @@ def satisfies_clause(instance: Instance, clause: Clause) -> bool:
 
 def program_violations(instance: Instance, program: Iterable[Clause],
                        limit_per_clause: Optional[int] = None,
-                       use_planner: bool = True,
                        plan=None,
                        parallel: Optional[int] = None) -> List[Violation]:
     """All violations of all clauses (constraint audit).
 
-    By default the whole audit is *planned*: every clause's body and
-    head probe are compiled once by :func:`repro.engine.planner.plan_audit`
-    and executed over one shared, prebuilt :class:`IndexPool` instead of
-    a fresh matcher (with private lazy indexes) per clause.
-    ``use_planner=False`` forces that naive per-clause path — the
-    differential oracle.  ``plan`` injects a precomputed
-    :class:`~repro.engine.planner.AuditPlan` (e.g. to amortise planning
-    and index builds across repeated audits of one instance).
+    The whole audit is *planned*: every clause's body and head probe
+    are compiled once by :func:`repro.engine.planner.plan_audit` and
+    executed over one shared, prebuilt :class:`IndexPool` instead of a
+    fresh matcher (with private lazy indexes) per clause.  ``plan``
+    injects a precomputed :class:`~repro.engine.planner.AuditPlan`
+    (e.g. to amortise planning and index builds across repeated audits
+    of one instance).
     ``parallel=N`` fans the planned audit out across ``N`` worker
     processes (:func:`repro.engine.parallel.audit_parallel`): each
     worker enumerates its hash-shard of every clause's body solutions
@@ -147,30 +149,25 @@ def program_violations(instance: Instance, program: Iterable[Clause],
     """
     clauses = list(program)
     if parallel is not None:
-        if not use_planner or plan is not None:
+        if plan is not None:
             raise ValueError(
-                "parallel audits shard join plans; they cannot run "
-                "with use_planner=False or an injected plan")
+                "parallel audits plan and shard the family themselves; "
+                "they cannot run with an injected plan")
         from ..engine.parallel import audit_parallel
         result = audit_parallel(clauses, instance, parallel,
                                 limit_per_clause=limit_per_clause)
         return result.violations(clauses)
     audit_plan = plan
-    if audit_plan is not None and audit_plan.pool.instance is not instance:
+    if audit_plan is None:
+        from ..engine.planner import plan_audit
+        audit_plan = plan_audit(clauses, instance)
+    elif audit_plan.pool.instance is not instance:
         raise ValueError(
             "injected audit plan was built for a different instance; "
             "its indexes would silently produce wrong violation sets "
             "(re-plan with plan_audit against this instance)")
-    if audit_plan is None and use_planner:
-        from ..engine.planner import plan_audit
-        audit_plan = plan_audit(clauses, instance)
-    violations: List[Violation] = []
-    if audit_plan is None:
-        for clause in clauses:
-            violations.extend(
-                clause_violations(instance, clause, limit_per_clause))
-        return violations
     matcher = Matcher(instance, index_pool=audit_plan.pool)
+    violations: List[Violation] = []
     for index, clause in enumerate(clauses):
         # Plans align with the clause sequence; an injected plan built
         # from a different sequence is matched by clause instead.
@@ -186,8 +183,6 @@ def program_violations(instance: Instance, program: Iterable[Clause],
 
 
 def satisfies_program(instance: Instance,
-                      program: Iterable[Clause],
-                      use_planner: bool = True) -> bool:
+                      program: Iterable[Clause]) -> bool:
     """True iff every clause is satisfied."""
-    return not program_violations(instance, program, limit_per_clause=1,
-                                  use_planner=use_planner)
+    return not program_violations(instance, program, limit_per_clause=1)

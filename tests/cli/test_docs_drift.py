@@ -1,0 +1,59 @@
+"""Docs cannot drift from argparse: every ``--flag`` the README or the
+CLI's own docstring/epilogs mention is one ``build_parser()`` accepts.
+
+Removing a flag without removing its documentation (or documenting one
+that was never added) is a tier-1 failure, not a reader's surprise.
+"""
+
+import argparse
+import pathlib
+import re
+
+import repro.cli
+from repro.cli import build_parser
+
+README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
+
+#: Flags of *other* tools the docs legitimately quote.
+FOREIGN_FLAGS = {
+    "--cov-fail-under",     # pytest-cov, in the CI/coverage paragraph
+}
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def walk_parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from walk_parsers(sub)
+
+
+def accepted_flags():
+    return {option for parser in walk_parsers(build_parser())
+            for action in parser._actions
+            for option in action.option_strings if option.startswith("--")}
+
+
+def documented_flags():
+    texts = {"README.md": README.read_text(encoding="utf-8"),
+             "repro.cli docstring": repro.cli.__doc__}
+    for parser in walk_parsers(build_parser()):
+        texts[f"{parser.prog} epilog"] = parser.epilog or ""
+    return {(flag, where) for where, text in texts.items()
+            for flag in FLAG.findall(text)}
+
+
+def test_every_documented_flag_is_accepted():
+    accepted = accepted_flags() | FOREIGN_FLAGS
+    stale = sorted((flag, where) for flag, where in documented_flags()
+                   if flag not in accepted)
+    assert stale == [], (
+        f"documented but not accepted by build_parser(): {stale}")
+
+
+def test_allowlist_holds_only_foreign_flags_still_quoted():
+    documented = {flag for flag, _ in documented_flags()}
+    assert FOREIGN_FLAGS <= documented           # no dead allowlist entries
+    assert not FOREIGN_FLAGS & accepted_flags()  # and none shadows ours

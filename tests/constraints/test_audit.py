@@ -3,7 +3,7 @@
 The load-bearing property: for every workload constraint library, the
 planned audit (one shared prebuilt index pool, precompiled body and
 head-probe join orders) reports *exactly* the violations the naive
-per-clause path reports.
+per-clause reference (``repro.oracle.naive_violations``) reports.
 """
 
 import pytest
@@ -15,13 +15,24 @@ from repro.constraints import (audit_constraints, functional_dependency,
 from repro.engine import plan_audit, plan_constraint
 from repro.model.values import Record
 from repro.morphase import Morphase
+from repro.oracle import naive_violations
 from repro.semantics.satisfaction import program_violations
 from repro.workloads import cities, genome, relibase
 
 
-def violation_sets(report):
-    return {name: sorted(str(v) for v in found)
-            for name, found in report.violations.items()}
+def assert_audits_agree(instance, constraints):
+    """``audit_constraints``, ``program_violations`` and the naive
+    oracle report one violation set; returns the planned report."""
+    report = audit_constraints(instance, constraints,
+                               limit_per_clause=None)
+    reported = sorted(str(v) for found in report.violations.values()
+                      for v in found)
+    planned = sorted(str(v) for v in program_violations(instance,
+                                                        constraints))
+    naive = sorted(str(v) for v in naive_violations(instance, constraints))
+    assert reported == planned == naive
+    assert report.ok == (not naive)
+    return report
 
 
 def cities_constraints():
@@ -60,23 +71,15 @@ class TestDifferential:
     def test_cities_clean_and_corrupted(self):
         euro = cities.sample_euro_instance()
         constraints = cities_constraints()
-        for instance in (euro, _with_duplicate_country(euro)):
-            planned = audit_constraints(instance, constraints,
-                                        limit_per_clause=None)
-            naive = audit_constraints(instance, constraints,
-                                      limit_per_clause=None,
-                                      use_planner=False)
-            assert violation_sets(planned) == violation_sets(naive)
+        clean = assert_audits_agree(euro, constraints)
+        corrupted = assert_audits_agree(_with_duplicate_country(euro),
+                                        constraints)
+        assert "key_CountryE" not in clean.violations
+        assert "key_CountryE" in corrupted.violations
 
     def test_genome_library(self, genome_target):
-        constraints = genome.warehouse_constraints()
-        planned = audit_constraints(genome_target, constraints,
-                                    limit_per_clause=None)
-        naive = audit_constraints(genome_target, constraints,
-                                  limit_per_clause=None,
-                                  use_planner=False)
-        assert planned.ok and naive.ok
-        assert violation_sets(planned) == violation_sets(naive)
+        assert assert_audits_agree(genome_target,
+                                   genome.warehouse_constraints()).ok
 
     def test_genome_library_corrupted(self, genome_target):
         constraints = genome.warehouse_constraints()
@@ -86,30 +89,27 @@ class TestDifferential:
         builder.new("GeneT", Record.of(
             symbol=some_gene.get("symbol"), description="duplicate"))
         corrupted = builder.freeze()
-        planned = audit_constraints(corrupted, constraints,
-                                    limit_per_clause=None)
-        naive = audit_constraints(corrupted, constraints,
-                                  limit_per_clause=None,
-                                  use_planner=False)
+        planned = assert_audits_agree(corrupted, constraints)
         assert not planned.ok
         assert "key_GeneT" in planned.violations
-        assert violation_sets(planned) == violation_sets(naive)
 
     def test_relibase_library(self, relibase_target):
-        constraints = relibase.relibase_constraints()
-        planned = audit_constraints(relibase_target, constraints,
-                                    limit_per_clause=None)
-        naive = audit_constraints(relibase_target, constraints,
-                                  limit_per_clause=None,
-                                  use_planner=False)
-        assert planned.ok and naive.ok
-        assert violation_sets(planned) == violation_sets(naive)
+        assert assert_audits_agree(relibase_target,
+                                   relibase.relibase_constraints()).ok
+
+    def test_relibase_library_corrupted(self, relibase_target):
+        builder = relibase_target.builder()
+        some_protein = next(
+            iter(relibase_target.valuations["Protein"].values()))
+        builder.new("Protein", some_protein)
+        assert not assert_audits_agree(
+            builder.freeze(), relibase.relibase_constraints()).ok
 
     def test_program_violations_paths_agree(self):
         euro = _with_duplicate_country(cities.sample_euro_instance())
         constraints = cities_constraints()
         planned = program_violations(euro, constraints)
-        naive = program_violations(euro, constraints, use_planner=False)
+        naive = naive_violations(euro, constraints)
         assert {str(v) for v in planned} == {str(v) for v in naive}
         assert planned
 
@@ -126,16 +126,6 @@ class TestReportCounters:
         assert (report.index_hits + report.index_misses
                 == report.index_lookups)
         assert "planned bodies" in report.stats_line()
-
-    def test_naive_counters_zero(self, genome_target):
-        constraints = genome.warehouse_constraints()
-        report = audit_constraints(genome_target, constraints,
-                                   limit_per_clause=None,
-                                   use_planner=False)
-        assert report.planned_bodies == 0
-        assert report.planned_heads == 0
-        assert report.prebuilt_indexes == 0
-        assert report.index_lookups == 0
 
     def test_injected_plan_for_other_instance_rejected(self, genome_target):
         # A plan's indexes are snapshots of one instance; instances are

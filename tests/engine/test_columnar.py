@@ -19,6 +19,7 @@ from repro.lang import parse_clause
 from repro.model import InstanceBuilder, Record, WolSet
 from repro.model.schema import parse_schema
 from repro.morphase import Morphase
+from repro.oracle import naive_transform
 from repro.semantics import Matcher
 from repro.workloads.cities import sample_euro_instance
 
@@ -172,7 +173,7 @@ class TestFusedHeadDuplicates:
         morphase = Morphase([DUP_SRC], DUP_TGT, DUP_PROGRAM)
         source = dup_instance([7, 7, 7])
         columnar = morphase.transform(source)
-        naive = morphase.transform(source, use_planner=False)
+        naive = naive_transform(morphase, source)
         assert columnar.stats.vectorized_steps > 0
         assert len(columnar.target.objects_of("Out")) == 1
         assert (columnar.stats.objects_created
@@ -184,7 +185,7 @@ class TestFusedHeadDuplicates:
         morphase = Morphase([DUP_SRC], DUP_TGT, DUP_PROGRAM)
         source = dup_instance([7, 8])
         with pytest.raises(ExecutionError) as naive_error:
-            morphase.transform(source, use_planner=False)
+            naive_transform(morphase, source)
         with pytest.raises(ExecutionError) as columnar_error:
             morphase.transform(source)
         assert str(columnar_error.value) == str(naive_error.value)

@@ -1,8 +1,14 @@
-"""Unit tests for the one-pass executor."""
+"""Unit tests for the one-pass executor.
+
+Every hand-written program goes through ``execute_both`` (conftest):
+production ``execute`` *and* ``repro.oracle.naive_execute``, held to
+equal targets or identical errors, so the head-semantics edge cases pin
+both ends of the differential chain.
+"""
 
 import pytest
 
-from repro.engine import ExecutionError, Executor, execute
+from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Oid, Record,
                          Schema, Variant, WolSet, record, set_of, variant)
@@ -26,16 +32,16 @@ def program(text):
 
 
 class TestBasicExecution:
-    def test_copy_transformation(self):
+    def test_copy_transformation(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank;")
-        target, stats = execute(prog, simple_source(), TARGET)
+        target, stats = execute_both(prog, simple_source(), TARGET)
         assert target.class_sizes() == {"Out": 2}
         assert stats.objects_created == 2
         assert stats.bindings_found == 2
 
-    def test_keyed_creation_is_idempotent(self):
+    def test_keyed_creation_is_idempotent(self, execute_both):
         # Two clauses deriving the same object merge.
         prog = program(
             """
@@ -44,41 +50,48 @@ class TestBasicExecution:
             T2: X in Out, X = Mk_Out(N), X.rank = R
                 <= I in Item, N = I.name, R = I.rank;
             """)
-        target, _ = execute(prog, simple_source(), TARGET)
+        target, _ = execute_both(prog, simple_source(), TARGET)
         assert target.class_sizes() == {"Out": 2}
         for oid in target.objects_of("Out"):
             value = target.value_of(oid)
             assert value.has("name") and value.has("rank")
 
-    def test_filtered_body(self):
+    def test_filtered_body(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank, R < 2;")
-        target, _ = execute(prog, simple_source(), TARGET)
+        target, _ = execute_both(prog, simple_source(), TARGET)
         assert target.class_sizes() == {"Out": 1}
 
     def test_columnar_knob_is_gone(self):
-        """Exactly two body-enumeration modes remain: planned (batch
-        stages) and the naive oracle behind ``use_planner=False``."""
+        """One body-enumeration mode: planned batch stages.  The naive
+        oracle is ``repro.oracle``, not an executor setting."""
         with pytest.raises(TypeError):
             Executor(simple_source(), TARGET, columnar=False)
-        assert Executor(simple_source(), TARGET).engine_label() == "naive"
+        assert Executor(simple_source(), TARGET).engine_label() == "columnar"
         assert Executor(simple_source(), TARGET,
-                        use_planner=True).engine_label() == "columnar"
+                        shard=(0, 2)).engine_label() == "parallel"
 
-    def test_empty_source(self):
+    def test_run_program_always_plans(self):
+        prog = program(
+            "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
+            " <= I in Item, N = I.name, R = I.rank;")
+        stats = Executor(simple_source(), TARGET).run_program(prog).stats
+        assert stats.clauses_planned == stats.clauses_run == 1
+
+    def test_empty_source(self, execute_both):
         schema = Schema.of("Src", Item=record(name=STR, rank=INT))
         from repro.model import empty_instance
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank;")
-        target, stats = execute(prog, empty_instance(schema), TARGET)
+        target, stats = execute_both(prog, empty_instance(schema), TARGET)
         assert target.size() == 0
         assert stats.bindings_found == 0
 
 
 class TestConflictsAndCompleteness:
-    def test_conflicting_attribute_rejected(self):
+    def test_conflicting_attribute_rejected(self, execute_both):
         prog = program(
             """
             T1: X in Out, X = Mk_Out(N), X.name = N, X.rank = 0
@@ -87,10 +100,10 @@ class TestConflictsAndCompleteness:
                 <= I in Item, N = I.name, R = I.rank;
             """)
         with pytest.raises(ExecutionError) as excinfo:
-            execute(prog, simple_source(), TARGET)
+            execute_both(prog, simple_source(), TARGET)
         assert "conflict" in str(excinfo.value)
 
-    def test_same_value_is_not_conflict(self):
+    def test_same_value_is_not_conflict(self, execute_both):
         prog = program(
             """
             T1: X in Out, X = Mk_Out(N), X.name = N, X.rank = R
@@ -98,15 +111,15 @@ class TestConflictsAndCompleteness:
             T2: X in Out, X = Mk_Out(N), X.rank = R
                 <= I in Item, N = I.name, R = I.rank;
             """)
-        target, _ = execute(prog, simple_source(), TARGET)
+        target, _ = execute_both(prog, simple_source(), TARGET)
         assert target.class_sizes() == {"Out": 2}
 
-    def test_incomplete_object_rejected(self):
+    def test_incomplete_object_rejected(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N"
             " <= I in Item, N = I.name;")
         with pytest.raises(ExecutionError) as excinfo:
-            execute(prog, simple_source(), TARGET)
+            execute_both(prog, simple_source(), TARGET)
         assert "incomplete" in str(excinfo.value)
 
     def test_incomplete_allowed_without_validation(self):
@@ -118,7 +131,7 @@ class TestConflictsAndCompleteness:
         with pytest.raises(ExecutionError):
             executor.freeze(validate=True)
 
-    def test_dangling_reference_rejected(self):
+    def test_dangling_reference_rejected(self, execute_both):
         target_schema = Schema.of(
             "Tgt", Out=record(name=STR, buddy=ClassType("Out")))
         prog = parse_program(
@@ -127,43 +140,43 @@ class TestConflictsAndCompleteness:
             " <= I in Item, N = I.name;",
             classes=["Item", "Out"])
         with pytest.raises(ExecutionError):
-            execute(prog, simple_source(), target_schema)
+            execute_both(prog, simple_source(), target_schema)
 
-    def test_non_source_body_class_rejected(self):
+    def test_non_source_body_class_rejected(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N <= Y in Out,"
             " N = Y.name;")
         with pytest.raises(ExecutionError) as excinfo:
-            execute(prog, simple_source(), TARGET)
+            execute_both(prog, simple_source(), TARGET)
         assert "normal form" in str(excinfo.value)
 
 
 class TestSetAttributes:
-    def test_set_insertion_accumulates(self):
+    def test_set_insertion_accumulates(self, execute_both):
         target_schema = Schema.of(
             "Tgt", Coll=record(name=STR, members=set_of(STR)))
         prog = parse_program(
             'T: X in Coll, X = Mk_Coll("all"), X.name = "all",'
             " N in X.members <= I in Item, N = I.name;",
             classes=["Item", "Coll"])
-        target, _ = execute(prog, simple_source(), target_schema)
+        target, _ = execute_both(prog, simple_source(), target_schema)
         (oid,) = target.objects_of("Coll")
         assert target.attribute(oid, "members") == WolSet.of("a", "b")
 
-    def test_empty_set_attribute_defaults(self):
+    def test_empty_set_attribute_defaults(self, execute_both):
         target_schema = Schema.of(
             "Tgt", Coll=record(name=STR, members=set_of(STR)))
         prog = parse_program(
             'T: X in Coll, X = Mk_Coll(N), X.name = N'
             " <= I in Item, N = I.name;",
             classes=["Item", "Coll"])
-        target, _ = execute(prog, simple_source(), target_schema)
+        target, _ = execute_both(prog, simple_source(), target_schema)
         for oid in target.objects_of("Coll"):
             assert target.attribute(oid, "members") == WolSet.of()
 
 
 class TestIdentityOrdering:
-    def test_nested_identities(self):
+    def test_nested_identities(self, execute_both):
         # A city identity embedding its country identity.
         target_schema = Schema.of(
             "Tgt",
@@ -179,15 +192,15 @@ class TestIdentityOrdering:
                 <= E in Item, CN = E.name, N = E.name;
             """,
             classes=["Item", "CityT", "CountryT"])
-        target, _ = execute(prog, simple_source(), target_schema)
+        target, _ = execute_both(prog, simple_source(), target_schema)
         assert target.class_sizes() == {"CityT": 2, "CountryT": 2}
 
-    def test_identity_mismatch_detected(self):
+    def test_identity_mismatch_detected(self, execute_both):
         prog = program(
             'T: X in Out, X = Mk_Out(N), X.name = N, X.rank = 1'
             ' <= I in Item, N = I.name, X = Mk_Out("fixed");')
         with pytest.raises(ExecutionError) as excinfo:
-            execute(prog, simple_source(), TARGET)
+            execute_both(prog, simple_source(), TARGET)
         assert "identity mismatch" in str(excinfo.value)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import ExecutionError, Executor, execute
+from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Record,
                          Schema, WolList, WolSet, list_of, record, set_of)
@@ -26,43 +26,43 @@ def program(text, classes=("Item", "Out")):
 
 
 class TestDefaults:
-    def test_default_fills_missing_attribute(self):
+    def test_default_fills_missing_attribute(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N"
             " <= I in Item, N = I.name;")
-        target, _ = execute(prog, source(), TARGET,
-                            defaults={("Out", "rank"): 0})
+        target, _ = execute_both(prog, source(), TARGET,
+                                 defaults={("Out", "rank"): 0})
         assert all(target.attribute(o, "rank") == 0
                    for o in target.objects_of("Out"))
 
-    def test_default_does_not_override_derived(self):
+    def test_default_does_not_override_derived(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank;")
-        target, _ = execute(prog, source(), TARGET,
-                            defaults={("Out", "rank"): 99})
+        target, _ = execute_both(prog, source(), TARGET,
+                                 defaults={("Out", "rank"): 99})
         ranks = sorted(target.attribute(o, "rank")
                        for o in target.objects_of("Out"))
         assert ranks == [1, 2, 2]
 
-    def test_missing_without_default_still_errors(self):
+    def test_missing_without_default_still_errors(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N"
             " <= I in Item, N = I.name;")
         with pytest.raises(ExecutionError):
-            execute(prog, source(), TARGET,
-                    defaults={("Out", "other"): 0})
+            execute_both(prog, source(), TARGET,
+                         defaults={("Out", "other"): 0})
 
 
 class TestDuplicateFirings:
-    def test_duplicate_rows_produce_one_object(self):
+    def test_duplicate_rows_produce_one_object(self, execute_both):
         # Ranks 2 appears twice: keyed by rank, both rows collapse.
         target_schema = Schema.of("Tgt", Out=record(rank=INT))
         prog = parse_program(
             "T: X in Out, X = Mk_Out(R), X.rank = R"
             " <= I in Item, R = I.rank;",
             classes=["Item", "Out"])
-        target, stats = execute(prog, source(), target_schema)
+        target, stats = execute_both(prog, source(), target_schema)
         assert target.class_sizes() == {"Out": 2}
         assert stats.bindings_found == 3
 
@@ -145,19 +145,19 @@ class TestFreezeEdgeCases:
         target = executor.freeze()
         assert target.size() == 0
 
-    def test_extra_attribute_rejected(self):
+    def test_extra_attribute_rejected(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R,"
             " X.bogus = N <= I in Item, N = I.name, R = I.rank;")
         with pytest.raises(ExecutionError):
-            execute(prog, source(), TARGET)
+            execute_both(prog, source(), TARGET)
 
-    def test_identity_class_mismatch(self):
+    def test_identity_class_mismatch(self, execute_both):
         prog = program(
             "T: X in Out, X = Mk_Item(N), X.name = N, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank;")
         with pytest.raises(ExecutionError):
-            execute(prog, source(), TARGET)
+            execute_both(prog, source(), TARGET)
 
 
 class TestProvenance:

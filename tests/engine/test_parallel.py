@@ -21,7 +21,8 @@ from repro.engine import (ExecutionError, execute, execute_parallel,
                           audit_parallel, plan_clause,
                           shard_constraint_plan, shard_join_plan,
                           shardable_step)
-from repro.engine.planner import plan_constraint
+from repro.constraints import audit_constraints
+from repro.engine.planner import plan_audit, plan_constraint
 from repro.evolution.delta import Delta
 from repro.io.json_io import instance_to_json
 from repro.lang import parse_clause
@@ -117,8 +118,7 @@ class TestShardPlumbing:
         merged = genome_morphase._merge_sources(genome_source)
         program = genome_morphase.compile().program()
         _, sequential = execute(program, merged,
-                                genome_morphase.target_plain,
-                                use_planner=True)
+                                genome_morphase.target_plain)
         _, parallel = execute_parallel(program, merged,
                                        genome_morphase.target_plain, 4,
                                        use_processes=False)
@@ -138,8 +138,7 @@ class TestTransformParity:
         merged = genome_morphase._merge_sources(genome_source)
         program = genome_morphase.compile().program()
         sequential, _ = execute(program, merged,
-                                genome_morphase.target_plain,
-                                use_planner=True)
+                                genome_morphase.target_plain)
         parallel, _ = execute_parallel(program, merged,
                                        genome_morphase.target_plain,
                                        workers, use_processes=False)
@@ -255,13 +254,13 @@ class TestEdgeCases:
             genome_morphase.transform(genome_source, parallel=0)
         with pytest.raises(MorphaseError):
             genome_morphase.transform(genome_source, parallel=2,
-                                      use_planner=False)
-        with pytest.raises(MorphaseError):
-            genome_morphase.transform(genome_source, parallel=2,
                                       backend="cpl")
-        with pytest.raises(ValueError):
-            program_violations(genome_source, [], use_planner=False,
-                               parallel=2)
+        # Workers plan for themselves: an injected plan would be ignored.
+        plan = plan_audit([], genome_source)
+        with pytest.raises(ValueError, match="injected plan"):
+            program_violations(genome_source, [], plan=plan, parallel=2)
+        with pytest.raises(ValueError, match="injected plan"):
+            audit_constraints(genome_source, [], plan=plan, parallel=2)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.engine import Executor, execute, plan_clause, plan_program
+from repro.engine import Executor, plan_clause, plan_program
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
-from repro.lang import parse_clause, parse_program
+from repro.lang import parse_clause
 from repro.model import (INT, STR, InstanceBuilder, Record, Schema, WolSet,
                          record, set_of)
 from repro.morphase import Morphase
+from repro.oracle import naive_transform
 from repro.normalization.optimize import (ELEMENT_STEP, constant_bindings,
                                           definition_chains)
 from repro.semantics.match import (IndexPool, MatchError, Matcher,
@@ -225,30 +226,12 @@ class TestPlannedNaiveAgreement:
         database = genome.generate_acedb(genes=40, sequences=80,
                                          clones=80, sparsity=0.85, seed=3)
         instance = genome.source_instance(database)
-        planned = morphase.transform(instance, use_planner=True)
-        naive = morphase.transform(instance, use_planner=False)
+        planned = morphase.transform(instance)
+        naive = naive_transform(morphase, instance)
         assert planned.target.valuations == naive.target.valuations
         assert planned.stats.bindings_found == naive.stats.bindings_found
         assert planned.stats.clauses_planned == planned.stats.clauses_run
         assert naive.stats.clauses_planned == 0
-
-    def test_execute_use_planner_flag(self):
-        prog = parse_program(
-            "T: X in Out, X = Mk_Out(N), X.name = N"
-            " <= I in Item, N = I.name;",
-            classes=["Item", "Out"])
-        schema = Schema.of("Src", Item=record(name=STR))
-        builder = InstanceBuilder(schema)
-        builder.new("Item", Record.of(name="a"))
-        builder.new("Item", Record.of(name="b"))
-        source = builder.freeze()
-        target_schema = Schema.of("Tgt", Out=record(name=STR))
-        planned, planned_stats = execute(prog, source, target_schema,
-                                         use_planner=True)
-        naive, naive_stats = execute(prog, source, target_schema)
-        assert planned.valuations == naive.valuations
-        assert planned_stats.clauses_planned == 1
-        assert naive_stats.clauses_planned == 0
 
     def test_plan_compiled_with_initial_bound(self):
         """Plans honouring a declared seed run only with that seed."""

@@ -1,7 +1,8 @@
 """Cross-engine differential fuzzing (the parallel PR's safety net).
 
 Five semantically-equivalent execution paths coexist: the naive
-dynamic matcher (the oracle), the planned columnar path (production),
+dynamic matcher (the oracle, ``repro.oracle``), the planned columnar
+path (production),
 the CPL translation, the incremental delta engine and the parallel
 sharded engine.  This suite generates random schemas (attribute width varies),
 instances and deltas with Hypothesis and holds every pair of engines to
@@ -29,6 +30,7 @@ from repro.model import InstanceBuilder, Record
 from repro.model.schema import parse_schema
 from repro.model.values import Oid, WolSet
 from repro.morphase import Morphase
+from repro.oracle import naive_transform, naive_violations
 from repro.semantics.satisfaction import program_violations
 
 
@@ -179,7 +181,7 @@ class TestTransformEngines:
         width, source, _ = universe
         morphase = build_morphase(width)
         planned = morphase.transform(source).target
-        naive = morphase.transform(source, use_planner=False).target
+        naive = naive_transform(morphase, source).target
         cpl = morphase.transform(source, backend="cpl").target
         baseline = serialized(planned)
         assert serialized(naive) == baseline
@@ -202,8 +204,7 @@ class TestTransformEngines:
         updated_source = delta.apply_to(
             morphase._merge_sources(source))
         recomputed = morphase.transform(updated_source).target
-        naive = morphase.transform(updated_source,
-                                   use_planner=False).target
+        naive = naive_transform(morphase, updated_source).target
         assert serialized(result.target) == serialized(recomputed)
         assert serialized(naive) == serialized(recomputed)
         parallel, _ = execute_parallel(
@@ -263,7 +264,7 @@ class TestMixedVectorizability:
         morphase = Morphase([schema], parse_schema(MIXED_TGT_TEXT),
                             MIXED_PROGRAM_TEXT)
         columnar = morphase.transform(source)
-        naive = morphase.transform(source, use_planner=False)
+        naive = naive_transform(morphase, source)
         assert serialized(columnar.target) == serialized(naive.target)
         # The clause genuinely mixes modes: batches formed AND the
         # pattern equation fell back to the row-at-a-time path.
@@ -302,9 +303,8 @@ class TestAuditEngines:
             parse_schema(target_schema_text(width)))
         planned = sorted(str(v) for v in program_violations(
             target, constraints, limit_per_clause=None))
-        naive = sorted(str(v) for v in program_violations(
-            target, constraints, limit_per_clause=None,
-            use_planner=False))
+        naive = sorted(str(v) for v in naive_violations(
+            target, constraints))
         assert naive == planned
         result = audit_parallel(constraints, target, 3,
                                 use_processes=False)

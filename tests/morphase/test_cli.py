@@ -84,8 +84,8 @@ class TestTransform:
         assert direct.class_sizes()["CityT"] == 12
 
     def test_no_columnar_flag_is_gone(self, workspace, capsys):
-        """One production pipeline: the scalar-planned knob was deleted,
-        ``--no-planner`` (the naive oracle) is the only alternative."""
+        """One production pipeline: the scalar-planned knob was deleted
+        (and ``--no-planner`` after it, see below)."""
         with pytest.raises(SystemExit) as info:
             run(workspace, "transform",
                 "--source", "$W/us.schema", "--source", "$W/euro.schema",
@@ -94,6 +94,17 @@ class TestTransform:
                 "--out", "$W/out.json", "--no-columnar")
         assert info.value.code == 2
         assert "--no-columnar" in capsys.readouterr().err
+
+    def test_no_planner_flag_is_gone(self, workspace, capsys):
+        """The naive oracle is ``repro.oracle``, not a CLI mode."""
+        with pytest.raises(SystemExit) as info:
+            run(workspace, "transform",
+                "--source", "$W/us.schema", "--source", "$W/euro.schema",
+                "--target", "$W/target.schema", "$W/program.wol",
+                "--data", "$W/us.json", "--data", "$W/euro.json",
+                "--out", "$W/out.json", "--no-planner")
+        assert info.value.code == 2
+        assert "--no-planner" in capsys.readouterr().err
 
     def test_check_source_rejects_bad_instance(self, workspace, capsys):
         builder = cities.sample_euro_instance().builder()
@@ -130,13 +141,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "stats:" in out and "planned bodies" in out
-        code = run(workspace, "check",
-                   "--source", "$W/euro.schema", "$W/constraints.wol",
-                   "--data", "$W/euro.json", "--stats", "--no-planner")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 planned bodies" in out
-        assert "satisfied" in out
+        assert "1 planned bodies" in out and "satisfied" in out
+        # The audit always plans: the opt-out flag is rejected by name.
+        with pytest.raises(SystemExit) as info:
+            run(workspace, "check",
+                "--source", "$W/euro.schema", "$W/constraints.wol",
+                "--data", "$W/euro.json", "--stats", "--no-planner")
+        assert info.value.code == 2
+        assert "--no-planner" in capsys.readouterr().err
 
     def test_violations_reported(self, workspace, capsys):
         builder = cities.sample_euro_instance().builder()
