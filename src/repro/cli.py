@@ -199,7 +199,12 @@ def _cmd_transform(args) -> int:
               f"({stats.index_hits} hits / {stats.index_misses} misses), "
               f"{stats.elapsed_seconds * 1000:.1f} ms")
     if args.audit:
-        violations = morphase.audit(instances, result.target)
+        tracing = (start_trace("audit", program=args.program)
+                   if args.trace else nullcontext(None))
+        with tracing as trace:
+            violations = morphase.audit(instances, result.target)
+        if trace is not None:
+            print(trace.render())
         if violations:
             print(f"AUDIT FAILED: {len(violations)} violation(s)")
             for violation in violations[:5]:
@@ -633,7 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     transform_p.add_argument("--trace", action="store_true",
                              help="print the EXPLAIN-ANALYZE span tree "
                                   "(per-phase and per-plan-step "
-                                  "timings) for the run")
+                                  "timings) for the run, and a second "
+                                  "one for the --audit")
     check_p.add_argument("--data", action="append", required=True,
                          help="instance JSON (repeatable)")
     check_p.add_argument("--parallel", type=int, metavar="N",

@@ -10,10 +10,18 @@ This module plans a whole :class:`~repro.lang.ast.Program` once:
 
 * per clause, a :class:`JoinPlan` — a fixed atom order computed statically
   by simulating variable boundness (tests first, deterministic binds next,
-  generators last, cheapest generator first by class cardinality, indexed
-  generators preferred), compiled into
+  generators last: index probes before collection hops before extent
+  scans, smaller extents before larger ones), compiled into
   :class:`~repro.semantics.match.PlanStep` records the matcher executes
-  without any per-binding re-analysis;
+  without any per-binding re-analysis.  *Which extent drives* is the one
+  choice extent size cannot settle: ``Y in SequenceT`` (966) is smaller
+  than ``C in Clone`` (1 200), but only ``Clone`` reaches the other by
+  index (``Q in C.seq, Y.name = Q.name``), so opening ``SequenceT``
+  first scans the product.  When — and only when — the greedy order
+  nests one extent scan inside another, :func:`plan_clause` completes
+  the greedy once per alternative driving extent and keeps the order
+  with the lowest ``estimated_cost``; every other plan is the greedy's,
+  unchanged;
 * across clauses, one shared :class:`~repro.semantics.match.IndexPool`
   whose indexes are prebuilt from the union of every clause's selectors,
   so an index over e.g. ``(SequenceT, name)`` used by three clauses is
@@ -38,6 +46,7 @@ from ..lang.ast import (
     Term, Var)
 from ..model.instance import Instance
 from ..normalization.optimize import constant_bindings, definition_chains
+from ..obs.metrics import REGISTRY
 from ..semantics.match import (IndexPool, PlanStep, STEP_COMPARE,
                                STEP_EQ_BIND, STEP_EQ_TEST, STEP_IN_GENERATE,
                                STEP_IN_TEST, STEP_MEMBER_INDEX,
@@ -51,6 +60,13 @@ DEFAULT_CLASS_CARDINALITY = 64.0
 #: Assumed cost of an indexed candidate enumeration (a hash probe that
 #: typically returns zero or one oid).
 INDEXED_CARDINALITY = 1.0
+
+
+#: Plans handed out that still scan an extent inside another scan —
+#: bodies no equality links (inequality joins, genuine products).
+_NESTED_SCANS_TOTAL = REGISTRY.counter(
+    "repro_planner_nested_scans_total",
+    "Join plans emitted that contain a nested extent scan.")
 
 
 class PlanError(Exception):
@@ -80,6 +96,15 @@ class JoinPlan:
     def label(self) -> str:
         return self.clause.name or str(self.clause)
 
+    @property
+    def nested_scans(self) -> int:
+        """Extent scans after the first: each one multiplies the batch
+        by a whole extent (a cross product the body's equalities could
+        not turn into an index probe)."""
+        scans = sum(1 for step in self.steps
+                    if step.mode == STEP_MEMBER_SCAN)
+        return max(0, scans - 1)
+
     def explain(self) -> str:
         """A stable, human-readable rendering of the plan.
 
@@ -88,6 +113,7 @@ class JoinPlan:
         step_vectorizable`) — the same predicate the columnar compiler
         applies, so the rendering predicts exactly which steps run as
         batch stages and which drop to row-at-a-time enumeration.
+        Every extent scan after the first reads ``[nested scan C]``.
         """
         from .columnar import step_vectorizable
         lines = [
@@ -95,6 +121,7 @@ class JoinPlan:
             f"{self.atoms_reordered} reordered, "
             f"est. cost {self.estimated_cost:g}"
         ]
+        scanned = False
         for position, step in enumerate(self.steps):
             tag = " [vec]" if step_vectorizable(step) else " [fallback]"
             note = ""
@@ -103,7 +130,9 @@ class JoinPlan:
                 note = f"  [index ({step.atom.class_name}, {path}) = " \
                        f"{step.selector_term}]"
             elif step.mode == STEP_MEMBER_SCAN:
-                note = f"  [scan {step.atom.class_name}]"
+                nested = "nested " if scanned else ""
+                note = f"  [{nested}scan {step.atom.class_name}]"
+                scanned = True
             lines.append(
                 f"  {position + 1}. {step.mode:<12} {step.atom}{tag}{note}")
         return "\n".join(lines)
@@ -315,32 +344,46 @@ def _generator_cost(step: PlanStep,
 # Clause and program planning
 # ----------------------------------------------------------------------
 
-def plan_clause(clause: Clause,
-                cardinalities: Optional[Mapping[str, int]] = None,
-                initial_bound: Iterable[str] = ()) -> JoinPlan:
-    """Compute a fixed evaluation order for one clause body.
+#: One branch point of a greedy ordering: the body position of the
+#: extent scan the greedy opened, then those of the other un-indexed
+#: extent scans that were ready at that moment.
+_Branch = Tuple[int, Tuple[int, ...]]
 
-    Greedy, boundness-simulating ordering: at each point run every ready
-    test immediately (prune first), then a deterministic bind (they never
-    multiply bindings), and only then open the cheapest ready generator —
-    indexed probes before scans, smaller extents before larger ones.
-    Raises :class:`PlanError` when no atom is ever ready (the clause is
-    not range-restricted); callers fall back to the dynamic matcher.
+
+def _greedy_plan(clause: Clause, cardinalities: Mapping[str, int],
+                 initial_bound: Iterable[str], selectors: _SelectorFinder,
+                 drivers: Sequence[int] = ()
+                 ) -> Tuple[JoinPlan, List[_Branch]]:
+    """One greedy ordering of the body, plus the branch points it met.
+
+    At each point run every ready test immediately (prune first), then
+    a deterministic bind (they never multiply bindings), and only then
+    open the cheapest ready generator — indexed probes before scans,
+    smaller extents before larger ones.  Whenever that generator is an
+    un-indexed extent scan and at least one other is ready too, the
+    choice is a *branch point*: which extent drives decides whether the
+    rest of the body joins by index probe or by cross product, and
+    extent size alone cannot tell.  ``drivers`` overrides the choice at
+    the first ``len(drivers)`` branch points (body positions of the
+    member atoms to open there); later ones take the cheapest scan.
+    All branch points are returned so :func:`plan_clause` can try the
+    alternatives.
     """
-    cardinalities = dict(cardinalities or {})
     bound: Set[str] = set(initial_bound)
     remaining: List[Tuple[int, Atom]] = list(enumerate(clause.body))
-    selectors = _SelectorFinder(clause.body)
     steps: List[PlanStep] = []
     order: List[int] = []
     estimated = 0.0
     frontier = 1.0
     index_paths: Set[Tuple[str, Tuple[str, ...]]] = set()
+    branches: List[_Branch] = []
 
     while remaining:
         chosen: Optional[int] = None
         chosen_step: Optional[PlanStep] = None
         best_cost = float("inf")
+        # ready un-indexed extent scans, as (slot, step, cost)
+        scans: List[Tuple[int, PlanStep, float]] = []
         for slot, (position, atom) in enumerate(remaining):
             mode = _classify(atom, bound)
             if mode is None:
@@ -356,6 +399,8 @@ def plan_clause(clause: Clause,
                 best_cost = 0.0
                 break
             cost = _generator_cost(step, cardinalities)
+            if step.mode == STEP_MEMBER_SCAN:
+                scans.append((slot, step, cost))
             if cost < best_cost:
                 chosen, chosen_step = slot, step
                 best_cost = cost
@@ -365,6 +410,17 @@ def plan_clause(clause: Clause,
                 f"clause {clause.name or clause}: no atom is statically "
                 f"ready; pending: {pending_text} (is the clause "
                 f"range-restricted?)")
+        if chosen_step.mode == STEP_MEMBER_SCAN and len(scans) > 1:
+            # A branch point.  Atoms are named by body position: slots
+            # shift as ``remaining`` shrinks, positions do not.
+            if len(branches) < len(drivers):
+                forced = drivers[len(branches)]
+                chosen, chosen_step, best_cost = next(
+                    scan for scan in scans
+                    if remaining[scan[0]][0] == forced)
+            branches.append((remaining[chosen][0], tuple(
+                remaining[slot][0] for slot, _, _ in scans
+                if slot != chosen)))
         position, _ = remaining.pop(chosen)
         order.append(position)
         steps.append(chosen_step)
@@ -378,10 +434,57 @@ def plan_clause(clause: Clause,
 
     reordered = sum(1 for step_pos, body_pos in enumerate(order)
                     if step_pos != body_pos)
-    return JoinPlan(clause=clause, steps=tuple(steps), order=tuple(order),
+    plan = JoinPlan(clause=clause, steps=tuple(steps), order=tuple(order),
                     atoms_reordered=reordered,
                     index_paths=tuple(sorted(index_paths)),
                     estimated_cost=estimated)
+    return plan, branches
+
+
+def plan_clause(clause: Clause,
+                cardinalities: Optional[Mapping[str, int]] = None,
+                initial_bound: Iterable[str] = ()) -> JoinPlan:
+    """Compute a fixed evaluation order for one clause body.
+
+    The order is the greedy one of :func:`_greedy_plan` (tests, then
+    binds, then the cheapest ready generator) — and for almost every
+    body that is the whole story.  Only when the greedy plan scans a
+    *second* extent (a nested scan: the signature of a cross product)
+    is the choice of driving extent revisited: at each branch point of
+    the best plan so far, in turn, the greedy is completed once per
+    other ready extent scan, and the alternative is kept when its
+    ``estimated_cost`` is strictly lower.  So ``C in Clone, ..., Q in
+    C.seq, Y in SequenceT, Y.name = Q.name`` drives from ``Clone`` (1
+    scan, then an index probe into ``SequenceT``) even though
+    ``SequenceT`` is the smaller extent; a body whose extents no
+    equality links keeps its smallest-first cross product, and a plan
+    with at most one extent scan is returned exactly as the greedy
+    built it.  The search completes at most ``1 + m(m-1)/2`` greedy
+    orderings for ``m`` member atoms.
+
+    Raises :class:`PlanError` when no atom is ever ready (the clause is
+    not range-restricted); callers fall back to the dynamic matcher.
+    """
+    cardinalities = cardinalities or {}
+    initial_bound = tuple(initial_bound)
+    selectors = _SelectorFinder(clause.body)
+    best, branches = _greedy_plan(clause, cardinalities, initial_bound,
+                                  selectors)
+    if best.nested_scans:
+        drivers: Tuple[int, ...] = ()
+        while len(branches) > len(drivers):
+            opened, others = branches[len(drivers)]
+            pick = opened
+            for other in others:
+                plan, met = _greedy_plan(clause, cardinalities,
+                                         initial_bound, selectors,
+                                         drivers + (other,))
+                if plan.estimated_cost < best.estimated_cost:
+                    best, branches, pick = plan, met, other
+            drivers += (pick,)
+        if best.nested_scans:
+            _NESTED_SCANS_TOTAL.inc()
+    return best
 
 
 def plan_program(program: Iterable[Clause], instance: Instance,
@@ -598,6 +701,12 @@ class AuditPlan:
     @property
     def planned_heads(self) -> int:
         return sum(1 for plan in self.plans if plan.head is not None)
+
+    @property
+    def nested_scans(self) -> int:
+        """Nested extent scans over every planned body and head probe."""
+        return sum(half.nested_scans for plan in self.plans
+                   for half in (plan.body, plan.head) if half is not None)
 
     def plan_for(self, clause: Clause) -> Optional[ConstraintPlan]:
         for plan in self.plans:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..engine.executor import ExecutionStats, execute
-from ..engine.planner import ProgramPlan, plan_program
+from ..engine.planner import ProgramPlan, plan_audit, plan_program
 from ..lang.ast import Clause, Program
 from ..lang.parser import parse_program
 from ..lang.range_restriction import check_range_restriction
@@ -438,14 +438,37 @@ class Morphase:
         and executed over one shared, prebuilt index pool.
         ``parallel=N`` shards every clause's body enumeration across
         ``N`` worker processes and unions the violation sets.
+
+        Under an active trace the sequential run adds, like
+        :meth:`transform`, a ``plan`` span (``clauses``, prebuilt
+        ``indexes``, ``nested_scans``) and an ``execute`` span
+        (``body_solutions``, ``violations``, one child span per
+        clause); a parallel audit plans and executes in its workers.
         """
         self._ensure_preflight()
         if isinstance(sources, Instance):
             sources = [sources]
         combined = merge_instances("__audit__", list(sources) + [target])
-        return list(program_violations(combined, self.program,
-                                       limit_per_clause=5,
-                                       parallel=parallel))
+        if parallel is not None:
+            return list(program_violations(combined, self.program,
+                                           limit_per_clause=5,
+                                           parallel=parallel))
+        with span("plan") as plan_span:
+            audit_plan = plan_audit(self.program, combined)
+            plan_span.set(clauses=len(audit_plan.plans),
+                          indexes=audit_plan.prebuilt_indexes,
+                          nested_scans=audit_plan.nested_scans)
+        with span("execute") as execute_span:
+            violations = list(program_violations(
+                combined, self.program, limit_per_clause=5,
+                plan=audit_plan))
+            if execute_span:
+                execute_span.set(
+                    body_solutions=sum(
+                        child.attrs.get("body_solutions", 0)
+                        for child in execute_span.children),
+                    violations=len(violations))
+        return violations
 
 
 def _key_violation_clause(violation) -> Clause:

@@ -21,7 +21,9 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..lang.ast import (Atom, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                         MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm,
@@ -50,6 +52,14 @@ _BUILD_SECONDS = REGISTRY.histogram(
     "repro_index_build_seconds",
     "Time spent materialising one (class, path) hash index.",
     ("class_name",), buckets=LATENCY_BUCKETS)
+
+#: A supplied plan dropped by :meth:`Matcher.solutions` because the
+#: caller's initial binding did not fit the boundness it was compiled
+#: for: the probe still answers, but on the dynamic matcher.
+_PLAN_FALLBACKS = REGISTRY.counter(
+    "repro_matcher_plan_fallback_total",
+    "Supplied join plans dropped for the dynamic matcher because their "
+    "boundness assumptions did not fit the initial binding.")
 
 
 class IndexPool:
@@ -390,6 +400,21 @@ class PlanStep:
     pattern_term: Optional[Term] = None
     shard: Optional[Tuple[int, int]] = None
 
+    @cached_property
+    def requires(self) -> FrozenSet[str]:
+        """Variables that must already be bound when the step runs.
+
+        What the boundness check (:func:`_plan_conflicts_with`) reads,
+        derived from the syntax once per step instead of once per
+        probe.  ``cached_property`` writes the instance ``__dict__``
+        directly, which a frozen dataclass permits; the fields above
+        stay the only state compared, hashed or copied by ``replace``.
+        """
+        required = self.atom.variables() - frozenset(self.binds)
+        if self.selector_term is not None:
+            required |= self.selector_term.variables()
+        return required
+
 
 def unify_term(term: Term, value: Value, binding: Binding,
                instance: Optional[Instance]) -> Optional[Binding]:
@@ -547,15 +572,20 @@ class Matcher:
 
         With ``plan`` the atoms are processed in the fixed, precompiled
         order instead of the dynamic readiness order; the solution set is
-        identical (differential tests enforce this).  A plan compiled
-        without knowledge of ``initial``'s variables cannot honour them
-        (its steps would re-bind them), so such calls fall back to the
-        dynamic order rather than return wrong solutions.
+        identical (differential tests enforce this).  The plan runs only
+        after the one boundness check every plan entry point makes
+        (:func:`_plan_conflicts_with`, set operations over each step's
+        cached ``requires``): a plan compiled with a
+        different ``initial_bound`` than ``initial`` supplies would
+        re-bind a pre-bound variable or read an unbound one, so such
+        calls fall back to the dynamic order rather than return wrong
+        solutions — counted in ``repro_matcher_plan_fallback_total``.
         """
         if plan is not None:
             if not _plan_conflicts_with(plan, initial):
-                yield from self.run_plan(plan, initial)
+                yield from self._run_steps(plan, 0, dict(initial or {}))
                 return
+            _PLAN_FALLBACKS.inc()
         yield from self._solve(list(atoms), dict(initial or {}))
 
     def satisfiable(self, atoms: Sequence[Atom],
@@ -835,7 +865,7 @@ class Matcher:
         from ..engine.columnar import stream_plan_columnar
         return stream_plan_columnar(self, steps, initial, stats)
 
-    def _run_steps(self, steps: Tuple[PlanStep, ...], position: int,
+    def _run_steps(self, steps: Sequence[PlanStep], position: int,
                    binding: Binding) -> Iterator[Binding]:
         if position == len(steps):
             yield binding
@@ -989,18 +1019,14 @@ def _plan_conflicts_with(steps: Sequence[PlanStep],
     was compiled with an ``initial_bound`` the caller didn't supply).
     Either way the steps would silently compute wrong solutions.
     """
-    pre_bound = set(initial or ())
+    pre_bound = initial.keys() if initial else frozenset()
     available = set(pre_bound)
     for step in steps:
-        binds = set(step.binds)
-        if binds & pre_bound:
+        if not pre_bound.isdisjoint(step.binds):
             return True
-        required = set(step.atom.variables()) - binds
-        if step.selector_term is not None:
-            required |= step.selector_term.variables()
-        if not required <= available:
+        if not step.requires <= available:
             return True
-        available |= binds
+        available.update(step.binds)
     return False
 
 

@@ -25,6 +25,7 @@ from ..lang.ast import Clause
 from ..model.instance import Instance, InstanceError
 from ..model.schema import merge_schemas
 from ..model.values import Oid, Value, format_value
+from ..obs.trace import span
 from .eval import Binding
 from .match import Matcher
 
@@ -95,7 +96,14 @@ def clause_violations(instance: Instance, clause: Clause,
     (:func:`repro.engine.columnar.stream_plan_columnar`) — same
     solutions in the same order, so ``limit`` truncates identically.
     The per-solution head probe stays scalar: it is an existence check
-    with an early exit, which the batch model cannot shortcut.
+    with an early exit, which the batch model cannot shortcut.  Each
+    probe goes through :meth:`Matcher.solutions`, which checks once —
+    with set operations over sets the plan's steps carry, no walk of
+    the atoms — that the head plan's boundness fits the projected
+    binding before running it.
+
+    Under an active trace the clause is one ``clause <name>`` span
+    carrying ``body_solutions`` and ``violations``.
     """
     if limit is not None and limit <= 0:
         return []
@@ -106,21 +114,28 @@ def clause_violations(instance: Instance, clause: Clause,
         plan is not None and plan.body is not None) else None
     head_steps = plan.head.steps if (
         plan is not None and plan.head is not None) else None
-    if body_steps is not None:
-        from ..engine.columnar import stream_plan_columnar
-        body_bindings = stream_plan_columnar(matcher, body_steps, None)
-    else:
-        body_bindings = matcher.solutions(clause.body)
     violations: List[Violation] = []
-    for body_binding in body_bindings:
-        # Project to body variables: head checking re-derives the rest.
-        projected = {name: value for name, value in body_binding.items()
-                     if name in body_vars}
-        if not matcher.satisfiable(clause.head, projected,
-                                   plan=head_steps):
-            violations.append(Violation(clause, projected))
-            if limit is not None and len(violations) >= limit:
-                return violations
+    body_solutions = 0
+    with span(f"clause {clause.name or clause}") as clause_span:
+        if body_steps is not None:
+            from ..engine.columnar import stream_plan_columnar
+            body_bindings = stream_plan_columnar(matcher, body_steps, None)
+        else:
+            body_bindings = matcher.solutions(clause.body)
+        for body_binding in body_bindings:
+            body_solutions += 1
+            # Project to body variables: head checking re-derives the
+            # rest.
+            projected = {name: value
+                         for name, value in body_binding.items()
+                         if name in body_vars}
+            if not matcher.satisfiable(clause.head, projected,
+                                       plan=head_steps):
+                violations.append(Violation(clause, projected))
+                if limit is not None and len(violations) >= limit:
+                    break
+        clause_span.set(body_solutions=body_solutions,
+                        violations=len(violations))
     return violations
 
 

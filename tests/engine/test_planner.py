@@ -3,11 +3,13 @@
 import pytest
 
 from repro.engine import Executor, plan_clause, plan_program
+from repro.engine import planner as planner_module
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
 from repro.lang import parse_clause
 from repro.model import (INT, STR, InstanceBuilder, Record, Schema, WolSet,
                          record, set_of)
 from repro.morphase import Morphase
+from repro.obs.metrics import REGISTRY
 from repro.oracle import naive_transform
 from repro.normalization.optimize import (ELEMENT_STEP, constant_bindings,
                                           definition_chains)
@@ -75,6 +77,91 @@ class TestAtomOrdering:
         plan = plan_clause(c)
         assert plan.atoms_reordered == 0
         assert plan.order == (0, 1)
+
+
+GENOME_CLASSES = ["Clone", "Sequence", "SequenceT", "GeneT"]
+TC_BODY = ("C in Clone, N = C.name, P in C.map_position, L in C.length, "
+           "Q in C.seq, Y in SequenceT, Y.name = Q.name")
+TC_CARDS = {"Clone": 1200, "SequenceT": 966}
+
+
+def greedy_plan(c, cards):
+    """The single greedy ordering ``plan_clause`` starts from, with
+    the branch points it met."""
+    return planner_module._greedy_plan(
+        c, cards, (), planner_module._SelectorFinder(c.body))
+
+
+class TestDrivingExtent:
+    """Which extent drives is decided by the plan's estimated cost,
+    not by extent size alone — but only for plans that would otherwise
+    nest one extent scan inside another."""
+
+    def test_join_drives_from_the_probing_side(self):
+        # SequenceT is smaller, but only Clone reaches it by index
+        # (Q comes out of C.seq): opening SequenceT first is a cross
+        # product filtered at the last step.
+        c = body_clause(TC_BODY, classes=GENOME_CLASSES)
+        plan = plan_clause(c, TC_CARDS)
+        assert [s.atom.class_name for s in plan.steps
+                if s.mode == STEP_MEMBER_SCAN] == ["Clone"]
+        assert plan.nested_scans == 0
+        assert plan.atoms_reordered == 0    # as the user wrote it
+        assert plan.index_paths == (("SequenceT", ("name",)),)
+        greedy, _ = greedy_plan(c, TC_CARDS)
+        assert greedy.nested_scans == 1
+        assert plan.estimated_cost < greedy.estimated_cost
+
+    def test_alternatives_do_not_reenter_plan_clause(self, monkeypatch):
+        """The e2e ruler counts ``plan_clause`` calls by wrapping the
+        module attribute: alternatives come from an internal helper."""
+        calls = []
+        real = planner_module.plan_clause
+        monkeypatch.setattr(
+            planner_module, "plan_clause",
+            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        c = body_clause(TC_BODY, classes=GENOME_CLASSES)
+        assert planner_module.plan_clause(c, TC_CARDS).nested_scans == 0
+        assert calls == [1]
+
+    def test_single_scan_plans_are_the_greedy_plan(self):
+        # Both orders are one scan plus one probe; the greedy's
+        # smallest-first choice stands and nothing is searched.
+        c = body_clause("C in CityE, E in CountryE, C.country = E")
+        cards = {"CityE": 1000, "CountryE": 3}
+        plan = plan_clause(c, cards)
+        greedy, branches = greedy_plan(c, cards)
+        assert branches and plan == greedy
+        assert plan.steps[0].atom.class_name == "CountryE"
+
+    def test_unlinked_extents_keep_the_smallest_first_product(self):
+        c = body_clause("C in CityE, E in CountryE, C.name != E.name")
+        plan = plan_clause(c, {"CityE": 1000, "CountryE": 3})
+        assert [s.atom.class_name for s in plan.steps[:2]] == [
+            "CountryE", "CityE"]
+        assert plan.nested_scans == 1
+        assert "[scan CountryE]" in plan.explain()
+        assert "[nested scan CityE]" in plan.explain()
+        assert REGISTRY.value("repro_planner_nested_scans_total") == 1
+
+    def test_later_branch_points_are_revisited(self):
+        # Two unlinked pairs.  The greedy opens Tag, Doc, CountryE
+        # (smallest ready extent each time: three scans); the search
+        # drives the first pair from Doc (which reaches Tag through its
+        # tags, not the other way round) and then revisits the second
+        # pair's choice too: CityE binds E for free, CountryE would
+        # pay a probe per row.
+        classes = ["CityE", "CountryE", "Doc", "Tag"]
+        c = body_clause(
+            "C in CityE, E in CountryE, C.country = E, "
+            "D in Doc, T in D.tags, G in Tag, G.label = T",
+            classes=classes)
+        cards = {"CityE": 50, "CountryE": 40, "Doc": 30, "Tag": 20}
+        plan = plan_clause(c, cards)
+        scanned = [s.atom.class_name for s in plan.steps
+                   if s.mode == STEP_MEMBER_SCAN]
+        assert scanned == ["Doc", "CityE"]
+        assert plan.nested_scans == 1   # the pairs share no equality
 
 
 class TestDeterminismAndExplain:
@@ -281,6 +368,63 @@ class TestPlannedNaiveAgreement:
                                        plan=plan.steps))
         assert len(extra) == len(instance.objects_of("CityE"))
         assert all(b["Z"] == 1 for b in extra)
+
+    def test_every_probe_is_checked_once_and_fallbacks_are_counted(
+            self, monkeypatch):
+        """``solutions`` verifies a supplied plan against the initial
+        binding on every call — once, not again inside ``run_plan`` —
+        and a plan that does not fit is dropped for the dynamic matcher
+        (same answer) and counted, in both mismatch directions."""
+        from repro.semantics import match
+        checks = []
+        real = match._plan_conflicts_with
+        monkeypatch.setattr(
+            match, "_plan_conflicts_with",
+            lambda *args: checks.append(1) or real(*args))
+        instance = sample_euro_instance()
+        sizes = instance.class_sizes()
+        matcher = Matcher(instance)
+        city = instance.objects_of("CityE")[2]
+
+        def fallbacks():
+            return REGISTRY.value("repro_matcher_plan_fallback_total")
+
+        scan = body_clause("C in CityE")
+        unseeded = plan_clause(scan, sizes)
+        chain = body_clause("C in CityE, V = C.country, N = V.name")
+        seeded = plan_clause(chain, sizes, initial_bound=["C"])
+
+        # fits: the plan runs, one check, no fallback
+        assert len(list(matcher.solutions(
+            chain.body, {"C": city}, plan=seeded.steps))) == 1
+        assert (len(checks), fallbacks()) == (1, 0)
+        # the plan would re-bind the pre-bound C
+        assert list(matcher.solutions(
+            scan.body, {"C": city}, plan=unseeded.steps)) == [{"C": city}]
+        assert (len(checks), fallbacks()) == (2, 1)
+        with pytest.raises(MatchError):
+            matcher.run_plan(unseeded.steps, {"C": city})
+        # the plan reads a C the caller did not supply
+        found = list(matcher.solutions(chain.body, plan=seeded.steps))
+        assert found == list(matcher.solutions(chain.body))
+        assert len(found) == sizes["CityE"]
+        assert fallbacks() == 2
+        with pytest.raises(MatchError):
+            matcher.run_plan(seeded.steps)
+        assert not hasattr(Matcher, "run_plan_trusted")
+
+    def test_step_requirements_are_cached_on_the_frozen_step(self):
+        plan = plan_clause(
+            body_clause("C in CityE, E in CountryE, C.country = E"),
+            {"CityE": 9, "CountryE": 3})
+        probe = next(s for s in plan.steps if s.mode == STEP_MEMBER_INDEX)
+        assert probe.binds == ("C",) and probe.requires == {"E"}
+        assert probe.requires is probe.requires     # computed once
+        # not part of the step's identity, and not carried by replace()
+        import dataclasses
+        twin = dataclasses.replace(probe, shard=(0, 2))
+        assert "requires" not in vars(twin)
+        assert dataclasses.replace(twin, shard=None) == probe
 
     def test_unplannable_clause_falls_back_to_dynamic(self):
         instance = sample_euro_instance()

@@ -73,6 +73,20 @@ class TestTransform:
         assert target.class_sizes() == {
             "CityT": 12, "CountryT": 3, "StateT": 2}
 
+    def test_audit_trace_tree(self, workspace, capsys):
+        code = run(workspace, "transform",
+                   "--source", "$W/us.schema", "--source", "$W/euro.schema",
+                   "--target", "$W/target.schema", "$W/program.wol",
+                   "--data", "$W/us.json", "--data", "$W/euro.json",
+                   "--out", "$W/out.json", "--audit", "--trace")
+        out = capsys.readouterr().out
+        assert code == 0
+        transform, audit = out.split("· audit")
+        assert "· transform" in transform
+        assert "plan" in audit and "nested_scans=0" in audit
+        assert "execute" in audit and "body_solutions=" in audit
+        assert "violations=0" in audit and "clause T2" in audit
+
     def test_cpl_backend(self, workspace, capsys):
         code = run(workspace, "transform",
                    "--source", "$W/us.schema", "--source", "$W/euro.schema",

@@ -90,6 +90,29 @@ class TestTransform:
         broken = Instance(result.target.schema, damaged)
         assert city_morphase.audit(city_sources, broken)
 
+    def test_audit_span_tree(self, city_morphase, city_sources):
+        """audit -> plan (clauses, indexes, nested_scans)
+                 -> execute (body_solutions, violations) -> clause ..."""
+        from repro.obs.trace import start_trace
+        result = city_morphase.transform(city_sources)
+        with start_trace("audit") as trace:
+            assert city_morphase.audit(city_sources, result.target) == []
+        plan, execute = trace.root.children
+        assert (plan.name, execute.name) == ("plan", "execute")
+        clauses = len(city_morphase.program.clauses)
+        assert plan.attrs["clauses"] == clauses
+        assert plan.attrs["indexes"] > 0
+        assert plan.attrs["nested_scans"] == 0
+        per_clause = [child for child in execute.children
+                      if child.name.startswith("clause ")]
+        assert len(per_clause) == clauses
+        assert all(child.attrs["violations"] == 0 for child in per_clause)
+        assert execute.attrs == {
+            "body_solutions": sum(child.attrs["body_solutions"]
+                                  for child in per_clause),
+            "violations": 0}
+        assert execute.attrs["body_solutions"] > 0
+
 
 class TestSourceChecking:
     def test_clean_source_passes(self, city_morphase, city_sources):
