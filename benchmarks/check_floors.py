@@ -4,7 +4,11 @@ Reads every ``BENCH_*.json`` at the repository root (written by the
 ``bench_report`` fixture in :mod:`benchmarks.conftest`).  A series row
 that carries a ``floor`` declares a regression bar for its guarded
 metric (named by ``metric``, default ``speedup``); any row under its
-floor fails the build with a summary of what regressed.
+floor fails the build with a summary of what regressed.  A row that
+names a ``metric`` but whose floor is null (``bench_parallel`` records
+it that way when the machine has too few cores for the bar to mean
+anything) gates nothing; it is listed as ``ungated`` so the gap shows
+in the output.
 
 Usage::
 
@@ -25,6 +29,7 @@ def check(root: str) -> int:
         return 1
     failures = []
     checked = 0
+    ungated = 0
     for path in paths:
         with open(path) as handle:
             document = json.load(handle)
@@ -32,6 +37,10 @@ def check(root: str) -> int:
         for row in document.get("series", []):
             floor = row.get("floor")
             if floor is None:
+                if "metric" in row:
+                    ungated += 1
+                    print(f"ungated  {name}/{row.get('label')}: floor is "
+                          f"null (recorded on cores={row.get('cores')})")
                 continue
             metric = row.get("metric", "speedup")
             value = row.get(metric)
@@ -52,7 +61,7 @@ def check(root: str) -> int:
         for failure in failures:
             print(f"  FAIL {failure}")
         return 1
-    print(f"\nall {checked} benchmark floor(s) hold")
+    print(f"\n{checked} floor(s) hold, {ungated} row(s) ungated")
     return 0
 
 

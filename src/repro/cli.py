@@ -61,7 +61,7 @@ Subcommands::
         record was dropped, and the recovered class sizes.
 
     python -m repro program  program.qp --data target.json [--json] \\
-                             [--ast] [--explain] [--shards N] \\
+                             [--ast] [--explain] \\
                              | --url http://host:port
         Parse, validate and run a query program (the composable
         query DSL of :mod:`repro.program`) — named statements mixing
@@ -396,8 +396,7 @@ def _cmd_program(args) -> int:
         tracing = (start_trace("program", program=args.program)
                    if args.trace else nullcontext(None))
         with tracing as trace:
-            outcome = run_compiled(compiled, merged,
-                                   shards=args.shards)
+            outcome = run_compiled(compiled, merged)
         if trace is not None:
             trace_doc = trace.to_json()
         result = outcome.to_json()
@@ -738,10 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(no execution)")
     program_p.add_argument("--explain", action="store_true",
                            help="include per-statement execution plans")
-    program_p.add_argument("--shards", type=int, default=1, metavar="N",
-                           help="run shardable query statements as N "
-                                "sequential shards (local mode; results "
-                                "are byte-identical to --shards 1)")
     program_p.add_argument("--trace", action="store_true",
                            help="print the EXPLAIN-ANALYZE span tree "
                                 "(per-statement timings; with --url the "

@@ -32,11 +32,21 @@ Terms are compiled once per plan into column evaluators; a failed
 per-row evaluation (the scalar path's :class:`EvalError`) marks the row
 :data:`~repro.semantics.columns.MISSING` and the consuming stage drops
 it, mirroring ``Matcher._try_eval``.
+
+Stages and plan steps are one-to-one, and each step mode has one
+general stage: Skolem terms differ only where their *meaning* does
+(constant, bare single key, duplicate labels, interned n-ary key),
+identities are minted through the unchecked constructors of
+:mod:`repro.model.values` (the only module that knows the layout of
+``Oid`` and ``Record``), and a generator whose element nobody reads
+runs like any other — liveness filtering drops its column afterwards.
+A hand-specialised copy of a stage earns its place only when an
+end-to-end metric of ``benchmarks/e2e`` can see it.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..lang.ast import (Const, EqAtom, InAtom, LtAtom, MemberAtom, NeqAtom,
@@ -203,11 +213,6 @@ def compile_term(term: Term, matcher: Matcher,
                     oid = cached(value)
                     if oid is None:
                         oid = mint(class_name, value)
-                        # Every identity ends up as a pending-store key;
-                        # priming the hash here skips the AttributeError
-                        # miss path of the cached __hash__ later.
-                        oid.__dict__["_hash"] = hash(
-                            (class_name, value, None))
                         interned[value] = oid
                     append(oid)
                 return out
@@ -237,67 +242,20 @@ def compile_term(term: Term, matcher: Matcher,
         sorted_labels = tuple(key_labels[i] for i in order)
         presorted = Record.presorted
         mint = Oid.keyed_unchecked
-        if len(parts) == 2:
-            # The dominant shape (binary join keys): build record and
-            # oid with raw __dict__ writes, no per-row zip/tuple churn.
-            first, second = (parts[i] for i in order)
-            label_a, label_b = sorted_labels
-            new = object.__new__
-            record_cls, oid_cls = Record, Oid
-            interned_pairs: Dict[Tuple[Value, Value], Oid] = {}
-
-            def skolem_pair(columns: Columns, count: int) -> List[Value]:
-                cached = interned_pairs.get
-                out: List[Value] = []
-                append = out.append
-                for pair in zip(first(columns, count),
-                                second(columns, count)):
-                    value_a, value_b = pair
-                    if value_a is MISSING or value_b is MISSING:
-                        append(MISSING)
-                        continue
-                    oid = cached(pair)
-                    if oid is None:
-                        record = new(record_cls)
-                        state = record.__dict__
-                        fields = ((label_a, value_a), (label_b, value_b))
-                        state["fields"] = fields
-                        state["_index"] = {label_a: value_a,
-                                           label_b: value_b}
-                        # Prime the record and oid hash caches: these
-                        # identities go straight into pending-store and
-                        # intern dicts, and the lazy __hash__ pays two
-                        # AttributeError misses per oid otherwise.
-                        state["_hash"] = hash(fields)
-                        oid = new(oid_cls)
-                        state = oid.__dict__
-                        state["class_name"] = class_name
-                        state["key"] = record
-                        state["serial"] = None
-                        state["_hash"] = hash((class_name, record, None))
-                        interned_pairs[pair] = oid
-                    append(oid)
-                return out
-            return skolem_pair
-
         interned_keys: Dict[Tuple[Value, ...], Oid] = {}
 
         def skolem_column(columns: Columns, count: int) -> List[Value]:
             cached = interned_keys.get
-            evaluated = [parts[i](columns, count) for i in order]
             out: List[Value] = []
             append = out.append
-            for row in range(count):
-                values = tuple(column[row] for column in evaluated)
+            for values in zip(*[parts[i](columns, count) for i in order]):
                 if MISSING in values:
                     append(MISSING)
                     continue
                 oid = cached(values)
                 if oid is None:
-                    record = presorted(tuple(zip(sorted_labels, values)))
-                    record.__dict__["_hash"] = hash(record.fields)
-                    oid = mint(class_name, record)
-                    oid.__dict__["_hash"] = hash((class_name, record, None))
+                    oid = mint(class_name, presorted(
+                        tuple(zip(sorted_labels, values))))
                     interned_keys[values] = oid
                 append(oid)
             return out
@@ -540,21 +498,6 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 if subject_rows is not None:
                     # Integer-indexed: the subject column carries its
                     # raw store rows (bound by an unsharded scan).
-                    mask = [lengths[at] for at in subject_rows]
-                    if max(mask, default=0) <= 1:
-                        # Option idiom (0/1-element sets): a straight
-                        # gather plus a C-speed filter, no keep list.
-                        if min(mask, default=0) == 1:
-                            out = dict(columns)
-                            out[name] = [values[starts[at]]
-                                         for at in subject_rows]
-                            return out, count
-                        out = {variable: list(compress(column_, mask))
-                               for variable, column_ in columns.items()}
-                        out[name] = [values[starts[at]]
-                                     for at, n in zip(subject_rows, mask)
-                                     if n]
-                        return out, len(out[name])
                     for row, at in enumerate(subject_rows):
                         length = lengths[at]
                         if not length:
@@ -631,94 +574,6 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                    for variable, column in columns.items()}
         out[name] = out_column
         return out, len(out_column)
-    return stage
-
-
-def _in_generate_lengths(matcher: Matcher, step: PlanStep,
-                         var_class: Dict[str, str],
-                         var_collection: Dict[str, Tuple[str, str]]):
-    """Per-row element counts of an ``in``-generator, without
-    materialising the elements.
-
-    Mirrors ``_in_generate_stage`` branch for branch (same rewrites,
-    same fast paths, same zero-row conditions) so a fused suffix of
-    dead generators multiplies out exactly the rows the chained stages
-    would have produced.
-    """
-    atom = step.atom
-    assert isinstance(atom, InAtom) and isinstance(atom.element, Var)
-    collection = atom.collection
-    if (isinstance(collection, Var)
-            and collection.name in var_collection):
-        subject, attr = var_collection[collection.name]
-        collection = Proj(Var(subject), attr)
-    if isinstance(collection, Proj) and isinstance(collection.subject, Var):
-        subject = collection.subject.name
-        attr = collection.attr
-        if subject in var_class:
-            class_name = var_class[subject]
-            row_name = _ROW_PREFIX + subject
-
-            def lengths_fn(columns: Columns, count: int) -> List[int]:
-                store = matcher.columns()
-                lengths = store.set_lengths(class_name, attr)
-                subject_rows = columns.get(row_name)
-                if subject_rows is not None:
-                    return [lengths[at] for at in subject_rows]
-                rows_get = store.row_map(class_name).get
-                out: List[int] = []
-                append = out.append
-                for oid in columns[subject]:
-                    at = rows_get(oid)
-                    append(0 if at is None else lengths[at])
-                return out
-            return lengths_fn
-
-        def lengths_fn(columns: Columns, count: int) -> List[int]:
-            slice_of = matcher.columns().set_slice
-            return [len(slice_of(value, attr)) if isinstance(value, Oid)
-                    else len(_elements_of(value, attr))
-                    for value in columns[subject]]
-        return lengths_fn
-
-    evaluator = compile_term(collection, matcher, var_class)
-
-    def lengths_fn(columns: Columns, count: int) -> List[int]:
-        return [len(value) if isinstance(value, (WolSet, WolList)) else 0
-                for value in evaluator(columns, count)]
-    return lengths_fn
-
-
-def _fused_expand_stage(length_fns: List) -> Stage:
-    """One stage standing in for a trailing run of ``in``-generators
-    whose element variables are all dead.
-
-    A dead generator's only observable effect is row multiplicity
-    (empty collections drop the row, n-element collections repeat it),
-    so the fusion computes each source row's multiplicity — the product
-    of its per-generator element counts — and expands every live
-    column once.  Nested-loop enumeration order is preserved: repeated
-    copies of a source row are exactly the rows the chained stages
-    would emit, in the same positions.
-    """
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        mults = length_fns[0](columns, count)
-        for length_fn in length_fns[1:]:
-            extra = length_fn(columns, count)
-            mults = [m * n for m, n in zip(mults, extra)]
-        # The ACE option idiom stores scalar attributes as 0/1-element
-        # sets, so multiplicities are almost always 0 or 1: a pure
-        # filter (or a no-op) — take those paths before the general
-        # repeat-expansion.
-        if max(mults) <= 1:
-            if min(mults) == 1:
-                return dict(columns), count
-            keep = [row for row, n in enumerate(mults) if n]
-            return _take(columns, keep, count)
-        out = {variable: [x for value, n in zip(column, mults)
-                          for x in repeat(value, n)]
-               for variable, column in columns.items()}
-        return out, sum(mults)
     return stage
 
 
@@ -908,11 +763,7 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
     var_collection: Dict[str, Tuple[str, str]] = {}
     stages: List[Tuple[bool, Stage]] = []
     reads: List[frozenset] = []
-    # Lengths-only twins of the in-generate stages, compiled at the
-    # same point of the pass (var_class/var_collection are mutated as
-    # we go, so a later compile could take a different branch).
-    length_of: Dict[int, object] = {}
-    for index, step in enumerate(steps):
+    for step in steps:
         extra_reads: frozenset = frozenset()
         if step_vectorizable(step):
             mode = step.mode
@@ -929,9 +780,6 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
                         (var_collection[collection.name][0],))
                 stage = _in_generate_stage(matcher, step, var_class,
                                            var_collection)
-                if isinstance(step.atom.element, Var):
-                    length_of[index] = _in_generate_lengths(
-                        matcher, step, var_class, var_collection)
             else:
                 stage = _VECTOR_STAGES[mode](matcher, step, var_class)
             stages.append((True, stage))
@@ -974,24 +822,6 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
         for index in range(len(stages) - 1, -1, -1):
             retains[index] = alive
             alive |= reads[index]
-        # Fuse the trailing run of in-generators binding dead element
-        # variables (not needed by the caller, not read by any later
-        # step) into one multiplicity-expansion stage: their elements
-        # are never looked at, only how many rows each one multiplies
-        # out to.
-        blocked = set(needed)
-        first = len(stages)
-        for index in range(len(stages) - 1, -1, -1):
-            length_fn = length_of.get(index)
-            if (length_fn is None
-                    or steps[index].atom.element.name in blocked):
-                break
-            first = index
-            blocked |= reads[index]
-        if first < len(stages):
-            fused = [length_of[i] for i in range(first, len(stages))]
-            stages[first:] = [(True, _fused_expand_stage(fused))]
-            retains[first:] = [frozenset(needed)]
     return stages, tuple(known), retains
 
 
@@ -1019,8 +849,8 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
     # One context-variable read decides whether per-step spans exist at
     # all — the untraced hot path keeps its original loop body.
     tracing = current_span() is not None
-    for index, ((vectorized, stage), retain) in enumerate(
-            zip(stages, retains)):
+    for index, (step, (vectorized, stage), retain) in enumerate(
+            zip(steps, stages, retains)):
         if count == 0:
             return names, {name: [] for name in names}, 0
         if stats is not None:
@@ -1032,17 +862,8 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
             else:
                 stats.fallback_steps += 1
         if tracing:
-            # Stages align with plan steps one-to-one except when a
-            # trailing run of dead in-generators was fused into a
-            # single expansion stage (then the last stage covers
-            # steps[index:]).
-            fused = (index == len(stages) - 1
-                     and len(stages) != len(steps))
-            label = ("fused-expand "
-                     f"×{len(steps) - index}" if fused
-                     else f"{steps[index].mode} {steps[index].atom}")
             with trace_span(
-                    f"{index + 1}. {label}",
+                    f"{index + 1}. {step.mode} {step.atom}",
                     mode="vec" if vectorized else "fallback",
                     rows_in=count) as step_span:
                 columns, count = stage(columns, count)

@@ -167,10 +167,6 @@ class Executor:
         self.shard = shard
         self._matcher = Matcher(source, index_pool=index_pool)
         self._pending: Dict[Oid, _PendingObject] = {}
-        #: Pending objects per class — lets the batched head prove "no
-        #: object of this class exists yet" in O(1) for its fused
-        #: create-and-assign fast path.
-        self._pending_classes: Dict[str, int] = {}
         self.stats = ExecutionStats()
 
     # ------------------------------------------------------------------
@@ -257,8 +253,9 @@ class Executor:
         non-oid identity, a failed check — the batch replays row by row
         through the scalar :func:`head_effects`, so errors surface with
         exactly the scalar message at exactly the scalar position.
+        Every head identity is recomputed and compared with what the
+        body bound — also when the body evaluated the same Skolem term.
         """
-        from ..semantics.match import STEP_EQ_BIND
         from .columnar import run_steps_columnar
         # The head reads exactly these variables (``head_effects``'s
         # evaluation surface); every other binding column is dead after
@@ -282,21 +279,6 @@ class Executor:
         if count == 0:
             return
         label = clause.name or str(clause)
-        # Identity variables the body already bound by evaluating the
-        # *same* Skolem term need no head recompute-and-compare: the
-        # columns are definitionally equal.
-        trusted = {
-            step.pattern_term.name for step in join_plan.steps
-            if step.mode == STEP_EQ_BIND
-            and isinstance(step.pattern_term, Var)
-            and isinstance(step.eval_term, SkolemTerm)}
-        trusted = {var for var, skolem in plan.identity_order
-                   if var in trusted and any(
-                       step.mode == STEP_EQ_BIND
-                       and isinstance(step.pattern_term, Var)
-                       and step.pattern_term.name == var
-                       and step.eval_term == skolem
-                       for step in join_plan.steps)}
         # Head terms compile against the same class typing the body
         # derived (membership-bound vars), so head projections gather
         # from attribute columns and reuse the hidden row columns the
@@ -307,7 +289,6 @@ class Executor:
             if isinstance(step.atom, MemberAtom)
             and isinstance(step.atom.element, Var)}
         if not self._apply_heads_batch(plan, columns, count, label,
-                                       trusted=trusted,
                                        var_class=var_class):
             # Liveness filtering may have dropped columns `names`
             # mentions; the surviving ones are exactly what the head
@@ -319,7 +300,6 @@ class Executor:
 
     def _apply_heads_batch(self, plan: "_HeadPlan", columns: Mapping,
                            count: int, label: str,
-                           trusted: Optional[Set[str]] = None,
                            var_class: Optional[Dict[str, str]] = None
                            ) -> bool:
         """Apply a whole batch of head effects; False = replay scalar.
@@ -332,6 +312,13 @@ class Executor:
         error at exactly the scalar position.  (Pending *objects* may
         already exist by then: creation is idempotent and observable
         only through the class check, which is part of the precheck.)
+
+        After the precheck every head shape applies the same way:
+        resolve each subject column to its pending objects (created
+        through the ``_PendingObject`` constructor), scan for
+        functionality conflicts — within the batch and against whatever
+        the store already holds, however it was filled (clauses,
+        :meth:`adopt` or :meth:`absorb`) — then write.
         """
         from ..semantics.columns import MISSING
         from .columnar import compile_term
@@ -348,8 +335,6 @@ class Executor:
             return column
 
         for var, skolem in plan.identity_order:
-            if trusted and var in trusted:
-                continue  # body bound it from the identical Skolem term
             column = evaluate_column(skolem)
             if column is None:
                 return False
@@ -414,99 +399,6 @@ class Executor:
             if lefts is None or rights is None or lefts != rights:
                 return False
 
-        class_counts = self._pending_classes
-        # Fused fast path for the dominant head shape: one created
-        # class nothing has touched yet, every assignment through the
-        # created variable, no insertions or residual checks.  Each row
-        # then builds its finished pending object — identity, all
-        # attributes, provenance — in a single pass into a side dict.
-        # Duplicate subjects collapse in that dict, so a length mismatch
-        # at the end detects them before anything is published, and the
-        # generic (conflict-scanned) path below takes over untouched.
-        if (len(plan.created) == 1 and not insertions and not plan.checks
-                and 1 <= len(assignments) <= 4):
-            (created_var, created_class), = plan.created.items()
-            subjects0 = local[created_var]
-            if (all(subjects is subjects0 for subjects, _, _ in assignments)
-                    and class_counts.get(created_class, 0) == 0):
-                new = object.__new__
-                pending_cls = _PendingObject
-                fresh: Dict[Oid, _PendingObject] = {}
-                attrs = [attr for _, attr, _ in assignments]
-                value_columns = [column for _, _, column in assignments]
-                if len(assignments) == 1:
-                    a1, = attrs
-                    c1, = value_columns
-                    for oid, v1 in zip(subjects0, c1):
-                        pending = new(pending_cls)
-                        state = pending.__dict__
-                        state["class_name"] = created_class
-                        state["oid"] = oid
-                        state["attributes"] = {a1: v1}
-                        state["set_attributes"] = {}
-                        state["provenance"] = {a1: label}
-                        fresh[oid] = pending
-                elif len(assignments) == 2:
-                    a1, a2 = attrs
-                    c1, c2 = value_columns
-                    for oid, v1, v2 in zip(subjects0, c1, c2):
-                        pending = new(pending_cls)
-                        state = pending.__dict__
-                        state["class_name"] = created_class
-                        state["oid"] = oid
-                        state["attributes"] = {a1: v1, a2: v2}
-                        state["set_attributes"] = {}
-                        state["provenance"] = {a1: label, a2: label}
-                        fresh[oid] = pending
-                elif len(assignments) == 3:
-                    a1, a2, a3 = attrs
-                    c1, c2, c3 = value_columns
-                    for oid, v1, v2, v3 in zip(subjects0, c1, c2, c3):
-                        pending = new(pending_cls)
-                        state = pending.__dict__
-                        state["class_name"] = created_class
-                        state["oid"] = oid
-                        state["attributes"] = {a1: v1, a2: v2, a3: v3}
-                        state["set_attributes"] = {}
-                        state["provenance"] = {a1: label, a2: label,
-                                               a3: label}
-                        fresh[oid] = pending
-                else:
-                    a1, a2, a3, a4 = attrs
-                    c1, c2, c3, c4 = value_columns
-                    for oid, v1, v2, v3, v4 in zip(subjects0, c1, c2, c3,
-                                                   c4):
-                        pending = new(pending_cls)
-                        state = pending.__dict__
-                        state["class_name"] = created_class
-                        state["oid"] = oid
-                        state["attributes"] = {a1: v1, a2: v2, a3: v3,
-                                               a4: v4}
-                        state["set_attributes"] = {}
-                        state["provenance"] = {a1: label, a2: label,
-                                               a3: label, a4: label}
-                        fresh[oid] = pending
-                if len(fresh) != count:
-                    # Duplicate subjects collapsed in the dict: later
-                    # occurrences overwrote earlier pendings, which is
-                    # only sound if every row agrees with its subject's
-                    # surviving values.  Verify before publishing; a
-                    # disagreement is a functionality conflict, and
-                    # nothing has been published yet, so the scalar
-                    # replay raises the canonical error.
-                    fresh_get = fresh.get
-                    for row_values in zip(subjects0, *value_columns):
-                        attributes = fresh_get(row_values[0]).attributes
-                        for attr, value in zip(attrs, row_values[1:]):
-                            prev = attributes[attr]
-                            if prev is not value and prev != value:
-                                return False
-                self._pending.update(fresh)
-                class_counts[created_class] = len(fresh)
-                self.stats.objects_created += len(fresh)
-                self.stats.attributes_set += count * len(assignments)
-                return True
-
         # Materialise every pending object column-wise (idempotent, so
         # safe before the conflict scan; class validity is prechecked).
         # Each distinct subject column resolves to its pending objects
@@ -518,15 +410,7 @@ class Executor:
         pending_map = self._pending
         new_objects = 0
         resolved_columns: Dict[int, List[_PendingObject]] = {}
-        # Subject columns proven to hold pairwise-distinct oids that
-        # did not exist before this batch.  Their pendings have no
-        # attributes yet and no row shares a subject, so writes through
-        # them need no conflict scan at all (the dominant case: heads
-        # creating one object per binding).
-        fresh_columns: Set[int] = set()
         by_identity: Dict[int, _PendingObject] = {}
-        new = object.__new__
-        pending_cls = _PendingObject
 
         def resolve(column: List[Value]) -> List[_PendingObject]:
             nonlocal new_objects
@@ -537,32 +421,17 @@ class Executor:
             append = pendings.append
             get = pending_map.get
             memo_get = by_identity.get
-            fresh = True
             for oid in column:
                 pending = memo_get(id(oid))
                 if pending is None:
                     pending = get(oid)
                     if pending is None:
-                        pending = new(pending_cls)
-                        state = pending.__dict__
-                        state["class_name"] = oid.class_name
-                        state["oid"] = oid
-                        state["attributes"] = {}
-                        state["set_attributes"] = {}
-                        state["provenance"] = {}
+                        pending = _PendingObject(oid.class_name, oid)
                         pending_map[oid] = pending
-                        class_counts[oid.class_name] = (
-                            class_counts.get(oid.class_name, 0) + 1)
                         new_objects += 1
-                    else:
-                        fresh = False  # pre-existing object
                     by_identity[id(oid)] = pending
-                else:
-                    fresh = False  # duplicate subject within the batch
                 append(pending)
             resolved_columns[id(column)] = pendings
-            if fresh:
-                fresh_columns.add(id(pendings))
             return pendings
 
         for column in creates:
@@ -583,11 +452,6 @@ class Executor:
         # once per row (the scalar path's duplicate writes are no-ops).
         writes: List[Tuple[str, List[Tuple[_PendingObject, Value]]]] = []
         for pendings, attr, column in assignments:
-            if id(pendings) in fresh_columns:
-                # Distinct, newly created subjects: nothing to conflict
-                # with, inside the batch or out of it.
-                writes.append((attr, list(zip(pendings, column))))
-                continue
             seen: Dict[int, Value] = {}
             seen_get = seen.get
             unique: List[Tuple[_PendingObject, Value]] = []
@@ -765,8 +629,6 @@ class Executor:
                     f"object {oid} belongs to no target class")
             pending = _PendingObject(oid.class_name, oid)
             self._pending[oid] = pending
-            self._pending_classes[oid.class_name] = (
-                self._pending_classes.get(oid.class_name, 0) + 1)
             self.stats.objects_created += 1
         return pending
 

@@ -105,12 +105,19 @@ class Oid:
         The vectorized executor mints keyed identities in bulk; the
         shape is fixed at compile time, so the per-instance check is
         dead weight.  ``key`` must not be None.
+
+        The hash cache is primed here: every minted identity goes
+        straight into intern tables and the pending store, and the
+        lazy ``__hash__`` would pay an ``AttributeError`` miss first.
+        Priming it in this module keeps the layout of ``Oid`` (and the
+        hash formula) known to nobody else.
         """
         oid = object.__new__(Oid)
         fields = oid.__dict__
         fields["class_name"] = class_name
         fields["key"] = key
         fields["serial"] = None
+        fields["_hash"] = hash((class_name, key, None))
         return oid
 
     @property
@@ -177,12 +184,15 @@ class Record:
         label layout fixed at compile time; this skips the per-row
         re-validation and re-sort of ``__post_init__``.  Callers must
         guarantee sortedness and distinctness — an unsorted layout
-        would break record equality.
+        would break record equality.  Primes the hash cache for the
+        same reason :meth:`Oid.keyed_unchecked` does: key records are
+        hashed as soon as they are built.
         """
         record = object.__new__(Record)
         state = record.__dict__
         state["fields"] = fields
         state["_index"] = dict(fields)
+        state["_hash"] = hash(fields)
         return record
 
     def labels(self) -> Tuple[str, ...]:

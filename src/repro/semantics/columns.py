@@ -98,7 +98,7 @@ class _ClassColumns:
     """The columnar state of one class (rows = raw extent positions)."""
 
     __slots__ = ("oids", "rows", "alive", "live", "scalars", "sets",
-                 "set_lens", "codes", "_extent", "_extent_rows", "_shards")
+                 "codes", "_extent", "_extent_rows", "_shards")
 
     def __init__(self, oids: Sequence[Oid]) -> None:
         #: Raw rows in insertion order; tombstoned rows stay in place.
@@ -110,9 +110,6 @@ class _ClassColumns:
         self.live: int = len(self.oids)
         self.scalars: Dict[str, List[Value]] = {}
         self.sets: Dict[str, _SetColumn] = {}
-        #: Element-count-only columns (no flattened values): enough for
-        #: multiplicity-expansion stages, far cheaper to build.
-        self.set_lens: Dict[str, List[int]] = {}
         self.codes: Optional[List[int]] = None
         self._extent: Optional[List[Oid]] = None
         self._extent_rows: Optional[List[int]] = None
@@ -161,14 +158,6 @@ def _set_entry(value: Value, attr: str) -> List[Value]:
         if isinstance(field, (WolSet, WolList)):
             return deterministic_order(field)
     return []
-
-
-def _set_len_entry(value: Value, attr: str) -> int:
-    if isinstance(value, Record) and value.has(attr):
-        field = value.get(attr)
-        if isinstance(field, (WolSet, WolList)):
-            return len(field)
-    return 0
 
 
 class ColumnStore:
@@ -263,39 +252,6 @@ class ColumnStore:
                         _set_entry(value_of(oid), attr) if alive[row]
                         else ())
             columns.sets[attr] = column
-            self.columns_built += 1
-        return column
-
-    def set_lengths(self, class_name: str, attr: str) -> List[int]:
-        """Per-row element counts of one collection attribute.
-
-        Multiplicity-only consumers (the fused dead-generator stage)
-        never look at the elements, so this skips the flattened values
-        array and the per-row deterministic ordering entirely.  Reuses
-        a full set column when one is already built.
-        """
-        columns = self._class(class_name)
-        full = columns.sets.get(attr)
-        if full is not None:
-            return full.lengths
-        column = columns.set_lens.get(attr)
-        if column is None:
-            if columns.live == len(columns.oids):
-                column = []
-                append = column.append
-                for value in self.instance.valuations[class_name].values():
-                    field = (value._index.get(attr)
-                             if isinstance(value, Record) else None)
-                    append(len(field)
-                           if isinstance(field, (WolSet, WolList)) else 0)
-            else:
-                value_of = self.instance.value_of
-                alive = columns.alive
-                column = [
-                    _set_len_entry(value_of(oid), attr) if alive[row]
-                    else 0
-                    for row, oid in enumerate(columns.oids)]
-            columns.set_lens[attr] = column
             self.columns_built += 1
         return column
 
@@ -419,12 +375,6 @@ class ColumnStore:
                     column.append_row(elements)
                 else:
                     column.rewrite_row(row, elements)
-            for attr, lens in columns.set_lens.items():
-                entry = _set_len_entry(value, attr)
-                if row == len(lens):
-                    lens.append(entry)
-                else:
-                    lens[row] = entry
             self.rows_patched += 1
         return True
 

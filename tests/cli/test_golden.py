@@ -280,19 +280,16 @@ class TestProgramGoldens:
         assert code == 0
         compare_to_golden("program_ast_genome.json", out)
 
-    def test_program_sharded_matches_golden(self, genome_workspace,
-                                            capsys):
-        """Sharded execution must reproduce the pinned bytes."""
+    def test_shards_flag_is_gone(self, genome_workspace, capsys):
+        """``--shards N`` ran N sequential shards for the same bytes;
+        the knob was deleted, so argparse rejects it by name."""
         w = genome_workspace
-        code = main(["program", str(w / "program.qp"),
-                     "--data", str(w / "genome.json"), "--json",
-                     "--shards", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        with open(os.path.join(GOLDEN_DIR,
-                               "program_genome.json")) as handle:
-            golden = json.load(handle)
-        assert json.loads(out)["rows"] == golden["rows"]
+        with pytest.raises(SystemExit) as info:
+            main(["program", str(w / "program.qp"),
+                  "--data", str(w / "genome.json"), "--json",
+                  "--shards", "3"])
+        assert info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_envelope_golden(self):
         """The versioned service envelope is wire format — pin it."""

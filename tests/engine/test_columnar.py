@@ -3,10 +3,12 @@
 The differential fuzz harness pins whole-engine byte equality; these
 tests pin the module-level contracts — the static vectorizability
 rule, positional (not just set-wise) equivalence of the batch and
-scalar paths, fallback re-entry mid-plan, stats counters, and the
-fused-head duplicate/conflict semantics.
+scalar paths, fallback re-entry mid-plan, stats counters, the batched
+head's duplicate/conflict semantics at every arity, n-ary Skolem
+identities and the row multiplicity of ``in``-generators nobody reads.
 """
 
+import pickle
 import types
 
 import pytest
@@ -15,8 +17,9 @@ from repro.engine.columnar import (seeded_batch_columnar, step_vectorizable,
                                    stream_plan_columnar)
 from repro.engine.executor import ExecutionError
 from repro.engine.planner import plan_clause
-from repro.lang import parse_clause
-from repro.model import InstanceBuilder, Record, WolSet
+from repro.lang import parse_clause, parse_program
+from repro.model import (INT, STR, InstanceBuilder, Oid, Record, Schema,
+                         WolSet, record, set_of)
 from repro.model.schema import parse_schema
 from repro.morphase import Morphase
 from repro.oracle import naive_transform
@@ -189,3 +192,156 @@ class TestFusedHeadDuplicates:
         with pytest.raises(ExecutionError) as columnar_error:
             morphase.transform(source)
         assert str(columnar_error.value) == str(naive_error.value)
+
+    @staticmethod
+    def wide(assignments, rows):
+        """A head with ``assignments`` attribute writes through the one
+        created variable, keyed by ``grp``; ``rows`` are ``(grp,
+        values)`` pairs, one value per attribute."""
+        attrs = [f"a{index}" for index in range(1, assignments + 1)]
+        source_schema = Schema.of(
+            "WSrc", Item=record(grp=STR, **{attr: INT for attr in attrs}))
+        target_schema = Schema.of(
+            "WTgt", Out=record(**{attr: INT for attr in attrs}))
+        builder = InstanceBuilder(source_schema)
+        for grp, values in rows:
+            builder.new("Item", Record.of(
+                grp=grp, **dict(zip(attrs, values))))
+        head = ", ".join(f"X.{attr} = V{index}"
+                         for index, attr in enumerate(attrs))
+        body = ", ".join(f"V{index} = I.{attr}"
+                         for index, attr in enumerate(attrs))
+        program = parse_program(
+            f"T: X in Out, X = Mk_Out(G), {head}"
+            f" <= I in Item, G = I.grp, {body};",
+            classes=["Item", "Out"])
+        return program, builder.freeze(), target_schema
+
+    @pytest.mark.parametrize("assignments", range(1, 7))
+    def test_agreeing_duplicates_collapse_at_every_arity(
+            self, execute_both, assignments):
+        """The oracle's objects and effect counters whatever the
+        number of attribute writes (the hand-unrolled create+assign
+        copies this replaced stopped at four)."""
+        same = tuple(range(assignments))
+        program, source, target_schema = self.wide(
+            assignments, [("g", same), ("g", same), ("h", same),
+                          ("g", same)])
+        target, stats = execute_both(program, source, target_schema)
+        assert target.class_sizes() == {"Out": 2}
+        assert stats.objects_created == 2
+        assert stats.attributes_set == 4 * assignments
+
+    @pytest.mark.parametrize("assignments", range(1, 7))
+    def test_conflicting_duplicates_raise_the_oracle_error(
+            self, execute_both, assignments):
+        """The disagreement sits in the *last* attribute, so every
+        arity has to compare all of its columns."""
+        same = tuple(range(assignments))
+        other = same[:-1] + (99,)
+        program, source, target_schema = self.wide(
+            assignments, [("g", same), ("h", same), ("g", other)])
+        with pytest.raises(ExecutionError, match="not functional"):
+            execute_both(program, source, target_schema)
+
+
+KEY_SRC = Schema.of("KSrc", Item=record(a=STR, b=INT, c=STR))
+KEY_TGT = Schema.of("KTgt", Out=record(a=STR))
+
+
+def key_source():
+    """Repeated (a, b, c) keys, and one item lacking ``c`` — a Skolem
+    argument that fails to evaluate (the column path's MISSING)."""
+    builder = InstanceBuilder(KEY_SRC)
+    for a, b, c in [("x", 1, "p"), ("x", 1, "p"), ("x", 2, "p"),
+                    ("y", 1, "q"), ("x", 1, "p")]:
+        builder.new("Item", Record.of(a=a, b=b, c=c))
+    builder.new("Item", Record.of(a="z", b=3))
+    return builder.freeze(validate=False)
+
+
+class TestNarySkolemIdentities:
+    """Every multi-argument Skolem term goes through the one interning
+    ``skolem_column``; its oids are minted by ``Oid.keyed_unchecked``
+    over ``Record.presorted`` keys, which prime the cached hash."""
+
+    @pytest.mark.parametrize("identity, distinct", [
+        ("Mk_Out(A, B)", 4),
+        ("Mk_Out(A, B, C)", 3),
+        ("Mk_Out(b = B, a = A)", 4),
+        ("Mk_Out(c = C, a = A, b = B)", 3),
+    ])
+    def test_identities_equal_the_oracle(self, execute_both, identity,
+                                         distinct):
+        reads_c = "C" in identity
+        program = parse_program(
+            f"T: X in Out, X = {identity}, X.a = A"
+            f" <= I in Item, A = I.a, B = I.b"
+            f"{', C = I.c' if reads_c else ''};",
+            classes=["Item", "Out"])
+        # execute_both compares the valuation dicts, so a minted oid
+        # with a wrong primed hash would already miss its oracle twin.
+        target, stats = execute_both(program, key_source(), KEY_TGT)
+        oids = target.objects_of("Out")
+        assert len(oids) == distinct
+        assert stats.bindings_found == (5 if reads_c else 6)
+        for oid in oids:
+            rebuilt = Oid.keyed(oid.class_name, Record(oid.key.fields))
+            assert oid == rebuilt and hash(oid) == hash(rebuilt)
+            assert hash(oid.key) == hash(rebuilt.key)
+            assert "_hash" not in oid.__getstate__()
+            assert "_hash" not in oid.key.__getstate__()
+            copy = pickle.loads(pickle.dumps(oid))
+            assert copy == oid and hash(copy) == hash(oid)
+
+    def test_missing_argument_in_the_head_raises_the_oracle_error(
+            self, execute_both):
+        program = parse_program(
+            "T: X in Out, X = Mk_Out(A, I.c), X.a = A"
+            " <= I in Item, A = I.a;", classes=["Item", "Out"])
+        with pytest.raises(ExecutionError, match="cannot evaluate"):
+            execute_both(program, key_source(), KEY_TGT)
+
+    def test_unchecked_constructors_prime_the_constructor_hash(self):
+        key = Record.presorted((("a", "x"), ("b", 1)))
+        assert key == Record.of(b=1, a="x")
+        assert hash(key) == hash(Record.of(b=1, a="x"))
+        oid = Oid.keyed_unchecked("Out", key)
+        assert oid == Oid.keyed("Out", Record.of(a="x", b=1))
+        assert hash(oid) == hash(Oid.keyed("Out", Record.of(a="x", b=1)))
+        assert pickle.loads(pickle.dumps(oid)) == oid
+
+
+GEN_SRC = Schema.of("GSrc", Item=record(
+    name=STR, tags=set_of(STR), opt=set_of(STR)))
+GEN_TGT = Schema.of("GTgt", Out=record(name=STR))
+
+
+class TestUnreadGenerators:
+    """Trailing ``in``-generators whose element nobody reads still
+    multiply rows: an empty set drops the row, n elements repeat it."""
+
+    @pytest.mark.parametrize("body, bindings", [
+        ("T in I.tags", 0 + 1 + 3 + 3),
+        ("O in I.opt", 0 + 1 + 0 + 1),
+        ("T in I.tags, O in I.opt", 0 * 0 + 1 * 1 + 3 * 0 + 3 * 1),
+        ("S = I.tags, T in S, O in I.opt, U in I.tags",
+         0 + 1 * 1 * 1 + 0 + 3 * 1 * 3),
+    ])
+    def test_multiplicity_matches_the_oracle(self, execute_both, body,
+                                             bindings):
+        builder = InstanceBuilder(GEN_SRC)
+        for name, tags, opt in [("none", (), ()), ("one", ("t",), ("o",)),
+                                ("three", ("t", "u", "v"), ()),
+                                ("both", ("t", "u", "v"), ("o",))]:
+            builder.new("Item", Record.of(
+                name=name, tags=WolSet.of(*tags), opt=WolSet.of(*opt)))
+        program = parse_program(
+            f"T: X in Out, X = Mk_Out(N), X.name = N"
+            f" <= I in Item, N = I.name, {body};",
+            classes=["Item", "Out"])
+        target, stats = execute_both(program, builder.freeze(), GEN_TGT)
+        assert stats.bindings_found == bindings
+        assert stats.fallback_steps == 0
+        # One vectorized stage per plan step: nothing is fused away.
+        assert stats.vectorized_steps == 2 + body.count(",") + 1

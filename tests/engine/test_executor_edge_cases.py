@@ -192,3 +192,43 @@ class TestProvenance:
         from repro.model import Oid
         executor = Executor(source(), TARGET)
         assert "not derived" in executor.explain(Oid.fresh("Out"))
+
+
+class TestMergeThenRun:
+    """``adopt`` moves another executor's pending objects across,
+    ``absorb`` replays them; a clause run afterwards must see the same
+    store either way (regression: after ``adopt`` the batched head
+    believed the class was still empty and overwrote the adopted
+    attributes without a conflict)."""
+
+    FIRST = ("T1: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
+             " <= I in Item, N = I.name, R = I.rank;")
+
+    def merged_then_run(self, merge, follow_up):
+        remote = Executor(source(), TARGET).run_program(
+            program(self.FIRST))
+        parent = Executor(source(), TARGET)
+        getattr(parent, merge)(remote.pending_export())
+        parent.run_program(program(follow_up))
+        return parent
+
+    def test_conflicting_clause_raises_the_same_error(self):
+        follow_up = ('T3: X in Out, X = Mk_Out(N), X.name = "zzz"'
+                     ' <= I in Item, N = I.name;')
+        messages = []
+        for merge in ("adopt", "absorb"):
+            with pytest.raises(ExecutionError) as info:
+                self.merged_then_run(merge, follow_up)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith('conflict on &Out["a"].name')
+        assert messages[0].endswith("(the program is not functional)")
+
+    def test_agreeing_clause_yields_the_same_target(self):
+        follow_up = ("T2: X in Out, X = Mk_Out(N), X.rank = R"
+                     " <= I in Item, N = I.name, R = I.rank;")
+        adopted = self.merged_then_run("adopt", follow_up)
+        absorbed = self.merged_then_run("absorb", follow_up)
+        assert (adopted.freeze().valuations
+                == absorbed.freeze().valuations)
+        assert adopted.provenance() == absorbed.provenance()

@@ -3,9 +3,8 @@
 The oracle for every ``query`` statement is the batch
 :class:`repro.query.Query` API run through the *dynamic* matcher; the
 oracle for set algebra is plain Python set algebra over the oracle
-rows.  The interpreter must agree byte-for-byte — with the oracle and
-across sharded vs sequential plans (the canonical row order makes those
-equalities exact, not just set-equal).
+rows.  The interpreter must agree byte-for-byte with the oracle (the
+canonical row order makes that equality exact, not just set-equal).
 """
 
 import json
@@ -13,8 +12,8 @@ import json
 import pytest
 
 from repro.io.json_io import dump_oid_encoder, value_to_json
-from repro.program import (ProgramError, compile_program,
-                           parse_program_text, run_compiled, run_program)
+from repro.program import (compile_program, parse_program_text,
+                           run_compiled, run_program)
 from repro.query.query import Query
 from repro.workloads import cities, genome
 
@@ -70,17 +69,19 @@ class TestQueryStatements:
         assert list(outcome.sets["alln"].rows) == oracle_rows(
             euro, "N | X in CityE, N = X.name")
 
-    def test_sharded_equals_sequential(self, euro):
-        program = parse_program_text(PROGRAM_TEXT)
-        sequential = run_program(program, euro)
-        for shards in (2, 3, 7):
-            sharded = run_program(program, euro, shards=shards)
-            assert sharded.result == sequential.result, shards
-
-    def test_invalid_shard_count_rejected(self, euro):
+    def test_shards_parameter_is_gone(self, euro):
+        """``shards=N`` ran N sequential shards in one process — more
+        work for the same rows.  That shard plans partition a solution
+        set is pinned at plan level (``tests/engine/test_parallel.py::
+        TestShardPlumbing::test_sharded_plans_partition_solutions``)."""
         program = parse_program_text("a = query { X in CityE };")
-        with pytest.raises(ProgramError):
-            run_program(program, euro, shards=0)
+        compiled = compile_program(program, euro)
+        with pytest.raises(TypeError, match="shards"):
+            run_program(program, euro, shards=2)
+        with pytest.raises(TypeError, match="shards"):
+            run_compiled(compiled, euro, shards=2)
+        trace, = run_compiled(compiled, euro).to_json()["statements"]
+        assert "shards" not in trace
 
     def test_rows_are_duplicate_free_and_canonically_ordered(self, euro):
         # Projecting away the distinguishing column forces duplicates

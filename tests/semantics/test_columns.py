@@ -65,16 +65,6 @@ class TestLazyBuild:
         # Unknown oid / non-collection attribute enumerate nothing.
         assert list(store.set_slice(Oid.keyed("P", "ghost"), "tags")) == []
 
-    def test_set_lengths_without_flattened_values(self, instance):
-        store = ColumnStore(instance)
-        assert store.set_lengths("P", "tags") == [2, 0, 1]
-        built_before = store.columns_built
-        # A later full set column is independent...
-        store.set_slice(store.extent("P")[0], "tags")
-        assert store.columns_built == built_before + 1
-        # ...and once built, lengths come from it directly.
-        assert store.set_lengths("P", "tags") == [2, 0, 1]
-
     def test_counters_track_construction(self, instance):
         store = ColumnStore(instance)
         assert store.stats() == {"classes_built": 0, "columns_built": 0,
@@ -111,7 +101,6 @@ class TestPatch:
     def test_patch_matches_rebuild(self, instance):
         store = ColumnStore(instance)
         snapshot(store)  # materialise every column first
-        store.set_lengths("P", "tags")
         a, b, c = store.extent("P")
         new_d = Oid.keyed("P", "d")
         delta = Delta(
@@ -125,9 +114,6 @@ class TestPatch:
                     strict_removed={"P": (b, c)},
                     strict_added={"P": (c, new_d)})
         assert snapshot(store) == snapshot(ColumnStore(updated))
-        lengths = store.set_lengths("P", "tags")
-        assert [lengths[row]
-                for row in store.extent_rows("P")] == [2, 2, 1]
         assert store.rows_patched > 0
         # Patched in place, not dropped-and-rebuilt.
         assert store.stats()["classes_built"] == 1
