@@ -5,10 +5,9 @@ Reads every ``BENCH_*.json`` at the repository root (written by the
 that carries a ``floor`` declares a regression bar for its guarded
 metric (named by ``metric``, default ``speedup``); any row under its
 floor fails the build with a summary of what regressed.  A row that
-names a ``metric`` but whose floor is null (``bench_parallel`` records
-it that way when the machine has too few cores for the bar to mean
-anything) gates nothing; it is listed as ``ungated`` so the gap shows
-in the output.
+names a ``metric`` but whose floor is null (recorded that way when
+the machine has too few cores for the bar to mean anything) gates
+nothing; it is listed as ``ungated`` so the gap shows in the output.
 
 Usage::
 

@@ -73,9 +73,7 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
              "the clause participates in a cycle of target-class "
              "production and consumption; results depend on clause "
              "iteration"),
-    CodeInfo("WOL303", SEVERITY_INFO, "not parallel-shardable",
-             "the clause's plan has no driving extent generator, so "
-             "parallel execution runs it whole on one worker"),
+    # WOL303 retired with the parallel engine; the number is not reused.
     CodeInfo("WOL304", SEVERITY_WARNING, "imprecise read-set",
              "a projection subject could not be typed; incremental "
              "seeding must treat the clause as reading everything"),

@@ -1,4 +1,4 @@
-"""Clause-interference analysis (WOL301-WOL305).
+"""Clause-interference analysis (WOL301, WOL302, WOL304, WOL305).
 
 Computes every clause's static write-set (head effects on target
 classes) and read-set (:class:`~repro.engine.incremental.ClauseReads`,
@@ -14,8 +14,6 @@ the incremental engine's own notion), then:
 * **WOL302** — cycles in the produce/consume graph over target classes
   (a clause consuming what it transitively produces): the normaliser
   rejects recursion, and results would be iteration-order sensitive.
-* **WOL303** — clauses whose join plan has no driving extent generator;
-  the parallel engine runs them whole on one worker.
 * **WOL304** — clauses whose read-set is imprecise (an untypeable
   projection subject): incremental seeding must over-approximate to
   "reads everything" for them.
@@ -30,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine.columnar import step_vectorizable
 from ..engine.incremental import ClauseReads
-from ..engine.planner import PlanError, plan_clause, shardable_step
+from ..engine.planner import PlanError, plan_clause
 from ..lang.ast import Clause, EqAtom, MemberAtom, Proj, SkolemTerm, Var
 from ..normalization.congruence import Unsatisfiable, congruence_of
 from .analyzer import AnalysisContext
@@ -42,7 +40,6 @@ def run(context: AnalysisContext) -> List[Diagnostic]:
     out.extend(_write_conflicts(context))
     out.extend(_produce_consume_cycles(context))
     for index in range(len(context.clauses)):
-        out.extend(_shardability(context, index))
         out.extend(_read_precision(context, index))
         out.extend(_vectorizability(context, index))
     return out
@@ -236,29 +233,8 @@ def _classes_in_cycles(edges: Dict[str, Set[str]]) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# WOL303 / WOL304 / WOL305: shardability, read-set precision,
-# vectorizability
+# WOL304 / WOL305: read-set precision, vectorizability
 # ----------------------------------------------------------------------
-
-def _shardability(context: AnalysisContext,
-                  index: int) -> List[Diagnostic]:
-    clause = context.clauses[index]
-    if not clause.body:
-        return []
-    try:
-        plan = plan_clause(clause)
-    except PlanError:
-        return []  # already WOL104
-    if shardable_step(plan) is not None:
-        return []
-    return [Diagnostic(
-        "WOL303",
-        "no driving extent generator in the join plan; parallel "
-        "execution runs this clause whole on one worker",
-        clause=context.label(index), clause_index=index,
-        suggestion="drive the body from a class membership atom to "
-                   "make the clause shardable")]
-
 
 def _read_precision(context: AnalysisContext,
                     index: int) -> List[Diagnostic]:

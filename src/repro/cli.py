@@ -80,7 +80,7 @@ Subcommands::
         and exits 1 when any finding reaches ``--fail-on`` (default
         ``error``; also ``warning`` or ``info``).  Suppress findings
         in the program text with ``-- lint: disable=WOL301`` or
-        ``-- lint: disable=WOL301,WOL303 clause=C6``.
+        ``-- lint: disable=WOL301,WOL305 clause=C6``.
 
 Schema files use the textual schema language; ``program.wol`` is WOL
 concrete syntax; instances are the JSON interchange format of
@@ -90,9 +90,6 @@ path; ``--stats`` prints the executor/planner counters.  Planned
 execution is vectorized: whole binding batches flow through each clause
 as columns, with a row-at-a-time fallback per step the vectorizer cannot
 compile.
-``transform`` and ``check`` accept ``--parallel N`` to shard the planned
-path across N worker processes (byte-identical targets, unioned
-violation sets).
 ``check`` and ``apply-delta`` accept ``--json`` for machine-readable
 reports (CI and external tools consume these without scraping text).
 """
@@ -161,8 +158,7 @@ def _cmd_transform(args) -> int:
     with tracing as trace:
         result = morphase.transform(
             instances, backend=args.backend,
-            check_source_constraints=args.check_source,
-            parallel=args.parallel)
+            check_source_constraints=args.check_source)
     if trace is not None:
         print(trace.render())
     dump_instance(result.target, args.out)
@@ -174,13 +170,6 @@ def _cmd_transform(args) -> int:
         # Indexes prebuilt by the planner are counted on the plan; the
         # stats delta covers only lazy in-run builds.
         prebuilt = result.plan.prebuilt_indexes if result.plan else 0
-        if stats.parallel_workers:
-            parallel_note = (f"{stats.shards_run} shards over "
-                             f"{stats.parallel_workers} workers, ")
-        elif stats.shards_run:
-            parallel_note = f"{stats.shards_run} shard in-process, "
-        else:
-            parallel_note = ""
         if stats.vectorized_steps or stats.fallback_steps:
             vector_note = (f"{stats.vectorized_steps} vectorized steps "
                            f"({stats.fallback_steps} fallback, "
@@ -191,7 +180,6 @@ def _cmd_transform(args) -> int:
         print(f"stats: {stats.clauses_run} clauses "
               f"({stats.clauses_planned} planned, "
               f"{stats.atoms_reordered} atoms reordered), "
-              f"{parallel_note}"
               f"{vector_note}"
               f"{stats.bindings_found} bindings, "
               f"{prebuilt + stats.indexes_built} indexes built, "
@@ -230,8 +218,7 @@ def _cmd_check(args) -> int:
                if args.trace else nullcontext(None))
     with tracing as trace:
         report = audit_constraints(merged, list(program),
-                                   limit_per_clause=10,
-                                   parallel=args.parallel)
+                                   limit_per_clause=10)
     if trace is not None:
         print(trace.render())
     if args.json:
@@ -627,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="validate source constraints first")
     transform_p.add_argument("--audit", action="store_true",
                              help="audit the result against the program")
-    transform_p.add_argument("--parallel", type=int, metavar="N",
-                             help="shard execution across N worker "
-                                  "processes (planned path only; the "
-                                  "target is byte-identical to a "
-                                  "sequential run)")
     transform_p.add_argument("--stats", action="store_true",
                              help="print executor/planner statistics")
     transform_p.add_argument("--trace", action="store_true",
@@ -641,9 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "one for the --audit")
     check_p.add_argument("--data", action="append", required=True,
                          help="instance JSON (repeatable)")
-    check_p.add_argument("--parallel", type=int, metavar="N",
-                         help="shard the audit across N worker "
-                              "processes (violation sets union)")
     check_p.add_argument("--stats", action="store_true",
                          help="print audit planner/index statistics")
     check_p.add_argument("--json", action="store_true",

@@ -61,8 +61,7 @@ from ..semantics.eval import Binding, skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
-                               STEP_MEMBER_TEST, Matcher, PlanStep,
-                               shard_hash)
+                               STEP_MEMBER_TEST, Matcher, PlanStep)
 
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
@@ -335,18 +334,13 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
     assert isinstance(atom, MemberAtom) and isinstance(atom.element, Var)
     class_name = atom.class_name
     name = atom.element.name
-    shard = step.shard
 
     row_name = _ROW_PREFIX + name
 
     def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
         store = matcher.columns()
-        if shard is not None:
-            extent = store.shard_extent(class_name, shard[0], shard[1])
-            rows = None
-        else:
-            extent = store.extent(class_name)
-            rows = store.extent_rows(class_name)
+        extent = store.extent(class_name)
+        rows = store.extent_rows(class_name)
         width = len(extent)
         if width == 0:
             return {}, 0
@@ -357,8 +351,7 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
             out = {variable: [value for value in column for _ in repeated]
                    for variable, column in columns.items()}
         out[name] = list(extent) if count == 1 else extent * count
-        if rows is not None:
-            out[row_name] = list(rows) if count == 1 else rows * count
+        out[row_name] = list(rows) if count == 1 else rows * count
         return out, count * width
     return stage
 
@@ -371,7 +364,6 @@ def _index_stage(matcher: Matcher, step: PlanStep,
     name = atom.element.name
     path = step.selector_path
     selector = compile_term(step.selector_term, matcher, var_class)
-    shard = step.shard
     scan = _scan_stage(matcher, step)
 
     def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
@@ -399,20 +391,6 @@ def _index_stage(matcher: Matcher, step: PlanStep,
         pool.lookups += lookups
         pool.hits += hits
         pool.misses += misses
-        if shard is not None:
-            index_of, shards = shard
-            hashes = matcher._shard_hashes
-            narrowed_keep: List[int] = []
-            narrowed: List[Value] = []
-            for row, oid in zip(keep, out_column):
-                code = hashes.get(oid)
-                if code is None:
-                    code = shard_hash(oid)
-                    hashes[oid] = code
-                if code % shards == index_of:
-                    narrowed_keep.append(row)
-                    narrowed.append(oid)
-            keep, out_column = narrowed_keep, narrowed
         out = {variable: [column[row] for row in keep]
                for variable, column in columns.items()}
         out[name] = out_column
@@ -497,7 +475,7 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 subject_rows = columns.get(row_name)
                 if subject_rows is not None:
                     # Integer-indexed: the subject column carries its
-                    # raw store rows (bound by an unsharded scan).
+                    # raw store rows (bound by a scan or index stage).
                     for row, at in enumerate(subject_rows):
                         length = lengths[at]
                         if not length:

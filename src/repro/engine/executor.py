@@ -49,7 +49,7 @@ from ..obs.metrics import publish_engine_stats
 from ..obs.trace import span
 from ..semantics.eval import Binding, EvalError, evaluate
 from ..semantics.match import IndexPool, Matcher
-from .planner import JoinPlan, ProgramPlan, plan_program, shard_join_plan
+from .planner import JoinPlan, ProgramPlan, plan_program
 
 
 class ExecutionError(Exception):
@@ -101,34 +101,6 @@ class ExecutionStats:
     fallback_steps: int = 0
     vectorized_rows: int = 0
     max_batch_rows: int = 0
-    #: Parallel execution only: shards executed and worker processes
-    #: used (0/0 on the sequential paths).  The additive counters above
-    #: are summed across shards, so e.g. ``bindings_found`` still equals
-    #: the sequential run's count.
-    shards_run: int = 0
-    parallel_workers: int = 0
-
-    def add(self, other: "ExecutionStats") -> None:
-        """Accumulate another run's additive counters into this one.
-
-        ``elapsed_seconds`` is *not* summed — for a parallel run the
-        caller records wall-clock time, not the sum of per-shard times.
-        """
-        self.clauses_run += other.clauses_run
-        self.bindings_found += other.bindings_found
-        self.objects_created += other.objects_created
-        self.attributes_set += other.attributes_set
-        self.clauses_planned += other.clauses_planned
-        self.atoms_reordered += other.atoms_reordered
-        self.indexes_built += other.indexes_built
-        self.index_hits += other.index_hits
-        self.index_misses += other.index_misses
-        self.scans_avoided += other.scans_avoided
-        self.vectorized_steps += other.vectorized_steps
-        self.fallback_steps += other.fallback_steps
-        self.vectorized_rows += other.vectorized_rows
-        self.max_batch_rows = max(self.max_batch_rows,
-                                  other.max_batch_rows)
 
 
 @dataclass
@@ -148,23 +120,12 @@ class Executor:
     precompiled steps as batch stages.  ``index_pool`` injects a pool
     shared beyond this executor (e.g. across repeated runs over the
     same source).
-
-    ``shard`` (a ``(shard_index, shard_count)`` pair) turns this
-    executor into one worker of a parallel run: each clause's join plan
-    is recompiled with its driving generator restricted to the shard's
-    oids (:func:`repro.engine.planner.shard_join_plan`), and clauses
-    that cannot be sharded — no driving generator, or no static plan at
-    all — run *whole on shard 0 only*, so across all shards every
-    clause solution is enumerated exactly once.  The resulting pending
-    stores merge through :meth:`absorb`.
     """
 
     def __init__(self, source: Instance, target_schema: Schema,
-                 index_pool: Optional[IndexPool] = None,
-                 shard: Optional[Tuple[int, int]] = None) -> None:
+                 index_pool: Optional[IndexPool] = None) -> None:
         self.source = source
         self.target_schema = target_schema
-        self.shard = shard
         self._matcher = Matcher(source, index_pool=index_pool)
         self._pending: Dict[Oid, _PendingObject] = {}
         self.stats = ExecutionStats()
@@ -192,27 +153,11 @@ class Executor:
             self._matcher.pool = plan.pool
             baseline = self._pool_snapshot()
         for clause in clauses:
-            join_plan = plan.plan_for(clause)
-            if self.shard is not None:
-                shard_index, shard_count = self.shard
-                if join_plan is not None:
-                    sharded = shard_join_plan(join_plan, shard_index,
-                                              shard_count)
-                    if sharded is not None:
-                        join_plan = sharded
-                    elif shard_index != 0:
-                        continue  # unshardable clause: shard 0 owns it
-                elif shard_index != 0:
-                    continue  # dynamic-fallback clause: shard 0 owns it
-            self.run_clause(clause, join_plan)
+            self.run_clause(clause, plan.plan_for(clause))
         self._sync_index_stats(baseline)
         self.stats.elapsed_seconds += time.perf_counter() - start
-        publish_engine_stats(self.engine_label(), self.stats)
+        publish_engine_stats("columnar", self.stats)
         return self
-
-    def engine_label(self) -> str:
-        """Which execution engine this run used (metrics label)."""
-        return "parallel" if self.shard is not None else "columnar"
 
     def run_clause(self, clause: Clause,
                    join_plan: Optional[JoinPlan] = None) -> None:
@@ -317,8 +262,7 @@ class Executor:
         resolve each subject column to its pending objects (created
         through the ``_PendingObject`` constructor), scan for
         functionality conflicts — within the batch and against whatever
-        the store already holds, however it was filled (clauses,
-        :meth:`adopt` or :meth:`absorb`) — then write.
+        earlier clauses left in the store — then write.
         """
         from ..semantics.columns import MISSING
         from .columnar import compile_term
@@ -542,62 +486,6 @@ class Executor:
                 pending.set_attributes.setdefault(effect[2],
                                                   set()).add(effect[3])
                 self.stats.attributes_set += 1
-
-    # ------------------------------------------------------------------
-    # Shard merging (parallel execution)
-    # ------------------------------------------------------------------
-    def pending_export(self) -> Dict[Oid, _PendingObject]:
-        """This executor's pending store, for cross-process transfer.
-
-        Every piece is a plain picklable value; a worker returns this
-        and the coordinating process replays it through :meth:`absorb`.
-        """
-        return self._pending
-
-    def adopt(self, pending: Mapping[Oid, _PendingObject]) -> None:
-        """Take over pending objects no other shard contributed to.
-
-        The parallel merge uses this fast path for the (typical) case
-        of an object derived entirely within one shard: there is
-        nothing to reconcile, so the whole pending record moves across
-        instead of being replayed attribute by attribute.  The caller
-        guarantees the oids are absent from this executor's store —
-        cross-shard objects must go through :meth:`absorb`, which
-        checks agreement.
-        """
-        for oid, remote in pending.items():
-            if not self.target_schema.has_class(oid.class_name):
-                raise ExecutionError(
-                    f"object {oid} belongs to no target class")
-            if oid in self._pending:
-                # Overwriting would silently drop the earlier shard's
-                # contributions; absorb() is the reconciling path.
-                raise ExecutionError(
-                    f"adopt() would overwrite pending object {oid}; "
-                    f"cross-shard objects must merge through absorb()")
-            self._pending[oid] = remote
-            self.stats.objects_created += 1
-
-    def absorb(self, pending: Mapping[Oid, _PendingObject]) -> None:
-        """Merge another executor's pending store into this one.
-
-        Replays the remote store through the same accumulation rules a
-        local clause firing uses: object creation is idempotent,
-        attribute assignments must agree (a disagreement raises
-        :class:`ExecutionError` exactly as it would had both firings
-        happened in one sequential run), and set insertions union.
-        Merging all shards of a parallel run therefore reconstructs the
-        sequential pending store — :meth:`freeze` then assembles a
-        byte-identical target.
-        """
-        for oid, remote in pending.items():
-            local = self._ensure_object(oid)
-            for attr, value in remote.attributes.items():
-                self._set_attribute(oid, attr, value,
-                                    remote.provenance.get(attr, "?"))
-            for attr, elements in remote.set_attributes.items():
-                local.set_attributes.setdefault(attr,
-                                                set()).update(elements)
 
     def provenance(self) -> Dict[Oid, Dict[str, str]]:
         """Which clause derived each attribute of each pending object.

@@ -38,7 +38,7 @@ the differential tests in ``tests/engine/test_planner.py`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lang.ast import (
@@ -516,72 +516,6 @@ def plan_program(program: Iterable[Clause], instance: Instance,
     return ProgramPlan(plans=tuple(plans), pool=pool,
                        unplanned=tuple(unplanned),
                        prebuilt_indexes=prebuilt)
-
-
-# ----------------------------------------------------------------------
-# Shard variants (parallel execution)
-# ----------------------------------------------------------------------
-
-def shardable_step(plan: JoinPlan) -> Optional[int]:
-    """Position of the plan's *driving* generator, or None.
-
-    The driving generator is the first membership step that enumerates
-    candidates from a class extent (scan) or an index probe.  Every
-    clause solution binds that atom to exactly one oid, so partitioning
-    its candidates by :func:`repro.semantics.match.shard_of` partitions
-    the solution set — the one place a shard restriction is both
-    sufficient and free of double counting.  A plan with no such step
-    (every member atom is a test; generation comes from ``in`` atoms or
-    deterministic binds alone) cannot be sharded and must run whole on
-    one worker.
-    """
-    for position, step in enumerate(plan.steps):
-        if step.mode in (STEP_MEMBER_SCAN, STEP_MEMBER_INDEX):
-            return position
-    return None
-
-
-def shard_join_plan(plan: JoinPlan, shard_index: int,
-                    shard_count: int) -> Optional[JoinPlan]:
-    """The shard ``shard_index``-of-``shard_count`` variant of a plan.
-
-    Identical to ``plan`` except that the driving generator only
-    enumerates the oids of its shard; the remaining steps (tests, index
-    probes into *other* extents) still see the full instance, so joins
-    across shard boundaries work unchanged.  Returns None when the plan
-    has no driving generator (see :func:`shardable_step`).
-    """
-    if not 0 <= shard_index < shard_count:
-        raise PlanError(
-            f"shard index {shard_index} outside 0..{shard_count - 1}")
-    position = shardable_step(plan)
-    if position is None:
-        return None
-    if shard_count == 1:
-        return plan
-    steps = list(plan.steps)
-    steps[position] = replace(steps[position],
-                              shard=(shard_index, shard_count))
-    return replace(plan, steps=tuple(steps))
-
-
-def shard_constraint_plan(plan: ConstraintPlan, shard_index: int,
-                          shard_count: int) -> Optional[ConstraintPlan]:
-    """Shard a constraint audit plan by its *body* enumeration.
-
-    Only the body join is sharded — the head-satisfiability probe runs
-    per body solution with the body's variables bound and must see the
-    whole instance regardless of which worker found the solution.
-    Returns None when the body has no planned driving generator (either
-    the body is on the dynamic fallback or it admits no generator); such
-    constraints audit whole on shard 0.
-    """
-    if plan.body is None:
-        return None
-    body = shard_join_plan(plan.body, shard_index, shard_count)
-    if body is None:
-        return None
-    return replace(plan, body=body)
 
 
 # ----------------------------------------------------------------------

@@ -80,9 +80,9 @@ class Oid:
             return value
 
     def __getstate__(self):
-        # str hashes are salted per process: never ship a cached hash
-        # across a pickle boundary (the parallel engine does).  The
-        # cached rendering is dropped too — it is pure payload.
+        # str hashes are salted per process: a pickled value must
+        # never carry a cached hash into another process.  The cached
+        # rendering is dropped too — it is pure payload.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_str", None)

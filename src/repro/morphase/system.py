@@ -186,22 +186,18 @@ class Morphase:
         return self._normalized
 
     # ------------------------------------------------------------------
-    def check_source(self, source: Instance,
-                     parallel: Optional[int] = None) -> List[Violation]:
+    def check_source(self, source: Instance) -> List[Violation]:
         """Audit the merged source instance against source constraints.
 
         Includes schema-level key specifications: a key violation is
         reported as a violation of the corresponding identity clause.
         The audit is planned (one shared prebuilt index pool across
-        all constraint clauses).  ``parallel=N`` fans the audit out
-        across ``N`` worker processes with hash-sharded body
-        enumerations (violation sets union).
+        all constraint clauses).
         """
         self._ensure_preflight()
         normalized = self.compile()
         violations = list(program_violations(
-            source, normalized.source_constraints, limit_per_clause=5,
-            parallel=parallel))
+            source, normalized.source_constraints, limit_per_clause=5))
         if self.source_keys is not None:
             for bad in key_violations(source, self.source_keys):
                 violations.append(Violation(_key_violation_clause(bad), {}))
@@ -232,8 +228,7 @@ class Morphase:
                   validate: bool = True,
                   check_source_constraints: bool = False,
                   backend: str = "direct",
-                  defaults=None,
-                  parallel: Optional[int] = None) -> MorphaseResult:
+                  defaults=None) -> MorphaseResult:
         """Run the compiled program over the source instance(s).
 
         ``backend`` is ``"direct"`` (the one-pass executor) or ``"cpl"``
@@ -244,12 +239,6 @@ class Morphase:
 
         The direct backend plans the program once per run (fixed atom
         orders plus a shared prebuilt index pool).
-
-        ``parallel=N`` shards the planned direct path across ``N``
-        worker processes (:func:`repro.engine.parallel.execute_parallel`)
-        — every clause's driving generator is hash-partitioned and the
-        shards merge into a target byte-identical to the sequential
-        result.  It cannot be combined with the CPL backend.
         """
         with span("preflight"):
             self._ensure_preflight()
@@ -265,31 +254,16 @@ class Morphase:
                     "source constraints violated: "
                     + "; ".join(str(v) for v in found[:5]))
 
-        if parallel is not None:
-            if backend != "direct":
-                raise MorphaseError(
-                    "parallel execution supports only the direct "
-                    "backend")
-            if parallel < 1:
-                raise MorphaseError("parallel worker count must be >= 1")
-
         program_plan: Optional[ProgramPlan] = None
         if backend == "direct":
             with span("plan") as plan_span:
                 program_plan = plan_program(normalized.program(), merged)
                 plan_span.set(indexes=program_plan.prebuilt_indexes)
-            if parallel is not None:
-                from ..engine.parallel import execute_parallel
-                target, stats = execute_parallel(
+            with span("execute"):
+                target, stats = execute(
                     normalized.program(), merged, self.target_plain,
-                    parallel, validate=validate, defaults=defaults,
+                    validate=validate, defaults=defaults,
                     plan=program_plan)
-            else:
-                with span("execute"):
-                    target, stats = execute(
-                        normalized.program(), merged, self.target_plain,
-                        validate=validate, defaults=defaults,
-                        plan=program_plan)
             cpl_source = None
         elif backend == "cpl":
             if defaults:
@@ -427,8 +401,7 @@ class Morphase:
 
     # ------------------------------------------------------------------
     def audit(self, sources: Union[Instance, Sequence[Instance]],
-              target: Instance,
-              parallel: Optional[int] = None) -> List[Violation]:
+              target: Instance) -> List[Violation]:
         """Check the original program (transformations + constraints)
         against source and target together — the definition of a
         Tr-transformation (Section 3.2).
@@ -436,23 +409,16 @@ class Morphase:
         The whole audit is planned once: every clause body and
         head-satisfiability probe is compiled into a fixed join order
         and executed over one shared, prebuilt index pool.
-        ``parallel=N`` shards every clause's body enumeration across
-        ``N`` worker processes and unions the violation sets.
 
-        Under an active trace the sequential run adds, like
-        :meth:`transform`, a ``plan`` span (``clauses``, prebuilt
-        ``indexes``, ``nested_scans``) and an ``execute`` span
-        (``body_solutions``, ``violations``, one child span per
-        clause); a parallel audit plans and executes in its workers.
+        Under an active trace the run adds, like :meth:`transform`, a
+        ``plan`` span (``clauses``, prebuilt ``indexes``,
+        ``nested_scans``) and an ``execute`` span (``body_solutions``,
+        ``violations``, one child span per clause).
         """
         self._ensure_preflight()
         if isinstance(sources, Instance):
             sources = [sources]
         combined = merge_instances("__audit__", list(sources) + [target])
-        if parallel is not None:
-            return list(program_violations(combined, self.program,
-                                           limit_per_clause=5,
-                                           parallel=parallel))
         with span("plan") as plan_span:
             audit_plan = plan_audit(self.program, combined)
             plan_span.set(clauses=len(audit_plan.plans),

@@ -2,8 +2,8 @@
 
 Production always plans (:mod:`repro.engine.planner`) and runs batch
 stages (:mod:`repro.engine.columnar`).  This module is the other end of
-the differential chain naive ⇄ production ⇄ cpl ⇄ incremental ⇄
-parallel: every clause goes through the dynamic
+the differential chain naive ⇄ production ⇄ cpl ⇄ incremental: every
+clause goes through the dynamic
 :class:`~repro.semantics.match.Matcher`, which re-derives the atom order
 per binding and builds private lazy indexes — no plan, no shared pool,
 no batches.  Tests and benchmarks reach the naive matcher only through

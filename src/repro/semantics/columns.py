@@ -12,9 +12,7 @@ executor (:mod:`repro.engine.columnar`) touches a class:
 * **set columns** for collection-valued attributes: a flattened values
   array with per-row ``(start, length)`` offsets, each row's elements
   pre-sorted into the matcher's deterministic order (so a vectorized
-  ``in``-generator never re-sorts per binding);
-* **shard codes**: each row's CRC-32 partition hash, so parallel shard
-  filters become array masks instead of per-oid hashing.
+  ``in``-generator never re-sorts per binding).
 
 The store is *patchable under deltas*: :meth:`patch` applies exactly the
 edit order of :meth:`repro.evolution.delta.Delta.apply_to` — deletions
@@ -27,7 +25,7 @@ touched classes for lazy rebuild instead.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..model.instance import Instance
 from ..model.values import Oid, Record, Value, WolList, WolSet
@@ -98,7 +96,7 @@ class _ClassColumns:
     """The columnar state of one class (rows = raw extent positions)."""
 
     __slots__ = ("oids", "rows", "alive", "live", "scalars", "sets",
-                 "codes", "_extent", "_extent_rows", "_shards")
+                 "_extent", "_extent_rows")
 
     def __init__(self, oids: Sequence[Oid]) -> None:
         #: Raw rows in insertion order; tombstoned rows stay in place.
@@ -110,10 +108,8 @@ class _ClassColumns:
         self.live: int = len(self.oids)
         self.scalars: Dict[str, List[Value]] = {}
         self.sets: Dict[str, _SetColumn] = {}
-        self.codes: Optional[List[int]] = None
         self._extent: Optional[List[Oid]] = None
         self._extent_rows: Optional[List[int]] = None
-        self._shards: Dict[Tuple[int, int], List[Oid]] = {}
 
     def extent(self) -> List[Oid]:
         cached = self._extent
@@ -143,7 +139,6 @@ class _ClassColumns:
     def invalidate_views(self) -> None:
         self._extent = None
         self._extent_rows = None
-        self._shards.clear()
 
 
 def _scalar_entry(value: Value, attr: str) -> Value:
@@ -268,30 +263,6 @@ class ColumnStore:
             return ()
         return self._set_column(oid.class_name, attr).slice_of(row)
 
-    def shard_extent(self, class_name: str, shard_index: int,
-                     shard_count: int) -> List[Oid]:
-        """The class extent masked down to one shard's rows."""
-        columns = self._class(class_name)
-        key = (shard_index, shard_count)
-        cached = columns._shards.get(key)
-        if cached is not None:
-            return cached
-        codes = self._codes(class_name)
-        alive = columns.alive
-        cached = [oid for row, oid in enumerate(columns.oids)
-                  if alive[row] and codes[row] % shard_count == shard_index]
-        columns._shards[key] = cached
-        return cached
-
-    def _codes(self, class_name: str) -> List[int]:
-        from .match import shard_hash  # circular at module load only
-        columns = self._class(class_name)
-        codes = columns.codes
-        if codes is None:
-            codes = [shard_hash(oid) for oid in columns.oids]
-            columns.codes = codes
-        return codes
-
     # ------------------------------------------------------------------
     # Delta maintenance
     # ------------------------------------------------------------------
@@ -360,9 +331,6 @@ class ColumnStore:
                 columns.alive.append(True)
                 columns.rows[oid] = row
                 columns.live += 1
-                if columns.codes is not None:
-                    from .match import shard_hash
-                    columns.codes.append(shard_hash(oid))
             for attr, column in columns.scalars.items():
                 entry = _scalar_entry(value, attr)
                 if row == len(column):

@@ -19,7 +19,6 @@ payloads and Skolem arguments (recovering arguments from keyed identities).
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
@@ -103,13 +102,6 @@ class IndexPool:
             store = ColumnStore(self.instance)
             self._column_store = store
         return store
-
-    def __getstate__(self):
-        # Columnar arrays rebuild lazily and cheaply; shipping them to
-        # worker processes would double every envelope.
-        state = dict(self.__dict__)
-        state["_column_store"] = None
-        return state
 
     def index_for(self, class_name: str, path: Tuple[str, ...]
                   ) -> Dict[Value, Tuple[Oid, ...]]:
@@ -330,33 +322,6 @@ def _reached_values(instance: Instance, oid: Oid,
     return tuple(distinct)
 
 
-def shard_hash(oid: Oid) -> int:
-    """The raw, process-stable partition hash of an object identity.
-
-    Python's built-in ``hash`` is salted per process
-    (``PYTHONHASHSEED``), so the hash is CRC-32 of the oid's textual
-    form — stable across processes, runs and platforms.  Keyed oids
-    render their key value and anonymous oids their serial, both of
-    which survive pickling unchanged.  This is the single definition
-    both :func:`shard_of` and the matcher's memoising shard filter use;
-    a second copy would let the partitions silently diverge.
-    """
-    return zlib.crc32(str(oid).encode("utf-8"))
-
-
-def shard_of(oid: Oid, shard_count: int) -> int:
-    """The shard (``0 .. shard_count-1``) owning ``oid``.
-
-    The parallel engine (:mod:`repro.engine.parallel`) partitions the
-    candidates of a clause's driving membership generator by this
-    function; every worker process must therefore agree on it (see
-    :func:`shard_hash`).
-    """
-    if shard_count <= 1:
-        return 0
-    return shard_hash(oid) % shard_count
-
-
 #: Plan step modes (computed statically by :mod:`repro.engine.planner`).
 STEP_MEMBER_TEST = "member-test"
 STEP_MEMBER_SCAN = "member-scan"
@@ -382,13 +347,6 @@ class PlanStep:
       ``selector_term`` (bound by earlier steps) instead of an extent scan.
     * ``eq-bind`` carries ``eval_term`` (evaluable now) and
       ``pattern_term`` (the side being unified/bound).
-    * ``shard`` (a ``(shard_index, shard_count)`` pair, set only by
-      :func:`repro.engine.planner.shard_join_plan` on one membership
-      generator per clause) restricts the step's candidates to the oids
-      :func:`shard_of` assigns to ``shard_index`` — the unit of work
-      distribution for parallel execution.  Because every solution binds
-      the sharded atom to exactly one oid, the per-shard solution sets
-      partition the sequential one.
     """
 
     atom: Atom
@@ -398,7 +356,6 @@ class PlanStep:
     selector_term: Optional[Term] = None
     eval_term: Optional[Term] = None
     pattern_term: Optional[Term] = None
-    shard: Optional[Tuple[int, int]] = None
 
     @cached_property
     def requires(self) -> FrozenSet[str]:
@@ -537,11 +494,6 @@ class Matcher:
         # in cost.  Shared across clauses when a pool is injected.
         self.pool = index_pool if index_pool is not None else \
             IndexPool(instance)
-        # Memoised CRC-32 shard hashes: a sharded run filters the same
-        # extents once per clause, so each oid's hash (stringify +
-        # CRC) is computed once per matcher, not clauses x shards
-        # times.  The raw hash is cached (shard-count independent).
-        self._shard_hashes: Dict[Oid, int] = {}
         # Private columnar arrays, used only when the pool tracks a
         # different instance than this matcher (see :meth:`columns`).
         self._own_columns: Optional[ColumnStore] = None
@@ -900,18 +852,6 @@ class Matcher:
                         atom.class_name, step.selector_path, value)
             else:
                 candidates = self.instance.objects_of(atom.class_name)
-            if step.shard is not None:
-                index, count = step.shard
-                hashes = self._shard_hashes
-                filtered = []
-                for oid in candidates:
-                    value = hashes.get(oid)
-                    if value is None:
-                        value = shard_hash(oid)
-                        hashes[oid] = value
-                    if value % count == index:
-                        filtered.append(oid)
-                candidates = filtered
             element = atom.element
             if isinstance(element, Var):
                 name = element.name

@@ -146,8 +146,7 @@ def satisfies_clause(instance: Instance, clause: Clause) -> bool:
 
 def program_violations(instance: Instance, program: Iterable[Clause],
                        limit_per_clause: Optional[int] = None,
-                       plan=None,
-                       parallel: Optional[int] = None) -> List[Violation]:
+                       plan=None) -> List[Violation]:
     """All violations of all clauses (constraint audit).
 
     The whole audit is *planned*: every clause's body and head probe
@@ -157,21 +156,8 @@ def program_violations(instance: Instance, program: Iterable[Clause],
     injects a precomputed :class:`~repro.engine.planner.AuditPlan`
     (e.g. to amortise planning and index builds across repeated audits
     of one instance).
-    ``parallel=N`` fans the planned audit out across ``N`` worker
-    processes (:func:`repro.engine.parallel.audit_parallel`): each
-    worker enumerates its hash-shard of every clause's body solutions
-    and the violation sets union, identical to the sequential set.
     """
     clauses = list(program)
-    if parallel is not None:
-        if plan is not None:
-            raise ValueError(
-                "parallel audits plan and shard the family themselves; "
-                "they cannot run with an injected plan")
-        from ..engine.parallel import audit_parallel
-        result = audit_parallel(clauses, instance, parallel,
-                                limit_per_clause=limit_per_clause)
-        return result.violations(clauses)
     audit_plan = plan
     if audit_plan is None:
         from ..engine.planner import plan_audit

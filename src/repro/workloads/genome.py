@@ -214,29 +214,6 @@ def sample_acedb() -> AceDatabase:
     return database
 
 
-#: Default size for parallel-scaling benchmarks: large enough that join
-#: work dominates the per-worker fixed costs (fork, re-plan, index
-#: prebuild), small enough for a CI smoke run.
-PARALLEL_BENCHMARK_SIZE = {"genes": 5000, "sequences": 10_000,
-                           "clones": 10_000, "sparsity": 0.9,
-                           "seed": 7}
-
-
-def benchmark_database(scale: float = 1.0,
-                       seed: Optional[int] = None) -> AceDatabase:
-    """The canonical benchmark ACe22DB, optionally scaled.
-
-    One shared definition of "genome default size" so every benchmark
-    (and the floor gate in CI) measures the same workload.
-    """
-    size = dict(PARALLEL_BENCHMARK_SIZE)
-    if seed is not None:
-        size["seed"] = seed
-    for field in ("genes", "sequences", "clones"):
-        size[field] = max(1, int(size[field] * scale))
-    return generate_acedb(**size)
-
-
 def source_instance(database: Optional[AceDatabase] = None) -> Instance:
     """Import an ACeDB database (default: the sample) into the WOL model."""
     return import_acedb(database or sample_acedb())

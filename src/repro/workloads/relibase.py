@@ -169,22 +169,6 @@ def sample_pdb() -> Instance:
     return builder.freeze()
 
 
-#: Default size for parallel-scaling benchmarks (see
-#: :data:`repro.workloads.genome.PARALLEL_BENCHMARK_SIZE`).
-PARALLEL_BENCHMARK_SIZE = {"proteins": 2000,
-                           "structures_per_protein": 3,
-                           "ligands": 400, "bindings": 6000,
-                           "seed": 7}
-
-
-def benchmark_sources(scale: float = 1.0) -> Tuple[Instance, Instance]:
-    """The canonical benchmark SWISSPROT/PDB pair, optionally scaled."""
-    size = dict(PARALLEL_BENCHMARK_SIZE)
-    for field in ("proteins", "ligands", "bindings"):
-        size[field] = max(1, int(size[field] * scale))
-    return generate_sources(**size)
-
-
 def generate_sources(proteins: int, structures_per_protein: int,
                      ligands: int, bindings: int,
                      seed: int = 0) -> Tuple[Instance, Instance]:

@@ -15,6 +15,8 @@ from repro.analysis.diagnostics import (SEVERITY_ERROR, SEVERITY_INFO,
                                         SEVERITY_WARNING)
 from repro.analysis.suppress import is_suppressed
 
+from .universe import PREAMBLE
+
 
 class TestRegistry:
     def test_every_code_is_wol_numbered_and_complete(self):
@@ -104,6 +106,19 @@ class TestSuppressions:
         assert is_suppressed(sup, "WOL204", "C6")
         assert not is_suppressed(sup, "WOL204", "C7")
         assert not is_suppressed(sup, "WOL204", None)
+
+    def test_retired_wol303_directive_stays_inert(self, lint):
+        """WOL303 ("not parallel-shardable") went with the parallel
+        engine.  A program still carrying the directive lints as
+        before: the code is kept like any unknown one, matches
+        nothing, and is not an error."""
+        assert "WOL303" not in CODES
+        text = ("-- lint: disable=WOL303\n" + PREAMBLE
+                + 'transformation F: X in Out, X.name = N, X.v = N'
+                  ' <= N = "fixed";\n')
+        assert ("WOL303", None) in parse_suppressions(text)
+        report = lint(text)
+        assert report.ok and not report.suppressed
 
     def test_non_directive_comments_ignored(self):
         assert parse_suppressions("-- a comment\n# another\n") == frozenset()

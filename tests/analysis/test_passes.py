@@ -127,13 +127,6 @@ transformation R: X in Out, X.name = M, X.v = M
 """)
         assert has(report, "WOL302", clause="R")
 
-    def test_wol303_not_shardable(self, lint):
-        report = lint(PREAMBLE + """
-transformation F: X in Out, X.name = N, X.v = N <= N = "fixed";
-""")
-        found = has(report, "WOL303", clause="F")
-        assert found.severity == "info"
-
     def test_wol304_imprecise_read_set(self, lint, tgt_schema):
         pair = parse_schema(
             "schema P { class Pair = (name: str) key name; }")

@@ -3,9 +3,10 @@
 import importlib.util
 import json
 import pathlib
+import re
 
-CHECK_FLOORS = (pathlib.Path(__file__).resolve().parents[2]
-                / "benchmarks" / "check_floors.py")
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+CHECK_FLOORS = ROOT / "benchmarks" / "check_floors.py"
 
 
 def run_check(tmp_path, capsys, series):
@@ -39,3 +40,22 @@ def test_a_dropped_floor_still_fails(tmp_path, capsys):
         {"label": "gated", "speedup": 1.0, "floor": 1.5}])
     assert code == 1
     assert any("dropped below floor 1.5" in line for line in lines)
+
+
+def test_every_benchmark_ci_names_exists():
+    """A deleted benchmark cannot linger in the CI smoke list."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    named = set(re.findall(r"benchmarks/(?:bench_\w+|e2e/\w+)\.py",
+                           workflow))
+    assert len(named) > 5
+    assert sorted(path for path in named
+                  if not (ROOT / path).is_file()) == []
+
+
+def test_every_floor_file_has_its_benchmark():
+    """...nor leave an orphan ``BENCH_<x>.json`` gating nothing."""
+    recorded = sorted(ROOT.glob("BENCH_*.json"))
+    assert recorded
+    assert [path.name for path in recorded
+            if not (ROOT / "benchmarks" / (path.stem.replace(
+                "BENCH_", "bench_", 1) + ".py")).is_file()] == []

@@ -3,6 +3,8 @@ CLI's own docstring/epilogs mention is one ``build_parser()`` accepts.
 
 Removing a flag without removing its documentation (or documenting one
 that was never added) is a tier-1 failure, not a reader's surprise.
+The same holds for the lint codes and the ``engine`` metric label
+values the README lists.
 """
 
 import argparse
@@ -10,6 +12,7 @@ import pathlib
 import re
 
 import repro.cli
+from repro.analysis.diagnostics import CODES
 from repro.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
@@ -57,3 +60,24 @@ def test_allowlist_holds_only_foreign_flags_still_quoted():
     documented = {flag for flag, _ in documented_flags()}
     assert FOREIGN_FLAGS <= documented           # no dead allowlist entries
     assert not FOREIGN_FLAGS & accepted_flags()  # and none shadows ours
+
+
+def test_readme_and_the_code_registry_name_the_same_lint_codes():
+    documented = set(re.findall(r"WOL\d{3}",
+                                README.read_text(encoding="utf-8")))
+    assert documented == set(CODES)
+
+
+def test_readme_lists_exactly_the_engine_labels_src_publishes():
+    """``repro_engine_*_total{engine}``: the values README gives are
+    the string literals passed to ``publish_engine_stats(``."""
+    package = pathlib.Path(repro.cli.__file__).parent
+    published = {label for path in package.rglob("*.py")
+                 for label in re.findall(
+                     r"publish_engine_stats\(\s*\"(\w+)\"",
+                     path.read_text(encoding="utf-8"))}
+    row, = (line for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `repro_engine_*_total{engine}`"))
+    listed = re.search(r"`engine` is ([^(]+)\(", row).group(1)
+    assert published
+    assert set(re.findall(r"`(\w+)`", listed)) == published

@@ -162,24 +162,20 @@ class TestCheckGolden:
                          {"stats.elapsed_ms": "<elapsed>"})
         compare_to_golden("check_relibase.json", rendered)
 
-    def test_check_json_parallel_matches_sequential_golden(
-            self, relibase_workspace, capsys):
-        """The parallel audit emits the same violations (report stats
-        differ by construction, so only the violation block is pinned)."""
+    def test_parallel_flag_is_gone(self, relibase_workspace, capsys):
+        """``--parallel N`` sharded the audit across N processes and,
+        under a cap, printed a different violation subset than the
+        sequential run; the engine was deleted, so argparse rejects
+        the flag by name."""
         w = relibase_workspace
-        (w / "constraints.wol").write_text(RELIBASE_CONSTRAINTS_TEXT)
-        self.corrupted_warehouse(w)
-        code = main(["check",
-                     "--source", str(w / "relibase.schema"),
-                     str(w / "constraints.wol"),
-                     "--data", str(w / "warehouse.json"),
-                     "--json", "--parallel", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        with open(os.path.join(GOLDEN_DIR,
-                               "check_relibase.json")) as handle:
-            golden = json.load(handle)
-        assert json.loads(out)["violations"] == golden["violations"]
+        with pytest.raises(SystemExit) as info:
+            main(["check",
+                  "--source", str(w / "relibase.schema"),
+                  str(w / "constraints.wol"),
+                  "--data", str(w / "warehouse.json"),
+                  "--json", "--parallel", "2"])
+        assert info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
 
 class TestApplyDeltaGolden:

@@ -3,9 +3,9 @@
 The e2e workloads only ever audit clean warehouses, so the head probes
 behind the three join-shaped audit bodies (genome ``TC`` / ``TL``,
 relibase ``RC``) never fail there.  Here each of them is made to fail
-more than five times and the planned audit — sequential and sharded
-over two worker processes — must report exactly the oracle's
-violations, and exactly ``min(limit, total)`` per clause under a limit.
+more than five times and the planned audit must report exactly the
+oracle's violations, and exactly ``min(limit, total)`` per clause under
+a limit.
 """
 
 from collections import Counter
@@ -61,15 +61,10 @@ def test_planned_audit_matches_the_oracle_on_violations(warehouses, name):
         assert totals[clause] > 5, (clause, totals)
     reference = {str(v) for v in naive}
     assert len(reference) == len(naive)
-    for parallel in (None, 2):
-        found = program_violations(combined, program,
-                                   limit_per_clause=None,
-                                   parallel=parallel)
-        assert {str(v) for v in found} == reference, parallel
-        assert len(found) == len(naive), parallel
-        limited = program_violations(combined, program,
-                                     limit_per_clause=5,
-                                     parallel=parallel)
-        assert Counter(v.clause.name for v in limited) == {
-            clause: min(5, total) for clause, total in totals.items()}
-        assert {str(v) for v in limited} <= reference
+    found = program_violations(combined, program, limit_per_clause=None)
+    assert {str(v) for v in found} == reference
+    assert len(found) == len(naive)
+    limited = program_violations(combined, program, limit_per_clause=5)
+    assert Counter(v.clause.name for v in limited) == {
+        clause: min(5, total) for clause, total in totals.items()}
+    assert {str(v) for v in limited} <= reference

@@ -12,6 +12,7 @@ from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Oid, Record,
                          Schema, Variant, WolSet, record, set_of, variant)
+from repro.obs.metrics import REGISTRY
 from repro.workloads import cities
 
 
@@ -68,9 +69,10 @@ class TestBasicExecution:
         oracle is ``repro.oracle``, not an executor setting."""
         with pytest.raises(TypeError):
             Executor(simple_source(), TARGET, columnar=False)
-        assert Executor(simple_source(), TARGET).engine_label() == "columnar"
-        assert Executor(simple_source(), TARGET,
-                        shard=(0, 2)).engine_label() == "parallel"
+        # One engine, one metrics label, published where the run ran.
+        Executor(simple_source(), TARGET).run_program([])
+        assert REGISTRY.value("repro_engine_runs_total",
+                              {"engine": "columnar"}) == 1
 
     def test_run_program_always_plans(self):
         prog = program(

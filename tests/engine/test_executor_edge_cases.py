@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.adapters.acedb import AceDatabase
 from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Record,
                          Schema, WolList, WolSet, list_of, record, set_of)
 from repro.semantics import Matcher
+from repro.workloads import genome
 
 
 def source():
@@ -194,41 +196,42 @@ class TestProvenance:
         assert "not derived" in executor.explain(Oid.fresh("Out"))
 
 
-class TestMergeThenRun:
-    """``adopt`` moves another executor's pending objects across,
-    ``absorb`` replays them; a clause run afterwards must see the same
-    store either way (regression: after ``adopt`` the batched head
-    believed the class was still empty and overwrote the adopted
+class TestRunAgainstFilledStore:
+    """A clause meeting attributes an earlier clause left in the
+    pending store must see them — the oracle's conflict, text and all,
+    or the oracle's target (regression: the batched head once believed
+    a class it had not filled itself was still empty and overwrote its
     attributes without a conflict)."""
 
     FIRST = ("T1: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
              " <= I in Item, N = I.name, R = I.rank;")
 
-    def merged_then_run(self, merge, follow_up):
-        remote = Executor(source(), TARGET).run_program(
-            program(self.FIRST))
-        parent = Executor(source(), TARGET)
-        getattr(parent, merge)(remote.pending_export())
-        parent.run_program(program(follow_up))
-        return parent
-
-    def test_conflicting_clause_raises_the_same_error(self):
+    def test_conflicting_clause_raises_the_oracle_error(self,
+                                                        execute_both):
         follow_up = ('T3: X in Out, X = Mk_Out(N), X.name = "zzz"'
                      ' <= I in Item, N = I.name;')
-        messages = []
-        for merge in ("adopt", "absorb"):
-            with pytest.raises(ExecutionError) as info:
-                self.merged_then_run(merge, follow_up)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith('conflict on &Out["a"].name')
-        assert messages[0].endswith("(the program is not functional)")
+        with pytest.raises(ExecutionError) as info:
+            execute_both(program(self.FIRST + follow_up), source(), TARGET)
+        message = str(info.value)
+        assert message.startswith('conflict on &Out["a"].name')
+        assert message.endswith("(the program is not functional)")
 
-    def test_agreeing_clause_yields_the_same_target(self):
+    def test_agreeing_clause_yields_the_oracle_target(self, execute_both):
         follow_up = ("T2: X in Out, X = Mk_Out(N), X.rank = R"
                      " <= I in Item, N = I.name, R = I.rank;")
-        adopted = self.merged_then_run("adopt", follow_up)
-        absorbed = self.merged_then_run("absorb", follow_up)
-        assert (adopted.freeze().valuations
-                == absorbed.freeze().valuations)
-        assert adopted.provenance() == absorbed.provenance()
+        target, _ = execute_both(program(self.FIRST + follow_up),
+                                 source(), TARGET)
+        assert target.class_sizes() == {"Out": 3}
+
+
+class TestEmptyExtents:
+    def test_whole_program_over_empty_classes(self, execute_both,
+                                              warehouses):
+        """Every extent empty: joins, set-valued heads and all of the
+        genome program produce the oracle's (empty) target."""
+        morphase = warehouses["genome"].morphase
+        empty = morphase._merge_sources(genome.source_instance(
+            AceDatabase("ACe22", genome.ACE_CLASSES)))
+        target, stats = execute_both(morphase.compile().program(), empty,
+                                     morphase.target_plain)
+        assert target.size() == 0 and stats.bindings_found == 0

@@ -308,6 +308,18 @@ class TestIncrementalTransformGenome:
         assert result.target.valuations == before.valuations
         assert result.stats.bindings_added == 0
         assert result.stats.bindings_removed == 0
+        assert result.stats.delta_size == 0
+
+    def test_identical_value_update_is_noop(self, genome_morphase,
+                                            genome_source):
+        """An "update" rewriting an object to the value it already has
+        retracts and re-derives the same effects: same target bytes."""
+        state = self.fresh_state(genome_morphase, genome_source)
+        before = state.target.valuations
+        oid = genome_source.objects_of("Sequence")[0]
+        result = self.check(genome_morphase, state, Delta(
+            updates={"Sequence": {oid: genome_source.value_of(oid)}}))
+        assert result.target.valuations == before
 
     def test_random_delta_sweep(self, genome_morphase, genome_source):
         # Evolve the instance through randomised batches, comparing

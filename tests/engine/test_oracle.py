@@ -38,7 +38,6 @@ def capital_less_countries():
 
 AUDIT_PATHS = {
     "sequential": program_violations,
-    "parallel": lambda *args: program_violations(*args, parallel=2),
     "naive": oracle.naive_violations,
 }
 
@@ -47,8 +46,7 @@ AUDIT_PATHS = {
 @pytest.mark.parametrize("limit", [0, 1, 2, None])
 def test_limit_per_clause_means_the_same_on_every_path(limit, path):
     """Regression: ``limit_per_clause=0`` used to report one violation
-    sequentially (tested only after the first append) and none in
-    parallel."""
+    (the cap was tested only after the first append)."""
     instance, constraints = capital_less_countries()
     everything = {str(v) for v in program_violations(instance, constraints)}
     assert len(everything) == 3
@@ -94,6 +92,24 @@ def test_use_planner_parameter_is_gone(site):
         call(use_planner=False)
     with pytest.raises(TypeError, match="use_planner"):
         call(use_planner=True)
+
+
+@pytest.mark.parametrize("site", [
+    "Morphase.audit", "Morphase.check_source", "Morphase.transform",
+    "audit_constraints", "program_violations"])
+def test_parallel_parameter_is_gone(site):
+    """The parallel sharded engine is deleted (×0.59–0.69 end to end,
+    0 of 40 paired transform runs won): every transform and audit takes
+    the one planned, traced, metered path."""
+    with pytest.raises(TypeError, match="parallel"):
+        FORMER_KNOB_SITES[site](parallel=2)
+
+
+def test_shard_seam_is_gone():
+    with pytest.raises(TypeError, match="shard"):
+        FORMER_KNOB_SITES["Executor"](shard=(0, 2))
+    with pytest.raises(ImportError, match="execute_parallel"):
+        from repro.engine import execute_parallel  # noqa: F401
 
 
 def test_oracle_is_three_plain_functions_nothing_in_src_imports():

@@ -422,9 +422,9 @@ class TestPlannedNaiveAgreement:
         assert probe.requires is probe.requires     # computed once
         # not part of the step's identity, and not carried by replace()
         import dataclasses
-        twin = dataclasses.replace(probe, shard=(0, 2))
+        twin = dataclasses.replace(probe, binds=())
         assert "requires" not in vars(twin)
-        assert dataclasses.replace(twin, shard=None) == probe
+        assert dataclasses.replace(twin, binds=probe.binds) == probe
 
     def test_unplannable_clause_falls_back_to_dynamic(self):
         instance = sample_euro_instance()

@@ -1,34 +1,28 @@
-"""Cross-engine differential fuzzing (the parallel PR's safety net).
+"""Cross-engine differential fuzzing.
 
-Five semantically-equivalent execution paths coexist: the naive
+Four semantically-equivalent execution paths coexist: the naive
 dynamic matcher (the oracle, ``repro.oracle``), the planned columnar
-path (production),
-the CPL translation, the incremental delta engine and the parallel
-sharded engine.  This suite generates random schemas (attribute width varies),
+path (production), the CPL translation and the incremental delta
+engine.  This suite generates random schemas (attribute width varies),
 instances and deltas with Hypothesis and holds every pair of engines to
 *byte-equal* serialised targets and *equal* violation sets — the
 strongest oracle the JSON interchange format supports.
 
 All generated source objects are Skolem-keyed, so serialisations are
 stable across runs and processes (anonymous oids would embed unstable
-serials).  The parallel engine runs its shard pipeline in-process here
-(``use_processes=False``): shard compilation, restricted enumeration
-and merging are identical to the process-pool path, which is pinned
-separately by ``tests/engine/test_parallel.py`` and a low-volume
-process test below.
+serials).
 """
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import execute_parallel, audit_parallel
 from repro.constraints.library import schema_constraints
 from repro.io.json_io import instance_to_json
 from repro.evolution.delta import Delta
 from repro.model import InstanceBuilder, Record
 from repro.model.schema import parse_schema
-from repro.model.values import Oid, WolSet
+from repro.model.values import Oid
 from repro.morphase import Morphase
 from repro.oracle import naive_transform, naive_violations
 from repro.semantics.satisfaction import program_violations
@@ -177,7 +171,7 @@ def build_morphase(width: int) -> Morphase:
 class TestTransformEngines:
     @settings(max_examples=40, deadline=None)
     @given(universes())
-    def test_naive_planned_parallel_cpl_byte_equal(self, universe):
+    def test_naive_planned_cpl_byte_equal(self, universe):
         width, source, _ = universe
         morphase = build_morphase(width)
         planned = morphase.transform(source).target
@@ -186,17 +180,10 @@ class TestTransformEngines:
         baseline = serialized(planned)
         assert serialized(naive) == baseline
         assert serialized(cpl) == baseline
-        for workers in (2, 5):
-            parallel, stats = execute_parallel(
-                morphase.compile().program(),
-                morphase._merge_sources(source),
-                morphase.target_plain, workers, use_processes=False)
-            assert serialized(parallel) == baseline
-            assert stats.shards_run == workers
 
     @settings(max_examples=40, deadline=None)
     @given(universes())
-    def test_incremental_matches_recompute_and_parallel(self, universe):
+    def test_incremental_matches_recompute_and_oracle(self, universe):
         width, source, delta = universe
         morphase = build_morphase(width)
         state = morphase.begin_incremental(source)
@@ -207,20 +194,6 @@ class TestTransformEngines:
         naive = naive_transform(morphase, updated_source).target
         assert serialized(result.target) == serialized(recomputed)
         assert serialized(naive) == serialized(recomputed)
-        parallel, _ = execute_parallel(
-            morphase.compile().program(), updated_source,
-            morphase.target_plain, 3, use_processes=False)
-        assert serialized(parallel) == serialized(recomputed)
-
-    @settings(max_examples=5, deadline=None)
-    @given(universes())
-    def test_process_pool_byte_equal(self, universe):
-        """Low-volume pin of the real cross-process path."""
-        width, source, _ = universe
-        morphase = build_morphase(width)
-        sequential = morphase.transform(source).target
-        parallel = morphase.transform(source, parallel=2).target
-        assert serialized(parallel) == serialized(sequential)
 
 
 # ----------------------------------------------------------------------
@@ -306,26 +279,3 @@ class TestAuditEngines:
         naive = sorted(str(v) for v in naive_violations(
             target, constraints))
         assert naive == planned
-        result = audit_parallel(constraints, target, 3,
-                                use_processes=False)
-        parallel = sorted(str(v)
-                          for v in result.violations(constraints))
-        assert parallel == planned
-
-    @settings(max_examples=40, deadline=None)
-    @given(universes())
-    def test_link_class_set_union_across_engines(self, universe):
-        """LT.ws accumulates one element per B firing; shard merging
-        must union them exactly (a lost element would change bytes)."""
-        width, source, _ = universe
-        morphase = build_morphase(width)
-        planned = morphase.transform(source).target
-        parallel, _ = execute_parallel(
-            morphase.compile().program(),
-            morphase._merge_sources(source),
-            morphase.target_plain, 4, use_processes=False)
-        for oid in planned.objects_of("LT"):
-            expected = planned.value_of(oid).get("ws")
-            actual = parallel.value_of(oid).get("ws")
-            assert isinstance(expected, WolSet)
-            assert actual == expected

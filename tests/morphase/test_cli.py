@@ -120,6 +120,18 @@ class TestTransform:
         assert info.value.code == 2
         assert "--no-planner" in capsys.readouterr().err
 
+    def test_parallel_flag_is_gone(self, workspace, capsys):
+        """The parallel sharded engine lost every paired end-to-end
+        run against this path and was deleted with its flag."""
+        with pytest.raises(SystemExit) as info:
+            run(workspace, "transform",
+                "--source", "$W/us.schema", "--source", "$W/euro.schema",
+                "--target", "$W/target.schema", "$W/program.wol",
+                "--data", "$W/us.json", "--data", "$W/euro.json",
+                "--out", "$W/out.json", "--parallel", "2")
+        assert info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+
     def test_check_source_rejects_bad_instance(self, workspace, capsys):
         builder = cities.sample_euro_instance().builder()
         builder.new("CountryE", Record.of(

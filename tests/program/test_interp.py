@@ -71,9 +71,8 @@ class TestQueryStatements:
 
     def test_shards_parameter_is_gone(self, euro):
         """``shards=N`` ran N sequential shards in one process — more
-        work for the same rows.  That shard plans partition a solution
-        set is pinned at plan level (``tests/engine/test_parallel.py::
-        TestShardPlumbing::test_sharded_plans_partition_solutions``)."""
+        work for the same rows.  (The shard plans themselves went with
+        the parallel engine; there is nothing left to partition.)"""
         program = parse_program_text("a = query { X in CityE };")
         compiled = compile_program(program, euro)
         with pytest.raises(TypeError, match="shards"):

@@ -75,15 +75,6 @@ class TestLazyBuild:
         assert store.stats()["columns_built"] == 1
 
 
-class TestShardExtents:
-    def test_shards_partition_the_extent(self, instance):
-        store = ColumnStore(instance)
-        shards = [store.shard_extent("P", index, 2) for index in (0, 1)]
-        flat = [oid for shard in shards for oid in shard]
-        assert sorted(flat, key=str) == sorted(store.extent("P"), key=str)
-        assert len(set(flat)) == len(flat)
-
-
 def snapshot(store, attrs=("name", "age"), set_attrs=("tags",)):
     """Extent-aligned view of every column (tombstone-insensitive)."""
     extent = store.extent("P")
