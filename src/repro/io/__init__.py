@@ -1,12 +1,12 @@
 """JSON interchange for schemas and instances."""
 
-from .json_io import (JsonIoError, dump_instance, dump_schema,
-                      instance_from_json, instance_to_json, load_instance,
-                      load_schema, schema_from_json, schema_to_json,
-                      value_from_json, value_to_json)
+from .json_io import (JsonIoError, canonical_json, dump_instance,
+                      dump_schema, instance_from_json, instance_to_json,
+                      load_instance, load_schema, schema_from_json,
+                      schema_to_json, value_from_json, value_to_json)
 
 __all__ = [
-    "JsonIoError", "dump_instance", "dump_schema", "instance_from_json",
+    "JsonIoError", "canonical_json", "dump_instance", "dump_schema", "instance_from_json",
     "instance_to_json", "load_instance", "load_schema",
     "schema_from_json", "schema_to_json", "value_from_json",
     "value_to_json",

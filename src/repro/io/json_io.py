@@ -29,6 +29,14 @@ class JsonIoError(Exception):
     """Raised on malformed serialised data."""
 
 
+#: The canonical text of a JSON document: keys sorted, default
+#: separators — exactly ``json.dumps(document, sort_keys=True)``.  Row
+#: identity in query programs and the service's wire format are both
+#: this rendering.  (No ``indent``: asking for one silently swaps
+#: CPython's C encoder for the pure-Python one.)
+canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
 # ----------------------------------------------------------------------
 # Values
 # ----------------------------------------------------------------------

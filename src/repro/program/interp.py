@@ -5,7 +5,10 @@ duplicate-free set of rows in *canonical order*.  Rows are JSON-encoded
 at the engine boundary (``value_to_json`` with the instance's dump
 oid-encoder, so anonymous objects carry the same ``Class#n`` labels a
 dump of the instance would) and ordered by their sorted-key JSON
-rendering.  That single definition buys three guarantees at once:
+rendering — the row's *key*, rendered once, where a ``query`` statement
+emits the row (:meth:`ResultSet.from_rows`), and carried by the result
+set from then on.  That single definition buys three guarantees at
+once:
 
 * set algebra (``union``/``intersect``/``difference``) is well-defined
   — row equality is JSON equality;
@@ -16,17 +19,18 @@ rendering.  That single definition buys three guarantees at once:
 ``query`` statements run the planned path (vectorized columnar
 batches, :meth:`~repro.semantics.match.Matcher.run_plan_columnar`);
 bodies with no static plan fall back to the dynamic matcher.
-Set-algebra statements never touch the instance — they fold earlier
-result sets.
+Set-algebra statements never touch the instance — ``union``,
+``intersect``, ``difference`` and ``limit`` fold earlier result sets'
+keys and never render a row again (``project`` changes the rows, so it
+keys its output afresh).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..io.json_io import dump_oid_encoder, value_to_json
+from ..io.json_io import canonical_json, dump_oid_encoder, value_to_json
 from ..model.instance import Instance
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span
@@ -44,33 +48,56 @@ _STATEMENTS_TOTAL = REGISTRY.counter(
     "Query-program statements executed, by operator.", ("op",))
 
 
-def _row_key(row: Row) -> str:
-    return json.dumps(row, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class ResultSet:
     """A statement's materialised result: canonical-order row set.
 
     ``rows`` are JSON-compatible dicts, duplicate-free, sorted by their
-    ``json.dumps(..., sort_keys=True)`` rendering.
+    ``json.dumps(..., sort_keys=True)`` rendering; ``row_keys`` holds
+    those renderings, parallel to ``rows``.  A set built directly from
+    ``columns`` and ``rows`` (already canonical) may leave ``row_keys``
+    out — :meth:`keys` then derives them on demand.  Equality compares
+    ``columns`` and ``rows`` only.
     """
 
     columns: Tuple[str, ...]
     rows: Tuple[Row, ...]
+    row_keys: Optional[Tuple[str, ...]] = field(
+        default=None, compare=False, repr=False)
 
     @staticmethod
     def from_rows(columns: Tuple[str, ...],
-                  rows: Iterator[Row]) -> "ResultSet":
+                  rows: Iterable[Row]) -> "ResultSet":
         """Dedup + canonically order an arbitrary row enumeration."""
+        return ResultSet._from_keyed(
+            columns, ((canonical_json(row), row) for row in rows))
+
+    @staticmethod
+    def _from_keyed(columns: Tuple[str, ...],
+                    keyed: Iterable[Tuple[str, Row]]) -> "ResultSet":
+        """Dedup (first row per key wins) + order ``(key, row)`` pairs."""
         by_key: Dict[str, Row] = {}
-        for row in rows:
-            by_key.setdefault(_row_key(row), row)
-        ordered = tuple(by_key[key] for key in sorted(by_key))
-        return ResultSet(columns=columns, rows=ordered)
+        for key, row in keyed:
+            by_key.setdefault(key, row)
+        keys = tuple(sorted(by_key))
+        return ResultSet(columns, tuple(by_key[key] for key in keys), keys)
 
     def keys(self) -> Tuple[str, ...]:
-        return tuple(_row_key(row) for row in self.rows)
+        """The canonical key of every row, in row order."""
+        if self.row_keys is not None:
+            return self.row_keys
+        return tuple(canonical_json(row) for row in self.rows)
+
+    def _keyed(self) -> Iterable[Tuple[str, Row]]:
+        return zip(self.keys(), self.rows)
+
+    def _where(self, columns: Tuple[str, ...],
+               keep: Callable[[str], bool]) -> "ResultSet":
+        """The rows whose key satisfies ``keep`` — a subsequence, so
+        already duplicate-free and in canonical order."""
+        kept = [pair for pair in self._keyed() if keep(pair[0])]
+        return ResultSet(columns, tuple(row for _key, row in kept),
+                         tuple(key for key, _row in kept))
 
     def to_json(self) -> Dict[str, Any]:
         return {"columns": list(self.columns),
@@ -167,18 +194,12 @@ def _run_query(statement: CompiledStatement, matcher: Matcher,
     columns = statement.columns
     plan = statement.plan
 
-    def bindings() -> Iterator[Dict[str, Any]]:
-        if plan is None:
-            yield from matcher.solutions(query.body)
-        else:
-            yield from matcher.run_plan_columnar(plan.steps)
-
-    def rows() -> Iterator[Row]:
-        for binding in bindings():
-            yield {name: value_to_json(binding[name], encoder)
+    bindings = (matcher.solutions(query.body) if plan is None
+                else matcher.run_plan_columnar(plan.steps))
+    result = ResultSet.from_rows(
+        columns, ({name: value_to_json(binding[name], encoder)
                    for name in columns if name in binding}
-
-    result = ResultSet.from_rows(columns, rows())
+                  for binding in bindings))
     trace = StatementTrace(
         name=statement.statement.name, op="query",
         rows=len(result.rows), planned=plan is not None)
@@ -189,22 +210,18 @@ def _run_algebra(op, columns: Tuple[str, ...],
                  sets: Dict[str, ResultSet]) -> ResultSet:
     """Fold earlier result sets; all inputs exist (validation ensures)."""
     if isinstance(op, UnionOp):
-        def union_rows() -> Iterator[Row]:
-            for source in op.sources:
-                yield from sets[source].rows
-        return ResultSet.from_rows(columns, union_rows())
+        return ResultSet._from_keyed(
+            columns, (pair for source in op.sources
+                      for pair in sets[source]._keyed()))
     if isinstance(op, IntersectOp):
-        key_sets = [set(sets[source].keys()) for source in op.sources]
-        shared = set.intersection(*key_sets) if key_sets else set()
-        first = sets[op.sources[0]]
-        return ResultSet.from_rows(
-            columns, (row for row in first.rows
-                      if _row_key(row) in shared))
+        first, *others = (sets[source] for source in op.sources)
+        shared = set(first.keys()).intersection(
+            *(other.keys() for other in others))
+        return first._where(columns, shared.__contains__)
     if isinstance(op, DifferenceOp):
         right = set(sets[op.right].keys())
-        return ResultSet.from_rows(
-            columns, (row for row in sets[op.left].rows
-                      if _row_key(row) not in right))
+        return sets[op.left]._where(
+            columns, lambda key: key not in right)
     if isinstance(op, ProjectOp):
         source = sets[op.source]
         return ResultSet.from_rows(
@@ -213,6 +230,6 @@ def _run_algebra(op, columns: Tuple[str, ...],
                       for row in source.rows))
     if isinstance(op, LimitOp):
         source = sets[op.source]
-        return ResultSet(columns=columns,
-                         rows=source.rows[:op.count])
+        return ResultSet(columns, source.rows[:op.count],
+                         source.keys()[:op.count])
     raise ProgramError(f"unhandled operator {op!r}")  # pragma: no cover

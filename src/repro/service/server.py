@@ -29,12 +29,13 @@ Endpoints::
                             analysis diagnostics (an empty JSON object
                             lints the session's own program)
 
-Every response — success or failure — is the versioned envelope::
+Every response — success or failure — is the versioned envelope, on
+the wire as canonical JSON (one line, keys sorted; pipe it through
+``python -m json.tool`` to read it)::
 
-    {"version": 1, "ok": true,  "result": {...}}
-    {"version": 1, "ok": false, "error": {"code": "...",
-                                          "message": "...",
-                                          "details": {...}?}}
+    {"ok": true, "result": {...}, "version": 1}
+    {"error": {"code": "...", "message": "...", "details": {...}?},
+     "ok": false, "version": 1}
 
 Error codes map statuses one-to-one: ``bad_request``/``parse_error``
 (400: the request or program never parsed), ``not_found`` (404),
@@ -74,6 +75,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..evolution.delta import DeltaError
+from ..io.json_io import canonical_json
 from ..obs.events import emit_slow_query, log_event
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY, SIZE_BUCKETS
 from ..obs.trace import start_trace
@@ -145,7 +147,11 @@ SNAPSHOT_NAME = re.compile(r"^snap-[0-9a-f]{24}\.json$")
 
 
 def envelope_ok(result: Any) -> Dict[str, Any]:
-    """The success envelope around one endpoint result."""
+    """The success envelope around one endpoint result.
+
+    ``result`` is a JSON document, or ``bytes`` holding one already
+    encoded (``GET /target`` keeps its encoding per applied seq).
+    """
     return {"version": API_VERSION, "ok": True, "result": result}
 
 
@@ -157,6 +163,25 @@ def envelope_error(code: str, message: str,
     if details is not None:
         error["details"] = details
     return {"version": API_VERSION, "ok": False, "error": error}
+
+
+def encode_envelope(envelope: Dict[str, Any],
+                    trace: Optional[Dict[str, Any]] = None) -> bytes:
+    """The wire bytes of one envelope: its canonical JSON text.
+
+    ``trace`` (a serialised span tree) rides as one more top-level
+    field.  A ``bytes`` result is spliced in as it stands, never
+    decoded and re-encoded: in sorted order ``ok`` and ``result`` lead
+    and ``trace`` / ``version`` follow, so the bytes equal those of
+    encoding the same envelope around the decoded result.
+    """
+    extra = {} if trace is None else {"trace": trace}
+    result = envelope.get("result")
+    if not isinstance(result, bytes):
+        return canonical_json({**envelope, **extra}).encode("utf-8")
+    tail = canonical_json({**extra, "version": envelope["version"]})
+    return (b'{"ok": true, "result": ' + result + b", "
+            + tail[1:].encode("utf-8"))
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -240,18 +265,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, document: Dict[str, Any]) -> None:
         trace = self._trace
-        if (trace is not None and self._want_trace
-                and isinstance(document, dict)):
+        embedded = None
+        if trace is not None and self._want_trace:
             # The root span is still open (this very write is part of
             # it) — stamp its duration as of serialisation time so the
             # embedded tree is complete and self-consistent.
             root = trace.root
             root.duration_ms = (time.perf_counter()
                                 - root._t0) * 1000.0
-            document = dict(document)
-            document["trace"] = trace.to_json()
-        body = json.dumps(document, indent=2, sort_keys=True
-                          ).encode("utf-8")
+            embedded = trace.to_json()
+        body = encode_envelope(document, embedded)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -271,8 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = status
         self._response_size = len(body)
         if status >= 500:
-            error = (document.get("error", {})
-                     if isinstance(document, dict) else {})
+            error = document.get("error", {})
             log_event("http_5xx", level=logging.ERROR,
                       endpoint=self.path, status=status,
                       code=error.get("code"),
@@ -446,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parsed.path == "/stats":
             self._dispatch(lambda: (200, session.stats_json()))
         elif parsed.path == "/target":
-            self._dispatch(lambda: (200, session.target_json()))
+            self._dispatch(lambda: (200, session.target_json_bytes()))
         elif parsed.path == "/query":
             self._query(session, params)
         elif parsed.path == "/check":

@@ -31,9 +31,14 @@ from functools import reduce
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..evolution.delta import Delta, compose_deltas
-from ..io.json_io import instance_to_json
+from ..io.json_io import canonical_json, instance_to_json, value_to_json
+from ..lang.parser import ParseError
 from ..obs.metrics import BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY, Counter
 from ..obs.trace import span
+from ..program import (ProgramParseError, ProgramValidationError,
+                       QueryProgram, ResultSet, compile_program,
+                       parse_program_text, run_compiled)
+from ..query.query import Query, QueryError
 from ..store.store import WarehouseStore
 from .locks import ReadWriteLock
 
@@ -45,6 +50,11 @@ _BATCH_APPLY_SECONDS = REGISTRY.histogram(
     "repro_commit_apply_seconds",
     "Wall time applying one composed batch through the incremental "
     "engine (under the write lock).", buckets=LATENCY_BUCKETS)
+_TARGET_ENCODE_TOTAL = REGISTRY.counter(
+    "repro_target_encode_total",
+    "GET /target reads answered from the per-seq encoded bytes (hit) "
+    "or by dumping and encoding the target afresh (miss: the first "
+    "read after a seq advance or a replica reseed).", ("outcome",))
 
 
 class ServiceError(Exception):
@@ -186,10 +196,10 @@ class WarehouseSession:
         self.counters.replayed_on_open = len(store.tail)
         self.counters.rebuild_ms = (time.perf_counter() - start) * 1000
         self._applied_seq = store.seq
-        # Serialised target document, keyed by the applied sequence
+        # The encoded /target result, keyed by the applied sequence
         # number it renders — the target only changes at batch
         # boundaries, so reads between them share one encoding.
-        self._target_cache: Optional[Tuple[int, Dict[str, Any]]] = None
+        self._target_encoded: Optional[Tuple[int, bytes]] = None
         # Warm query state over the *target*: a shared IndexPool (whose
         # indexes amortise across /query?body= and /program requests)
         # and the dump oid-encoder, both invalidated at batch
@@ -358,24 +368,34 @@ class WarehouseSession:
                 "seq": store.seq, "base_seq": store.base_seq,
                 "snapshot": store.snapshot_file}
 
-    def _target_document(self) -> Dict[str, Any]:
-        """The serialised target, cached per applied batch.
-
-        Called under the read lock; concurrent rebuilds are idempotent
-        (same seq renders the same document) so the last writer
-        winning is harmless.
-        """
-        cached = self._target_cache
-        if cached is not None and cached[0] == self._applied_seq:
-            return cached[1]
-        document = instance_to_json(self.transform.target)
-        self._target_cache = (self._applied_seq, document)
-        return document
-
     def target_json(self) -> Dict[str, Any]:
+        """The target as an interchange document, dumped afresh on
+        every call (the reference :meth:`target_json_bytes` is tested
+        against)."""
         with self._state_lock.read():
             self.counters.inc("queries")
-            return self._target_document()
+            return instance_to_json(self.transform.target)
+
+    def target_json_bytes(self) -> bytes:
+        """:meth:`target_json` as canonical JSON text, encoded once per
+        applied seq.
+
+        Concurrent misses under the read lock are idempotent (same seq
+        renders the same bytes), so the last writer winning is
+        harmless.
+        """
+        with self._state_lock.read():
+            self.counters.inc("queries")
+            seq = self._applied_seq
+            cached = self._target_encoded
+            if cached is not None and cached[0] == seq:
+                _TARGET_ENCODE_TOTAL.labels("hit").inc()
+                return cached[1]
+            encoded = canonical_json(
+                instance_to_json(self.transform.target)).encode("utf-8")
+            self._target_encoded = (seq, encoded)
+            _TARGET_ENCODE_TOTAL.labels("miss").inc()
+            return encoded
 
     def _warm_query_state(self):
         """(IndexPool, oid-encoder) over the target, cached per batch.
@@ -406,11 +426,6 @@ class WarehouseSession:
         canonical (sorted JSON) order — the same row semantics as one
         ``query`` statement of a program.
         """
-        import json as _json
-
-        from ..io.json_io import value_to_json
-        from ..lang.parser import ParseError
-        from ..query.query import Query, QueryError
         text = f"{project} | {body}" if project else body
         with self._state_lock.read():
             self.counters.inc("queries")
@@ -429,17 +444,14 @@ class WarehouseSession:
                         else "validation_failed") from exc
             pool, encoder = self._warm_query_state()
             columns = parsed.projection or parsed.variables()
-            by_key: Dict[str, Dict[str, Any]] = {}
             with span("execute") as execute_span:
-                for row in parsed.run_planned(target, pool=pool):
-                    encoded = {name: value_to_json(value, encoder)
-                               for name, value in row.items()}
-                    by_key.setdefault(
-                        _json.dumps(encoded, sort_keys=True), encoded)
-                execute_span.set(rows=len(by_key))
-        rows = [by_key[key] for key in sorted(by_key)]
+                rows = ResultSet.from_rows(tuple(columns), (
+                    {name: value_to_json(value, encoder)
+                     for name, value in row.items()}
+                    for row in parsed.run_planned(target, pool=pool))).rows
+                execute_span.set(rows=len(rows))
         return {"body": body, "columns": list(columns),
-                "count": len(rows), "rows": rows}
+                "count": len(rows), "rows": list(rows)}
 
     def program_json(self, document: Dict[str, Any]) -> Dict[str, Any]:
         """Compile and run a query program against the warm target.
@@ -450,9 +462,6 @@ class WarehouseSession:
         Program parse failures surface as 400, validation failures as
         422 with the WOL5xx diagnostics in the error details.
         """
-        from ..program import (ProgramParseError, ProgramValidationError,
-                               QueryProgram, compile_program,
-                               parse_program_text, run_compiled)
         text = document.get("text")
         ast = document.get("ast")
         if (text is None) == (ast is None):

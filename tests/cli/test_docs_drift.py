@@ -3,8 +3,8 @@ CLI's own docstring/epilogs mention is one ``build_parser()`` accepts.
 
 Removing a flag without removing its documentation (or documenting one
 that was never added) is a tier-1 failure, not a reader's surprise.
-The same holds for the lint codes and the ``engine`` metric label
-values the README lists.
+The same holds for the lint codes, the ``engine`` metric label values
+the README lists, and the metric families the service registers.
 """
 
 import argparse
@@ -81,3 +81,20 @@ def test_readme_lists_exactly_the_engine_labels_src_publishes():
     listed = re.search(r"`engine` is ([^(]+)\(", row).group(1)
     assert published
     assert set(re.findall(r"`(\w+)`", listed)) == published
+
+
+def test_readme_metrics_table_names_every_service_family():
+    """Every ``repro_*`` family ``service/session.py`` and
+    ``service/server.py`` register is spelled out in the README's
+    metrics table (a new cache lands with its counters documented)."""
+    service = pathlib.Path(repro.cli.__file__).parent / "service"
+    registered = {family for name in ("session.py", "server.py")
+                  for family in re.findall(
+                      r"\"(repro_\w+)\"",
+                      (service / name).read_text(encoding="utf-8"))}
+    table = "\n".join(
+        line for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `repro_"))
+    assert {"repro_target_encode_total", "repro_http_requests_total",
+            "repro_session_applied_seq"} <= registered
+    assert sorted(registered - set(re.findall(r"repro_\w+", table))) == []

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.io.json_io import dump_oid_encoder, value_to_json
-from repro.program import (compile_program, parse_program_text,
+from repro.program import (ResultSet, compile_program, parse_program_text,
                            run_compiled, run_program)
 from repro.query.query import Query
 from repro.workloads import cities, genome
@@ -130,6 +130,34 @@ class TestSetAlgebra:
             "a = query { N | X in CityE, N = X.name };\n"
             "b = limit a 9999;"), euro)
         assert outcome.sets["b"].rows == outcome.sets["a"].rows
+
+
+class TestCarriedKeys:
+    def test_every_set_carries_the_keys_of_its_rows(self, euro):
+        outcome = run_program(parse_program_text(
+            PROGRAM_TEXT + "proj = project alln -> N;"), euro)
+        for name, result in outcome.sets.items():
+            assert result.row_keys is not None, name
+            assert list(result.row_keys) == [
+                json.dumps(row, sort_keys=True) for row in result.rows], name
+
+    def test_set_built_without_keys_derives_them_on_demand(self, euro):
+        """``ResultSet(columns, rows)`` is public API (``run_compiled``
+        builds the empty result that way): ``keys()`` must answer from
+        the rows, never with a silently empty tuple."""
+        alln = run_program(parse_program_text(PROGRAM_TEXT),
+                           euro).sets["alln"]
+        bare = ResultSet(columns=alln.columns, rows=alln.rows)
+        assert bare.row_keys is None
+        assert bare.keys() == alln.keys() and len(bare.keys()) > 3
+        assert ResultSet(columns=(), rows=()).keys() == ()
+
+    def test_equality_compares_columns_and_rows_only(self, euro):
+        alln = run_program(parse_program_text(PROGRAM_TEXT),
+                           euro).sets["alln"]
+        assert ResultSet(columns=alln.columns, rows=alln.rows) == alln
+        assert ResultSet(columns=alln.columns, rows=alln.rows[:1]) != alln
+        assert ResultSet(columns=("M",), rows=alln.rows) != alln
 
 
 class TestCompiledPrograms:

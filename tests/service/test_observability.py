@@ -71,16 +71,18 @@ def events():
 
 
 def scrape_until(client, name, key, tries=50):
-    """Scrape /metrics until ``name``'s ``key`` sample appears.
+    """Scrape /metrics until ``name``'s ``key`` sample is counted.
 
     Request metrics are recorded after the response is written, so a
     scrape issued immediately after a response can race the recording
-    thread by a few microseconds.
+    thread by a few microseconds.  (A label child another test created
+    survives the per-test registry reset at 0, so the sample being
+    present proves nothing.)
     """
     import time as _time
     for _ in range(tries):
         text = client.metrics()
-        if key in metric_samples(text, name):
+        if metric_samples(text, name).get(key, 0) > 0:
             return text
         _time.sleep(0.01)
     raise AssertionError(f"{name}{key} never appeared in /metrics")
