@@ -8,7 +8,10 @@ describes a target insert.  The executor:
    (:class:`repro.semantics.match.Matcher`) over the source instance;
 2. evaluates each head: Skolem identities become keyed object identities
    (idempotent creation), attribute assignments accumulate on the keyed
-   objects, set-valued attributes collect inserted elements;
+   objects, set-valued attributes collect inserted elements — all as
+   *counts* in the one :class:`TargetStore`, so the incremental engine
+   (:mod:`repro.engine.incremental`) is this pass plus signed deltas
+   over the same store, not a second pass;
 3. detects *conflicts* (two firings disagreeing on an attribute value —
    the program is not functional) and, at freeze time, *incompleteness*
    (an object missing required attributes — the program is not complete,
@@ -36,7 +39,7 @@ lets tests compare direct execution against the WOL->CPL->interpreter path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..lang.ast import (
@@ -63,8 +66,8 @@ EFFECT_INSERT = "insert"
 
 #: One primitive consequence of a clause firing:
 #: ``(EFFECT_CREATE, oid)``, ``(EFFECT_SET, oid, attr, value)`` or
-#: ``(EFFECT_INSERT, oid, attr, element)``.  Effects are hashable, so the
-#: incremental engine (:mod:`repro.engine.incremental`) can count them.
+#: ``(EFFECT_INSERT, oid, attr, element)``.  :meth:`TargetStore.apply`
+#: counts them, signed.
 Effect = Tuple
 
 
@@ -103,13 +106,90 @@ class ExecutionStats:
     max_batch_rows: int = 0
 
 
-@dataclass
 class _PendingObject:
-    class_name: str
-    oid: Oid
-    attributes: Dict[str, Value] = field(default_factory=dict)
-    set_attributes: Dict[str, Set[Value]] = field(default_factory=dict)
-    provenance: Dict[str, str] = field(default_factory=dict)
+    """One target object's counted head effects (a :class:`TargetStore`
+    entry): how often it was created, and per attribute how often each
+    value was assigned / each element inserted."""
+
+    __slots__ = ("creates", "attributes", "set_attributes", "provenance")
+
+    def __init__(self) -> None:
+        self.creates = 0
+        self.attributes: Dict[str, Dict[Value, int]] = {}
+        self.set_attributes: Dict[str, Dict[Value, int]] = {}
+        self.provenance: Dict[str, str] = {}
+
+
+class TargetStore:
+    """The one pending target state: counted head effects per object.
+
+    An object exists while any of its counts is live — ``objects``
+    holds exactly those.  The batch appliers only ever add, and check
+    functionality eagerly before they write; the incremental engine
+    retracts and re-derives through the signed :meth:`apply`, unchecked,
+    and :meth:`assemble` reports whatever conflict is left once a step's
+    counts have settled.
+    """
+
+    def __init__(self, target_schema: Schema) -> None:
+        self.target_schema = target_schema
+        self.objects: Dict[Oid, _PendingObject] = {}
+
+    def ensure(self, oid: Oid) -> _PendingObject:
+        pending = self.objects.get(oid)
+        if pending is None:
+            if not self.target_schema.has_class(oid.class_name):
+                raise ExecutionError(
+                    f"object {oid} belongs to no target class")
+            pending = self.objects[oid] = _PendingObject()
+        return pending
+
+    def apply(self, effect: Effect, sign: int) -> None:
+        """Count one head effect ``sign`` (+1 derived, -1 retracted)."""
+        kind, oid = effect[0], effect[1]
+        pending = self.ensure(oid)
+        if kind == EFFECT_CREATE:
+            count = pending.creates = pending.creates + sign
+        else:
+            group = (pending.attributes if kind == EFFECT_SET
+                     else pending.set_attributes)
+            attr, value = effect[2], effect[3]
+            counts = group.setdefault(attr, {})
+            count = counts[value] = counts.get(value, 0) + sign
+            if count <= 0:
+                del counts[value]
+                if not counts:
+                    del group[attr]
+        if count < 0:
+            raise ExecutionError(
+                f"bookkeeping underflow on {oid}: retracted "
+                f"{effect[:3]} was never recorded")
+        if not (pending.creates or pending.attributes
+                or pending.set_attributes):
+            del self.objects[oid]
+
+    def assemble(self, oid: Oid,
+                 defaults: Mapping[Tuple[str, str], Value]
+                 ) -> Tuple[Optional[Value], List[str]]:
+        """``(stored value, missing attributes)`` of one object — the
+        assembler of :meth:`Executor.freeze` and of the incremental
+        refreeze.  ``(None, [])`` means the object is not derived."""
+        pending = self.objects.get(oid)
+        if pending is None:
+            return None, []
+        attributes: Dict[str, Value] = {}
+        for attr, values in pending.attributes.items():
+            try:
+                (attributes[attr],) = values
+            except ValueError:
+                raise ExecutionError(
+                    f"conflict on {oid}.{attr}: clauses derive "
+                    f"{len(values)} distinct values (the program is not "
+                    f"functional)") from None
+        return assemble_target_value(
+            oid.class_name, oid,
+            self.target_schema.class_type(oid.class_name), attributes,
+            pending.set_attributes, defaults)
 
 
 class Executor:
@@ -127,7 +207,7 @@ class Executor:
         self.source = source
         self.target_schema = target_schema
         self._matcher = Matcher(source, index_pool=index_pool)
-        self._pending: Dict[Oid, _PendingObject] = {}
+        self.store = TargetStore(target_schema)
         self.stats = ExecutionStats()
 
     # ------------------------------------------------------------------
@@ -138,7 +218,9 @@ class Executor:
         ``plan`` supplies a precomputed :class:`ProgramPlan` (its pool
         replaces the matcher's); otherwise one is computed here.
         Clauses without a join plan fall back to the dynamic per-clause
-        path.
+        path.  Running the same program again on this executor doubles
+        the store's counts, not its values: the frozen target is the
+        same.
         """
         start = time.perf_counter()
         clauses = list(program)
@@ -259,10 +341,10 @@ class Executor:
         only through the class check, which is part of the precheck.)
 
         After the precheck every head shape applies the same way:
-        resolve each subject column to its pending objects (created
-        through the ``_PendingObject`` constructor), scan for
+        resolve each subject column to its pending objects, scan for
         functionality conflicts — within the batch and against whatever
-        earlier clauses left in the store — then write.
+        earlier clauses left in the store — then add every row to the
+        store's counts.
         """
         from ..semantics.columns import MISSING
         from .columnar import compile_term
@@ -351,90 +433,75 @@ class Executor:
         # id()-keyed memo turns the per-row probe into an int hash and
         # the value-hashing pending-store lookup runs once per *unique*
         # oid, not once per row.
-        pending_map = self._pending
-        new_objects = 0
+        objects = self.store.objects
+        get, ensure = objects.get, self.store.ensure
+        known = len(objects)
         resolved_columns: Dict[int, List[_PendingObject]] = {}
         by_identity: Dict[int, _PendingObject] = {}
 
         def resolve(column: List[Value]) -> List[_PendingObject]:
-            nonlocal new_objects
             pendings = resolved_columns.get(id(column))
             if pendings is not None:
                 return pendings
             pendings = []
             append = pendings.append
-            get = pending_map.get
             memo_get = by_identity.get
             for oid in column:
                 pending = memo_get(id(oid))
                 if pending is None:
-                    pending = get(oid)
-                    if pending is None:
-                        pending = _PendingObject(oid.class_name, oid)
-                        pending_map[oid] = pending
-                        new_objects += 1
-                    by_identity[id(oid)] = pending
+                    pending = by_identity[id(oid)] = get(oid) or ensure(oid)
                 append(pending)
             resolved_columns[id(column)] = pendings
             return pendings
 
-        for column in creates:
-            resolve(column)
+        creates = [resolve(column) for column in creates]
         assignments = [(resolve(subjects), attr, column)
                        for subjects, attr, column in assignments]
         insertions = [(resolve(subjects), attr, column)
                       for subjects, attr, column in insertions]
-        self.stats.objects_created += new_objects
+        self.stats.objects_created += len(objects) - known
 
         # Functionality conflict scan — within the batch and against
         # attributes earlier clauses derived.  Nothing has been written
         # yet, so a conflict can still hand the whole batch to the
-        # scalar replay for the canonical error.  The scan collects one
-        # (pending, value) pair per distinct subject in passing: rows
-        # sharing a subject were just proved to agree, so the apply
-        # phase below writes each attribute once per object instead of
-        # once per row (the scalar path's duplicate writes are no-ops).
-        writes: List[Tuple[str, List[Tuple[_PendingObject, Value]]]] = []
+        # scalar replay for the canonical error.
         for pendings, attr, column in assignments:
             seen: Dict[int, Value] = {}
             seen_get = seen.get
-            unique: List[Tuple[_PendingObject, Value]] = []
-            keep = unique.append
             for pending, value in zip(pendings, column):
                 prev = seen_get(id(pending))
                 if prev is None:
                     existing = pending.attributes.get(attr)
-                    if (existing is not None and existing is not value
-                            and existing != value):
+                    if existing is not None and value not in existing:
                         return False
                     seen[id(pending)] = value
-                    keep((pending, value))
                 elif prev is not value and prev != value:
                     return False
-            writes.append((attr, unique))
 
         # Apply.  The precheck proved no effect can fail, so the
         # column-major order is observationally identical to the scalar
-        # row-major order.  ``attributes_set`` still counts every row —
-        # the scalar path counts its duplicate writes too.
+        # row-major order, and every row counts once — in the store and
+        # in ``attributes_set`` — as it does on the scalar path (rows
+        # sharing a subject were just proved to agree on the value).
         attributes_set = 0
-        for (attr, unique), (_, _, column) in zip(writes, assignments):
-            for pending, value in unique:
-                pending.attributes[attr] = value
+        for pendings in creates:
+            for pending in pendings:
+                pending.creates += 1
+        for pendings, attr, column in assignments:
+            for pending, value in zip(pendings, column):
+                counts = pending.attributes.get(attr)
+                if counts is None:
+                    pending.attributes[attr] = {value: 1}
+                else:
+                    counts[value] += 1
                 pending.provenance[attr] = label
             attributes_set += len(column)
         for pendings, attr, column in insertions:
-            elements_of: Dict[int, Set[Value]] = {}
-            elements_get = elements_of.get
             for pending, value in zip(pendings, column):
-                elements = elements_get(id(pending))
-                if elements is None:
-                    elements = pending.set_attributes.get(attr)
-                    if elements is None:
-                        elements = set()
-                        pending.set_attributes[attr] = elements
-                    elements_of[id(pending)] = elements
-                elements.add(value)
+                counts = pending.set_attributes.get(attr)
+                if counts is None:
+                    counts = pending.set_attributes[attr] = {}
+                counts[value] = counts.get(value, 0) + 1
             attributes_set += len(column)
         self.stats.attributes_set += attributes_set
         return True
@@ -473,19 +540,18 @@ class Executor:
     # ------------------------------------------------------------------
     def _apply_head(self, plan: "_HeadPlan", binding: Binding,
                     clause: Clause) -> None:
+        """The scalar applier: each effect of one firing, checked
+        eagerly, counted +1 by the store's signed ``apply``."""
         label = clause.name or str(clause)
+        objects = self.store.objects
+        known = len(objects)
         for effect in head_effects(plan, binding, self.source, label):
-            kind = effect[0]
-            if kind == EFFECT_CREATE:
-                self._ensure_object(effect[1])
-            elif kind == EFFECT_SET:
+            if effect[0] == EFFECT_SET:
                 self._set_attribute(effect[1], effect[2], effect[3], label)
-            else:
-                assert kind == EFFECT_INSERT
-                pending = self._ensure_object(effect[1])
-                pending.set_attributes.setdefault(effect[2],
-                                                  set()).add(effect[3])
+            if effect[0] != EFFECT_CREATE:
                 self.stats.attributes_set += 1
+            self.store.apply(effect, +1)
+        self.stats.objects_created += len(objects) - known
 
     def provenance(self) -> Dict[Oid, Dict[str, str]]:
         """Which clause derived each attribute of each pending object.
@@ -495,11 +561,11 @@ class Executor:
         transformation programs.
         """
         return {oid: dict(pending.provenance)
-                for oid, pending in self._pending.items()}
+                for oid, pending in self.store.objects.items()}
 
     def explain(self, oid: Oid) -> str:
         """A human-readable derivation summary for one object."""
-        pending = self._pending.get(oid)
+        pending = self.store.objects.get(oid)
         if pending is None:
             return f"{oid}: not derived by this execution"
         lines = [f"{oid}:"]
@@ -509,30 +575,19 @@ class Executor:
             lines.append(f"  .{attr} from clause {source}")
         return "\n".join(lines)
 
-    def _ensure_object(self, oid: Oid) -> _PendingObject:
-        pending = self._pending.get(oid)
-        if pending is None:
-            if not self.target_schema.has_class(oid.class_name):
-                raise ExecutionError(
-                    f"object {oid} belongs to no target class")
-            pending = _PendingObject(oid.class_name, oid)
-            self._pending[oid] = pending
-            self.stats.objects_created += 1
-        return pending
-
     def _set_attribute(self, oid: Oid, attr: str, value: Value,
                        label: str) -> None:
-        pending = self._ensure_object(oid)
+        """The eager functionality check of one scalar assignment."""
+        pending = self.store.ensure(oid)
         existing = pending.attributes.get(attr)
-        if existing is not None and existing != value:
+        if existing is not None and value not in existing:
             raise ExecutionError(
                 f"conflict on {oid}.{attr}: clause {label} derives "
                 f"{format_value(value)} but clause "
                 f"{pending.provenance.get(attr, '?')} derived "
-                f"{format_value(existing)} (the program is not functional)")
-        pending.attributes[attr] = value
+                f"{format_value(next(iter(existing)))} (the program is "
+                f"not functional)")
         pending.provenance[attr] = label
-        self.stats.attributes_set += 1
 
     # ------------------------------------------------------------------
     def freeze(self, validate: bool = True,
@@ -553,15 +608,11 @@ class Executor:
         here, after all clauses have run.
         """
         defaults = dict(defaults or {})
-        with span("freeze", objects=len(self._pending)):
+        with span("freeze", objects=len(self.store.objects)):
             builder = InstanceBuilder(self.target_schema)
             incomplete: List[str] = []
-            for oid, pending in sorted(self._pending.items(),
-                                       key=lambda i: str(i[0])):
-                ctype = self.target_schema.class_type(pending.class_name)
-                value, missing = assemble_target_value(
-                    pending.class_name, oid, ctype, pending.attributes,
-                    pending.set_attributes, defaults)
+            for oid in sorted(self.store.objects, key=str):
+                value, missing = self.store.assemble(oid, defaults)
                 if value is None:
                     incomplete.append(
                         f"{oid}: missing attributes {missing}")
@@ -587,9 +638,9 @@ def head_effects(plan: "_HeadPlan", binding: Binding, source: Instance,
                  label: str) -> List[Effect]:
     """The primitive effects of one clause firing under ``binding``.
 
-    This is the single evaluation path for clause heads: the batch
-    executor applies the effects to its pending store and the
-    incremental engine counts them — both therefore create the same
+    This is the single scalar evaluation path for clause heads: the
+    batch replay and the oracle count the effects +1 into the store,
+    the incremental engine -1 / +1 — all therefore create the same
     objects, set the same attributes and fail on the same inputs.
     Residual head checks are verified here and raise
     :class:`ExecutionError` when they fail.
@@ -671,7 +722,7 @@ def head_effects(plan: "_HeadPlan", binding: Binding, source: Instance,
 
 
 def assemble_target_value(class_name: str, oid: Oid, ctype,
-                          attributes: Mapping[str, Value],
+                          attributes: Dict[str, Value],
                           set_attributes: Mapping[str, Iterable[Value]],
                           defaults: Mapping[Tuple[str, str], Value]
                           ) -> Tuple[Optional[Value], List[str]]:
@@ -679,8 +730,9 @@ def assemble_target_value(class_name: str, oid: Oid, ctype,
 
     Returns ``(value, missing_attributes)``; ``value`` is None exactly
     when attributes are missing (an *incomplete* program, Section 3.2).
-    Shared by :meth:`Executor.freeze` and the incremental engine so the
-    two paths build byte-identical objects.
+    Called only by :meth:`TargetStore.assemble`, which picks the live
+    values out of the counts into a fresh ``attributes`` dict — filled
+    in here and consumed.
     """
     if not isinstance(ctype, RecordType):
         if list(attributes) != []:
@@ -690,7 +742,7 @@ def assemble_target_value(class_name: str, oid: Oid, ctype,
         raise ExecutionError(
             f"class {class_name} has non-record type; "
             f"direct value inserts are not supported")
-    fields = dict(attributes)
+    fields = attributes
     for attr, elements in set_attributes.items():
         fields[attr] = WolSet(frozenset(elements))
     for label, fty in ctype.fields:

@@ -19,21 +19,24 @@ atom to a membership test of the seed oid and joins the remaining atoms
 through the shared, delta-maintained
 :class:`~repro.semantics.match.IndexPool`.
 
-:class:`IncrementalTransform` maintains a transformed target instance
-under source deltas by counting each clause firing's primitive head
-effects (:func:`repro.engine.executor.head_effects`): retracted bindings
-decrement, new bindings increment, and only target objects whose counts
-moved are re-assembled.  :class:`IncrementalAudit` maintains a
+:class:`IncrementalTransform` is *production under deltas*: it starts
+from :meth:`repro.engine.executor.Executor.run_program` and keeps the
+counted :class:`~repro.engine.executor.TargetStore` that pass filled;
+under a source delta retracted bindings decrement the counts of their
+primitive head effects (:func:`repro.engine.executor.head_effects`),
+new bindings increment them, and only target objects whose counts moved
+are re-assembled.  :class:`IncrementalAudit` maintains a
 constraint-violation set the same way: new violations from inserted
 body solutions, retracted violations from deleted ones, head-witness
 rechecks when the delta could (un)satisfy existing heads.
 
-Both engines fall back to a per-clause full recompute when seeding
-cannot be exact (a member atom that is not a plain variable, or — for
-audits — a delta that removes potential head witnesses).  The batch
-path stays on as the differential oracle: incremental results are
-identical to a full recompute on every workload, enforced by
-``tests/engine/test_incremental.py``.
+Both engines fall back to running a clause whole when seeding cannot
+be exact (a member atom that is not a plain variable — the transform
+then retracts the clause over the old instance and re-derives it over
+the new — or, for audits, a delta that removes potential head
+witnesses).  A from-scratch run stays on as the differential oracle:
+target bytes *and store counts* after every delta equal those of a
+fresh production pass, enforced by ``tests/engine/test_incremental.py``.
 """
 
 from __future__ import annotations
@@ -60,10 +63,8 @@ from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
 from ..semantics.match import Matcher
 from ..semantics.satisfaction import Violation, clause_violations
-from .columnar import seeded_batch_columnar, stream_plan_columnar
-from .executor import (
-    EFFECT_CREATE, EFFECT_SET, Effect, ExecutionError, _HeadPlan,
-    assemble_target_value, head_effects)
+from .columnar import seeded_batch_columnar
+from .executor import ExecutionError, Executor, _HeadPlan, head_effects
 from .planner import (AuditPlan, DeltaSeed, ProgramPlan, plan_audit,
                       plan_delta_seeds, plan_program)
 
@@ -267,6 +268,16 @@ class ClauseReads:
                    for attr in changed_attrs)
 
 
+def _class_types(*schemas):
+    """Class name -> class type over ``schemas`` (None when unknown)."""
+    def class_type_of(cname: str):
+        for schema in schemas:
+            if schema.has_class(cname):
+                return schema.class_type(cname)
+        return None
+    return class_type_of
+
+
 def _atom_terms(atom) -> Tuple[Term, ...]:
     if isinstance(atom, MemberAtom):
         return (atom.element,)
@@ -392,7 +403,9 @@ def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
 
 @dataclass
 class IncrementalStats:
-    """Counters for one :meth:`IncrementalTransform.apply_delta` run."""
+    """Counters for one ``apply_delta`` run of either session (a
+    transform session's start is a production pass and reports
+    :class:`~repro.engine.executor.ExecutionStats` instead)."""
 
     delta_size: int = 0
     seeds_probed: int = 0
@@ -426,79 +439,18 @@ class DeltaResult:
     delta: Delta
 
 
-class _TargetStore:
-    """Counted head effects, aggregated per target object.
-
-    ``presence`` counts every effect touching an object (creation,
-    assignment or insertion — exactly the events that make the batch
-    executor materialise a pending object); an object exists while its
-    presence is positive.  ``attrs`` counts derivations per value: more
-    than one distinct value with positive count is the batch engine's
-    "program is not functional" conflict, detected at re-assembly.
-    """
-
-    def __init__(self) -> None:
-        self.presence: Dict[Oid, int] = {}
-        self.attrs: Dict[Oid, Dict[str, Dict[Value, int]]] = {}
-        self.elems: Dict[Oid, Dict[str, Dict[Value, int]]] = {}
-
-    def apply(self, effect: Effect, sign: int, touched: Set[Oid]) -> None:
-        kind, oid = effect[0], effect[1]
-        touched.add(oid)
-        self.presence[oid] = self.presence.get(oid, 0) + sign
-        if self.presence[oid] < 0:
-            raise ExecutionError(
-                f"incremental bookkeeping underflow on {oid} (a retracted "
-                f"binding was never recorded)")
-        if self.presence[oid] == 0:
-            del self.presence[oid]
-        if kind == EFFECT_CREATE:
-            return
-        group = self.attrs if kind == EFFECT_SET else self.elems
-        attr, value = effect[2], effect[3]
-        per_attr = group.setdefault(oid, {})
-        per_value = per_attr.setdefault(attr, {})
-        count = per_value.get(value, 0) + sign
-        if count < 0:
-            raise ExecutionError(
-                f"incremental bookkeeping underflow on {oid}.{attr}")
-        if count == 0:
-            per_value.pop(value, None)
-            if not per_value:
-                per_attr.pop(attr, None)
-                if not per_attr:
-                    group.pop(oid, None)
-        else:
-            per_value[value] = count
-
-    def attributes_of(self, oid: Oid) -> Dict[str, Value]:
-        attributes: Dict[str, Value] = {}
-        for attr, values in self.attrs.get(oid, {}).items():
-            live = [value for value, count in values.items() if count > 0]
-            if len(live) > 1:
-                raise ExecutionError(
-                    f"conflict on {oid}.{attr}: clauses derive "
-                    f"{len(live)} distinct values (the program is not "
-                    f"functional)")
-            if live:
-                attributes[attr] = live[0]
-        return attributes
-
-    def set_attributes_of(self, oid: Oid) -> Dict[str, Set[Value]]:
-        return {attr: {value for value, count in values.items() if count > 0}
-                for attr, values in self.elems.get(oid, {}).items()
-                if any(count > 0 for count in values.values())}
-
-
 class IncrementalTransform:
     """A transformation session maintaining its target under deltas.
 
-    Construction runs the program once (planned, over the shared index
-    pool) while recording each clause firing's effect counts; every
+    Construction is the production pass — :meth:`Executor.run_program`
+    over the planned program, then ``freeze`` — and the session keeps
+    the executor's counted :class:`TargetStore`; every
     :meth:`apply_delta` then patches the counts from seeded delta joins
     and re-assembles only the touched target objects.  ``target`` always
     equals what :func:`repro.engine.executor.execute` would produce from
-    the current source — the differential tests enforce bit-equality.
+    the current source — the differential tests enforce bit-equality —
+    and construction raises exactly what ``execute`` raises.  ``stats``
+    is the initial pass's :class:`ExecutionStats` until the first delta.
     """
 
     def __init__(self, program: Iterable[Clause], source: Instance,
@@ -512,30 +464,8 @@ class IncrementalTransform:
         self.validate = validate
         self._poisoned: Optional[str] = None
 
-        source_classes = set(source.schema.class_names())
-        for clause in self.clauses:
-            for atom in clause.body:
-                if (isinstance(atom, MemberAtom)
-                        and atom.class_name not in source_classes):
-                    raise ExecutionError(
-                        f"clause {clause.name or clause}: body mentions "
-                        f"non-source class {atom.class_name}; not in "
-                        f"normal form")
-
         self.plan: ProgramPlan = plan_program(self.clauses, source)
         cardinalities = source.class_sizes()
-        self._head_plans = [_HeadPlan(clause, target_schema)
-                            for clause in self.clauses]
-
-        def class_type_of(cname: str):
-            if source.schema.has_class(cname):
-                return source.schema.class_type(cname)
-            if target_schema.has_class(cname):
-                return target_schema.class_type(cname)
-            return None
-
-        self._reads = [ClauseReads(clause, class_type_of)
-                       for clause in self.clauses]
         self._seeds: List[Tuple[DeltaSeed, ...]] = [
             plan_delta_seeds(clause, cardinalities)
             for clause in self.clauses]
@@ -546,92 +476,20 @@ class IncrementalTransform:
             {key for seeds in self._seeds for seed in seeds
              if seed.plan is not None for key in seed.plan.index_paths}))
 
-        self.clause_effects: List[Dict[Effect, int]] = [
-            {} for _ in self.clauses]
-        self._store = _TargetStore()
-        self.stats = IncrementalStats()
-
-        matcher = Matcher(source, index_pool=self.plan.pool)
-        touched: Set[Oid] = set()
-        for index, clause in enumerate(self.clauses):
-            self._run_clause_full(index, matcher, source, touched)
-        self.target = self._assemble_all()
-        if validate:
-            self.target.validate()
+        executor = Executor(source, target_schema, self.plan.pool)
+        executor.run_program(self.clauses, plan=self.plan)
+        self.target = executor.freeze(validate=validate,
+                                      defaults=self.defaults)
+        self.store = executor.store
+        self.stats = executor.stats
         self.source_rev = ReverseIndex(source)
         self.target_rev = ReverseIndex(self.target)
 
-    # ------------------------------------------------------------------
-    def _run_clause_full(self, index: int, matcher: Matcher,
-                         instance: Instance, touched: Set[Oid]) -> None:
-        clause = self.clauses[index]
-        label = clause.name or str(clause)
-        join_plan = self.plan.plan_for(clause)
-        if join_plan is not None:
-            bindings = stream_plan_columnar(
-                matcher, join_plan.steps, None, self.stats)
-        else:
-            bindings = matcher.solutions(clause.body)
-        for binding in bindings:
-            effects = head_effects(self._head_plans[index], binding,
-                                   instance, label)
-            self._record(index, effects, +1, touched)
-
-    def _clause_seeds(self, index: int, all_changed: Sequence[Oid],
-                      changes: Mapping[Oid, Optional[frozenset]],
-                      rev: ReverseIndex, cache: Dict[Oid, Set[Oid]]
-                      ) -> Dict[str, List[Oid]]:
-        return _pruned_seed_groups(self._reads[index], all_changed,
-                                   changes, rev, cache)
-
-    def _record(self, index: int, effects: Sequence[Effect], sign: int,
-                touched: Set[Oid]) -> None:
-        counter = self.clause_effects[index]
-        for effect in effects:
-            oid = effect[1]
-            if not self.target_schema.has_class(oid.class_name):
-                raise ExecutionError(
-                    f"object {oid} belongs to no target class")
-            counter[effect] = counter.get(effect, 0) + sign
-            if counter[effect] == 0:
-                del counter[effect]
-            self._store.apply(effect, sign, touched)
-
-    def _assemble_one(self, oid: Oid) -> Optional[Value]:
-        """The object's current stored value, or None when retracted."""
-        if self._store.presence.get(oid, 0) <= 0:
-            return None
-        ctype = self.target_schema.class_type(oid.class_name)
-        value, missing = assemble_target_value(
-            oid.class_name, oid, ctype, self._store.attributes_of(oid),
-            self._store.set_attributes_of(oid), self.defaults)
-        if value is None:
-            if self.validate:
-                raise ExecutionError(
-                    "incomplete transformation (the program does not "
-                    f"fully describe these objects): {oid}: missing "
-                    f"attributes {missing}")
-            return None
-        return value
-
-    def _assemble_all(self) -> Instance:
-        valuations: Dict[str, Dict[Oid, Value]] = {
-            cname: {} for cname in self.target_schema.class_names()}
-        incomplete: List[str] = []
-        for oid in sorted(self._store.presence, key=str):
-            ctype = self.target_schema.class_type(oid.class_name)
-            value, missing = assemble_target_value(
-                oid.class_name, oid, ctype, self._store.attributes_of(oid),
-                self._store.set_attributes_of(oid), self.defaults)
-            if value is None:
-                incomplete.append(f"{oid}: missing attributes {missing}")
-                continue
-            valuations[oid.class_name][oid] = value
-        if incomplete and self.validate:
-            raise ExecutionError(
-                "incomplete transformation (the program does not fully "
-                "describe these objects): " + "; ".join(incomplete))
-        return Instance(self.target_schema, valuations)
+        self._head_plans = [_HeadPlan(clause, target_schema)
+                            for clause in self.clauses]
+        class_type_of = _class_types(source.schema, target_schema)
+        self._reads = [ClauseReads(clause, class_type_of)
+                       for clause in self.clauses]
 
     # ------------------------------------------------------------------
     def apply_delta(self, delta: Delta) -> DeltaResult:
@@ -663,6 +521,51 @@ class IncrementalTransform:
         old_source = self.source
         removed_by_class, added_by_class, all_changed, changes = \
             _delta_prologue(delta, old_source)
+        # A clause with an unseedable member atom runs whole, on both
+        # sides, whenever it can observe the delta at all.  Decided
+        # here, not when a seeded join first gives up: that may be as
+        # late as phase 3 (an object gaining an unread reference to a
+        # changed one), when the pool no longer describes the old
+        # instance the retraction has to run over.
+        fallback = {
+            index for index, seeds in enumerate(self._seeds)
+            if any(seed.plan is None for seed in seeds)
+            and any(self._reads[index].observes(oid, changes[oid])
+                    for oid in all_changed)}
+        stats.clauses_recomputed = len(fallback)
+        seeded: Set[int] = set()
+        touched: Set[Oid] = set()
+
+        def propagate(instance: Instance, sign: int) -> int:
+            """Count ``sign`` for every binding over ``instance`` the
+            delta can affect; returns how many the seeds found.  The
+            scalar :func:`head_effects` feeds the store's signed
+            ``apply`` — unchecked, since a retraction later in the same
+            step may lift a transient conflict (``assemble`` reports
+            what is left)."""
+            matcher = Matcher(instance, index_pool=self.plan.pool)
+            cache: Dict[Oid, Set[Oid]] = {}
+            found = 0
+            for index, clause in enumerate(self.clauses):
+                if index in fallback:
+                    join_plan = self.plan.plan_for(clause)
+                    bindings = matcher.solutions(
+                        clause.body, plan=join_plan and join_plan.steps)
+                else:  # every seed it can reach has a plan: never None
+                    bindings = seeded_solutions(
+                        matcher, self._seeds[index], _pruned_seed_groups(
+                            self._reads[index], all_changed, changes,
+                            self.source_rev, cache), stats)
+                    found += len(bindings)
+                    if bindings:
+                        seeded.add(index)
+                label = clause.name or str(clause)
+                for binding in bindings:
+                    for effect in head_effects(self._head_plans[index],
+                                               binding, instance, label):
+                        touched.add(effect[1])
+                        self.store.apply(effect, sign)
+            return found
 
         # Phase 1 — retracted bindings, enumerated over the *old*
         # instance.  Both phases seed each clause from the changed oids
@@ -674,24 +577,7 @@ class IncrementalTransform:
         # retract-then-rederive makes the over-approximation harmless.
         removal_seeds = _group_by_class(
             self.source_rev.closure(all_changed))
-        cache_old: Dict[Oid, Set[Oid]] = {}
-        removals: Dict[int, List[List[Effect]]] = {}
-        fallback: Set[int] = set()
-        matcher_old = Matcher(old_source, index_pool=self.plan.pool)
-        for index, clause in enumerate(self.clauses):
-            label = clause.name or str(clause)
-            bindings = seeded_solutions(
-                matcher_old, self._seeds[index],
-                self._clause_seeds(index, all_changed, changes,
-                                   self.source_rev, cache_old), stats)
-            if bindings is None:
-                fallback.add(index)
-                continue
-            if bindings:
-                removals[index] = [
-                    head_effects(self._head_plans[index], binding,
-                                 old_source, label)
-                    for binding in bindings]
+        stats.bindings_removed = propagate(old_source, -1)
 
         # Phase 2 — swap in the updated instance; maintain the referrer
         # relation and patch the shared index pool in place (the seed
@@ -716,55 +602,11 @@ class IncrementalTransform:
         stats.indexes_maintained += maintained
         stats.indexes_rebuilt += rebuilt
 
-        # Phase 3 — bindings over the new instance, then commit.
-        matcher_new = Matcher(new_source, index_pool=self.plan.pool)
-        cache_new: Dict[Oid, Set[Oid]] = {}
-        additions: Dict[int, List[List[Effect]]] = {}
-        for index, clause in enumerate(self.clauses):
-            if index in fallback:
-                continue
-            label = clause.name or str(clause)
-            bindings = seeded_solutions(
-                matcher_new, self._seeds[index],
-                self._clause_seeds(index, all_changed, changes,
-                                   self.source_rev, cache_new), stats)
-            if bindings is None:
-                fallback.add(index)
-                continue
-            if bindings:
-                additions[index] = [
-                    head_effects(self._head_plans[index], binding,
-                                 new_source, label)
-                    for binding in bindings]
-
-        touched: Set[Oid] = set()
-        for index, effect_lists in removals.items():
-            if index in fallback:
-                continue
-            stats.bindings_removed += len(effect_lists)
-            for effects in effect_lists:
-                self._record(index, effects, -1, touched)
-        for index, effect_lists in additions.items():
-            if index in fallback:
-                continue
-            stats.bindings_added += len(effect_lists)
-            for effects in effect_lists:
-                self._record(index, effects, +1, touched)
-        for index in sorted(fallback):
-            stats.clauses_recomputed += 1
-            for effect, count in list(self.clause_effects[index].items()):
-                for _ in range(count):
-                    self._store.apply(effect, -1, touched)
-            self.clause_effects[index] = {}
-            self._run_clause_full(index, matcher_new, new_source, touched)
-        for index in range(len(self.clauses)):
-            if index in fallback:
-                continue
-            if index in removals or index in additions:
-                stats.clauses_seeded += 1
-            else:
-                stats.clauses_skipped += 1
-
+        # Phase 3 — bindings over the new instance, then re-assemble.
+        stats.bindings_added = propagate(new_source, +1)
+        stats.clauses_seeded = len(seeded)
+        stats.clauses_skipped = (len(self.clauses) - len(seeded)
+                                 - len(fallback))
         self.target = self._refreeze(touched, stats)
         return self.target
 
@@ -784,7 +626,12 @@ class IncrementalTransform:
         changed: List[Tuple[Oid, Optional[Value], Optional[Value]]] = []
         for oid in sorted(touched, key=str):
             old_value = valuations[oid.class_name].get(oid)
-            new_value = self._assemble_one(oid)
+            new_value, missing = self.store.assemble(oid, self.defaults)
+            if missing and self.validate:
+                raise ExecutionError(
+                    "incomplete transformation (the program does not "
+                    f"fully describe these objects): {oid}: missing "
+                    f"attributes {missing}")
             if new_value == old_value:
                 continue
             changed.append((oid, old_value, new_value))
@@ -885,11 +732,7 @@ class IncrementalAudit:
                       if isinstance(atom, MemberAtom))
             for clause in self.constraints]
 
-        def class_type_of(cname: str):
-            if instance.schema.has_class(cname):
-                return instance.schema.class_type(cname)
-            return None
-
+        class_type_of = _class_types(instance.schema)
         self._reads = [ClauseReads(clause, class_type_of)
                        for clause in self.constraints]
         self._violations: List[Dict[frozenset, Violation]] = []

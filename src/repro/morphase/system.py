@@ -296,12 +296,13 @@ class Morphase:
                           defaults=None):
         """Start an incremental transformation session.
 
-        Runs the compiled program once (planned, recording per-clause
-        effect counts) and returns an
-        :class:`~repro.engine.incremental.IncrementalTransform` whose
-        ``target`` tracks the source under :meth:`apply_delta` — the
-        change-propagation mode the paper's Section 6 envisions for
-        transformations in front of evolving databases.
+        Runs the compiled program once — the same production pass as
+        :meth:`transform`, raising what it raises — and returns an
+        :class:`~repro.engine.incremental.IncrementalTransform` that
+        keeps the pass's counted store and whose ``target`` tracks the
+        source under :meth:`apply_delta` — the change-propagation mode
+        the paper's Section 6 envisions for transformations in front
+        of evolving databases.
         """
         from ..engine.incremental import IncrementalTransform
         self._ensure_preflight()

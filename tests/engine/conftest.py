@@ -7,7 +7,7 @@ from typing import List
 import pytest
 
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
-from repro.engine import execute
+from repro.engine import IncrementalTransform, execute
 from repro.model.instance import Instance
 from repro.morphase import Morphase
 from repro.oracle import naive_execute
@@ -15,27 +15,37 @@ from repro.semantics import merge_instances
 from repro.workloads import cities, genome, relibase
 
 
+def _session_start(program, source, target_schema, **kwargs):
+    """Production as a session: the third leg of ``_execute_both``."""
+    session = IncrementalTransform(program, source, target_schema, **kwargs)
+    return session.target, session.stats
+
+
 def _execute_both(program, source, target_schema, **kwargs):
-    """``execute`` (production) and ``naive_execute`` (the oracle) over
-    the same program: equal valuations and effect counters, or the same
-    exception type and message.  Returns (or re-raises) production's
-    outcome, so a test reads exactly as if it had called ``execute``."""
+    """``execute`` (production), ``naive_execute`` (the oracle) and
+    ``IncrementalTransform`` (production as a session start) over the
+    same program: equal valuations and effect counters, or the same
+    exception type and message.  Returns
+    (or re-raises) production's outcome, so a test reads exactly as if
+    it had called ``execute``."""
     outcomes = []
-    for run in (execute, naive_execute):
+    for run in (execute, naive_execute, _session_start):
         try:
             outcomes.append(run(program, source, target_schema, **kwargs))
         except Exception as exc:  # noqa: BLE001 - compared, then re-raised
             outcomes.append(exc)
-    planned, naive = outcomes
-    if isinstance(planned, Exception) or isinstance(naive, Exception):
-        assert type(planned) is type(naive), (planned, naive)
-        assert str(planned) == str(naive)
+    planned = outcomes[0]
+    if any(isinstance(outcome, Exception) for outcome in outcomes):
+        for other in outcomes[1:]:
+            assert type(planned) is type(other), outcomes
+            assert str(planned) == str(other)
         raise planned
-    (target, stats), (naive_target, naive_stats) = planned, naive
-    assert target.valuations == naive_target.valuations
-    for counter in ("clauses_run", "bindings_found", "objects_created",
-                    "attributes_set"):
-        assert getattr(stats, counter) == getattr(naive_stats, counter)
+    target, stats = planned
+    for other_target, other_stats in outcomes[1:]:
+        assert target.valuations == other_target.valuations
+        for counter in ("clauses_run", "bindings_found", "objects_created",
+                        "attributes_set"):
+            assert getattr(stats, counter) == getattr(other_stats, counter)
     return target, stats
 
 

@@ -224,6 +224,25 @@ class TestRunAgainstFilledStore:
         assert target.class_sizes() == {"Out": 3}
 
 
+class TestDanglingTargetReference:
+    def test_never_created_peer_is_ill_formed_on_every_leg(self,
+                                                           execute_both):
+        """``X.peer = Mk_Peer(N)`` with no clause creating ``Peer``:
+        batch, oracle and session start all wrap the instance error
+        (regression: the session start let a bare ``InstanceError``
+        escape, so ``begin_incremental`` and ``transform`` disagreed)."""
+        target_schema = Schema.of(
+            "Tgt", Out=record(name=STR, peer=ClassType("Peer")),
+            Peer=record(name=STR))
+        prog = program(
+            "T: X in Out, X = Mk_Out(N), X.name = N, X.peer = Mk_Peer(N)"
+            " <= I in Item, N = I.name;", classes=("Item", "Out", "Peer"))
+        with pytest.raises(ExecutionError) as info:
+            execute_both(prog, source(), target_schema)
+        assert str(info.value).startswith(
+            "transformation produced an ill-formed instance:")
+
+
 class TestEmptyExtents:
     def test_whole_program_over_empty_classes(self, execute_both,
                                               warehouses):

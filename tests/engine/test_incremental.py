@@ -14,11 +14,13 @@ import pytest
 
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
 from repro.constraints.audit import audit_constraints
-from repro.engine import (ExecutionError, IncrementalAudit,
-                          IncrementalTransform, ReverseIndex)
+from repro.engine import (ExecutionError, Executor, IncrementalAudit,
+                          IncrementalTransform, ReverseIndex, execute)
 from repro.evolution.delta import Delta, delta_between
 from repro.io.json_io import instance_to_json
-from repro.model import Record, WolSet, parse_schema
+from repro.lang import parse_program
+from repro.model import (INT, STR, ClassType, Record, Schema, WolSet,
+                         parse_schema, record, set_of)
 from repro.model.instance import InstanceBuilder
 from repro.model.values import Oid
 from repro.morphase import Morphase
@@ -45,6 +47,22 @@ def genome_source(genome_morphase):
     database = genome.generate_acedb(genes=40, sequences=80, clones=80,
                                      sparsity=0.9, seed=5)
     return genome_morphase._merge_sources(genome.source_instance(database))
+
+
+def counted_state(store):
+    """Create count and per-value / per-element counts of every object."""
+    return {oid: (pending.creates, pending.attributes,
+                  pending.set_attributes)
+            for oid, pending in store.objects.items()}
+
+
+def assert_counts_equal_fresh_run(state):
+    """Production under deltas == production from scratch, as a property
+    of the one store: a count that drifted shows here at once, in the
+    target bytes only when a later retraction trips over it."""
+    fresh = Executor(state.source, state.target_schema)
+    fresh.run_program(state.clauses)
+    assert counted_state(state.store) == counted_state(fresh.store)
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +230,7 @@ class TestIncrementalTransformGenome:
         assert (json.dumps(instance_to_json(result.target),
                            sort_keys=True)
                 == json.dumps(instance_to_json(oracle), sort_keys=True))
+        assert_counts_equal_fresh_run(state)
         return result
 
     def test_initial_state_matches_batch(self, genome_morphase,
@@ -414,6 +433,7 @@ class TestIncrementalTransformOtherWorkloads:
         result = state.apply_delta(delta)
         oracle = m.transform(state.source).target
         assert result.target.valuations == oracle.valuations
+        assert_counts_equal_fresh_run(state)
 
     def test_synthetic_wide_differential(self):
         width, items = 6, 40
@@ -435,6 +455,118 @@ class TestIncrementalTransformOtherWorkloads:
         oracle = m.transform(state.source).target
         assert result.target.valuations == oracle.valuations
         assert result.stats.clauses_recomputed == 0
+        assert_counts_equal_fresh_run(state)
+
+
+class TestUnseedableClauseFallback:
+    """``L.item in Item`` is a member atom no seed oid can be unified
+    into, so the clause has no seeded plan for ``Item`` and runs whole —
+    retracted over the old instance, re-derived over the new — whenever
+    it can observe the delta."""
+
+    SOURCE = Schema.of(
+        "Src",
+        Item=record(name=STR, rank=INT, via=set_of(ClassType("Link"))),
+        Link=record(label=STR, item=ClassType("Item")))
+    TARGET = Schema.of("Tgt", Out=record(name=STR, rank=INT))
+    PROGRAM = parse_program(
+        "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
+        " <= L in Link, L.item in Item, N = L.item.name, R = L.item.rank;",
+        classes=["Item", "Link", "Out"])
+
+    def session(self):
+        builder = InstanceBuilder(self.SOURCE)
+        items = [builder.new("Item", Record.of(name=name, rank=rank,
+                                               via=WolSet.of()))
+                 for name, rank in (("a", 1), ("b", 2), ("c", 3))]
+        links = [builder.new("Link", Record.of(label=f"l{n}", item=item))
+                 for n, item in enumerate(items[:2])]
+        state = IncrementalTransform(self.PROGRAM, builder.freeze(),
+                                     self.TARGET)
+        assert [seed.plan is None for seed in state._seeds[0]] \
+            == [False, True]
+        return state, items, links
+
+    def check(self, state, delta):
+        result = state.apply_delta(delta)
+        oracle, _ = execute(self.PROGRAM, state.source, self.TARGET)
+        assert (json.dumps(instance_to_json(result.target), sort_keys=True)
+                == json.dumps(instance_to_json(oracle), sort_keys=True))
+        assert_counts_equal_fresh_run(state)
+        assert result.stats.clauses_recomputed >= 1
+        return result
+
+    def item(self, name, rank):
+        return Record.of(name=name, rank=rank, via=WolSet.of())
+
+    def test_insert(self):
+        state, items, _ = self.session()
+        item, link = Oid.fresh("Item"), Oid.fresh("Link")
+        result = self.check(state, Delta(inserts={
+            "Item": {item: self.item("d", 4)},
+            "Link": {link: Record.of(label="l9", item=item)}}))
+        assert result.target.class_sizes() == {"Out": 3}
+
+    def test_update_through_the_reference(self):
+        # No Link changes; the clause reads Item.rank through L.item.
+        state, items, _ = self.session()
+        result = self.check(state, Delta(updates={
+            "Item": {items[0]: self.item("a", 10)}}))
+        assert sorted(result.target.attribute(oid, "rank")
+                      for oid in result.target.objects_of("Out")) == [2, 10]
+
+    def test_delete(self):
+        state, _, links = self.session()
+        result = self.check(state, Delta(deletes={"Link": (links[0],)}))
+        assert result.target.class_sizes() == {"Out": 1}
+
+    def test_chained_mixed_deltas(self):
+        state, items, links = self.session()
+        link = Oid.fresh("Link")
+        self.check(state, Delta(
+            inserts={"Link": {link: Record.of(label="l2", item=items[2])}},
+            updates={"Item": {items[1]: self.item("b2", 2)}},
+            deletes={"Link": (links[0],)}))
+        self.check(state, Delta(
+            updates={"Link": {link: Record.of(label="l2", item=items[0])}}))
+        self.check(state, Delta(deletes={"Link": (link, links[1])}))
+        assert state.target.size() == 0
+
+    def test_unobserved_change_skips_the_clause(self):
+        state, _, links = self.session()
+        result = state.apply_delta(Delta(updates={
+            "Link": {links[0]: state.source.value_of(
+                links[0]).with_field("label", "renamed")}}))
+        assert result.stats.clauses_recomputed == 0
+        assert result.stats.clauses_skipped == 1
+        assert_counts_equal_fresh_run(state)
+
+    def test_phase_3_only_unseedability(self):
+        """A Link the clause reads is re-pointed while an Item gains a
+        reference to it through ``via``, which the clause never reads:
+        over the old instance the Link's referrer closure holds no Item
+        (a seeded join would answer), over the new one it does (it
+        cannot) — and by then the pool has been rebased, so the whole
+        clause must have been retracted over the old instance already."""
+        state, items, links = self.session()
+        self.check(state, Delta(updates={
+            "Link": {links[0]: Record.of(label="l0", item=items[2])},
+            "Item": {items[1]: state.source.value_of(
+                items[1]).with_field("via", WolSet.of(links[0]))}}))
+
+    def test_induced_conflict_spends_the_session(self):
+        # A second Link reaching an Item named "a" with another rank.
+        state, items, _ = self.session()
+        delta = Delta(
+            inserts={"Link": {Oid.fresh("Link"): Record.of(
+                label="l2", item=items[2])}},
+            updates={"Item": {items[2]: self.item("a", 3)}})
+        with pytest.raises(ExecutionError, match="not functional"):
+            execute(self.PROGRAM, delta.apply_to(state.source), self.TARGET)
+        with pytest.raises(ExecutionError, match="not functional"):
+            state.apply_delta(delta)
+        with pytest.raises(ExecutionError, match="spent"):
+            state.apply_delta(Delta())
 
 
 # ----------------------------------------------------------------------
