@@ -148,7 +148,7 @@ def main() -> int:
     session.close()
     recovered = morphase.open_store(store_dir)
     print(f"recovered store: seq {recovered.seq}, "
-          f"{len(recovered.tail)} WAL record(s) replayed")
+          f"{recovered.seq - recovered.base_seq} WAL record(s) replayed")
     warm = morphase.serve(recovered)
     if dumps(warm.target) != dumps(cold):
         print("MISMATCH: recovered warm target != cold oracle")

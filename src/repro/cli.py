@@ -498,7 +498,7 @@ def _cmd_snapshot(args) -> int:
     from .store.store import WarehouseStore
     if WarehouseStore.exists(args.store):
         store = WarehouseStore.open(args.store)
-        subsumed = len(store.tail)
+        subsumed = store.seq - store.base_seq
         name = store.snapshot()
         action = f"compacted ({subsumed} WAL record(s) subsumed)"
     else:

@@ -31,7 +31,9 @@ slow step never forces a whole clause off the vectorized path.
 Terms are compiled once per plan into column evaluators; a failed
 per-row evaluation (the scalar path's :class:`EvalError`) marks the row
 :data:`~repro.semantics.columns.MISSING` and the consuming stage drops
-it, mirroring ``Matcher._try_eval``.
+it, mirroring ``Matcher._try_eval``.  Stages take the matcher they run
+against and keep no state between calls, so one compilation serves any
+instance of the schema (the incremental engine compiles once a session).
 
 Stages and plan steps are one-to-one, and each step mode has one
 general stage: Skolem terms differ only where their *meaning* does
@@ -52,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..lang.ast import (Const, EqAtom, InAtom, LtAtom, MemberAtom, NeqAtom,
                         Proj, RecordTerm, SkolemTerm, Term, Var, VariantTerm)
 from ..model.instance import InstanceError
+from ..model.schema import Schema
 from ..model.types import ClassType, ListType, RecordType, SetType
 from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
 from ..obs.trace import current_span
@@ -66,8 +69,15 @@ from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
 
-#: A compiled stage: ``(columns, row_count) -> (columns, row_count)``.
-Stage = Callable[[Columns, int], Tuple[Columns, int]]
+#: A compiled column evaluator: ``(matcher, columns, count) -> values``.
+Evaluator = Callable[[Matcher, Columns, int], List[Value]]
+
+#: A compiled stage: ``(matcher, columns, count) -> (columns, count)``.
+Stage = Callable[[Matcher, Columns, int], Tuple[Columns, int]]
+
+#: What :func:`compile_steps` returns: ``(stages, names, retains)``.
+CompiledPlan = Tuple[List[Tuple[bool, Stage]], Tuple[str, ...],
+                     List[Optional[frozenset]]]
 
 #: Hidden-column prefix: a scan that binds variable ``X`` also emits
 #: ``\0row\0X`` holding each oid's raw :class:`ColumnStore` row, so
@@ -136,9 +146,8 @@ def step_vectorizable(step: PlanStep) -> bool:
 # Term compilation: Term -> column evaluator
 # ----------------------------------------------------------------------
 
-def compile_term(term: Term, matcher: Matcher,
-                 var_class: Optional[Dict[str, str]] = None
-                 ) -> Callable[[Columns, int], List[Value]]:
+def compile_term(term: Term,
+                 var_class: Optional[Dict[str, str]] = None) -> Evaluator:
     """Compile ``term`` into a whole-column evaluator.
 
     Rows that fail to evaluate (the scalar path's ``EvalError``) come
@@ -150,27 +159,29 @@ def compile_term(term: Term, matcher: Matcher,
         var_class = {}
     if isinstance(term, Var):
         name = term.name
-        return lambda columns, count: columns[name]
+        return lambda matcher, columns, count: columns[name]
     if isinstance(term, Const):
         value = term.value
-        return lambda columns, count: [value] * count
+        return lambda matcher, columns, count: [value] * count
     if isinstance(term, Proj):
-        return _compile_proj(term, matcher, var_class)
+        return _compile_proj(term, var_class)
     if isinstance(term, VariantTerm):
-        payload = compile_term(term.payload, matcher, var_class)
+        payload = compile_term(term.payload, var_class)
         label = term.label
 
-        def variant_column(columns: Columns, count: int) -> List[Value]:
+        def variant_column(matcher: Matcher, columns: Columns,
+                           count: int) -> List[Value]:
             return [MISSING if value is MISSING else Variant(label, value)
-                    for value in payload(columns, count)]
+                    for value in payload(matcher, columns, count)]
         return variant_column
     if isinstance(term, RecordTerm):
         labels = tuple(label for label, _ in term.fields)
-        parts = tuple(compile_term(sub, matcher, var_class)
+        parts = tuple(compile_term(sub, var_class)
                       for _, sub in term.fields)
 
-        def record_column(columns: Columns, count: int) -> List[Value]:
-            evaluated = [part(columns, count) for part in parts]
+        def record_column(matcher: Matcher, columns: Columns,
+                          count: int) -> List[Value]:
+            evaluated = [part(matcher, columns, count) for part in parts]
             out: List[Value] = []
             for row in range(count):
                 values = tuple(column[row] for column in evaluated)
@@ -182,30 +193,31 @@ def compile_term(term: Term, matcher: Matcher,
         return record_column
     if isinstance(term, SkolemTerm):
         labels = tuple(label for label, _ in term.args)
-        parts = tuple(compile_term(sub, matcher, var_class)
-                      for _, sub in term.args)
+        parts = tuple(compile_term(sub, var_class) for _, sub in term.args)
         class_name = term.class_name
         # The key packing rule (``skolem_key``) depends only on the
         # argument shape — resolve it once per compiled term.
         if not parts:
             constant = Oid.keyed(class_name, skolem_key(class_name, ()))
-            return lambda columns, count: [constant] * count
+            return lambda matcher, columns, count: [constant] * count
         if labels[0] is None and len(parts) == 1:
             single = parts[0]
             mint = Oid.keyed_unchecked
-            # Interning minted identities matters beyond saving the
-            # constructor call: in-generate steps fan each source row
-            # out over collection elements, so identity columns are
-            # full of duplicate keys.  Handing every duplicate the
-            # same object keeps its hash cached, which is what makes
-            # the pending-store probes in the head phase cheap.
-            interned: Dict[Value, Oid] = {}
 
-            def skolem_single(columns: Columns, count: int) -> List[Value]:
+            def skolem_single(matcher: Matcher, columns: Columns,
+                              count: int) -> List[Value]:
+                # Interning minted identities matters beyond saving the
+                # constructor call: in-generate steps fan each source
+                # row out over collection elements, so identity columns
+                # are full of duplicate keys.  Handing every duplicate
+                # the same object keeps its hash cached, which is what
+                # makes the pending-store probes in the head phase
+                # cheap.  Per call: a compiled term keeps no identities.
+                interned: Dict[Value, Oid] = {}
                 cached = interned.get
                 out: List[Value] = []
                 append = out.append
-                for value in single(columns, count):
+                for value in single(matcher, columns, count):
                     if value is MISSING:
                         append(MISSING)
                         continue
@@ -223,8 +235,10 @@ def compile_term(term: Term, matcher: Matcher,
         if len(set(key_labels)) != len(key_labels):
             # Duplicate key labels: defer to skolem_key's validation
             # row by row (the scalar behaviour).
-            def skolem_generic(columns: Columns, count: int) -> List[Value]:
-                evaluated = [part(columns, count) for part in parts]
+            def skolem_generic(matcher: Matcher, columns: Columns,
+                               count: int) -> List[Value]:
+                evaluated = [part(matcher, columns, count)
+                             for part in parts]
                 out: List[Value] = []
                 for row in range(count):
                     values = tuple(column[row] for column in evaluated)
@@ -241,13 +255,15 @@ def compile_term(term: Term, matcher: Matcher,
         sorted_labels = tuple(key_labels[i] for i in order)
         presorted = Record.presorted
         mint = Oid.keyed_unchecked
-        interned_keys: Dict[Tuple[Value, ...], Oid] = {}
 
-        def skolem_column(columns: Columns, count: int) -> List[Value]:
+        def skolem_column(matcher: Matcher, columns: Columns,
+                          count: int) -> List[Value]:
+            interned_keys: Dict[Tuple[Value, ...], Oid] = {}
             cached = interned_keys.get
             out: List[Value] = []
             append = out.append
-            for values in zip(*[parts[i](columns, count) for i in order]):
+            for values in zip(*[parts[i](matcher, columns, count)
+                                for i in order]):
                 if MISSING in values:
                     append(MISSING)
                     continue
@@ -262,9 +278,7 @@ def compile_term(term: Term, matcher: Matcher,
     raise NotImplementedError(f"cannot compile term {term!r}")
 
 
-def _compile_proj(term: Proj, matcher: Matcher,
-                  var_class: Dict[str, str]
-                  ) -> Callable[[Columns, int], List[Value]]:
+def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
     attr = term.attr
     subject = term.subject
     if isinstance(subject, Var) and subject.name in var_class:
@@ -274,9 +288,10 @@ def _compile_proj(term: Proj, matcher: Matcher,
         class_name = var_class[subject.name]
         name = subject.name
         row_name = _ROW_PREFIX + name
-        store = matcher.columns()
 
-        def gather(columns: Columns, count: int) -> List[Value]:
+        def gather(matcher: Matcher, columns: Columns,
+                   count: int) -> List[Value]:
+            store = matcher.columns()
             column = store.scalar_column(class_name, attr)
             rows = columns.get(row_name)
             if rows is not None:
@@ -292,14 +307,14 @@ def _compile_proj(term: Proj, matcher: Matcher,
             return out
         return gather
 
-    inner = compile_term(subject, matcher, var_class)
-    instance = matcher.instance
+    inner = compile_term(subject, var_class)
 
-    def project_column(columns: Columns, count: int) -> List[Value]:
+    def project_column(matcher: Matcher, columns: Columns,
+                       count: int) -> List[Value]:
         out: List[Value] = []
         append = out.append
-        value_of = instance.value_of
-        for value in inner(columns, count):
+        value_of = matcher.instance.value_of
+        for value in inner(matcher, columns, count):
             if value is MISSING:
                 append(MISSING)
                 continue
@@ -329,7 +344,7 @@ def _take(columns: Columns, keep: List[int], count: int
              for name, column in columns.items()}, len(keep))
 
 
-def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
+def _scan_stage(step: PlanStep) -> Stage:
     atom = step.atom
     assert isinstance(atom, MemberAtom) and isinstance(atom.element, Var)
     class_name = atom.class_name
@@ -337,7 +352,8 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
 
     row_name = _ROW_PREFIX + name
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
         store = matcher.columns()
         extent = store.extent(class_name)
         rows = store.extent_rows(class_name)
@@ -356,23 +372,23 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
     return stage
 
 
-def _index_stage(matcher: Matcher, step: PlanStep,
-                 var_class: Dict[str, str]) -> Stage:
+def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     atom = step.atom
     assert isinstance(atom, MemberAtom) and isinstance(atom.element, Var)
     class_name = atom.class_name
     name = atom.element.name
     path = step.selector_path
-    selector = compile_term(step.selector_term, matcher, var_class)
-    scan = _scan_stage(matcher, step)
+    selector = compile_term(step.selector_term, var_class)
+    scan = _scan_stage(step)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
         if not matcher.use_indexes:
-            return scan(columns, count)
+            return scan(matcher, columns, count)
         pool = matcher.pool
         index = pool.index_for(class_name, path)
         get = index.get
-        values = selector(columns, count)
+        values = selector(matcher, columns, count)
         keep: List[int] = []
         out_column: List[Value] = []
         lookups = hits = misses = 0
@@ -405,17 +421,17 @@ def _index_stage(matcher: Matcher, step: PlanStep,
     return stage
 
 
-def _member_test_stage(matcher: Matcher, step: PlanStep,
-                       var_class: Dict[str, str]) -> Stage:
+def _member_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     atom = step.atom
     assert isinstance(atom, MemberAtom)
     class_name = atom.class_name
-    element = compile_term(atom.element, matcher, var_class)
-    instance = matcher.instance
+    element = compile_term(atom.element, var_class)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        has = instance.has_object
-        keep = [row for row, value in enumerate(element(columns, count))
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        has = matcher.instance.has_object
+        values = element(matcher, columns, count)
+        keep = [row for row, value in enumerate(values)
                 if isinstance(value, Oid)
                 and value.class_name == class_name and has(value)]
         return _take(columns, keep, count)
@@ -433,8 +449,20 @@ def _elements_of(value: Value, attr: str) -> Sequence[Value]:
     return ()
 
 
-def _in_generate_stage(matcher: Matcher, step: PlanStep,
-                       var_class: Dict[str, str],
+def _generated(columns: Columns, count: int, keep: List[int], name: str,
+               elements: List[Value]) -> Tuple[Columns, int]:
+    """A generator's output batch: row ``keep[i]`` with ``name`` bound
+    to ``elements[i]``."""
+    if len(keep) == count and keep == list(range(count)):
+        out = dict(columns)  # every row kept exactly once
+    else:
+        out = {variable: [column[row] for row in keep]
+               for variable, column in columns.items()}
+    out[name] = elements
+    return out, len(elements)
+
+
+def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
                        var_collection: Dict[str, Tuple[str, str]]) -> Stage:
     atom = step.atom
     assert isinstance(atom, InAtom) and isinstance(atom.element, Var)
@@ -462,7 +490,8 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
             class_name = var_class[subject]
             row_name = _ROW_PREFIX + subject
 
-            def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
+            def stage(matcher: Matcher, columns: Columns,
+                      count: int) -> Tuple[Columns, int]:
                 store = matcher.columns()
                 column = store._set_column(class_name, attr)
                 values = column.values
@@ -472,41 +501,27 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 extend_keep = keep.extend
                 out_column: List[Value] = []
                 extend_out = out_column.extend
+                # Integer-indexed when the subject column carries its
+                # raw store rows (bound by a scan or index stage).
                 subject_rows = columns.get(row_name)
-                if subject_rows is not None:
-                    # Integer-indexed: the subject column carries its
-                    # raw store rows (bound by a scan or index stage).
-                    for row, at in enumerate(subject_rows):
-                        length = lengths[at]
-                        if not length:
-                            continue
-                        start = starts[at]
-                        extend_out(values[start:start + length])
-                        extend_keep(repeat(row, length))
-                else:
+                if subject_rows is None:
                     rows_get = store.row_map(class_name).get
-                    for row, oid in enumerate(columns[subject]):
-                        at = rows_get(oid)
-                        if at is None:
-                            continue
-                        length = lengths[at]
-                        if not length:
-                            continue
-                        start = starts[at]
-                        extend_out(values[start:start + length])
-                        extend_keep(repeat(row, length))
-                if len(keep) == count and keep == list(range(count)):
-                    out = dict(columns)  # every row kept exactly once
-                else:
-                    out = {variable: [column[row] for row in keep]
-                           for variable, column in columns.items()}
-                out[name] = out_column
-                return out, len(out_column)
+                    subject_rows = [rows_get(oid) for oid in columns[subject]]
+                for row, at in enumerate(subject_rows):
+                    if at is None:
+                        continue
+                    length = lengths[at]
+                    if not length:
+                        continue
+                    start = starts[at]
+                    extend_out(values[start:start + length])
+                    extend_keep(repeat(row, length))
+                return _generated(columns, count, keep, name, out_column)
             return stage
 
-        def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-            store = matcher.columns()
-            slice_of = store.set_slice
+        def stage(matcher: Matcher, columns: Columns,
+                  count: int) -> Tuple[Columns, int]:
+            slice_of = matcher.columns().set_slice
             keep: List[int] = []
             out_column: List[Value] = []
             for row, value in enumerate(columns[subject]):
@@ -516,18 +531,13 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 for element in elements:
                     keep.append(row)
                     out_column.append(element)
-            if len(keep) == count and keep == list(range(count)):
-                out = dict(columns)
-            else:
-                out = {variable: [column[row] for row in keep]
-                       for variable, column in columns.items()}
-            out[name] = out_column
-            return out, len(out_column)
+            return _generated(columns, count, keep, name, out_column)
         return stage
 
-    evaluator = compile_term(collection, matcher, var_class)
+    evaluator = compile_term(collection, var_class)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
         keep: List[int] = []
         out_column: List[Value] = []
         # Cross-products repeat collection values across rows; order
@@ -535,7 +545,7 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
         # the evaluated column keeps every value alive for the whole
         # stage call.
         ordered_cache: Dict[int, List[Value]] = {}
-        values = evaluator(columns, count)
+        values = evaluator(matcher, columns, count)
         for row, value in enumerate(values):
             if isinstance(value, (WolSet, WolList)):
                 elements = ordered_cache.get(id(value))
@@ -545,26 +555,20 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 for element in elements:
                     keep.append(row)
                     out_column.append(element)
-        if len(keep) == count and keep == list(range(count)):
-            out = dict(columns)
-        else:
-            out = {variable: [column[row] for row in keep]
-                   for variable, column in columns.items()}
-        out[name] = out_column
-        return out, len(out_column)
+        return _generated(columns, count, keep, name, out_column)
     return stage
 
 
-def _in_test_stage(matcher: Matcher, step: PlanStep,
-                   var_class: Dict[str, str]) -> Stage:
+def _in_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     atom = step.atom
     assert isinstance(atom, InAtom)
-    collection = compile_term(atom.collection, matcher, var_class)
-    element = compile_term(atom.element, matcher, var_class)
+    collection = compile_term(atom.collection, var_class)
+    element = compile_term(atom.element, var_class)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        collections = collection(columns, count)
-        values = element(columns, count)
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        collections = collection(matcher, columns, count)
+        values = element(matcher, columns, count)
         # ``in`` hits WolSet's hash-based __contains__ — the linear
         # equality scan it replaces is what the scalar path does, with
         # the same equality relation, so the kept rows are identical.
@@ -575,14 +579,14 @@ def _in_test_stage(matcher: Matcher, step: PlanStep,
     return stage
 
 
-def _eq_bind_stage(matcher: Matcher, step: PlanStep,
-                   var_class: Dict[str, str]) -> Stage:
+def _eq_bind_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     assert isinstance(step.pattern_term, Var)
     name = step.pattern_term.name
-    evaluator = compile_term(step.eval_term, matcher, var_class)
+    evaluator = compile_term(step.eval_term, var_class)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        values = evaluator(columns, count)
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        values = evaluator(matcher, columns, count)
         keep = [row for row, value in enumerate(values)
                 if value is not MISSING]
         if len(keep) == count:
@@ -596,16 +600,16 @@ def _eq_bind_stage(matcher: Matcher, step: PlanStep,
     return stage
 
 
-def _eq_test_stage(matcher: Matcher, step: PlanStep,
-                   var_class: Dict[str, str]) -> Stage:
+def _eq_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     atom = step.atom
     assert isinstance(atom, EqAtom)
-    left = compile_term(atom.left, matcher, var_class)
-    right = compile_term(atom.right, matcher, var_class)
+    left = compile_term(atom.left, var_class)
+    right = compile_term(atom.right, var_class)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        lefts = left(columns, count)
-        rights = right(columns, count)
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        lefts = left(matcher, columns, count)
+        rights = right(matcher, columns, count)
         keep = [row for row in range(count)
                 if lefts[row] is not MISSING
                 and rights[row] is not MISSING
@@ -614,17 +618,17 @@ def _eq_test_stage(matcher: Matcher, step: PlanStep,
     return stage
 
 
-def _compare_stage(matcher: Matcher, step: PlanStep,
-                   var_class: Dict[str, str]) -> Stage:
+def _compare_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     atom = step.atom
-    left = compile_term(atom.left, matcher, var_class)
-    right = compile_term(atom.right, matcher, var_class)
+    left = compile_term(atom.left, var_class)
+    right = compile_term(atom.right, var_class)
     neq = isinstance(atom, NeqAtom)
     strict = isinstance(atom, LtAtom)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
-        lefts = left(columns, count)
-        rights = right(columns, count)
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        lefts = left(matcher, columns, count)
+        rights = right(matcher, columns, count)
         keep: List[int] = []
         for row in range(count):
             low, high = lefts[row], rights[row]
@@ -644,7 +648,7 @@ def _compare_stage(matcher: Matcher, step: PlanStep,
     return stage
 
 
-def _fallback_stage(matcher: Matcher, step: PlanStep) -> Stage:
+def _fallback_stage(step: PlanStep) -> Stage:
     """Row-at-a-time escape hatch: re-materialise each row as a binding
     dict, run the scalar ``_expand_step``, re-columnarise the output.
 
@@ -653,7 +657,8 @@ def _fallback_stage(matcher: Matcher, step: PlanStep) -> Stage:
     re-materialisation cost too."""
     binds = tuple(step.binds)
 
-    def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
+    def stage(matcher: Matcher, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
         expand = matcher._expand_step
         known = tuple(name for name in columns
                       if not name.startswith(_ROW_PREFIX))
@@ -691,13 +696,13 @@ _VECTOR_STAGES = {
 }
 
 
-def _element_class(matcher: Matcher, class_name: str,
+def _element_class(schema: Schema, class_name: str,
                    attr: str) -> Optional[str]:
     """The class of ``class_name.attr``'s collection elements, when the
     schema declares one — so a well-formed instance guarantees every
     stored element is a live oid of that class."""
     try:
-        ctype = matcher.instance.schema.class_type(class_name)
+        ctype = schema.class_type(class_name)
     except Exception:
         return None
     if not isinstance(ctype, RecordType) or not ctype.has_field(attr):
@@ -718,12 +723,11 @@ def _step_variables(step: PlanStep) -> frozenset:
     return out
 
 
-def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
+def compile_steps(schema: Schema, steps: Sequence[PlanStep],
                   initial_names: Tuple[str, ...],
-                  needed: Optional[frozenset] = None
-                  ) -> Tuple[List[Tuple[bool, Stage]], Tuple[str, ...],
-                             List[Optional[frozenset]]]:
-    """Compile a plan into batch stages.
+                  needed: Optional[frozenset] = None) -> CompiledPlan:
+    """Compile a plan into batch stages (reads only the plan and the
+    schema of the instances the stages will run over).
 
     Returns ``(stages, names, retains)``: per-step ``(vectorized,
     stage)`` pairs, the final column names in binding order, and — when
@@ -746,7 +750,7 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
         if step_vectorizable(step):
             mode = step.mode
             if mode == STEP_MEMBER_SCAN:
-                stage = _scan_stage(matcher, step)
+                stage = _scan_stage(step)
             elif mode == STEP_IN_GENERATE:
                 collection = step.atom.collection
                 if (isinstance(collection, Var)
@@ -756,13 +760,12 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
                     # ``_in_generate_stage``) — keep the subject live.
                     extra_reads = frozenset(
                         (var_collection[collection.name][0],))
-                stage = _in_generate_stage(matcher, step, var_class,
-                                           var_collection)
+                stage = _in_generate_stage(step, var_class, var_collection)
             else:
-                stage = _VECTOR_STAGES[mode](matcher, step, var_class)
+                stage = _VECTOR_STAGES[mode](step, var_class)
             stages.append((True, stage))
         else:
-            stages.append((False, _fallback_stage(matcher, step)))
+            stages.append((False, _fallback_stage(step)))
         reads.append(_step_variables(step) | extra_reads)
         atom = step.atom
         if isinstance(atom, MemberAtom) and isinstance(atom.element, Var):
@@ -784,7 +787,7 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
                 source_var = None
             if source_var is not None and source_var in var_class:
                 element_class = _element_class(
-                    matcher, var_class[source_var], source_attr)
+                    schema, var_class[source_var], source_attr)
                 if element_class is not None:
                     var_class[atom.element.name] = element_class
         if (step.mode == STEP_EQ_BIND
@@ -809,7 +812,8 @@ def compile_steps(matcher: Matcher, steps: Sequence[PlanStep],
 
 def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
                        columns: Columns, count: int, stats=None,
-                       needed: Optional[frozenset] = None
+                       needed: Optional[frozenset] = None,
+                       compiled: Optional[CompiledPlan] = None
                        ) -> Tuple[Tuple[str, ...], Columns, int]:
     """Run a plan over an initial batch; returns final names/columns.
 
@@ -820,10 +824,13 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
     With ``needed``, dead binding columns are dropped between stages
     (liveness filtering): the final batch holds only the columns the
     caller reads, so callers must index it by key, not by the full
-    ``names`` tuple.
+    ``names`` tuple.  ``compiled``: :func:`compile_steps`'s result
+    for these ``steps`` and initial names, else compiled here.
     """
-    stages, names, retains = compile_steps(
-        matcher, tuple(steps), tuple(columns), needed)
+    if compiled is None:
+        compiled = compile_steps(matcher.instance.schema, tuple(steps),
+                                 tuple(columns), needed)
+    stages, names, retains = compiled
     # One context-variable read decides whether per-step spans exist at
     # all — the untraced hot path keeps its original loop body.
     tracing = current_span() is not None
@@ -844,10 +851,10 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
                     f"{index + 1}. {step.mode} {step.atom}",
                     mode="vec" if vectorized else "fallback",
                     rows_in=count) as step_span:
-                columns, count = stage(columns, count)
+                columns, count = stage(matcher, columns, count)
                 step_span.set(rows_out=count)
         else:
-            columns, count = stage(columns, count)
+            columns, count = stage(matcher, columns, count)
         if retain is not None and not retain.issuperset(columns):
             prefix = _ROW_PREFIX
             cut = len(prefix)
@@ -871,15 +878,17 @@ def stream_plan_columnar(matcher: Matcher, steps: Sequence[PlanStep],
 
 
 def seeded_batch_columnar(matcher: Matcher, steps: Sequence[PlanStep],
-                          variable: str, oids: Sequence[Oid], stats=None):
+                          variable: str, oids: Sequence[Oid], stats=None,
+                          compiled: Optional[CompiledPlan] = None):
     """Binding iterator for a whole seed vector in one batch.
 
     Equivalent to running the seeded plan once per oid — batch rows
     stay grouped by seed oid in seed order, so downstream deduplication
-    sees bindings in the same order.
+    sees bindings in the same order.  ``compiled`` is the plan compiled
+    with ``(variable,)`` as its initial names.
     """
     columns: Columns = {variable: list(oids)}
     names, columns, count = run_steps_columnar(
-        matcher, steps, columns, len(oids), stats)
+        matcher, steps, columns, len(oids), stats, compiled=compiled)
     for row in range(count):
         yield {name: columns[name][row] for name in names}

@@ -353,7 +353,7 @@ class Executor:
 
         def evaluate_column(term: Term) -> Optional[List[Value]]:
             try:
-                column = compile_term(term, matcher, var_class)(local, count)
+                column = compile_term(term, var_class)(matcher, local, count)
             except NotImplementedError:
                 return None
             if MISSING in column:  # identity-first C scan, no genexpr

@@ -61,9 +61,10 @@ from ..model.instance import Instance
 from ..model.values import Oid, Value, ValueError_, check_value, oids_in
 from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
-from ..semantics.match import Matcher
+from ..semantics.match import IndexPool, Matcher
 from ..semantics.satisfaction import Violation, clause_violations
-from .columnar import seeded_batch_columnar
+from . import columnar
+from .columnar import CompiledPlan, seeded_batch_columnar
 from .executor import ExecutionError, Executor, _HeadPlan, head_effects
 from .planner import (AuditPlan, DeltaSeed, ProgramPlan, plan_audit,
                       plan_delta_seeds, plan_program)
@@ -319,7 +320,26 @@ def changed_attributes(delta: "Delta", old_instance: Instance
     return changes
 
 
+def _seeded_plans(clauses: Sequence[Clause], instance: Instance,
+                  pool: IndexPool
+                  ) -> Tuple[List[Tuple[DeltaSeed, ...]],
+                             List[Tuple[Optional[CompiledPlan], ...]]]:
+    """Per clause: its seeded plans and their batch stages, compiled
+    once per session.  Seeded variants may probe selectors the batch
+    plans never need; their indexes are built up front too."""
+    cardinalities = instance.class_sizes()
+    seeds = [plan_delta_seeds(clause, cardinalities) for clause in clauses]
+    pool.prebuild(sorted(
+        {key for per_clause in seeds for seed in per_clause
+         if seed.plan is not None for key in seed.plan.index_paths}))
+    stages = [tuple(None if seed.plan is None else columnar.compile_steps(
+        instance.schema, seed.plan.steps, (seed.variable,))
+        for seed in per_clause) for per_clause in seeds]
+    return seeds, stages
+
+
 def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
+                     stages: Sequence[Optional[CompiledPlan]],
                      seed_oids: Mapping[str, Sequence[Oid]],
                      counters: Optional["IncrementalStats"] = None
                      ) -> Optional[List[Binding]]:
@@ -332,8 +352,8 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
     be delta-joined exactly and the caller must recompute it fully.
 
     The whole seed vector of each member atom runs as one batch through
-    the vectorized stage compiler
-    (:func:`repro.engine.columnar.seeded_batch_columnar`); rows stay
+    its precompiled stages (``stages``, parallel to ``seeds``;
+    :func:`repro.engine.columnar.seeded_batch_columnar`); rows stay
     grouped by seed oid in seed order, so the deduplication keeps the
     first binding in per-seed order.
     """
@@ -343,7 +363,7 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
         return []
     bindings: List[Binding] = []
     keys: Set[frozenset] = set()
-    for seed, oids in relevant:
+    for (seed, oids), compiled in zip(relevant, stages):
         if not oids:
             continue
         if seed.plan is None:
@@ -351,7 +371,8 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
         if counters is not None:
             counters.seeds_probed += len(oids)
         for binding in seeded_batch_columnar(
-                matcher, seed.plan.steps, seed.variable, oids, counters):
+                matcher, seed.plan.steps, seed.variable, oids, counters,
+                compiled=compiled):
             key = frozenset(binding.items())
             if key not in keys:
                 keys.add(key)
@@ -465,16 +486,8 @@ class IncrementalTransform:
         self._poisoned: Optional[str] = None
 
         self.plan: ProgramPlan = plan_program(self.clauses, source)
-        cardinalities = source.class_sizes()
-        self._seeds: List[Tuple[DeltaSeed, ...]] = [
-            plan_delta_seeds(clause, cardinalities)
-            for clause in self.clauses]
-        # The seeded variants may probe selectors the batch plans never
-        # need (joins inverted around the seed); build their indexes up
-        # front so the first delta does not pay lazy builds mid-join.
-        self.plan.pool.prebuild(sorted(
-            {key for seeds in self._seeds for seed in seeds
-             if seed.plan is not None for key in seed.plan.index_paths}))
+        self._seeds, self._stages = _seeded_plans(self.clauses, source,
+                                                  self.plan.pool)
 
         executor = Executor(source, target_schema, self.plan.pool)
         executor.run_program(self.clauses, plan=self.plan)
@@ -553,7 +566,8 @@ class IncrementalTransform:
                         clause.body, plan=join_plan and join_plan.steps)
                 else:  # every seed it can reach has a plan: never None
                     bindings = seeded_solutions(
-                        matcher, self._seeds[index], _pruned_seed_groups(
+                        matcher, self._seeds[index], self._stages[index],
+                        _pruned_seed_groups(
                             self._reads[index], all_changed, changes,
                             self.source_rev, cache), stats)
                     found += len(bindings)
@@ -717,12 +731,8 @@ class IncrementalAudit:
         self.instance = instance
         self.constraints: List[Clause] = list(constraints)
         self.plan: AuditPlan = plan_audit(self.constraints, instance)
-        cardinalities = instance.class_sizes()
-        self._seeds = [plan_delta_seeds(clause, cardinalities)
-                       for clause in self.constraints]
-        self.plan.pool.prebuild(sorted(
-            {key for seeds in self._seeds for seed in seeds
-             if seed.plan is not None for key in seed.plan.index_paths}))
+        self._seeds, self._stages = _seeded_plans(
+            self.constraints, instance, self.plan.pool)
         self._body_vars = [
             frozenset().union(*(atom.variables() for atom in clause.body))
             if clause.body else frozenset()
@@ -812,7 +822,7 @@ class IncrementalAudit:
                 full_recheck.add(index)
                 continue
             bindings = seeded_solutions(
-                matcher_old, self._seeds[index],
+                matcher_old, self._seeds[index], self._stages[index],
                 _pruned_seed_groups(self._reads[index], all_changed,
                                     changes, rev, cache_old), stats)
             if bindings is None:
@@ -850,7 +860,7 @@ class IncrementalAudit:
             per_clause = self._violations[index]
             if index not in full_recheck:
                 bindings = seeded_solutions(
-                    matcher_new, self._seeds[index],
+                    matcher_new, self._seeds[index], self._stages[index],
                     _pruned_seed_groups(self._reads[index], all_changed,
                                         changes, rev, cache_new), stats)
                 if bindings is None:

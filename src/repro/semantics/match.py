@@ -189,7 +189,12 @@ class IndexPool:
                                               Sequence[Oid]]] = None,
                changed_attrs: Optional[Mapping[Oid, Optional[frozenset]]]
                = None) -> Tuple[int, int]:
-        """Point the pool at an updated instance, patching built indexes.
+        """Point the pool at an updated instance, patching built indexes
+        in place: each entry a listed oid reaches is rebuilt (a removal
+        keeps the order of the oids left, an addition appends, an
+        emptied entry is deleted), so the cost is per touched entry and
+        every index keeps its identity.  Nothing may read an index while
+        it is rebased.
 
         ``removed``/``added`` list, per class, the oids whose reachable
         value set may have changed: the old entries to retract
@@ -197,13 +202,11 @@ class IndexPool:
         the new entries to add.  For a delta this means the changed
         objects **plus their transitive referrers** on each side — an
         index path may dereference stored references, moving the entry
-        of an object the delta never names.  An object's reached values
-        depend only on objects reachable forward from it, so the
-        referrer closure bounds exactly the entries that can move; the
-        incremental engine (:mod:`repro.engine.incremental`) maintains
-        that closure anyway and passes it here.  Oids absent from an
-        instance contribute nothing on that side, so over-approximating
-        either set is harmless.
+        of an object the delta never names; the referrer closure (which
+        :mod:`repro.engine.incremental` maintains anyway) bounds exactly
+        the entries that can move.  Oids absent from an instance
+        contribute nothing on that side, so over-approximating either
+        set is harmless.
 
         ``strict_removed``/``strict_added`` optionally narrow the work
         for *local* paths (ones that never dereference another class):
@@ -238,22 +241,21 @@ class IndexPool:
                 added_here = added.get(class_name, ())
             if not removed_here and not added_here:
                 continue
-            patched: Dict[Value, List[Oid]] = {
-                value: list(oids) for value, oids in index.items()}
             for oid in removed_here:
                 for value in _reached_values(self.instance, oid, path):
-                    entry = patched.get(value)
+                    entry = index.get(value)
                     if entry is not None and oid in entry:
-                        entry.remove(oid)
-                        if not entry:
-                            del patched[value]
+                        kept = tuple(other for other in entry
+                                     if other != oid)
+                        if kept:
+                            index[value] = kept
+                        else:
+                            del index[value]
             for oid in added_here:
                 for value in _reached_values(new_instance, oid, path):
-                    entry = patched.setdefault(value, [])
+                    entry = index.get(value, ())
                     if oid not in entry:
-                        entry.append(oid)
-            self._indexes[(class_name, path)] = {
-                value: tuple(oids) for value, oids in patched.items()}
+                        index[value] = entry + (oid,)
             maintained += 1
         for key in dropped:
             del self._indexes[key]

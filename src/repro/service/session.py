@@ -7,11 +7,10 @@ normal form, the planned join orders, the shared index pool, the
 incremental transform state (target + per-clause effect counts) and
 the incremental audit state (the live violation set).
 
-Construction rebuilds warmth from durable state the cheap way: one
-batch run over the store's *snapshot* instance, then the recovered WAL
-tail re-applied through the incremental engine — each replayed delta
-patches the index pool via ``IndexPool.rebase`` instead of rebuilding
-indexes from scratch.
+Construction rebuilds warmth from durable state in one production pass
+over the instance the store recovered (snapshot plus WAL tail): a
+session's state after any deltas equals a fresh run over the same
+source, so no recovered delta is propagated twice.
 
 Writes group-commit: every ingested delta is individually durable (WAL
 append first), but a burst of deltas queued while a batch is applying
@@ -178,22 +177,17 @@ class WarehouseSession:
     def _attach_store(self, store: WarehouseStore) -> None:
         """Warm-rebuild this session's derived state over ``store``.
 
-        Batch-run once over the snapshot base, then drive the
-        recovered WAL tail through the incremental engine — the index
-        pool is rebased per delta, never rebuilt.  Called from
-        ``__init__`` and again (under the write lock) when a replica
-        reseeds itself from a fresh leader snapshot.
+        Both halves start from ``store.instance`` (snapshot plus WAL
+        tail, as recovery rebuilt it), raising what ``Morphase.transform``
+        over it raises.  Called from ``__init__`` and again (under the
+        write lock) when a replica reseeds from a leader snapshot.
         """
         start = time.perf_counter()
         self.store = store
         self.transform = self.morphase.begin_incremental(
-            store.base_instance, defaults=self._defaults)
-        self.audit = self.morphase.begin_incremental_audit(
-            store.base_instance)
-        for _seq, delta in store.tail:
-            self.transform.apply_delta(delta)
-            self.audit.apply_delta(delta)
-        self.counters.replayed_on_open = len(store.tail)
+            store.instance, defaults=self._defaults)
+        self.audit = self.morphase.begin_incremental_audit(store.instance)
+        self.counters.replayed_on_open = store.seq - store.base_seq
         self.counters.rebuild_ms = (time.perf_counter() - start) * 1000
         self._applied_seq = store.seq
         # The encoded /target result, keyed by the applied sequence
@@ -598,7 +592,7 @@ class WarehouseSession:
                 "replayed_on_open": counters.replayed_on_open,
                 "spent": self._failure,
                 # Vectorization counters of the most recent delta
-                # propagation (zeros before the first ingest).
+                # propagation (the initial pass's before the first).
                 "vectorized_steps": self.transform.stats.vectorized_steps,
                 "fallback_steps": self.transform.stats.fallback_steps,
                 "vectorized_rows": self.transform.stats.vectorized_rows,

@@ -17,10 +17,9 @@ Recovery (:meth:`WarehouseStore.open`) replays the WAL tail over the
 latest snapshot: records at or below the snapshot's ``base_seq`` are
 skipped (a crash between manifest flip and WAL reset leaves them
 behind), a torn final record is dropped and truncated away, and any
-other damage refuses loudly.  The replayed tail is kept as
-``tail`` — the service layer re-applies it through the incremental
-engine so the warm index pool is rebuilt via the existing ``rebase``
-path instead of from scratch.
+other damage refuses loudly.  The recovered ``instance`` is all the
+service layer needs: a warm session starts from it with one production
+pass, exactly as a fresh run would.
 
 Compaction (:meth:`WarehouseStore.snapshot`) writes a new snapshot at
 the current sequence number, atomically repoints ``CURRENT``, resets
@@ -63,8 +62,6 @@ class WarehouseStore:
     def __init__(self, path: str, wal: WriteAheadLog,
                  instance: Instance, seq: int, base_seq: int,
                  snapshot_file: str, labels: LabelMap,
-                 base_instance: Instance,
-                 tail: List[Tuple[int, Delta]],
                  recovered_torn: Optional[TornTail] = None) -> None:
         self.path = path
         self.wal = wal
@@ -73,10 +70,6 @@ class WarehouseStore:
         self.base_seq = base_seq
         self.snapshot_file = snapshot_file
         self.labels = labels
-        #: Instance the live snapshot holds (the warm-rebuild base).
-        self.base_instance = base_instance
-        #: Deltas applied since the live snapshot, in sequence order.
-        self.tail = tail
         #: Raw label-addressed WAL payloads since the live snapshot,
         #: as ``(seq, payload)`` in sequence order — the replication
         #: feed ``export_records`` serves without re-reading the log
@@ -107,8 +100,7 @@ class WarehouseStore:
         write_current(path, name, base_seq=0, wal=WAL_NAME)
         return cls(path, wal, instance, seq=0, base_seq=0,
                    snapshot_file=name,
-                   labels=LabelMap.derived_from_dump(instance),
-                   base_instance=instance, tail=[])
+                   labels=LabelMap.derived_from_dump(instance))
 
     @classmethod
     def open(cls, path: str, fsync: bool = False) -> "WarehouseStore":
@@ -116,11 +108,9 @@ class WarehouseStore:
         manifest = read_current(path)
         instance, base_seq, labels = load_snapshot(
             path, manifest["snapshot"])
-        base_instance = instance
         wal = WriteAheadLog(os.path.join(path, manifest["wal"]),
                             fsync=fsync)
         records, torn = wal.replay()
-        tail: List[Tuple[int, Delta]] = []
         seq = base_seq
         for record in records:
             if record.seq <= base_seq:
@@ -137,13 +127,11 @@ class WarehouseStore:
                                     capture_labels=captured)
             labels.absorb(captured)
             instance = delta.apply_to(instance)
-            tail.append((record.seq, delta))
             seq = record.seq
         if torn is not None:
             wal.truncate_at(torn.offset)
         store = cls(path, wal, instance, seq=seq, base_seq=base_seq,
                     snapshot_file=manifest["snapshot"], labels=labels,
-                    base_instance=base_instance, tail=tail,
                     recovered_torn=torn)
         store.payload_tail = [(record.seq, record.payload)
                               for record in records
@@ -184,7 +172,6 @@ class WarehouseStore:
         self.wal.append(seq, payload)
         self.instance = updated
         self.seq = seq
-        self.tail.append((seq, delta))
         self.payload_tail.append((seq, payload))
         self.appended += 1
         return seq
@@ -239,14 +226,12 @@ class WarehouseStore:
         between any two steps loses nothing.
         """
         start = time.perf_counter()
-        subsumed = len(self.tail)
+        subsumed = self.seq - self.base_seq
         name = write_snapshot(self.path, self.instance, self.seq)
         write_current(self.path, name, base_seq=self.seq, wal=WAL_NAME)
         self.wal.reset()
         self.snapshot_file = name
         self.base_seq = self.seq
-        self.base_instance = self.instance
-        self.tail = []
         # A fresh list, not .clear(): an exporter holding the old one
         # still sees a coherent pre-compaction tail.
         self.payload_tail = []
@@ -325,7 +310,7 @@ class WarehouseStore:
             "seq": self.seq,
             "base_seq": self.base_seq,
             "snapshot": self.snapshot_file,
-            "wal_records": len(self.tail),
+            "wal_records": self.seq - self.base_seq,
             "wal_bytes": self.wal.size_bytes(),
             "appended": self.appended,
             "recovered_torn": self.recovered_torn is not None,

@@ -65,6 +65,26 @@ def assert_counts_equal_fresh_run(state):
     assert counted_state(state.store) == counted_state(fresh.store)
 
 
+def held_indexes(state):
+    """The session's built indexes, as the dicts a reader holds."""
+    pool = state.plan.pool
+    return {key: pool.index_for(*key) for key in pool.indexed_keys()}
+
+
+def assert_indexes_patched_in_place(state, held):
+    """Every maintained index equals a fresh build over the new source,
+    holds no empty entry, and is still the dict held before the delta:
+    ``rebase`` patches the entries a delta touches, it does not copy."""
+    fresh = IndexPool(state.source)
+    for key, index in held_indexes(state).items():
+        assert all(index.values()), key
+        assert {value: set(oids) for value, oids in index.items()} == {
+            value: set(oids)
+            for value, oids in fresh.index_for(*key).items()}, key
+        if key in held:
+            assert index is held[key], key
+
+
 # ----------------------------------------------------------------------
 # ReverseIndex
 # ----------------------------------------------------------------------
@@ -224,6 +244,7 @@ class TestIncrementalTransformGenome:
         return morphase.transform(instance).target
 
     def check(self, morphase, state, delta):
+        held = held_indexes(state)
         result = state.apply_delta(delta)
         oracle = self.oracle(morphase, state.source)
         assert result.target.valuations == oracle.valuations
@@ -231,6 +252,7 @@ class TestIncrementalTransformGenome:
                            sort_keys=True)
                 == json.dumps(instance_to_json(oracle), sort_keys=True))
         assert_counts_equal_fresh_run(state)
+        assert_indexes_patched_in_place(state, held)
         return result
 
     def test_initial_state_matches_batch(self, genome_morphase,
@@ -430,10 +452,13 @@ class TestIncrementalTransformOtherWorkloads:
         delta = Delta(updates={"PdbStructure": {
             structure: new_structure_value}},
             deletes={"SpEntry": (entry,)})
+        held = held_indexes(state)
+        assert held
         result = state.apply_delta(delta)
         oracle = m.transform(state.source).target
         assert result.target.valuations == oracle.valuations
         assert_counts_equal_fresh_run(state)
+        assert_indexes_patched_in_place(state, held)
 
     def test_synthetic_wide_differential(self):
         width, items = 6, 40
