@@ -23,7 +23,7 @@ from conftest import best_of, print_table
 
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
 from repro.constraints.audit import audit_constraints
-from repro.engine import IncrementalAudit
+from repro.engine import IncrementalTransform
 from repro.evolution.delta import Delta
 from repro.model.values import Oid, Record, WolSet
 from repro.morphase import Morphase
@@ -233,12 +233,16 @@ def test_incremental_scaling(genome_morphase, bench_report, benchmark):
 
 def test_incremental_audit_maintenance(genome_morphase, bench_report,
                                        benchmark):
-    """Maintaining the violation set beats re-auditing from scratch."""
+    """Maintaining the violation set beats re-auditing from scratch.
+
+    The session runs the constraints alone: an empty program over the
+    warehouse."""
     import time
     source = merged_source(genome_morphase)
     warehouse = genome_morphase.transform(source).target
     constraints = genome.warehouse_constraints()
-    audit = IncrementalAudit(warehouse, constraints)
+    audit = IncrementalTransform((), warehouse, warehouse.schema,
+                                 constraints=constraints)
     rng = random.Random(13)
     sequences = sorted(warehouse.objects_of("SequenceT"), key=str)
 

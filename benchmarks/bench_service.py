@@ -1,8 +1,8 @@
 """S1: warm incremental serving vs cold per-request batch runs.
 
 The service layer's reason to exist: a long-lived session keeps the
-compiled plan, the shared index pool and the incremental
-transform/audit state warm across requests, so serving a delta is a
+compiled plan, the shared index pool and the incremental session
+(target and violation set) warm across requests, so serving a delta is a
 seeded join patch instead of a full recompute.  This benchmark pins
 that claim end to end — *through the HTTP front end*, on a real
 ``ThreadingHTTPServer`` over localhost:

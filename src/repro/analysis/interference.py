@@ -24,7 +24,7 @@ the incremental engine's own notion), then:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..engine.columnar import step_vectorizable
 from ..engine.incremental import ClauseReads

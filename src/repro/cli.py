@@ -43,8 +43,8 @@ Subcommands::
                              [--data us.json] [--host H] [--port P]
         Open (or initialise, from ``--data``) a durable warehouse
         store and serve it over HTTP: one long-lived session keeps
-        the compiled plan, indexes and incremental transform/audit
-        state warm; POST /ingest appends deltas to the write-ahead
+        the compiled plan, indexes and incremental session (target
+        and violation set) warm; POST /ingest appends deltas to the write-ahead
         log and group-commits them into the warm state.  With
         ``--replica-of URL`` the node instead seeds itself from the
         leader's snapshot, tails its /wal feed and serves reads
@@ -248,11 +248,9 @@ def _cmd_apply_delta(args) -> int:
     merged = (instances[0] if len(instances) == 1
               else merge_instances("__delta__", instances))
     delta = load_delta(args.delta, merged, labels=labels)
-    transform_state = morphase.begin_incremental(instances)
-    audit_state = morphase.begin_incremental_audit(instances)
-    violations_before = len(audit_state.violations())
-    result = morphase.apply_delta(transform_state, delta)
-    audit_diff = morphase.audit_delta(audit_state, delta)
+    session = morphase.begin_incremental(instances)
+    violations_before = len(session.violations())
+    result = session.apply_delta(delta)
     dump_instance(result.target, args.out)
     stats = result.stats
     if args.json:
@@ -271,9 +269,9 @@ def _cmd_apply_delta(args) -> int:
                 "classes": result.target.class_sizes(),
             },
             "violations": {
-                "added": [str(v) for v in audit_diff.added],
-                "removed": [str(v) for v in audit_diff.removed],
-                "remaining": len(audit_diff.violations),
+                "added": [str(v) for v in result.added],
+                "removed": [str(v) for v in result.removed],
+                "remaining": len(result.violations),
             },
             "stats": {
                 "delta_size": stats.delta_size,
@@ -294,7 +292,7 @@ def _cmd_apply_delta(args) -> int:
             },
         }
         print(json.dumps(document, indent=2, sort_keys=True))
-        return 0 if not audit_diff.violations else 1
+        return 0 if not result.violations else 1
     sizes = ", ".join(f"{cname}={count}" for cname, count in
                       sorted(result.target.class_sizes().items()))
     print(f"{delta.summary()}")
@@ -311,14 +309,14 @@ def _cmd_apply_delta(args) -> int:
               f"{stats.vectorized_steps} vectorized steps "
               f"({stats.fallback_steps} fallback), "
               f"{stats.elapsed_seconds * 1000:.1f} ms")
-    for violation in audit_diff.added:
+    for violation in result.added:
         print(f"  + {violation}")
-    for violation in audit_diff.removed:
+    for violation in result.removed:
         print(f"  - {violation}")
-    remaining = len(audit_diff.violations)
+    remaining = len(result.violations)
     print(f"violations: {violations_before} -> {remaining} "
-          f"(+{len(audit_diff.added)} new, "
-          f"-{len(audit_diff.removed)} retracted)")
+          f"(+{len(result.added)} new, "
+          f"-{len(result.removed)} retracted)")
     return 0 if not remaining else 1
 
 

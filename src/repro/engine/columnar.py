@@ -819,7 +819,7 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
 
     ``stats`` is any object with ``vectorized_steps``,
     ``fallback_steps``, ``vectorized_rows`` and ``max_batch_rows``
-    counters (``ExecutionStats`` and ``IncrementalStats`` both qualify).
+    counters (``ExecutionStats`` qualifies).
 
     With ``needed``, dead binding columns are dropped between stages
     (liveness filtering): the final batch holds only the columns the

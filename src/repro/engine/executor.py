@@ -73,7 +73,8 @@ Effect = Tuple
 
 @dataclass
 class ExecutionStats:
-    """Counters for one execution run (benchmark E5 reads these).
+    """Counters for one execution run or incremental step (benchmark E5
+    reads these).
 
     The planner-related counters describe how the bodies were evaluated:
     ``clauses_planned`` clauses ran on a precompiled :class:`JoinPlan`
@@ -104,6 +105,25 @@ class ExecutionStats:
     fallback_steps: int = 0
     vectorized_rows: int = 0
     max_batch_rows: int = 0
+    #: One incremental step (``IncrementalTransform.apply_delta``):
+    #: the delta's size, seed oids probed, program bindings
+    #: retracted and re-derived, clauses (program and constraint)
+    #: skipped, seeded or run whole, pool indexes patched vs. rebuilt,
+    #: target objects re-assembled, and the violation-set diff with the
+    #: head probes it took.
+    delta_size: int = 0
+    seeds_probed: int = 0
+    bindings_removed: int = 0
+    bindings_added: int = 0
+    clauses_skipped: int = 0
+    clauses_seeded: int = 0
+    clauses_recomputed: int = 0
+    indexes_maintained: int = 0
+    indexes_rebuilt: int = 0
+    target_objects_touched: int = 0
+    violations_added: int = 0
+    violations_removed: int = 0
+    violations_rechecked: int = 0
 
 
 class _PendingObject:

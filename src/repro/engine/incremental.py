@@ -25,24 +25,28 @@ counted :class:`~repro.engine.executor.TargetStore` that pass filled;
 under a source delta retracted bindings decrement the counts of their
 primitive head effects (:func:`repro.engine.executor.head_effects`),
 new bindings increment them, and only target objects whose counts moved
-are re-assembled.  :class:`IncrementalAudit` maintains a
-constraint-violation set the same way: new violations from inserted
+are re-assembled.  The same session maintains the violation set of
+constraint clauses over that source the same way — WOL's point is that
+both are Horn clauses in one language: new violations from inserted
 body solutions, retracted violations from deleted ones, head-witness
-rechecks when the delta could (un)satisfy existing heads.
+rechecks when the delta could (un)satisfy existing heads.  Both kinds
+of clause run in one three-phase step over one source instance, one
+:class:`ReverseIndex` and one index pool.
 
-Both engines fall back to running a clause whole when seeding cannot
-be exact (a member atom that is not a plain variable — the transform
-then retracts the clause over the old instance and re-derives it over
-the new — or, for audits, a delta that removes potential head
-witnesses).  A from-scratch run stays on as the differential oracle:
-target bytes *and store counts* after every delta equal those of a
-fresh production pass, enforced by ``tests/engine/test_incremental.py``.
+A clause runs whole when seeding cannot be exact (a member atom that
+is not a plain variable — a program clause is then retracted over the
+old instance and re-derived over the new — or, for a constraint, a
+delta that removes potential head witnesses).  A from-scratch run
+stays on as the differential oracle: target bytes, violations *and
+store counts* after every delta equal those of a fresh production pass
+and audit, enforced by ``tests/engine/test_incremental.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -56,16 +60,17 @@ from ..lang.ast import (Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                         MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm,
                         Term, Var, VariantTerm)
 from ..model.types import (ClassType, ListType, RecordType, SetType, Type)
-from ..model.values import type_of_base
 from ..model.instance import Instance
-from ..model.values import Oid, Value, ValueError_, check_value, oids_in
+from ..model.values import (Oid, Record, Value, ValueError_, check_value,
+                            oids_in, type_of_base)
 from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
 from ..semantics.match import IndexPool, Matcher
 from ..semantics.satisfaction import Violation, clause_violations
 from . import columnar
 from .columnar import CompiledPlan, seeded_batch_columnar
-from .executor import ExecutionError, Executor, _HeadPlan, head_effects
+from .executor import (ExecutionError, ExecutionStats, Executor, _HeadPlan,
+                       head_effects)
 from .planner import (AuditPlan, DeltaSeed, ProgramPlan, plan_audit,
                       plan_delta_seeds, plan_program)
 
@@ -297,7 +302,6 @@ def changed_attributes(delta: "Delta", old_instance: Instance
     the set of record labels whose values differ (or None when either
     value is not a record — every read must then be assumed affected).
     """
-    from ..model.values import Record
     changes: Dict[Oid, Optional[frozenset]] = {}
     for cname, objs in delta.inserts.items():
         for oid in objs:
@@ -341,7 +345,7 @@ def _seeded_plans(clauses: Sequence[Clause], instance: Instance,
 def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
                      stages: Sequence[Optional[CompiledPlan]],
                      seed_oids: Mapping[str, Sequence[Oid]],
-                     counters: Optional["IncrementalStats"] = None
+                     counters: Optional[ExecutionStats] = None
                      ) -> Optional[List[Binding]]:
     """All clause-body solutions binding a member atom to a seed oid.
 
@@ -380,88 +384,49 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
     return bindings
 
 
-def _delta_prologue(delta: "Delta", old_instance: Instance):
-    """The per-delta inputs both engines need, computed once.
-
-    Returns ``(removed_by_class, added_by_class, all_changed,
-    changes)``: the per-class removed/added oid groups, the
-    deduplicated list of every changed oid, and the per-oid
-    changed-attribute map of :func:`changed_attributes`.
-    """
-    removed_by_class = delta.removed_by_class()
-    added_by_class = delta.added_by_class()
-    all_changed: List[Oid] = []
-    seen: Set[Oid] = set()
-    for group in (removed_by_class, added_by_class):
-        for oids in group.values():
-            for oid in oids:
-                if oid not in seen:
-                    seen.add(oid)
-                    all_changed.append(oid)
-    changes = changed_attributes(delta, old_instance)
-    return removed_by_class, added_by_class, all_changed, changes
-
-
 def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
                         changes: Mapping[Oid, Optional[frozenset]],
                         rev: ReverseIndex,
                         cache: Dict[Oid, Set[Oid]]
                         ) -> Dict[str, List[Oid]]:
     """Seed oids for one clause: closures of the changes it observes."""
-    relevant = [oid for oid in all_changed
-                if reads.observes(oid, changes[oid])]
-    if not relevant:
-        return {}
     seeds: Set[Oid] = set()
-    for oid in relevant:
-        closure = cache.get(oid)
-        if closure is None:
-            closure = rev.closure([oid])
-            cache[oid] = closure
-        seeds |= closure
+    for oid in all_changed:
+        if reads.observes(oid, changes[oid]):
+            closure = cache.get(oid)
+            if closure is None:
+                closure = rev.closure([oid])
+                cache[oid] = closure
+            seeds |= closure
     return _group_by_class(seeds)
 
 
-@dataclass
-class IncrementalStats:
-    """Counters for one ``apply_delta`` run of either session (a
-    transform session's start is a production pass and reports
-    :class:`~repro.engine.executor.ExecutionStats` instead)."""
-
-    delta_size: int = 0
-    seeds_probed: int = 0
-    bindings_removed: int = 0
-    bindings_added: int = 0
-    clauses_skipped: int = 0
-    clauses_seeded: int = 0
-    clauses_recomputed: int = 0
-    indexes_maintained: int = 0
-    indexes_rebuilt: int = 0
-    target_objects_touched: int = 0
-    violations_added: int = 0
-    violations_removed: int = 0
-    violations_rechecked: int = 0
-    # Vectorized-execution counters (same meaning as on
-    # ExecutionStats: batch stages run, scalar fallback steps, total
-    # rows through batch stages, widest batch seen).
-    vectorized_steps: int = 0
-    fallback_steps: int = 0
-    vectorized_rows: int = 0
-    max_batch_rows: int = 0
-    elapsed_seconds: float = 0.0
+def _violations_by_key(matcher: Matcher, clause: Clause, plan
+                       ) -> Dict[frozenset, Violation]:
+    """Every violation of ``clause`` over the matcher's instance, keyed
+    by its body binding."""
+    return {frozenset(violation.binding.items()): violation
+            for violation in clause_violations(
+                matcher.instance, clause, limit=None, matcher=matcher,
+                plan=plan)}
 
 
 @dataclass
 class DeltaResult:
-    """Outcome of one incremental transformation step."""
+    """Outcome of one incremental step: the patched target and the
+    change to the session's constraint-violation set."""
 
     target: Instance
-    stats: IncrementalStats
+    added: List[Violation]
+    removed: List[Violation]
+    violations: List[Violation]
+    stats: ExecutionStats
     delta: Delta
 
 
 class IncrementalTransform:
-    """A transformation session maintaining its target under deltas.
+    """One incremental session: a program's target and its constraints'
+    violation set, maintained together under source deltas.
 
     Construction is the production pass — :meth:`Executor.run_program`
     over the planned program, then ``freeze`` — and the session keeps
@@ -470,15 +435,23 @@ class IncrementalTransform:
     and re-assembles only the touched target objects.  ``target`` always
     equals what :func:`repro.engine.executor.execute` would produce from
     the current source — the differential tests enforce bit-equality —
-    and construction raises exactly what ``execute`` raises.  ``stats``
-    is the initial pass's :class:`ExecutionStats` until the first delta.
+    and construction raises exactly what ``execute`` raises.
+
+    ``constraints`` are clauses over the same source; :meth:`violations`
+    always equals their full audit (body solutions with no satisfying
+    head extension).  Both kinds of clause read the one source through
+    one :class:`ReverseIndex`, one :class:`IndexPool` and one
+    three-phase step.  ``stats`` is the production pass's
+    :class:`ExecutionStats` until the first delta, then the last
+    step's.
     """
 
     def __init__(self, program: Iterable[Clause], source: Instance,
-                 target_schema,
+                 target_schema, constraints: Iterable[Clause] = (),
                  defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
                  validate: bool = True) -> None:
         self.clauses: List[Clause] = list(program)
+        self.constraints: List[Clause] = list(constraints)
         self.source = source
         self.target_schema = target_schema
         self.defaults = dict(defaults or {})
@@ -486,10 +459,10 @@ class IncrementalTransform:
         self._poisoned: Optional[str] = None
 
         self.plan: ProgramPlan = plan_program(self.clauses, source)
-        self._seeds, self._stages = _seeded_plans(self.clauses, source,
-                                                  self.plan.pool)
+        pool = self.plan.pool
+        self._seeds, self._stages = _seeded_plans(self.clauses, source, pool)
 
-        executor = Executor(source, target_schema, self.plan.pool)
+        executor = Executor(source, target_schema, pool)
         executor.run_program(self.clauses, plan=self.plan)
         self.target = executor.freeze(validate=validate,
                                       defaults=self.defaults)
@@ -504,9 +477,37 @@ class IncrementalTransform:
         self._reads = [ClauseReads(clause, class_type_of)
                        for clause in self.clauses]
 
+        # The constraints join the pool after the pass, so the pass
+        # counts exactly what ``execute`` counts.
+        self.audit_plan: AuditPlan = plan_audit(self.constraints, source,
+                                                pool=pool)
+        self._audit_seeds, self._audit_stages = _seeded_plans(
+            self.constraints, source, pool)
+        self._audit_reads = [ClauseReads(clause, class_type_of)
+                             for clause in self.constraints]
+        self._body_vars = [
+            frozenset().union(*(atom.variables() for atom in clause.body))
+            if clause.body else frozenset()
+            for clause in self.constraints]
+        self._head_member_classes = [
+            frozenset(atom.class_name for atom in clause.head
+                      if isinstance(atom, MemberAtom))
+            for clause in self.constraints]
+        matcher = Matcher(source, index_pool=pool)
+        self._violations: List[Dict[frozenset, Violation]] = [
+            _violations_by_key(matcher, clause, plan)
+            for clause, plan in zip(self.constraints, self.audit_plan.plans)]
+
     # ------------------------------------------------------------------
+    def violations(self) -> List[Violation]:
+        """The current violation set (stable order)."""
+        return [per_clause[key] for per_clause in self._violations
+                for key in sorted(per_clause,
+                                  key=lambda k: sorted(map(str, k)))]
+
     def apply_delta(self, delta: Delta) -> DeltaResult:
-        """Advance the source by ``delta`` and patch the target.
+        """Advance the source by ``delta``; patch the target and the
+        violation set.
 
         Raises :class:`ExecutionError` exactly when a full recompute
         over the updated source would (conflicts, incompleteness,
@@ -518,22 +519,31 @@ class IncrementalTransform:
                 f"incremental session is spent ({self._poisoned}); "
                 f"start a new one")
         start = time.perf_counter()
-        stats = IncrementalStats(delta_size=delta.size())
+        stats = ExecutionStats(delta_size=delta.size())
         try:
-            target = self._apply_delta(delta, stats)
+            added, removed = self._apply_delta(delta, stats)
         except Exception as exc:
             self._poisoned = str(exc)
             raise
         stats.elapsed_seconds = time.perf_counter() - start
+        stats.violations_added = len(added)
+        stats.violations_removed = len(removed)
         self.stats = stats
         publish_engine_stats("incremental", stats)
-        return DeltaResult(target=target, stats=stats, delta=delta)
+        return DeltaResult(target=self.target, added=added, removed=removed,
+                           violations=self.violations(), stats=stats,
+                           delta=delta)
 
-    def _apply_delta(self, delta: Delta, stats: IncrementalStats
-                     ) -> Instance:
+    def _apply_delta(self, delta: Delta, stats: ExecutionStats
+                     ) -> Tuple[List[Violation], List[Violation]]:
         old_source = self.source
-        removed_by_class, added_by_class, all_changed, changes = \
-            _delta_prologue(delta, old_source)
+        rev, pool = self.source_rev, self.plan.pool
+        removed_by_class = delta.removed_by_class()
+        added_by_class = delta.added_by_class()
+        all_changed = list(dict.fromkeys(
+            oid for group in (removed_by_class, added_by_class)
+            for oids in group.values() for oid in oids))
+        changes = changed_attributes(delta, old_source)
         # A clause with an unseedable member atom runs whole, on both
         # sides, whenever it can observe the delta at all.  Decided
         # here, not when a seeded join first gives up: that may be as
@@ -549,15 +559,21 @@ class IncrementalTransform:
         seeded: Set[int] = set()
         touched: Set[Oid] = set()
 
-        def propagate(instance: Instance, sign: int) -> int:
-            """Count ``sign`` for every binding over ``instance`` the
-            delta can affect; returns how many the seeds found.  The
-            scalar :func:`head_effects` feeds the store's signed
-            ``apply`` — unchecked, since a retraction later in the same
-            step may lift a transient conflict (``assemble`` reports
-            what is left)."""
-            matcher = Matcher(instance, index_pool=self.plan.pool)
-            cache: Dict[Oid, Set[Oid]] = {}
+        def phase(instance: Instance):
+            """The matcher and the seed-group function (with its closure
+            cache) every clause of one phase shares."""
+            return (Matcher(instance, index_pool=pool),
+                    partial(_pruned_seed_groups, all_changed=all_changed,
+                            changes=changes, rev=rev, cache={}))
+
+        def propagate(matcher: Matcher, groups, sign: int) -> int:
+            """Count ``sign`` for every program binding over the
+            matcher's instance the delta can affect; returns how many
+            the seeds found.  The scalar :func:`head_effects` feeds the
+            store's signed ``apply`` — unchecked, since a retraction
+            later in the same step may lift a transient conflict
+            (``assemble`` reports what is left)."""
+            instance = matcher.instance
             found = 0
             for index, clause in enumerate(self.clauses):
                 if index in fallback:
@@ -567,9 +583,7 @@ class IncrementalTransform:
                 else:  # every seed it can reach has a plan: never None
                     bindings = seeded_solutions(
                         matcher, self._seeds[index], self._stages[index],
-                        _pruned_seed_groups(
-                            self._reads[index], all_changed, changes,
-                            self.source_rev, cache), stats)
+                        groups(self._reads[index]), stats)
                     found += len(bindings)
                     if bindings:
                         seeded.add(index)
@@ -582,16 +596,18 @@ class IncrementalTransform:
             return found
 
         # Phase 1 — retracted bindings, enumerated over the *old*
-        # instance.  Both phases seed each clause from the changed oids
-        # it can *observe* (attribute-level read-set pruning) plus
-        # their transitive referrers: the closure over-approximates the
+        # instance.  Every clause seeds from the changed oids it can
+        # *observe* (attribute-level read-set pruning) plus their
+        # transitive referrers: the closure over-approximates the
         # affected bindings (a referrer need not actually read the
         # changed object), so a binding retracted here that still holds
         # is re-derived in phase 3 from the same surviving seeds —
         # retract-then-rederive makes the over-approximation harmless.
-        removal_seeds = _group_by_class(
-            self.source_rev.closure(all_changed))
-        stats.bindings_removed = propagate(old_source, -1)
+        removal_seeds = _group_by_class(rev.closure(all_changed))
+        matcher, groups = phase(old_source)
+        stats.bindings_removed = propagate(matcher, groups, -1)
+        retract_keys, full_recheck = self._retract_violations(
+            matcher, groups, removed_by_class, stats)
 
         # Phase 2 — swap in the updated instance; maintain the referrer
         # relation and patch the shared index pool in place (the seed
@@ -600,31 +616,154 @@ class IncrementalTransform:
         # batch oracle tolerates dangling source references (affected
         # bindings simply die), so the incremental path must too.
         new_source = delta.apply_to(old_source, validate_changed=False)
-        self.source_rev.apply_delta(old_source, delta)
+        rev.apply_delta(old_source, delta)
         self.source = new_source
 
         # Deleted oids seed nothing themselves (their membership tests
         # fail) but their surviving referrers re-derive here; the
         # referrer edges survive in the maintained relation because
         # only changed objects' outgoing references were rewritten.
-        addition_seeds = _group_by_class(
-            self.source_rev.closure(all_changed))
-        maintained, rebuilt = self.plan.pool.rebase(
+        addition_seeds = _group_by_class(rev.closure(all_changed))
+        stats.indexes_maintained, stats.indexes_rebuilt = pool.rebase(
             new_source, removal_seeds, addition_seeds,
             strict_removed=removed_by_class,
             strict_added=added_by_class, changed_attrs=changes)
-        stats.indexes_maintained += maintained
-        stats.indexes_rebuilt += rebuilt
 
         # Phase 3 — bindings over the new instance, then re-assemble.
-        stats.bindings_added = propagate(new_source, +1)
+        matcher, groups = phase(new_source)
+        stats.bindings_added = propagate(matcher, groups, +1)
         stats.clauses_seeded = len(seeded)
         stats.clauses_skipped = (len(self.clauses) - len(seeded)
                                  - len(fallback))
+        diff = self._rederive_violations(matcher, groups, retract_keys,
+                                         full_recheck, added_by_class, stats)
         self.target = self._refreeze(touched, stats)
-        return self.target
+        return diff
 
-    def _refreeze(self, touched: Set[Oid], stats: IncrementalStats
+    # ------------------------------------------------------------------
+    # Constraint clauses: phases 1 and 3
+    # ------------------------------------------------------------------
+    def _retract_violations(self, matcher: Matcher, groups,
+                            removed_by_class: Mapping[str, Sequence[Oid]],
+                            stats: ExecutionStats
+                            ) -> Tuple[Dict[int, Set[frozenset]], Set[int]]:
+        """Over the old instance: the body solutions that read removed
+        objects, and the clauses to recheck whole — those whose head
+        draws witnesses from a class the delta removes objects of, the
+        only case where a previously satisfied body can silently lose
+        support.
+
+        Bodies seed like the program's clauses; the head triggers stay
+        narrow — witness *loss* needs removed-side objects, witness
+        *gain* added-side.
+        """
+        removal_trigger = {oid.class_name for oid in self.source_rev.closure(
+            oid for oids in removed_by_class.values() for oid in oids)}
+        retract_keys: Dict[int, Set[frozenset]] = {}
+        full_recheck: Set[int] = set()
+        for index, body_vars in enumerate(self._body_vars):
+            if self._head_member_classes[index] & removal_trigger:
+                full_recheck.add(index)
+                continue
+            bindings = seeded_solutions(
+                matcher, self._audit_seeds[index], self._audit_stages[index],
+                groups(self._audit_reads[index]), stats)
+            if bindings is None:
+                full_recheck.add(index)
+            elif bindings:
+                retract_keys[index] = {
+                    frozenset((name, value)
+                              for name, value in binding.items()
+                              if name in body_vars)
+                    for binding in bindings}
+        return retract_keys, full_recheck
+
+    def _head_satisfiable(self, index: int, matcher: Matcher,
+                          binding: Binding) -> bool:
+        head = self.audit_plan.plans[index].head
+        return matcher.satisfiable(self.constraints[index].head, binding,
+                                   plan=None if head is None else head.steps)
+
+    def _rederive_violations(self, matcher: Matcher, groups,
+                             retract_keys: Mapping[int, Set[frozenset]],
+                             full_recheck: Set[int],
+                             added_by_class: Mapping[str, Sequence[Oid]],
+                             stats: ExecutionStats
+                             ) -> Tuple[List[Violation], List[Violation]]:
+        """Over the new instance: recheck the seeded body solutions and
+        the flagged clauses; returns the added and removed violations."""
+        addition_trigger = {oid.class_name for oid in self.source_rev.closure(
+            oid for oids in added_by_class.values() for oid in oids)}
+        added: List[Violation] = []
+        removed: List[Violation] = []
+        for index, clause in enumerate(self.constraints):
+            per_clause = self._violations[index]
+            if index not in full_recheck:
+                bindings = seeded_solutions(
+                    matcher, self._audit_seeds[index],
+                    self._audit_stages[index],
+                    groups(self._audit_reads[index]), stats)
+                if bindings is None:
+                    full_recheck.add(index)
+            if index in full_recheck:
+                stats.clauses_recomputed += 1
+                fresh = _violations_by_key(matcher, clause,
+                                           self.audit_plan.plans[index])
+                added.extend(violation for key, violation in fresh.items()
+                             if key not in per_clause)
+                removed.extend(violation
+                               for key, violation in per_clause.items()
+                               if key not in fresh)
+                self._violations[index] = fresh
+                continue
+            # Retract violations whose body solutions disappeared, then
+            # re-derive the seeded solutions of the new instance.  A
+            # violation retracted and immediately re-derived unchanged
+            # is reinstated silently (it never left the set).
+            rechecked: Set[frozenset] = set()
+            retracted_now: Dict[frozenset, Violation] = {}
+            for key in retract_keys.get(index, ()):
+                violation = per_clause.pop(key, None)
+                if violation is not None:
+                    retracted_now[key] = violation
+            body_vars = self._body_vars[index]
+            for binding in bindings:
+                projected = {name: value for name, value in binding.items()
+                             if name in body_vars}
+                key = frozenset(projected.items())
+                rechecked.add(key)
+                satisfied = self._head_satisfiable(index, matcher, projected)
+                stats.violations_rechecked += 1
+                if satisfied:
+                    prior = per_clause.pop(key, None)
+                    if prior is not None:
+                        removed.append(prior)
+                    elif key in retracted_now:
+                        removed.append(retracted_now.pop(key))
+                elif key in retracted_now:
+                    per_clause[key] = retracted_now.pop(key)
+                elif key not in per_clause:
+                    violation = Violation(clause, projected)
+                    per_clause[key] = violation
+                    added.append(violation)
+            removed.extend(retracted_now.values())
+            if bindings or retract_keys.get(index):
+                stats.clauses_seeded += 1
+            else:
+                stats.clauses_skipped += 1
+            # Inserted objects of a head-witness class may satisfy
+            # violations whose bodies the delta never touched.
+            if self._head_member_classes[index] & addition_trigger:
+                for key in list(per_clause):
+                    if key in rechecked:
+                        continue
+                    stats.violations_rechecked += 1
+                    if self._head_satisfiable(index, matcher, dict(key)):
+                        removed.append(per_clause.pop(key))
+        return added, removed
+
+    # ------------------------------------------------------------------
+    def _refreeze(self, touched: Set[Oid], stats: ExecutionStats
                   ) -> Instance:
         """Re-assemble only the touched target objects.
 
@@ -693,237 +832,3 @@ class IncrementalTransform:
         for oid, old_value, new_value in changed:
             self.target_rev.update_object(oid, old_value, new_value)
         return updated
-
-
-# ----------------------------------------------------------------------
-# Incremental constraint auditing
-# ----------------------------------------------------------------------
-
-@dataclass
-class AuditDeltaResult:
-    """Violation diff produced by one :meth:`IncrementalAudit.apply_delta`."""
-
-    added: List[Violation]
-    removed: List[Violation]
-    violations: List[Violation]
-    stats: IncrementalStats
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-class IncrementalAudit:
-    """A constraint audit maintaining its violation set under deltas.
-
-    Violations are body solutions with no satisfying head extension.
-    Under a delta: seeded body solutions over the old instance retract
-    (their violations, if any, disappear with them), seeded body
-    solutions over the new instance are (re)checked, surviving
-    violations are re-probed when inserts could supply a missing head
-    witness, and a clause is fully rechecked when the delta removes
-    objects of a class its head draws witnesses from — the only case
-    where a previously satisfied body can silently lose support.
-    """
-
-    def __init__(self, instance: Instance,
-                 constraints: Iterable[Clause]) -> None:
-        self.instance = instance
-        self.constraints: List[Clause] = list(constraints)
-        self.plan: AuditPlan = plan_audit(self.constraints, instance)
-        self._seeds, self._stages = _seeded_plans(
-            self.constraints, instance, self.plan.pool)
-        self._body_vars = [
-            frozenset().union(*(atom.variables() for atom in clause.body))
-            if clause.body else frozenset()
-            for clause in self.constraints]
-        self._head_member_classes = [
-            frozenset(atom.class_name for atom in clause.head
-                      if isinstance(atom, MemberAtom))
-            for clause in self.constraints]
-
-        class_type_of = _class_types(instance.schema)
-        self._reads = [ClauseReads(clause, class_type_of)
-                       for clause in self.constraints]
-        self._violations: List[Dict[frozenset, Violation]] = []
-        self.stats = IncrementalStats()
-        self._poisoned: Optional[str] = None
-        self._rev = ReverseIndex(instance)
-        matcher = Matcher(instance, index_pool=self.plan.pool)
-        for index, clause in enumerate(self.constraints):
-            found = clause_violations(
-                instance, clause, limit=None, matcher=matcher,
-                plan=self.plan.plan_for(clause))
-            self._violations.append({
-                frozenset(violation.binding.items()): violation
-                for violation in found})
-
-    # ------------------------------------------------------------------
-    def violations(self) -> List[Violation]:
-        """The current violation set (stable order)."""
-        out: List[Violation] = []
-        for per_clause in self._violations:
-            for key in sorted(per_clause, key=lambda k: sorted(map(str, k))):
-                out.append(per_clause[key])
-        return out
-
-    def _head_satisfiable(self, index: int, matcher: Matcher,
-                          binding: Binding) -> bool:
-        clause = self.constraints[index]
-        constraint_plan = self.plan.plan_for(clause)
-        head_steps = constraint_plan.head.steps if (
-            constraint_plan is not None
-            and constraint_plan.head is not None) else None
-        return matcher.satisfiable(clause.head, binding, plan=head_steps)
-
-    def apply_delta(self, delta: Delta) -> AuditDeltaResult:
-        """Advance the audited instance by ``delta``; return the diff."""
-        if self._poisoned is not None:
-            raise ExecutionError(
-                f"incremental audit session is spent ({self._poisoned}); "
-                f"start a new one")
-        start = time.perf_counter()
-        stats = IncrementalStats(delta_size=delta.size())
-        try:
-            added, removed = self._apply_delta(delta, stats)
-        except Exception as exc:
-            self._poisoned = str(exc)
-            raise
-        stats.elapsed_seconds = time.perf_counter() - start
-        stats.violations_added = len(added)
-        stats.violations_removed = len(removed)
-        self.stats = stats
-        return AuditDeltaResult(added=added, removed=removed,
-                                violations=self.violations(), stats=stats)
-
-    def _apply_delta(self, delta: Delta, stats: IncrementalStats
-                     ) -> Tuple[List[Violation], List[Violation]]:
-        old_instance = self.instance
-        removed_by_class, added_by_class, all_changed, changes = \
-            _delta_prologue(delta, old_instance)
-        rev = self._rev
-        # Both phases seed bodies from the closures of the changes each
-        # clause observes (retract-then-rederive absorbs the
-        # over-approximation); the head triggers stay narrow — witness
-        # *loss* needs removed-side objects, witness *gain* added-side.
-        removal_trigger = {oid.class_name for oid in rev.closure(
-            oid for oids in removed_by_class.values() for oid in oids)}
-        removal_seeds = _group_by_class(rev.closure(all_changed))
-        cache_old: Dict[Oid, Set[Oid]] = {}
-
-        # Phase 1 — over the old instance: retract the body solutions
-        # that read removed objects, and decide which clauses need a
-        # full recheck (removed objects of a head-witness class).
-        matcher_old = Matcher(old_instance, index_pool=self.plan.pool)
-        retract_keys: Dict[int, Set[frozenset]] = {}
-        full_recheck: Set[int] = set()
-        for index, clause in enumerate(self.constraints):
-            if self._head_member_classes[index] & removal_trigger:
-                full_recheck.add(index)
-                continue
-            bindings = seeded_solutions(
-                matcher_old, self._seeds[index], self._stages[index],
-                _pruned_seed_groups(self._reads[index], all_changed,
-                                    changes, rev, cache_old), stats)
-            if bindings is None:
-                full_recheck.add(index)
-                continue
-            if bindings:
-                body_vars = self._body_vars[index]
-                retract_keys[index] = {
-                    frozenset((name, value)
-                              for name, value in binding.items()
-                              if name in body_vars)
-                    for binding in bindings}
-
-        # Phase 2 — swap instances, patch the pool (seed closures bound
-        # the movable index entries, as in the transform engine).
-        new_instance = delta.apply_to(old_instance,
-                                      validate_changed=False)
-        rev.apply_delta(old_instance, delta)
-        self.instance = new_instance
-
-        addition_trigger = {oid.class_name for oid in rev.closure(
-            oid for oids in added_by_class.values() for oid in oids)}
-        addition_seeds = _group_by_class(rev.closure(all_changed))
-        maintained, rebuilt = self.plan.pool.rebase(
-            new_instance, removal_seeds, addition_seeds,
-            strict_removed=removed_by_class,
-            strict_added=added_by_class, changed_attrs=changes)
-        stats.indexes_maintained += maintained
-        stats.indexes_rebuilt += rebuilt
-        matcher_new = Matcher(new_instance, index_pool=self.plan.pool)
-        cache_new: Dict[Oid, Set[Oid]] = {}
-        added: List[Violation] = []
-        removed: List[Violation] = []
-        for index, clause in enumerate(self.constraints):
-            per_clause = self._violations[index]
-            if index not in full_recheck:
-                bindings = seeded_solutions(
-                    matcher_new, self._seeds[index], self._stages[index],
-                    _pruned_seed_groups(self._reads[index], all_changed,
-                                        changes, rev, cache_new), stats)
-                if bindings is None:
-                    full_recheck.add(index)
-            if index in full_recheck:
-                stats.clauses_recomputed += 1
-                found = clause_violations(
-                    new_instance, clause, limit=None, matcher=matcher_new,
-                    plan=self.plan.plan_for(clause))
-                fresh = {frozenset(violation.binding.items()): violation
-                         for violation in found}
-                for key, violation in fresh.items():
-                    if key not in per_clause:
-                        added.append(violation)
-                for key, violation in per_clause.items():
-                    if key not in fresh:
-                        removed.append(violation)
-                self._violations[index] = fresh
-                continue
-            # Retract violations whose body solutions disappeared, then
-            # re-derive the seeded solutions of the new instance.  A
-            # violation retracted and immediately re-derived unchanged
-            # is reinstated silently (it never left the set).
-            rechecked: Set[frozenset] = set()
-            retracted_now: Dict[frozenset, Violation] = {}
-            for key in retract_keys.get(index, ()):
-                violation = per_clause.pop(key, None)
-                if violation is not None:
-                    retracted_now[key] = violation
-            body_vars = self._body_vars[index]
-            for binding in bindings:
-                projected = {name: value for name, value in binding.items()
-                             if name in body_vars}
-                key = frozenset(projected.items())
-                rechecked.add(key)
-                satisfied = self._head_satisfiable(index, matcher_new,
-                                                   projected)
-                stats.violations_rechecked += 1
-                if satisfied:
-                    prior = per_clause.pop(key, None)
-                    if prior is not None:
-                        removed.append(prior)
-                    elif key in retracted_now:
-                        removed.append(retracted_now.pop(key))
-                elif key in retracted_now:
-                    per_clause[key] = retracted_now.pop(key)
-                elif key not in per_clause:
-                    violation = Violation(clause, projected)
-                    per_clause[key] = violation
-                    added.append(violation)
-            removed.extend(retracted_now.values())
-            if bindings or retract_keys.get(index):
-                stats.clauses_seeded += 1
-            else:
-                stats.clauses_skipped += 1
-            # Inserted objects of a head-witness class may satisfy
-            # violations whose bodies the delta never touched.
-            if self._head_member_classes[index] & addition_trigger:
-                for key in list(per_clause):
-                    if key in rechecked:
-                        continue
-                    stats.violations_rechecked += 1
-                    if self._head_satisfiable(index, matcher_new,
-                                              dict(key)):
-                        removed.append(per_clause.pop(key))
-        return added, removed

@@ -294,62 +294,27 @@ class Morphase:
     def begin_incremental(self, sources: Union[Instance,
                                                Sequence[Instance]],
                           defaults=None):
-        """Start an incremental transformation session.
+        """Start an incremental session over the merged source.
 
         Runs the compiled program once — the same production pass as
-        :meth:`transform`, raising what it raises — and returns an
+        :meth:`transform`, raising what it raises — and audits the
+        compiled program's source constraints (the clauses
+        :meth:`check_source` checks, schema keys aside).  Returns an
         :class:`~repro.engine.incremental.IncrementalTransform` that
-        keeps the pass's counted store and whose ``target`` tracks the
-        source under :meth:`apply_delta` — the change-propagation mode
-        the paper's Section 6 envisions for transformations in front
-        of evolving databases.
+        keeps the pass's counted store; its ``target`` and
+        ``violations()`` track the source under ``apply_delta`` — the
+        change-propagation mode the paper's Section 6 envisions for
+        transformations in front of evolving databases.  Each step's
+        :class:`~repro.engine.incremental.DeltaResult` equals
+        :meth:`transform` plus a fresh audit of the updated source.
         """
         from ..engine.incremental import IncrementalTransform
         self._ensure_preflight()
         merged = self._merge_sources(sources)
         normalized = self.compile()
-        return IncrementalTransform(normalized.program(), merged,
-                                    self.target_plain, defaults=defaults)
-
-    def apply_delta(self, state, delta):
-        """Advance an incremental session by one source delta.
-
-        ``state`` is the session from :meth:`begin_incremental`; the
-        returned :class:`~repro.engine.incremental.DeltaResult` carries
-        the updated target instance and the propagation statistics.
-        The result is identical to re-running :meth:`transform` on the
-        updated source (the full recompute stays on as the differential
-        oracle).
-        """
-        return state.apply_delta(delta)
-
-    def begin_incremental_audit(self, sources: Union[Instance,
-                                                     Sequence[Instance]],
-                                constraints=None):
-        """Start an incremental source-constraint audit session.
-
-        Audits the merged source against ``constraints`` (default: the
-        compiled program's source constraints, as :meth:`check_source`
-        uses) and returns an
-        :class:`~repro.engine.incremental.IncrementalAudit` maintaining
-        the complete violation set under :meth:`audit_delta`.
-        """
-        from ..engine.incremental import IncrementalAudit
-        merged = self._merge_sources(sources)
-        if constraints is None:
-            constraints = list(self.compile().source_constraints)
-        return IncrementalAudit(merged, constraints)
-
-    def audit_delta(self, state, delta):
-        """Advance an incremental audit session by one source delta.
-
-        Returns an
-        :class:`~repro.engine.incremental.AuditDeltaResult`: the newly
-        raised violations (from inserts and updates), the retracted
-        ones (from deletes and updates), and the full surviving set —
-        identical to a fresh audit of the updated instance.
-        """
-        return state.apply_delta(delta)
+        return IncrementalTransform(
+            normalized.program(), merged, self.target_plain,
+            constraints=normalized.source_constraints, defaults=defaults)
 
     # ------------------------------------------------------------------
     # Durable store + service (snapshot/WAL persistence, warm sessions)
@@ -391,8 +356,8 @@ class Morphase:
         """A warm, thread-safe serving session over an open store.
 
         Returns a :class:`~repro.service.session.WarehouseSession`:
-        the compiled plan, shared index pool and incremental
-        transform/audit state stay hot across requests, writers
+        the compiled plan, shared index pool and incremental session
+        (target and violation set) stay hot across requests, writers
         group-commit delta bursts, readers run concurrently.  Hand it
         to :func:`repro.service.server.make_server` for the HTTP
         front end.

@@ -428,9 +428,8 @@ def get_registry() -> MetricsRegistry:
 # ----------------------------------------------------------------------
 
 #: ExecutionStats attributes mirrored into registry counters, by
-#: metric suffix.  Read with getattr so any stats-like object (the
-#: incremental engine's IncrementalStats included) publishes the
-#: fields it has.
+#: metric suffix.  Read with getattr so any stats-like object
+#: publishes the fields it has.
 _ENGINE_FIELDS = (
     ("clauses", "clauses_run"),
     ("bindings", "bindings_found"),

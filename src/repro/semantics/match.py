@@ -813,7 +813,7 @@ class Matcher:
         step expander for steps the vectorizer cannot compile (see
         :func:`repro.engine.columnar.step_vectorizable`).  ``stats``
         optionally collects vectorized/fallback step and batch-size
-        counters (``ExecutionStats``/``IncrementalStats`` shape).
+        counters (``ExecutionStats`` shape).
         """
         steps = _checked_steps(steps, initial)
         from ..engine.columnar import stream_plan_columnar

@@ -4,8 +4,8 @@ The paper's closing scenario (Section 6) is a transformed warehouse
 *maintained* in front of evolving sources — a system, not a batch job.
 This package is that system's front door: one warm
 :class:`~repro.service.session.WarehouseSession` holds the compiled
-program, the shared index pool and the incremental transform/audit
-state across requests; a stdlib ``ThreadingHTTPServer`` exposes
+program, the shared index pool and the incremental session (target
+and violation set) across requests; a stdlib ``ThreadingHTTPServer`` exposes
 ingest/query/check/snapshot/stats endpoints; a read-write lock lets
 queries run concurrently while delta ingestion group-commits bursts
 into single incremental applications.

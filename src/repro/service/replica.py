@@ -155,7 +155,7 @@ class ReplicaSession(WarehouseSession):
     def replace_store(self, store: WarehouseStore) -> None:
         """Swap in a freshly seeded store (snapshot-seeded catch-up).
 
-        The warm transform/audit state is rebuilt over the new store
+        The warm incremental session is rebuilt over the new store
         under the write lock, so concurrent readers see either the old
         generation or the new one — never a half-attached session.
         """

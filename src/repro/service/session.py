@@ -3,9 +3,10 @@
 :class:`WarehouseSession` ties a :class:`~repro.store.WarehouseStore`
 to a :class:`~repro.morphase.system.Morphase` and keeps everything a
 request would otherwise pay for *warm* across requests: the compiled
-normal form, the planned join orders, the shared index pool, the
-incremental transform state (target + per-clause effect counts) and
-the incremental audit state (the live violation set).
+normal form, the planned join orders, the shared index pool and the
+one incremental session over the source, which maintains both the
+target (with its per-clause effect counts) and the live violation set
+of the program's source constraints.
 
 Construction rebuilds warmth from durable state in one production pass
 over the instance the store recovered (snapshot plus WAL tail): a
@@ -177,16 +178,16 @@ class WarehouseSession:
     def _attach_store(self, store: WarehouseStore) -> None:
         """Warm-rebuild this session's derived state over ``store``.
 
-        Both halves start from ``store.instance`` (snapshot plus WAL
-        tail, as recovery rebuilt it), raising what ``Morphase.transform``
-        over it raises.  Called from ``__init__`` and again (under the
-        write lock) when a replica reseeds from a leader snapshot.
+        The one incremental session (target and violation set) starts
+        from ``store.instance`` (snapshot plus WAL tail, as recovery
+        rebuilt it), raising what ``Morphase.transform`` over it raises.
+        Called from ``__init__`` and again (under the write lock) when a
+        replica reseeds from a leader snapshot.
         """
         start = time.perf_counter()
         self.store = store
         self.transform = self.morphase.begin_incremental(
             store.instance, defaults=self._defaults)
-        self.audit = self.morphase.begin_incremental_audit(store.instance)
         self.counters.replayed_on_open = store.seq - store.base_seq
         self.counters.rebuild_ms = (time.perf_counter() - start) * 1000
         self._applied_seq = store.seq
@@ -275,7 +276,7 @@ class WarehouseSession:
                 batch_size = len(batch)
                 self._cond.notify_all()
         with self._state_lock.read():
-            violations = len(self.audit.violations())
+            violations = len(self.transform.violations())
         return IngestResult(seq=seq, applied_seq=self._applied_seq,
                             batch_size=batch_size,
                             violations=violations)
@@ -287,7 +288,6 @@ class WarehouseSession:
         with span("commit", batch=len(batch),
                   seq=batch[-1][0]), self._state_lock.write():
             self.transform.apply_delta(composed)
-            self.audit.apply_delta(composed)
         elapsed = (time.perf_counter() - start) * 1000
         _BATCH_SIZE.observe(len(batch))
         _BATCH_APPLY_SECONDS.observe(elapsed / 1000.0)
@@ -505,7 +505,7 @@ class WarehouseSession:
     def check_json(self) -> Dict[str, Any]:
         with self._state_lock.read():
             self.counters.inc("checks")
-            violations = self.audit.violations()
+            violations = self.transform.violations()
         return {"ok": not violations,
                 "count": len(violations),
                 "violations": [str(v) for v in violations]}

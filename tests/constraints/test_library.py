@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.constraints import (ConstraintReport, at_most_one,
-                               attribute_value, audit_constraints,
+from repro.constraints import (at_most_one, attribute_value, audit_constraints,
                                existence_dependency, functional_dependency,
                                inclusion_dependency, inverse_attributes,
                                key_constraint, specialization)
-from repro.model import (BOOL, STR, ClassType, InstanceBuilder, Record,
-                         Schema, WolSet, record, set_of)
+from repro.model import (BOOL, STR, InstanceBuilder, Record, Schema, WolSet,
+                         record, set_of)
 from repro.normalization import recognise_source_key_paths, snf_clause
 from repro.semantics import satisfies_clause
 from repro.workloads import cities, persons

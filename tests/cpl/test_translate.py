@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cpl import (CplTranslationError, Filter, Generator, LetBind,
-                       run_cpl, translate_body, translate_program)
+                       translate_body, translate_program)
 from repro.lang import parse_clause, parse_program
-from repro.model import isomorphic
 from repro.morphase import Morphase
 from repro.workloads import cities, persons
 

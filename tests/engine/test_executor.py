@@ -10,8 +10,8 @@ import pytest
 
 from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
-from repro.model import (INT, STR, ClassType, InstanceBuilder, Oid, Record,
-                         Schema, Variant, WolSet, record, set_of, variant)
+from repro.model import (INT, STR, ClassType, InstanceBuilder, Record, Schema,
+                         WolSet, record, set_of)
 from repro.obs.metrics import REGISTRY
 from repro.workloads import cities
 

@@ -1,9 +1,9 @@
 """Differential tests for the incremental (delta-driven) engine.
 
-The acceptance bar: ``IncrementalTransform.apply_delta`` and
-``IncrementalAudit.apply_delta`` must produce results *identical* to a
-full recompute over the updated instance — on the genome and ReLiBase
-workloads and on synthetic ones, for inserts, updates (including
+The acceptance bar: ``IncrementalTransform.apply_delta`` must produce a
+target *and* a violation set *identical* to a full recompute and a
+fresh audit over the updated instance — on the genome, ReLiBase and
+cities workloads and on synthetic ones, for inserts, updates (including
 updates read only through stored-reference chains), deletes, mixed
 batches and chains of deltas.  The full-recompute path is the oracle.
 """
@@ -14,10 +14,10 @@ import pytest
 
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
 from repro.constraints.audit import audit_constraints
-from repro.engine import (ExecutionError, Executor, IncrementalAudit,
-                          IncrementalTransform, ReverseIndex, execute)
+from repro.engine import (ExecutionError, Executor, IncrementalTransform,
+                          ReverseIndex, execute)
 from repro.evolution.delta import Delta, delta_between
-from repro.io.json_io import instance_to_json
+from repro.io.json_io import canonical_json, instance_to_json
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, Record, Schema, WolSet,
                          parse_schema, record, set_of)
@@ -26,6 +26,8 @@ from repro.model.values import Oid
 from repro.morphase import Morphase
 from repro.semantics.match import IndexPool
 from repro.workloads import genome, relibase, synthetic
+from tests.service.streams import (CitiesStream, cities_morphase,
+                                   cities_sources)
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +597,7 @@ class TestUnseedableClauseFallback:
 
 
 # ----------------------------------------------------------------------
-# IncrementalAudit differential tests
+# Constraint clauses in the one session
 # ----------------------------------------------------------------------
 
 def audit_oracle(instance, constraints):
@@ -605,6 +607,18 @@ def audit_oracle(instance, constraints):
                   for v in report.violations[name])
 
 
+def audit_session(instance, constraints):
+    """Constraints only: the session over an empty program."""
+    return IncrementalTransform((), instance, instance.schema,
+                                constraints=constraints)
+
+
+def assert_constraint_indexes_shared(state, held):
+    """The constraints' index paths live in the program's one pool."""
+    assert state.audit_plan.pool is state.plan.pool
+    assert set(state.audit_plan.index_paths()) <= set(held)
+
+
 class TestIncrementalAudit:
     @pytest.fixture(scope="class")
     def warehouse(self, genome_morphase, genome_source):
@@ -612,13 +626,13 @@ class TestIncrementalAudit:
 
     def test_initial_matches_batch_audit(self, warehouse):
         constraints = genome.warehouse_constraints()
-        audit = IncrementalAudit(warehouse, constraints)
+        audit = audit_session(warehouse, constraints)
         assert sorted(str(v) for v in audit.violations()) \
             == audit_oracle(warehouse, constraints)
 
     def test_delete_raises_inclusion_violation(self, warehouse):
         constraints = genome.warehouse_constraints()
-        audit = IncrementalAudit(warehouse, constraints)
+        audit = audit_session(warehouse, constraints)
         rev = ReverseIndex(warehouse)
         seq = next(oid for oid in sorted(
             warehouse.objects_of("SequenceT"), key=str)
@@ -627,11 +641,11 @@ class TestIncrementalAudit:
         result = audit.apply_delta(delta)
         assert result.added
         assert sorted(str(v) for v in result.violations) \
-            == audit_oracle(audit.instance, constraints)
+            == audit_oracle(audit.source, constraints)
 
     def test_reinsert_retracts_violation(self, warehouse):
         constraints = genome.warehouse_constraints()
-        audit = IncrementalAudit(warehouse, constraints)
+        audit = audit_session(warehouse, constraints)
         rev = ReverseIndex(warehouse)
         seq = next(oid for oid in sorted(
             warehouse.objects_of("SequenceT"), key=str)
@@ -643,18 +657,18 @@ class TestIncrementalAudit:
             Delta(inserts={"SequenceT": {seq: value}}))
         assert second.removed
         assert sorted(str(v) for v in second.violations) \
-            == audit_oracle(audit.instance, constraints)
+            == audit_oracle(audit.source, constraints)
 
     def test_update_rechecks_violations(self, warehouse):
         constraints = genome.warehouse_constraints()
-        audit = IncrementalAudit(warehouse, constraints)
+        audit = audit_session(warehouse, constraints)
         clone = sorted(warehouse.objects_of("CloneT"), key=str)[0]
         value = warehouse.value_of(clone)
         delta = Delta(updates={"CloneT": {
             clone: value.with_field("length", -1)}})
         result = audit.apply_delta(delta)
         assert sorted(str(v) for v in result.violations) \
-            == audit_oracle(audit.instance, constraints)
+            == audit_oracle(audit.source, constraints)
 
     def test_insert_supplies_missing_head_witness(self):
         # cities: C4 requires every country to have a capital city.
@@ -665,25 +679,27 @@ class TestIncrementalAudit:
                      cities.target_schema(), cities.PROGRAM_TEXT)
         merged = m._merge_sources([cities.sample_us_instance(),
                                    cities.sample_euro_instance()])
-        audit = m.begin_incremental_audit(merged)
+        session = m.begin_incremental(merged)
         constraints = list(m.compile().source_constraints)
-        assert audit.violations() == []
+        assert session.violations() == []
 
         country = Oid.fresh("CountryE")
-        first = m.audit_delta(audit, Delta(inserts={"CountryE": {
+        first = session.apply_delta(Delta(inserts={"CountryE": {
             country: Record.of(name="Utopia", language="utopian",
                                currency="UTO")}}))
         assert len(first.added) == 1
         assert sorted(str(v) for v in first.violations) \
-            == audit_oracle(audit.instance, constraints)
+            == audit_oracle(session.source, constraints)
 
         capital = Oid.fresh("CityE")
-        second = m.audit_delta(audit, Delta(inserts={"CityE": {
+        second = session.apply_delta(Delta(inserts={"CityE": {
             capital: Record.of(name="Nowhere", country=country,
                                is_capital=True)}}))
         assert len(second.removed) == 1
         assert second.violations == []
-        assert audit_oracle(audit.instance, constraints) == []
+        assert audit_oracle(session.source, constraints) == []
+        assert second.target.valuations \
+            == m.transform(session.source).target.valuations
 
     def test_relibase_inverse_constraint_under_updates(self):
         m = Morphase([relibase.swissprot_schema(), relibase.pdb_schema()],
@@ -693,7 +709,7 @@ class TestIncrementalAudit:
             bindings=20, seed=4)
         target = m.transform([swissprot, pdb]).target
         constraints = relibase.relibase_constraints()
-        audit = IncrementalAudit(target, constraints)
+        audit = audit_session(target, constraints)
         assert sorted(str(v) for v in audit.violations()) \
             == audit_oracle(target, constraints)
         # Corrupt a protein's structures set: drop one element.
@@ -706,16 +722,18 @@ class TestIncrementalAudit:
         result = audit.apply_delta(
             Delta(updates={"Protein": {protein: corrupted}}))
         assert sorted(str(v) for v in result.violations) \
-            == audit_oracle(audit.instance, constraints)
+            == audit_oracle(audit.source, constraints)
         assert result.violations  # the inverse constraint now fails
 
     def test_random_audit_sweep(self, warehouse):
+        """The constraint-path indexes live in the shared pool: each
+        step patches them in place, like the program's."""
         import random
         rng = random.Random(23)
         constraints = genome.warehouse_constraints()
-        audit = IncrementalAudit(warehouse, constraints)
+        audit = audit_session(warehouse, constraints)
         for step in range(3):
-            instance = audit.instance
+            instance = audit.source
             deletes = {}
             updates = {}
             for cname in ("GeneT", "SequenceT", "CloneT"):
@@ -728,7 +746,34 @@ class TestIncrementalAudit:
                 if value.has("map_position"):
                     updates[cname] = {victims[1]: value.with_field(
                         "map_position", f"22q{step}")}
-            delta = Delta(deletes=deletes, updates=updates)
-            result = audit.apply_delta(delta)
+            held = held_indexes(audit)
+            assert_constraint_indexes_shared(audit, held)
+            result = audit.apply_delta(
+                Delta(deletes=deletes, updates=updates))
+            assert_indexes_patched_in_place(audit, held)
             assert sorted(str(v) for v in result.violations) \
-                == audit_oracle(audit.instance, constraints)
+                == audit_oracle(audit.source, constraints)
+
+    def test_cities_stream_keeps_target_and_violations(self):
+        """Program and source constraints in one session under the
+        seeded cities write stream: after every step the target bytes
+        equal ``execute``, the violations ``audit_constraints``, the
+        store counts a fresh pass, and every index of the one pool
+        (the constraint paths included) a fresh build, patched in
+        place."""
+        morphase = cities_morphase()
+        state = morphase.begin_incremental(cities_sources())
+        constraints = list(morphase.compile().source_constraints)
+        assert len(state.constraints) == 3
+        writes = CitiesStream(seed=11)
+        for _ in range(12):
+            held = held_indexes(state)
+            assert_constraint_indexes_shared(state, held)
+            result = state.apply_delta(writes.next(state.source))
+            assert_indexes_patched_in_place(state, held)
+            assert canonical_json(instance_to_json(result.target)) \
+                == canonical_json(instance_to_json(
+                    morphase.transform(state.source).target))
+            assert sorted(str(v) for v in result.violations) \
+                == audit_oracle(state.source, constraints)
+            assert_counts_equal_fresh_run(state)

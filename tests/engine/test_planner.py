@@ -6,8 +6,8 @@ from repro.engine import Executor, plan_clause, plan_program
 from repro.engine import planner as planner_module
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
 from repro.lang import parse_clause
-from repro.model import (INT, STR, InstanceBuilder, Record, Schema, WolSet,
-                         record, set_of)
+from repro.model import (STR, InstanceBuilder, Record, Schema, WolSet, record,
+                         set_of)
 from repro.morphase import Morphase
 from repro.obs.metrics import REGISTRY
 from repro.oracle import naive_transform

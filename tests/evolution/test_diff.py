@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evolution import Evolution
-from repro.evolution.diff import DiffError, SchemaDiff, diff_schemas
+from repro.evolution.diff import DiffError, diff_schemas
 from repro.model import Record, WolSet, parse_schema
 from repro.model.instance import InstanceBuilder
 

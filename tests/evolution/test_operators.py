@@ -3,8 +3,7 @@
 import pytest
 
 from repro.evolution import Evolution, EvolutionError
-from repro.model import (INT, STR, Oid, Record, WolSet, isomorphic,
-                         parse_schema)
+from repro.model import STR, Record, WolSet, isomorphic, parse_schema
 from repro.model.instance import InstanceBuilder
 from repro.morphase import Morphase
 from repro.workloads import cities, persons

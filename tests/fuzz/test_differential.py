@@ -187,7 +187,7 @@ class TestTransformEngines:
         width, source, delta = universe
         morphase = build_morphase(width)
         state = morphase.begin_incremental(source)
-        result = morphase.apply_delta(state, delta)
+        result = state.apply_delta(delta)
         updated_source = delta.apply_to(
             morphase._merge_sources(source))
         recomputed = morphase.transform(updated_source).target

@@ -4,7 +4,6 @@ import pytest
 
 from repro.infocap import (check_injectivity, check_preservation,
                            filter_by_constraints)
-from repro.lang import parse_program
 from repro.morphase import Morphase
 from repro.workloads import persons
 

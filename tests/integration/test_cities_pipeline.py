@@ -10,7 +10,7 @@ constraints (C4)/(C5) for well-definedness.
 import pytest
 
 from repro.engine.executor import ExecutionError
-from repro.model import Oid, Record, Variant, isomorphic
+from repro.model import Record, Variant, isomorphic
 from repro.morphase import Morphase, MorphaseError
 from repro.workloads import cities
 

@@ -8,7 +8,6 @@ satisfying (C9)-(C11).
 import pytest
 
 from repro.infocap import check_injectivity, check_preservation
-from repro.model import Oid, isomorphic
 from repro.morphase import Morphase
 from repro.workloads import persons
 

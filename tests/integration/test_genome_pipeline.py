@@ -9,7 +9,7 @@ in the Penn genome-centre trials.
 import pytest
 
 from repro.adapters.acedb import schema_of_acedb
-from repro.adapters.relational import export_instance, import_database
+from repro.adapters.relational import export_instance
 from repro.morphase import Morphase
 from repro.workloads import genome
 

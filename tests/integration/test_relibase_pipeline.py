@@ -7,7 +7,7 @@ multi-source joins and set-valued attribute accumulation end to end.
 
 import pytest
 
-from repro.model import WolSet, isomorphic
+from repro.model import WolSet
 from repro.morphase import Morphase
 from repro.workloads import relibase
 

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.lang import (AstError, Clause, Const, EqAtom, InAtom,
-                        KIND_CONSTRAINT, KIND_TRANSFORMATION, LeqAtom,
-                        LtAtom, MemberAtom,
-                        NeqAtom, ParseError, Program, Proj, RecordTerm,
-                        SkolemTerm, UNIT_CONST, Var, VariantTerm, parse_atom,
-                        parse_clause, parse_program, parse_term,
-                        resolve_memberships)
+from repro.lang import (AstError, Const, EqAtom, InAtom, KIND_CONSTRAINT,
+                        KIND_TRANSFORMATION, LeqAtom, LtAtom, MemberAtom,
+                        NeqAtom, ParseError, Proj, RecordTerm, SkolemTerm,
+                        UNIT_CONST, Var, VariantTerm, parse_atom, parse_clause,
+                        parse_program, parse_term, resolve_memberships)
 
 
 class TestTerms:

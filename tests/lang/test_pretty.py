@@ -2,7 +2,7 @@
 
 from repro.lang import (format_clause, format_program, parse_clause,
                         parse_program)
-from repro.workloads.cities import PROGRAM_TEXT, integration_program
+from repro.workloads.cities import integration_program
 
 
 CLASSES = ["CityA", "StateA", "CityE", "CountryE", "CityT", "CountryT",

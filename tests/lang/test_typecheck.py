@@ -4,8 +4,7 @@ import pytest
 
 from repro.lang import TypecheckError, check_clause, check_program, parse_clause
 from repro.model import (BOOL, INT, STR, ClassType, merge_schemas, record,
-                         set_of, variant)
-from repro.model.types import VariantType, UNIT
+                         set_of)
 from repro.workloads.cities import (euro_schema, integration_program,
                                     target_schema, us_schema)
 

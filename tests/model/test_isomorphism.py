@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.model import (STR, BOOL, ClassType, InstanceBuilder, Oid, Record,
-                         Schema, WolSet, find_isomorphism, isomorphic,
-                         record, rename_oids, set_of)
+from repro.model import (STR, ClassType, InstanceBuilder, Oid, Record, Schema,
+                         WolSet, find_isomorphism, isomorphic, record,
+                         rename_oids, set_of)
 
 
 def pair_schema() -> Schema:

@@ -1,10 +1,7 @@
 """Unit tests for class renaming across schemas and instances."""
 
-import pytest
-
-from repro.model import (STR, ClassType, InstanceBuilder, Oid, Record,
-                         Schema, Variant, WolSet, isomorphic, record,
-                         set_of, variant)
+from repro.model import (STR, ClassType, InstanceBuilder, Oid, Record, Schema,
+                         WolSet, record, set_of, variant)
 from repro.model.rename import (rename_instance_classes,
                                 rename_keyed_schema, rename_schema,
                                 rename_type)

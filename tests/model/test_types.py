@@ -3,9 +3,8 @@
 import pytest
 
 from repro.model import (BOOL, FLOAT, INT, STR, UNIT, BaseType, ClassType,
-                         ListType, RecordType, SetType, TypeError_,
-                         VariantType, list_of, parse_type, record, set_of,
-                         variant)
+                         RecordType, TypeError_, VariantType, list_of,
+                         parse_type, record, set_of, variant)
 
 
 class TestBaseTypes:

@@ -1,6 +1,6 @@
 """Unit tests for meta-data constraint generation (paper Section 5)."""
 
-from repro.lang import EqAtom, MemberAtom, SkolemTerm
+from repro.lang import EqAtom
 from repro.morphase import (generate_source_key_clauses,
                             generate_target_key_clauses, key_clause_for,
                             source_key_clause_for)

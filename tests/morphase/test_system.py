@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import RangeRestrictionError, TypecheckError
-from repro.model import InstanceBuilder, Record, isomorphic
+from repro.model import Record
 from repro.normalization import NormalizationError
 from repro.morphase import Morphase, MorphaseError
 from repro.normalization import NormalizationOptions

@@ -1,9 +1,6 @@
 """Unit tests for key clause recognition and identity derivation."""
 
-import pytest
-
-from repro.lang import SkolemTerm, Var, parse_clause
-from repro.model import KeySpec, attribute_key, attributes_key
+from repro.lang import Var, parse_clause
 from repro.normalization import (congruence_of, derive_identity,
                                  key_paths_from_spec, recognise_key_clause,
                                  recognise_source_key_paths, snf_clause)

@@ -1,7 +1,5 @@
 """Unit tests for constraint-based simplification (paper Section 4.2)."""
 
-import pytest
-
 from repro.lang import EqAtom, MemberAtom, parse_clause
 from repro.normalization import (clause_signature, is_body_satisfiable,
                                  simplify_clause, snf_clause)

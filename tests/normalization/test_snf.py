@@ -1,7 +1,5 @@
 """Unit tests for semi-normal form conversion (paper Section 5)."""
 
-import pytest
-
 from repro.lang import (EqAtom, InAtom, MemberAtom, Proj, SkolemTerm, Var,
                         parse_clause)
 from repro.normalization import is_snf_atom, is_snf_clause, snf_clause

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.lang.ast import (Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                             MemberAtom, NeqAtom, Proj, RecordTerm,
                             SkolemTerm, Var, VariantTerm)
-from repro.model import (BOOL, INT, STR, BaseType, Record, UNIT_VALUE,
-                         Variant, WolList, WolSet, record, set_of, variant)
+from repro.model import (BOOL, INT, STR, Record, UNIT_VALUE, Variant, WolList,
+                         WolSet, record, set_of, variant)
 
 # ----------------------------------------------------------------------
 # Identifiers

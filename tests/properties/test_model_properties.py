@@ -3,9 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import (Oid, Record, check_value, isomorphic, map_oids,
-                         oids_in, parse_type, rename_oids)
-from repro.model.values import ValueError_
+from repro.model import (Oid, Record, isomorphic, map_oids, oids_in,
+                         parse_type, rename_oids)
 
 from .strategies import types, values
 

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import isomorphic
 from repro.morphase import Morphase
 from repro.normalization import (clause_signature, congruence_of,
                                  is_snf_clause, snf_clause, Unsatisfiable)
-from repro.semantics import Matcher
 from repro.workloads import cities, persons
 
 from .strategies import clauses

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.lang import parse_atom, parse_clause, parse_term
-from repro.model import (STR, ClassType, InstanceBuilder, Oid, Record,
-                         Schema, WolSet, record, set_of)
+from repro.lang import parse_clause, parse_term
+from repro.model import (STR, InstanceBuilder, Oid, Record, Schema, WolSet,
+                         record, set_of)
 from repro.semantics import Matcher, unify_term
-from repro.workloads.cities import euro_schema, sample_euro_instance
+from repro.workloads.cities import sample_euro_instance
 
 CLASSES = ["CityE", "CountryE"]
 

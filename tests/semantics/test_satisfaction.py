@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import parse_clause
-from repro.model import InstanceBuilder, Record
+from repro.model import Record
 from repro.semantics import (clause_violations, merge_instances,
                              satisfies_clause, satisfies_program)
 from repro.workloads.cities import (euro_schema, sample_euro_instance,

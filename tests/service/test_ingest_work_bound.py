@@ -2,21 +2,26 @@
 
 A write costs what its delta touches.  Reopening a store with N WAL
 records is one production pass over the recovered instance — not N
-delta propagations through the transform and the audit; an ingest runs
-seeded plans compiled once, when the session started — not ~7.6 plan
-compilations per delta; and those once-compiled plans hold no Skolem
-identities between deltas, so a long-lived session's memory does not
-grow with the identities its deltas minted.
+delta propagations; an ingest runs seeded plans compiled once, when the
+session started — not ~7.6 plan compilations per delta; those
+once-compiled plans hold no Skolem identities between deltas, so a
+long-lived session's memory does not grow with the identities its
+deltas minted; and the program and its source constraints share one
+session, so the source is indexed once at start and swapped, re-indexed
+and rebased once per batch.
 """
 
 import collections
 
 import pytest
 
-from repro.engine import (Executor, IncrementalAudit, IncrementalTransform,
+from repro.engine import (Executor, IncrementalTransform, ReverseIndex,
                           columnar)
+from repro.evolution.delta import Delta
 from repro.lang.ast import SkolemTerm
 from repro.model.values import Oid
+from repro.semantics.match import IndexPool
+from repro.service import WarehouseSession
 
 from .streams import GenomeStream, genome_morphase, genome_sources
 
@@ -24,29 +29,24 @@ WAL_RECORDS = 12
 INGESTS = 8
 
 
+def _count(monkeypatch, counts, owner, name):
+    """Count calls of ``owner.name`` under ``"Owner.name"``."""
+    original = getattr(owner, name)
+    key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls of the entry points a recovery or ingest may run."""
     counts = collections.Counter()
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(Executor, "run_program")
-    counted(columnar, "compile_steps")
-    for engine in (IncrementalTransform, IncrementalAudit):
-        original = engine.apply_delta
-
-        def wrapper(self, delta, _original=original,
-                    _key=f"{engine.__name__}.apply_delta"):
-            counts[_key] += 1
-            return _original(self, delta)
-        monkeypatch.setattr(engine, "apply_delta", wrapper)
+    _count(monkeypatch, counts, Executor, "run_program")
+    _count(monkeypatch, counts, columnar, "compile_steps")
+    _count(monkeypatch, counts, IncrementalTransform, "apply_delta")
     return counts
 
 
@@ -67,8 +67,7 @@ def test_recovery_is_one_pass_not_a_replay(store_with_tail, calls):
     session = morphase.serve(morphase.open_store(path))
     assert session.counters.replayed_on_open == WAL_RECORDS
     assert (calls["IncrementalTransform.apply_delta"],               # (a)
-            calls["IncrementalAudit.apply_delta"],
-            calls["run_program"]) == (0, 0, 1)
+            calls["Executor.run_program"]) == (0, 1)
     session.close()
 
 
@@ -80,7 +79,47 @@ def test_ingest_compiles_nothing(store_with_tail, calls):
         session.ingest(writes.next(session.store.instance))
     during = calls - started
     assert during["IncrementalTransform.apply_delta"] == INGESTS
-    assert during["compile_steps"] == 0                             # (b)
+    assert during["columnar.compile_steps"] == 0                    # (b)
+    session.close()
+
+
+def test_serve_indexes_the_source_once(store_with_tail, monkeypatch):
+    morphase, path, _writes = store_with_tail
+    store = morphase.open_store(path)
+    built = collections.Counter()
+    for owner in (ReverseIndex, IndexPool):
+        def init(self, *args, _original=owner.__init__,
+                 _name=owner.__name__, **kwargs):
+            if args and args[0] is store.instance:
+                built[_name] += 1
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(owner, "__init__", init)
+    session = morphase.serve(store)
+    assert built == {"ReverseIndex": 1, "IndexPool": 1}             # (d)
+    session.close()
+
+
+def test_a_batch_swaps_the_source_once(store_with_tail, monkeypatch):
+    morphase, path, writes = store_with_tail
+    session = morphase.serve(morphase.open_store(path))
+    counts = collections.Counter()
+    for owner, name in ((Delta, "apply_to"),
+                        (ReverseIndex, "apply_delta"),
+                        (IndexPool, "rebase")):
+        _count(monkeypatch, counts, owner, name)
+    per_batch = []
+    apply_batch = WarehouseSession._apply_batch
+
+    def counted_batch(self, batch):
+        before = collections.Counter(counts)
+        apply_batch(self, batch)
+        per_batch.append(dict(counts - before))
+    monkeypatch.setattr(WarehouseSession, "_apply_batch", counted_batch)
+    for _ in range(INGESTS):
+        session.ingest(writes.next(session.store.instance))
+    assert per_batch == [{"Delta.apply_to": 1,                        # (e)
+                          "ReverseIndex.apply_delta": 1,
+                          "IndexPool.rebase": 1}] * INGESTS
     session.close()
 
 

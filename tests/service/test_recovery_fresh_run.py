@@ -37,16 +37,15 @@ def counted_state(store):
 def observed(session):
     """What a client and the engine's own bookkeeping see."""
     return (session.target_json_bytes(),
-            [str(violation) for violation in session.audit.violations()],
+            [str(violation) for violation in session.transform.violations()],
             counted_state(session.transform.store))
 
 
 def fresh_run(morphase, instance):
-    transform = morphase.begin_incremental(instance)
-    audit = morphase.begin_incremental_audit(instance)
-    return (canonical_json(instance_to_json(transform.target)).encode(),
-            [str(violation) for violation in audit.violations()],
-            counted_state(transform.store))
+    fresh = morphase.begin_incremental(instance)
+    return (canonical_json(instance_to_json(fresh.target)).encode(),
+            [str(violation) for violation in fresh.violations()],
+            counted_state(fresh.store))
 
 
 @pytest.mark.parametrize("build, sources, stream", [

@@ -61,7 +61,7 @@ def assert_matches_cold_oracle(session):
                                limit_per_clause=None)
     oracle = sorted(str(v) for name in report.failed_clauses()
                     for v in report.violations[name])
-    assert sorted(str(v) for v in session.audit.violations()) == oracle
+    assert sorted(str(v) for v in session.transform.violations()) == oracle
 
 
 class TestDifferential:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import isomorphic, satisfies_keys
+from repro.model import satisfies_keys
 from repro.morphase import Morphase
 from repro.semantics import satisfies_program
 from repro.workloads import cities, genome, persons
