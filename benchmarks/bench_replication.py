@@ -13,9 +13,10 @@ separate process (own store, own HTTP server, own GIL) and measures:
   the single-node baseline by >= 1.5x — recorded only on machines
   with >= 4 cores (below that the nodes share cores and the series
   is informational).
-* ``replica_lag``: follower lag (leader seq - applied seq, sampled
-  over its /stats endpoint) while the leader sustains a write stream,
-  and the time to drain back to lag 0 after the stream stops.
+* ``replica_lag``: follower lag (``repro_replication_lag``, leader
+  seq at the last poll minus applied seq, sampled from its /metrics)
+  while the leader sustains a write stream, and the time to drain back
+  to lag 0 after the stream stops.
 """
 
 import json
@@ -101,6 +102,21 @@ def http_get(address, path):
         return document.get("result", document)  # unwrap the envelope
     finally:
         conn.close()
+
+
+def scrape(address, *names):
+    """Sample values off a node's /metrics page, in ``names`` order."""
+    conn = HTTPConnection(*address)
+    try:
+        conn.request("GET", "/metrics")
+        response = conn.getresponse()
+        payload = response.read().decode("utf-8")
+        assert response.status == 200, payload
+    finally:
+        conn.close()
+    values = dict(line.rsplit(" ", 1) for line in payload.splitlines()
+                  if line and not line.startswith("#"))
+    return [float(values[name]) for name in names]
 
 
 def measure_rps(addresses, seconds=MEASURE_SECONDS,
@@ -225,16 +241,15 @@ def test_replica_lag_under_sustained_ingest(bench_report, leader):
         thread = threading.Thread(target=writer)
         thread.start()
         while thread.is_alive():
-            stats = http_get(address, "/stats")
-            lags.append(stats["replication"]["lag"])
+            lags.append(int(scrape(address, "repro_replication_lag")[0]))
             time.sleep(0.02)
         thread.join()
         drain_start = time.monotonic()
         while True:
-            stats = http_get(address, "/stats")
-            lag = stats["replication"]["lag"]
-            lags.append(lag)
-            if lag == 0 and stats["applied_seq"] == session.store.seq:
+            lag, applied = scrape(address, "repro_replication_lag",
+                                  "repro_session_applied_seq")
+            lags.append(int(lag))
+            if lag == 0 and applied == session.store.seq:
                 break
             assert time.monotonic() - drain_start < 60.0, \
                 "follower never drained its lag"

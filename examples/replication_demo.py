@@ -18,7 +18,8 @@ byte-identical to the leader's.  This demo exercises the whole story:
 5. verify both followers converge to a byte-identical ``/target``,
 6. scrape ``GET /metrics`` on the leader and a follower and assert
    the replication gauges (lag, leader seq, records shipped) and the
-   leader's request/WAL families carry live samples,
+   leader's request/WAL families carry live samples — and that the
+   leader's page reports only the leader,
 7. show a write bouncing off a follower (409 with the leader's URL)
    and the monotonic-read token holding across nodes.
 
@@ -154,11 +155,13 @@ def main() -> int:
             print(f"MISMATCH: follower {name} /target differs "
                   f"from the leader's")
             return 1
-        stats = session.stats_json()["replication"]
+        value = session.metrics.value
         print(f"follower {name}: seq {session.store.seq}, lag "
-              f"{stats['lag']}, {stats['records_replicated']} "
-              f"record(s) replicated, {stats['resyncs']} resync(s)")
-    if sessions["B"].replication.resyncs < 1:
+              f"{value('repro_replication_lag'):g}, "
+              f"{value('repro_replication_records'):g} record(s) "
+              f"replicated, {value('repro_replication_resyncs'):g} "
+              f"resync(s)")
+    if sessions["B"].metrics.value("repro_replication_resyncs") < 1:
         print("MISMATCH: follower B never reseeded — the compaction "
               "should have forced a snapshot catch-up")
         return 1
@@ -174,6 +177,11 @@ def main() -> int:
             "repro_wal_appends_total": INGESTS,
             'repro_session_role{role="leader"}': 1,
     }):
+        return 1
+    # Each node's page is its own: the followers share this process,
+    # yet none of their session families shows up on the leader.
+    if 'repro_session_role{role="replica"}' in leader.metrics():
+        print("MISMATCH: the leader's /metrics reports a replica role")
         return 1
     if not check_metrics(ServiceClient(server_a.url), "follower A", {
             'repro_session_role{role="replica"}': 1,
@@ -201,13 +209,12 @@ def main() -> int:
     # its token to a follower and never sees older state.
     roaming = ServiceClient(server_a.url)
     roaming.last_seq = leader.last_seq  # token observed on the leader
-    stats = roaming.stats()
-    if stats["applied_seq"] < leader.last_seq:
+    seq = roaming.health()["seq"]
+    if seq < leader.last_seq:
         print("MISMATCH: follower answered below the read token")
         return 1
     print(f"monotonic token held across nodes "
-          f"(applied {stats['applied_seq']} >= token "
-          f"{leader.last_seq})")
+          f"(seq {seq} >= token {leader.last_seq})")
 
     for server in (server_a, server_b, leader_server):
         server.shutdown()

@@ -474,10 +474,10 @@ def _cmd_serve(args) -> int:
     server = make_server(session, host=args.host, port=args.port,
                          verbose=args.verbose,
                          slow_query_ms=args.slow_query_ms)
-    endpoints = ("GET /query, GET /check, GET /stats, GET /wal"
+    endpoints = ("GET /query, GET /check, GET /metrics, GET /wal"
                  if replica is not None else
                  "POST /ingest, POST /program, GET /query, GET /check, "
-                 "POST /snapshot, POST /lint, GET /stats, GET /wal")
+                 "POST /snapshot, POST /lint, GET /metrics, GET /wal")
     print(f"serving on {server.url} — {endpoints}")
     try:
         server.serve_forever()

@@ -18,7 +18,9 @@ Design:
   mutation is a no-op (the ``--no-obs`` benchmark baseline).
 
 The module-level :data:`REGISTRY` is the process default; everything
-in ``repro`` that is not per-session records into it.
+in ``repro`` that is not per-session records into it.  A serving
+session owns its own registry, which ``GET /metrics`` renders after
+this one.
 """
 
 from __future__ import annotations
@@ -74,12 +76,7 @@ def enabled() -> bool:
 
 
 class Counter:
-    """A monotonically increasing counter with atomic increments.
-
-    Standalone — usable unregistered (e.g. per-session statistics that
-    must not be shared across sessions in one process) or interned as
-    a registry family child.
-    """
+    """A monotonically increasing counter with atomic increments."""
 
     __slots__ = ("_lock", "_value")
 
@@ -310,7 +307,8 @@ def _render_labels(labelnames: Sequence[str],
 
 
 class MetricsRegistry:
-    """A process-wide, named collection of metric families."""
+    """A named collection of metric families (the process default,
+    or one serving session's own)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -414,7 +412,8 @@ class MetricsRegistry:
 
 
 #: The process-default registry: everything in ``repro`` that is not
-#: explicitly per-session records here, and ``GET /metrics`` renders it.
+#: explicitly per-session records here, and ``GET /metrics`` renders it
+#: before the serving session's own.
 REGISTRY = MetricsRegistry()
 
 

@@ -6,7 +6,7 @@ This package is that system's front door: one warm
 :class:`~repro.service.session.WarehouseSession` holds the compiled
 program, the shared index pool and the incremental session (target
 and violation set) across requests; a stdlib ``ThreadingHTTPServer`` exposes
-ingest/query/check/snapshot/stats endpoints; a read-write lock lets
+ingest/query/check/snapshot/metrics endpoints; a read-write lock lets
 queries run concurrently while delta ingestion group-commits bursts
 into single incremental applications.
 
@@ -26,8 +26,7 @@ from .server import (API_VERSION, ServiceServer, envelope_error,
 from .client import (ServiceClient, ServiceClientError,
                      ServiceConflictError, ServiceParseError,
                      ServiceValidationError)
-from .replica import (ReplicaError, ReplicaSession, ReplicationState,
-                      WalReplica)
+from .replica import ReplicaError, ReplicaSession, WalReplica
 
 __all__ = [
     "ReadWriteLock",
@@ -36,5 +35,5 @@ __all__ = [
     "envelope_ok", "envelope_error",
     "ServiceClient", "ServiceClientError", "ServiceConflictError",
     "ServiceParseError", "ServiceValidationError",
-    "ReplicaError", "ReplicaSession", "ReplicationState", "WalReplica",
+    "ReplicaError", "ReplicaSession", "WalReplica",
 ]

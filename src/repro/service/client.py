@@ -213,9 +213,6 @@ class ServiceClient:
     def health(self) -> Dict[str, Any]:
         return self._call("GET", "/health")
 
-    def stats(self) -> Dict[str, Any]:
-        return self._call("GET", "/stats")
-
     def metrics(self) -> str:
         """Scrape ``GET /metrics`` (Prometheus text, not an envelope)."""
         req = urlrequest.Request(self.base_url + "/metrics")

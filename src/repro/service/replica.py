@@ -33,13 +33,11 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 from urllib import request as urlrequest
 from urllib.error import HTTPError
 
 from ..obs.events import log_event
-from ..obs.metrics import REGISTRY
 from ..obs.trace import current_trace_id
 from ..store.snapshot import snapshot_name, write_current
 from ..store.store import StoreError, WAL_NAME, WarehouseStore
@@ -53,19 +51,6 @@ TRACE_HEADER = "X-Repro-Trace"
 
 class ReplicaError(Exception):
     """Raised when the leader is unreachable or answers garbage."""
-
-
-@dataclass
-class ReplicationState:
-    """What the tailing loop has observed (rides in ``/stats``)."""
-
-    leader: str                      #: base URL of the leader.
-    leader_seq: int = 0              #: leader's seq at the last poll.
-    records_replicated: int = 0      #: WAL records applied locally.
-    polls: int = 0                   #: completed /wal polls.
-    resyncs: int = 0                 #: snapshot-seeded catch-ups.
-    connected: bool = False          #: did the last poll succeed?
-    last_error: Optional[str] = None
 
 
 class ReplicaSession(WarehouseSession):
@@ -84,7 +69,31 @@ class ReplicaSession(WarehouseSession):
                  defaults: Optional[Dict] = None) -> None:
         super().__init__(morphase, store, defaults=defaults)
         self.leader_url = leader_url
-        self.replication = ReplicationState(leader=leader_url)
+        # Control state of the tailing loop (``catch_up`` compares
+        # ``leader_seq``, ``run`` logs the up→down edge of ``connected``):
+        # plain attributes, because ``--no-obs`` freezes every metric.
+        self.leader_seq = 0
+        self.connected = False
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._lag = gauge(
+            "repro_replication_lag",
+            "Leader seq at the last poll minus the locally applied seq."
+        ).labels()
+        self._leader_seq_gauge = gauge(
+            "repro_replication_leader_seq",
+            "Leader sequence number at the last poll.").labels()
+        self._records = counter(
+            "repro_replication_records",
+            "Leader WAL records replicated into this node.").labels()
+        self._polls = counter(
+            "repro_replication_polls",
+            "Completed /wal polls against the leader.").labels()
+        self._resyncs = counter(
+            "repro_replication_resyncs",
+            "Snapshot-seeded catch-ups (leader compacted past us).").labels()
+        self._connected_gauge = gauge(
+            "repro_replication_connected",
+            "1 when the last leader poll succeeded.").labels()
 
     # ------------------------------------------------------------------
     # Writes: refused
@@ -146,8 +155,10 @@ class ReplicaSession(WarehouseSession):
                     raise
                 with self._cond:
                     self._applied_seq = batch[-1][0]
+                    self._applied_gauge.set(self._applied_seq)
                     self._cond.notify_all()
-                self.replication.records_replicated += len(batch)
+                self._records.inc(len(batch))
+                self._note_lag()
         if batch:
             self._notify_wal()  # replicas can be chained: wake our own tailers
         return len(batch)
@@ -164,54 +175,32 @@ class ReplicaSession(WarehouseSession):
             with self._state_lock.write():
                 self._attach_store(store)
             old.close()
-        self.replication.resyncs += 1
+        self._resyncs.inc()
+        self._note_lag()
         log_event("replica_reseed", leader=self.leader_url,
                   base_seq=store.base_seq, seq=store.seq,
-                  resyncs=self.replication.resyncs)
+                  resyncs=int(self._resyncs.value))
         self._notify_wal()
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Leader link
     # ------------------------------------------------------------------
-    def publish_metrics(self) -> None:
-        super().publish_metrics()
-        state = self.replication
-        gauge = REGISTRY.gauge
-        gauge("repro_replication_lag",
-              "Leader seq minus locally applied seq at the last poll."
-              ).set(max(0, state.leader_seq - self._applied_seq))
-        gauge("repro_replication_leader_seq",
-              "Leader sequence number at the last poll.").set(
-            state.leader_seq)
-        gauge("repro_replication_records",
-              "Leader WAL records replicated into this node.").set(
-            state.records_replicated)
-        gauge("repro_replication_polls",
-              "Completed /wal polls against the leader.").set(
-            state.polls)
-        gauge("repro_replication_resyncs",
-              "Snapshot-seeded catch-ups (leader compacted past us)."
-              ).set(state.resyncs)
-        gauge("repro_replication_connected",
-              "1 when the last leader poll succeeded.").set(
-            1 if state.connected else 0)
+    def polled(self, leader_seq: int) -> None:
+        """Record one successful ``/wal`` poll that saw ``leader_seq``."""
+        self.leader_seq = leader_seq
+        self.connected = True
+        self._connected_gauge.set(1)
+        self._leader_seq_gauge.set(leader_seq)
+        self._polls.inc()
+        self._note_lag()
 
-    def stats_json(self) -> Dict[str, Any]:
-        stats = super().stats_json()
-        state = self.replication
-        stats["replication"] = {
-            "leader": state.leader,
-            "leader_seq": state.leader_seq,
-            "applied_seq": self._applied_seq,
-            "lag": max(0, state.leader_seq - self._applied_seq),
-            "records_replicated": state.records_replicated,
-            "polls": state.polls,
-            "resyncs": state.resyncs,
-            "connected": state.connected,
-            "last_error": state.last_error,
-        }
-        return stats
+    def lost_leader(self) -> None:
+        """Record a failed poll (the loop logs the up→down edge)."""
+        self.connected = False
+        self._connected_gauge.set(0)
 
+    def _note_lag(self) -> None:
+        self._lag.set(max(0, self.leader_seq - self._applied_seq))
 
 class WalReplica:
     """Bootstrap plus tailing loop: one follower of one leader.
@@ -353,11 +342,7 @@ class WalReplica:
         response = self._fetch(
             f"/wal?from={from_seq}&limit={self.poll_limit}"
             f"&wait={wait:g}")
-        state = session.replication
-        state.polls += 1
-        state.leader_seq = int(response["seq"])
-        state.connected = True
-        state.last_error = None
+        session.polled(int(response["seq"]))
         if response.get("reset"):
             # The leader compacted past our cursor: the records we
             # need no longer exist anywhere — catch up from the
@@ -378,15 +363,14 @@ class WalReplica:
         deadline = time.monotonic() + deadline_seconds
         while True:
             self.step(wait=0.0)
-            state = session.replication
-            if session.store.seq >= state.leader_seq:
+            if session.store.seq >= session.leader_seq:
                 return session.store.seq
             if time.monotonic() > deadline:
                 raise ReplicaError(
                     f"replica did not catch up within "
                     f"{deadline_seconds}s (local seq "
                     f"{session.store.seq}, leader "
-                    f"{state.leader_seq})")
+                    f"{session.leader_seq})")
 
     def run(self) -> None:
         """The tailing loop body (runs on the :meth:`start` thread)."""
@@ -396,16 +380,14 @@ class WalReplica:
             except (ReplicaError, ServiceError, StoreError,
                     OSError) as exc:
                 if self.session is not None:
-                    state = self.session.replication
-                    if state.connected:
+                    if self.session.connected:
                         # Log the edge (up → down), not every retry —
                         # an unreachable leader would otherwise flood
                         # the event log at the retry cadence.
                         log_event("replica_outage",
                                   leader=self.leader_url,
                                   error=str(exc))
-                    state.connected = False
-                    state.last_error = str(exc)
+                    self.session.lost_leader()
                 self._stop.wait(self.retry_seconds)
 
     def start(self) -> ReplicaSession:
@@ -431,5 +413,4 @@ class WalReplica:
             self.session.close()
 
 
-__all__ = ["ReplicaError", "ReplicaSession", "ReplicationState",
-           "WalReplica"]
+__all__ = ["ReplicaError", "ReplicaSession", "WalReplica"]

@@ -7,9 +7,9 @@ read-write lock, and writers group-commit through its batcher.
 Endpoints::
 
     GET  /health            liveness + current sequence number
-    GET  /stats             service, batching and store statistics
-    GET  /metrics           process metrics, Prometheus text format
-                            (the one non-envelope endpoint)
+    GET  /metrics           process, then session, metrics in
+                            Prometheus text (the one non-envelope
+                            endpoint)
     GET  /target            full target instance (JSON interchange)
     GET  /query?body=B      conjunctive WOL query over the warm target
          [&project=X,Y]     (planned + columnar; canonical row order)
@@ -20,7 +20,7 @@ Endpoints::
                             follower N was compacted away and it must
                             reseed from the snapshot)
     GET  /snapshot/<name>   one content-addressed snapshot document
-                            (the follower seed; name from /wal, /stats)
+                            (the follower seed; name from /wal)
     POST /program           body: {"text": "<DSL>"} or {"ast": {...}}
                             -> compile + run a query program
     POST /ingest            body: delta JSON (label-addressed) -> seq
@@ -112,8 +112,8 @@ _IN_FLIGHT = REGISTRY.gauge(
 
 #: Known routes, for bounded metric label cardinality — anything else
 #: (404 probes included) lands under ``other``.
-_GET_ROUTES = frozenset({"/health", "/stats", "/metrics", "/target",
-                         "/query", "/check", "/wal"})
+_GET_ROUTES = frozenset({"/health", "/metrics", "/target", "/query",
+                         "/check", "/wal"})
 _POST_ROUTES = frozenset({"/ingest", "/program", "/snapshot", "/lint"})
 
 
@@ -465,8 +465,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if parsed.path == "/health":
             self._dispatch(lambda: self._health(session))
-        elif parsed.path == "/stats":
-            self._dispatch(lambda: (200, session.stats_json()))
         elif parsed.path == "/target":
             self._dispatch(lambda: (200, session.target_json_bytes()))
         elif parsed.path == "/query":
@@ -482,13 +480,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no route {parsed.path}")
 
     def _metrics(self, session: WarehouseSession) -> None:
-        """``GET /metrics``: the registry in Prometheus text format.
+        """``GET /metrics``: the process registry, then the session's own,
+        in Prometheus text format.
 
         The one non-envelope endpoint — Prometheus scrapers speak the
         text exposition format, not our JSON envelope.
         """
-        session.publish_metrics()
-        body = REGISTRY.render().encode("utf-8")
+        body = (REGISTRY.render() + session.metrics.render()).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type",
                          "text/plain; version=0.0.4; charset=utf-8")

@@ -17,7 +17,7 @@ Writes group-commit: every ingested delta is individually durable (WAL
 append first), but a burst of deltas queued while a batch is applying
 is composed (:func:`repro.evolution.delta.compose_deltas`) and applied
 as *one* incremental step — callers block only until the batch holding
-their delta lands.  Reads (query/check/stats) share a
+their delta lands.  Reads (query/check/target) share a
 writer-preferring read-write lock, so they run concurrently with each
 other and never observe a half-applied batch.
 """
@@ -33,7 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..evolution.delta import Delta, compose_deltas
 from ..io.json_io import canonical_json, instance_to_json, value_to_json
 from ..lang.parser import ParseError
-from ..obs.metrics import BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY, Counter
+from ..obs.metrics import (BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY,
+                           MetricsRegistry)
 from ..obs.trace import span
 from ..program import (ProgramParseError, ProgramValidationError,
                        QueryProgram, ResultSet, compile_program,
@@ -42,14 +43,6 @@ from ..query.query import Query, QueryError
 from ..store.store import WarehouseStore
 from .locks import ReadWriteLock
 
-_BATCH_SIZE = REGISTRY.histogram(
-    "repro_commit_batch_size",
-    "Deltas composed into one group-commit batch.",
-    buckets=BATCH_BUCKETS)
-_BATCH_APPLY_SECONDS = REGISTRY.histogram(
-    "repro_commit_apply_seconds",
-    "Wall time applying one composed batch through the incremental "
-    "engine (under the write lock).", buckets=LATENCY_BUCKETS)
 _TARGET_ENCODE_TOTAL = REGISTRY.counter(
     "repro_target_encode_total",
     "GET /target reads answered from the per-seq encoded bytes (hit) "
@@ -89,57 +82,6 @@ class IngestResult:
     violations: int           #: live violation count after the batch.
 
 
-class SessionCounters:
-    """Service-level statistics (exposed by ``/stats``).
-
-    Request counters are backed by :class:`repro.obs.metrics.Counter`
-    atomics — the old dataclass fields were bumped with bare ``+=``
-    under the *read* lock, so two concurrent handlers could lose
-    increments (a read-modify-write race).  Reads stay plain attribute
-    access (``counters.queries``), so ``/stats`` and the tests are
-    unchanged.  Counters are per-session on purpose: a process hosting
-    a leader and a follower (tests, demos) must not blend their
-    request counts.
-    """
-
-    _COUNTER_FIELDS = ("ingested", "batches", "queries", "body_queries",
-                       "programs", "checks", "lints", "snapshots")
-
-    def __init__(self) -> None:
-        self._atomics = {name: Counter()
-                         for name in self._COUNTER_FIELDS}
-        self._max_lock = threading.Lock()
-        self._max_batch = 0
-        self.rebuild_ms = 0.0
-        self.replayed_on_open = 0
-        self.apply_ms_total = 0.0
-        self.last_batch_ms = 0.0
-        self.started_at = time.time()
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Atomically bump one request counter."""
-        self._atomics[name].inc(amount)
-
-    def note_batch(self, size: int) -> None:
-        """Record one applied batch's size (count, running max)."""
-        self._atomics["batches"].inc()
-        self._atomics["ingested"].inc(size)
-        with self._max_lock:
-            if size > self._max_batch:
-                self._max_batch = size
-
-    @property
-    def max_batch(self) -> int:
-        with self._max_lock:
-            return self._max_batch
-
-    def __getattr__(self, name: str):
-        atomics = self.__dict__.get("_atomics")
-        if atomics is not None and name in atomics:
-            return int(atomics[name].value)
-        raise AttributeError(name)
-
-
 #: Longest a ``/wal`` long-poll may park one handler thread, whatever
 #: the client asked for.
 MAX_WAL_WAIT = 30.0
@@ -153,7 +95,7 @@ MAX_WAL_BATCH = 1000
 class WarehouseSession:
     """A long-lived, thread-safe Morphase serving session."""
 
-    #: What this node answers in ``/stats`` and ``/metrics``
+    #: The ``repro_session_role`` label this node reports
     #: (:class:`~repro.service.replica.ReplicaSession` overrides).
     role = "leader"
 
@@ -161,7 +103,55 @@ class WarehouseSession:
                  defaults: Optional[Dict] = None) -> None:
         self.morphase = morphase
         self._defaults = defaults
-        self.counters = SessionCounters()
+        # This node's own report, rendered by ``GET /metrics`` after the
+        # process registry: a process hosting a leader and a follower
+        # (tests, demos) must not blend their counts.  Each child is
+        # resolved once, here, so a bump is one locked add.
+        self.metrics = MetricsRegistry()
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        gauge("repro_session_role", "1 for the role this node serves.",
+              ("role",)).labels(self.role).set(1)
+        gauge("repro_session_start_time_seconds",
+              "Unix time the serving session was opened.").set(time.time())
+        self._applied_gauge = gauge(
+            "repro_session_applied_seq",
+            "Highest WAL sequence applied to the warm state.").labels()
+        self._rebuild_seconds = gauge(
+            "repro_session_rebuild_seconds",
+            "Wall time of the last warm rebuild (open or reseed).").labels()
+        self._replayed_on_open = gauge(
+            "repro_session_replayed_on_open",
+            "WAL records past the snapshot at the last warm rebuild."
+        ).labels()
+        self._ingested = counter(
+            "repro_session_ingested",
+            "Deltas ingested by the serving session.").labels()
+        self._batches = counter(
+            "repro_session_batches", "Group-commit batches applied.").labels()
+        self._queries = counter(
+            "repro_session_queries",
+            "Read requests served (target/query/program).").labels()
+        self._body_queries = counter(
+            "repro_session_body_queries",
+            "Conjunctive-body queries served (GET /query).").labels()
+        self._programs = counter(
+            "repro_session_programs", "Query programs served.").labels()
+        self._checks = counter(
+            "repro_session_checks", "Constraint checks served.").labels()
+        self._lints = counter(
+            "repro_session_lints", "Lint requests served.").labels()
+        self._snapshots = counter(
+            "repro_session_snapshots",
+            "Compactions requested through this session.").labels()
+        self._batch_size = self.metrics.histogram(
+            "repro_commit_batch_size",
+            "Deltas composed into one group-commit batch.",
+            buckets=BATCH_BUCKETS).labels()
+        self._apply_seconds = self.metrics.histogram(
+            "repro_commit_apply_seconds",
+            "Wall time applying one composed batch through the incremental "
+            "engine (under the write lock).", buckets=LATENCY_BUCKETS
+        ).labels()
 
         self._state_lock = ReadWriteLock()
         self._intake = threading.Lock()     # serialises WAL appends
@@ -188,9 +178,10 @@ class WarehouseSession:
         self.store = store
         self.transform = self.morphase.begin_incremental(
             store.instance, defaults=self._defaults)
-        self.counters.replayed_on_open = store.seq - store.base_seq
-        self.counters.rebuild_ms = (time.perf_counter() - start) * 1000
+        self._replayed_on_open.set(store.seq - store.base_seq)
+        self._rebuild_seconds.set(time.perf_counter() - start)
         self._applied_seq = store.seq
+        self._applied_gauge.set(store.seq)
         # The encoded /target result, keyed by the applied sequence
         # number it renders — the target only changes at batch
         # boundaries, so reads between them share one encoding.
@@ -273,6 +264,7 @@ class WarehouseSession:
                 self._cond.acquire()
                 self._applying = False
                 self._applied_seq = batch[-1][0]
+                self._applied_gauge.set(self._applied_seq)
                 batch_size = len(batch)
                 self._cond.notify_all()
         with self._state_lock.read():
@@ -288,12 +280,10 @@ class WarehouseSession:
         with span("commit", batch=len(batch),
                   seq=batch[-1][0]), self._state_lock.write():
             self.transform.apply_delta(composed)
-        elapsed = (time.perf_counter() - start) * 1000
-        _BATCH_SIZE.observe(len(batch))
-        _BATCH_APPLY_SECONDS.observe(elapsed / 1000.0)
-        self.counters.note_batch(len(batch))
-        self.counters.apply_ms_total += elapsed
-        self.counters.last_batch_ms = elapsed
+        self._apply_seconds.observe(time.perf_counter() - start)
+        self._batch_size.observe(len(batch))
+        self._batches.inc()
+        self._ingested.inc(len(batch))
 
     # ------------------------------------------------------------------
     # Reads
@@ -367,7 +357,7 @@ class WarehouseSession:
         every call (the reference :meth:`target_json_bytes` is tested
         against)."""
         with self._state_lock.read():
-            self.counters.inc("queries")
+            self._queries.inc()
             return instance_to_json(self.transform.target)
 
     def target_json_bytes(self) -> bytes:
@@ -379,7 +369,7 @@ class WarehouseSession:
         harmless.
         """
         with self._state_lock.read():
-            self.counters.inc("queries")
+            self._queries.inc()
             seq = self._applied_seq
             cached = self._target_encoded
             if cached is not None and cached[0] == seq:
@@ -422,8 +412,8 @@ class WarehouseSession:
         """
         text = f"{project} | {body}" if project else body
         with self._state_lock.read():
-            self.counters.inc("queries")
-            self.counters.inc("body_queries")
+            self._queries.inc()
+            self._body_queries.inc()
             target = self.transform.target
             with span("parse"):
                 try:
@@ -481,8 +471,8 @@ class WarehouseSession:
                                code="parse_error") from exc
 
         with self._state_lock.read():
-            self.counters.inc("queries")
-            self.counters.inc("programs")
+            self._queries.inc()
+            self._programs.inc()
             target = self.transform.target
             pool, encoder = self._warm_query_state()
             with span("compile"):
@@ -504,7 +494,7 @@ class WarehouseSession:
 
     def check_json(self) -> Dict[str, Any]:
         with self._state_lock.read():
-            self.counters.inc("checks")
+            self._checks.inc()
             violations = self.transform.violations()
         return {"ok": not violations,
                 "count": len(violations),
@@ -520,7 +510,7 @@ class WarehouseSession:
         Returns the :class:`~repro.analysis.DiagnosticReport` JSON; the
         front end maps ``ok: false`` (error diagnostics) to HTTP 400.
         """
-        self.counters.inc("lints")
+        self._lints.inc()
         text = document.get("program")
         if text is None:
             return self.morphase.preflight_report().to_json()
@@ -530,75 +520,6 @@ class WarehouseSession:
         report = analyze_text(text, self.morphase.source_schemas,
                               self.morphase.target_schema)
         return report.to_json()
-
-    def publish_metrics(self) -> None:
-        """Mirror per-session statistics into the process registry.
-
-        Called by ``GET /metrics`` right before rendering, so each
-        node's scrape reflects the session it serves — the counters
-        themselves stay per-session (a process hosting both a leader
-        and a follower, as the tests do, must not blend them).
-        """
-        counters = self.counters
-        gauge = REGISTRY.gauge
-        gauge("repro_session_role",
-              "1 for the role this node serves.",
-              ("role",)).labels(self.role).set(1)
-        gauge("repro_session_applied_seq",
-              "Highest WAL sequence applied to the warm state."
-              ).set(self._applied_seq)
-        gauge("repro_session_ingested",
-              "Deltas ingested by the serving session.").set(
-            counters.ingested)
-        gauge("repro_session_batches",
-              "Group-commit batches applied.").set(counters.batches)
-        gauge("repro_session_queries",
-              "Read requests served (target/query/program).").set(
-            counters.queries)
-        gauge("repro_session_programs",
-              "Query programs served.").set(counters.programs)
-        gauge("repro_session_checks",
-              "Constraint checks served.").set(counters.checks)
-        gauge("repro_session_snapshots",
-              "Compactions requested through this session.").set(
-            counters.snapshots)
-        gauge("repro_session_uptime_seconds",
-              "Seconds since the serving session was opened.").set(
-            time.time() - counters.started_at)
-
-    def stats_json(self) -> Dict[str, Any]:
-        with self._state_lock.read():
-            counters = self.counters
-            mean_batch_ms = (counters.apply_ms_total / counters.batches
-                             if counters.batches else 0.0)
-            return {
-                "role": self.role,
-                "uptime_seconds": round(
-                    time.time() - counters.started_at, 3),
-                "seq": self.store.seq,
-                "applied_seq": self._applied_seq,
-                "ingested": counters.ingested,
-                "batches": counters.batches,
-                "max_batch": counters.max_batch,
-                "mean_batch_ms": round(mean_batch_ms, 3),
-                "last_batch_ms": round(counters.last_batch_ms, 3),
-                "queries": counters.queries,
-                "body_queries": counters.body_queries,
-                "programs": counters.programs,
-                "checks": counters.checks,
-                "lints": counters.lints,
-                "snapshots": counters.snapshots,
-                "rebuild_ms": round(counters.rebuild_ms, 3),
-                "replayed_on_open": counters.replayed_on_open,
-                "spent": self._failure,
-                # Vectorization counters of the most recent delta
-                # propagation (the initial pass's before the first).
-                "vectorized_steps": self.transform.stats.vectorized_steps,
-                "fallback_steps": self.transform.stats.fallback_steps,
-                "vectorized_rows": self.transform.stats.vectorized_rows,
-                "max_batch_rows": self.transform.stats.max_batch_rows,
-                "store": self.store.stats(),
-            }
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -611,7 +532,7 @@ class WarehouseSession:
                        and self._failure is None):
                     self._cond.wait(timeout=0.5)
             name = self.store.snapshot()
-            self.counters.inc("snapshots")
+            self._snapshots.inc()
             return {"snapshot": name, "base_seq": self.store.base_seq}
 
     def close(self) -> None:

@@ -4,7 +4,8 @@ CLI's own docstring/epilogs mention is one ``build_parser()`` accepts.
 Removing a flag without removing its documentation (or documenting one
 that was never added) is a tier-1 failure, not a reader's surprise.
 The same holds for the lint codes, the ``engine`` metric label values
-the README lists, and the metric families the service registers.
+the README lists, the metric families the service registers and the
+HTTP routes it serves.
 """
 
 import argparse
@@ -14,8 +15,10 @@ import re
 import repro.cli
 from repro.analysis.diagnostics import CODES
 from repro.cli import build_parser
+from repro.service import server
 
 README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
+PACKAGE = pathlib.Path(repro.cli.__file__).parent
 
 #: Flags of *other* tools the docs legitimately quote.
 FOREIGN_FLAGS = {
@@ -71,8 +74,7 @@ def test_readme_and_the_code_registry_name_the_same_lint_codes():
 def test_readme_lists_exactly_the_engine_labels_src_publishes():
     """``repro_engine_*_total{engine}``: the values README gives are
     the string literals passed to ``publish_engine_stats(``."""
-    package = pathlib.Path(repro.cli.__file__).parent
-    published = {label for path in package.rglob("*.py")
+    published = {label for path in PACKAGE.rglob("*.py")
                  for label in re.findall(
                      r"publish_engine_stats\(\s*\"(\w+)\"",
                      path.read_text(encoding="utf-8"))}
@@ -83,18 +85,52 @@ def test_readme_lists_exactly_the_engine_labels_src_publishes():
     assert set(re.findall(r"`(\w+)`", listed)) == published
 
 
-def test_readme_metrics_table_names_every_service_family():
-    """Every ``repro_*`` family ``service/session.py`` and
-    ``service/server.py`` register is spelled out in the README's
-    metrics table (a new cache lands with its counters documented)."""
-    service = pathlib.Path(repro.cli.__file__).parent / "service"
-    registered = {family for name in ("session.py", "server.py")
-                  for family in re.findall(
-                      r"\"(repro_\w+)\"",
-                      (service / name).read_text(encoding="utf-8"))}
-    table = "\n".join(
+def registered_families(paths):
+    return {family for path in paths
+            for family in re.findall(r"\"(repro_\w+)\"",
+                                     path.read_text(encoding="utf-8"))}
+
+
+def metrics_table():
+    return "\n".join(
         line for line in README.read_text(encoding="utf-8").splitlines()
         if line.startswith("| `repro_"))
+
+
+def test_readme_metrics_table_names_every_service_family():
+    """Every ``repro_*`` family the service modules register is spelled
+    out in the README's metrics table (a new cache lands with its
+    counters documented)."""
+    registered = registered_families(
+        PACKAGE / "service" / name
+        for name in ("session.py", "server.py", "replica.py"))
     assert {"repro_target_encode_total", "repro_http_requests_total",
-            "repro_session_applied_seq"} <= registered
-    assert sorted(registered - set(re.findall(r"repro_\w+", table))) == []
+            "repro_session_applied_seq", "repro_replication_lag"} \
+        <= registered
+    assert sorted(registered - set(re.findall(r"repro_\w+",
+                                              metrics_table()))) == []
+
+
+def test_every_session_family_in_the_readme_table_is_registered():
+    """The reverse: a renamed or deleted per-session family cannot
+    linger in the table."""
+    documented = set(re.findall(
+        r"repro_(?:session|replication|commit)_\w+", metrics_table()))
+    assert "repro_session_start_time_seconds" in documented
+    missing = documented - registered_families(PACKAGE.rglob("*.py"))
+    assert sorted(missing) == []
+
+
+#: ``GET /query``-style route mentions; a path followed by ``/`` (the
+#: ``/snapshot/<name>`` pattern) is not a fixed route.
+ROUTE = re.compile(r"\b(GET|POST)\s+(/[a-z]+)(?![a-z/])")
+
+
+def test_routes_match_the_readme_and_the_server_docstring():
+    routes = ({("GET", path) for path in server._GET_ROUTES}
+              | {("POST", path) for path in server._POST_ROUTES})
+    text = README.read_text(encoding="utf-8")
+    block = text.split("front end exposes:\n\n```\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert set(ROUTE.findall(block)) == routes
+    assert set(ROUTE.findall(server.__doc__)) == routes

@@ -135,7 +135,8 @@ def test_target_bytes_track_the_uncached_path(tmp_path):
                 # script's own labels stop resolving, so it starts over.
                 script.live.clear()
                 assert replica.step(wait=0.0) == 0
-                assert rsession.replication.resyncs == 1
+                assert rsession.metrics.value(
+                    "repro_replication_resyncs") == 1
             replica.catch_up()
             assert rsession.applied_seq == session.applied_seq
             leader_body = assert_served_equals_uncached(
@@ -183,7 +184,7 @@ def test_error_and_plain_envelopes_are_canonical_text(node):
     assert status == 404
     assert body == canonical(envelope_error("not_found",
                                             "no route /no-such-route"))
-    for path in ("/health", "/stats", "/check",
+    for path in ("/health", "/check",
                  "/query?body=X%20in%20CountryT"):
         status, body = get(url, path)
         assert status == 200

@@ -65,7 +65,8 @@ def store_with_tail(tmp_path):
 def test_recovery_is_one_pass_not_a_replay(store_with_tail, calls):
     morphase, path, _writes = store_with_tail
     session = morphase.serve(morphase.open_store(path))
-    assert session.counters.replayed_on_open == WAL_RECORDS
+    assert session.metrics.value("repro_session_replayed_on_open") \
+        == WAL_RECORDS
     assert (calls["IncrementalTransform.apply_delta"],               # (a)
             calls["Executor.run_program"]) == (0, 1)
     session.close()

@@ -14,6 +14,7 @@ import pytest
 from repro.morphase import Morphase
 from repro.obs.events import configure_event_log
 from repro.obs.events import logger as event_logger
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import start_trace
 from repro.service import (ServiceClient, ServiceClientError,
                            WalReplica, make_server)
@@ -165,6 +166,41 @@ class TestMetricsEndpoint:
         finally:
             stop(rserver)
             replica.close()
+
+    def test_each_node_reports_only_itself(self, leader, tmp_path):
+        """A leader and a follower in one process: each ``/metrics``
+        page carries its own session's families and no other's."""
+        session, client, url = leader
+        client.ingest(insert_delta())
+        replica = WalReplica(build_morphase(), url,
+                             str(tmp_path / "replica"))
+        rsession = replica.bootstrap()
+        replica.catch_up()
+        rserver = serve(rsession)
+        try:
+            follower = ServiceClient(rserver.url).metrics()  # first
+            page = client.metrics()
+        finally:
+            stop(rserver)
+            replica.close()
+        assert metric_samples(page, "repro_session_role") \
+            == {'{role="leader"}': 1}
+        assert "repro_replication_" not in page
+        assert metric_samples(page, "repro_commit_batch_size_count")[""] \
+            == session.metrics.value("repro_session_batches") == 1
+        assert metric_samples(follower, "repro_session_role") \
+            == {'{role="replica"}': 1}
+        assert metric_samples(follower, "repro_replication_lag")[""] == 0
+        assert metric_samples(follower,
+                              "repro_replication_records")[""] == 1
+        for text in (page, follower):
+            types = [line for line in text.splitlines()
+                     if line.startswith("# TYPE ")]
+            assert len(types) == len(set(types))
+        assert not [family.name for family in REGISTRY.families()
+                    if family.name.startswith(("repro_session_",
+                                               "repro_replication_",
+                                               "repro_commit_"))]
 
     def test_compaction_metrics_after_snapshot(self, leader):
         _session, client, _url = leader

@@ -129,10 +129,11 @@ class TestProgramDifferential:
         assert "WOL508" in codes
 
     def test_program_counter_in_stats(self, service):
-        _, client = service
-        before = client.stats()["programs"]
+        session, client = service
+        before = session.metrics.value("repro_session_programs")
         client.program(text="a = query { X in CityT };")
-        assert client.stats()["programs"] == before + 1
+        assert session.metrics.value("repro_session_programs") \
+            == before + 1
 
 
 class TestProgramErrors:

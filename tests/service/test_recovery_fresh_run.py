@@ -68,7 +68,8 @@ def test_reopened_session_equals_a_fresh_run(tmp_path, build, sources,
         store = morphase.open_store(path)
         assert store.stats()["wal_records"] == applied
         session = morphase.serve(store)
-        assert session.counters.replayed_on_open == applied
+        assert session.metrics.value("repro_session_replayed_on_open") \
+            == applied
         assert observed(session) == fresh_run(morphase, store.instance)
         assert observed(session) == before
     # The reopened session is a live incremental session, not a copy.

@@ -136,19 +136,28 @@ class TestReadOnly:
         replica.close()
 
     def test_replica_stats_report_role_and_lag(self, leader, tmp_path):
-        _, _, client, url = leader
+        _, session, client, url = leader
         replica = make_replica(url, tmp_path)
         rsession = replica.bootstrap()
         replica.step(wait=0.0)
         client.ingest(insert_delta())
         client.ingest(insert_delta())
+        value = rsession.metrics.value
+        # A poll that fetches nothing: the lag is how far the leader is
+        # ahead.
+        replica.poll_limit = 0
+        replica.step(wait=0.0)
+        assert (rsession.leader_seq, value("repro_replication_lag")) \
+            == (session.applied_seq, 2)
+        replica.poll_limit = 500
         replica.step(wait=0.0)  # observe leader_seq and apply
-        stats = rsession.stats_json()
-        assert stats["role"] == "replica"
-        assert stats["replication"]["leader"] == url
-        assert stats["replication"]["lag"] == 0
-        assert stats["replication"]["records_replicated"] == 2
-        assert stats["replication"]["connected"] is True
+        assert rsession.leader_url == url
+        assert value("repro_session_role", {"role": "replica"}) == 1
+        assert value("repro_replication_lag") == 0
+        assert value("repro_replication_records") == 2
+        assert value("repro_replication_polls") == 3
+        assert value("repro_replication_connected") == 1
+        assert rsession.connected is True
         replica.close()
 
 
@@ -191,7 +200,7 @@ class TestFeedDiscipline:
         assert session.store.base_seq > behind
         applied = replica.step(wait=0.0)
         assert applied == 0  # the step was a reseed, not a replay
-        assert rsession.replication.resyncs == 1
+        assert rsession.metrics.value("repro_replication_resyncs") == 1
         assert rsession.store.seq == session.store.seq
         assert json.dumps(rsession.target_json(), sort_keys=True) \
             == json.dumps(session.target_json(), sort_keys=True)
@@ -275,7 +284,7 @@ class TestThreadedTailing:
         replica.timeout = 30.0
         client.ingest(insert_delta())
         replica.catch_up()
-        assert rsession.replication.connected is True
+        assert rsession.connected is True
         replica.close()
 
 
@@ -292,14 +301,14 @@ class TestMonotonicReadsAcrossNodes:
         try:
             client.ingest(insert_delta())  # replica now behind
             rclient = ServiceClient(rserver.url, behind_wait=10.0)
-            rclient.last_seq = client.last_seq  # token from the leader
-            assert rclient.last_seq > rsession.applied_seq
+            token = rclient.last_seq = client.last_seq  # from the leader
+            assert token > rsession.applied_seq
 
             # Impatient client: surfaces the 409 instead of waiting.
             blunt = ServiceClient(rserver.url, behind_wait=0.0)
             blunt.last_seq = client.last_seq
             with pytest.raises(ServiceConflictError) as info:
-                blunt.stats()
+                blunt.health()
             assert info.value.code == "replica_behind"
 
             # Patient client: the retry loop resolves once the tailer
@@ -308,9 +317,8 @@ class TestMonotonicReadsAcrossNodes:
                 target=lambda: (time.sleep(0.2),
                                 replica.step(wait=0.0)),
                 daemon=True).start()
-            stats = rclient.stats()
-            assert stats["applied_seq"] >= rclient.last_seq
-            assert stats["role"] == "replica"
+            assert rclient.health()["seq"] >= token
+            assert rsession.applied_seq >= token
         finally:
             rserver.shutdown()
             rserver.server_close()

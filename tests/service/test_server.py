@@ -92,7 +92,7 @@ class TestEndpoints:
         import urllib.request
         from repro.service.server import API_VERSION
         _, _, client = service
-        for path in ("/health", "/stats", "/target",
+        for path in ("/health", "/target",
                      "/query?body=X%20in%20CountryT", "/check"):
             with urllib.request.urlopen(client.base_url + path) as resp:
                 document = json.loads(resp.read().decode("utf-8"))
@@ -105,10 +105,15 @@ class TestEndpoints:
         assert document["ok"] is True and document["violations"] == []
 
     def test_stats_counts_requests(self, service):
-        _, _, client = service
-        stats = client.stats()
-        assert stats["seq"] == stats["applied_seq"]
-        assert stats["store"]["path"]
+        """The session's own registry counts each read by kind."""
+        _, session, client = service
+        names = ("repro_session_queries", "repro_session_body_queries",
+                 "repro_session_checks")
+        before = [session.metrics.value(name) for name in names]
+        client.query("X in CountryT")
+        client.check()
+        assert [session.metrics.value(name) for name in names] \
+            == [before[0] + 1, before[1] + 1, before[2] + 1]
 
     def test_snapshot_compacts(self, service):
         _, session, client = service
@@ -209,7 +214,7 @@ class TestConcurrency:
             try:
                 for _ in range(5):
                     client.query("X in CountryT")
-                    client.stats()
+                    client.check()
             except Exception as exc:  # pragma: no cover - fails test
                 errors.append(exc)
 
@@ -293,10 +298,10 @@ class TestLintEndpoint:
         assert document["ok"] is False and document["counts"]["error"] >= 1
 
     def test_lint_counter_in_stats(self, service):
-        _, _, client = service
-        before = client.stats()["lints"]
+        _, session, client = service
+        before = session.metrics.value("repro_session_lints")
         client.lint()
-        assert client.stats()["lints"] == before + 1
+        assert session.metrics.value("repro_session_lints") == before + 1
 
     def test_non_string_program_is_client_error(self, service):
         _, _, client = service

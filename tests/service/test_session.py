@@ -93,7 +93,7 @@ class TestDifferential:
         reopened = morphase.open_store(str(tmp_path / "store"))
         assert reopened.stats()["wal_records"] == 3
         warm = morphase.serve(reopened)
-        assert warm.counters.replayed_on_open == 3
+        assert warm.metrics.value("repro_session_replayed_on_open") == 3
         assert warm.transform.source is reopened.instance
         assert_matches_cold_oracle(warm)
         warm.close()
@@ -141,9 +141,9 @@ class TestBatching:
         for thread in threads:
             thread.join()
         assert not errors
-        assert session.counters.ingested == 8
+        assert session.metrics.value("repro_session_ingested") == 8
         assert session.store.seq == 8
-        assert 1 <= session.counters.batches <= 8
+        assert 1 <= session.metrics.value("repro_session_batches") <= 8
         assert_matches_cold_oracle(session)
 
     def test_compose_equals_sequential(self, session):
@@ -169,7 +169,7 @@ class TestMaintenance:
         assert report["base_seq"] == 1
         session.ingest(insert_country("B")[1])
         assert_matches_cold_oracle(session)
-        assert session.counters.snapshots == 1
+        assert session.metrics.value("repro_session_snapshots") == 1
 
     def test_query_body_unknown_class(self, session):
         with pytest.raises(ServiceError, match="Nonsense") as info:
@@ -178,8 +178,13 @@ class TestMaintenance:
 
     def test_stats_shape(self, session):
         session.ingest(insert_country("A")[1])
-        stats = session.stats_json()
-        assert stats["seq"] == 1 and stats["applied_seq"] == 1
-        assert stats["ingested"] == 1
-        assert stats["store"]["wal_records"] == 1
-        assert stats["spent"] is None
+        value = session.metrics.value
+        assert session.store.seq == session.applied_seq == 1
+        assert value("repro_session_applied_seq") == 1
+        assert value("repro_session_ingested") == 1
+        assert value("repro_session_batches") == 1
+        assert value("repro_session_role", {"role": "leader"}) == 1
+        batch = session.metrics.get("repro_commit_batch_size").labels()
+        assert (batch.count, batch.sum) == (1, 1)
+        assert session.store.stats()["wal_records"] == 1
+        assert session.spent is None
