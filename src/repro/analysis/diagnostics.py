@@ -52,8 +52,8 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
              "obligations undischarged; the clause may fail at runtime"),
     CodeInfo("WOL104", SEVERITY_WARNING, "statically unorderable",
              "the clause is range-restricted but the planner finds no "
-             "static join order; execution falls back to the dynamic "
-             "matcher"),
+             "static join order; its normal form is what runs, but as "
+             "a query body or constraint the clause is refused"),
     CodeInfo("WOL201", SEVERITY_ERROR, "unsatisfiable body",
              "congruence closure proves the body contradictory; the "
              "clause can never fire"),
@@ -103,8 +103,8 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
              "recursion)"),
     CodeInfo("WOL504", SEVERITY_ERROR, "invalid query body",
              "a query statement's WOL body does not parse, is not "
-             "range-restricted, or projects a variable the body never "
-             "binds"),
+             "range-restricted, admits no join order, or projects a "
+             "variable the body never binds"),
     CodeInfo("WOL505", SEVERITY_ERROR, "set-operation column mismatch",
              "the inputs of a union/intersect/difference produce "
              "different column sets; row equality would be undefined"),

@@ -86,5 +86,6 @@ def _boundness(context: AnalysisContext, index: int) -> List[Diagnostic]:
         clause=context.label(index), clause_index=index,
         atom=str(remaining[0]) if remaining else None,
         suggestion="reorderable bodies need a generator (membership "
-                   "or evaluable equality) for every variable; "
-                   "execution falls back to the dynamic matcher")]
+                   "or evaluable equality) for every variable; the "
+                   "normal form runs, but as a query body or "
+                   "constraint the clause is refused")]

@@ -397,12 +397,8 @@ def _cmd_program(args) -> int:
     statements = result.get("statements", [])
     print(f"program {label}: {len(statements)} statement(s)")
     for trace in statements:
-        notes = ""
-        if trace.get("op") == "query":
-            mode = "planned" if trace.get("planned") else "dynamic"
-            notes = f"  [{mode}]"
         print(f"  {trace['name']:<12} {trace['op']:<10} "
-              f"{trace['rows']} row(s){notes}")
+              f"{trace['rows']} row(s)")
     columns = result.get("columns", [])
     rows = result.get("rows", [])
     print(f"result {result.get('result')}: {len(rows)} row(s) "

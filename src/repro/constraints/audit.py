@@ -11,10 +11,12 @@ Audits run on the same production execution machinery as transformations:
 body *and* per head-satisfiability probe) and executes every clause over
 one shared, prebuilt :class:`~repro.semantics.match.IndexPool` through
 :func:`~repro.semantics.satisfaction.program_violations` — the one
-audit loop; this module adds only the grouping and the counters.  The
-pre-planner behaviour — a fresh naive matcher with private lazy indexes
-per clause — lives in :func:`repro.oracle.naive_violations` as the
-differential reference: both report identical violation sets.
+audit loop; this module adds only the grouping and the counters.  A
+constraint whose body or head admits no join order is refused with
+:class:`~repro.engine.planner.PlanError` when the family is planned.
+The pre-planner behaviour — a fresh naive matcher with private lazy
+indexes per clause — lives in :func:`repro.oracle.naive_violations` as
+the differential reference: both report identical violation sets.
 """
 
 from __future__ import annotations
@@ -34,18 +36,14 @@ class ConstraintReport:
     """Violations per clause, with a pass/fail summary.
 
     The planner counters describe *how* the audit executed:
-    ``planned_bodies``/``planned_heads`` clauses ran on precompiled join
-    plans (the rest fell back to the dynamic matcher, still over the
-    shared pool), ``prebuilt_indexes`` were materialised at planning
-    time, and ``index_lookups`` extent scans were replaced by hash
+    ``prebuilt_indexes`` were materialised at planning time, and
+    ``index_lookups`` extent scans were replaced by hash
     probes (``index_hits`` returned candidates, ``index_misses`` proved
     no candidate exists).
     """
 
     checked: int
     violations: Dict[str, List[Violation]] = field(default_factory=dict)
-    planned_bodies: int = 0
-    planned_heads: int = 0
     prebuilt_indexes: int = 0
     indexes_built: int = 0
     index_lookups: int = 0
@@ -62,9 +60,7 @@ class ConstraintReport:
 
     def stats_line(self) -> str:
         """One line of planner/index counters (the CLI's ``--stats``)."""
-        return (f"stats: {self.checked} constraints "
-                f"({self.planned_bodies} planned bodies, "
-                f"{self.planned_heads} planned head probes), "
+        return (f"stats: {self.checked} constraints, "
                 f"{self.prebuilt_indexes + self.indexes_built} indexes "
                 f"built ({self.prebuilt_indexes} prebuilt), "
                 f"{self.index_lookups} scans avoided "
@@ -79,8 +75,6 @@ class ConstraintReport:
             "violations": {name: [str(violation) for violation in found]
                            for name, found in sorted(self.violations.items())},
             "stats": {
-                "planned_bodies": self.planned_bodies,
-                "planned_heads": self.planned_heads,
                 "prebuilt_indexes": self.prebuilt_indexes,
                 "indexes_built": self.indexes_built,
                 "index_lookups": self.index_lookups,
@@ -130,8 +124,6 @@ def audit_constraints(instance: Instance,
                                         plan=audit_plan):
         report.violations.setdefault(
             names[id(violation.clause)], []).append(violation)
-    report.planned_bodies = audit_plan.planned_bodies
-    report.planned_heads = audit_plan.planned_heads
     report.prebuilt_indexes = audit_plan.prebuilt_indexes
     report.indexes_built = pool.builds - baseline[0]
     report.index_lookups = pool.lookups - baseline[1]

@@ -379,12 +379,9 @@ def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     name = atom.element.name
     path = step.selector_path
     selector = compile_term(step.selector_term, var_class)
-    scan = _scan_stage(step)
 
     def stage(matcher: Matcher, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        if not matcher.use_indexes:
-            return scan(matcher, columns, count)
         pool = matcher.pool
         index = pool.index_for(class_name, path)
         get = index.get

@@ -22,14 +22,14 @@ whole program once via :mod:`repro.engine.planner` (unless handed a
 precomputed plan): per clause a fixed atom order compiled into plan
 steps, and across clauses one shared, prebuilt index pool — no
 per-binding atom re-classification, no per-matcher lazy index builds.
-Every planned clause runs as batch stages over whole binding columns
+Every clause runs its plan as batch stages over whole binding columns
 (:mod:`repro.engine.columnar`), with the scalar step expander serving
 only as the per-step fallback inside a batch.  A clause the planner
-cannot order statically falls back, alone, to the dynamic matcher
-(:meth:`Executor.run_clause` without a join plan).  Running *every*
-clause that way is the naive reference of the differential tests; it
-lives in :mod:`repro.oracle`, not behind an option here (planned and
-naive execution must produce identical target instances).
+cannot order raises :class:`~repro.engine.planner.PlanError` before
+any clause runs.  Running every clause on the dynamic matcher instead
+is the naive reference of the differential tests; it lives in
+:mod:`repro.oracle`, not behind an option here (planned and naive
+execution must produce identical target instances).
 
 The executor is deliberately independent of the normaliser: any program
 whose clause bodies mention only source classes can be run, which is what
@@ -78,7 +78,7 @@ class ExecutionStats:
 
     The planner-related counters describe how the bodies were evaluated:
     ``clauses_planned`` clauses ran on a precompiled :class:`JoinPlan`
-    (the rest fell back to the dynamic matcher), ``atoms_reordered`` body
+    (all of them, except under :mod:`repro.oracle`), ``atoms_reordered`` body
     atoms were moved from their textual position, and the index counters
     mirror the shared :class:`~repro.semantics.match.IndexPool` —
     ``scans_avoided`` is the number of extent scans replaced by hash
@@ -216,8 +216,8 @@ class Executor:
     """Runs source-only clauses against a source instance.
 
     :meth:`run_program` plans the program once (fixed atom orders,
-    shared prebuilt index pool) and every plannable clause runs its
-    precompiled steps as batch stages.  ``index_pool`` injects a pool
+    shared prebuilt index pool) and every clause runs its precompiled
+    steps as batch stages.  ``index_pool`` injects a pool
     shared beyond this executor (e.g. across repeated runs over the
     same source).
     """
@@ -237,8 +237,7 @@ class Executor:
 
         ``plan`` supplies a precomputed :class:`ProgramPlan` (its pool
         replaces the matcher's); otherwise one is computed here.
-        Clauses without a join plan fall back to the dynamic per-clause
-        path.  Running the same program again on this executor doubles
+        Running the same program again on this executor doubles
         the store's counts, not its values: the frozen target is the
         same.
         """
@@ -261,31 +260,18 @@ class Executor:
         publish_engine_stats("columnar", self.stats)
         return self
 
-    def run_clause(self, clause: Clause,
-                   join_plan: Optional[JoinPlan] = None) -> None:
-        """Execute one normal-form clause.
-
-        With a plan, the precompiled steps run as batch stages and the
-        head effects apply column-wise.  Without ``join_plan`` the
-        dynamic matcher re-derives the atom order per binding: the
-        fallback for clauses the planner cannot order, and the whole of
-        :func:`repro.oracle.naive_execute`.
-        """
+    def run_clause(self, clause: Clause, join_plan: JoinPlan) -> None:
+        """Execute one normal-form clause: the precompiled steps run as
+        batch stages and the head effects apply column-wise."""
         self._check_source_only(clause)
         plan = _HeadPlan(clause, self.target_schema)
         self.stats.clauses_run += 1
-        mode = "columnar" if join_plan is not None else "dynamic"
         before = self.stats.bindings_found
         with span(f"clause {clause.name or clause}",
-                  mode=mode) as clause_span:
-            if join_plan is not None:
-                self.stats.clauses_planned += 1
-                self.stats.atoms_reordered += join_plan.atoms_reordered
-                self._run_clause_columnar(clause, plan, join_plan)
-            else:
-                for binding in self._matcher.solutions(clause.body):
-                    self.stats.bindings_found += 1
-                    self._apply_head(plan, binding, clause)
+                  mode="columnar") as clause_span:
+            self.stats.clauses_planned += 1
+            self.stats.atoms_reordered += join_plan.atoms_reordered
+            self._run_clause_columnar(clause, plan, join_plan)
             clause_span.set(rows=self.stats.bindings_found - before)
 
     def _run_clause_columnar(self, clause: Clause, plan: "_HeadPlan",

@@ -33,10 +33,11 @@ rechecks when the delta could (un)satisfy existing heads.  Both kinds
 of clause run in one three-phase step over one source instance, one
 :class:`ReverseIndex` and one index pool.
 
-A clause runs whole when seeding cannot be exact (a member atom that
-is not a plain variable — a program clause is then retracted over the
-old instance and re-derived over the new — or, for a constraint, a
-delta that removes potential head witnesses).  A from-scratch run
+A clause runs whole — its own join plan, through the columnar runner —
+when seeding cannot be exact (a member atom that is not a plain
+variable — a program clause is then retracted over the old instance
+and re-derived over the new — or, for a constraint, a delta that
+removes potential head witnesses).  A from-scratch run
 stays on as the differential oracle: target bytes, violations *and
 store counts* after every delta equal those of a fresh production pass
 and audit, enforced by ``tests/engine/test_incremental.py``.
@@ -71,8 +72,8 @@ from . import columnar
 from .columnar import CompiledPlan, seeded_batch_columnar
 from .executor import (ExecutionError, ExecutionStats, Executor, _HeadPlan,
                        head_effects)
-from .planner import (AuditPlan, DeltaSeed, ProgramPlan, plan_audit,
-                      plan_delta_seeds, plan_program)
+from .planner import (AuditPlan, ConstraintPlan, DeltaSeed, ProgramPlan,
+                      plan_audit, plan_delta_seeds, plan_program)
 
 
 class ReverseIndex:
@@ -401,14 +402,12 @@ def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
     return _group_by_class(seeds)
 
 
-def _violations_by_key(matcher: Matcher, clause: Clause, plan
+def _violations_by_key(matcher: Matcher, plan: ConstraintPlan
                        ) -> Dict[frozenset, Violation]:
-    """Every violation of ``clause`` over the matcher's instance, keyed
-    by its body binding."""
+    """Every violation of ``plan.clause`` over the matcher's instance,
+    keyed by its body binding."""
     return {frozenset(violation.binding.items()): violation
-            for violation in clause_violations(
-                matcher.instance, clause, limit=None, matcher=matcher,
-                plan=plan)}
+            for violation in clause_violations(matcher, plan)}
 
 
 @dataclass
@@ -495,8 +494,8 @@ class IncrementalTransform:
             for clause in self.constraints]
         matcher = Matcher(source, index_pool=pool)
         self._violations: List[Dict[frozenset, Violation]] = [
-            _violations_by_key(matcher, clause, plan)
-            for clause, plan in zip(self.constraints, self.audit_plan.plans)]
+            _violations_by_key(matcher, plan)
+            for plan in self.audit_plan.plans]
 
     # ------------------------------------------------------------------
     def violations(self) -> List[Violation]:
@@ -550,12 +549,12 @@ class IncrementalTransform:
         # late as phase 3 (an object gaining an unread reference to a
         # changed one), when the pool no longer describes the old
         # instance the retraction has to run over.
-        fallback = {
+        whole = {
             index for index, seeds in enumerate(self._seeds)
             if any(seed.plan is None for seed in seeds)
             and any(self._reads[index].observes(oid, changes[oid])
                     for oid in all_changed)}
-        stats.clauses_recomputed = len(fallback)
+        stats.clauses_recomputed = len(whole)
         seeded: Set[int] = set()
         touched: Set[Oid] = set()
 
@@ -576,10 +575,9 @@ class IncrementalTransform:
             instance = matcher.instance
             found = 0
             for index, clause in enumerate(self.clauses):
-                if index in fallback:
-                    join_plan = self.plan.plan_for(clause)
-                    bindings = matcher.solutions(
-                        clause.body, plan=join_plan and join_plan.steps)
+                if index in whole:
+                    bindings = matcher.run_plan_columnar(
+                        self.plan.plans[index].steps)
                 else:  # every seed it can reach has a plan: never None
                     bindings = seeded_solutions(
                         matcher, self._seeds[index], self._stages[index],
@@ -634,7 +632,7 @@ class IncrementalTransform:
         stats.bindings_added = propagate(matcher, groups, +1)
         stats.clauses_seeded = len(seeded)
         stats.clauses_skipped = (len(self.clauses) - len(seeded)
-                                 - len(fallback))
+                                 - len(whole))
         diff = self._rederive_violations(matcher, groups, retract_keys,
                                          full_recheck, added_by_class, stats)
         self.target = self._refreeze(touched, stats)
@@ -680,9 +678,8 @@ class IncrementalTransform:
 
     def _head_satisfiable(self, index: int, matcher: Matcher,
                           binding: Binding) -> bool:
-        head = self.audit_plan.plans[index].head
-        return matcher.satisfiable(self.constraints[index].head, binding,
-                                   plan=None if head is None else head.steps)
+        return matcher.plan_satisfiable(
+            self.audit_plan.plans[index].head.steps, binding)
 
     def _rederive_violations(self, matcher: Matcher, groups,
                              retract_keys: Mapping[int, Set[frozenset]],
@@ -707,7 +704,7 @@ class IncrementalTransform:
                     full_recheck.add(index)
             if index in full_recheck:
                 stats.clauses_recomputed += 1
-                fresh = _violations_by_key(matcher, clause,
+                fresh = _violations_by_key(matcher,
                                            self.audit_plan.plans[index])
                 added.extend(violation for key, violation in fresh.items()
                              if key not in per_clause)

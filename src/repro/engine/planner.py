@@ -30,6 +30,8 @@ This module plans a whole :class:`~repro.lang.ast.Program` once:
 Planning is purely static: it reads only clause syntax plus class
 cardinalities of the source instance, so a plan is deterministic for a
 given (program, instance-size) pair and ``explain()`` output is stable.
+Plans are total: a body with no static order raises :class:`PlanError`
+when it is planned, and no production path runs a body any other way.
 Planned execution and the naive reference (:mod:`repro.oracle`, every
 clause through the dynamic matcher) enumerate identical solution sets —
 the differential tests in ``tests/engine/test_planner.py`` and
@@ -150,14 +152,13 @@ class ProgramPlan:
 
     plans: Tuple[JoinPlan, ...]
     pool: IndexPool
-    unplanned: Tuple[str, ...] = ()
     prebuilt_indexes: int = 0
 
-    def plan_for(self, clause: Clause) -> Optional[JoinPlan]:
+    def plan_for(self, clause: Clause) -> JoinPlan:
         for plan in self.plans:
             if plan.clause is clause or plan.clause == clause:
                 return plan
-        return None
+        raise KeyError(f"no join plan for clause {clause.name or clause}")
 
     def index_paths(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """Union of index keys across clauses, deduplicated and sorted."""
@@ -173,9 +174,6 @@ class ProgramPlan:
             lines.append(f"  index ({class_name}, {'.'.join(path)})")
         for plan in self.plans:
             lines.append(plan.explain())
-        if self.unplanned:
-            lines.append("unplanned (dynamic fallback): "
-                         + ", ".join(self.unplanned))
         return "\n".join(lines)
 
 
@@ -462,8 +460,9 @@ def plan_clause(clause: Clause,
     built it.  The search completes at most ``1 + m(m-1)/2`` greedy
     orderings for ``m`` member atoms.
 
-    Raises :class:`PlanError` when no atom is ever ready (the clause is
-    not range-restricted); callers fall back to the dynamic matcher.
+    Raises :class:`PlanError` when no atom is ever ready (the body
+    admits no join order); the dynamic matcher would stop at the same
+    atoms, so no caller has anything to fall back to.
     """
     cardinalities = cardinalities or {}
     initial_bound = tuple(initial_bound)
@@ -494,19 +493,12 @@ def plan_program(program: Iterable[Clause], instance: Instance,
 
     Builds (or reuses) a shared :class:`IndexPool` and, with ``prebuild``,
     materialises the union of all clauses' index selectors up front so no
-    clause pays a lazy index build mid-join.  Clauses that cannot be
-    planned statically are listed in ``unplanned`` and execute on the
-    dynamic path.
+    clause pays a lazy index build mid-join.  A clause with no join
+    order raises :class:`PlanError`.
     """
     pool = pool if pool is not None else IndexPool(instance)
     cardinalities = instance.class_sizes()
-    plans: List[JoinPlan] = []
-    unplanned: List[str] = []
-    for clause in program:
-        try:
-            plans.append(plan_clause(clause, cardinalities))
-        except PlanError:
-            unplanned.append(clause.name or str(clause))
+    plans = [plan_clause(clause, cardinalities) for clause in program]
     prebuilt = 0
     if prebuild:
         keys = sorted({key for plan in plans for key in plan.index_paths})
@@ -514,7 +506,6 @@ def plan_program(program: Iterable[Clause], instance: Instance,
         pool.prebuild(keys)
         prebuilt = pool.builds - before
     return ProgramPlan(plans=tuple(plans), pool=pool,
-                       unplanned=tuple(unplanned),
                        prebuilt_indexes=prebuilt)
 
 
@@ -549,10 +540,11 @@ def plan_delta_seeds(clause: Clause,
     """Seeded join plans, one per member atom of the clause body.
 
     A member atom whose element is not a plain variable (a pattern the
-    seed oid would have to be unified into) or whose seeded body admits
-    no static order gets ``plan=None``; the incremental engine treats
-    such clauses as unseedable and falls back to a full per-clause
-    recompute under deltas that touch them.
+    seed oid would have to be unified into) gets ``plan=None``; the
+    incremental engine treats such clauses as unseedable and recomputes
+    them whole under deltas that touch them.  Pre-binding a variable
+    only makes more atoms ready, so the seeded variant of a plannable
+    body is always plannable.
     """
     seeds: List[DeltaSeed] = []
     for position, atom in enumerate(clause.body):
@@ -561,11 +553,8 @@ def plan_delta_seeds(clause: Clause,
         if not isinstance(atom.element, Var):
             seeds.append(DeltaSeed(position, atom.class_name, "", None))
             continue
-        try:
-            plan = plan_clause(clause, cardinalities,
-                               initial_bound={atom.element.name})
-        except PlanError:
-            plan = None
+        plan = plan_clause(clause, cardinalities,
+                           initial_bound={atom.element.name})
         seeds.append(DeltaSeed(position, atom.class_name,
                                atom.element.name, plan))
     return tuple(seeds)
@@ -584,33 +573,24 @@ class ConstraintPlan:
     (:func:`repro.semantics.satisfaction.clause_violations`).  Both are
     compiled here — the head probe with the body's variables declared as
     ``initial_bound``, since every body solution binds exactly them.
-    Either half may be ``None``, in which case that half runs on the
-    dynamic matcher (the clause still shares the audit's index pool).
     """
 
     clause: Clause
-    body: Optional[JoinPlan]
-    head: Optional[JoinPlan]
+    body: JoinPlan
+    head: JoinPlan
 
     @property
     def label(self) -> str:
         return self.clause.name or str(self.clause)
 
     def index_paths(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-        keys: Set[Tuple[str, Tuple[str, ...]]] = set()
-        for half in (self.body, self.head):
-            if half is not None:
-                keys.update(half.index_paths)
-        return tuple(sorted(keys))
+        return tuple(sorted(set(self.body.index_paths)
+                            | set(self.head.index_paths)))
 
     def explain(self) -> str:
         lines = [f"constraint {self.label}:"]
-        for title, half in (("body", self.body), ("head", self.head)):
-            if half is None:
-                lines.append(f"  {title}: dynamic fallback")
-            else:
-                lines.append("  " + half.explain().replace(
-                    "\n", "\n  "))
+        for half in (self.body, self.head):
+            lines.append("  " + half.explain().replace("\n", "\n  "))
         return "\n".join(lines)
 
 
@@ -629,24 +609,16 @@ class AuditPlan:
     prebuilt_indexes: int = 0
 
     @property
-    def planned_bodies(self) -> int:
-        return sum(1 for plan in self.plans if plan.body is not None)
-
-    @property
-    def planned_heads(self) -> int:
-        return sum(1 for plan in self.plans if plan.head is not None)
-
-    @property
     def nested_scans(self) -> int:
-        """Nested extent scans over every planned body and head probe."""
+        """Nested extent scans over every body and head probe."""
         return sum(half.nested_scans for plan in self.plans
-                   for half in (plan.body, plan.head) if half is not None)
+                   for half in (plan.body, plan.head))
 
-    def plan_for(self, clause: Clause) -> Optional[ConstraintPlan]:
+    def plan_for(self, clause: Clause) -> ConstraintPlan:
         for plan in self.plans:
             if plan.clause is clause or plan.clause == clause:
                 return plan
-        return None
+        raise KeyError(f"no audit plan for clause {clause.name or clause}")
 
     def index_paths(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         keys: Set[Tuple[str, Tuple[str, ...]]] = set()
@@ -655,9 +627,9 @@ class AuditPlan:
         return tuple(sorted(keys))
 
     def explain(self) -> str:
-        lines = [f"audit plan: {len(self.plans)} constraint(s), "
-                 f"{self.planned_bodies} planned bodies, "
-                 f"{self.planned_heads} planned head probes, "
+        count = len(self.plans)  # every body and head probe is planned
+        lines = [f"audit plan: {count} constraint(s), "
+                 f"{count} planned bodies, {count} planned head probes, "
                  f"{len(self.index_paths())} shared index(es)"]
         for class_name, path in self.index_paths():
             lines.append(f"  index ({class_name}, {'.'.join(path)})")
@@ -674,14 +646,9 @@ def plan_constraint(clause: Clause,
     Unlike transformation bodies, constraint bodies are usually *not* in
     SNF — key and FD shapes join two extents on raw projection equations
     — so the selector discovery of :class:`_SelectorFinder` matters most
-    here.  A half that is not range-restricted (no static order exists)
-    is left to the dynamic matcher rather than rejected.
+    here.  A half with no static order raises :class:`PlanError`.
     """
-    body_plan: Optional[JoinPlan] = None
-    try:
-        body_plan = plan_clause(clause, cardinalities)
-    except PlanError:
-        pass
+    body_plan = plan_clause(clause, cardinalities)
     body_vars: Set[str] = set()
     for atom in clause.body:
         body_vars |= atom.variables()
@@ -689,12 +656,8 @@ def plan_constraint(clause: Clause,
     # body (Clause insists on a non-empty head, so mirror them there).
     head_probe = Clause(tuple(clause.head), tuple(clause.head),
                         name=f"{clause.name or 'constraint'}::head")
-    head_plan: Optional[JoinPlan] = None
-    try:
-        head_plan = plan_clause(head_probe, cardinalities,
-                                initial_bound=body_vars)
-    except PlanError:
-        pass
+    head_plan = plan_clause(head_probe, cardinalities,
+                            initial_bound=body_vars)
     return ConstraintPlan(clause=clause, body=body_plan, head=head_plan)
 
 

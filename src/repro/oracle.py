@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .engine.executor import ExecutionStats, Executor
+from .engine.executor import ExecutionStats, Executor, _HeadPlan
 from .lang.ast import Clause
 from .model.instance import Instance
 from .model.schema import Schema
 from .model.values import Value
 from .morphase.system import Morphase, MorphaseResult
-from .semantics.satisfaction import Violation, clause_violations
+from .semantics.match import Matcher
+from .semantics.satisfaction import Violation
 
 
 def naive_execute(program: Iterable[Clause], source: Instance,
@@ -29,10 +30,17 @@ def naive_execute(program: Iterable[Clause], source: Instance,
                   defaults: Optional[Mapping[Tuple[str, str], Value]] = None
                   ) -> Tuple[Instance, ExecutionStats]:
     """The reference for :func:`repro.engine.executor.execute`: same
-    arguments, same target, every clause on the dynamic matcher."""
+    arguments, same target, every clause on the dynamic matcher and the
+    executor's scalar head applier."""
     executor = Executor(source, target_schema)
+    matcher = Matcher(source)
     for clause in program:
-        executor.run_clause(clause)
+        executor._check_source_only(clause)
+        head = _HeadPlan(clause, target_schema)
+        executor.stats.clauses_run += 1
+        for binding in matcher.solutions(clause.body):
+            executor.stats.bindings_found += 1
+            executor._apply_head(head, binding, clause)
     return (executor.freeze(validate=validate, defaults=defaults),
             executor.stats)
 
@@ -56,7 +64,22 @@ def naive_violations(instance: Instance, clauses: Iterable[Clause],
                      ) -> List[Violation]:
     """The reference for
     :func:`repro.semantics.satisfaction.program_violations`: a fresh
-    matcher with private lazy indexes per clause."""
-    return [violation for clause in clauses
-            for violation in clause_violations(instance, clause,
-                                               limit_per_clause)]
+    matcher with private lazy indexes per clause, body and head probe
+    in the dynamic order."""
+    violations: List[Violation] = []
+    if limit_per_clause is not None and limit_per_clause <= 0:
+        return violations
+    for clause in clauses:
+        matcher = Matcher(instance)
+        body_vars = frozenset().union(
+            *(atom.variables() for atom in clause.body))
+        found = 0
+        for binding in matcher.solutions(clause.body):
+            projected = {name: value for name, value in binding.items()
+                         if name in body_vars}
+            if not matcher.satisfiable(clause.head, projected):
+                violations.append(Violation(clause, projected))
+                found += 1
+                if found == limit_per_clause:
+                    break
+    return violations

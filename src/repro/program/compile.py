@@ -10,9 +10,11 @@ batch transformation engine applies across clauses, applied across the
 statements of a program.  Set-algebra statements compile to nothing;
 they run on materialised result sets in the interpreter.
 
-Statements whose body the planner cannot order statically
-(:class:`~repro.engine.planner.PlanError`) keep ``plan=None`` and fall
-back to the dynamic matcher at run time — same behaviour, no speed.
+A statement whose body the planner cannot order
+(:class:`~repro.engine.planner.PlanError`) is refused here with a WOL504
+:class:`~repro.program.ast.ProgramValidationError`, as static
+validation refuses an unsafe body — so every compiled ``query``
+statement carries its plan.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..analysis.diagnostics import DiagnosticReport
+from ..analysis.diagnostics import Diagnostic, DiagnosticReport
 from ..engine.planner import JoinPlan, PlanError, plan_clause
 from ..lang.ast import Clause
 from ..model.instance import Instance
 from ..query.query import Query
 from ..semantics.match import IndexPool
-from .ast import QueryOp, QueryProgram, Statement
+from .ast import ProgramValidationError, QueryOp, QueryProgram, Statement
 from .validate import check_program
 
 
@@ -34,9 +36,8 @@ from .validate import check_program
 class CompiledStatement:
     """One statement, ready to run.
 
-    ``query``/``plan`` are populated for ``query`` statements only;
-    ``plan`` is None when the statement executes on the dynamic
-    matcher.  ``columns`` is the statement's output column order —
+    ``query``/``plan`` are populated for ``query`` statements only.
+    ``columns`` is the statement's output column order —
     projection order for explicit projections, first-occurrence
     variable order otherwise (the :meth:`Query.variables` convention).
     """
@@ -45,10 +46,6 @@ class CompiledStatement:
     columns: Tuple[str, ...]
     query: Optional[Query] = None
     plan: Optional[JoinPlan] = None
-
-    @property
-    def planned(self) -> bool:
-        return self.plan is not None
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,10 @@ class CompiledProgram:
                     if op.inputs() else
                     f"  {compiled.statement.name}: {op.op}")
                 continue
-            mode = "planned" if compiled.planned else "dynamic fallback"
-            lines.append(f"  {compiled.statement.name}: query [{mode}] "
+            lines.append(f"  {compiled.statement.name}: query "
                          f"-> columns {', '.join(compiled.columns)}")
-            if compiled.plan is not None:
-                for line in compiled.plan.explain().splitlines():
-                    lines.append(f"    {line}")
+            for line in compiled.plan.explain().splitlines():
+                lines.append(f"    {line}")
         return "\n".join(lines)
 
 
@@ -91,8 +86,9 @@ def compile_program(program: QueryProgram, instance: Instance,
     """Validate and compile ``program`` against ``instance``.
 
     Raises :class:`~repro.program.ast.ProgramValidationError` when
-    static validation finds errors; warnings ride along on the returned
-    report.  ``pool`` lets a warm session share its prebuilt indexes
+    static validation finds errors or a query body admits no join order
+    (WOL504); warnings ride along on the returned report.  ``pool``
+    lets a warm session share its prebuilt indexes
     across requests; by default a fresh pool is built and the union of
     all statements' index selectors is materialised up front.
     """
@@ -105,7 +101,7 @@ def compile_program(program: QueryProgram, instance: Instance,
     index_paths: List[Tuple[str, Tuple[str, ...]]] = []
     columns_by_name: Dict[str, Tuple[str, ...]] = {}
 
-    for statement in program.statements:
+    for index, statement in enumerate(program.statements):
         op = statement.op
         if isinstance(op, QueryOp):
             text = (f"{', '.join(op.project)} | {op.body}"
@@ -115,10 +111,14 @@ def compile_program(program: QueryProgram, instance: Instance,
             probe = Clause(query.body, query.body, name=statement.name)
             try:
                 plan = plan_clause(probe, cardinalities)
-            except PlanError:
-                plan = None
-            else:
-                index_paths.extend(plan.index_paths)
+            except PlanError as exc:
+                refused = Diagnostic("WOL504", f"admits no join order: {exc}",
+                                     clause=statement.name,
+                                     clause_index=index)
+                raise ProgramValidationError(DiagnosticReport(
+                    report.diagnostics + [refused],
+                    passes_run=report.passes_run)) from exc
+            index_paths.extend(plan.index_paths)
             compiled.append(CompiledStatement(
                 statement=statement, columns=columns, query=query,
                 plan=plan))

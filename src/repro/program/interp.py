@@ -16,9 +16,9 @@ once:
 * the result does not depend on enumeration order — dedup-then-sort
   erases it.
 
-``query`` statements run the planned path (vectorized columnar
+``query`` statements run their join plans (vectorized columnar
 batches, :meth:`~repro.semantics.match.Matcher.run_plan_columnar`);
-bodies with no static plan fall back to the dynamic matcher.
+compilation already refused every body with no join order.
 Set-algebra statements never touch the instance — ``union``,
 ``intersect``, ``difference`` and ``limit`` fold earlier result sets'
 keys and never render a row again (``project`` changes the rows, so it
@@ -111,14 +111,9 @@ class StatementTrace:
     name: str
     op: str
     rows: int
-    planned: bool = False
 
     def to_json(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"name": self.name, "op": self.op,
-                               "rows": self.rows}
-        if self.op == "query":
-            out["planned"] = self.planned
-        return out
+        return {"name": self.name, "op": self.op, "rows": self.rows}
 
 
 @dataclass(frozen=True)
@@ -189,20 +184,14 @@ def run_program(program: QueryProgram, instance: Instance,
 
 def _run_query(statement: CompiledStatement, matcher: Matcher,
                encoder) -> Tuple[ResultSet, StatementTrace]:
-    query = statement.query
-    assert query is not None
     columns = statement.columns
-    plan = statement.plan
-
-    bindings = (matcher.solutions(query.body) if plan is None
-                else matcher.run_plan_columnar(plan.steps))
+    bindings = matcher.run_plan_columnar(statement.plan.steps)
     result = ResultSet.from_rows(
         columns, ({name: value_to_json(binding[name], encoder)
                    for name in columns if name in binding}
                   for binding in bindings))
-    trace = StatementTrace(
-        name=statement.statement.name, op="query",
-        rows=len(result.rows), planned=plan is not None)
+    trace = StatementTrace(name=statement.statement.name, op="query",
+                           rows=len(result.rows))
     return result, trace
 
 

@@ -13,6 +13,14 @@ module wraps the matcher in a small query API::
 The text before ``|`` lists the *projection* — variables (or ``*`` for
 all) — and the text after it is a WOL atom list, exactly the syntax of a
 clause body.
+
+:meth:`Query.run` enumerates in the dynamic matcher's order — the
+reference the tests and the end-to-end harness compare against.  The
+service runs :meth:`Query.run_planned`: the body's join plan, batch at
+a time.  A range-restricted body can still admit no join order (an atom
+that waits on a variable only it could bind); ``run_planned`` refuses
+it with :class:`QueryError`, where ``run`` would stop at the same atom
+with :class:`~repro.semantics.match.MatchError`.
 """
 
 from __future__ import annotations
@@ -106,9 +114,9 @@ class Query:
         prebuilds the plan's indexes on ``pool`` (a warm session passes
         its shared :class:`~repro.semantics.match.IndexPool`; by
         default a private one is built) and executes vectorized
-        (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`).
-        Bodies the planner cannot order statically fall back
-        to the dynamic matcher — identical rows, no speedup.
+        (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`).  A
+        body with no join order raises :class:`QueryError` on the first
+        ``next()``.
         """
         from ..engine.planner import PlanError, plan_clause
         from ..semantics.match import IndexPool
@@ -119,13 +127,10 @@ class Query:
         probe = Clause(self.body, self.body)
         try:
             plan = plan_clause(probe, instance.class_sizes())
-        except PlanError:
-            bindings: Iterator[Dict[str, Value]] = \
-                matcher.solutions(self.body)
-        else:
-            pool.prebuild(plan.index_paths)
-            bindings = matcher.run_plan_columnar(plan.steps)
-        for binding in bindings:
+        except PlanError as exc:
+            raise QueryError(f"query admits no join order: {exc}") from exc
+        pool.prebuild(plan.index_paths)
+        for binding in matcher.run_plan_columnar(plan.steps):
             yield {name: binding[name] for name in columns
                    if name in binding}
 

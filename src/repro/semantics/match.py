@@ -5,10 +5,14 @@ This is the shared evaluation core of the satisfaction checker
 (:mod:`repro.engine.executor`): given a set of atoms and an instance,
 enumerate all bindings of the atoms' variables that make every atom true.
 
-Atoms are processed in a data-driven order: at each step the matcher picks
-an atom that is *ready* under the current binding — one that can either be
-tested outright or used to generate/propagate bindings.  Range-restricted
-clauses always admit such an order; if no atom is ever ready the clause is
+Production runs precompiled join plans (:meth:`Matcher.run_plan`,
+:meth:`Matcher.run_plan_columnar`, :meth:`Matcher.plan_satisfiable`).
+The dynamic order — :meth:`Matcher.solutions` and
+:meth:`Matcher.satisfiable` — is the reference those plans are tested
+against, reached only from :mod:`repro.oracle` and :meth:`repro.query.
+Query.run`: at each step it picks an atom that is *ready* under the
+current binding — one that can either be tested outright or used to
+generate/propagate bindings.  If no atom is ever ready the clause is
 reported as non-evaluable rather than silently dropped.
 
 Pattern unification against values supports the invertible positions of
@@ -51,14 +55,6 @@ _BUILD_SECONDS = REGISTRY.histogram(
     "repro_index_build_seconds",
     "Time spent materialising one (class, path) hash index.",
     ("class_name",), buckets=LATENCY_BUCKETS)
-
-#: A supplied plan dropped by :meth:`Matcher.solutions` because the
-#: caller's initial binding did not fit the boundness it was compiled
-#: for: the probe still answers, but on the dynamic matcher.
-_PLAN_FALLBACKS = REGISTRY.counter(
-    "repro_matcher_plan_fallback_total",
-    "Supplied join plans dropped for the dynamic matcher because their "
-    "boundness assumptions did not fit the initial binding.")
 
 
 class IndexPool:
@@ -363,7 +359,7 @@ class PlanStep:
     def requires(self) -> FrozenSet[str]:
         """Variables that must already be bound when the step runs.
 
-        What the boundness check (:func:`_plan_conflicts_with`) reads,
+        What the boundness check (:func:`_checked_steps`) reads,
         derived from the syntax once per step instead of once per
         probe.  ``cached_property`` writes the instance ``__dict__``
         directly, which a frozen dataclass permits; the fields above
@@ -486,11 +482,9 @@ class Matcher:
 
     def __init__(self, instance: Instance,
                  prefer_tests: bool = True,
-                 use_indexes: bool = True,
                  index_pool: Optional[IndexPool] = None) -> None:
         self.instance = instance
         self.prefer_tests = prefer_tests
-        self.use_indexes = use_indexes
         # Hash indexes turning equality joins over class extents into
         # lookups, keeping normal-form execution one-pass in spirit *and*
         # in cost.  Shared across clauses when a pool is injected.
@@ -519,40 +513,15 @@ class Matcher:
 
     # ------------------------------------------------------------------
     def solutions(self, atoms: Sequence[Atom],
-                  initial: Optional[Binding] = None,
-                  plan: Optional[Sequence[PlanStep]] = None
-                  ) -> Iterator[Binding]:
-        """All bindings extending ``initial`` that satisfy ``atoms``.
-
-        With ``plan`` the atoms are processed in the fixed, precompiled
-        order instead of the dynamic readiness order; the solution set is
-        identical (differential tests enforce this).  The plan runs only
-        after the one boundness check every plan entry point makes
-        (:func:`_plan_conflicts_with`, set operations over each step's
-        cached ``requires``): a plan compiled with a
-        different ``initial_bound`` than ``initial`` supplies would
-        re-bind a pre-bound variable or read an unbound one, so such
-        calls fall back to the dynamic order rather than return wrong
-        solutions — counted in ``repro_matcher_plan_fallback_total``.
-        """
-        if plan is not None:
-            if not _plan_conflicts_with(plan, initial):
-                yield from self._run_steps(plan, 0, dict(initial or {}))
-                return
-            _PLAN_FALLBACKS.inc()
+                  initial: Optional[Binding] = None) -> Iterator[Binding]:
+        """All bindings extending ``initial`` that satisfy ``atoms``, in
+        the dynamic readiness order (the reference enumeration)."""
         yield from self._solve(list(atoms), dict(initial or {}))
 
     def satisfiable(self, atoms: Sequence[Atom],
-                    initial: Optional[Binding] = None,
-                    plan: Optional[Sequence[PlanStep]] = None) -> bool:
-        """True iff at least one satisfying binding exists.
-
-        With ``plan`` (a precompiled step order whose ``initial_bound``
-        matches ``initial``'s variables — the constraint auditor's head
-        probe), the search runs the fixed order; mismatches fall back to
-        the dynamic order via :meth:`solutions`.
-        """
-        for _ in self.solutions(atoms, initial, plan=plan):
+                    initial: Optional[Binding] = None) -> bool:
+        """True iff at least one satisfying binding exists (dynamic)."""
+        for _ in self.solutions(atoms, initial):
             return True
         return False
 
@@ -727,7 +696,7 @@ class Matcher:
         the equality join becomes a lookup instead of a scan.
         """
         extent = self.instance.objects_of(atom.class_name)
-        if not self.use_indexes or not isinstance(atom.element, Var):
+        if not isinstance(atom.element, Var):
             return extent
         selector = self._find_selector(atom.element.name, binding, rest)
         if selector is None:
@@ -796,11 +765,22 @@ class Matcher:
         ``initial``'s variables must have been declared to the planner
         (``plan_clause(..., initial_bound=...)``): a step compiled to
         *bind* a variable would silently overwrite a pre-bound value.
-        Such mismatches raise :class:`MatchError` at call time; use
-        :meth:`solutions`, which falls back to the dynamic order instead.
+        Such mismatches raise :class:`MatchError` at call time.
         """
         steps = _checked_steps(steps, initial)
         return self._run_steps(steps, 0, dict(initial or {}))
+
+    def plan_satisfiable(self, steps: Sequence[PlanStep],
+                         initial: Optional[Binding] = None) -> bool:
+        """True iff the plan has a solution extending ``initial``.
+
+        The planned existence check of the constraint audit's head
+        probe: :meth:`run_plan`, stopped at the first binding, so a
+        binding that does not fit the plan raises :class:`MatchError`.
+        """
+        for _ in self.run_plan(steps, initial):
+            return True
+        return False
 
     def run_plan_columnar(self, steps: Sequence[PlanStep],
                           initial: Optional[Binding] = None,
@@ -835,7 +815,7 @@ class Matcher:
         mode = step.mode
         if mode == STEP_MEMBER_SCAN or mode == STEP_MEMBER_INDEX:
             assert isinstance(atom, MemberAtom)
-            if mode == STEP_MEMBER_INDEX and self.use_indexes:
+            if mode == STEP_MEMBER_INDEX:
                 selector = step.selector_term
                 if isinstance(selector, Var):
                     value = binding.get(selector.name)
@@ -939,37 +919,25 @@ def _checked_steps(steps: Sequence[PlanStep],
                    initial: Optional[Binding]) -> Tuple[PlanStep, ...]:
     """``steps`` as a tuple, once ``initial`` is known to fit them.
 
-    The one boundness check both plan entry points share, so a mismatch
-    raises :class:`MatchError` at call time on either.
+    The one boundness check every plan entry point shares, so a
+    mismatch raises :class:`MatchError` at call time.  Two mismatch
+    directions: a step *re-binds* a variable the caller pre-bound (the
+    plan was compiled without it), or a step *requires* a variable that
+    neither the caller nor any earlier step binds (the plan was compiled
+    with an ``initial_bound`` the caller didn't supply).  Either way the
+    steps would silently compute wrong solutions.
     """
     steps = tuple(steps)
-    if _plan_conflicts_with(steps, initial):
-        raise MatchError(
-            "plan boundness assumptions do not match the initial "
-            "binding (re-plan with matching initial_bound, or use "
-            "solutions() for the dynamic fallback)")
-    return steps
-
-
-def _plan_conflicts_with(steps: Sequence[PlanStep],
-                         initial: Optional[Binding]) -> bool:
-    """True when the plan's boundness assumptions don't match ``initial``.
-
-    Two mismatch directions: a step *re-binds* a variable the caller
-    pre-bound (the plan was compiled without it), or a step *requires* a
-    variable that neither the caller nor any earlier step binds (the plan
-    was compiled with an ``initial_bound`` the caller didn't supply).
-    Either way the steps would silently compute wrong solutions.
-    """
     pre_bound = initial.keys() if initial else frozenset()
     available = set(pre_bound)
     for step in steps:
-        if not pre_bound.isdisjoint(step.binds):
-            return True
-        if not step.requires <= available:
-            return True
+        if not (pre_bound.isdisjoint(step.binds)
+                and step.requires <= available):
+            raise MatchError(
+                "plan boundness assumptions do not match the initial "
+                "binding (re-plan with matching initial_bound)")
         available.update(step.binds)
-    return False
+    return steps
 
 
 def _deterministic(collection) -> List[Value]:

@@ -14,12 +14,23 @@ object identity determined by its argument values.  Satisfaction of key
 clauses like ``Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name`` therefore
 holds exactly for instances whose oids *are* the Skolem-generated ones —
 which is what the execution engine produces.
+
+Checking runs each clause's join plans
+(:func:`repro.engine.planner.plan_audit`): the body as batch stages,
+the head as a planned existence probe per body solution.  A clause
+whose body or head admits no join order raises
+:class:`~repro.engine.planner.PlanError` when it is planned; the
+dynamic-order reference is :func:`repro.oracle.naive_violations`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (the planner imports
+    # this package's matcher)
+    from ..engine.planner import AuditPlan, ConstraintPlan
 
 from ..lang.ast import Clause
 from ..model.instance import Instance, InstanceError
@@ -73,64 +84,43 @@ def merge_instances(name: str, instances: Sequence[Instance]) -> Instance:
     return Instance(schema, valuations)
 
 
-def clause_violations(instance: Instance, clause: Clause,
-                      limit: Optional[int] = None,
-                      matcher: Optional[Matcher] = None,
-                      plan=None) -> List[Violation]:
-    """Counterexamples to ``clause`` in ``instance`` (up to ``limit``).
+def clause_violations(matcher: Matcher, plan: "ConstraintPlan",
+                      limit: Optional[int] = None) -> List[Violation]:
+    """Counterexamples to ``plan.clause`` in ``matcher.instance`` (up
+    to ``limit``; ``limit=0`` reports none).
 
-    ``matcher`` injects a shared matcher (and with it a shared
-    :class:`~repro.semantics.match.IndexPool`); by default the clause
-    gets a private one with lazy indexes.  ``plan`` supplies a
-    :class:`~repro.engine.planner.ConstraintPlan`: the body enumeration
-    and the per-solution head-satisfiability probe then run their
-    precompiled step orders instead of re-deriving atom readiness for
-    every partial binding.  Without a plan (or for the half of a plan
-    the planner could not order) the dynamic matcher enumerates — the
-    per-clause fallback, and what :mod:`repro.oracle` runs as the
-    differential reference; both report the same violations
-    (``tests/constraints`` enforces it).  ``limit=0`` reports none.
-
-    A planned body enumeration runs as batch stages through the
-    vectorized compiler
-    (:func:`repro.engine.columnar.stream_plan_columnar`) — same
-    solutions in the same order, so ``limit`` truncates identically.
-    The per-solution head probe stays scalar: it is an existence check
-    with an early exit, which the batch model cannot shortcut.  Each
-    probe goes through :meth:`Matcher.solutions`, which checks once —
-    with set operations over sets the plan's steps carry, no walk of
-    the atoms — that the head plan's boundness fits the projected
-    binding before running it.
+    ``plan`` is the clause's
+    :class:`~repro.engine.planner.ConstraintPlan`.  The body runs its
+    plan as batch stages through the vectorized compiler
+    (:func:`repro.engine.columnar.stream_plan_columnar`) — solutions in
+    plan order, so ``limit`` truncates deterministically.  The
+    per-solution head probe stays scalar: it is an existence check with
+    an early exit, which the batch model cannot shortcut, and it runs
+    the head plan through :meth:`Matcher.plan_satisfiable`.  The
+    dynamic reference, :func:`repro.oracle.naive_violations`, reports
+    the same violations (``tests/constraints`` enforces it).
 
     Under an active trace the clause is one ``clause <name>`` span
     carrying ``body_solutions`` and ``violations``.
     """
     if limit is not None and limit <= 0:
         return []
-    matcher = matcher if matcher is not None else Matcher(instance)
-    body_vars = frozenset().union(
-        *(atom.variables() for atom in clause.body)) if clause.body else frozenset()
-    body_steps = plan.body.steps if (
-        plan is not None and plan.body is not None) else None
-    head_steps = plan.head.steps if (
-        plan is not None and plan.head is not None) else None
+    from ..engine.columnar import stream_plan_columnar
+    clause = plan.clause
+    body_vars = frozenset().union(*(atom.variables() for atom in clause.body))
+    head_steps = plan.head.steps
     violations: List[Violation] = []
     body_solutions = 0
     with span(f"clause {clause.name or clause}") as clause_span:
-        if body_steps is not None:
-            from ..engine.columnar import stream_plan_columnar
-            body_bindings = stream_plan_columnar(matcher, body_steps, None)
-        else:
-            body_bindings = matcher.solutions(clause.body)
-        for body_binding in body_bindings:
+        for body_binding in stream_plan_columnar(matcher, plan.body.steps,
+                                                 None):
             body_solutions += 1
             # Project to body variables: head checking re-derives the
             # rest.
             projected = {name: value
                          for name, value in body_binding.items()
                          if name in body_vars}
-            if not matcher.satisfiable(clause.head, projected,
-                                       plan=head_steps):
+            if not matcher.plan_satisfiable(head_steps, projected):
                 violations.append(Violation(clause, projected))
                 if limit is not None and len(violations) >= limit:
                     break
@@ -141,12 +131,13 @@ def clause_violations(instance: Instance, clause: Clause,
 
 def satisfies_clause(instance: Instance, clause: Clause) -> bool:
     """True iff ``instance`` satisfies ``clause``."""
-    return not clause_violations(instance, clause, limit=1)
+    return not program_violations(instance, [clause], limit_per_clause=1)
 
 
 def program_violations(instance: Instance, program: Iterable[Clause],
                        limit_per_clause: Optional[int] = None,
-                       plan=None) -> List[Violation]:
+                       plan: Optional["AuditPlan"] = None
+                       ) -> List[Violation]:
     """All violations of all clauses (constraint audit).
 
     The whole audit is *planned*: every clause's body and head probe
@@ -177,9 +168,8 @@ def program_violations(instance: Instance, program: Iterable[Clause],
             clause_plan = audit_plan.plans[index]
         else:
             clause_plan = audit_plan.plan_for(clause)
-        violations.extend(clause_violations(
-            instance, clause, limit_per_clause, matcher=matcher,
-            plan=clause_plan))
+        violations.extend(clause_violations(matcher, clause_plan,
+                                            limit_per_clause))
     return violations
 
 

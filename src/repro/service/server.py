@@ -39,8 +39,9 @@ the wire as canonical JSON (one line, keys sorted; pipe it through
 
 Error codes map statuses one-to-one: ``bad_request``/``parse_error``
 (400: the request or program never parsed), ``not_found`` (404),
-``validation_failed`` (422: parsed but statically rejected — WOL5xx
-diagnostics ride in ``details``), ``conflict`` (409: the node cannot
+``validation_failed`` (422: parsed but statically rejected — an unsafe
+body, or one that admits no join order; WOL5xx diagnostics ride in
+``details`` for programs), ``conflict`` (409: the node cannot
 serve this request *yet* or *at all* in its role — a replica behind
 the requested ``X-Repro-Seq`` answers ``replica_behind``, a replica
 asked to write answers ``read_only_replica`` with the leader's URL in

@@ -415,25 +415,27 @@ class WarehouseSession:
             self._queries.inc()
             self._body_queries.inc()
             target = self.transform.target
-            with span("parse"):
-                try:
+            try:
+                with span("parse"):
                     parsed = Query.parse(
                         text, classes=target.schema.class_names())
-                except QueryError as exc:
-                    parse_failure = isinstance(exc.__cause__, ParseError)
-                    raise ServiceError(
-                        str(exc),
-                        status=400 if parse_failure else 422,
-                        code="parse_error" if parse_failure
-                        else "validation_failed") from exc
-            pool, encoder = self._warm_query_state()
-            columns = parsed.projection or parsed.variables()
-            with span("execute") as execute_span:
-                rows = ResultSet.from_rows(tuple(columns), (
-                    {name: value_to_json(value, encoder)
-                     for name, value in row.items()}
-                    for row in parsed.run_planned(target, pool=pool))).rows
-                execute_span.set(rows=len(rows))
+                pool, encoder = self._warm_query_state()
+                columns = parsed.projection or parsed.variables()
+                with span("execute") as execute_span:
+                    rows = ResultSet.from_rows(tuple(columns), (
+                        {name: value_to_json(value, encoder)
+                         for name, value in row.items()}
+                        for row in parsed.run_planned(target,
+                                                      pool=pool))).rows
+                    execute_span.set(rows=len(rows))
+            except QueryError as exc:
+                # Unparsable: 400.  Unsafe, or admits no join order: 422.
+                parse_failure = isinstance(exc.__cause__, ParseError)
+                raise ServiceError(
+                    str(exc),
+                    status=400 if parse_failure else 422,
+                    code="parse_error" if parse_failure
+                    else "validation_failed") from exc
         return {"body": body, "columns": list(columns),
                 "count": len(rows), "rows": list(rows)}
 

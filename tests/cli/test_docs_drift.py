@@ -121,6 +121,18 @@ def test_every_session_family_in_the_readme_table_is_registered():
     assert sorted(missing) == []
 
 
+def test_every_family_spelled_out_in_the_readme_table_is_registered():
+    """Every ``repro_*`` family the table spells out in full (patterns
+    like ``repro_engine_*_total`` aside) is registered somewhere in
+    ``src/repro`` — a deleted counter takes its row with it."""
+    documented = set(re.findall(r"`(repro_\w+)(?:\{[\w,]*\})?`",
+                                metrics_table()))
+    assert {"repro_index_build_seconds", "repro_http_in_flight",
+            "repro_planner_nested_scans_total"} <= documented
+    missing = documented - registered_families(PACKAGE.rglob("*.py"))
+    assert sorted(missing) == []
+
+
 #: ``GET /query``-style route mentions; a path followed by ``/`` (the
 #: ``/snapshot/<name>`` pattern) is not a fixed route.
 ROUTE = re.compile(r"\b(GET|POST)\s+(/[a-z]+)(?![a-z/])")

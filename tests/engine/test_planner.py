@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Executor, plan_clause, plan_program
+from repro.engine import (Executor, execute, plan_audit, plan_clause,
+                          plan_program)
 from repro.engine import planner as planner_module
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
 from repro.lang import parse_clause
@@ -270,7 +271,8 @@ class TestIndexPool:
 
 
 class TestPlannedNaiveAgreement:
-    """The planned path and the naive dynamic path are interchangeable."""
+    """The planned path and the naive dynamic path (the oracle) are
+    interchangeable."""
 
     def _solution_sets(self, instance, body, cards):
         def canonical(bindings):
@@ -280,8 +282,7 @@ class TestPlannedNaiveAgreement:
                 for b in bindings)
 
         c = parse_clause("T = T <= " + body + ";", classes=CLASSES)
-        naive = Matcher(instance, use_indexes=False)
-        plain = canonical(naive.solutions(c.body))
+        plain = canonical(Matcher(instance).solutions(c.body))
         pool = IndexPool(instance)
         planned_matcher = Matcher(instance, index_pool=pool)
         plan = plan_clause(c, cards)
@@ -351,67 +352,26 @@ class TestPlannedNaiveAgreement:
         with pytest.raises(MatchError):
             run(unseeded.steps, initial={"C": city})  # would re-bind C
 
-    def test_initial_binding_falls_back_to_dynamic(self):
-        """A plan compiled without initial bindings must not clobber them."""
-        instance = sample_euro_instance()
-        c = body_clause("C in CityE")
-        plan = plan_clause(c, instance.class_sizes())
-        matcher = Matcher(instance)
-        city = instance.objects_of("CityE")[2]
-        seeded = list(matcher.solutions(c.body, initial={"C": city},
-                                        plan=plan.steps))
-        assert seeded == [{"C": city}]  # fell back, honoured the seed
-        with pytest.raises(MatchError):
-            list(matcher.run_plan(plan.steps, initial={"C": city}))
-        # Initial bindings disjoint from the plan's variables run planned.
-        extra = list(matcher.solutions(c.body, initial={"Z": 1},
-                                       plan=plan.steps))
-        assert len(extra) == len(instance.objects_of("CityE"))
-        assert all(b["Z"] == 1 for b in extra)
-
-    def test_every_probe_is_checked_once_and_fallbacks_are_counted(
-            self, monkeypatch):
-        """``solutions`` verifies a supplied plan against the initial
-        binding on every call — once, not again inside ``run_plan`` —
-        and a plan that does not fit is dropped for the dynamic matcher
-        (same answer) and counted, in both mismatch directions."""
-        from repro.semantics import match
-        checks = []
-        real = match._plan_conflicts_with
-        monkeypatch.setattr(
-            match, "_plan_conflicts_with",
-            lambda *args: checks.append(1) or real(*args))
+    def test_head_probe_runs_its_plan_or_raises(self):
+        """The planned existence check answers on the plan, and a
+        binding that does not fit the plan raises — in both mismatch
+        directions — instead of switching to the dynamic order."""
         instance = sample_euro_instance()
         sizes = instance.class_sizes()
         matcher = Matcher(instance)
         city = instance.objects_of("CityE")[2]
-
-        def fallbacks():
-            return REGISTRY.value("repro_matcher_plan_fallback_total")
-
-        scan = body_clause("C in CityE")
-        unseeded = plan_clause(scan, sizes)
-        chain = body_clause("C in CityE, V = C.country, N = V.name")
-        seeded = plan_clause(chain, sizes, initial_bound=["C"])
-
-        # fits: the plan runs, one check, no fallback
-        assert len(list(matcher.solutions(
-            chain.body, {"C": city}, plan=seeded.steps))) == 1
-        assert (len(checks), fallbacks()) == (1, 0)
-        # the plan would re-bind the pre-bound C
-        assert list(matcher.solutions(
-            scan.body, {"C": city}, plan=unseeded.steps)) == [{"C": city}]
-        assert (len(checks), fallbacks()) == (2, 1)
-        with pytest.raises(MatchError):
-            matcher.run_plan(unseeded.steps, {"C": city})
-        # the plan reads a C the caller did not supply
-        found = list(matcher.solutions(chain.body, plan=seeded.steps))
-        assert found == list(matcher.solutions(chain.body))
-        assert len(found) == sizes["CityE"]
-        assert fallbacks() == 2
-        with pytest.raises(MatchError):
-            matcher.run_plan(seeded.steps)
-        assert not hasattr(Matcher, "run_plan_trusted")
+        unseeded = plan_clause(body_clause("C in CityE"), sizes)
+        seeded = plan_clause(body_clause("C in CityE, V = C.country, "
+                                         "N = V.name"),
+                             sizes, initial_bound=["C"])
+        assert matcher.plan_satisfiable(seeded.steps, {"C": city})
+        assert matcher.plan_satisfiable(unseeded.steps, {"Z": 1})
+        with pytest.raises(MatchError):     # would re-bind C
+            matcher.plan_satisfiable(unseeded.steps, {"C": city})
+        with pytest.raises(MatchError):     # reads a C nobody bound
+            matcher.plan_satisfiable(seeded.steps)
+        assert "plan" not in Matcher.solutions.__code__.co_varnames
+        assert "plan" not in Matcher.satisfiable.__code__.co_varnames
 
     def test_step_requirements_are_cached_on_the_frozen_step(self):
         plan = plan_clause(
@@ -426,13 +386,35 @@ class TestPlannedNaiveAgreement:
         assert "requires" not in vars(twin)
         assert dataclasses.replace(twin, binds=probe.binds) == probe
 
-    def test_unplannable_clause_falls_back_to_dynamic(self):
+    def test_every_clause_gets_a_join_plan(self):
         instance = sample_euro_instance()
         program = [clause("T = T <= E in CountryE, N = E.name;")]
         plan = plan_program(program, instance)
-        assert not plan.unplanned
         assert isinstance(plan, ProgramPlan)
         assert isinstance(plan.plans[0], JoinPlan)
+        assert plan.plan_for(program[0]) is plan.plans[0]
+
+
+class TestUnorderableBodies:
+    """A range-restricted body with no join order is refused when it is
+    planned — even over an empty instance, where the dynamic matcher
+    never reaches the stuck atom and would return nothing."""
+
+    SCHEMA = Schema.of("Src", Item=record(
+        name=STR, tags=set_of(record(k=STR, v=STR))))
+    STUCK = parse_clause(
+        "T = T <= I in Item, N = I.name, (k = K, v = I.name) in I.tags;",
+        classes=["Item"])
+
+    def test_planning_refuses_it(self):
+        empty = InstanceBuilder(self.SCHEMA).freeze()
+        with pytest.raises(PlanError, match="no atom is statically ready"):
+            plan_program([self.STUCK], empty)
+        with pytest.raises(PlanError, match="no atom is statically ready"):
+            plan_audit([self.STUCK], empty)
+        with pytest.raises(PlanError, match="no atom is statically ready"):
+            execute([self.STUCK], empty, Schema.of("Tgt", Out=record(
+                name=STR)))
 
 
 class TestProgramPlanning:

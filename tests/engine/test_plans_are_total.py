@@ -1,0 +1,75 @@
+"""Plans are total: every production body runs its join plan (AST scan).
+
+The planner's static readiness is the dynamic matcher's, so a body the
+planner cannot order is one the matcher stops on too — a "run the
+dynamic matcher instead" branch can never produce a row.  Such a body
+is refused when it is planned (``PlanError``), and the dynamic order
+is left to the reference enumerations only: :mod:`repro.oracle`, the
+matcher itself and :meth:`repro.query.Query.run`.
+"""
+
+import ast
+import pathlib
+import re
+
+import repro
+
+PACKAGE = pathlib.Path(repro.__file__).parent
+MODULES = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+           for path in sorted(PACKAGE.rglob("*.py"))}
+
+#: Where the dynamic order may still be called.
+REFERENCE_MODULES = {"oracle.py", "semantics/match.py", "query/query.py"}
+#: ``PlanError`` turned into the read side's own validation errors.
+READ_SIDE_CONVERSIONS = {"query/query.py", "program/compile.py"}
+
+
+def _dynamic_calls(text):
+    return [node.lineno for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("solutions", "satisfiable")]
+
+
+def _plan_error_handlers(text):
+    handlers = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for sub in ast.walk(node.type)}
+            if "PlanError" in names:
+                handlers.append(node.lineno)
+    return handlers
+
+
+def test_only_the_references_enumerate_in_the_dynamic_order():
+    callers = {name: lines for name, text in MODULES.items()
+               if (lines := _dynamic_calls(text))}
+    assert callers.keys() <= REFERENCE_MODULES, callers
+    assert "oracle.py" in callers and "query/query.py" in callers
+
+
+def test_plan_errors_are_caught_only_by_analysis_and_the_read_side():
+    catchers = {name: lines for name, text in MODULES.items()
+                if (lines := _plan_error_handlers(text))}
+    outside = {name: lines for name, lines in catchers.items()
+               if not name.startswith("analysis/")}
+    assert outside.keys() == READ_SIDE_CONVERSIONS, catchers
+    assert all(len(lines) == 1 for lines in outside.values()), outside
+
+
+def test_the_fallback_vocabulary_is_gone():
+    words = ("unplanned", "planned_bodies", "planned_heads", "use_indexes",
+             "repro_matcher_plan_fallback_total")
+    found = sorted((name, word) for name, text in MODULES.items()
+                   for word in words if re.search(rf"\b{word}\b", text))
+    assert found == []
+
+
+def test_the_scans_see_what_they_look_for():
+    sample = ("try:\n    m.solutions(b)\nexcept (ValueError, p.PlanError):\n"
+              "    m.satisfiable(h)\n")
+    assert _dynamic_calls(sample) == [2, 4]
+    assert _plan_error_handlers(sample) == [3]
+    assert _plan_error_handlers("try:\n    f()\nexcept Exception:\n"
+                                "    pass\n") == []

@@ -19,20 +19,31 @@ picks:
   probe cost the same);
 * the planned solution set is the dynamic matcher's.
 
+Some draws add a record pattern with a projection field,
+``(k = S, v = Xi.v) in Xi.refs``: an atom that is never ready unless
+another atom binds ``S``.  ``plan_clause`` must raise ``PlanError``
+exactly when the readiness fixpoint leaves atoms over, and then the
+dynamic matcher yields no binding either — it stops at the same atom
+with ``MatchError``, or never reaches it.  That is why no production
+path needs a dynamic fallback.
+
 Runs derandomised under ``HYPOTHESIS_PROFILE=ci`` like
 ``test_differential.py``.
 """
 
+import contextlib
+
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import plan_clause
+from repro.engine import PlanError, plan_clause
 from repro.engine import planner
 from repro.engine.columnar import stream_plan_columnar
 from repro.lang import parse_clause
 from repro.model import InstanceBuilder, Record
 from repro.model.schema import parse_schema
 from repro.model.values import WolSet
-from repro.semantics.match import IndexPool, Matcher, STEP_MEMBER_SCAN
+from repro.semantics.match import (IndexPool, MatchError, Matcher,
+                                   STEP_MEMBER_SCAN)
 
 CLASSES = ("A", "B", "C")
 SCHEMA = parse_schema("""
@@ -80,6 +91,14 @@ def join_bodies(draw):
                                      max_size=2)):
         if left != right:
             equate(left, right)
+    # A projection inside a record pattern: the atom can neither test
+    # nor drive a unification until something else binds S.
+    stuck = draw(st.sampled_from(("none", "none", "stuck", "unstuck")))
+    if stuck != "none":
+        holder = draw(positions)
+        atoms.append(f"(k = S, v = X{holder}.v) in X{holder}.refs")
+        if stuck == "unstuck":
+            atoms.append(f"S = X{draw(positions)}.k")
     atoms = draw(st.permutations(atoms))
 
     small = st.integers(0, 3)
@@ -112,6 +131,19 @@ def _linked(count, equalities):
     return len(reached) == count
 
 
+def _left_over(body):
+    """Atoms the static readiness fixpoint never reaches."""
+    bound, remaining = set(), list(body)
+    while True:
+        ready = [atom for atom in remaining
+                 if planner._classify(atom, bound) is not None]
+        if not ready:
+            return remaining
+        for atom in ready:
+            bound |= atom.variables()
+            remaining.remove(atom)
+
+
 def _canonical(bindings):
     return sorted(tuple(sorted((name, str(value))
                                for name, value in binding.items()))
@@ -123,7 +155,17 @@ def _canonical(bindings):
 def test_driving_extent_search(case):
     body, members, equalities, sizes, instance = case
     clause = parse_clause(f"T = T <= {body};", classes=list(CLASSES))
-    plan = plan_clause(clause, sizes)
+    left_over = _left_over(clause.body)
+    try:
+        plan = plan_clause(clause, sizes)
+    except PlanError:
+        assert left_over
+        found = []
+        with contextlib.suppress(MatchError):
+            found.extend(Matcher(instance).solutions(clause.body))
+        assert found == []
+        return
+    assert not left_over
     greedy, _ = planner._greedy_plan(
         clause, sizes, (), planner._SelectorFinder(clause.body))
     assert plan.estimated_cost <= greedy.estimated_cost

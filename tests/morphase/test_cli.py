@@ -166,8 +166,8 @@ class TestCheck:
                    "--data", "$W/euro.json", "--stats")
         out = capsys.readouterr().out
         assert code == 0
-        assert "stats:" in out and "planned bodies" in out
-        assert "1 planned bodies" in out and "satisfied" in out
+        assert "stats: 1 constraints, " in out and "satisfied" in out
+        assert "planned" not in out
         # The audit always plans: the opt-out flag is rejected by name.
         with pytest.raises(SystemExit) as info:
             run(workspace, "check",
@@ -203,7 +203,8 @@ class TestCheck:
         assert document["ok"] is True
         assert document["checked"] == 1
         assert document["violations"] == {}
-        assert document["stats"]["planned_bodies"] == 1
+        assert "planned_bodies" not in document["stats"]
+        assert "planned_heads" not in document["stats"]
 
     def test_json_output_with_violations(self, workspace, capsys):
         builder = cities.sample_euro_instance().builder()

@@ -172,9 +172,12 @@ class TestCompiledPrograms:
         program = parse_program_text(PROGRAM_TEXT)
         outcome = run_program(program, euro)
         by_name = {trace.name: trace for trace in outcome.traces}
-        assert by_name["caps"].planned
+        assert by_name["caps"].op == "query"
         assert by_name["rest"].op == "difference"
         document = outcome.to_json()
+        # every query runs its plan: no always-true "planned" key
+        assert {key for t in document["statements"] for key in t} \
+            == {"name", "op", "rows"}
         assert document["result"] == "top"
         assert [t["name"] for t in document["statements"]] \
             == list(program.statement_names())
@@ -184,7 +187,8 @@ class TestCompiledPrograms:
         first = compile_program(program, euro).explain()
         second = compile_program(program, euro).explain()
         assert first == second
-        assert "planned" in first and "difference" in first
+        assert "plan caps:" in first and "difference" in first
+        assert "[planned]" not in first
 
     def test_keyed_source_instance(self):
         """Programs run over keyed instances too (genome sources)."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang import parse_clause
 from repro.model import Record
-from repro.semantics import (clause_violations, merge_instances,
+from repro.semantics import (merge_instances, program_violations,
                              satisfies_clause, satisfies_program)
 from repro.workloads.cities import (euro_schema, sample_euro_instance,
                                     sample_us_instance, us_schema)
@@ -35,7 +35,7 @@ class TestPaperConstraints:
         broken = builder.freeze()
         c4 = clause("Y in CityE, Y.country = X, Y.is_capital = true"
                     " <= X in CountryE;")
-        violations = clause_violations(broken, c4)
+        violations = program_violations(broken, [c4])
         assert len(violations) == 1
 
     def test_c5_at_most_one_capital(self, euro):
@@ -85,7 +85,7 @@ class TestExistentialHeads:
             name="Utopia", language="?", currency="?"))
         broken = builder.freeze()
         c = clause("Y in CityE, Y.country = X <= X in CountryE;")
-        (violation,) = clause_violations(broken, c)
+        (violation,) = program_violations(broken, [c])
         assert set(violation.binding) == {"X"}
         assert broken.attribute(violation.binding["X"], "name") == "Utopia"
 
@@ -131,5 +131,5 @@ class TestViolationLimit:
         broken = builder.freeze()
         c4 = clause("Y in CityE, Y.country = X, Y.is_capital = true"
                     " <= X in CountryE;")
-        assert len(clause_violations(broken, c4, limit=2)) == 2
-        assert len(clause_violations(broken, c4)) == 5
+        assert len(program_violations(broken, [c4], limit_per_clause=2)) == 2
+        assert len(program_violations(broken, [c4])) == 5

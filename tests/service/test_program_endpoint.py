@@ -117,7 +117,7 @@ class TestProgramDifferential:
     def test_explain_rides_along(self, service):
         _, client = service
         result = client.program(text=PROGRAM_TEXT, explain=True)
-        assert "planned" in result["explain"]
+        assert "plan caps:" in result["explain"]
 
     def test_warnings_ride_along_as_diagnostics(self, service):
         _, client = service

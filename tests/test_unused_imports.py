@@ -1,4 +1,5 @@
-"""No unused imports in ``src/repro`` or ``tests`` (AST scan, no clock).
+"""No unused imports in ``src/repro``, ``tests``, the top-level
+``benchmarks/*.py`` and ``examples`` (AST scan, no clock).
 
 CI lints with ``ruff check`` and pyflakes' ``F`` rules; this scan pins
 the most common of them, F401 (a name imported and never used), in the
@@ -14,7 +15,9 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "repro").rglob("*.py"),
-                *(ROOT / "tests").rglob("*.py")])
+                *(ROOT / "tests").rglob("*.py"),
+                *(ROOT / "benchmarks").glob("*.py"),
+                *(ROOT / "examples").rglob("*.py")])
 
 
 def _imports(tree, lines):
@@ -76,6 +79,7 @@ def unused_imports(text):
 
 
 def test_no_unused_imports():
+    assert {path.parent.name for path in FILES} >= {"benchmarks", "examples"}
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
