@@ -1,29 +1,27 @@
 """Vectorized plan-step execution over columnar batches.
 
-This is how every planned clause body runs.  The scalar step expander
-(:meth:`repro.semantics.match.Matcher.run_plan`) threads one binding
-dict at a time through a plan — a dict copy, a mode dispatch and a
-recursive ``evaluate()`` walk per step per binding; it survives only as
-the early-exit head probe of the constraint audit and as the per-step
-fallback below.  This module executes the *same*
-:class:`~repro.semantics.match.PlanStep` sequence one **batch** at a
-time: a batch is a dict of parallel binding columns (``variable -> list
-of values``) plus a row count, and each step consumes the whole batch —
-extent cross-products, batched index probes, selector filters as list
-comprehensions — emitting the surviving columns.
+This is how every planned clause body and every constraint head runs.
+It executes a :class:`~repro.semantics.match.PlanStep` sequence one
+**batch** at a time: a batch is a dict of parallel binding columns
+(``variable -> list of values``) plus a row count, and each step
+consumes the whole batch — extent cross-products, batched index probes,
+selector filters as list comprehensions — emitting the surviving
+columns.
 
-Equivalence with the scalar expander is positional, not just set-wise:
-a batch stage maps input rows in order and expands each row's
-candidates in the scalar candidate order, so the final rows enumerate
-in exactly the depth-first order ``_run_steps`` produces (matcher-level
-tests pin this); the differential fuzz harness holds the batch path to
-results byte-equal with the naive matcher's.
+A batch stage maps input rows in order and expands each row's
+candidates in candidate order, so a batch seeded with several rows
+enumerates exactly what running the plan once per row would, grouped
+by row in row order.  That is what makes a constraint audit one
+anti-join (:func:`unextended_rows`): the head runs once over the whole
+body batch, and the body rows it never extends are the violations.
+The differential fuzz harness holds the batch path to results
+byte-equal with the naive matcher's.
 
 Steps the compiler cannot vectorize — membership or ``in`` generators
 whose element is a *pattern* (unification against record/Skolem
 structure) and equations binding a non-variable pattern — run as
 **fallback stages**: the batch is re-materialised row by row through
-the scalar ``Matcher._expand_step`` and re-columnarised, so a single
+``Matcher._expand_step`` and re-columnarised, so a single
 slow step never forces a whole clause off the vectorized path.
 :func:`step_vectorizable` is the static rule, shared by the planner's
 ``explain()`` flag and the ``WOL305`` lint.
@@ -49,10 +47,12 @@ end-to-end metric of ``benchmarks/e2e`` can see it.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..lang.ast import (Const, EqAtom, InAtom, LtAtom, MemberAtom, NeqAtom,
-                        Proj, RecordTerm, SkolemTerm, Term, Var, VariantTerm)
+from ..lang.ast import (Atom, Const, EqAtom, InAtom, LtAtom, MemberAtom,
+                        NeqAtom, Proj, RecordTerm, SkolemTerm, Term, Var,
+                        VariantTerm)
 from ..model.instance import InstanceError
 from ..model.schema import Schema
 from ..model.types import ClassType, ListType, RecordType, SetType
@@ -64,7 +64,8 @@ from ..semantics.eval import Binding, skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
-                               STEP_MEMBER_TEST, Matcher, PlanStep)
+                               STEP_MEMBER_TEST, Matcher, PlanStep,
+                               checked_steps)
 
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
@@ -87,6 +88,10 @@ CompiledPlan = Tuple[List[Tuple[bool, Stage]], Tuple[str, ...],
 #: columns ride through filters like any other column and die at
 #: liveness boundaries with their base variable.
 _ROW_PREFIX = "\0row\0"
+
+#: Hidden column numbering the rows of a probed batch
+#: (:func:`unextended_rows`).  Every hidden column starts with NUL.
+_PROBE_ROW = "\0probe"
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +652,7 @@ def _compare_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
 
 def _fallback_stage(step: PlanStep) -> Stage:
     """Row-at-a-time escape hatch: re-materialise each row as a binding
-    dict, run the scalar ``_expand_step``, re-columnarise the output.
+    dict, run ``Matcher._expand_step``, re-columnarise the output.
 
     The known columns are read off the runtime batch (not frozen at
     compile time) so liveness filtering upstream narrows this stage's
@@ -658,9 +663,8 @@ def _fallback_stage(step: PlanStep) -> Stage:
               count: int) -> Tuple[Columns, int]:
         expand = matcher._expand_step
         known = tuple(name for name in columns
-                      if not name.startswith(_ROW_PREFIX))
-        hidden = tuple(name for name in columns
-                       if name.startswith(_ROW_PREFIX))
+                      if not name.startswith("\0"))
+        hidden = tuple(name for name in columns if name.startswith("\0"))
         out_names = known + tuple(name for name in binds
                                   if name not in columns)
         out: Columns = {name: [] for name in out_names}
@@ -720,9 +724,19 @@ def _step_variables(step: PlanStep) -> frozenset:
     return out
 
 
+def member_classes(atoms: Iterable[Atom]) -> Dict[str, str]:
+    """Variable -> class, for each variable a membership atom binds: the
+    static typing that lets projections off it gather from attribute
+    columns."""
+    return {atom.element.name: atom.class_name for atom in atoms
+            if isinstance(atom, MemberAtom) and isinstance(atom.element, Var)}
+
+
 def compile_steps(schema: Schema, steps: Sequence[PlanStep],
                   initial_names: Tuple[str, ...],
-                  needed: Optional[frozenset] = None) -> CompiledPlan:
+                  needed: Optional[frozenset] = None,
+                  var_class: Optional[Mapping[str, str]] = None
+                  ) -> CompiledPlan:
     """Compile a plan into batch stages (reads only the plan and the
     schema of the instances the stages will run over).
 
@@ -733,12 +747,14 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
     stage ``i`` only ``retains[i]`` columns are still live, the rest
     are dead weight every later stage would copy through its row
     filters.  With ``needed`` None every retention is None (no
-    filtering).  ``var_class`` tracks variables statically known to
-    hold one class's oids (membership binds and passed membership
-    tests), typing downstream projection gathers.
+    filtering).  ``var_class`` types variables statically known to hold
+    one class's oids, so projections off them gather: the initial
+    names' typing (e.g. :func:`member_classes` of the body that bound
+    them), extended by every membership bind and passed membership
+    test of ``steps``.
     """
     known: List[str] = list(initial_names)
-    var_class: Dict[str, str] = {}
+    var_class = dict(var_class or {})
     var_collection: Dict[str, Tuple[str, str]] = {}
     stages: List[Tuple[bool, Stage]] = []
     reads: List[frozenset] = []
@@ -861,6 +877,45 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
     if count == 0:
         return names, {name: [] for name in names}, 0
     return names, columns, count
+
+
+def compile_probe(schema: Schema, steps: Sequence[PlanStep],
+                  var_class: Optional[Mapping[str, str]] = None
+                  ) -> CompiledPlan:
+    """Compile ``steps`` as the existence probe of
+    :func:`unextended_rows`: only the row-number column outlives the
+    stages, so it is the only name the compiled plan reports."""
+    return compile_steps(schema, tuple(steps), (_PROBE_ROW,),
+                         frozenset((_PROBE_ROW,)), var_class)
+
+
+def unextended_rows(matcher: Matcher, steps: Sequence[PlanStep],
+                    columns: Columns, count: int,
+                    compiled: CompiledPlan) -> List[int]:
+    """The rows of a batch that no solution of ``steps`` extends, in
+    batch order: the anti-join ``batch − (batch ⋉ steps)``.
+
+    This is a constraint's violation test, set-at-a-time — ``steps`` is
+    the head plan, planned with the body's variables pre-bound, and the
+    batch is the body's solutions.  The batch is seeded with a hidden
+    row-number column, the only column kept to the end; the rows whose
+    numbers never come out have no head witness.  The batch's variables
+    must fit the plan (:func:`~repro.semantics.match.checked_steps`
+    raises :class:`~repro.semantics.match.MatchError` otherwise).
+    ``compiled`` is :func:`compile_probe`'s result for these steps.
+    """
+    steps = checked_steps(steps, (name for name in columns
+                                  if not name.startswith("\0")))
+    if not count:
+        return []
+    seeded = dict(columns)
+    seeded[_PROBE_ROW] = list(range(count))
+    _, out, _ = run_steps_columnar(matcher, steps, seeded, count,
+                                   compiled=compiled)
+    extended = bytearray(count)
+    for row in out[_PROBE_ROW]:
+        extended[row] = 1
+    return [row for row in range(count) if not extended[row]]
 
 
 def stream_plan_columnar(matcher: Matcher, steps: Sequence[PlanStep],

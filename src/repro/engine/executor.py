@@ -110,7 +110,7 @@ class ExecutionStats:
     #: retracted and re-derived, clauses (program and constraint)
     #: skipped, seeded or run whole, pool indexes patched vs. rebuilt,
     #: target objects re-assembled, and the violation-set diff with the
-    #: head probes it took.
+    #: body rows whose heads were rechecked.
     delta_size: int = 0
     seeds_probed: int = 0
     bindings_removed: int = 0
@@ -289,7 +289,7 @@ class Executor:
         Every head identity is recomputed and compared with what the
         body bound — also when the body evaluated the same Skolem term.
         """
-        from .columnar import run_steps_columnar
+        from .columnar import member_classes, run_steps_columnar
         # The head reads exactly these variables (``head_effects``'s
         # evaluation surface); every other binding column is dead after
         # the body and gets dropped between stages.
@@ -316,11 +316,7 @@ class Executor:
         # derived (membership-bound vars), so head projections gather
         # from attribute columns and reuse the hidden row columns the
         # scans threaded through.
-        var_class = {
-            step.atom.element.name: step.atom.class_name
-            for step in join_plan.steps
-            if isinstance(step.atom, MemberAtom)
-            and isinstance(step.atom.element, Var)}
+        var_class = member_classes(step.atom for step in join_plan.steps)
         if not self._apply_heads_batch(plan, columns, count, label,
                                        var_class=var_class):
             # Liveness filtering may have dropped columns `names`

@@ -402,12 +402,12 @@ def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
     return _group_by_class(seeds)
 
 
-def _violations_by_key(matcher: Matcher, plan: ConstraintPlan
-                       ) -> Dict[frozenset, Violation]:
+def _violations_by_key(matcher: Matcher, plan: ConstraintPlan,
+                       head: CompiledPlan) -> Dict[frozenset, Violation]:
     """Every violation of ``plan.clause`` over the matcher's instance,
     keyed by its body binding."""
     return {frozenset(violation.binding.items()): violation
-            for violation in clause_violations(matcher, plan)}
+            for violation in clause_violations(matcher, plan, head=head)}
 
 
 @dataclass
@@ -488,14 +488,19 @@ class IncrementalTransform:
             frozenset().union(*(atom.variables() for atom in clause.body))
             if clause.body else frozenset()
             for clause in self.constraints]
+        # Head probes compile once a session, like the seeded bodies.
+        self._head_stages = [
+            columnar.compile_probe(source.schema, plan.head.steps,
+                                   columnar.member_classes(plan.clause.body))
+            for plan in self.audit_plan.plans]
         self._head_member_classes = [
             frozenset(atom.class_name for atom in clause.head
                       if isinstance(atom, MemberAtom))
             for clause in self.constraints]
         matcher = Matcher(source, index_pool=pool)
         self._violations: List[Dict[frozenset, Violation]] = [
-            _violations_by_key(matcher, plan)
-            for plan in self.audit_plan.plans]
+            _violations_by_key(matcher, plan, head)
+            for plan, head in zip(self.audit_plan.plans, self._head_stages)]
 
     # ------------------------------------------------------------------
     def violations(self) -> List[Violation]:
@@ -676,10 +681,20 @@ class IncrementalTransform:
                     for binding in bindings}
         return retract_keys, full_recheck
 
-    def _head_satisfiable(self, index: int, matcher: Matcher,
-                          binding: Binding) -> bool:
-        return matcher.plan_satisfiable(
-            self.audit_plan.plans[index].head.steps, binding)
+    def _satisfied(self, index: int, matcher: Matcher,
+                   bindings: Sequence[Binding], stats: ExecutionStats
+                   ) -> List[bool]:
+        """Per body binding of constraint ``index``: does its head have
+        a witness?  One batch probe for all of them
+        (:func:`repro.engine.columnar.unextended_rows`), each counted
+        in ``stats.violations_rechecked``."""
+        stats.violations_rechecked += len(bindings)
+        columns = {name: [binding[name] for binding in bindings]
+                   for name in self._body_vars[index]}
+        missing = set(columnar.unextended_rows(
+            matcher, self.audit_plan.plans[index].head.steps, columns,
+            len(bindings), self._head_stages[index]))
+        return [row not in missing for row in range(len(bindings))]
 
     def _rederive_violations(self, matcher: Matcher, groups,
                              retract_keys: Mapping[int, Set[frozenset]],
@@ -705,7 +720,8 @@ class IncrementalTransform:
             if index in full_recheck:
                 stats.clauses_recomputed += 1
                 fresh = _violations_by_key(matcher,
-                                           self.audit_plan.plans[index])
+                                           self.audit_plan.plans[index],
+                                           self._head_stages[index])
                 added.extend(violation for key, violation in fresh.items()
                              if key not in per_clause)
                 removed.extend(violation
@@ -724,13 +740,12 @@ class IncrementalTransform:
                 if violation is not None:
                     retracted_now[key] = violation
             body_vars = self._body_vars[index]
-            for binding in bindings:
-                projected = {name: value for name, value in binding.items()
-                             if name in body_vars}
-                key = frozenset(projected.items())
+            projected = [{name: value for name, value in binding.items()
+                          if name in body_vars} for binding in bindings]
+            for binding, satisfied in zip(projected, self._satisfied(
+                    index, matcher, projected, stats)):
+                key = frozenset(binding.items())
                 rechecked.add(key)
-                satisfied = self._head_satisfiable(index, matcher, projected)
-                stats.violations_rechecked += 1
                 if satisfied:
                     prior = per_clause.pop(key, None)
                     if prior is not None:
@@ -740,7 +755,7 @@ class IncrementalTransform:
                 elif key in retracted_now:
                     per_clause[key] = retracted_now.pop(key)
                 elif key not in per_clause:
-                    violation = Violation(clause, projected)
+                    violation = Violation(clause, binding)
                     per_clause[key] = violation
                     added.append(violation)
             removed.extend(retracted_now.values())
@@ -751,11 +766,11 @@ class IncrementalTransform:
             # Inserted objects of a head-witness class may satisfy
             # violations whose bodies the delta never touched.
             if self._head_member_classes[index] & addition_trigger:
-                for key in list(per_clause):
-                    if key in rechecked:
-                        continue
-                    stats.violations_rechecked += 1
-                    if self._head_satisfiable(index, matcher, dict(key)):
+                pending = [key for key in per_clause if key not in rechecked]
+                for key, satisfied in zip(pending, self._satisfied(
+                        index, matcher, [dict(key) for key in pending],
+                        stats)):
+                    if satisfied:
                         removed.append(per_clause.pop(key))
         return added, removed
 

@@ -568,11 +568,11 @@ def plan_delta_seeds(clause: Clause,
 class ConstraintPlan:
     """Join plans for one constraint clause's audit.
 
-    Auditing a clause is two nested joins: enumerate every *body*
-    solution, then probe whether the *head* is satisfiable under it
-    (:func:`repro.semantics.satisfaction.clause_violations`).  Both are
-    compiled here — the head probe with the body's variables declared as
-    ``initial_bound``, since every body solution binds exactly them.
+    Auditing a clause is an anti-join: enumerate every *body* solution,
+    then run the *head* once over all of them and keep the solutions it
+    never extends (:func:`repro.semantics.satisfaction.clause_violations`).
+    Both are compiled here — the head with the body's variables declared
+    as ``initial_bound``, since every body solution binds exactly them.
     """
 
     clause: Clause

@@ -5,8 +5,8 @@ This is the shared evaluation core of the satisfaction checker
 (:mod:`repro.engine.executor`): given a set of atoms and an instance,
 enumerate all bindings of the atoms' variables that make every atom true.
 
-Production runs precompiled join plans (:meth:`Matcher.run_plan`,
-:meth:`Matcher.run_plan_columnar`, :meth:`Matcher.plan_satisfiable`).
+Production runs precompiled join plans as columnar batches
+(:meth:`Matcher.run_plan_columnar`, :mod:`repro.engine.columnar`).
 The dynamic order — :meth:`Matcher.solutions` and
 :meth:`Matcher.satisfiable` — is the reference those plans are tested
 against, reached only from :mod:`repro.oracle` and :meth:`repro.query.
@@ -25,8 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..lang.ast import (Atom, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                         MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm,
@@ -359,7 +359,7 @@ class PlanStep:
     def requires(self) -> FrozenSet[str]:
         """Variables that must already be bound when the step runs.
 
-        What the boundness check (:func:`_checked_steps`) reads,
+        What the boundness check (:func:`checked_steps`) reads,
         derived from the syntax once per step instead of once per
         probe.  ``cached_property`` writes the instance ``__dict__``
         directly, which a frozen dataclass permits; the fields above
@@ -475,9 +475,9 @@ class Matcher:
 
     ``index_pool`` injects a shared :class:`IndexPool`; when omitted the
     matcher owns a private pool (the pre-planner behaviour, indexes built
-    lazily per matcher).  ``run_plan`` executes a precompiled sequence of
-    :class:`PlanStep` (a fixed atom order chosen once by the program
-    planner) instead of re-deriving the order per binding.
+    lazily per matcher).  ``run_plan_columnar`` executes a precompiled
+    sequence of :class:`PlanStep` (a fixed atom order chosen once by
+    the program planner) instead of re-deriving the order per binding.
     """
 
     def __init__(self, instance: Instance,
@@ -749,175 +749,68 @@ class Matcher:
     # ------------------------------------------------------------------
     # Planned execution
     # ------------------------------------------------------------------
-    def run_plan(self, steps: Sequence[PlanStep],
-                 initial: Optional[Binding] = None) -> Iterator[Binding]:
-        """Execute a precompiled step sequence one binding at a time.
-
-        Each step's readiness, direction and index selector were resolved
-        statically by the planner, so the loop does no atom
-        re-classification, no term-evaluability walks and no per-binding
-        selector discovery — just evaluation, unification and (indexed)
-        candidate enumeration.  This is the early-exit form: the
-        constraint audit's head-satisfiability probe stops at the first
-        binding, which the batch model cannot shortcut.  Whole-clause
-        enumeration goes through :meth:`run_plan_columnar`.
-
-        ``initial``'s variables must have been declared to the planner
-        (``plan_clause(..., initial_bound=...)``): a step compiled to
-        *bind* a variable would silently overwrite a pre-bound value.
-        Such mismatches raise :class:`MatchError` at call time.
-        """
-        steps = _checked_steps(steps, initial)
-        return self._run_steps(steps, 0, dict(initial or {}))
-
-    def plan_satisfiable(self, steps: Sequence[PlanStep],
-                         initial: Optional[Binding] = None) -> bool:
-        """True iff the plan has a solution extending ``initial``.
-
-        The planned existence check of the constraint audit's head
-        probe: :meth:`run_plan`, stopped at the first binding, so a
-        binding that does not fit the plan raises :class:`MatchError`.
-        """
-        for _ in self.run_plan(steps, initial):
-            return True
-        return False
-
     def run_plan_columnar(self, steps: Sequence[PlanStep],
                           initial: Optional[Binding] = None,
                           stats=None) -> Iterator[Binding]:
-        """Execute a plan batch-at-a-time (the vectorized hot path).
+        """Execute a plan batch-at-a-time (the vectorized hot path),
+        one binding dict per solution.
 
-        Same contract and same binding sequence as :meth:`run_plan` —
-        the plan runs over whole candidate columns instead of one
-        binding dict at a time, falling back per-step to the scalar
-        step expander for steps the vectorizer cannot compile (see
-        :func:`repro.engine.columnar.step_vectorizable`).  ``stats``
-        optionally collects vectorized/fallback step and batch-size
-        counters (``ExecutionStats`` shape).
+        The plan runs over whole candidate columns, falling back
+        per-step to :meth:`_expand_step` for steps the vectorizer
+        cannot compile (see
+        :func:`repro.engine.columnar.step_vectorizable`).
+        ``initial``'s variables must have been declared to the planner
+        (``plan_clause(..., initial_bound=...)``); a mismatch raises
+        :class:`MatchError` at call time.  ``stats`` optionally collects
+        vectorized/fallback step and batch-size counters
+        (``ExecutionStats`` shape).
         """
-        steps = _checked_steps(steps, initial)
+        steps = checked_steps(steps, initial or ())
         from ..engine.columnar import stream_plan_columnar
         return stream_plan_columnar(self, steps, initial, stats)
 
-    def _run_steps(self, steps: Sequence[PlanStep], position: int,
-                   binding: Binding) -> Iterator[Binding]:
-        if position == len(steps):
-            yield binding
-            return
-        step = steps[position]
-        following = position + 1
-        for extended in self._expand_step(step, binding):
-            yield from self._run_steps(steps, following, extended)
-
     def _expand_step(self, step: PlanStep,
                      binding: Binding) -> Iterator[Binding]:
+        """One binding through one non-vectorizable step (the columnar
+        fallback stage's expander): a generator whose element is a
+        pattern, or an equation binding a pattern.  Test steps always
+        vectorize, so any other mode raises :class:`MatchError`."""
         atom = step.atom
         mode = step.mode
-        if mode == STEP_MEMBER_SCAN or mode == STEP_MEMBER_INDEX:
-            assert isinstance(atom, MemberAtom)
-            if mode == STEP_MEMBER_INDEX:
-                selector = step.selector_term
-                if isinstance(selector, Var):
-                    value = binding.get(selector.name)
-                elif isinstance(selector, Const):
-                    value = selector.value
-                else:
-                    # Constraint plans select on projection chains
-                    # (``X.a.b = Y.a.b``); evaluate under the binding.
-                    # An EvalError means no object can pass the equality
-                    # test either, so the empty candidate set is exact.
-                    value = self._try_eval(selector, binding)
-                if value is None:
-                    candidates: Sequence[Oid] = ()
-                else:
-                    candidates = self.pool.lookup(
-                        atom.class_name, step.selector_path, value)
-            else:
-                candidates = self.instance.objects_of(atom.class_name)
-            element = atom.element
-            if isinstance(element, Var):
-                name = element.name
-                for oid in candidates:
-                    extended = dict(binding)
-                    extended[name] = oid
-                    yield extended
-            else:
-                for oid in candidates:
-                    extended = unify_term(element, oid, binding,
-                                          self.instance)
-                    if extended is not None:
-                        yield extended
-            return
-        if mode == STEP_MEMBER_TEST:
-            assert isinstance(atom, MemberAtom)
-            element = atom.element
-            if isinstance(element, Var):
-                value = binding.get(element.name)
-            else:
-                value = self._try_eval(element, binding)
-            if (isinstance(value, Oid)
-                    and value.class_name == atom.class_name
-                    and self.instance.has_object(value)):
-                yield binding
-            return
-        if mode == STEP_IN_GENERATE:
-            assert isinstance(atom, InAtom)
+        if mode == STEP_MEMBER_SCAN:
+            candidates: Sequence[Value] = self.instance.objects_of(
+                atom.class_name)
+            pattern = atom.element
+        elif mode == STEP_MEMBER_INDEX:
+            # An EvalError in the selector means no object can pass the
+            # equality test either, so the empty candidate set is exact.
+            value = self._try_eval(step.selector_term, binding)
+            candidates = () if value is None else self.pool.lookup(
+                atom.class_name, step.selector_path, value)
+            pattern = atom.element
+        elif mode == STEP_IN_GENERATE:
             collection = self._try_eval(atom.collection, binding)
-            if not isinstance(collection, (WolSet, WolList)):
-                return
-            element = atom.element
-            if isinstance(element, Var):
-                name = element.name
-                for value in _deterministic(collection):
-                    extended = dict(binding)
-                    extended[name] = value
-                    yield extended
-            else:
-                for value in _deterministic(collection):
-                    extended = unify_term(element, value, binding,
-                                          self.instance)
-                    if extended is not None:
-                        yield extended
-            return
-        if mode == STEP_IN_TEST:
-            assert isinstance(atom, InAtom)
-            collection = self._try_eval(atom.collection, binding)
-            if not isinstance(collection, (WolSet, WolList)):
-                return
-            value = self._try_eval(atom.element, binding)
-            if any(value == element for element in collection):
-                yield binding
-            return
-        if mode == STEP_EQ_BIND:
+            candidates = (_deterministic(collection)
+                          if isinstance(collection, (WolSet, WolList))
+                          else ())
+            pattern = atom.element
+        elif mode == STEP_EQ_BIND:
             value = self._try_eval(step.eval_term, binding)
-            if value is None:
-                return
+            candidates = () if value is None else (value,)
             pattern = step.pattern_term
-            if isinstance(pattern, Var):
-                extended = dict(binding)
-                extended[pattern.name] = value
-                yield extended
-                return
-            extended = unify_term(pattern, value, binding, self.instance)
+        else:
+            raise MatchError(f"no fallback expansion for plan step mode "
+                             f"{mode!r}")
+        for candidate in candidates:
+            extended = unify_term(pattern, candidate, binding, self.instance)
             if extended is not None:
                 yield extended
-            return
-        if mode == STEP_EQ_TEST:
-            assert isinstance(atom, EqAtom)
-            left = self._try_eval(atom.left, binding)
-            right = self._try_eval(atom.right, binding)
-            if left is not None and left == right:
-                yield binding
-            return
-        if mode == STEP_COMPARE:
-            yield from self._expand(atom, binding)
-            return
-        raise MatchError(f"unknown plan step mode {mode!r}")
 
 
-def _checked_steps(steps: Sequence[PlanStep],
-                   initial: Optional[Binding]) -> Tuple[PlanStep, ...]:
-    """``steps`` as a tuple, once ``initial`` is known to fit them.
+def checked_steps(steps: Sequence[PlanStep],
+                  bound: Iterable[str]) -> Tuple[PlanStep, ...]:
+    """``steps`` as a tuple, once the ``bound`` variable names are known
+    to fit them.
 
     The one boundness check every plan entry point shares, so a
     mismatch raises :class:`MatchError` at call time.  Two mismatch
@@ -928,7 +821,7 @@ def _checked_steps(steps: Sequence[PlanStep],
     steps would silently compute wrong solutions.
     """
     steps = tuple(steps)
-    pre_bound = initial.keys() if initial else frozenset()
+    pre_bound = frozenset(bound)
     available = set(pre_bound)
     for step in steps:
         if not (pre_bound.isdisjoint(step.binds)

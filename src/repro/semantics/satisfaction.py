@@ -16,11 +16,13 @@ holds exactly for instances whose oids *are* the Skolem-generated ones —
 which is what the execution engine produces.
 
 Checking runs each clause's join plans
-(:func:`repro.engine.planner.plan_audit`): the body as batch stages,
-the head as a planned existence probe per body solution.  A clause
-whose body or head admits no join order raises
-:class:`~repro.engine.planner.PlanError` when it is planned; the
-dynamic-order reference is :func:`repro.oracle.naive_violations`.
+(:func:`repro.engine.planner.plan_audit`) as one anti-join: the body
+as batch stages, then the head, planned with the body's variables
+pre-bound, once over the whole body batch — the violations are
+``body − (body ⋉ head)``.  A clause whose body or head admits no join
+order raises :class:`~repro.engine.planner.PlanError` when it is
+planned; the dynamic-order reference is
+:func:`repro.oracle.naive_violations`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (the planner imports
     # this package's matcher)
+    from ..engine.columnar import CompiledPlan
     from ..engine.planner import AuditPlan, ConstraintPlan
 
 from ..lang.ast import Clause
@@ -85,46 +88,49 @@ def merge_instances(name: str, instances: Sequence[Instance]) -> Instance:
 
 
 def clause_violations(matcher: Matcher, plan: "ConstraintPlan",
-                      limit: Optional[int] = None) -> List[Violation]:
+                      limit: Optional[int] = None,
+                      head: Optional["CompiledPlan"] = None
+                      ) -> List[Violation]:
     """Counterexamples to ``plan.clause`` in ``matcher.instance`` (up
     to ``limit``; ``limit=0`` reports none).
 
     ``plan`` is the clause's
     :class:`~repro.engine.planner.ConstraintPlan`.  The body runs its
-    plan as batch stages through the vectorized compiler
-    (:func:`repro.engine.columnar.stream_plan_columnar`) — solutions in
-    plan order, so ``limit`` truncates deterministically.  The
-    per-solution head probe stays scalar: it is an existence check with
-    an early exit, which the batch model cannot shortcut, and it runs
-    the head plan through :meth:`Matcher.plan_satisfiable`.  The
-    dynamic reference, :func:`repro.oracle.naive_violations`, reports
-    the same violations (``tests/constraints`` enforces it).
+    plan as batch stages (solutions in plan order); when it has any,
+    the head plan runs once over the whole body batch
+    (:func:`repro.engine.columnar.unextended_rows`) and the body rows
+    it never extends are the violations, in body order — so ``limit``
+    keeps a deterministic prefix.  ``head`` is the head plan's
+    :func:`~repro.engine.columnar.compile_probe` result, else compiled
+    here against the body's membership typing.  The dynamic reference,
+    :func:`repro.oracle.naive_violations`, reports the same violations
+    (``tests/constraints`` enforces it).
 
     Under an active trace the clause is one ``clause <name>`` span
-    carrying ``body_solutions`` and ``violations``.
+    carrying ``body_solutions``, ``head_rows`` (rows entering the head
+    batch) and ``violations``.
     """
     if limit is not None and limit <= 0:
         return []
-    from ..engine.columnar import stream_plan_columnar
+    from ..engine import columnar
     clause = plan.clause
-    body_vars = frozenset().union(*(atom.variables() for atom in clause.body))
-    head_steps = plan.head.steps
-    violations: List[Violation] = []
-    body_solutions = 0
     with span(f"clause {clause.name or clause}") as clause_span:
-        for body_binding in stream_plan_columnar(matcher, plan.body.steps,
-                                                 None):
-            body_solutions += 1
-            # Project to body variables: head checking re-derives the
-            # rest.
-            projected = {name: value
-                         for name, value in body_binding.items()
-                         if name in body_vars}
-            if not matcher.plan_satisfiable(head_steps, projected):
-                violations.append(Violation(clause, projected))
-                if limit is not None and len(violations) >= limit:
-                    break
-        clause_span.set(body_solutions=body_solutions,
+        # ``names`` are exactly the body's variables, in binding order.
+        names, columns, count = columnar.run_steps_columnar(
+            matcher, plan.body.steps, {}, 1)
+        missing: List[int] = []
+        if count:
+            if head is None:
+                head = columnar.compile_probe(
+                    matcher.instance.schema, plan.head.steps,
+                    columnar.member_classes(clause.body))
+            with span("head"):
+                missing = columnar.unextended_rows(
+                    matcher, plan.head.steps, columns, count, head)
+        violations = [
+            Violation(clause, {name: columns[name][row] for name in names})
+            for row in missing[:limit]]
+        clause_span.set(body_solutions=count, head_rows=count,
                         violations=len(violations))
     return violations
 

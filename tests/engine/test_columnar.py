@@ -2,8 +2,9 @@
 
 The differential fuzz harness pins whole-engine byte equality; these
 tests pin the module-level contracts — the static vectorizability
-rule, positional (not just set-wise) equivalence of the batch and
-scalar paths, fallback re-entry mid-plan, stats counters, the batched
+rule and the term compiler's totality behind it, set-wise equivalence
+with the dynamic matcher, seed grouping of seeded batches, fallback
+re-entry mid-plan, stats counters, the batched
 head's duplicate/conflict semantics at every arity, n-ary Skolem
 identities and the row multiplicity of ``in``-generators nobody reads.
 """
@@ -13,17 +14,22 @@ import types
 
 import pytest
 
-from repro.engine.columnar import (seeded_batch_columnar, step_vectorizable,
+from repro.engine.columnar import (_compilable, compile_term,
+                                   seeded_batch_columnar, step_vectorizable,
                                    stream_plan_columnar)
 from repro.engine.executor import ExecutionError
 from repro.engine.planner import plan_clause
+from repro.lang import ast as ast_module
 from repro.lang import parse_clause, parse_program
+from repro.lang.ast import (Const, Proj, RecordTerm, SkolemTerm, Term, Var,
+                            VariantTerm)
 from repro.model import (INT, STR, InstanceBuilder, Oid, Record, Schema,
                          WolSet, record, set_of)
 from repro.model.schema import parse_schema
 from repro.morphase import Morphase
 from repro.oracle import naive_transform
 from repro.semantics import Matcher
+from repro.semantics.match import STEP_COMPARE, MatchError
 from repro.workloads.cities import sample_euro_instance
 
 
@@ -67,18 +73,30 @@ class TestVectorizabilityRule:
         assert not any("[fallback]" in line for line in lines)
 
 
+def canonical(bindings):
+    """A binding sequence as a sorted list (the set-wise comparison
+    against the dynamic matcher, multiplicity kept)."""
+    return sorted(tuple(sorted((name, str(value))
+                               for name, value in binding.items()))
+                  for binding in bindings)
+
+
 class TestPositionalEquivalence:
+    """The batch runner against the dynamic matcher (set-wise) and
+    against itself one seed at a time (seed grouping)."""
+
     def test_stream_matches_scalar_order(self):
         euro = sample_euro_instance()
         plan = body_plan(
             "E in CountryE, N = E.name, C in CityE, E = C.country, "
             "M = C.name", EURO_CLASSES)
         matcher = Matcher(euro)
-        scalar = list(matcher.run_plan(plan.steps))
         stats = counters()
         columnar = list(stream_plan_columnar(
             matcher, plan.steps, None, stats))
-        assert columnar == scalar  # same rows, same order
+        assert canonical(columnar) == canonical(
+            matcher.solutions(plan.clause.body))
+        assert len(columnar) == len(euro.objects_of("CityE"))
         assert stats.vectorized_steps == len(plan.steps)
         assert stats.fallback_steps == 0
         assert stats.max_batch_rows >= len(euro.objects_of("CityE"))
@@ -89,11 +107,11 @@ class TestPositionalEquivalence:
         country = euro.objects_of("CountryE")[0]
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
-        scalar = list(matcher.run_plan(plan.steps,
-                                       initial={"E": country}))
         columnar = list(stream_plan_columnar(
             matcher, plan.steps, {"E": country}))
-        assert columnar == scalar
+        assert columnar
+        assert canonical(columnar) == canonical(matcher.solutions(
+            plan.clause.body, {"E": country}))
 
     def test_seeded_batch_groups_by_seed(self):
         euro = sample_euro_instance()
@@ -102,13 +120,13 @@ class TestPositionalEquivalence:
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
         steps = tuple(plan.steps)
-        scalar = [binding for oid in seeds
-                  for binding in matcher.run_plan(
-                      steps, initial={"E": oid})]
+        per_seed = [binding for oid in seeds
+                    for binding in stream_plan_columnar(
+                        matcher, steps, {"E": oid})]
         stats = counters()
         columnar = list(seeded_batch_columnar(
             matcher, steps, "E", seeds, stats))
-        assert columnar == scalar
+        assert columnar == per_seed  # same rows, grouped in seed order
         assert stats.vectorized_rows > 0
 
 
@@ -133,13 +151,55 @@ class TestFallbackReentry:
             "C in C, M = C.name, (x = X, y = Y) = C.pt, W in C.tags",
             ["C"])
         assert not all(step_vectorizable(step) for step in plan.steps)
-        scalar = list(matcher.run_plan(plan.steps))
         stats = counters()
         columnar = list(stream_plan_columnar(
             matcher, plan.steps, None, stats))
-        assert columnar == scalar
+        assert canonical(columnar) == canonical(
+            matcher.solutions(plan.clause.body))
+        # Rows stay grouped by the driving scan, in extent order.
+        assert [binding["C"] for binding in columnar] == [
+            oid for oid in instance.objects_of("C") for _ in range(2)]
         assert stats.vectorized_steps > 0
         assert stats.fallback_steps > 0
+
+    def test_only_generators_and_pattern_binds_reach_the_expander(self):
+        """Test steps always vectorize, so the fallback expander has no
+        branch for them: one that got there would raise, not answer."""
+        plan = body_plan('C in CityE, N = C.name, N != "Paris"',
+                         EURO_CLASSES)
+        compare = next(step for step in plan.steps
+                       if step.mode == STEP_COMPARE)
+        assert step_vectorizable(compare)
+        with pytest.raises(MatchError):
+            list(Matcher(sample_euro_instance())._expand_step(
+                compare, {"N": "Rome"}))
+
+
+def _term_samples():
+    """One sample per concrete ``Term`` subclass, nesting every kind."""
+    leaf = Var("X")
+    return {
+        Var: leaf,
+        Const: Const(1),
+        Proj: Proj(leaf, "a"),
+        VariantTerm: VariantTerm("v", Proj(leaf, "a")),
+        RecordTerm: RecordTerm((("a", leaf), ("b", Const("s")))),
+        SkolemTerm: SkolemTerm("K", ((None, Proj(leaf, "a")),)),
+    }
+
+
+def test_every_term_kind_compiles_to_a_column():
+    """``step_vectorizable`` sends every test step to the batch stages
+    because ``_compilable`` accepts every term; a new AST node must be
+    taught to the column compiler before it can reach a plan."""
+    kinds = {cls for cls in vars(ast_module).values()
+             if isinstance(cls, type) and issubclass(cls, Term)
+             and cls is not Term}
+    samples = _term_samples()
+    assert kinds == set(samples)
+    for term in samples.values():
+        assert _compilable(term), term
+        compile_term(term)
 
 
 DUP_SRC = parse_schema("""

@@ -5,6 +5,8 @@ import pytest
 from repro.engine import (Executor, execute, plan_audit, plan_clause,
                           plan_program)
 from repro.engine import planner as planner_module
+from repro.engine.columnar import (compile_probe, stream_plan_columnar,
+                                   unextended_rows)
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
 from repro.lang import parse_clause
 from repro.model import (STR, InstanceBuilder, Record, Schema, WolSet, record,
@@ -29,6 +31,13 @@ def clause(text, classes=CLASSES):
 
 def body_clause(body_text, classes=CLASSES):
     return clause(f"T = T <= {body_text};", classes=classes)
+
+
+def probe(matcher, steps, columns, count):
+    """The batch head probe: the rows of ``columns`` no solution of
+    ``steps`` extends."""
+    compiled = compile_probe(matcher.instance.schema, steps)
+    return unextended_rows(matcher, steps, columns, count, compiled)
 
 
 class TestAtomOrdering:
@@ -286,7 +295,8 @@ class TestPlannedNaiveAgreement:
         pool = IndexPool(instance)
         planned_matcher = Matcher(instance, index_pool=pool)
         plan = plan_clause(c, cards)
-        planned = canonical(planned_matcher.run_plan(plan.steps))
+        planned = canonical(stream_plan_columnar(planned_matcher,
+                                                 plan.steps, None))
         return plain, planned
 
     @pytest.mark.parametrize("body", [
@@ -329,23 +339,33 @@ class TestPlannedNaiveAgreement:
                            initial_bound=["C"])
         matcher = Matcher(instance)
         city = instance.objects_of("CityE")[0]
-        out = list(matcher.run_plan(plan.steps, initial={"C": city}))
+        out = list(matcher.run_plan_columnar(plan.steps,
+                                             initial={"C": city}))
         assert len(out) == 1
         assert out[0]["C"] == city and "N" in out[0]
         # Running without the declared seed must error, not return [].
         with pytest.raises(MatchError):
-            list(matcher.run_plan(plan.steps))
+            list(matcher.run_plan_columnar(plan.steps))
 
-    @pytest.mark.parametrize("entry", ["run_plan", "run_plan_columnar"])
+    @pytest.mark.parametrize("entry", ["run_plan_columnar",
+                                       "unextended_rows"])
     def test_plan_mismatch_raises_at_call_time(self, entry):
-        """Both plan entry points reject a mismatched initial binding
-        when called, not on the first ``next()``."""
+        """Both plan entry points — the binding stream and the batch
+        probe — reject a mismatched initial binding when called, not on
+        the first ``next()``."""
         instance = sample_euro_instance()
         seeded = plan_clause(body_clause("V = C.country, N = V.name"),
                              instance.class_sizes(), initial_bound=["C"])
         unseeded = plan_clause(body_clause("C in CityE"),
                                instance.class_sizes())
-        run = getattr(Matcher(instance), entry)
+        matcher = Matcher(instance)
+        if entry == "run_plan_columnar":
+            run = matcher.run_plan_columnar
+        else:
+            def run(steps, initial=None):
+                columns = {name: [value]
+                           for name, value in (initial or {}).items()}
+                return probe(matcher, steps, columns, 1)
         city = instance.objects_of("CityE")[0]
         with pytest.raises(MatchError):
             run(seeded.steps)  # declared seed missing
@@ -353,23 +373,28 @@ class TestPlannedNaiveAgreement:
             run(unseeded.steps, initial={"C": city})  # would re-bind C
 
     def test_head_probe_runs_its_plan_or_raises(self):
-        """The planned existence check answers on the plan, and a
-        binding that does not fit the plan raises — in both mismatch
-        directions — instead of switching to the dynamic order."""
+        """The batch head probe answers on the plan, row for row as the
+        dynamic matcher does, and a batch that does not fit the plan
+        raises — in both mismatch directions — instead of switching to
+        the dynamic order."""
         instance = sample_euro_instance()
         sizes = instance.class_sizes()
         matcher = Matcher(instance)
-        city = instance.objects_of("CityE")[2]
+        cities = list(instance.objects_of("CityE"))
         unseeded = plan_clause(body_clause("C in CityE"), sizes)
-        seeded = plan_clause(body_clause("C in CityE, V = C.country, "
-                                         "N = V.name"),
-                             sizes, initial_bound=["C"])
-        assert matcher.plan_satisfiable(seeded.steps, {"C": city})
-        assert matcher.plan_satisfiable(unseeded.steps, {"Z": 1})
+        head = body_clause('C in CityE, V = C.country, N = V.name, '
+                           'N = "France"')
+        seeded = plan_clause(head, sizes, initial_bound=["C"])
+        missing = probe(matcher, seeded.steps, {"C": cities}, len(cities))
+        assert missing == [row for row, city in enumerate(cities)
+                           if not matcher.satisfiable(head.body,
+                                                      {"C": city})]
+        assert 0 < len(missing) < len(cities)
+        assert probe(matcher, unseeded.steps, {"Z": [1]}, 1) == []
         with pytest.raises(MatchError):     # would re-bind C
-            matcher.plan_satisfiable(unseeded.steps, {"C": city})
+            probe(matcher, unseeded.steps, {"C": cities[:1]}, 1)
         with pytest.raises(MatchError):     # reads a C nobody bound
-            matcher.plan_satisfiable(seeded.steps)
+            probe(matcher, seeded.steps, {}, 1)
         assert "plan" not in Matcher.solutions.__code__.co_varnames
         assert "plan" not in Matcher.satisfiable.__code__.co_varnames
 

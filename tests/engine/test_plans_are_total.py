@@ -5,7 +5,9 @@ planner cannot order is one the matcher stops on too — a "run the
 dynamic matcher instead" branch can never produce a row.  Such a body
 is refused when it is planned (``PlanError``), and the dynamic order
 is left to the reference enumerations only: :mod:`repro.oracle`, the
-matcher itself and :meth:`repro.query.Query.run`.
+matcher itself and :meth:`repro.query.Query.run`.  The scalar plan
+runner is gone as well: a constraint's head runs once over its whole
+body batch, as an anti-join.
 """
 
 import ast
@@ -66,6 +68,34 @@ def test_the_fallback_vocabulary_is_gone():
     assert found == []
 
 
+#: The scalar plan runner: one binding dict at a time through a plan.
+#: Constraint heads run as one batch anti-join instead
+#: (``repro.engine.columnar.unextended_rows``).
+SCALAR_RUNNER = ("plan_satisfiable", "run_plan", "_run_steps")
+
+
+def _scalar_runner_uses(text):
+    uses = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in SCALAR_RUNNER:
+            uses.append((node.lineno, name))
+    return uses
+
+
+def test_the_scalar_plan_runner_is_gone():
+    uses = {name: found for name, text in MODULES.items()
+            if (found := _scalar_runner_uses(text))}
+    assert uses == {}
+
+
 def test_the_scans_see_what_they_look_for():
     sample = ("try:\n    m.solutions(b)\nexcept (ValueError, p.PlanError):\n"
               "    m.satisfiable(h)\n")
@@ -73,3 +103,7 @@ def test_the_scans_see_what_they_look_for():
     assert _plan_error_handlers(sample) == [3]
     assert _plan_error_handlers("try:\n    f()\nexcept Exception:\n"
                                 "    pass\n") == []
+    assert _scalar_runner_uses(
+        "def run_plan(s):\n    return s._run_steps(plan_satisfiable)\n"
+        "m.run_plan_columnar(p)\n") == [
+            (1, "run_plan"), (2, "_run_steps"), (2, "plan_satisfiable")]

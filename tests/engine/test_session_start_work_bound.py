@@ -43,9 +43,8 @@ def work(monkeypatch):
         "binding_dicts", columnar.stream_plan_columnar))
     monkeypatch.setattr(incremental, "seeded_batch_columnar", yields(
         "binding_dicts", incremental.seeded_batch_columnar))
-    for name in ("solutions", "run_plan"):
-        monkeypatch.setattr(Matcher, name, yields(
-            "binding_dicts", getattr(Matcher, name)))
+    monkeypatch.setattr(Matcher, "solutions", yields(
+        "binding_dicts", Matcher.solutions))
     return counts
 
 
