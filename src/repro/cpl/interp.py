@@ -136,8 +136,8 @@ class _Accumulated:
     set_attributes: Dict[str, Set[Value]] = field(default_factory=dict)
 
 
-def run_cpl(program: CplProgram, source: Instance, target_schema: Schema,
-            validate: bool = True) -> Instance:
+def run_cpl(program: CplProgram, source: Instance,
+            target_schema: Schema) -> Instance:
     """Execute a CPL program, producing the target instance."""
     pending: Dict[Oid, _Accumulated] = {}
 
@@ -185,12 +185,9 @@ def run_cpl(program: CplProgram, source: Instance, target_schema: Schema,
             problems.append(f"{oid}: missing {missing}")
             continue
         builder.put(oid, Record(tuple(fields.items())))
-    if problems and validate:
+    if problems:
         raise CplRuntimeError("incomplete inserts: " + "; ".join(problems))
-    instance = builder.freeze(validate=False)
-    if validate:
-        try:
-            instance.validate()
-        except InstanceError as exc:
-            raise CplRuntimeError(str(exc)) from exc
-    return instance
+    try:
+        return builder.freeze()
+    except InstanceError as exc:
+        raise CplRuntimeError(str(exc)) from exc

@@ -15,7 +15,11 @@ describes a target insert.  The executor:
 3. detects *conflicts* (two firings disagreeing on an attribute value —
    the program is not functional) and, at freeze time, *incompleteness*
    (an object missing required attributes — the program is not complete,
-   Section 3.2).
+   Section 3.2) and *ill-formed* targets (a value outside its class type,
+   a reference to an object not in the target — Section 2.1).  There is
+   one freeze, :meth:`TargetStore.freeze`: a batch pass is the step in
+   which every object changed, an incremental step hands it the objects
+   whose counts moved, and both check only what the step changed.
 
 Execution is always **planned**: :meth:`Executor.run_program` plans the
 whole program once via :mod:`repro.engine.planner` (unless handed a
@@ -40,14 +44,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from ..lang.ast import (
     Clause, EqAtom, InAtom, MemberAtom, Program, Proj, SkolemTerm, Term, Var)
-from ..model.instance import Instance, InstanceBuilder, InstanceError
+from ..model.instance import Instance, empty_instance
 from ..model.schema import Schema
 from ..model.types import RecordType, SetType
-from ..model.values import Oid, Record, Value, WolSet, format_value
+from ..model.values import (Oid, Record, Value, ValueError_, WolSet,
+                            check_value, format_value, oids_in)
 from ..obs.metrics import publish_engine_stats
 from ..obs.trace import span
 from ..semantics.eval import Binding, EvalError, evaluate
@@ -192,8 +198,8 @@ class TargetStore:
                  defaults: Mapping[Tuple[str, str], Value]
                  ) -> Tuple[Optional[Value], List[str]]:
         """``(stored value, missing attributes)`` of one object — the
-        assembler of :meth:`Executor.freeze` and of the incremental
-        refreeze.  ``(None, [])`` means the object is not derived."""
+        assembler of :meth:`freeze`.  ``(None, [])`` means the object
+        is not derived."""
         pending = self.objects.get(oid)
         if pending is None:
             return None, []
@@ -210,6 +216,87 @@ class TargetStore:
             oid.class_name, oid,
             self.target_schema.class_type(oid.class_name), attributes,
             pending.set_attributes, defaults)
+
+    def freeze(self, touched: Iterable[Oid], previous: Instance,
+               defaults: Mapping[Tuple[str, str], Value],
+               referrers: Optional[Callable[[Oid], Iterable[Oid]]] = None
+               ) -> Tuple[Instance, List[Oid]]:
+        """Re-assemble the ``touched`` objects over ``previous``, the
+        target before this step: ``(new target, changed oids)`` — an
+        oid's old and new values are those of ``previous`` and the new
+        target (absent = removed or inserted).
+
+        A batch pass touches every object against the empty target; an
+        incremental step touches the objects whose counts moved and
+        passes ``referrers`` (who in ``previous`` references an oid)
+        for the oids it removes.  Only changed values and the live
+        referrers of removed oids can make the target ill-formed, so
+        only they are checked — in the order :meth:`Instance.validate`
+        visits objects (schema class order, then ``str(oid)``; type
+        before references), so the first error is a full validation's.
+        """
+        order = sorted(touched, key=str)
+        with span("freeze", touched=len(order)) as freeze_span:
+            valuations = {cname: dict(objs)
+                          for cname, objs in previous.valuations.items()}
+            checked: Dict[str, List[Oid]] = {cname: [] for cname in valuations}
+            changed: List[Oid] = []
+            removed: List[Oid] = []
+            incomplete: List[str] = []
+            for oid in order:
+                new, missing = self.assemble(oid, defaults)
+                objs = valuations[oid.class_name]
+                old = objs.get(oid)
+                if missing:
+                    incomplete.append(f"{oid}: missing attributes {missing}")
+                # Spelled out: ``new != old`` would run Record's dataclass
+                # ``__eq__`` against None for every object of a batch pass.
+                elif new is not None if old is None else new != old:
+                    changed.append(oid)
+                    if new is None:
+                        del objs[oid]
+                        removed.append(oid)
+                    else:
+                        objs[oid] = new
+                        checked[oid.class_name].append(oid)
+            freeze_span.set(changed=len(changed))
+            if incomplete:
+                raise ExecutionError(
+                    "incomplete transformation (the program does not "
+                    "fully describe these objects): "
+                    + "; ".join(incomplete))
+            if not changed:
+                return previous, changed
+            if removed:
+                live = {oid for group in checked.values() for oid in group}
+                live.update(referrer for oid in removed
+                            for referrer in referrers(oid)
+                            if referrer in valuations[referrer.class_name])
+                checked = {cname: [] for cname in valuations}
+                for oid in sorted(live, key=str):
+                    checked[oid.class_name].append(oid)
+            for cname in self.target_schema.class_names():
+                ctype = self.target_schema.class_type(cname)
+                objs = valuations[cname]
+                for oid in checked[cname]:
+                    value, problem = objs[oid], None
+                    try:
+                        check_value(value, ctype)
+                    except ValueError_ as exc:
+                        problem = str(exc)
+                    else:
+                        for dangling in oids_in(value):
+                            if dangling not in valuations.get(
+                                    dangling.class_name, ()):
+                                break
+                        else:
+                            continue
+                    raise ExecutionError(
+                        f"transformation produced an ill-formed instance: "
+                        f"class {cname}, object {oid}: "
+                        + (problem or f"value references {dangling}, "
+                           f"which is not in the instance"))
+            return Instance(self.target_schema, valuations), changed
 
 
 class Executor:
@@ -592,15 +679,13 @@ class Executor:
         pending.provenance[attr] = label
 
     # ------------------------------------------------------------------
-    def freeze(self, validate: bool = True,
+    def freeze(self,
                defaults: Optional[Mapping[Tuple[str, str], Value]] = None
                ) -> Instance:
-        """Assemble the target instance.
-
-        With ``validate`` the result is checked for well-formedness; an
-        object with missing attributes indicates an *incomplete*
-        transformation program (Section 3.2) and raises
-        :class:`ExecutionError` with the missing pieces listed.
+        """Assemble the batch target: :meth:`TargetStore.freeze` of
+        every object against the empty target, raising
+        :class:`ExecutionError` on an *incomplete* (Section 3.2) or
+        ill-formed result.
 
         ``defaults`` maps ``(class, attribute)`` to a fill-in value for
         attributes no clause derived — the paper's "insert a default
@@ -609,31 +694,10 @@ class Executor:
         cannot express absence (no negation), so the default is applied
         here, after all clauses have run.
         """
-        defaults = dict(defaults or {})
-        with span("freeze", objects=len(self.store.objects)):
-            builder = InstanceBuilder(self.target_schema)
-            incomplete: List[str] = []
-            for oid in sorted(self.store.objects, key=str):
-                value, missing = self.store.assemble(oid, defaults)
-                if value is None:
-                    incomplete.append(
-                        f"{oid}: missing attributes {missing}")
-                    continue
-                builder.put(oid, value)
-            if incomplete and validate:
-                raise ExecutionError(
-                    "incomplete transformation (the program does not "
-                    "fully describe these objects): "
-                    + "; ".join(incomplete))
-            instance = builder.freeze(validate=False)
-            if validate:
-                try:
-                    instance.validate()
-                except InstanceError as exc:
-                    raise ExecutionError(
-                        f"transformation produced an ill-formed "
-                        f"instance: {exc}") from exc
-            return instance
+        instance, _ = self.store.freeze(
+            self.store.objects, empty_instance(self.target_schema),
+            defaults or {})
+        return instance
 
 
 def head_effects(plan: "_HeadPlan", binding: Binding, source: Instance,
@@ -863,7 +927,7 @@ def _order_identities(identities: Dict[str, SkolemTerm],
 
 
 def execute(program: Program, source: Instance,
-            target_schema: Schema, validate: bool = True,
+            target_schema: Schema,
             defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
             plan: Optional[ProgramPlan] = None
             ) -> Tuple[Instance, ExecutionStats]:
@@ -875,5 +939,4 @@ def execute(program: Program, source: Instance,
     """
     executor = Executor(source, target_schema)
     executor.run_program(program, plan=plan)
-    return (executor.freeze(validate=validate, defaults=defaults),
-            executor.stats)
+    return executor.freeze(defaults=defaults), executor.stats

@@ -25,12 +25,15 @@ counted :class:`~repro.engine.executor.TargetStore` that pass filled;
 under a source delta retracted bindings decrement the counts of their
 primitive head effects (:func:`repro.engine.executor.head_effects`),
 new bindings increment them, and only target objects whose counts moved
-are re-assembled.  The same session maintains the violation set of
-constraint clauses over that source the same way — WOL's point is that
-both are Horn clauses in one language: new violations from inserted
-body solutions, retracted violations from deleted ones, head-witness
-rechecks when the delta could (un)satisfy existing heads.  Both kinds
-of clause run in one three-phase step over one source instance, one
+are re-assembled — by the batch pass's own freeze
+(:meth:`~repro.engine.executor.TargetStore.freeze`), which checks only
+what changed and so raises the error a full validation would.  The
+same session maintains the violation set of constraint clauses over
+that source the same way — WOL's point is that both are Horn clauses
+in one language: new violations from inserted body solutions,
+retracted violations from deleted ones, head-witness rechecks when the
+delta could (un)satisfy existing heads.  Both kinds of clause run in
+one three-phase step over one source instance, one
 :class:`ReverseIndex` and one index pool.
 
 A clause runs whole — its own join plan, through the columnar runner —
@@ -62,8 +65,7 @@ from ..lang.ast import (Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                         Term, Var, VariantTerm)
 from ..model.types import (ClassType, ListType, RecordType, SetType, Type)
 from ..model.instance import Instance
-from ..model.values import (Oid, Record, Value, ValueError_, check_value,
-                            oids_in, type_of_base)
+from ..model.values import Oid, Record, Value, oids_in, type_of_base
 from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
 from ..semantics.match import IndexPool, Matcher
@@ -431,7 +433,9 @@ class IncrementalTransform:
     over the planned program, then ``freeze`` — and the session keeps
     the executor's counted :class:`TargetStore`; every
     :meth:`apply_delta` then patches the counts from seeded delta joins
-    and re-assembles only the touched target objects.  ``target`` always
+    and hands the touched target objects to the same
+    :meth:`TargetStore.freeze`, with the previous target and its
+    :class:`ReverseIndex`.  ``target`` always
     equals what :func:`repro.engine.executor.execute` would produce from
     the current source — the differential tests enforce bit-equality —
     and construction raises exactly what ``execute`` raises.
@@ -447,14 +451,13 @@ class IncrementalTransform:
 
     def __init__(self, program: Iterable[Clause], source: Instance,
                  target_schema, constraints: Iterable[Clause] = (),
-                 defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
-                 validate: bool = True) -> None:
+                 defaults: Optional[Mapping[Tuple[str, str], Value]] = None
+                 ) -> None:
         self.clauses: List[Clause] = list(program)
         self.constraints: List[Clause] = list(constraints)
         self.source = source
         self.target_schema = target_schema
         self.defaults = dict(defaults or {})
-        self.validate = validate
         self._poisoned: Optional[str] = None
 
         self.plan: ProgramPlan = plan_program(self.clauses, source)
@@ -463,8 +466,7 @@ class IncrementalTransform:
 
         executor = Executor(source, target_schema, pool)
         executor.run_program(self.clauses, plan=self.plan)
-        self.target = executor.freeze(validate=validate,
-                                      defaults=self.defaults)
+        self.target = executor.freeze(defaults=self.defaults)
         self.store = executor.store
         self.stats = executor.stats
         self.source_rev = ReverseIndex(source)
@@ -513,10 +515,13 @@ class IncrementalTransform:
         """Advance the source by ``delta``; patch the target and the
         violation set.
 
-        Raises :class:`ExecutionError` exactly when a full recompute
-        over the updated source would (conflicts, incompleteness,
-        ill-formed results); after such an error the session is spent
-        and must be rebuilt.
+        Raises exactly what a full recompute over the updated source
+        raises at freeze time — the same :class:`ExecutionError` and
+        message for an incomplete or ill-formed target — and an
+        :class:`ExecutionError` on a conflict (the batch pass names the
+        two clauses eagerly, the session reports the values once its
+        counts settle); after such an error the session is spent and
+        must be rebuilt.
         """
         if self._poisoned is not None:
             raise ExecutionError(
@@ -640,7 +645,14 @@ class IncrementalTransform:
                                  - len(whole))
         diff = self._rederive_violations(matcher, groups, retract_keys,
                                          full_recheck, added_by_class, stats)
-        self.target = self._refreeze(touched, stats)
+        previous = self.target
+        self.target, changed = self.store.freeze(
+            touched, previous, self.defaults, self.target_rev.referrers)
+        for oid in changed:
+            self.target_rev.update_object(
+                oid, previous.valuations[oid.class_name].get(oid),
+                self.target.valuations[oid.class_name].get(oid))
+        stats.target_objects_touched = len(changed)
         return diff
 
     # ------------------------------------------------------------------
@@ -773,74 +785,3 @@ class IncrementalTransform:
                     if satisfied:
                         removed.append(per_clause.pop(key))
         return added, removed
-
-    # ------------------------------------------------------------------
-    def _refreeze(self, touched: Set[Oid], stats: ExecutionStats
-                  ) -> Instance:
-        """Re-assemble only the touched target objects.
-
-        Validation is proportional to the change: changed values are
-        type-checked and their references resolved, and removals are
-        checked against the target's reverse index so a dangling
-        reference fails here exactly as a full freeze-and-validate
-        would.
-        """
-        valuations: Dict[str, Dict[Oid, Value]] = {
-            cname: dict(objs)
-            for cname, objs in self.target.valuations.items()}
-        changed: List[Tuple[Oid, Optional[Value], Optional[Value]]] = []
-        for oid in sorted(touched, key=str):
-            old_value = valuations[oid.class_name].get(oid)
-            new_value, missing = self.store.assemble(oid, self.defaults)
-            if missing and self.validate:
-                raise ExecutionError(
-                    "incomplete transformation (the program does not "
-                    f"fully describe these objects): {oid}: missing "
-                    f"attributes {missing}")
-            if new_value == old_value:
-                continue
-            changed.append((oid, old_value, new_value))
-            if new_value is None:
-                del valuations[oid.class_name][oid]
-            else:
-                valuations[oid.class_name][oid] = new_value
-        stats.target_objects_touched = len(changed)
-        if not changed:
-            return self.target
-        updated = Instance(self.target_schema, valuations)
-        if self.validate:
-            removed_oids = {oid for oid, _, value in changed
-                            if value is None}
-            for oid, _, value in changed:
-                if value is None:
-                    # The reverse index predates this refreeze, so a
-                    # listed referrer may have been rewritten in the
-                    # same step: only its *current* value convicts it.
-                    for referrer in self.target_rev.referrers(oid):
-                        if (referrer in removed_oids
-                                or not updated.has_object(referrer)):
-                            continue
-                        if oid in oids_in(updated.value_of(referrer)):
-                            raise ExecutionError(
-                                f"transformation produced an ill-formed "
-                                f"instance: {referrer} references {oid}, "
-                                f"which is not in the instance")
-                    continue
-                ctype = self.target_schema.class_type(oid.class_name)
-                try:
-                    check_value(value, ctype)
-                except ValueError_ as exc:
-                    raise ExecutionError(
-                        f"transformation produced an ill-formed instance: "
-                        f"class {oid.class_name}, object {oid}: "
-                        f"{exc}") from exc
-                for ref in oids_in(value):
-                    if not updated.has_object(ref):
-                        raise ExecutionError(
-                            f"transformation produced an ill-formed "
-                            f"instance: class {oid.class_name}, object "
-                            f"{oid}: value references {ref}, which is "
-                            f"not in the instance")
-        for oid, old_value, new_value in changed:
-            self.target_rev.update_object(oid, old_value, new_value)
-        return updated

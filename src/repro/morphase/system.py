@@ -225,7 +225,6 @@ class Morphase:
         return merge_instances("__source__", list(sources))
 
     def transform(self, sources: Union[Instance, Sequence[Instance]],
-                  validate: bool = True,
                   check_source_constraints: bool = False,
                   backend: str = "direct",
                   defaults=None) -> MorphaseResult:
@@ -234,8 +233,9 @@ class Morphase:
         ``backend`` is ``"direct"`` (the one-pass executor) or ``"cpl"``
         (translate to CPL and interpret — the paper's production path).
         ``defaults`` maps ``(class, attribute)`` to fill-in values for
-        attributes no clause derived (direct backend only); see
-        :meth:`repro.engine.executor.Executor.freeze`.
+        attributes no clause derived (direct backend only), filled in
+        by the one freeze (:meth:`repro.engine.executor.TargetStore.freeze`)
+        before it checks completeness and well-formedness.
 
         The direct backend plans the program once per run (fixed atom
         orders plus a shared prebuilt index pool).
@@ -262,8 +262,7 @@ class Morphase:
             with span("execute"):
                 target, stats = execute(
                     normalized.program(), merged, self.target_plain,
-                    validate=validate, defaults=defaults,
-                    plan=program_plan)
+                    defaults=defaults, plan=program_plan)
             cpl_source = None
         elif backend == "cpl":
             if defaults:
@@ -274,8 +273,7 @@ class Morphase:
             cpl_program = translate_program(normalized.program(),
                                             self.target_plain)
             start = time.perf_counter()
-            target = run_cpl(cpl_program, merged, self.target_plain,
-                             validate=validate)
+            target = run_cpl(cpl_program, merged, self.target_plain)
             stats = ExecutionStats(
                 clauses_run=len(normalized.clauses),
                 elapsed_seconds=time.perf_counter() - start)

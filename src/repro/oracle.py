@@ -26,7 +26,7 @@ from .semantics.satisfaction import Violation
 
 
 def naive_execute(program: Iterable[Clause], source: Instance,
-                  target_schema: Schema, validate: bool = True,
+                  target_schema: Schema,
                   defaults: Optional[Mapping[Tuple[str, str], Value]] = None
                   ) -> Tuple[Instance, ExecutionStats]:
     """The reference for :func:`repro.engine.executor.execute`: same
@@ -41,8 +41,7 @@ def naive_execute(program: Iterable[Clause], source: Instance,
         for binding in matcher.solutions(clause.body):
             executor.stats.bindings_found += 1
             executor._apply_head(head, binding, clause)
-    return (executor.freeze(validate=validate, defaults=defaults),
-            executor.stats)
+    return executor.freeze(defaults=defaults), executor.stats
 
 
 def naive_transform(morphase: Morphase,

@@ -24,8 +24,9 @@ def _session_start(program, source, target_schema, **kwargs):
 def _execute_both(program, source, target_schema, **kwargs):
     """``execute`` (production), ``naive_execute`` (the oracle) and
     ``IncrementalTransform`` (production as a session start) over the
-    same program: equal valuations and effect counters, or the same
-    exception type and message.  Returns
+    same program: equal, well-formed valuations (``Instance.validate``
+    is the reference for the freeze's checks) and equal effect
+    counters, or the same exception type and message.  Returns
     (or re-raises) production's outcome, so a test reads exactly as if
     it had called ``execute``."""
     outcomes = []
@@ -41,7 +42,9 @@ def _execute_both(program, source, target_schema, **kwargs):
             assert str(planned) == str(other)
         raise planned
     target, stats = planned
+    assert target.is_valid()
     for other_target, other_stats in outcomes[1:]:
+        assert other_target.is_valid()
         assert target.valuations == other_target.valuations
         for counter in ("clauses_run", "bindings_found", "objects_created",
                         "attributes_set"):

@@ -124,14 +124,18 @@ class TestConflictsAndCompleteness:
             execute_both(prog, simple_source(), TARGET)
         assert "incomplete" in str(excinfo.value)
 
-    def test_incomplete_allowed_without_validation(self):
+    def test_freeze_lists_every_incomplete_object(self):
         prog = program(
             "T: X in Out, X = Mk_Out(N), X.name = N"
             " <= I in Item, N = I.name;")
         executor = Executor(simple_source(), TARGET)
         executor.run_program(prog)
-        with pytest.raises(ExecutionError):
-            executor.freeze(validate=True)
+        with pytest.raises(ExecutionError) as excinfo:
+            executor.freeze()
+        assert str(excinfo.value) == (
+            "incomplete transformation (the program does not fully "
+            "describe these objects): &Out[\"a\"]: missing attributes "
+            "['rank']; &Out[\"b\"]: missing attributes ['rank']")
 
     def test_dangling_reference_rejected(self, execute_both):
         target_schema = Schema.of(

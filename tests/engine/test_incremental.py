@@ -240,7 +240,9 @@ class TestIndexPoolRebase:
 
 class TestIncrementalTransformGenome:
     def fresh_state(self, morphase, source):
-        return morphase.begin_incremental(source)
+        state = morphase.begin_incremental(source)
+        assert state.target.is_valid()
+        return state
 
     def oracle(self, morphase, instance):
         return morphase.transform(instance).target
@@ -248,6 +250,7 @@ class TestIncrementalTransformGenome:
     def check(self, morphase, state, delta):
         held = held_indexes(state)
         result = state.apply_delta(delta)
+        assert state.target.is_valid()
         oracle = self.oracle(morphase, state.source)
         assert result.target.valuations == oracle.valuations
         assert (json.dumps(instance_to_json(result.target),
@@ -444,6 +447,7 @@ class TestIncrementalTransformOtherWorkloads:
             bindings=30, seed=9)
         merged = m._merge_sources([swissprot, pdb])
         state = m.begin_incremental(merged)
+        assert state.target.is_valid()
         assert state.target.valuations \
             == m.transform(merged).target.valuations
 
@@ -457,6 +461,7 @@ class TestIncrementalTransformOtherWorkloads:
         held = held_indexes(state)
         assert held
         result = state.apply_delta(delta)
+        assert state.target.is_valid()
         oracle = m.transform(state.source).target
         assert result.target.valuations == oracle.valuations
         assert_counts_equal_fresh_run(state)
@@ -470,6 +475,7 @@ class TestIncrementalTransformOtherWorkloads:
         source = synthetic.wide_instance(width, items)
         merged = m._merge_sources(source)
         state = m.begin_incremental(merged)
+        assert state.target.is_valid()
         item = sorted(merged.objects_of("Item"), key=str)[0]
         new_item = Oid.fresh("Item")
         fields = {"name": "brand-new"}
@@ -479,6 +485,7 @@ class TestIncrementalTransformOtherWorkloads:
             updates={"Item": {item: merged.value_of(item).with_field(
                 "a0", "patched")}})
         result = state.apply_delta(delta)
+        assert state.target.is_valid()
         oracle = m.transform(state.source).target
         assert result.target.valuations == oracle.valuations
         assert result.stats.clauses_recomputed == 0
@@ -516,6 +523,7 @@ class TestUnseedableClauseFallback:
 
     def check(self, state, delta):
         result = state.apply_delta(delta)
+        assert state.target.is_valid()
         oracle, _ = execute(self.PROGRAM, state.source, self.TARGET)
         assert (json.dumps(instance_to_json(result.target), sort_keys=True)
                 == json.dumps(instance_to_json(oracle), sort_keys=True))
@@ -594,6 +602,64 @@ class TestUnseedableClauseFallback:
             state.apply_delta(delta)
         with pytest.raises(ExecutionError, match="spent"):
             state.apply_delta(Delta())
+
+
+class TestFreezeErrorParity:
+    """A failing delta raises what ``execute`` over the updated source
+    raises — type and message — because both freeze through
+    ``TargetStore.freeze``."""
+
+    def assert_same_error(self, program, source, target_schema, delta):
+        session = IncrementalTransform(program, source, target_schema)
+        with pytest.raises(ExecutionError) as batch:
+            execute(program, delta.apply_to(source), target_schema)
+        with pytest.raises(ExecutionError) as incremental:
+            session.apply_delta(delta)
+        assert str(incremental.value) == str(batch.value)
+        return str(batch.value)
+
+    def test_deleted_peer_with_several_referrers(self):
+        # Eight live referrers dangle at once; full validation names
+        # the first in ``str(oid)`` order, not whichever a set yields.
+        source_schema = Schema.of("Src", PeerS=record(name=STR),
+                                  Item=record(name=STR, peer=STR))
+        target_schema = Schema.of(
+            "Tgt", Out=record(name=STR, peer=ClassType("Peer")),
+            Peer=record(name=STR))
+        program = parse_program(
+            "P: X in Peer, X = Mk_Peer(N), X.name = N"
+            " <= S in PeerS, N = S.name;"
+            "T: Y in Out, Y = Mk_Out(N), Y.name = N, Y.peer = Mk_Peer(M)"
+            " <= I in Item, N = I.name, M = I.peer;",
+            classes=["PeerS", "Item", "Out", "Peer"])
+        builder = InstanceBuilder(source_schema)
+        peer = builder.new("PeerS", Record.of(name="p"))
+        for name in "hgfedcba":
+            builder.new("Item", Record.of(name=name, peer="p"))
+        message = self.assert_same_error(
+            program, builder.freeze(), target_schema,
+            Delta(deletes={"PeerS": (peer,)}))
+        assert message == (
+            "transformation produced an ill-formed instance: class Out, "
+            "object &Out[\"a\"]: value references &Peer[\"p\"], which is "
+            "not in the instance")
+
+    def test_two_objects_left_incomplete(self):
+        source_schema = Schema.of("Src", Item=record(name=STR, rank=INT),
+                                  Tag=record(name=STR))
+        target_schema = Schema.of("Tgt", Out=record(name=STR, rank=INT))
+        program = parse_program(
+            "T: Y in Out, Y = Mk_Out(N), Y.name = N, Y.rank = R"
+            " <= I in Item, N = I.name, R = I.rank;"
+            "U: Y in Out, Y = Mk_Out(N), Y.name = N <= G in Tag, N = G.name;",
+            classes=["Item", "Tag", "Out"])
+        builder = InstanceBuilder(source_schema)
+        builder.new("Item", Record.of(name="a", rank=1))
+        message = self.assert_same_error(
+            program, builder.freeze(), target_schema,
+            Delta(inserts={"Tag": {Oid.fresh("Tag"): Record.of(name=name)
+                                   for name in ("x", "y")}}))
+        assert message.count("missing attributes ['rank']") == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The batch executor and the incremental session used to be two
 implementations of the paper's single pass: two pending stores, two
-assemblers, two copies of the normal-form checks.  Now the session
-starts from ``Executor.run_program`` and keeps the executor's
-``TargetStore``; these scans fail when a second copy comes back.
+assemblers, two freezes, two copies of the normal-form and
+well-formedness checks.  Now the session starts from
+``Executor.run_program``, keeps the executor's ``TargetStore`` and
+freezes through ``TargetStore.freeze`` as the batch pass does; these
+scans fail when a second copy comes back.
 """
 
 import ast
@@ -53,9 +55,7 @@ def raised_messages(exception):
 def test_one_assembler():
     assert call_sites("assemble_target_value") \
         == ["engine/executor.py:TargetStore"]
-    assert sorted(call_sites("assemble")) == [
-        "engine/executor.py:Executor",
-        "engine/incremental.py:IncrementalTransform"]
+    assert call_sites("assemble") == ["engine/executor.py:TargetStore"]
 
 
 def test_one_class_holds_pending_target_state():
@@ -80,3 +80,19 @@ def test_normal_form_checks_have_one_definition():
     for phrase in ("body mentions non-source class",
                    "belongs to no target class"):
         assert sum(phrase in message for message in messages) == 1, phrase
+
+
+def test_one_freeze_checks_the_target_once():
+    # Completeness (Section 3.2) and well-formedness (Section 2.1) are
+    # checked by the one freeze, batch and incremental alike, with one
+    # message each; ``Instance.validate`` stays the model-level reference.
+    messages = list(raised_messages("ExecutionError"))
+    for phrase in ("incomplete transformation", "ill-formed instance",
+                   "which is not in the instance"):
+        assert sum(phrase in message for message in messages) == 1, phrase
+    assert [site for site in call_sites("check_value")
+            if site.startswith("engine/")] \
+        == ["engine/executor.py:TargetStore"]
+    assert not [node for tree in TREES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_refreeze"]
