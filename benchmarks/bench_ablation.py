@@ -12,7 +12,7 @@ from conftest import best_of, print_table
 
 from repro.morphase import Morphase
 from repro.normalization import NormalizationOptions
-from repro.semantics import Matcher
+from repro.oracle import Matcher
 from repro.workloads import cities
 
 

@@ -13,7 +13,7 @@ from conftest import best_of, print_table
 
 from repro.lang import MemberAtom, parse_clause
 from repro.normalization import simplify_clause, snf_clause
-from repro.semantics import Matcher
+from repro.oracle import Matcher
 from repro.workloads import cities
 
 CLASSES = ["CityE", "CountryE", "CityT", "CountryT"]

@@ -15,13 +15,13 @@ by row in row order.  That is what makes a constraint audit one
 anti-join (:func:`unextended_rows`): the head runs once over the whole
 body batch, and the body rows it never extends are the violations.
 The differential fuzz harness holds the batch path to results
-byte-equal with the naive matcher's.
+byte-equal with the oracle's dynamic matcher's.
 
 Steps the compiler cannot vectorize — membership or ``in`` generators
 whose element is a *pattern* (unification against record/Skolem
 structure) and equations binding a non-variable pattern — run as
 **fallback stages**: the batch is re-materialised row by row through
-``Matcher._expand_step`` and re-columnarised, so a single
+:func:`_expand_step`, below, and re-columnarised, so a single
 slow step never forces a whole clause off the vectorized path.
 :func:`step_vectorizable` is the static rule, shared by the planner's
 ``explain()`` flag and the ``WOL305`` lint.
@@ -29,9 +29,11 @@ slow step never forces a whole clause off the vectorized path.
 Terms are compiled once per plan into column evaluators; a failed
 per-row evaluation (the scalar path's :class:`EvalError`) marks the row
 :data:`~repro.semantics.columns.MISSING` and the consuming stage drops
-it, mirroring ``Matcher._try_eval``.  Stages take the matcher they run
-against and keep no state between calls, so one compilation serves any
-instance of the schema (the incremental engine compiles once a session).
+it, as the fallback expander's :func:`_try_eval` does.  Stages take the
+:class:`~repro.semantics.match.IndexPool` they run on — its instance,
+hash indexes and columns — and keep no state between calls, so one
+compilation serves any instance of the schema (the incremental engine
+compiles once a session).
 
 Stages and plan steps are one-to-one, and each step mode has one
 general stage: Skolem terms differ only where their *meaning* does
@@ -47,34 +49,34 @@ end-to-end metric of ``benchmarks/e2e`` can see it.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..lang.ast import (Atom, Const, EqAtom, InAtom, LtAtom, MemberAtom,
                         NeqAtom, Proj, RecordTerm, SkolemTerm, Term, Var,
                         VariantTerm)
-from ..model.instance import InstanceError
+from ..model.instance import Instance, InstanceError
 from ..model.schema import Schema
 from ..model.types import ClassType, ListType, RecordType, SetType
 from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
 from ..obs.trace import current_span
 from ..obs.trace import span as trace_span
 from ..semantics.columns import MISSING, deterministic_order
-from ..semantics.eval import Binding, skolem_key
+from ..semantics.eval import Binding, EvalError, evaluate, skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
-                               STEP_MEMBER_TEST, Matcher, PlanStep,
-                               checked_steps)
+                               STEP_MEMBER_TEST, IndexPool, MatchError,
+                               PlanStep, checked_steps, unify_term)
 
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
 
-#: A compiled column evaluator: ``(matcher, columns, count) -> values``.
-Evaluator = Callable[[Matcher, Columns, int], List[Value]]
+#: A compiled column evaluator: ``(pool, columns, count) -> values``.
+Evaluator = Callable[[IndexPool, Columns, int], List[Value]]
 
-#: A compiled stage: ``(matcher, columns, count) -> (columns, count)``.
-Stage = Callable[[Matcher, Columns, int], Tuple[Columns, int]]
+#: A compiled stage: ``(pool, columns, count) -> (columns, count)``.
+Stage = Callable[[IndexPool, Columns, int], Tuple[Columns, int]]
 
 #: What :func:`compile_steps` returns: ``(stages, names, retains)``.
 CompiledPlan = Tuple[List[Tuple[bool, Stage]], Tuple[str, ...],
@@ -164,29 +166,29 @@ def compile_term(term: Term,
         var_class = {}
     if isinstance(term, Var):
         name = term.name
-        return lambda matcher, columns, count: columns[name]
+        return lambda pool, columns, count: columns[name]
     if isinstance(term, Const):
         value = term.value
-        return lambda matcher, columns, count: [value] * count
+        return lambda pool, columns, count: [value] * count
     if isinstance(term, Proj):
         return _compile_proj(term, var_class)
     if isinstance(term, VariantTerm):
         payload = compile_term(term.payload, var_class)
         label = term.label
 
-        def variant_column(matcher: Matcher, columns: Columns,
+        def variant_column(pool: IndexPool, columns: Columns,
                            count: int) -> List[Value]:
             return [MISSING if value is MISSING else Variant(label, value)
-                    for value in payload(matcher, columns, count)]
+                    for value in payload(pool, columns, count)]
         return variant_column
     if isinstance(term, RecordTerm):
         labels = tuple(label for label, _ in term.fields)
         parts = tuple(compile_term(sub, var_class)
                       for _, sub in term.fields)
 
-        def record_column(matcher: Matcher, columns: Columns,
+        def record_column(pool: IndexPool, columns: Columns,
                           count: int) -> List[Value]:
-            evaluated = [part(matcher, columns, count) for part in parts]
+            evaluated = [part(pool, columns, count) for part in parts]
             out: List[Value] = []
             for row in range(count):
                 values = tuple(column[row] for column in evaluated)
@@ -204,12 +206,12 @@ def compile_term(term: Term,
         # argument shape — resolve it once per compiled term.
         if not parts:
             constant = Oid.keyed(class_name, skolem_key(class_name, ()))
-            return lambda matcher, columns, count: [constant] * count
+            return lambda pool, columns, count: [constant] * count
         if labels[0] is None and len(parts) == 1:
             single = parts[0]
             mint = Oid.keyed_unchecked
 
-            def skolem_single(matcher: Matcher, columns: Columns,
+            def skolem_single(pool: IndexPool, columns: Columns,
                               count: int) -> List[Value]:
                 # Interning minted identities matters beyond saving the
                 # constructor call: in-generate steps fan each source
@@ -222,7 +224,7 @@ def compile_term(term: Term,
                 cached = interned.get
                 out: List[Value] = []
                 append = out.append
-                for value in single(matcher, columns, count):
+                for value in single(pool, columns, count):
                     if value is MISSING:
                         append(MISSING)
                         continue
@@ -240,9 +242,9 @@ def compile_term(term: Term,
         if len(set(key_labels)) != len(key_labels):
             # Duplicate key labels: defer to skolem_key's validation
             # row by row (the scalar behaviour).
-            def skolem_generic(matcher: Matcher, columns: Columns,
+            def skolem_generic(pool: IndexPool, columns: Columns,
                                count: int) -> List[Value]:
-                evaluated = [part(matcher, columns, count)
+                evaluated = [part(pool, columns, count)
                              for part in parts]
                 out: List[Value] = []
                 for row in range(count):
@@ -261,13 +263,13 @@ def compile_term(term: Term,
         presorted = Record.presorted
         mint = Oid.keyed_unchecked
 
-        def skolem_column(matcher: Matcher, columns: Columns,
+        def skolem_column(pool: IndexPool, columns: Columns,
                           count: int) -> List[Value]:
             interned_keys: Dict[Tuple[Value, ...], Oid] = {}
             cached = interned_keys.get
             out: List[Value] = []
             append = out.append
-            for values in zip(*[parts[i](matcher, columns, count)
+            for values in zip(*[parts[i](pool, columns, count)
                                 for i in order]):
                 if MISSING in values:
                     append(MISSING)
@@ -294,9 +296,9 @@ def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
         name = subject.name
         row_name = _ROW_PREFIX + name
 
-        def gather(matcher: Matcher, columns: Columns,
+        def gather(pool: IndexPool, columns: Columns,
                    count: int) -> List[Value]:
-            store = matcher.columns()
+            store = pool.columns()
             column = store.scalar_column(class_name, attr)
             rows = columns.get(row_name)
             if rows is not None:
@@ -314,12 +316,12 @@ def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
 
     inner = compile_term(subject, var_class)
 
-    def project_column(matcher: Matcher, columns: Columns,
+    def project_column(pool: IndexPool, columns: Columns,
                        count: int) -> List[Value]:
         out: List[Value] = []
         append = out.append
-        value_of = matcher.instance.value_of
-        for value in inner(matcher, columns, count):
+        value_of = pool.instance.value_of
+        for value in inner(pool, columns, count):
             if value is MISSING:
                 append(MISSING)
                 continue
@@ -357,9 +359,9 @@ def _scan_stage(step: PlanStep) -> Stage:
 
     row_name = _ROW_PREFIX + name
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        store = matcher.columns()
+        store = pool.columns()
         extent = store.extent(class_name)
         rows = store.extent_rows(class_name)
         width = len(extent)
@@ -385,12 +387,11 @@ def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     path = step.selector_path
     selector = compile_term(step.selector_term, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        pool = matcher.pool
         index = pool.index_for(class_name, path)
         get = index.get
-        values = selector(matcher, columns, count)
+        values = selector(pool, columns, count)
         keep: List[int] = []
         out_column: List[Value] = []
         lookups = hits = misses = 0
@@ -415,7 +416,7 @@ def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
         # Resolve each candidate's store row once here, so the several
         # downstream gathers and set slices index by int instead of
         # re-probing the intern table per stage.
-        rows_get = matcher.columns().row_map(class_name).get
+        rows_get = pool.columns().row_map(class_name).get
         out_rows = [rows_get(oid) for oid in out_column]
         if None not in out_rows:
             out[_ROW_PREFIX + name] = out_rows
@@ -429,10 +430,10 @@ def _member_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     class_name = atom.class_name
     element = compile_term(atom.element, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        has = matcher.instance.has_object
-        values = element(matcher, columns, count)
+        has = pool.instance.has_object
+        values = element(pool, columns, count)
         keep = [row for row, value in enumerate(values)
                 if isinstance(value, Oid)
                 and value.class_name == class_name and has(value)]
@@ -492,9 +493,9 @@ def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
             class_name = var_class[subject]
             row_name = _ROW_PREFIX + subject
 
-            def stage(matcher: Matcher, columns: Columns,
+            def stage(pool: IndexPool, columns: Columns,
                       count: int) -> Tuple[Columns, int]:
-                store = matcher.columns()
+                store = pool.columns()
                 column = store._set_column(class_name, attr)
                 values = column.values
                 starts = column.starts
@@ -521,9 +522,9 @@ def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
                 return _generated(columns, count, keep, name, out_column)
             return stage
 
-        def stage(matcher: Matcher, columns: Columns,
+        def stage(pool: IndexPool, columns: Columns,
                   count: int) -> Tuple[Columns, int]:
-            slice_of = matcher.columns().set_slice
+            slice_of = pool.columns().set_slice
             keep: List[int] = []
             out_column: List[Value] = []
             for row, value in enumerate(columns[subject]):
@@ -538,7 +539,7 @@ def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
 
     evaluator = compile_term(collection, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
         keep: List[int] = []
         out_column: List[Value] = []
@@ -547,7 +548,7 @@ def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
         # the evaluated column keeps every value alive for the whole
         # stage call.
         ordered_cache: Dict[int, List[Value]] = {}
-        values = evaluator(matcher, columns, count)
+        values = evaluator(pool, columns, count)
         for row, value in enumerate(values):
             if isinstance(value, (WolSet, WolList)):
                 elements = ordered_cache.get(id(value))
@@ -567,10 +568,10 @@ def _in_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     collection = compile_term(atom.collection, var_class)
     element = compile_term(atom.element, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        collections = collection(matcher, columns, count)
-        values = element(matcher, columns, count)
+        collections = collection(pool, columns, count)
+        values = element(pool, columns, count)
         # ``in`` hits WolSet's hash-based __contains__ — the linear
         # equality scan it replaces is what the scalar path does, with
         # the same equality relation, so the kept rows are identical.
@@ -586,9 +587,9 @@ def _eq_bind_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     name = step.pattern_term.name
     evaluator = compile_term(step.eval_term, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        values = evaluator(matcher, columns, count)
+        values = evaluator(pool, columns, count)
         keep = [row for row, value in enumerate(values)
                 if value is not MISSING]
         if len(keep) == count:
@@ -608,10 +609,10 @@ def _eq_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     left = compile_term(atom.left, var_class)
     right = compile_term(atom.right, var_class)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        lefts = left(matcher, columns, count)
-        rights = right(matcher, columns, count)
+        lefts = left(pool, columns, count)
+        rights = right(pool, columns, count)
         keep = [row for row in range(count)
                 if lefts[row] is not MISSING
                 and rights[row] is not MISSING
@@ -627,10 +628,10 @@ def _compare_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     neq = isinstance(atom, NeqAtom)
     strict = isinstance(atom, LtAtom)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        lefts = left(matcher, columns, count)
-        rights = right(matcher, columns, count)
+        lefts = left(pool, columns, count)
+        rights = right(pool, columns, count)
         keep: List[int] = []
         for row in range(count):
             low, high = lefts[row], rights[row]
@@ -650,32 +651,77 @@ def _compare_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     return stage
 
 
+def _try_eval(term: Term, binding: Binding,
+              instance: Instance) -> Optional[Value]:
+    try:
+        return evaluate(term, binding, instance)
+    except EvalError:
+        return None
+
+
+def _expand_step(pool: IndexPool, step: PlanStep,
+                 binding: Binding) -> Iterator[Binding]:
+    """One binding through one non-vectorizable step (the fallback
+    stage's expander): a generator whose element is a pattern, or an
+    equation binding a pattern.  Test steps always vectorize, so any
+    other mode raises :class:`MatchError`."""
+    atom = step.atom
+    mode = step.mode
+    instance = pool.instance
+    if mode == STEP_MEMBER_SCAN:
+        candidates: Sequence[Value] = instance.objects_of(atom.class_name)
+        pattern = atom.element
+    elif mode == STEP_MEMBER_INDEX:
+        # An EvalError in the selector means no object can pass the
+        # equality test either, so the empty candidate set is exact.
+        value = _try_eval(step.selector_term, binding, instance)
+        candidates = () if value is None else pool.lookup(
+            atom.class_name, step.selector_path, value)
+        pattern = atom.element
+    elif mode == STEP_IN_GENERATE:
+        collection = _try_eval(atom.collection, binding, instance)
+        candidates = (deterministic_order(collection)
+                      if isinstance(collection, (WolSet, WolList))
+                      else ())
+        pattern = atom.element
+    elif mode == STEP_EQ_BIND:
+        value = _try_eval(step.eval_term, binding, instance)
+        candidates = () if value is None else (value,)
+        pattern = step.pattern_term
+    else:
+        raise MatchError(f"no fallback expansion for plan step mode "
+                         f"{mode!r}")
+    for candidate in candidates:
+        extended = unify_term(pattern, candidate, binding, instance)
+        if extended is not None:
+            yield extended
+
+
 def _fallback_stage(step: PlanStep) -> Stage:
     """Row-at-a-time escape hatch: re-materialise each row as a binding
-    dict, run ``Matcher._expand_step``, re-columnarise the output.
+    dict, run :func:`_expand_step`, re-columnarise the output.
 
     The known columns are read off the runtime batch (not frozen at
     compile time) so liveness filtering upstream narrows this stage's
     re-materialisation cost too."""
     binds = tuple(step.binds)
 
-    def stage(matcher: Matcher, columns: Columns,
+    def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
-        expand = matcher._expand_step
         known = tuple(name for name in columns
                       if not name.startswith("\0"))
         hidden = tuple(name for name in columns if name.startswith("\0"))
         out_names = known + tuple(name for name in binds
                                   if name not in columns)
         out: Columns = {name: [] for name in out_names}
-        for name in hidden:  # carried along, never shown to the matcher
+        for name in hidden:  # carried along, never shown to the expander
             out[name] = []
         appends = [(name, out[name].append) for name in out_names]
         rows = 0
         for row in range(count):
             binding = {name: columns[name][row] for name in known}
             emitted = 0
-            for extended in expand(step, binding):
+            for extended in _expand_step(pool, step, binding):
                 emitted += 1
                 for name, append in appends:
                     append(extended.get(name))
@@ -823,7 +869,7 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
 # Batch runners
 # ----------------------------------------------------------------------
 
-def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
+def run_steps_columnar(pool: IndexPool, steps: Sequence[PlanStep],
                        columns: Columns, count: int, stats=None,
                        needed: Optional[frozenset] = None,
                        compiled: Optional[CompiledPlan] = None
@@ -841,7 +887,7 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
     for these ``steps`` and initial names, else compiled here.
     """
     if compiled is None:
-        compiled = compile_steps(matcher.instance.schema, tuple(steps),
+        compiled = compile_steps(pool.instance.schema, tuple(steps),
                                  tuple(columns), needed)
     stages, names, retains = compiled
     # One context-variable read decides whether per-step spans exist at
@@ -864,10 +910,10 @@ def run_steps_columnar(matcher: Matcher, steps: Sequence[PlanStep],
                     f"{index + 1}. {step.mode} {step.atom}",
                     mode="vec" if vectorized else "fallback",
                     rows_in=count) as step_span:
-                columns, count = stage(matcher, columns, count)
+                columns, count = stage(pool, columns, count)
                 step_span.set(rows_out=count)
         else:
-            columns, count = stage(matcher, columns, count)
+            columns, count = stage(pool, columns, count)
         if retain is not None and not retain.issuperset(columns):
             prefix = _ROW_PREFIX
             cut = len(prefix)
@@ -889,7 +935,7 @@ def compile_probe(schema: Schema, steps: Sequence[PlanStep],
                          frozenset((_PROBE_ROW,)), var_class)
 
 
-def unextended_rows(matcher: Matcher, steps: Sequence[PlanStep],
+def unextended_rows(pool: IndexPool, steps: Sequence[PlanStep],
                     columns: Columns, count: int,
                     compiled: CompiledPlan) -> List[int]:
     """The rows of a batch that no solution of ``steps`` extends, in
@@ -910,7 +956,7 @@ def unextended_rows(matcher: Matcher, steps: Sequence[PlanStep],
         return []
     seeded = dict(columns)
     seeded[_PROBE_ROW] = list(range(count))
-    _, out, _ = run_steps_columnar(matcher, steps, seeded, count,
+    _, out, _ = run_steps_columnar(pool, steps, seeded, count,
                                    compiled=compiled)
     extended = bytearray(count)
     for row in out[_PROBE_ROW]:
@@ -918,18 +964,26 @@ def unextended_rows(matcher: Matcher, steps: Sequence[PlanStep],
     return [row for row in range(count) if not extended[row]]
 
 
-def stream_plan_columnar(matcher: Matcher, steps: Sequence[PlanStep],
-                         initial: Optional[Binding], stats=None):
-    """Binding-dict iterator over a columnar run (scalar-compatible)."""
+def stream_plan_columnar(pool: IndexPool, steps: Sequence[PlanStep],
+                         initial: Optional[Binding] = None,
+                         stats=None) -> Iterator[Binding]:
+    """The solutions of a plan run once from ``initial``, one binding
+    dict each.
+
+    The batch runs when this is called, so a plan whose boundness does
+    not fit ``initial`` (:func:`~repro.semantics.match.checked_steps`)
+    raises :class:`~repro.semantics.match.MatchError` at call time.
+    ``stats`` as for :func:`run_steps_columnar`.
+    """
     columns: Columns = {name: [value]
                         for name, value in (initial or {}).items()}
     names, columns, count = run_steps_columnar(
-        matcher, steps, columns, 1, stats)
-    for row in range(count):
-        yield {name: columns[name][row] for name in names}
+        pool, checked_steps(steps, columns), columns, 1, stats)
+    return ({name: columns[name][row] for name in names}
+            for row in range(count))
 
 
-def seeded_batch_columnar(matcher: Matcher, steps: Sequence[PlanStep],
+def seeded_batch_columnar(pool: IndexPool, steps: Sequence[PlanStep],
                           variable: str, oids: Sequence[Oid], stats=None,
                           compiled: Optional[CompiledPlan] = None):
     """Binding iterator for a whole seed vector in one batch.
@@ -941,6 +995,6 @@ def seeded_batch_columnar(matcher: Matcher, steps: Sequence[PlanStep],
     """
     columns: Columns = {variable: list(oids)}
     names, columns, count = run_steps_columnar(
-        matcher, steps, columns, len(oids), stats, compiled=compiled)
+        pool, steps, columns, len(oids), stats, compiled=compiled)
     for row in range(count):
         yield {name: columns[name][row] for name in names}

@@ -4,8 +4,8 @@ A normal-form transformation program "can easily be implemented in a single
 pass" because every clause reads only source classes and completely
 describes a target insert.  The executor:
 
-1. enumerates body solutions with the shared conjunctive matcher
-   (:class:`repro.semantics.match.Matcher`) over the source instance;
+1. enumerates body solutions by running each clause's join plan over
+   an :class:`~repro.semantics.match.IndexPool` on the source instance;
 2. evaluates each head: Skolem identities become keyed object identities
    (idempotent creation), attribute assignments accumulate on the keyed
    objects, set-valued attributes collect inserted elements — all as
@@ -25,7 +25,7 @@ Execution is always **planned**: :meth:`Executor.run_program` plans the
 whole program once via :mod:`repro.engine.planner` (unless handed a
 precomputed plan): per clause a fixed atom order compiled into plan
 steps, and across clauses one shared, prebuilt index pool — no
-per-binding atom re-classification, no per-matcher lazy index builds.
+per-binding atom re-classification, no per-clause lazy index builds.
 Every clause runs its plan as batch stages over whole binding columns
 (:mod:`repro.engine.columnar`), with the scalar step expander serving
 only as the per-step fallback inside a batch.  A clause the planner
@@ -57,7 +57,7 @@ from ..model.values import (Oid, Record, Value, ValueError_, WolSet,
 from ..obs.metrics import publish_engine_stats
 from ..obs.trace import span
 from ..semantics.eval import Binding, EvalError, evaluate
-from ..semantics.match import IndexPool, Matcher
+from ..semantics.match import IndexPool
 from .planner import JoinPlan, ProgramPlan, plan_program
 
 
@@ -299,21 +299,21 @@ class TargetStore:
             return Instance(self.target_schema, valuations), changed
 
 
+def _pool_counters(pool: IndexPool) -> Tuple[int, int, int, int]:
+    return (pool.builds, pool.hits, pool.misses, pool.lookups)
+
+
 class Executor:
     """Runs source-only clauses against a source instance.
 
     :meth:`run_program` plans the program once (fixed atom orders,
     shared prebuilt index pool) and every clause runs its precompiled
-    steps as batch stages.  ``index_pool`` injects a pool
-    shared beyond this executor (e.g. across repeated runs over the
-    same source).
+    steps as batch stages on the plan's pool.
     """
 
-    def __init__(self, source: Instance, target_schema: Schema,
-                 index_pool: Optional[IndexPool] = None) -> None:
+    def __init__(self, source: Instance, target_schema: Schema) -> None:
         self.source = source
         self.target_schema = target_schema
-        self._matcher = Matcher(source, index_pool=index_pool)
         self.store = TargetStore(target_schema)
         self.stats = ExecutionStats()
 
@@ -322,34 +322,37 @@ class Executor:
                     plan: Optional[ProgramPlan] = None) -> "Executor":
         """Execute a whole program, planning it once.
 
-        ``plan`` supplies a precomputed :class:`ProgramPlan` (its pool
-        replaces the matcher's); otherwise one is computed here.
-        Running the same program again on this executor doubles
-        the store's counts, not its values: the frozen target is the
-        same.
+        ``plan`` supplies a precomputed :class:`ProgramPlan`, which
+        must have been planned over this executor's source (a
+        :class:`ValueError` otherwise); by default one is planned here,
+        on a fresh pool.  Running the same program again on this
+        executor doubles the store's counts, not its values: the frozen
+        target is the same.
         """
         start = time.perf_counter()
         clauses = list(program)
-        baseline = self._pool_snapshot()
         if plan is None:
             # Planning here is part of this run: its prebuilds count.
-            plan = plan_program(clauses, self.source,
-                                pool=self._matcher.pool)
-        if plan.pool is not self._matcher.pool:
-            # An externally planned pool may be shared across runs; only
+            pool = IndexPool(self.source)
+            baseline = _pool_counters(pool)
+            plan = plan_program(clauses, self.source, pool=pool)
+        else:
+            # An injected plan's pool may be shared across runs; only
             # activity from this point on belongs to this run's stats.
-            self._matcher.pool = plan.pool
-            baseline = self._pool_snapshot()
+            pool = plan.pool.checked_for(self.source)
+            baseline = _pool_counters(pool)
         for clause in clauses:
-            self.run_clause(clause, plan.plan_for(clause))
-        self._sync_index_stats(baseline)
+            self.run_clause(clause, plan.plan_for(clause), pool)
+        self._sync_index_stats(pool, baseline)
         self.stats.elapsed_seconds += time.perf_counter() - start
         publish_engine_stats("columnar", self.stats)
         return self
 
-    def run_clause(self, clause: Clause, join_plan: JoinPlan) -> None:
+    def run_clause(self, clause: Clause, join_plan: JoinPlan,
+                   pool: IndexPool) -> None:
         """Execute one normal-form clause: the precompiled steps run as
-        batch stages and the head effects apply column-wise."""
+        batch stages on ``pool`` and the head effects apply
+        column-wise."""
         self._check_source_only(clause)
         plan = _HeadPlan(clause, self.target_schema)
         self.stats.clauses_run += 1
@@ -358,11 +361,11 @@ class Executor:
                   mode="columnar") as clause_span:
             self.stats.clauses_planned += 1
             self.stats.atoms_reordered += join_plan.atoms_reordered
-            self._run_clause_columnar(clause, plan, join_plan)
+            self._run_clause_columnar(clause, plan, join_plan, pool)
             clause_span.set(rows=self.stats.bindings_found - before)
 
     def _run_clause_columnar(self, clause: Clause, plan: "_HeadPlan",
-                             join_plan: JoinPlan) -> None:
+                             join_plan: JoinPlan, pool: IndexPool) -> None:
         """Vectorized clause execution: body as batch stages, head
         effects applied column-wise.
 
@@ -393,7 +396,7 @@ class Executor:
         for check in plan.checks:
             needed |= check.variables()
         names, columns, count = run_steps_columnar(
-            self._matcher, join_plan.steps, {}, 1, self.stats,
+            pool, join_plan.steps, {}, 1, self.stats,
             needed=frozenset(needed))
         self.stats.bindings_found += count
         if count == 0:
@@ -404,7 +407,7 @@ class Executor:
         # from attribute columns and reuse the hidden row columns the
         # scans threaded through.
         var_class = member_classes(step.atom for step in join_plan.steps)
-        if not self._apply_heads_batch(plan, columns, count, label,
+        if not self._apply_heads_batch(plan, pool, columns, count, label,
                                        var_class=var_class):
             # Liveness filtering may have dropped columns `names`
             # mentions; the surviving ones are exactly what the head
@@ -414,8 +417,8 @@ class Executor:
                            for name, column in columns.items()}
                 self._apply_head(plan, binding, clause)
 
-    def _apply_heads_batch(self, plan: "_HeadPlan", columns: Mapping,
-                           count: int, label: str,
+    def _apply_heads_batch(self, plan: "_HeadPlan", pool: IndexPool,
+                           columns: Mapping, count: int, label: str,
                            var_class: Optional[Dict[str, str]] = None
                            ) -> bool:
         """Apply a whole batch of head effects; False = replay scalar.
@@ -437,12 +440,11 @@ class Executor:
         """
         from ..semantics.columns import MISSING
         from .columnar import compile_term
-        matcher = self._matcher
         local: Dict[str, List[Value]] = dict(columns)
 
         def evaluate_column(term: Term) -> Optional[List[Value]]:
             try:
-                column = compile_term(term, var_class)(matcher, local, count)
+                column = compile_term(term, var_class)(pool, local, count)
             except NotImplementedError:
                 return None
             if MISSING in column:  # identity-first C scan, no genexpr
@@ -595,22 +597,16 @@ class Executor:
         self.stats.attributes_set += attributes_set
         return True
 
-    def _pool_snapshot(self) -> Tuple[int, int, int, int]:
-        pool = self._matcher.pool
-        return (pool.builds, pool.hits, pool.misses, pool.lookups)
-
-    def _sync_index_stats(self, baseline: Tuple[int, int, int, int]
-                          ) -> None:
+    def _sync_index_stats(self, pool: IndexPool,
+                          baseline: Tuple[int, int, int, int]) -> None:
         """Add this run's pool activity to the stats.
 
-        The pool may be shared across executors (injected pool, reused
-        plan), so the stats record the *delta* over this run, not the
-        pool's lifetime counters.  Indexes prebuilt by the planner before
-        the run belong to planning and are visible on the plan's pool,
-        not here.
+        The pool may be shared across executors (a reused plan), so the
+        stats record the *delta* over this run, not the pool's lifetime
+        counters.  Indexes prebuilt by the planner before the run belong
+        to planning and are visible on the plan's pool, not here.
         """
         builds, hits, misses, lookups = baseline
-        pool = self._matcher.pool
         self.stats.indexes_built += pool.builds - builds
         self.stats.index_hits += pool.hits - hits
         self.stats.index_misses += pool.misses - misses

@@ -68,7 +68,7 @@ from ..model.instance import Instance
 from ..model.values import Oid, Record, Value, oids_in, type_of_base
 from ..obs.metrics import publish_engine_stats
 from ..semantics.eval import Binding
-from ..semantics.match import IndexPool, Matcher
+from ..semantics.match import IndexPool
 from ..semantics.satisfaction import Violation, clause_violations
 from . import columnar
 from .columnar import CompiledPlan, seeded_batch_columnar
@@ -345,7 +345,7 @@ def _seeded_plans(clauses: Sequence[Clause], instance: Instance,
     return seeds, stages
 
 
-def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
+def seeded_solutions(pool: IndexPool, seeds: Sequence[DeltaSeed],
                      stages: Sequence[Optional[CompiledPlan]],
                      seed_oids: Mapping[str, Sequence[Oid]],
                      counters: Optional[ExecutionStats] = None
@@ -378,7 +378,7 @@ def seeded_solutions(matcher: Matcher, seeds: Sequence[DeltaSeed],
         if counters is not None:
             counters.seeds_probed += len(oids)
         for binding in seeded_batch_columnar(
-                matcher, seed.plan.steps, seed.variable, oids, counters,
+                pool, seed.plan.steps, seed.variable, oids, counters,
                 compiled=compiled):
             key = frozenset(binding.items())
             if key not in keys:
@@ -404,12 +404,12 @@ def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
     return _group_by_class(seeds)
 
 
-def _violations_by_key(matcher: Matcher, plan: ConstraintPlan,
+def _violations_by_key(pool: IndexPool, plan: ConstraintPlan,
                        head: CompiledPlan) -> Dict[frozenset, Violation]:
-    """Every violation of ``plan.clause`` over the matcher's instance,
+    """Every violation of ``plan.clause`` over the pool's instance,
     keyed by its body binding."""
     return {frozenset(violation.binding.items()): violation
-            for violation in clause_violations(matcher, plan, head=head)}
+            for violation in clause_violations(pool, plan, head=head)}
 
 
 @dataclass
@@ -464,7 +464,7 @@ class IncrementalTransform:
         pool = self.plan.pool
         self._seeds, self._stages = _seeded_plans(self.clauses, source, pool)
 
-        executor = Executor(source, target_schema, pool)
+        executor = Executor(source, target_schema)
         executor.run_program(self.clauses, plan=self.plan)
         self.target = executor.freeze(defaults=self.defaults)
         self.store = executor.store
@@ -499,9 +499,8 @@ class IncrementalTransform:
             frozenset(atom.class_name for atom in clause.head
                       if isinstance(atom, MemberAtom))
             for clause in self.constraints]
-        matcher = Matcher(source, index_pool=pool)
         self._violations: List[Dict[frozenset, Violation]] = [
-            _violations_by_key(matcher, plan, head)
+            _violations_by_key(pool, plan, head)
             for plan, head in zip(self.audit_plan.plans, self._head_stages)]
 
     # ------------------------------------------------------------------
@@ -568,29 +567,28 @@ class IncrementalTransform:
         seeded: Set[int] = set()
         touched: Set[Oid] = set()
 
-        def phase(instance: Instance):
-            """The matcher and the seed-group function (with its closure
-            cache) every clause of one phase shares."""
-            return (Matcher(instance, index_pool=pool),
-                    partial(_pruned_seed_groups, all_changed=all_changed,
-                            changes=changes, rev=rev, cache={}))
+        def seed_groups():
+            """The seed-group function (with its closure cache) every
+            clause of one phase shares."""
+            return partial(_pruned_seed_groups, all_changed=all_changed,
+                           changes=changes, rev=rev, cache={})
 
-        def propagate(matcher: Matcher, groups, sign: int) -> int:
-            """Count ``sign`` for every program binding over the
-            matcher's instance the delta can affect; returns how many
+        def propagate(groups, sign: int) -> int:
+            """Count ``sign`` for every program binding over the pool's
+            current instance the delta can affect; returns how many
             the seeds found.  The scalar :func:`head_effects` feeds the
             store's signed ``apply`` — unchecked, since a retraction
             later in the same step may lift a transient conflict
             (``assemble`` reports what is left)."""
-            instance = matcher.instance
+            instance = pool.instance
             found = 0
             for index, clause in enumerate(self.clauses):
                 if index in whole:
-                    bindings = matcher.run_plan_columnar(
-                        self.plan.plans[index].steps)
+                    bindings = columnar.stream_plan_columnar(
+                        pool, self.plan.plans[index].steps)
                 else:  # every seed it can reach has a plan: never None
                     bindings = seeded_solutions(
-                        matcher, self._seeds[index], self._stages[index],
+                        pool, self._seeds[index], self._stages[index],
                         groups(self._reads[index]), stats)
                     found += len(bindings)
                     if bindings:
@@ -612,10 +610,11 @@ class IncrementalTransform:
         # is re-derived in phase 3 from the same surviving seeds —
         # retract-then-rederive makes the over-approximation harmless.
         removal_seeds = _group_by_class(rev.closure(all_changed))
-        matcher, groups = phase(old_source)
-        stats.bindings_removed = propagate(matcher, groups, -1)
+        # The pool still indexes the old instance here.
+        groups = seed_groups()
+        stats.bindings_removed = propagate(groups, -1)
         retract_keys, full_recheck = self._retract_violations(
-            matcher, groups, removed_by_class, stats)
+            pool, groups, removed_by_class, stats)
 
         # Phase 2 — swap in the updated instance; maintain the referrer
         # relation and patch the shared index pool in place (the seed
@@ -638,12 +637,12 @@ class IncrementalTransform:
             strict_added=added_by_class, changed_attrs=changes)
 
         # Phase 3 — bindings over the new instance, then re-assemble.
-        matcher, groups = phase(new_source)
-        stats.bindings_added = propagate(matcher, groups, +1)
+        groups = seed_groups()
+        stats.bindings_added = propagate(groups, +1)
         stats.clauses_seeded = len(seeded)
         stats.clauses_skipped = (len(self.clauses) - len(seeded)
                                  - len(whole))
-        diff = self._rederive_violations(matcher, groups, retract_keys,
+        diff = self._rederive_violations(pool, groups, retract_keys,
                                          full_recheck, added_by_class, stats)
         previous = self.target
         self.target, changed = self.store.freeze(
@@ -658,7 +657,7 @@ class IncrementalTransform:
     # ------------------------------------------------------------------
     # Constraint clauses: phases 1 and 3
     # ------------------------------------------------------------------
-    def _retract_violations(self, matcher: Matcher, groups,
+    def _retract_violations(self, pool: IndexPool, groups,
                             removed_by_class: Mapping[str, Sequence[Oid]],
                             stats: ExecutionStats
                             ) -> Tuple[Dict[int, Set[frozenset]], Set[int]]:
@@ -681,7 +680,7 @@ class IncrementalTransform:
                 full_recheck.add(index)
                 continue
             bindings = seeded_solutions(
-                matcher, self._audit_seeds[index], self._audit_stages[index],
+                pool, self._audit_seeds[index], self._audit_stages[index],
                 groups(self._audit_reads[index]), stats)
             if bindings is None:
                 full_recheck.add(index)
@@ -693,7 +692,7 @@ class IncrementalTransform:
                     for binding in bindings}
         return retract_keys, full_recheck
 
-    def _satisfied(self, index: int, matcher: Matcher,
+    def _satisfied(self, index: int, pool: IndexPool,
                    bindings: Sequence[Binding], stats: ExecutionStats
                    ) -> List[bool]:
         """Per body binding of constraint ``index``: does its head have
@@ -704,11 +703,11 @@ class IncrementalTransform:
         columns = {name: [binding[name] for binding in bindings]
                    for name in self._body_vars[index]}
         missing = set(columnar.unextended_rows(
-            matcher, self.audit_plan.plans[index].head.steps, columns,
+            pool, self.audit_plan.plans[index].head.steps, columns,
             len(bindings), self._head_stages[index]))
         return [row not in missing for row in range(len(bindings))]
 
-    def _rederive_violations(self, matcher: Matcher, groups,
+    def _rederive_violations(self, pool: IndexPool, groups,
                              retract_keys: Mapping[int, Set[frozenset]],
                              full_recheck: Set[int],
                              added_by_class: Mapping[str, Sequence[Oid]],
@@ -724,14 +723,14 @@ class IncrementalTransform:
             per_clause = self._violations[index]
             if index not in full_recheck:
                 bindings = seeded_solutions(
-                    matcher, self._audit_seeds[index],
+                    pool, self._audit_seeds[index],
                     self._audit_stages[index],
                     groups(self._audit_reads[index]), stats)
                 if bindings is None:
                     full_recheck.add(index)
             if index in full_recheck:
                 stats.clauses_recomputed += 1
-                fresh = _violations_by_key(matcher,
+                fresh = _violations_by_key(pool,
                                            self.audit_plan.plans[index],
                                            self._head_stages[index])
                 added.extend(violation for key, violation in fresh.items()
@@ -755,7 +754,7 @@ class IncrementalTransform:
             projected = [{name: value for name, value in binding.items()
                           if name in body_vars} for binding in bindings]
             for binding, satisfied in zip(projected, self._satisfied(
-                    index, matcher, projected, stats)):
+                    index, pool, projected, stats)):
                 key = frozenset(binding.items())
                 rechecked.add(key)
                 if satisfied:
@@ -780,7 +779,7 @@ class IncrementalTransform:
             if self._head_member_classes[index] & addition_trigger:
                 pending = [key for key in per_clause if key not in rechecked]
                 for key, satisfied in zip(pending, self._satisfied(
-                        index, matcher, [dict(key) for key in pending],
+                        index, pool, [dict(key) for key in pending],
                         stats)):
                     if satisfied:
                         removed.append(per_clause.pop(key))

@@ -1,10 +1,10 @@
 """Program-level join planning for normal-form execution.
 
-The dynamic matcher (:class:`repro.semantics.match.Matcher`) re-derives an
-atom order for every partial binding and rediscovers index selectors per
-candidate enumeration; each :class:`~repro.engine.executor.Executor` also
-builds its hash indexes lazily and privately.  For multi-clause programs
-(the genome and Relibase workloads) that cost is paid over and over.
+The dynamic matcher (the reference, :class:`repro.oracle.Matcher`)
+re-derives an atom order for every partial binding, rediscovers index
+selectors per candidate enumeration and builds its hash indexes lazily
+and privately.  For multi-clause programs (the genome and Relibase
+workloads) that cost would be paid over and over.
 
 This module plans a whole :class:`~repro.lang.ast.Program` once:
 
@@ -12,8 +12,9 @@ This module plans a whole :class:`~repro.lang.ast.Program` once:
   by simulating variable boundness (tests first, deterministic binds next,
   generators last: index probes before collection hops before extent
   scans, smaller extents before larger ones), compiled into
-  :class:`~repro.semantics.match.PlanStep` records the matcher executes
-  without any per-binding re-analysis.  *Which extent drives* is the one
+  :class:`~repro.semantics.match.PlanStep` records the batch stages of
+  :mod:`repro.engine.columnar` execute without any per-binding
+  re-analysis.  *Which extent drives* is the one
   choice extent size cannot settle: ``Y in SequenceT`` (966) is smaller
   than ``C in Clone`` (1 200), but only ``Clone`` reaches the other by
   index (``Q in C.seq, Y.name = Q.name``), so opening ``SequenceT``
@@ -178,7 +179,8 @@ class ProgramPlan:
 
 
 # ----------------------------------------------------------------------
-# Static readiness (mirrors Matcher._readiness over a boundness set)
+# Static readiness (mirrors the oracle's Matcher._readiness over a
+# boundness set)
 # ----------------------------------------------------------------------
 
 def _known(term: Term, bound: Set[str]) -> bool:
@@ -189,10 +191,13 @@ def _known(term: Term, bound: Set[str]) -> bool:
 def _classify(atom: Atom, bound: Set[str]) -> Optional[str]:
     """The step mode ``atom`` admits under ``bound``, or None.
 
-    Exactly mirrors :meth:`Matcher._readiness`, with the binding replaced
-    by the set of statically-bound variables — readiness depends only on
-    *which* variables are bound, never on their values, so the static and
-    dynamic classifications agree on every execution path.
+    Exactly mirrors :meth:`repro.oracle.Matcher._readiness`, with the
+    binding replaced by the set of statically-bound variables —
+    readiness depends only on *which* variables are bound, never on
+    their values, so the static and dynamic classifications agree on
+    every execution path.  The two are separate copies on purpose, so
+    the reference stays an independent leg;
+    ``tests/fuzz/test_join_order.py`` pins them together.
     """
     if isinstance(atom, MemberAtom):
         if _known(atom.element, bound):
@@ -244,7 +249,8 @@ class _SelectorFinder:
     atom whose subject derives from the still-unbound element cannot have
     executed yet), so both are computed once and reused across the greedy
     loop's candidate evaluations — the static twin of
-    ``Matcher._find_selector`` without its per-call re-analysis.
+    the oracle's ``Matcher._find_selector`` without its per-call
+    re-analysis.
 
     Beyond SNF definition chains (``V = X.a``), direct projection
     equations ``X.a.b = t`` — the shape of un-normalised *constraint*
@@ -496,7 +502,8 @@ def plan_program(program: Iterable[Clause], instance: Instance,
     clause pays a lazy index build mid-join.  A clause with no join
     order raises :class:`PlanError`.
     """
-    pool = pool if pool is not None else IndexPool(instance)
+    pool = IndexPool(instance) if pool is None \
+        else pool.checked_for(instance)
     cardinalities = instance.class_sizes()
     plans = [plan_clause(clause, cardinalities) for clause in program]
     prebuilt = 0
@@ -669,9 +676,10 @@ def plan_audit(constraints: Iterable[Clause], instance: Instance,
     Builds (or reuses) a shared :class:`IndexPool` and, with
     ``prebuild``, materialises the union of every constraint's body and
     head-probe selectors up front — the whole audit then runs over one
-    set of indexes instead of N private per-clause matchers.
+    set of indexes instead of N private per-clause ones.
     """
-    pool = pool if pool is not None else IndexPool(instance)
+    pool = IndexPool(instance) if pool is None \
+        else pool.checked_for(instance)
     cardinalities = instance.class_sizes()
     plans = tuple(plan_constraint(clause, cardinalities)
                   for clause in constraints)

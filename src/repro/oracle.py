@@ -1,28 +1,310 @@
 """The naive reference that planned execution is differentially tested against.
 
 Production always plans (:mod:`repro.engine.planner`) and runs batch
-stages (:mod:`repro.engine.columnar`).  This module is the other end of
-the differential chain naive ⇄ production ⇄ cpl ⇄ incremental: every
-clause goes through the dynamic
-:class:`~repro.semantics.match.Matcher`, which re-derives the atom order
-per binding and builds private lazy indexes — no plan, no shared pool,
-no batches.  Tests and benchmarks reach the naive matcher only through
-these functions; nothing else under ``repro`` imports this module and
-it publishes no engine metrics.
+stages (:mod:`repro.engine.columnar`) over a shared
+:class:`~repro.semantics.match.IndexPool`.  This module is the other end
+of the differential chain naive ⇄ production ⇄ cpl ⇄ incremental: every
+clause goes through the dynamic :class:`Matcher` defined here, which
+re-derives the atom order per binding and builds private lazy indexes —
+no plan, no shared pool, no batches.  Tests and benchmarks reach it
+through these functions; inside ``repro`` only
+:meth:`repro.query.Query.run` delegates here (its rows are the read
+oracle of the end-to-end harness), and the module publishes no engine
+metrics.
+
+The matcher's readiness rule (:meth:`Matcher._readiness`) is a second,
+independent copy of the planner's static one
+(:func:`repro.engine.planner._classify`): the two legs agree because
+readiness depends only on *which* variables are bound, and
+``tests/fuzz/test_join_order.py`` pins them together (a body the
+planner refuses is one this matcher stops on).
+
+The naive executor shares the production head applier
+(``Executor._apply_head``) and :meth:`TargetStore.freeze`, so this
+chain does not test head application; the cpl leg
+(``tests/fuzz/test_differential.py::test_naive_planned_cpl_byte_equal``)
+does, which is why the fuzz keeps cpl in its chain.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from .engine.executor import ExecutionStats, Executor, _HeadPlan
-from .lang.ast import Clause
+from .lang.ast import (Atom, Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
+                       MemberAtom, NeqAtom, Proj, Term, Var)
 from .model.instance import Instance
 from .model.schema import Schema
-from .model.values import Value
+from .model.values import Oid, Value, WolList, WolSet
 from .morphase.system import Morphase, MorphaseResult
-from .semantics.match import Matcher
+from .semantics.columns import deterministic_order
+from .semantics.eval import Binding, EvalError, evaluate, is_evaluable
+from .semantics.match import IndexPool, MatchError, _is_pattern, unify_term
 from .semantics.satisfaction import Violation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .query.query import Query, Row
+
+
+class Matcher:
+    """Enumerates bindings satisfying a conjunction of atoms, in the
+    dynamic order: at each step it picks an atom that is *ready* under
+    the current binding — one that can either be tested outright or
+    used to generate/propagate bindings.  If no atom is ever ready the
+    body is reported as non-evaluable (:class:`MatchError`) rather than
+    silently dropped.
+
+    ``prefer_tests`` enables the join-ordering heuristic: among ready
+    atoms, run cheap tests before opening generators, pruning partial
+    bindings as early as possible.  Disabling it (atoms processed in
+    textual order, generators included) is the A2 ablation — the results
+    are identical but the search explores more bindings.
+
+    Membership generators narrow their candidates through a private
+    :class:`IndexPool`, built lazily per matcher.
+    """
+
+    def __init__(self, instance: Instance,
+                 prefer_tests: bool = True) -> None:
+        self.instance = instance
+        self.prefer_tests = prefer_tests
+        self.pool = IndexPool(instance)
+
+    # ------------------------------------------------------------------
+    def solutions(self, atoms: Sequence[Atom],
+                  initial: Optional[Binding] = None) -> Iterator[Binding]:
+        """All bindings extending ``initial`` that satisfy ``atoms``, in
+        the dynamic readiness order (the reference enumeration)."""
+        yield from self._solve(list(atoms), dict(initial or {}))
+
+    def satisfiable(self, atoms: Sequence[Atom],
+                    initial: Optional[Binding] = None) -> bool:
+        """True iff at least one satisfying binding exists (dynamic)."""
+        for _ in self.solutions(atoms, initial):
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    def _solve(self, atoms: List[Atom],
+               binding: Binding) -> Iterator[Binding]:
+        if not atoms:
+            yield binding
+            return
+        index = self._pick_ready(atoms, binding)
+        if index is None:
+            pending = ", ".join(str(a) for a in atoms)
+            raise MatchError(
+                f"no atom is ready under the current binding; "
+                f"pending: {pending} (is the clause range-restricted?)")
+        atom = atoms[index]
+        rest = atoms[:index] + atoms[index + 1:]
+        for extended in self._expand(atom, binding, rest):
+            yield from self._solve(rest, extended)
+
+    def _pick_ready(self, atoms: Sequence[Atom],
+                    binding: Binding) -> Optional[int]:
+        """Index of the best ready atom.
+
+        Priority: tests (filter immediately) > binds (deterministic
+        definitions — they never multiply bindings and make values
+        available to index selectors) > generators (enumerations).
+        """
+        bind_index: Optional[int] = None
+        generator_index: Optional[int] = None
+        for index, atom in enumerate(atoms):
+            readiness = self._readiness(atom, binding)
+            if readiness == "test":
+                return index
+            if readiness is None:
+                continue
+            if not self.prefer_tests:
+                return index
+            if readiness == "bind":
+                if bind_index is None:
+                    bind_index = index
+            elif generator_index is None:
+                generator_index = index
+        if bind_index is not None:
+            return bind_index
+        return generator_index
+
+    def _readiness(self, atom: Atom, binding: Binding) -> Optional[str]:
+        if isinstance(atom, MemberAtom):
+            if is_evaluable(atom.element, binding):
+                return "test"
+            if _is_pattern(atom.element):
+                return "generate"
+            return None
+        if isinstance(atom, InAtom):
+            if not is_evaluable(atom.collection, binding):
+                return None
+            if is_evaluable(atom.element, binding):
+                return "test"
+            if _is_pattern(atom.element):
+                return "generate"
+            return None
+        if isinstance(atom, EqAtom):
+            left_ok = is_evaluable(atom.left, binding)
+            right_ok = is_evaluable(atom.right, binding)
+            if left_ok and right_ok:
+                return "test"
+            if left_ok and _is_pattern(atom.right):
+                return "bind"
+            if right_ok and _is_pattern(atom.left):
+                return "bind"
+            return None
+        if isinstance(atom, (NeqAtom, LtAtom, LeqAtom)):
+            if (is_evaluable(atom.left, binding)
+                    and is_evaluable(atom.right, binding)):
+                return "test"
+            return None
+        return None
+
+    def _expand(self, atom: Atom, binding: Binding,
+                rest: Sequence[Atom] = ()) -> Iterator[Binding]:
+        if isinstance(atom, MemberAtom):
+            if is_evaluable(atom.element, binding):
+                value = self._try_eval(atom.element, binding)
+                if (isinstance(value, Oid)
+                        and value.class_name == atom.class_name
+                        and self.instance.has_object(value)):
+                    yield binding
+                return
+            candidates = self._member_candidates(atom, binding, rest)
+            for oid in candidates:
+                extended = unify_term(atom.element, oid, binding,
+                                      self.instance)
+                if extended is not None:
+                    yield extended
+            return
+        if isinstance(atom, InAtom):
+            collection = self._try_eval(atom.collection, binding)
+            if not isinstance(collection, (WolSet, WolList)):
+                return
+            if is_evaluable(atom.element, binding):
+                value = self._try_eval(atom.element, binding)
+                if any(value == element for element in collection):
+                    yield binding
+                return
+            for element in deterministic_order(collection):
+                extended = unify_term(atom.element, element, binding,
+                                      self.instance)
+                if extended is not None:
+                    yield extended
+            return
+        if isinstance(atom, EqAtom):
+            left_ok = is_evaluable(atom.left, binding)
+            right_ok = is_evaluable(atom.right, binding)
+            if left_ok and right_ok:
+                left = self._try_eval(atom.left, binding)
+                right = self._try_eval(atom.right, binding)
+                if left is not None and left == right:
+                    yield binding
+                return
+            if left_ok:
+                value = self._try_eval(atom.left, binding)
+                if value is None:
+                    return
+                extended = unify_term(atom.right, value, binding,
+                                      self.instance)
+            else:
+                value = self._try_eval(atom.right, binding)
+                if value is None:
+                    return
+                extended = unify_term(atom.left, value, binding,
+                                      self.instance)
+            if extended is not None:
+                yield extended
+            return
+        if isinstance(atom, NeqAtom):
+            left = self._try_eval(atom.left, binding)
+            right = self._try_eval(atom.right, binding)
+            if left is not None and right is not None and left != right:
+                yield binding
+            return
+        if isinstance(atom, (LtAtom, LeqAtom)):
+            left = self._try_eval(atom.left, binding)
+            right = self._try_eval(atom.right, binding)
+            if left is None or right is None:
+                return
+            try:
+                holds = (left < right if isinstance(atom, LtAtom)
+                         else left <= right)
+            except TypeError:
+                return
+            if holds:
+                yield binding
+            return
+
+    def _try_eval(self, term: Term, binding: Binding) -> Optional[Value]:
+        try:
+            return evaluate(term, binding, self.instance)
+        except EvalError:
+            return None
+
+    # ------------------------------------------------------------------
+    # Index-assisted generation
+    # ------------------------------------------------------------------
+    def _member_candidates(self, atom: MemberAtom, binding: Binding,
+                           rest: Sequence[Atom]) -> Sequence[Oid]:
+        """Candidate oids for a membership generator.
+
+        When the pending atoms determine the value of some projection
+        path of the element (``X.country.name = <bound>``), a lazily
+        built hash index narrows the candidates to the matching oids —
+        the equality join becomes a lookup instead of a scan.
+        """
+        extent = self.instance.objects_of(atom.class_name)
+        if not isinstance(atom.element, Var):
+            return extent
+        selector = self._find_selector(atom.element.name, binding, rest)
+        if selector is None:
+            return extent
+        path, value = selector
+        return self.pool.lookup(atom.class_name, path, value)
+
+    def _find_selector(self, element: str, binding: Binding,
+                       rest: Sequence[Atom]
+                       ) -> Optional[Tuple[Tuple[str, ...], Value]]:
+        """A (projection path, known value) pair selecting the element.
+
+        Follows chains of SNF definitions ``V = X.a``, ``W = V.b`` ...
+        from the element variable, and values known either from the
+        binding or from constant equations among the pending atoms.
+        """
+        chains: Dict[str, Tuple[str, ...]] = {element: ()}
+        constants: Dict[str, Value] = {}
+        for atom in rest:
+            if (isinstance(atom, EqAtom) and isinstance(atom.left, Var)
+                    and isinstance(atom.right, Const)):
+                constants[atom.left.name] = atom.right.value
+            elif (isinstance(atom, EqAtom)
+                    and isinstance(atom.left, Const)
+                    and isinstance(atom.right, Var)):
+                constants[atom.right.name] = atom.left.value
+
+        best: Optional[Tuple[Tuple[str, ...], Value]] = None
+        for _ in range(4):  # bounded chain depth
+            progressed = False
+            for atom in rest:
+                if not (isinstance(atom, EqAtom)
+                        and isinstance(atom.left, Var)
+                        and isinstance(atom.right, Proj)
+                        and isinstance(atom.right.subject, Var)):
+                    continue
+                subject = atom.right.subject.name
+                defined = atom.left.name
+                if subject not in chains or defined in chains:
+                    continue
+                chains[defined] = chains[subject] + (atom.right.attr,)
+                progressed = True
+                value = binding.get(defined, constants.get(defined))
+                if value is not None and best is None:
+                    best = (chains[defined], value)
+            if best is not None or not progressed:
+                break
+        return best
 
 
 def naive_execute(program: Iterable[Clause], source: Instance,
@@ -82,3 +364,12 @@ def naive_violations(instance: Instance, clauses: Iterable[Clause],
                 if found == limit_per_clause:
                     break
     return violations
+
+
+def naive_query(query: "Query", instance: Instance) -> Iterator["Row"]:
+    """The reference for :meth:`repro.query.Query.run_planned` (and the
+    body of :meth:`~repro.query.Query.run`): the query's rows, lazily,
+    in the dynamic matcher's order."""
+    columns = query.projection or query.variables()
+    for binding in Matcher(instance).solutions(query.body):
+        yield {name: binding[name] for name in columns if name in binding}

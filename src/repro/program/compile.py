@@ -88,14 +88,16 @@ def compile_program(program: QueryProgram, instance: Instance,
     Raises :class:`~repro.program.ast.ProgramValidationError` when
     static validation finds errors or a query body admits no join order
     (WOL504); warnings ride along on the returned report.  ``pool``
-    lets a warm session share its prebuilt indexes
-    across requests; by default a fresh pool is built and the union of
-    all statements' index selectors is materialised up front.
+    lets a warm session share its prebuilt indexes across requests (one
+    built over another instance raises :class:`ValueError`); by default
+    a fresh pool is built and the union of all statements' index
+    selectors is materialised up front.
     """
+    pool = IndexPool(instance) if pool is None \
+        else pool.checked_for(instance)
     classes = instance.schema.class_names()
     report = check_program(program, classes=classes)
 
-    pool = pool if pool is not None else IndexPool(instance)
     cardinalities = instance.class_sizes()
     compiled: List[CompiledStatement] = []
     index_paths: List[Tuple[str, Tuple[str, ...]]] = []

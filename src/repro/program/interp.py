@@ -17,8 +17,9 @@ once:
   erases it.
 
 ``query`` statements run their join plans (vectorized columnar
-batches, :meth:`~repro.semantics.match.Matcher.run_plan_columnar`);
-compilation already refused every body with no join order.
+batches, :func:`~repro.engine.columnar.stream_plan_columnar`) on the
+compiled program's index pool; compilation already refused every body
+with no join order.
 Set-algebra statements never touch the instance — ``union``,
 ``intersect``, ``difference`` and ``limit`` fold earlier result sets'
 keys and never render a row again (``project`` changes the rows, so it
@@ -34,7 +35,8 @@ from ..io.json_io import canonical_json, dump_oid_encoder, value_to_json
 from ..model.instance import Instance
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span
-from ..semantics.match import Matcher
+from ..engine.columnar import stream_plan_columnar
+from ..semantics.match import IndexPool
 from .ast import (DifferenceOp, IntersectOp, LimitOp, ProgramError,
                   ProjectOp, QueryOp, QueryProgram, UnionOp)
 from .compile import CompiledProgram, CompiledStatement, compile_program
@@ -141,11 +143,12 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
     """Run a compiled program against ``instance``.
 
     ``instance`` must be the instance the program was compiled against
-    (the pool's indexes address its oids).
+    (the pool's indexes address its oids); any other raises
+    :class:`ValueError`.
     """
+    pool = compiled.pool.checked_for(instance)
     encoder = oid_encoder if oid_encoder is not None \
         else dump_oid_encoder(instance)
-    matcher = Matcher(instance, index_pool=compiled.pool)
 
     sets: Dict[str, ResultSet] = {}
     traces: List[StatementTrace] = []
@@ -154,7 +157,7 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
         name = statement.statement.name
         with span(f"{op.op} {name}") as stmt_span:
             if isinstance(op, QueryOp):
-                result, trace = _run_query(statement, matcher, encoder)
+                result, trace = _run_query(statement, pool, encoder)
             else:
                 result = _run_algebra(op, statement.columns, sets)
                 trace = StatementTrace(name=name, op=op.op,
@@ -182,10 +185,10 @@ def run_program(program: QueryProgram, instance: Instance,
 # Statement execution
 # ----------------------------------------------------------------------
 
-def _run_query(statement: CompiledStatement, matcher: Matcher,
+def _run_query(statement: CompiledStatement, pool: IndexPool,
                encoder) -> Tuple[ResultSet, StatementTrace]:
     columns = statement.columns
-    bindings = matcher.run_plan_columnar(statement.plan.steps)
+    bindings = stream_plan_columnar(pool, statement.plan.steps)
     result = ResultSet.from_rows(
         columns, ({name: value_to_json(binding[name], encoder)
                    for name in columns if name in binding}

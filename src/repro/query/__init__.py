@@ -1,5 +1,5 @@
 """Conjunctive queries over instances using WOL bodies."""
 
-from .query import Query, QueryError, Row, query
+from .query import Query, QueryError, Row
 
-__all__ = ["Query", "QueryError", "Row", "query"]
+__all__ = ["Query", "QueryError", "Row"]

@@ -3,7 +3,7 @@
 The paper contrasts transformation languages with query languages
 (Section 1) — but a WOL body *is* a conjunctive query, and being able to
 run one interactively is invaluable when developing transformations.  This
-module wraps the matcher in a small query API::
+module wraps one body in a small query API::
 
     q = Query.parse("N, C | X in CityE, N = X.name, C = X.country.name",
                     classes=schema.class_names())
@@ -14,12 +14,13 @@ The text before ``|`` lists the *projection* — variables (or ``*`` for
 all) — and the text after it is a WOL atom list, exactly the syntax of a
 clause body.
 
-:meth:`Query.run` enumerates in the dynamic matcher's order — the
-reference the tests and the end-to-end harness compare against.  The
-service runs :meth:`Query.run_planned`: the body's join plan, batch at
-a time.  A range-restricted body can still admit no join order (an atom
-that waits on a variable only it could bind); ``run_planned`` refuses
-it with :class:`QueryError`, where ``run`` would stop at the same atom
+:meth:`Query.run` enumerates in the dynamic matcher's order — it
+delegates to :func:`repro.oracle.naive_query`, the reference the tests
+and the end-to-end harness compare against.  The service runs
+:meth:`Query.run_planned`: the body's join plan, batch at a time.  A
+range-restricted body can still admit no join order (an atom that
+waits on a variable only it could bind); ``run_planned`` refuses it
+with :class:`QueryError`, where ``run`` would stop at the same atom
 with :class:`~repro.semantics.match.MatchError`.
 """
 
@@ -32,8 +33,8 @@ from ..lang.ast import Atom, Clause
 from ..lang.parser import ParseError, parse_clause
 from ..lang.range_restriction import check_range_restriction
 from ..model.instance import Instance
-from ..model.values import Value, format_value
-from ..semantics.match import Matcher
+from ..model.values import Value
+from ..semantics.match import IndexPool
 
 
 class QueryError(Exception):
@@ -100,29 +101,28 @@ class Query:
 
     # ------------------------------------------------------------------
     def run(self, instance: Instance) -> Iterator[Row]:
-        """All result rows (projected bindings), lazily."""
-        columns = self.projection or self.variables()
-        matcher = Matcher(instance)
-        for binding in matcher.solutions(self.body):
-            yield {name: binding[name] for name in columns
-                   if name in binding}
+        """All result rows (projected bindings), lazily, in the dynamic
+        matcher's order: the reference, :func:`repro.oracle.naive_query`."""
+        from ..oracle import naive_query
+        return naive_query(self, instance)
 
-    def run_planned(self, instance: Instance, pool=None) -> Iterator[Row]:
+    def run_planned(self, instance: Instance,
+                    pool: Optional[IndexPool] = None) -> Iterator[Row]:
         """Result rows via the static planner (the service hot path).
 
         Plans the body once (:func:`repro.engine.planner.plan_clause`),
         prebuilds the plan's indexes on ``pool`` (a warm session passes
-        its shared :class:`~repro.semantics.match.IndexPool`; by
-        default a private one is built) and executes vectorized
-        (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`).  A
-        body with no join order raises :class:`QueryError` on the first
-        ``next()``.
+        its shared :class:`~repro.semantics.match.IndexPool`, which must
+        index ``instance``; by default a private one is built) and runs
+        the plan in batch stages
+        (:func:`repro.engine.columnar.stream_plan_columnar`).  A body
+        with no join order raises :class:`QueryError`, and a pool over
+        another instance :class:`ValueError`, on the first ``next()``.
         """
+        from ..engine.columnar import stream_plan_columnar
         from ..engine.planner import PlanError, plan_clause
-        from ..semantics.match import IndexPool
-        if pool is None:
-            pool = IndexPool(instance)
-        matcher = Matcher(instance, index_pool=pool)
+        pool = IndexPool(instance) if pool is None \
+            else pool.checked_for(instance)
         columns = self.projection or self.variables()
         probe = Clause(self.body, self.body)
         try:
@@ -130,56 +130,6 @@ class Query:
         except PlanError as exc:
             raise QueryError(f"query admits no join order: {exc}") from exc
         pool.prebuild(plan.index_paths)
-        for binding in matcher.run_plan_columnar(plan.steps):
+        for binding in stream_plan_columnar(pool, plan.steps):
             yield {name: binding[name] for name in columns
                    if name in binding}
-
-    def rows(self, instance: Instance) -> List[Row]:
-        """All result rows as a list."""
-        return list(self.run(instance))
-
-    def distinct(self, instance: Instance) -> List[Row]:
-        """Rows with duplicates (after projection) removed, stable order."""
-        seen = set()
-        out: List[Row] = []
-        for row in self.run(instance):
-            key = tuple(sorted(row.items(), key=lambda item: item[0]))
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-        return out
-
-    def count(self, instance: Instance) -> int:
-        return sum(1 for _ in self.run(instance))
-
-    def exists(self, instance: Instance) -> bool:
-        for _ in self.run(instance):
-            return True
-        return False
-
-    def table(self, instance: Instance, limit: Optional[int] = None) -> str:
-        """A printable table of the results."""
-        columns = list(self.projection or self.variables())
-        rows: List[List[str]] = []
-        for index, row in enumerate(self.run(instance)):
-            if limit is not None and index >= limit:
-                rows.append(["..."] * len(columns))
-                break
-            rows.append([format_value(row[c]) if c in row else ""
-                         for c in columns])
-        widths = [max(len(c), *(len(r[i]) for r in rows))
-                  if rows else len(c)
-                  for i, c in enumerate(columns)]
-        lines = ["  ".join(c.ljust(widths[i])
-                           for i, c in enumerate(columns))]
-        lines.append("-" * len(lines[0]))
-        for row in rows:
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)))
-        return "\n".join(lines)
-
-
-def query(instance: Instance, text: str) -> List[Row]:
-    """One-shot convenience: parse against the instance's schema and run."""
-    parsed = Query.parse(text, classes=instance.schema.class_names())
-    return parsed.rows(instance)

@@ -47,11 +47,12 @@ MISSING = _Missing()
 
 
 def deterministic_order(collection) -> List[Value]:
-    """A collection's elements in the matcher's deterministic order.
+    """A collection's elements in the one deterministic order.
 
-    Lists keep their order, sets sort by textual form — the same rule
-    as ``Matcher._deterministic``, shared here so pre-sorted set
-    columns and the scalar path can never diverge.
+    Lists keep their order, sets sort by textual form.  Pre-sorted set
+    columns, the columnar fallback expander and the reference matcher
+    (:mod:`repro.oracle`) all enumerate through it, so they can never
+    diverge.
     """
     if isinstance(collection, WolList):
         return list(collection)

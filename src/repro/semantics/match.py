@@ -1,19 +1,13 @@
-"""Conjunctive matching: enumerate variable bindings satisfying atoms.
+"""What every join plan runs on: plan steps, the index pool, unification.
 
-This is the shared evaluation core of the satisfaction checker
-(:mod:`repro.semantics.satisfaction`) and the one-pass execution engine
-(:mod:`repro.engine.executor`): given a set of atoms and an instance,
-enumerate all bindings of the atoms' variables that make every atom true.
-
-Production runs precompiled join plans as columnar batches
-(:meth:`Matcher.run_plan_columnar`, :mod:`repro.engine.columnar`).
-The dynamic order — :meth:`Matcher.solutions` and
-:meth:`Matcher.satisfiable` — is the reference those plans are tested
-against, reached only from :mod:`repro.oracle` and :meth:`repro.query.
-Query.run`: at each step it picks an atom that is *ready* under the
-current binding — one that can either be tested outright or used to
-generate/propagate bindings.  If no atom is ever ready the clause is
-reported as non-evaluable rather than silently dropped.
+A clause body is a conjunctive query; production evaluates it one way,
+as its join plan (:mod:`repro.engine.planner`) run in batch stages
+(:mod:`repro.engine.columnar`).  This module holds what those stages
+share with the planner: the :class:`PlanStep` records and their modes,
+the :class:`IndexPool` of hash indexes (and columns) over one instance,
+the boundness check :func:`checked_steps`, and pattern unification.
+The dynamic, per-binding enumeration those plans are tested against is
+the reference matcher of :mod:`repro.oracle`.
 
 Pattern unification against values supports the invertible positions of
 :mod:`repro.lang.range_restriction`: variables, record fields, variant
@@ -25,21 +19,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..lang.ast import (Atom, Const, EqAtom, InAtom, LeqAtom, LtAtom,
-                        MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm,
-                        Term, Var, VariantTerm)
+from ..lang.ast import (Atom, Const, Proj, RecordTerm, SkolemTerm, Term, Var,
+                        VariantTerm)
 from ..model.instance import Instance
 from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
-from .columns import ColumnStore, deterministic_order
+from .columns import ColumnStore
 from .eval import Binding, EvalError, evaluate, is_evaluable, project
 
 
 class MatchError(Exception):
-    """Raised when atoms cannot be ordered for evaluation."""
+    """Raised when a plan does not fit the variables bound before it, or
+    when the reference matcher finds no atom ready to evaluate."""
 
 
 #: Path step marking an element-of hop through a collection-valued
@@ -62,9 +56,12 @@ class IndexPool:
 
     A pool turns equality joins over class extents into hash lookups.  It
     is shareable: the program planner (:mod:`repro.engine.planner`) builds
-    one pool per source instance and injects it into every clause's
-    matcher, so an index over e.g. ``(SequenceT, name)`` is built once for
-    the whole program instead of once per :class:`Matcher`.
+    one pool per source instance and every clause's stages run on it, so
+    an index over e.g. ``(SequenceT, name)`` is built once for the whole
+    program instead of once per clause.  Stages read the instance, the
+    indexes and :meth:`columns` all from the pool; :meth:`checked_for`
+    is what every entry point handed a pool (or a plan holding one)
+    asks before running.
 
     Paths may contain :data:`ELEMENT_STEP` hops; the index then maps each
     value *reachable* through the path (fanning out over collection
@@ -98,6 +95,20 @@ class IndexPool:
             store = ColumnStore(self.instance)
             self._column_store = store
         return store
+
+    def checked_for(self, instance: Instance) -> "IndexPool":
+        """This pool, once it is known to index ``instance``.
+
+        A pool built over another instance addresses other oids: its
+        probes would silently return wrong rows, so a plan, compiled
+        program or pool handed in from outside is refused here.
+        """
+        if self.instance is not instance:
+            raise ValueError(
+                "plan or index pool was built for a different instance; "
+                "its indexes would silently produce wrong results "
+                "(re-plan against this instance)")
+        return self
 
     def index_for(self, class_name: str, path: Tuple[str, ...]
                   ) -> Dict[Value, Tuple[Oid, ...]]:
@@ -464,349 +475,6 @@ def _is_pattern(term: Term) -> bool:
     return False  # projections need evaluation
 
 
-class Matcher:
-    """Enumerates bindings satisfying a conjunction of atoms.
-
-    ``prefer_tests`` enables the join-ordering heuristic: among ready
-    atoms, run cheap tests before opening generators, pruning partial
-    bindings as early as possible.  Disabling it (atoms processed in
-    textual order, generators included) is the A2 ablation — the results
-    are identical but the search explores more bindings.
-
-    ``index_pool`` injects a shared :class:`IndexPool`; when omitted the
-    matcher owns a private pool (the pre-planner behaviour, indexes built
-    lazily per matcher).  ``run_plan_columnar`` executes a precompiled
-    sequence of :class:`PlanStep` (a fixed atom order chosen once by
-    the program planner) instead of re-deriving the order per binding.
-    """
-
-    def __init__(self, instance: Instance,
-                 prefer_tests: bool = True,
-                 index_pool: Optional[IndexPool] = None) -> None:
-        self.instance = instance
-        self.prefer_tests = prefer_tests
-        # Hash indexes turning equality joins over class extents into
-        # lookups, keeping normal-form execution one-pass in spirit *and*
-        # in cost.  Shared across clauses when a pool is injected.
-        self.pool = index_pool if index_pool is not None else \
-            IndexPool(instance)
-        # Private columnar arrays, used only when the pool tracks a
-        # different instance than this matcher (see :meth:`columns`).
-        self._own_columns: Optional[ColumnStore] = None
-
-    def columns(self) -> ColumnStore:
-        """Columnar arrays over this matcher's instance.
-
-        Shared through the pool whenever the pool tracks the same
-        instance (the planned/incremental configuration, where
-        ``rebase`` keeps the arrays patched); otherwise a matcher-
-        private store is built lazily.
-        """
-        pool = self.pool
-        if pool.instance is self.instance:
-            return pool.columns()
-        store = self._own_columns
-        if store is None or store.instance is not self.instance:
-            store = ColumnStore(self.instance)
-            self._own_columns = store
-        return store
-
-    # ------------------------------------------------------------------
-    def solutions(self, atoms: Sequence[Atom],
-                  initial: Optional[Binding] = None) -> Iterator[Binding]:
-        """All bindings extending ``initial`` that satisfy ``atoms``, in
-        the dynamic readiness order (the reference enumeration)."""
-        yield from self._solve(list(atoms), dict(initial or {}))
-
-    def satisfiable(self, atoms: Sequence[Atom],
-                    initial: Optional[Binding] = None) -> bool:
-        """True iff at least one satisfying binding exists (dynamic)."""
-        for _ in self.solutions(atoms, initial):
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    def _solve(self, atoms: List[Atom],
-               binding: Binding) -> Iterator[Binding]:
-        if not atoms:
-            yield binding
-            return
-        index = self._pick_ready(atoms, binding)
-        if index is None:
-            pending = ", ".join(str(a) for a in atoms)
-            raise MatchError(
-                f"no atom is ready under the current binding; "
-                f"pending: {pending} (is the clause range-restricted?)")
-        atom = atoms[index]
-        rest = atoms[:index] + atoms[index + 1:]
-        for extended in self._expand(atom, binding, rest):
-            yield from self._solve(rest, extended)
-
-    def _pick_ready(self, atoms: Sequence[Atom],
-                    binding: Binding) -> Optional[int]:
-        """Index of the best ready atom.
-
-        Priority: tests (filter immediately) > binds (deterministic
-        definitions — they never multiply bindings and make values
-        available to index selectors) > generators (enumerations).
-        """
-        bind_index: Optional[int] = None
-        generator_index: Optional[int] = None
-        for index, atom in enumerate(atoms):
-            readiness = self._readiness(atom, binding)
-            if readiness == "test":
-                return index
-            if readiness is None:
-                continue
-            if not self.prefer_tests:
-                return index
-            if readiness == "bind":
-                if bind_index is None:
-                    bind_index = index
-            elif generator_index is None:
-                generator_index = index
-        if bind_index is not None:
-            return bind_index
-        return generator_index
-
-    def _readiness(self, atom: Atom, binding: Binding) -> Optional[str]:
-        if isinstance(atom, MemberAtom):
-            if is_evaluable(atom.element, binding):
-                return "test"
-            if _is_pattern(atom.element):
-                return "generate"
-            return None
-        if isinstance(atom, InAtom):
-            if not is_evaluable(atom.collection, binding):
-                return None
-            if is_evaluable(atom.element, binding):
-                return "test"
-            if _is_pattern(atom.element):
-                return "generate"
-            return None
-        if isinstance(atom, EqAtom):
-            left_ok = is_evaluable(atom.left, binding)
-            right_ok = is_evaluable(atom.right, binding)
-            if left_ok and right_ok:
-                return "test"
-            if left_ok and _is_pattern(atom.right):
-                return "bind"
-            if right_ok and _is_pattern(atom.left):
-                return "bind"
-            return None
-        if isinstance(atom, (NeqAtom, LtAtom, LeqAtom)):
-            if (is_evaluable(atom.left, binding)
-                    and is_evaluable(atom.right, binding)):
-                return "test"
-            return None
-        return None
-
-    def _expand(self, atom: Atom, binding: Binding,
-                rest: Sequence[Atom] = ()) -> Iterator[Binding]:
-        if isinstance(atom, MemberAtom):
-            if is_evaluable(atom.element, binding):
-                value = self._try_eval(atom.element, binding)
-                if (isinstance(value, Oid)
-                        and value.class_name == atom.class_name
-                        and self.instance.has_object(value)):
-                    yield binding
-                return
-            candidates = self._member_candidates(atom, binding, rest)
-            for oid in candidates:
-                extended = unify_term(atom.element, oid, binding,
-                                      self.instance)
-                if extended is not None:
-                    yield extended
-            return
-        if isinstance(atom, InAtom):
-            collection = self._try_eval(atom.collection, binding)
-            if not isinstance(collection, (WolSet, WolList)):
-                return
-            if is_evaluable(atom.element, binding):
-                value = self._try_eval(atom.element, binding)
-                if any(value == element for element in collection):
-                    yield binding
-                return
-            for element in _deterministic(collection):
-                extended = unify_term(atom.element, element, binding,
-                                      self.instance)
-                if extended is not None:
-                    yield extended
-            return
-        if isinstance(atom, EqAtom):
-            left_ok = is_evaluable(atom.left, binding)
-            right_ok = is_evaluable(atom.right, binding)
-            if left_ok and right_ok:
-                left = self._try_eval(atom.left, binding)
-                right = self._try_eval(atom.right, binding)
-                if left is not None and left == right:
-                    yield binding
-                return
-            if left_ok:
-                value = self._try_eval(atom.left, binding)
-                if value is None:
-                    return
-                extended = unify_term(atom.right, value, binding,
-                                      self.instance)
-            else:
-                value = self._try_eval(atom.right, binding)
-                if value is None:
-                    return
-                extended = unify_term(atom.left, value, binding,
-                                      self.instance)
-            if extended is not None:
-                yield extended
-            return
-        if isinstance(atom, NeqAtom):
-            left = self._try_eval(atom.left, binding)
-            right = self._try_eval(atom.right, binding)
-            if left is not None and right is not None and left != right:
-                yield binding
-            return
-        if isinstance(atom, (LtAtom, LeqAtom)):
-            left = self._try_eval(atom.left, binding)
-            right = self._try_eval(atom.right, binding)
-            if left is None or right is None:
-                return
-            try:
-                holds = (left < right if isinstance(atom, LtAtom)
-                         else left <= right)
-            except TypeError:
-                return
-            if holds:
-                yield binding
-            return
-
-    def _try_eval(self, term: Term, binding: Binding) -> Optional[Value]:
-        try:
-            return evaluate(term, binding, self.instance)
-        except EvalError:
-            return None
-
-    # ------------------------------------------------------------------
-    # Index-assisted generation
-    # ------------------------------------------------------------------
-    def _member_candidates(self, atom: MemberAtom, binding: Binding,
-                           rest: Sequence[Atom]) -> Sequence[Oid]:
-        """Candidate oids for a membership generator.
-
-        When the pending atoms determine the value of some projection
-        path of the element (``X.country.name = <bound>``), a lazily
-        built hash index narrows the candidates to the matching oids —
-        the equality join becomes a lookup instead of a scan.
-        """
-        extent = self.instance.objects_of(atom.class_name)
-        if not isinstance(atom.element, Var):
-            return extent
-        selector = self._find_selector(atom.element.name, binding, rest)
-        if selector is None:
-            return extent
-        path, value = selector
-        return self.pool.lookup(atom.class_name, path, value)
-
-    def _find_selector(self, element: str, binding: Binding,
-                       rest: Sequence[Atom]
-                       ) -> Optional[Tuple[Tuple[str, ...], Value]]:
-        """A (projection path, known value) pair selecting the element.
-
-        Follows chains of SNF definitions ``V = X.a``, ``W = V.b`` ...
-        from the element variable, and values known either from the
-        binding or from constant equations among the pending atoms.
-        """
-        chains: Dict[str, Tuple[str, ...]] = {element: ()}
-        constants: Dict[str, Value] = {}
-        for atom in rest:
-            if (isinstance(atom, EqAtom) and isinstance(atom.left, Var)
-                    and isinstance(atom.right, Const)):
-                constants[atom.left.name] = atom.right.value
-            elif (isinstance(atom, EqAtom)
-                    and isinstance(atom.left, Const)
-                    and isinstance(atom.right, Var)):
-                constants[atom.right.name] = atom.left.value
-
-        best: Optional[Tuple[Tuple[str, ...], Value]] = None
-        for _ in range(4):  # bounded chain depth
-            progressed = False
-            for atom in rest:
-                if not (isinstance(atom, EqAtom)
-                        and isinstance(atom.left, Var)
-                        and isinstance(atom.right, Proj)
-                        and isinstance(atom.right.subject, Var)):
-                    continue
-                subject = atom.right.subject.name
-                defined = atom.left.name
-                if subject not in chains or defined in chains:
-                    continue
-                chains[defined] = chains[subject] + (atom.right.attr,)
-                progressed = True
-                value = binding.get(defined, constants.get(defined))
-                if value is not None and best is None:
-                    best = (chains[defined], value)
-            if best is not None or not progressed:
-                break
-        return best
-
-    # ------------------------------------------------------------------
-    # Planned execution
-    # ------------------------------------------------------------------
-    def run_plan_columnar(self, steps: Sequence[PlanStep],
-                          initial: Optional[Binding] = None,
-                          stats=None) -> Iterator[Binding]:
-        """Execute a plan batch-at-a-time (the vectorized hot path),
-        one binding dict per solution.
-
-        The plan runs over whole candidate columns, falling back
-        per-step to :meth:`_expand_step` for steps the vectorizer
-        cannot compile (see
-        :func:`repro.engine.columnar.step_vectorizable`).
-        ``initial``'s variables must have been declared to the planner
-        (``plan_clause(..., initial_bound=...)``); a mismatch raises
-        :class:`MatchError` at call time.  ``stats`` optionally collects
-        vectorized/fallback step and batch-size counters
-        (``ExecutionStats`` shape).
-        """
-        steps = checked_steps(steps, initial or ())
-        from ..engine.columnar import stream_plan_columnar
-        return stream_plan_columnar(self, steps, initial, stats)
-
-    def _expand_step(self, step: PlanStep,
-                     binding: Binding) -> Iterator[Binding]:
-        """One binding through one non-vectorizable step (the columnar
-        fallback stage's expander): a generator whose element is a
-        pattern, or an equation binding a pattern.  Test steps always
-        vectorize, so any other mode raises :class:`MatchError`."""
-        atom = step.atom
-        mode = step.mode
-        if mode == STEP_MEMBER_SCAN:
-            candidates: Sequence[Value] = self.instance.objects_of(
-                atom.class_name)
-            pattern = atom.element
-        elif mode == STEP_MEMBER_INDEX:
-            # An EvalError in the selector means no object can pass the
-            # equality test either, so the empty candidate set is exact.
-            value = self._try_eval(step.selector_term, binding)
-            candidates = () if value is None else self.pool.lookup(
-                atom.class_name, step.selector_path, value)
-            pattern = atom.element
-        elif mode == STEP_IN_GENERATE:
-            collection = self._try_eval(atom.collection, binding)
-            candidates = (_deterministic(collection)
-                          if isinstance(collection, (WolSet, WolList))
-                          else ())
-            pattern = atom.element
-        elif mode == STEP_EQ_BIND:
-            value = self._try_eval(step.eval_term, binding)
-            candidates = () if value is None else (value,)
-            pattern = step.pattern_term
-        else:
-            raise MatchError(f"no fallback expansion for plan step mode "
-                             f"{mode!r}")
-        for candidate in candidates:
-            extended = unify_term(pattern, candidate, binding, self.instance)
-            if extended is not None:
-                yield extended
-
-
 def checked_steps(steps: Sequence[PlanStep],
                   bound: Iterable[str]) -> Tuple[PlanStep, ...]:
     """``steps`` as a tuple, once the ``bound`` variable names are known
@@ -831,10 +499,3 @@ def checked_steps(steps: Sequence[PlanStep],
                 "binding (re-plan with matching initial_bound)")
         available.update(step.binds)
     return steps
-
-
-def _deterministic(collection) -> List[Value]:
-    """Iterate a collection in a deterministic order (the single
-    definition lives in :mod:`repro.semantics.columns` so pre-sorted
-    set columns and the scalar path can never diverge)."""
-    return deterministic_order(collection)

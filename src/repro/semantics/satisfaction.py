@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (the planner imports
-    # this package's matcher)
+    # this package's plan steps)
     from ..engine.columnar import CompiledPlan
     from ..engine.planner import AuditPlan, ConstraintPlan
 
@@ -41,7 +41,7 @@ from ..model.schema import merge_schemas
 from ..model.values import Oid, Value, format_value
 from ..obs.trace import span
 from .eval import Binding
-from .match import Matcher
+from .match import IndexPool
 
 
 @dataclass
@@ -87,12 +87,12 @@ def merge_instances(name: str, instances: Sequence[Instance]) -> Instance:
     return Instance(schema, valuations)
 
 
-def clause_violations(matcher: Matcher, plan: "ConstraintPlan",
+def clause_violations(pool: IndexPool, plan: "ConstraintPlan",
                       limit: Optional[int] = None,
                       head: Optional["CompiledPlan"] = None
                       ) -> List[Violation]:
-    """Counterexamples to ``plan.clause`` in ``matcher.instance`` (up
-    to ``limit``; ``limit=0`` reports none).
+    """Counterexamples to ``plan.clause`` in ``pool.instance`` (up to
+    ``limit``; ``limit=0`` reports none).
 
     ``plan`` is the clause's
     :class:`~repro.engine.planner.ConstraintPlan`.  The body runs its
@@ -117,16 +117,16 @@ def clause_violations(matcher: Matcher, plan: "ConstraintPlan",
     with span(f"clause {clause.name or clause}") as clause_span:
         # ``names`` are exactly the body's variables, in binding order.
         names, columns, count = columnar.run_steps_columnar(
-            matcher, plan.body.steps, {}, 1)
+            pool, plan.body.steps, {}, 1)
         missing: List[int] = []
         if count:
             if head is None:
                 head = columnar.compile_probe(
-                    matcher.instance.schema, plan.head.steps,
+                    pool.instance.schema, plan.head.steps,
                     columnar.member_classes(clause.body))
             with span("head"):
                 missing = columnar.unextended_rows(
-                    matcher, plan.head.steps, columns, count, head)
+                    pool, plan.head.steps, columns, count, head)
         violations = [
             Violation(clause, {name: columns[name][row] for name in names})
             for row in missing[:limit]]
@@ -148,23 +148,18 @@ def program_violations(instance: Instance, program: Iterable[Clause],
 
     The whole audit is *planned*: every clause's body and head probe
     are compiled once by :func:`repro.engine.planner.plan_audit` and
-    executed over one shared, prebuilt :class:`IndexPool` instead of a
-    fresh matcher (with private lazy indexes) per clause.  ``plan``
+    executed over one shared, prebuilt :class:`IndexPool`.  ``plan``
     injects a precomputed :class:`~repro.engine.planner.AuditPlan`
     (e.g. to amortise planning and index builds across repeated audits
-    of one instance).
+    of one instance); one planned over another instance raises
+    :class:`ValueError`.
     """
     clauses = list(program)
     audit_plan = plan
     if audit_plan is None:
         from ..engine.planner import plan_audit
         audit_plan = plan_audit(clauses, instance)
-    elif audit_plan.pool.instance is not instance:
-        raise ValueError(
-            "injected audit plan was built for a different instance; "
-            "its indexes would silently produce wrong violation sets "
-            "(re-plan with plan_audit against this instance)")
-    matcher = Matcher(instance, index_pool=audit_plan.pool)
+    pool = audit_plan.pool.checked_for(instance)
     violations: List[Violation] = []
     for index, clause in enumerate(clauses):
         # Plans align with the clause sequence; an injected plan built
@@ -174,7 +169,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
             clause_plan = audit_plan.plans[index]
         else:
             clause_plan = audit_plan.plan_for(clause)
-        violations.extend(clause_violations(matcher, clause_plan,
+        violations.extend(clause_violations(pool, clause_plan,
                                             limit_per_clause))
     return violations
 

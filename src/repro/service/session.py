@@ -188,9 +188,9 @@ class WarehouseSession:
         self._target_encoded: Optional[Tuple[int, bytes]] = None
         # Warm query state over the *target*: a shared IndexPool (whose
         # indexes amortise across /query?body= and /program requests)
-        # and the dump oid-encoder, both invalidated at batch
-        # boundaries like the target document.
-        self._warm_cache: Optional[Tuple[int, Any, Any]] = None
+        # and the dump oid-encoder, both invalidated whenever a batch
+        # replaces the target.
+        self._warm_cache: Optional[Tuple[Any, Any]] = None
 
     # ------------------------------------------------------------------
     # Writes
@@ -382,23 +382,25 @@ class WarehouseSession:
             return encoded
 
     def _warm_query_state(self):
-        """(IndexPool, oid-encoder) over the target, cached per batch.
+        """(IndexPool, oid-encoder) over the target, cached per target.
 
         Called under the read lock.  The pool's indexes amortise
         across every ``/query?body=`` and ``/program`` request between
         two batch boundaries — this cache is exactly the "warm session"
-        advantage ``benchmarks/bench_program.py`` measures.
+        advantage ``benchmarks/bench_program.py`` measures.  It is keyed
+        by the target itself, not by the applied sequence number: a
+        batch replaces the target under the write lock but advances the
+        number only afterwards, and a read in between must not run on
+        the previous target's pool.
         """
+        target = self.transform.target
         cached = self._warm_cache
-        if cached is not None and cached[0] == self._applied_seq:
-            return cached[1], cached[2]
+        if cached is not None and cached[0].instance is target:
+            return cached
         from ..io.json_io import dump_oid_encoder
         from ..semantics.match import IndexPool
-        target = self.transform.target
-        pool = IndexPool(target)
-        encoder = dump_oid_encoder(target)
-        self._warm_cache = (self._applied_seq, pool, encoder)
-        return pool, encoder
+        self._warm_cache = (IndexPool(target), dump_oid_encoder(target))
+        return self._warm_cache
 
     def query_body_json(self, body: str,
                         project: Optional[str] = None) -> Dict[str, Any]:

@@ -17,7 +17,8 @@ import pytest
 from repro.engine import columnar, plan_audit
 from repro.engine.columnar import stream_plan_columnar
 from repro.engine.executor import ExecutionStats
-from repro.semantics.match import Matcher, STEP_MEMBER_SCAN
+from repro.oracle import Matcher
+from repro.semantics.match import STEP_MEMBER_SCAN
 from repro.semantics.satisfaction import program_violations
 
 
@@ -27,7 +28,7 @@ def test_audit_bodies_stay_linear(warehouses, name):
     combined = warehouse.combined
     extents = combined.class_sizes().values()
     audit_plan = plan_audit(warehouse.morphase.program, combined)
-    planned = Matcher(combined, index_pool=audit_plan.pool)
+    planned = audit_plan.pool
     dynamic = Matcher(combined)
     for plan in audit_plan.plans:
         stats = ExecutionStats()

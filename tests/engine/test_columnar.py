@@ -14,7 +14,7 @@ import types
 
 import pytest
 
-from repro.engine.columnar import (_compilable, compile_term,
+from repro.engine.columnar import (_compilable, _expand_step, compile_term,
                                    seeded_batch_columnar, step_vectorizable,
                                    stream_plan_columnar)
 from repro.engine.executor import ExecutionError
@@ -27,9 +27,8 @@ from repro.model import (INT, STR, InstanceBuilder, Oid, Record, Schema,
                          WolSet, record, set_of)
 from repro.model.schema import parse_schema
 from repro.morphase import Morphase
-from repro.oracle import naive_transform
-from repro.semantics import Matcher
-from repro.semantics.match import STEP_COMPARE, MatchError
+from repro.oracle import Matcher, naive_transform
+from repro.semantics.match import STEP_COMPARE, IndexPool, MatchError
 from repro.workloads.cities import sample_euro_instance
 
 
@@ -90,10 +89,10 @@ class TestPositionalEquivalence:
         plan = body_plan(
             "E in CountryE, N = E.name, C in CityE, E = C.country, "
             "M = C.name", EURO_CLASSES)
-        matcher = Matcher(euro)
+        matcher, pool = Matcher(euro), IndexPool(euro)
         stats = counters()
         columnar = list(stream_plan_columnar(
-            matcher, plan.steps, None, stats))
+            pool, plan.steps, None, stats))
         assert canonical(columnar) == canonical(
             matcher.solutions(plan.clause.body))
         assert len(columnar) == len(euro.objects_of("CityE"))
@@ -103,29 +102,29 @@ class TestPositionalEquivalence:
 
     def test_initial_binding_respected(self):
         euro = sample_euro_instance()
-        matcher = Matcher(euro)
+        matcher, pool = Matcher(euro), IndexPool(euro)
         country = euro.objects_of("CountryE")[0]
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
         columnar = list(stream_plan_columnar(
-            matcher, plan.steps, {"E": country}))
+            pool, plan.steps, {"E": country}))
         assert columnar
         assert canonical(columnar) == canonical(matcher.solutions(
             plan.clause.body, {"E": country}))
 
     def test_seeded_batch_groups_by_seed(self):
         euro = sample_euro_instance()
-        matcher = Matcher(euro)
+        pool = IndexPool(euro)
         seeds = list(euro.objects_of("CountryE"))
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
         steps = tuple(plan.steps)
         per_seed = [binding for oid in seeds
                     for binding in stream_plan_columnar(
-                        matcher, steps, {"E": oid})]
+                        pool, steps, {"E": oid})]
         stats = counters()
         columnar = list(seeded_batch_columnar(
-            matcher, steps, "E", seeds, stats))
+            pool, steps, "E", seeds, stats))
         assert columnar == per_seed  # same rows, grouped in seed order
         assert stats.vectorized_rows > 0
 
@@ -146,14 +145,14 @@ class TestFallbackReentry:
                 pt=Record.of(x=index, y=-index),
                 tags=WolSet.of(f"t{index}", "shared")))
         instance = builder.freeze()
-        matcher = Matcher(instance)
+        matcher, pool = Matcher(instance), IndexPool(instance)
         plan = body_plan(
             "C in C, M = C.name, (x = X, y = Y) = C.pt, W in C.tags",
             ["C"])
         assert not all(step_vectorizable(step) for step in plan.steps)
         stats = counters()
         columnar = list(stream_plan_columnar(
-            matcher, plan.steps, None, stats))
+            pool, plan.steps, None, stats))
         assert canonical(columnar) == canonical(
             matcher.solutions(plan.clause.body))
         # Rows stay grouped by the driving scan, in extent order.
@@ -171,8 +170,8 @@ class TestFallbackReentry:
                        if step.mode == STEP_COMPARE)
         assert step_vectorizable(compare)
         with pytest.raises(MatchError):
-            list(Matcher(sample_euro_instance())._expand_step(
-                compare, {"N": "Rome"}))
+            list(_expand_step(IndexPool(sample_euro_instance()),
+                              compare, {"N": "Rome"}))
 
 
 def _term_samples():

@@ -7,7 +7,7 @@ from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Record,
                          Schema, WolList, WolSet, list_of, record, set_of)
-from repro.semantics import Matcher
+from repro.oracle import Matcher
 from repro.workloads import genome
 
 

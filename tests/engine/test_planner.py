@@ -13,12 +13,12 @@ from repro.model import (STR, InstanceBuilder, Record, Schema, WolSet, record,
                          set_of)
 from repro.morphase import Morphase
 from repro.obs.metrics import REGISTRY
-from repro.oracle import naive_transform
+from repro.oracle import Matcher, naive_transform
 from repro.normalization.optimize import (ELEMENT_STEP, constant_bindings,
                                           definition_chains)
-from repro.semantics.match import (IndexPool, MatchError, Matcher,
-                                   STEP_EQ_BIND, STEP_EQ_TEST,
-                                   STEP_MEMBER_INDEX, STEP_MEMBER_SCAN)
+from repro.semantics.match import (IndexPool, MatchError, STEP_EQ_BIND,
+                                   STEP_EQ_TEST, STEP_MEMBER_INDEX,
+                                   STEP_MEMBER_SCAN)
 from repro.workloads import cities, genome
 from repro.workloads.cities import sample_euro_instance
 
@@ -33,11 +33,11 @@ def body_clause(body_text, classes=CLASSES):
     return clause(f"T = T <= {body_text};", classes=classes)
 
 
-def probe(matcher, steps, columns, count):
+def probe(pool, steps, columns, count):
     """The batch head probe: the rows of ``columns`` no solution of
     ``steps`` extends."""
-    compiled = compile_probe(matcher.instance.schema, steps)
-    return unextended_rows(matcher, steps, columns, count, compiled)
+    compiled = compile_probe(pool.instance.schema, steps)
+    return unextended_rows(pool, steps, columns, count, compiled)
 
 
 class TestAtomOrdering:
@@ -266,16 +266,17 @@ class TestIndexPool:
         assert titles == {"a": ["d1", "d3"], "b": ["d2", "d3"],
                           "x": ["d1"]}
 
-    def test_matcher_accepts_injected_pool(self):
+    def test_planned_runs_share_an_injected_pool(self):
         instance = sample_euro_instance()
         pool = IndexPool(instance)
-        first = Matcher(instance, index_pool=pool)
-        second = Matcher(instance, index_pool=pool)
-        body = body_clause(
-            'C in CityE, V = C.country, N = V.name, N = "France"').body
-        assert list(first.solutions(body))
+        plan = plan_clause(body_clause(
+            'C in CityE, V = C.country, N = V.name, N = "France"'),
+            instance.class_sizes())
+        assert STEP_MEMBER_INDEX in [step.mode for step in plan.steps]
+        assert list(stream_plan_columnar(pool, plan.steps))
         builds = pool.builds
-        assert list(second.solutions(body))
+        assert builds == 1  # built lazily by the first run
+        assert list(stream_plan_columnar(pool, plan.steps))
         assert pool.builds == builds  # reused, not rebuilt
 
 
@@ -293,9 +294,8 @@ class TestPlannedNaiveAgreement:
         c = parse_clause("T = T <= " + body + ";", classes=CLASSES)
         plain = canonical(Matcher(instance).solutions(c.body))
         pool = IndexPool(instance)
-        planned_matcher = Matcher(instance, index_pool=pool)
         plan = plan_clause(c, cards)
-        planned = canonical(stream_plan_columnar(planned_matcher,
+        planned = canonical(stream_plan_columnar(pool,
                                                  plan.steps, None))
         return plain, planned
 
@@ -337,15 +337,15 @@ class TestPlannedNaiveAgreement:
         c = body_clause("V = C.country, N = V.name")
         plan = plan_clause(c, instance.class_sizes(),
                            initial_bound=["C"])
-        matcher = Matcher(instance)
+        pool = IndexPool(instance)
         city = instance.objects_of("CityE")[0]
-        out = list(matcher.run_plan_columnar(plan.steps,
-                                             initial={"C": city}))
+        out = list(stream_plan_columnar(pool, plan.steps,
+                                        initial={"C": city}))
         assert len(out) == 1
         assert out[0]["C"] == city and "N" in out[0]
         # Running without the declared seed must error, not return [].
         with pytest.raises(MatchError):
-            list(matcher.run_plan_columnar(plan.steps))
+            list(stream_plan_columnar(pool, plan.steps))
 
     @pytest.mark.parametrize("entry", ["run_plan_columnar",
                                        "unextended_rows"])
@@ -358,14 +358,15 @@ class TestPlannedNaiveAgreement:
                              instance.class_sizes(), initial_bound=["C"])
         unseeded = plan_clause(body_clause("C in CityE"),
                                instance.class_sizes())
-        matcher = Matcher(instance)
+        pool = IndexPool(instance)
         if entry == "run_plan_columnar":
-            run = matcher.run_plan_columnar
+            def run(steps, initial=None):
+                return stream_plan_columnar(pool, steps, initial)
         else:
             def run(steps, initial=None):
                 columns = {name: [value]
                            for name, value in (initial or {}).items()}
-                return probe(matcher, steps, columns, 1)
+                return probe(pool, steps, columns, 1)
         city = instance.objects_of("CityE")[0]
         with pytest.raises(MatchError):
             run(seeded.steps)  # declared seed missing
@@ -379,22 +380,23 @@ class TestPlannedNaiveAgreement:
         the dynamic order."""
         instance = sample_euro_instance()
         sizes = instance.class_sizes()
+        pool = IndexPool(instance)
         matcher = Matcher(instance)
         cities = list(instance.objects_of("CityE"))
         unseeded = plan_clause(body_clause("C in CityE"), sizes)
         head = body_clause('C in CityE, V = C.country, N = V.name, '
                            'N = "France"')
         seeded = plan_clause(head, sizes, initial_bound=["C"])
-        missing = probe(matcher, seeded.steps, {"C": cities}, len(cities))
+        missing = probe(pool, seeded.steps, {"C": cities}, len(cities))
         assert missing == [row for row, city in enumerate(cities)
                            if not matcher.satisfiable(head.body,
                                                       {"C": city})]
         assert 0 < len(missing) < len(cities)
-        assert probe(matcher, unseeded.steps, {"Z": [1]}, 1) == []
+        assert probe(pool, unseeded.steps, {"Z": [1]}, 1) == []
         with pytest.raises(MatchError):     # would re-bind C
-            probe(matcher, unseeded.steps, {"C": cities[:1]}, 1)
+            probe(pool, unseeded.steps, {"C": cities[:1]}, 1)
         with pytest.raises(MatchError):     # reads a C nobody bound
-            probe(matcher, seeded.steps, {}, 1)
+            probe(pool, seeded.steps, {}, 1)
         assert "plan" not in Matcher.solutions.__code__.co_varnames
         assert "plan" not in Matcher.satisfiable.__code__.co_varnames
 

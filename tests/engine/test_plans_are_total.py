@@ -4,8 +4,10 @@ The planner's static readiness is the dynamic matcher's, so a body the
 planner cannot order is one the matcher stops on too — a "run the
 dynamic matcher instead" branch can never produce a row.  Such a body
 is refused when it is planned (``PlanError``), and the dynamic order
-is left to the reference enumerations only: :mod:`repro.oracle`, the
-matcher itself and :meth:`repro.query.Query.run`.  The scalar plan
+is left to the reference: the matcher lives in :mod:`repro.oracle`,
+which alone enumerates with it (:meth:`repro.query.Query.run`
+delegates there).  Production has no matcher at all — its stages run
+on an :class:`~repro.semantics.match.IndexPool`.  The scalar plan
 runner is gone as well: a constraint's head runs once over its whole
 body batch, as an anti-join.
 """
@@ -21,7 +23,7 @@ MODULES = {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
            for path in sorted(PACKAGE.rglob("*.py"))}
 
 #: Where the dynamic order may still be called.
-REFERENCE_MODULES = {"oracle.py", "semantics/match.py", "query/query.py"}
+REFERENCE_MODULES = {"oracle.py"}
 #: ``PlanError`` turned into the read side's own validation errors.
 READ_SIDE_CONVERSIONS = {"query/query.py", "program/compile.py"}
 
@@ -47,8 +49,44 @@ def _plan_error_handlers(text):
 def test_only_the_references_enumerate_in_the_dynamic_order():
     callers = {name: lines for name, text in MODULES.items()
                if (lines := _dynamic_calls(text))}
-    assert callers.keys() <= REFERENCE_MODULES, callers
-    assert "oracle.py" in callers and "query/query.py" in callers
+    assert callers.keys() == REFERENCE_MODULES, callers
+
+
+def _matcher_uses(text):
+    """Lines defining, importing or naming a ``Matcher``."""
+    uses = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        uses.extend(node.lineno for name in names if name == "Matcher")
+    return sorted(uses)
+
+
+def test_no_matcher_outside_the_oracle():
+    users = {name: lines for name, text in MODULES.items()
+             if (lines := _matcher_uses(text))}
+    assert users.keys() == REFERENCE_MODULES, users
+
+
+#: The production matcher's machinery: its private columns for a pool
+#: over another instance, its plan runner and its pool parameter.
+#: Stages take the pool itself (``repro.engine.columnar``).
+MATCHER_WRAPPER = ("_own_columns", "run_plan_columnar", "index_pool")
+
+
+def test_the_matcher_wrapper_is_gone():
+    found = sorted((name, word) for name, text in MODULES.items()
+                   for word in MATCHER_WRAPPER
+                   if re.search(rf"\b{word}\b", text))
+    assert found == []
 
 
 def test_plan_errors_are_caught_only_by_analysis_and_the_read_side():
@@ -107,3 +145,7 @@ def test_the_scans_see_what_they_look_for():
         "def run_plan(s):\n    return s._run_steps(plan_satisfiable)\n"
         "m.run_plan_columnar(p)\n") == [
             (1, "run_plan"), (2, "_run_steps"), (2, "plan_satisfiable")]
+    assert _matcher_uses(
+        "from .match import Matcher as M\nclass Matcher:\n    pass\n"
+        "import repro.oracle.Matcher\nx = oracle.Matcher(i)\n"
+        "y = Matcher\nMatchError\n") == [1, 2, 4, 5, 6]

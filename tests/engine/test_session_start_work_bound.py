@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import IncrementalTransform, columnar, executor, incremental
 from repro.evolution.delta import Delta
-from repro.semantics.match import Matcher
+from repro.oracle import Matcher
 
 
 @pytest.fixture

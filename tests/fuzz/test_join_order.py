@@ -42,8 +42,8 @@ from repro.lang import parse_clause
 from repro.model import InstanceBuilder, Record
 from repro.model.schema import parse_schema
 from repro.model.values import WolSet
-from repro.semantics.match import (IndexPool, MatchError, Matcher,
-                                   STEP_MEMBER_SCAN)
+from repro.oracle import Matcher
+from repro.semantics.match import IndexPool, MatchError, STEP_MEMBER_SCAN
 
 CLASSES = ("A", "B", "C")
 SCHEMA = parse_schema("""
@@ -177,6 +177,6 @@ def test_driving_extent_search(case):
         scans = [s for s in plan.steps if s.mode == STEP_MEMBER_SCAN]
         assert len(scans) == 1, plan.explain()
 
-    planned = Matcher(instance, index_pool=IndexPool(instance))
+    planned = IndexPool(instance)
     assert _canonical(stream_plan_columnar(planned, plan.steps, None)) \
         == _canonical(Matcher(instance).solutions(clause.body))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.query import Query, QueryError, query
+from repro.model import Record
+from repro.query import Query, QueryError
 from repro.workloads import cities, persons
 
 
@@ -52,65 +53,42 @@ class TestParse:
 
 class TestRun:
     def test_filter_and_project(self, euro):
-        rows = query(euro,
-                     "N | X in CityE, X.is_capital = true, N = X.name")
+        q = Query.parse("N | X in CityE, X.is_capital = true, N = X.name",
+                        classes=CLASSES)
+        rows = list(q.run(euro))
         assert sorted(r["N"] for r in rows) == [
             "Berlin", "London", "Paris"]
 
     def test_join_through_reference(self, euro):
-        rows = query(
-            euro,
-            'N | X in CityE, X.country.name = "France", N = X.name')
+        q = Query.parse('N | X in CityE, X.country.name = "France",'
+                        ' N = X.name', classes=CLASSES)
+        rows = list(q.run(euro))
         assert sorted(r["N"] for r in rows) == ["Lyon", "Paris"]
 
-    def test_count_and_exists(self, euro):
-        q = Query.parse("X in CityE", classes=CLASSES)
-        assert q.count(euro) == 7
-        assert q.exists(euro)
-        empty = Query.parse('X in CityE, X.name = "Gotham"',
-                            classes=CLASSES)
-        assert not empty.exists(euro)
-        assert empty.count(euro) == 0
-
-    def test_distinct(self, euro):
-        q = Query.parse("L | C in CountryE, L = C.language",
-                        classes=CLASSES)
-        assert len(q.rows(euro)) == 3
-        assert len(q.distinct(euro)) == 3
-        # Same language twice after adding a country.
-        builder = euro.builder()
-        from repro.model import Record
-        builder.new("CountryE", Record.of(
-            name="Austria", language="German", currency="schilling"))
-        extended = builder.freeze()
-        assert len(q.rows(extended)) == 4
-        assert len(q.distinct(extended)) == 3
-
     def test_cross_class_join(self, euro):
-        rows = query(
-            euro,
-            "CN | X in CityE, C in CountryE, X.country = C,"
-            " X.is_capital = true, CN = C.name")
+        q = Query.parse("CN | X in CityE, C in CountryE, X.country = C,"
+                        " X.is_capital = true, CN = C.name",
+                        classes=CLASSES)
+        rows = list(q.run(euro))
         assert len(rows) == 3
 
     def test_variant_patterns(self):
         source = persons.sample_instance()
-        rows = query(source,
-                     "N | P in Person, P.sex = ins_male(), N = P.name")
+        q = Query.parse("N | P in Person, P.sex = ins_male(), N = P.name",
+                        classes=source.schema.class_names())
+        rows = list(q.run(source))
         assert sorted(r["N"] for r in rows) == ["Adam", "Carl", "Evan"]
 
-    def test_table_rendering(self, euro):
-        q = Query.parse("N, L | C in CountryE, N = C.name,"
-                        " L = C.language", classes=CLASSES)
-        text = q.table(euro)
-        assert "France" in text
-        assert text.splitlines()[0].startswith("N")
-
-    def test_table_limit(self, euro):
-        q = Query.parse("N | X in CityE, N = X.name", classes=CLASSES)
-        text = q.table(euro, limit=2)
-        assert "..." in text
-
     def test_rows_are_projected(self, euro):
-        rows = query(euro, "N | X in CityE, N = X.name")
+        q = Query.parse("N | X in CityE, N = X.name", classes=CLASSES)
+        rows = list(q.run(euro))
         assert all(set(row) == {"N"} for row in rows)
+        # One row per binding: projection keeps duplicates.
+        q = Query.parse("L | C in CountryE, L = C.language",
+                        classes=CLASSES)
+        builder = euro.builder()
+        builder.new("CountryE", Record.of(
+            name="Austria", language="German", currency="schilling"))
+        rows = list(q.run(builder.freeze()))
+        assert len(rows) == 4
+        assert len({row["L"] for row in rows}) == 3

@@ -5,7 +5,8 @@ import pytest
 from repro.lang import parse_clause, parse_term
 from repro.model import (STR, InstanceBuilder, Oid, Record, Schema, WolSet,
                          record, set_of)
-from repro.semantics import Matcher, unify_term
+from repro.oracle import Matcher
+from repro.semantics import unify_term
 from repro.workloads.cities import sample_euro_instance
 
 CLASSES = ["CityE", "CountryE"]

@@ -118,7 +118,7 @@ class TestMergeInstances:
         c = parse_clause(
             "X = X <= X in CityA, Y in CityE, X.name = Y.name;",
             classes=US_CLASSES + EURO_CLASSES)
-        from repro.semantics import Matcher
+        from repro.oracle import Matcher
         assert not Matcher(merged).satisfiable(c.body)
 
 

@@ -176,6 +176,23 @@ class TestMaintenance:
             session.query_body_json("X in Nonsense")
         assert info.value.status == 422
 
+    def test_read_between_apply_and_seq_runs_on_the_new_target(self,
+                                                               session):
+        """A batch replaces the target under the write lock and
+        advances the applied seq only afterwards: a read in between
+        gets a pool over the new target, not the cached one over the
+        old target (whose index probes would miss the new country)."""
+        body = 'X in CountryT, N = X.name, N = "Utopia"'
+        assert session.query_body_json(body)["count"] == 0
+        country = Oid.fresh("CountryE")
+        session.transform.apply_delta(Delta(inserts={
+            "CountryE": {country: Record.of(
+                name="Utopia", language="utopian", currency="UTO")},
+            "CityE": {Oid.fresh("CityE"): Record.of(
+                name="Nowhere", is_capital=True, country=country)}}))
+        assert session.applied_seq == 0
+        assert session.query_body_json(body)["count"] == 1
+
     def test_stats_shape(self, session):
         session.ingest(insert_country("A")[1])
         value = session.metrics.value
