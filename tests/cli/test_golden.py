@@ -2,7 +2,9 @@
 
 The ``plan``, ``check --json`` and ``apply-delta --json`` outputs are
 consumed by CI and external tools, so their exact shape is pinned
-against goldens stored in ``tests/cli/goldens/``.  Volatile fields
+against goldens stored in ``tests/cli/goldens/``, as are the
+human-readable ``--stats`` lines of ``transform``, ``check`` and
+``apply-delta`` (views of one ``ExecutionStats`` record).  Volatile fields
 (elapsed milliseconds, filesystem paths) are scrubbed to stable
 placeholders before comparison; everything else — plan step orders,
 estimated costs, violation witnesses, propagation counters — must
@@ -21,6 +23,7 @@ empty by construction.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -87,6 +90,13 @@ def scrub(document, replacements) -> str:
         assert leaf in node, f"expected {dotted} in CLI output"
         node[leaf] = placeholder
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def mask_elapsed(rendered: str) -> str:
+    """``rendered`` with its one ``<n>.<n> ms`` elapsed figure masked."""
+    masked, count = re.subn(r"\b\d+\.\d ms\b", "<elapsed> ms", rendered)
+    assert count == 1, f"expected one elapsed figure in {rendered!r}"
+    return masked
 
 
 @pytest.fixture()
@@ -162,6 +172,19 @@ class TestCheckGolden:
                          {"stats.elapsed_ms": "<elapsed>"})
         compare_to_golden("check_relibase.json", rendered)
 
+    def test_check_stats_line(self, relibase_workspace, capsys):
+        w = relibase_workspace
+        (w / "constraints.wol").write_text(RELIBASE_CONSTRAINTS_TEXT)
+        self.corrupted_warehouse(w)
+        code = main(["check",
+                     "--source", str(w / "relibase.schema"),
+                     str(w / "constraints.wol"),
+                     "--data", str(w / "warehouse.json"),
+                     "--stats"])
+        out = capsys.readouterr().out
+        assert code == 1
+        compare_to_golden("check_stats_relibase.txt", mask_elapsed(out))
+
     def test_parallel_flag_is_gone(self, relibase_workspace, capsys):
         """``--parallel N`` sharded the audit across N processes and,
         under a cap, printed a different violation subset than the
@@ -197,6 +220,43 @@ class TestApplyDeltaGolden:
                          {"stats.elapsed_ms": "<elapsed>",
                           "target.path": "<out>"})
         compare_to_golden("apply_delta_cities.json", rendered)
+
+    def test_apply_delta_stats_line(self, cities_workspace, capsys):
+        w = cities_workspace
+        code = main(["apply-delta",
+                     "--source", str(w / "us.schema"),
+                     "--source", str(w / "euro.schema"),
+                     "--target", str(w / "target.schema"),
+                     str(w / "program.wol"),
+                     "--data", str(w / "us.json"),
+                     "--data", str(w / "euro.json"),
+                     "--delta", str(w / "delta.json"),
+                     "--out", str(w / "updated.json"),
+                     "--stats"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rendered = scrub_text(mask_elapsed(out),
+                              {str(w / "updated.json"): "<out>"})
+        compare_to_golden("apply_delta_stats_cities.txt", rendered)
+
+
+class TestTransformGolden:
+    def test_transform_stats_line(self, cities_workspace, capsys):
+        w = cities_workspace
+        code = main(["transform",
+                     "--source", str(w / "us.schema"),
+                     "--source", str(w / "euro.schema"),
+                     "--target", str(w / "target.schema"),
+                     str(w / "program.wol"),
+                     "--data", str(w / "us.json"),
+                     "--data", str(w / "euro.json"),
+                     "--out", str(w / "out.json"),
+                     "--stats"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rendered = scrub_text(mask_elapsed(out),
+                              {str(w / "out.json"): "<out>"})
+        compare_to_golden("transform_stats_cities.txt", rendered)
 
 
 GENOME_GENE_DELTA = {
