@@ -84,8 +84,8 @@ def test_audit_speedup_genome(genome_target, bench_report, benchmark):
         ("path", "ms", "scans avoided", "indexes built", "constraints"),
         [("naive", round(naive_time * 1000, 1), "-", "-", "-"),
          ("planned", round(planned_time * 1000, 1),
-          planned.index_lookups,
-          planned.prebuilt_indexes + planned.indexes_built,
+          planned.stats.index_hits + planned.stats.index_misses,
+          planned.plan.prebuilt_indexes + planned.stats.indexes_built,
           planned.checked),
          ("speedup", f"{speedup:.2f}x", "", "", "")])
     benchmark.extra_info["speedup"] = round(speedup, 2)
@@ -209,7 +209,7 @@ def test_audit_plan_reuse(genome_target, benchmark):
     assert (_violation_set(_reported(shared))
             == _violation_set(_reported(fresh)))
     # The shared-plan run builds no indexes at all: they were prebuilt.
-    assert shared.indexes_built == 0
+    assert shared.stats.indexes_built == 0
     print_table("C1: audit plan reuse",
                 ("mode", "ms"),
                 [("plan once, audit many", round(shared_time * 1000, 1)),

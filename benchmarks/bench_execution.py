@@ -76,7 +76,8 @@ def test_execution_statistics(morphase, benchmark):
                  "attr writes", "scans avoided"),
                 [(stats.clauses_run, stats.clauses_planned,
                   stats.bindings_found, stats.objects_created,
-                  stats.attributes_set, stats.scans_avoided)])
+                  stats.attributes_set,
+                  stats.index_hits + stats.index_misses)])
     # Every created object is reachable from some binding (one-pass).
     assert stats.objects_created == sum(sizes.values())
     assert stats.bindings_found >= stats.objects_created

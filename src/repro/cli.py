@@ -20,8 +20,8 @@ Subcommands::
                              --data euro.json [--stats]
         Audit constraint clauses against an instance.  The audit is
         planned (per-clause join orders for body and head probe, one
-        shared prebuilt index pool); ``--stats`` prints the
-        planner/index counters.
+        shared prebuilt index pool); ``--stats`` prints the audit's
+        run record.
 
     python -m repro plan     --source us.schema --target target.schema \\
                              program.wol --data us.json
@@ -86,7 +86,8 @@ Schema files use the textual schema language; ``program.wol`` is WOL
 concrete syntax; instances are the JSON interchange format of
 :mod:`repro.io` and deltas that of
 :mod:`repro.evolution.delta`.  ``transform`` runs the planned execution
-path; ``--stats`` prints the executor/planner counters.  Planned
+path.  Every ``--stats`` line and ``--json`` ``stats`` object is a
+view of one run's :class:`~repro.engine.executor.ExecutionStats`.  Planned
 execution is vectorized: whole binding batches flow through each clause
 as columns, with a row-at-a-time fallback per step the vectorizer cannot
 compile.
@@ -104,6 +105,7 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from .constraints.audit import audit_constraints
+from .engine.executor import ExecutionStats
 from .evolution.delta import load_delta
 from .io.json_io import dump_instance, load_instance
 from .lang.parser import parse_program
@@ -150,6 +152,14 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _probes_and_time(stats: ExecutionStats) -> str:
+    """The tail the ``transform`` and ``check`` ``--stats`` lines
+    share: the run's index probes (each a scan avoided) and wall time."""
+    return (f"{stats.index_hits + stats.index_misses} scans avoided "
+            f"({stats.index_hits} hits / {stats.index_misses} misses), "
+            f"{stats.elapsed_seconds * 1000:.1f} ms")
+
+
 def _cmd_transform(args) -> int:
     morphase = _build_morphase(args)
     instances = [load_instance(path) for path in args.data]
@@ -183,9 +193,7 @@ def _cmd_transform(args) -> int:
               f"{vector_note}"
               f"{stats.bindings_found} bindings, "
               f"{prebuilt + stats.indexes_built} indexes built, "
-              f"{stats.scans_avoided} scans avoided "
-              f"({stats.index_hits} hits / {stats.index_misses} misses), "
-              f"{stats.elapsed_seconds * 1000:.1f} ms")
+              f"{_probes_and_time(stats)}")
     if args.audit:
         tracing = (start_trace("audit", program=args.program)
                    if args.trace else nullcontext(None))
@@ -225,7 +233,10 @@ def _cmd_check(args) -> int:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0 if report.ok else 1
     if args.stats:
-        print(report.stats_line())
+        prebuilt = report.plan.prebuilt_indexes
+        print(f"stats: {report.checked} constraints, "
+              f"{prebuilt + report.stats.indexes_built} indexes built "
+              f"({prebuilt} prebuilt), {_probes_and_time(report.stats)}")
     if not report.ok:
         found = [violation for name in report.failed_clauses()
                  for violation in report.violations[name]]

@@ -11,7 +11,8 @@ Audits run on the same production execution machinery as transformations:
 body *and* per head-satisfiability probe) and executes every clause over
 one shared, prebuilt :class:`~repro.semantics.match.IndexPool` through
 :func:`~repro.semantics.satisfaction.program_violations` — the one
-audit loop; this module adds only the grouping and the counters.  A
+audit loop; this module adds only the grouping and the run's
+:class:`~repro.engine.executor.ExecutionStats`.  A
 constraint whose body or head admits no join order is refused with
 :class:`~repro.engine.planner.PlanError` when the family is planned.
 The pre-planner behaviour — a fresh naive matcher with private lazy
@@ -22,9 +23,10 @@ the differential reference: both report identical violation sets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..engine.executor import ExecutionStats
 from ..engine.planner import AuditPlan, plan_audit
 from ..lang.ast import Clause
 from ..model.instance import Instance
@@ -35,21 +37,17 @@ from ..semantics.satisfaction import Violation, program_violations
 class ConstraintReport:
     """Violations per clause, with a pass/fail summary.
 
-    The planner counters describe *how* the audit executed:
-    ``prebuilt_indexes`` were materialised at planning time, and
-    ``index_lookups`` extent scans were replaced by hash
-    probes (``index_hits`` returned candidates, ``index_misses`` proved
-    no candidate exists).
+    ``stats`` is the audit's run record — the
+    :class:`~repro.engine.executor.ExecutionStats` every engine run
+    fills: its share of the plan's index pool and its wall time.
+    ``plan`` is the :class:`~repro.engine.planner.AuditPlan` it ran,
+    whose ``prebuilt_indexes`` were materialised at planning time.
     """
 
     checked: int
-    violations: Dict[str, List[Violation]] = field(default_factory=dict)
-    prebuilt_indexes: int = 0
-    indexes_built: int = 0
-    index_lookups: int = 0
-    index_hits: int = 0
-    index_misses: int = 0
-    elapsed_seconds: float = 0.0
+    violations: Dict[str, List[Violation]]
+    stats: ExecutionStats
+    plan: AuditPlan
 
     @property
     def ok(self) -> bool:
@@ -57,15 +55,6 @@ class ConstraintReport:
 
     def failed_clauses(self) -> List[str]:
         return sorted(self.violations)
-
-    def stats_line(self) -> str:
-        """One line of planner/index counters (the CLI's ``--stats``)."""
-        return (f"stats: {self.checked} constraints, "
-                f"{self.prebuilt_indexes + self.indexes_built} indexes "
-                f"built ({self.prebuilt_indexes} prebuilt), "
-                f"{self.index_lookups} scans avoided "
-                f"({self.index_hits} hits / {self.index_misses} misses), "
-                f"{self.elapsed_seconds * 1000:.1f} ms")
 
     def to_json(self) -> Dict:
         """A machine-readable report (the CLI's ``check --json``)."""
@@ -75,12 +64,13 @@ class ConstraintReport:
             "violations": {name: [str(violation) for violation in found]
                            for name, found in sorted(self.violations.items())},
             "stats": {
-                "prebuilt_indexes": self.prebuilt_indexes,
-                "indexes_built": self.indexes_built,
-                "index_lookups": self.index_lookups,
-                "index_hits": self.index_hits,
-                "index_misses": self.index_misses,
-                "elapsed_ms": round(self.elapsed_seconds * 1000, 3),
+                "prebuilt_indexes": self.plan.prebuilt_indexes,
+                "indexes_built": self.stats.indexes_built,
+                "index_lookups": (self.stats.index_hits
+                                  + self.stats.index_misses),
+                "index_hits": self.stats.index_hits,
+                "index_misses": self.stats.index_misses,
+                "elapsed_ms": round(self.stats.elapsed_seconds * 1000, 3),
             },
         }
 
@@ -111,23 +101,17 @@ def audit_constraints(instance: Instance,
     repeated audits).
     """
     start = time.perf_counter()
-    report = ConstraintReport(checked=len(constraints))
     audit_plan = plan if plan is not None \
         else plan_audit(constraints, instance)
-    pool = audit_plan.pool
-    # The pool may be shared across audits: report this run's delta.
-    baseline = (pool.builds, pool.lookups, pool.hits, pool.misses)
+    report = ConstraintReport(checked=len(constraints), violations={},
+                              stats=ExecutionStats(), plan=audit_plan)
     names = {id(clause): clause.name or f"<clause {index}>"
              for index, clause in enumerate(constraints)}
-    for violation in program_violations(instance, constraints,
-                                        limit_per_clause,
-                                        plan=audit_plan):
-        report.violations.setdefault(
-            names[id(violation.clause)], []).append(violation)
-    report.prebuilt_indexes = audit_plan.prebuilt_indexes
-    report.indexes_built = pool.builds - baseline[0]
-    report.index_lookups = pool.lookups - baseline[1]
-    report.index_hits = pool.hits - baseline[2]
-    report.index_misses = pool.misses - baseline[3]
-    report.elapsed_seconds = time.perf_counter() - start
+    with report.stats.charging(audit_plan.pool):
+        for violation in program_violations(instance, constraints,
+                                            limit_per_clause,
+                                            plan=audit_plan):
+            report.violations.setdefault(
+                names[id(violation.clause)], []).append(violation)
+    report.stats.elapsed_seconds = time.perf_counter() - start
     return report

@@ -68,6 +68,7 @@ from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
                                STEP_MEMBER_TEST, IndexPool, MatchError,
                                PlanStep, checked_steps, unify_term)
+from .executor import ExecutionStats
 
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
@@ -394,12 +395,11 @@ def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
         values = selector(pool, columns, count)
         keep: List[int] = []
         out_column: List[Value] = []
-        lookups = hits = misses = 0
+        hits = misses = 0
         for row, value in enumerate(values):
             if value is MISSING:
                 continue
             candidates = get(value, ())
-            lookups += 1
             if candidates:
                 hits += 1
                 for oid in candidates:
@@ -407,7 +407,6 @@ def _index_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
                     out_column.append(oid)
             else:
                 misses += 1
-        pool.lookups += lookups
         pool.hits += hits
         pool.misses += misses
         out = {variable: [column[row] for row in keep]
@@ -870,15 +869,15 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
 # ----------------------------------------------------------------------
 
 def run_steps_columnar(pool: IndexPool, steps: Sequence[PlanStep],
-                       columns: Columns, count: int, stats=None,
+                       columns: Columns, count: int,
+                       stats: Optional[ExecutionStats] = None,
                        needed: Optional[frozenset] = None,
                        compiled: Optional[CompiledPlan] = None
                        ) -> Tuple[Tuple[str, ...], Columns, int]:
     """Run a plan over an initial batch; returns final names/columns.
 
-    ``stats`` is any object with ``vectorized_steps``,
-    ``fallback_steps``, ``vectorized_rows`` and ``max_batch_rows``
-    counters (``ExecutionStats`` qualifies).
+    ``stats`` is the run's record: its vectorized / fallback step,
+    row and batch counters grow here.
 
     With ``needed``, dead binding columns are dropped between stages
     (liveness filtering): the final batch holds only the columns the
@@ -966,7 +965,8 @@ def unextended_rows(pool: IndexPool, steps: Sequence[PlanStep],
 
 def stream_plan_columnar(pool: IndexPool, steps: Sequence[PlanStep],
                          initial: Optional[Binding] = None,
-                         stats=None) -> Iterator[Binding]:
+                         stats: Optional[ExecutionStats] = None
+                         ) -> Iterator[Binding]:
     """The solutions of a plan run once from ``initial``, one binding
     dict each.
 
@@ -984,7 +984,8 @@ def stream_plan_columnar(pool: IndexPool, steps: Sequence[PlanStep],
 
 
 def seeded_batch_columnar(pool: IndexPool, steps: Sequence[PlanStep],
-                          variable: str, oids: Sequence[Oid], stats=None,
+                          variable: str, oids: Sequence[Oid],
+                          stats: Optional[ExecutionStats] = None,
                           compiled: Optional[CompiledPlan] = None):
     """Binding iterator for a whole seed vector in one batch.
 

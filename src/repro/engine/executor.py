@@ -43,9 +43,10 @@ lets tests compare direct execution against the WOL->CPL->interpreter path.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
 from ..lang.ast import (
     Clause, EqAtom, InAtom, MemberAtom, Program, Proj, SkolemTerm, Term, Var)
@@ -79,17 +80,27 @@ Effect = Tuple
 
 @dataclass
 class ExecutionStats:
-    """Counters for one execution run or incremental step (benchmark E5
-    reads these).
+    """The one record of an engine run: a batch pass
+    (:meth:`Executor.run_program`), an incremental step
+    (:meth:`~repro.engine.incremental.IncrementalTransform.apply_delta`)
+    or a constraint audit
+    (:func:`~repro.constraints.audit.audit_constraints`).  The CLI's
+    ``--stats`` / ``--json`` views render it, and
+    :func:`~repro.obs.metrics.publish_engine_stats` feeds the registry
+    from it.
 
     The planner-related counters describe how the bodies were evaluated:
     ``clauses_planned`` clauses ran on a precompiled :class:`JoinPlan`
     (all of them, except under :mod:`repro.oracle`), ``atoms_reordered`` body
     atoms were moved from their textual position, and the index counters
-    mirror the shared :class:`~repro.semantics.match.IndexPool` —
-    ``scans_avoided`` is the number of extent scans replaced by hash
-    probes, split into ``index_hits`` (probe produced candidates) and
-    ``index_misses`` (probe proved no candidate exists).
+    are the run's share of the shared
+    :class:`~repro.semantics.match.IndexPool`'s activity
+    (:meth:`charging`): ``index_hits + index_misses`` extent scans were
+    replaced by hash probes, split into ``index_hits`` (probe produced
+    candidates) and ``index_misses`` (probe proved no candidate exists).
+    A batch pass counts ``clauses_run`` and ``bindings_found``; an
+    incremental step reports its clauses and bindings in its own
+    fields below instead.
     """
 
     clauses_run: int = 0
@@ -102,7 +113,6 @@ class ExecutionStats:
     indexes_built: int = 0
     index_hits: int = 0
     index_misses: int = 0
-    scans_avoided: int = 0
     #: Vectorized execution (:mod:`repro.engine.columnar`): plan steps
     #: run as whole-batch array operations vs. steps that fell back to
     #: the scalar step expander, total rows entering vectorized steps,
@@ -130,6 +140,21 @@ class ExecutionStats:
     violations_added: int = 0
     violations_removed: int = 0
     violations_rechecked: int = 0
+
+    @contextmanager
+    def charging(self, pool: IndexPool) -> Iterator["ExecutionStats"]:
+        """Charge ``pool``'s activity inside the block to this run.
+
+        A pool outlives runs (a reused plan, an incremental session),
+        so the run records the pool's *delta* over the block, not its
+        lifetime counters.  Indexes a planner prebuilt before the block
+        belong to the plan (its ``prebuilt_indexes``), not here.
+        """
+        builds, hits, misses = pool.builds, pool.hits, pool.misses
+        yield self
+        self.indexes_built += pool.builds - builds
+        self.index_hits += pool.hits - hits
+        self.index_misses += pool.misses - misses
 
 
 class _PendingObject:
@@ -299,10 +324,6 @@ class TargetStore:
             return Instance(self.target_schema, valuations), changed
 
 
-def _pool_counters(pool: IndexPool) -> Tuple[int, int, int, int]:
-    return (pool.builds, pool.hits, pool.misses, pool.lookups)
-
-
 class Executor:
     """Runs source-only clauses against a source instance.
 
@@ -331,19 +352,15 @@ class Executor:
         """
         start = time.perf_counter()
         clauses = list(program)
-        if plan is None:
-            # Planning here is part of this run: its prebuilds count.
-            pool = IndexPool(self.source)
-            baseline = _pool_counters(pool)
-            plan = plan_program(clauses, self.source, pool=pool)
-        else:
-            # An injected plan's pool may be shared across runs; only
-            # activity from this point on belongs to this run's stats.
-            pool = plan.pool.checked_for(self.source)
-            baseline = _pool_counters(pool)
-        for clause in clauses:
-            self.run_clause(clause, plan.plan_for(clause), pool)
-        self._sync_index_stats(pool, baseline)
+        # Planning here is part of this run: its prebuilds count.  An
+        # injected plan's pool may be shared across runs.
+        pool = (IndexPool(self.source) if plan is None
+                else plan.pool.checked_for(self.source))
+        with self.stats.charging(pool):
+            if plan is None:
+                plan = plan_program(clauses, self.source, pool=pool)
+            for clause in clauses:
+                self.run_clause(clause, plan.plan_for(clause), pool)
         self.stats.elapsed_seconds += time.perf_counter() - start
         publish_engine_stats("columnar", self.stats)
         return self
@@ -596,21 +613,6 @@ class Executor:
             attributes_set += len(column)
         self.stats.attributes_set += attributes_set
         return True
-
-    def _sync_index_stats(self, pool: IndexPool,
-                          baseline: Tuple[int, int, int, int]) -> None:
-        """Add this run's pool activity to the stats.
-
-        The pool may be shared across executors (a reused plan), so the
-        stats record the *delta* over this run, not the pool's lifetime
-        counters.  Indexes prebuilt by the planner before the run belong
-        to planning and are visible on the plan's pool, not here.
-        """
-        builds, hits, misses, lookups = baseline
-        self.stats.indexes_built += pool.builds - builds
-        self.stats.index_hits += pool.hits - hits
-        self.stats.index_misses += pool.misses - misses
-        self.stats.scans_avoided += pool.lookups - lookups
 
     def _check_source_only(self, clause: Clause) -> None:
         source_classes = set(self.source.schema.class_names())

@@ -529,7 +529,8 @@ class IncrementalTransform:
         start = time.perf_counter()
         stats = ExecutionStats(delta_size=delta.size())
         try:
-            added, removed = self._apply_delta(delta, stats)
+            with stats.charging(self.plan.pool):
+                added, removed = self._apply_delta(delta, stats)
         except Exception as exc:
             self._poisoned = str(exc)
             raise

@@ -607,8 +607,11 @@ class AuditPlan:
 
     ``plans`` is index-aligned with the clause sequence given to
     :func:`plan_audit`.  ``prebuilt_indexes`` counts the indexes
-    materialised at planning time (the per-run pool deltas reported by
-    :class:`~repro.constraints.audit.ConstraintReport` exclude them).
+    materialised at planning time; an audit's
+    :class:`~repro.engine.executor.ExecutionStats` charges only the
+    pool activity of its run, so a
+    :class:`~repro.constraints.audit.ConstraintReport` reads the
+    prebuilt count off its plan.
     """
 
     plans: Tuple[ConstraintPlan, ...]

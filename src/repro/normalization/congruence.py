@@ -425,14 +425,6 @@ class Congruence:
                 self._node_of(value) for _, value in rhs.args))
         raise ValueError(f"not an SNF right-hand side: {rhs!r}")
 
-    def construction_of(self, term: Term) -> Optional[Tuple[str, Tuple[Term, ...]]]:
-        """The constructor definition of a term's class, if any."""
-        app = self._constructions.get(self._node_of(term))
-        if app is None:
-            return None
-        return app.op, tuple(self._node_to_term(self._find(a))
-                             for a in app.args)
-
     def _node_to_term(self, node: _Node) -> Term:
         if node.kind == "const":
             return Const(node.payload[1])  # type: ignore[index]

@@ -230,17 +230,6 @@ def _identity_args_evaluable(analyzed: _Analyzed) -> None:
 # Unfolding
 # ----------------------------------------------------------------------
 
-def _reads_of(clause: Clause, var: str) -> List[EqAtom]:
-    """Body atoms reading attributes of ``var``: ``V = var.a``."""
-    reads = []
-    for atom in clause.body:
-        if (isinstance(atom, EqAtom) and isinstance(atom.right, Proj)
-                and isinstance(atom.right.subject, Var)
-                and atom.right.subject.name == var):
-            reads.append(atom)
-    return reads
-
-
 def _assignment_value(producer: Clause, object_var: str,
                       attr: str) -> Optional[Term]:
     """The value the producer's head assigns to ``object_var.attr``."""

@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
+
+if TYPE_CHECKING:  # the engine imports this module
+    from ..engine.executor import ExecutionStats
 
 __all__ = [
     "BATCH_BUCKETS",
@@ -426,31 +430,15 @@ def get_registry() -> MetricsRegistry:
 # Engine-stats bridge
 # ----------------------------------------------------------------------
 
-#: ExecutionStats attributes mirrored into registry counters, by
-#: metric suffix.  Read with getattr so any stats-like object
-#: publishes the fields it has.
-_ENGINE_FIELDS = (
-    ("clauses", "clauses_run"),
-    ("bindings", "bindings_found"),
-    ("objects_created", "objects_created"),
-    ("index_builds", "indexes_built"),
-    ("index_hits", "index_hits"),
-    ("index_misses", "index_misses"),
-    ("vectorized_steps", "vectorized_steps"),
-    ("fallback_steps", "fallback_steps"),
-    ("vectorized_rows", "vectorized_rows"),
-)
-
-
-def publish_engine_stats(engine: str, stats: object,
+def publish_engine_stats(engine: str, stats: ExecutionStats,
                          registry: Optional[MetricsRegistry] = None
                          ) -> None:
-    """Mirror one execution's stats into per-engine registry counters.
+    """Feed one run's :class:`~repro.engine.executor.ExecutionStats`
+    into the cumulative ``repro_engine_*_total{engine=...}`` counters.
 
-    Replaces the ad-hoc "read ExecutionStats off the last run" pattern
-    with cumulative ``repro_engine_*_total{engine=...}`` counters that
-    survive across requests and engines.  Cheap: one call per
-    transform/program/delta-apply, not per row.
+    The run's record is the origin — the registry only accumulates it
+    per process.  Cheap: one call per transform/program/delta-apply,
+    not per row; a zero field adds no sample.
     """
     if not _ENABLED:
         return
@@ -458,8 +446,17 @@ def publish_engine_stats(engine: str, stats: object,
     registry.counter("repro_engine_runs_total",
                      "Engine executions by engine.",
                      ("engine",)).labels(engine).inc()
-    for suffix, attr in _ENGINE_FIELDS:
-        amount = getattr(stats, attr, 0) or 0
+    for suffix, attr, amount in (
+            ("clauses", "clauses_run", stats.clauses_run),
+            ("bindings", "bindings_found", stats.bindings_found),
+            ("objects_created", "objects_created", stats.objects_created),
+            ("index_builds", "indexes_built", stats.indexes_built),
+            ("index_hits", "index_hits", stats.index_hits),
+            ("index_misses", "index_misses", stats.index_misses),
+            ("vectorized_steps", "vectorized_steps",
+             stats.vectorized_steps),
+            ("fallback_steps", "fallback_steps", stats.fallback_steps),
+            ("vectorized_rows", "vectorized_rows", stats.vectorized_rows)):
         if amount:
             registry.counter(
                 f"repro_engine_{suffix}_total",

@@ -1,9 +1,11 @@
 """Compiling validated query programs for execution.
 
 Compilation is the bridge between the AST and the engine: each
-``query`` statement's body is parsed once (:meth:`repro.query.Query.
-parse`), wrapped in a probe clause and handed to the static join
-planner (:func:`repro.engine.planner.plan_clause`), and the union of
+``query`` statement's body is parsed twice — once by static validation
+(:func:`~repro.program.validate.check_program`), then again here
+(:meth:`repro.query.Query.parse`) — wrapped in a probe clause and
+handed to the static join planner
+(:func:`repro.engine.planner.plan_clause`), and the union of
 every plan's index selectors is prebuilt on one shared
 :class:`~repro.semantics.match.IndexPool` — the same amortisation the
 batch transformation engine applies across clauses, applied across the

@@ -18,9 +18,7 @@ The store is *patchable under deltas*: :meth:`patch` applies exactly the
 edit order of :meth:`repro.evolution.delta.Delta.apply_to` — deletions
 tombstone rows, updates rewrite columns in place (dict insertion order
 keeps the row position), insertions append — so a patched extent stays
-byte-identical to a rebuild from the updated instance.  When the caller
-cannot supply the strict per-class edit sets, :meth:`refresh` drops the
-touched classes for lazy rebuild instead.
+byte-identical to a rebuild from the updated instance.
 """
 
 from __future__ import annotations
@@ -346,21 +344,3 @@ class ColumnStore:
                     column.rewrite_row(row, elements)
             self.rows_patched += 1
         return True
-
-    def refresh(self, new_instance: Instance,
-                touched_classes: Iterable[str]) -> None:
-        """Re-point at ``new_instance``, dropping the touched classes.
-
-        The no-strict-sets fallback: classes whose objects may have
-        changed rebuild lazily; untouched classes keep their arrays
-        (their valuations are carried over unchanged)."""
-        for class_name in touched_classes:
-            self._classes.pop(class_name, None)
-        self.instance = new_instance
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "classes_built": self.classes_built,
-            "columns_built": self.columns_built,
-            "rows_patched": self.rows_patched,
-        }

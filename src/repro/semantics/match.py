@@ -70,10 +70,12 @@ class IndexPool:
     atoms still verify the chain, so correctness never depends on the
     index being exact.
 
-    Counters record how the pool was used (``ExecutionStats`` reads them):
-    ``builds`` indexes materialised, ``lookups`` total indexed probes (each
-    one replaces a full extent scan), split into ``hits`` (non-empty
-    candidate list) and ``misses`` (provably no match, no scan needed).
+    Counters record the pool's lifetime use: ``builds`` indexes
+    materialised, and the indexed probes (each one replaces a full
+    extent scan), split into ``hits`` (non-empty candidate list) and
+    ``misses`` (provably no match, no scan needed).  A run charges its
+    share to its own record with
+    :meth:`~repro.engine.executor.ExecutionStats.charging`.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -81,7 +83,6 @@ class IndexPool:
         self._indexes: Dict[Tuple[str, Tuple[str, ...]],
                             Dict[Value, Tuple[Oid, ...]]] = {}
         self.builds = 0
-        self.lookups = 0
         self.hits = 0
         self.misses = 0
         # Columnar arrays over the same instance, shared like the
@@ -137,7 +138,6 @@ class IndexPool:
     def lookup(self, class_name: str, path: Tuple[str, ...],
                value: Value) -> Tuple[Oid, ...]:
         """Indexed probe: the oids whose ``path`` projects to ``value``."""
-        self.lookups += 1
         candidates = self.index_for(class_name, path).get(value, ())
         if candidates:
             self.hits += 1
@@ -190,10 +190,8 @@ class IndexPool:
     def rebase(self, new_instance: Instance,
                removed: Mapping[str, Sequence[Oid]],
                added: Mapping[str, Sequence[Oid]],
-               strict_removed: Optional[Mapping[str,
-                                                Sequence[Oid]]] = None,
-               strict_added: Optional[Mapping[str,
-                                              Sequence[Oid]]] = None,
+               strict_removed: Mapping[str, Sequence[Oid]],
+               strict_added: Mapping[str, Sequence[Oid]],
                changed_attrs: Optional[Mapping[Oid, Optional[frozenset]]]
                = None) -> Tuple[int, int]:
         """Point the pool at an updated instance, patching built indexes
@@ -215,13 +213,15 @@ class IndexPool:
         contribute nothing on that side, so over-approximating either
         set is harmless.
 
-        ``strict_removed``/``strict_added`` optionally narrow the work
-        for *local* paths (ones that never dereference another class):
-        a referrer's entry in such an index cannot move, so only the
-        objects the delta itself names need patching — and with
+        ``strict_removed``/``strict_added`` are the objects the delta
+        itself names, per class.  They narrow the work for *local*
+        paths (ones that never dereference another class): a
+        referrer's entry in such an index cannot move, so only those
+        objects need patching — and with
         ``changed_attrs`` (per-oid differing labels, None for
         existence changes) an update that leaves the path's root
-        attribute untouched is skipped entirely.
+        attribute untouched is skipped entirely.  They also patch the
+        pool's columns, which read only each object's own value.
 
         An index whose path the schema walk cannot bound
         (:meth:`path_dependencies` returns None) is dropped and lazily
@@ -234,9 +234,7 @@ class IndexPool:
             if deps is None:
                 dropped.append((class_name, path))
                 continue
-            local = deps == {class_name}
-            if local and strict_removed is not None \
-                    and strict_added is not None:
+            if deps == {class_name}:  # a local path
                 removed_here: Sequence[Oid] = [
                     oid for oid in strict_removed.get(class_name, ())
                     if _attr_touched(oid, path, changed_attrs)]
@@ -266,16 +264,9 @@ class IndexPool:
             maintained += 1
         for key in dropped:
             del self._indexes[key]
-        store = self._column_store
-        if store is not None:
-            # Columns depend only on each object's *own* stored value,
-            # so the strict per-class edit sets patch extents exactly;
-            # without them, drop the touched classes for lazy rebuild.
-            if strict_removed is not None and strict_added is not None:
-                store.patch(new_instance, strict_removed, strict_added)
-            else:
-                store.refresh(new_instance,
-                              set(removed) | set(added))
+        if self._column_store is not None:
+            self._column_store.patch(new_instance, strict_removed,
+                                     strict_added)
         self.instance = new_instance
         return maintained, len(dropped)
 

@@ -23,8 +23,6 @@ from typing import List, Optional
 
 from ..adapters.acedb import AceClass, AceDatabase, TagSpec, import_acedb
 from ..adapters.relational import Column, TableSchema
-from ..lang.ast import Program
-from ..lang.parser import parse_program
 from ..model.instance import Instance
 from ..model.keys import KeyedSchema
 from ..model.schema import parse_schema
@@ -127,14 +125,6 @@ def warehouse_constraints() -> List:
     """
     from ..constraints.library import schema_constraints
     return schema_constraints(warehouse_schema())
-
-
-def genome_program() -> Program:
-    from ..adapters.acedb import schema_of_acedb
-    source = schema_of_acedb(AceDatabase("ACe22", ACE_CLASSES))
-    classes = (source.schema.class_names()
-               + warehouse_schema().schema.class_names())
-    return parse_program(PROGRAM_TEXT, classes=classes)
 
 
 def generate_acedb(genes: int, sequences: int, clones: int,

@@ -21,8 +21,6 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from ..lang.ast import Program
-from ..lang.parser import parse_program
 from ..model.instance import Instance, InstanceBuilder
 from ..model.keys import KeyedSchema
 from ..model.schema import parse_schema
@@ -125,13 +123,6 @@ def relibase_constraints() -> List:
          EqAtom(Var("P"), Proj(Var("S"), "protein"))),
         name="inv_Structure_protein", kind=KIND_CONSTRAINT))
     return clauses
-
-
-def warehouse_program() -> Program:
-    classes = (swissprot_schema().schema.class_names()
-               + pdb_schema().schema.class_names()
-               + relibase_schema().schema.class_names())
-    return parse_program(PROGRAM_TEXT, classes=classes)
 
 
 def sample_swissprot() -> Instance:

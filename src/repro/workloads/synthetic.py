@@ -26,7 +26,7 @@ from ..lang.parser import parse_program
 from ..model.instance import Instance, InstanceBuilder
 from ..model.keys import KeyedSchema
 from ..model.schema import parse_schema
-from ..model.values import Record, Variant
+from ..model.values import Record
 
 
 # ----------------------------------------------------------------------
@@ -131,14 +131,3 @@ def variant_split_program(width: int, choices: int = 2) -> Program:
     classes = source.schema.class_names() + target.schema.class_names()
     return parse_program(variant_split_program_text(width, choices),
                          classes=classes)
-
-
-def variant_instance(width: int, choices: int, items: int) -> Instance:
-    source, _ = variant_schemas(width, choices)
-    builder = InstanceBuilder(source.schema)
-    for index in range(items):
-        fields = {"name": f"item{index}",
-                  "tag": Variant(f"c{index % choices}")}
-        fields.update({f"a{i}": f"v{index}_{i}" for i in range(width)})
-        builder.new("Item", Record.of(**fields))
-    return builder.freeze()

@@ -24,10 +24,12 @@ from repro.model import (INT, STR, ClassType, Record, Schema, WolSet,
 from repro.model.instance import InstanceBuilder
 from repro.model.values import Oid
 from repro.morphase import Morphase
+from repro.obs.metrics import REGISTRY
 from repro.semantics.match import IndexPool
 from repro.workloads import genome, relibase, synthetic
 from tests.service.streams import (CitiesStream, cities_morphase,
-                                   cities_sources)
+                                   cities_sources, genome_sources)
+from tests.service.streams import genome_morphase as genome_stream_morphase
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +155,9 @@ class TestIndexPoolRebase:
         new_instance = delta.apply_to(genome_source,
                                       validate_changed=False)
         builds_before = pool.builds
-        maintained, rebuilt = pool.rebase(
-            new_instance, delta.removed_by_class(),
-            delta.added_by_class())
+        removed, added = delta.removed_by_class(), delta.added_by_class()
+        maintained, rebuilt = pool.rebase(new_instance, removed, added,
+                                          removed, added)
         assert (maintained, rebuilt) == (1, 0)
         assert name not in pool.index_for("Gene", ("name",))
         assert pool.builds == builds_before  # patched, not rebuilt
@@ -178,8 +180,9 @@ class TestIndexPoolRebase:
         affected = {}
         for oid in closure:
             affected.setdefault(oid.class_name, []).append(oid)
-        maintained, rebuilt = pool.rebase(new_instance, affected,
-                                          affected)
+        maintained, rebuilt = pool.rebase(
+            new_instance, affected, affected, delta.removed_by_class(),
+            delta.added_by_class())
         assert maintained == 1
         assert rebuilt == 0
         patched = pool.index_for("Sequence", ("gene", "[]", "name"))
@@ -198,9 +201,9 @@ class TestIndexPoolRebase:
         delta = Delta(deletes={"Gene": (gene,)})
         new_instance = delta.apply_to(genome_source,
                                       validate_changed=False)
-        maintained, rebuilt = pool.rebase(
-            new_instance, delta.removed_by_class(),
-            delta.added_by_class())
+        removed, added = delta.removed_by_class(), delta.added_by_class()
+        maintained, rebuilt = pool.rebase(new_instance, removed, added,
+                                          removed, added)
         assert rebuilt == 1
         assert ("Gene", ("no_such_attr",)) not in pool.indexed_keys()
 
@@ -217,8 +220,8 @@ class TestIndexPoolRebase:
                 name="GNEW", symbol=WolSet.of("gnew"),
                 description=WolSet.of())}})
         new_instance = delta.apply_to(genome_source)
-        pool.rebase(new_instance, delta.removed_by_class(),
-                    delta.added_by_class())
+        removed, added = delta.removed_by_class(), delta.added_by_class()
+        pool.rebase(new_instance, removed, added, removed, added)
         fresh = IndexPool(new_instance)
         patched = pool.index_for("Sequence", ("name",))
         rebuilt = fresh.index_for("Sequence", ("name",))
@@ -843,3 +846,57 @@ class TestIncrementalAudit:
             assert sorted(str(v) for v in result.violations) \
                 == audit_oracle(state.source, constraints)
             assert_counts_equal_fresh_run(state)
+
+
+# ----------------------------------------------------------------------
+# A step's run record
+# ----------------------------------------------------------------------
+
+def _incremental_probes():
+    label = {"engine": "incremental"}
+    return (REGISTRY.value("repro_engine_index_hits_total", label),
+            REGISTRY.value("repro_engine_index_misses_total", label))
+
+
+def _cities_rename(instance):
+    city = sorted(instance.objects_of("CityE"), key=str)[0]
+    return Delta(updates={"CityE": {
+        city: instance.value_of(city).with_field("name", "Renamed")}})
+
+
+def _genome_insert(instance):
+    gene = Oid.keyed("Gene", "GNEW")
+    return Delta(inserts={
+        "Gene": {gene: Record.of(
+            name="GNEW", symbol=WolSet.of("gnew"),
+            description=WolSet.of("a new gene"))},
+        "Sequence": {Oid.keyed("Sequence", "SNEW"): Record.of(
+            name="SNEW", dna_length=WolSet.of(123),
+            method=WolSet.of("pcr"), gene=WolSet.of(gene))}})
+
+
+class TestStepChargesItsProbes:
+    """A delta step charges the session pool's probes to its own
+    ``ExecutionStats``, and the registry's ``incremental`` counters are
+    fed from that record."""
+
+    @pytest.mark.parametrize("workload", ["cities", "genome"])
+    def test_step_probes_equal_the_pool_delta(self, workload):
+        morphase, sources, make_delta = {
+            "cities": (cities_morphase, cities_sources, _cities_rename),
+            "genome": (genome_stream_morphase, genome_sources,
+                       _genome_insert)}[workload]
+        state = morphase().begin_incremental(sources())
+        pool = state.plan.pool
+        before = pool.hits + pool.misses
+        published = _incremental_probes()
+        stats = state.apply_delta(make_delta(state.source)).stats
+        probes = stats.index_hits + stats.index_misses
+        assert probes == pool.hits + pool.misses - before
+        assert probes > 0
+        hits, misses = _incremental_probes()
+        assert (hits - published[0], misses - published[1]) \
+            == (stats.index_hits, stats.index_misses)
+        # A step reports its clauses and bindings in its own fields.
+        assert stats.clauses_run == stats.bindings_found == 0
+        assert stats.clauses_seeded > 0

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.engine.executor import ExecutionStats
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, enabled,
                                publish_engine_stats, set_enabled)
@@ -146,18 +147,14 @@ class TestRegistry:
             'repro_requests_total{endpoint="/que\\"ry"} 3\n')
 
 
-class _FakeStats:
-    clauses_run = 4
-    bindings_found = 10
-    vectorized_steps = 7
-    fallback_steps = 0  # zero fields are skipped entirely
-
-
 class TestEngineStatsBridge:
     def test_publishes_nonzero_fields_per_engine(self):
         registry = MetricsRegistry()
-        publish_engine_stats("columnar", _FakeStats(), registry)
-        publish_engine_stats("columnar", _FakeStats(), registry)
+        # Zero fields (fallback_steps here) are skipped entirely.
+        stats = ExecutionStats(clauses_run=4, bindings_found=10,
+                               vectorized_steps=7)
+        publish_engine_stats("columnar", stats, registry)
+        publish_engine_stats("columnar", stats, registry)
         label = {"engine": "columnar"}
         assert registry.value("repro_engine_runs_total", label) == 2
         assert registry.value("repro_engine_clauses_total", label) == 8

@@ -67,12 +67,12 @@ class TestLazyBuild:
 
     def test_counters_track_construction(self, instance):
         store = ColumnStore(instance)
-        assert store.stats() == {"classes_built": 0, "columns_built": 0,
-                                 "rows_patched": 0}
+        assert (store.classes_built, store.columns_built,
+                store.rows_patched) == (0, 0, 0)
         store.scalar_column("P", "age")
         store.scalar_column("P", "age")  # cached: no rebuild
-        assert store.stats()["classes_built"] == 1
-        assert store.stats()["columns_built"] == 1
+        assert store.classes_built == 1
+        assert store.columns_built == 1
 
 
 def snapshot(store, attrs=("name", "age"), set_attrs=("tags",)):
@@ -107,7 +107,7 @@ class TestPatch:
         assert snapshot(store) == snapshot(ColumnStore(updated))
         assert store.rows_patched > 0
         # Patched in place, not dropped-and-rebuilt.
-        assert store.stats()["classes_built"] == 1
+        assert store.classes_built == 1
 
     def test_inconsistent_strict_sets_fall_back(self, instance):
         store = ColumnStore(instance)
@@ -134,12 +134,3 @@ class TestPatch:
                     strict_added={})
         assert store.rows_patched == 0  # lazily built later instead
         assert snapshot(store) == snapshot(ColumnStore(updated))
-
-    def test_refresh_drops_touched_classes_only(self, instance):
-        store = ColumnStore(instance)
-        store.scalar_column("P", "age")
-        b = list(instance.objects_of("P"))[1]
-        updated = Delta(deletes={"P": (b,)}).apply_to(instance)
-        store.refresh(updated, ["P"])
-        assert store.extent("P") == list(updated.objects_of("P"))
-        assert store.scalar_column("P", "age") == [30, 50]
