@@ -195,14 +195,6 @@ class DiagnosticReport:
             out[diagnostic.severity] += 1
         return out
 
-    def max_severity(self) -> Optional[str]:
-        best: Optional[str] = None
-        for diagnostic in self.diagnostics:
-            if best is None or (SEVERITY_RANK[diagnostic.severity]
-                                > SEVERITY_RANK[best]):
-                best = diagnostic.severity
-        return best
-
     def at_or_above(self, severity: str) -> List[Diagnostic]:
         """Diagnostics at the given severity or worse (threshold check)."""
         floor = SEVERITY_RANK[severity]

@@ -12,11 +12,14 @@ Deltas drive the incremental execution subsystem
 transformation or constraint audit after every source edit, the engine
 seeds its joins from the delta and patches the previous result.
 
-Deltas are plain data with a JSON interchange form (mirroring
-:mod:`repro.io.json_io`), an applicator producing the updated
-:class:`~repro.model.instance.Instance`, an inverter (for undo), and a
-differ (:func:`delta_between`) recovering the delta between two instance
-versions — the oracle used by the differential tests.
+Deltas are plain data with a JSON interchange form, an applicator
+producing the updated :class:`~repro.model.instance.Instance`, an
+inverter (for undo), and a differ (:func:`delta_between`) recovering the
+delta between two instance versions — the oracle used by the
+differential tests.  The interchange form names objects through the
+identity codec of :mod:`repro.io.json_io` (keys, labels, serials); this
+module only lays out the ``inserts`` / ``updates`` / ``deletes`` groups
+around it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
-from ..io.json_io import value_from_json, value_to_json
+from ..io.json_io import (JsonIoError, dump_labels, identity_decoder,
+                          value_from_json, value_to_json)
 from ..model.instance import Instance
 from ..model.values import Oid, Value, ValueError_, check_value, oids_in
 
@@ -251,9 +255,10 @@ def delta_to_json(delta: Delta, oid_encoder=None) -> Dict[str, Any]:
     """Encode a delta (keyed oids round-trip structurally).
 
     ``oid_encoder`` optionally replaces the default identity encoding
-    (see :func:`repro.io.json_io.value_to_json`) — the durable store
-    uses it to address anonymous oids by label instead of by
-    process-local serial, so WAL records survive a restart.
+    (see :func:`repro.io.json_io.identity_encoder`) — the durable store
+    passes its label map's encoder to address anonymous oids by label
+    instead of by process-local serial, so WAL records survive a
+    restart.
     """
     def encode_group(group: Mapping[str, Mapping[Oid, Value]]
                      ) -> Dict[str, Any]:
@@ -273,120 +278,64 @@ def delta_to_json(delta: Delta, oid_encoder=None) -> Dict[str, Any]:
     }
 
 
-class _OidResolver:
-    """Resolve serialized object identities against a base instance.
-
-    Keyed oids resolve structurally.  Anonymous oids may be addressed
-    by ``serial`` (in-process round trips) or by the per-dump ``label``
-    scheme of :func:`repro.io.json_io.instance_to_json` (``Class#n``) —
-    the form external tools see when they read a dumped instance.
-
-    Labels resolve through ``labels``, the exact mapping captured when
-    the base instance was loaded
-    (:func:`repro.io.json_io.load_instance` with ``labels=``) — loaded
-    objects get fresh serials, so the mapping cannot be re-derived from
-    the instance afterwards (fresh serials may sort differently than
-    the dumped ones did).  Without a captured mapping, labels are
-    derived from ``instance`` exactly as a dump of it would assign them
-    — correct for in-memory instances that have not been through a
-    load.  Unknown labels denote freshly inserted anonymous objects;
-    equal labels resolve to one fresh oid.
-    """
-
-    def __init__(self, instance: Optional[Instance] = None,
-                 labels: Optional[Mapping[Tuple[str, str], Oid]] = None
-                 ) -> None:
-        self._instance = instance
-        self._labels: Dict[Tuple[str, str], Oid] = dict(labels or {})
-        self._derive = labels is None
-        self._labelled: set = set()
-
-    def _label_map(self, cname: str) -> None:
-        if (not self._derive or self._instance is None
-                or cname in self._labelled):
-            return
-        self._labelled.add(cname)
-        if not self._instance.schema.has_class(cname):
-            return
-        for index, oid in enumerate(
-                sorted(self._instance.objects_of(cname), key=str)):
-            if not oid.is_keyed:
-                self._labels.setdefault((cname, f"{cname}#{index}"), oid)
-
-    def decode_oid(self, data: Any) -> Oid:
-        if not (isinstance(data, Mapping) and "$oid" in data):
-            raise DeltaError(f"expected an object identity, got {data!r}")
-        cname = data["$oid"]
-        if "key" in data:
-            return Oid.keyed(cname, self.decode_value(data["key"]))
-        label = data.get("label")
-        if label is not None:
-            self._label_map(cname)
-            oid = self._labels.get((cname, label))
-            if oid is None:
-                oid = Oid.fresh(cname)
-                self._labels[(cname, label)] = oid
-            return oid
-        if "serial" in data:
-            return Oid(cname, serial=int(data["serial"]))
-        raise DeltaError(f"object identity {data!r} has no key, label "
-                         f"or serial")
-
-    def decode_value(self, data: Any) -> Value:
-        # One structural decoder: json_io walks records/variants/sets/
-        # lists and hands every $oid form back to this resolver.
-        return value_from_json(data, oid_decoder=self.decode_oid)
-
-
 def delta_from_json(data: Mapping[str, Any],
                     instance: Optional[Instance] = None,
-                    labels: Optional[Mapping[Tuple[str, str], Oid]] = None,
-                    capture_labels: Optional[Dict[Tuple[str, str], Oid]]
-                    = None) -> Delta:
+                    labels: Optional[Dict[Tuple[str, str], Oid]] = None
+                    ) -> Delta:
     """Decode a delta produced by :func:`delta_to_json`.
 
-    ``instance`` (or, for loaded instances, the ``labels`` mapping
-    captured at load time) enables label-based addressing of anonymous
-    objects — the dump labels of :mod:`repro.io.json_io`.  Keyed oids
-    and raw serials need neither.
+    Anonymous objects may be addressed by label.  Labels resolve
+    through ``labels``, the caller's ``(class, label) -> oid`` table,
+    and a label the table lacks is minted into it as a fresh oid (a
+    newly inserted object) — a caller decoding a sequence of deltas
+    (the durable store's WAL) passes the same table each time, so one
+    label names one object across the whole sequence.  Without a
+    table, the labels a dump of ``instance`` would assign
+    (:func:`repro.io.json_io.dump_labels`) seed a private one.  Keyed
+    oids and raw serials need neither.
 
-    ``capture_labels``, when given, receives every ``(class, label) ->
-    oid`` binding the decode resolved or minted — including fresh oids
-    for previously unseen labels.  A caller replaying a sequence of
-    label-addressed deltas (the durable store's WAL) feeds each
-    decode's captures back as the next decode's ``labels`` so one
-    label always denotes one object across the whole sequence.
+    Every malformed document raises :class:`DeltaError`.
     """
-    resolver = _OidResolver(instance, labels)
+    if labels is None:
+        labels = {} if instance is None else {
+            (oid.class_name, label): oid
+            for oid, label in dump_labels(instance).items()}
+    decode_oid = identity_decoder(labels)
 
-    def decode_group(group: Any) -> Dict[str, Dict[Oid, Value]]:
+    def listed(items: Any) -> Any:
+        if not isinstance(items, list):
+            raise DeltaError(f"expected a list, got {items!r}")
+        return items
+
+    def by_class(group: Any) -> Mapping[str, Any]:
         if group is None:
             return {}
         if not isinstance(group, Mapping):
             raise DeltaError(f"expected a class mapping, got {group!r}")
+        return {cname: listed(items) for cname, items in group.items()}
+
+    def decode_group(group: Any) -> Dict[str, Dict[Oid, Value]]:
         out: Dict[str, Dict[Oid, Value]] = {}
-        for cname, entries in group.items():
+        for cname, entries in by_class(group).items():
             objs: Dict[Oid, Value] = {}
             for entry in entries:
-                try:
-                    oid = resolver.decode_oid(entry["id"])
-                    value = resolver.decode_value(entry["value"])
-                except (KeyError, TypeError) as exc:
-                    raise DeltaError(
-                        f"malformed delta entry {entry!r}") from exc
-                objs[oid] = value
+                if not (isinstance(entry, Mapping) and "id" in entry
+                        and "value" in entry):
+                    raise DeltaError(f"malformed delta entry {entry!r}")
+                objs[decode_oid(entry["id"])] = value_from_json(
+                    entry["value"], decode_oid)
             out[cname] = objs
         return out
 
-    deletes_data = data.get("deletes") or {}
-    deletes = {cname: tuple(resolver.decode_oid(item) for item in oids)
-               for cname, oids in deletes_data.items()}
-    decoded = Delta(inserts=decode_group(data.get("inserts")),
-                    deletes=deletes,
-                    updates=decode_group(data.get("updates")))
-    if capture_labels is not None:
-        capture_labels.update(resolver._labels)
-    return decoded
+    try:
+        return Delta(inserts=decode_group(data.get("inserts")),
+                     deletes={cname: tuple(decode_oid(item)
+                                           for item in oids)
+                              for cname, oids in
+                              by_class(data.get("deletes")).items()},
+                     updates=decode_group(data.get("updates")))
+    except JsonIoError as exc:
+        raise DeltaError(f"malformed delta: {exc}") from exc
 
 
 def compose_deltas(first: Delta, second: Delta) -> Delta:
@@ -462,7 +411,7 @@ def dump_delta(delta: Delta, path: str) -> None:
 
 
 def load_delta(path: str, instance: Optional[Instance] = None,
-               labels: Optional[Mapping[Tuple[str, str], Oid]] = None
+               labels: Optional[Dict[Tuple[str, str], Oid]] = None
                ) -> Delta:
     import json
     with open(path) as handle:

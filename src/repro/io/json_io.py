@@ -6,16 +6,25 @@ round-trips the whole model through plain JSON:
 
 * types render to their textual form (``(name: str, state: StateA)``) and
   parse back via :func:`repro.model.types.parse_type`;
-* object identities serialise structurally: keyed oids as their key value,
-  anonymous oids as stable local labels;
 * values carry explicit tags (``{"$rec": ...}``, ``{"$var": ...}``, ...)
-  so sets/lists/records/variants are unambiguous.
+  so sets/lists/records/variants are unambiguous;
+* object identities are ``{"$oid": Class, ...}`` mappings, and this
+  module is the only one that builds or reads them.
+
+The identity codec has three parts, each defined once here.
+:func:`dump_labels` derives the ``Class#n`` labels of a dump.
+:func:`identity_encoder` writes a keyed oid as its key, an anonymous oid
+as its label and an unlabelled one as its process-local serial.
+:func:`identity_decoder` reads a key, a label (looked up in the caller's
+table or minted into it) or a serial, and rejects any other shape with
+:class:`JsonIoError`.  Dumps, the durable store's snapshots, WAL records
+and canonical rendering, and label-addressed deltas all go through them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..model.instance import Instance, InstanceBuilder
 from ..model.keys import KeyFunction, KeySpec, KeyedSchema
@@ -44,10 +53,10 @@ canonical_json = json.JSONEncoder(sort_keys=True).encode
 def value_to_json(value: Value, oid_encoder=None) -> Any:
     """Encode a WOL value as JSON-compatible data.
 
-    ``oid_encoder`` optionally replaces the default ``$oid`` handling
-    (e.g. to emit durable labels for anonymous oids instead of
-    process-local serials); it receives the :class:`Oid` and must
-    return the JSON mapping for it.  The mirror of ``oid_decoder`` on
+    ``oid_encoder`` replaces the default identity encoding (keyed oids
+    as their key, anonymous oids by process-local serial); build one
+    with :func:`identity_encoder` to address anonymous oids by durable
+    label instead.  The mirror of ``oid_decoder`` on
     :func:`value_from_json` — one structural encoder, hooked at the
     identities.
     """
@@ -56,12 +65,7 @@ def value_to_json(value: Value, oid_encoder=None) -> Any:
     if isinstance(value, UnitValue):
         return {"$unit": True}
     if isinstance(value, Oid):
-        if oid_encoder is not None:
-            return oid_encoder(value)
-        if value.is_keyed:
-            return {"$oid": value.class_name,
-                    "key": value_to_json(value.key)}
-        return {"$oid": value.class_name, "serial": value.serial}
+        return (oid_encoder or _by_serial)(value)
     if isinstance(value, Record):
         return {"$rec": {label: value_to_json(v, oid_encoder)
                          for label, v in value.fields}}
@@ -80,40 +84,120 @@ def value_to_json(value: Value, oid_encoder=None) -> Any:
 def value_from_json(data: Any, oid_decoder=None) -> Value:
     """Decode JSON data produced by :func:`value_to_json`.
 
-    ``oid_decoder`` optionally replaces the default ``$oid`` handling
-    (e.g. to resolve label-addressed anonymous oids); it receives the
-    raw ``$oid`` mapping and must return an :class:`Oid`.  There is one
-    structural decoder — callers hook it instead of re-implementing the
-    record/variant/set/list walk.
+    ``oid_decoder`` resolves every ``$oid`` mapping; the default is an
+    :func:`identity_decoder` over a table private to this call.  There
+    is one structural decoder — callers hook it instead of
+    re-implementing the record/variant/set/list walk.  Any shape
+    :func:`value_to_json` cannot produce raises :class:`JsonIoError`.
     """
     if isinstance(data, (bool, int, float, str)):
         return data
     if not isinstance(data, dict):
         raise JsonIoError(f"cannot decode value {data!r}")
+    if oid_decoder is None:
+        oid_decoder = identity_decoder({})
     if "$unit" in data:
         return UNIT_VALUE
     if "$oid" in data:
-        if oid_decoder is not None:
-            return oid_decoder(data)
-        class_name = data["$oid"]
-        if "key" in data:
-            return Oid.keyed(class_name, value_from_json(data["key"]))
-        return Oid(class_name, serial=int(data["serial"]))
-    if "$rec" in data:
+        return oid_decoder(data)
+    if isinstance(data.get("$rec"), dict):
         return Record(tuple(
             (label, value_from_json(v, oid_decoder))
             for label, v in data["$rec"].items()))
-    if "$var" in data:
+    if isinstance(data.get("$var"), str):
         return Variant(data["$var"],
                        value_from_json(data.get("of", {"$unit": 1}),
                                        oid_decoder))
-    if "$set" in data:
+    if isinstance(data.get("$set"), list):
         return WolSet(frozenset(value_from_json(v, oid_decoder)
                                 for v in data["$set"]))
-    if "$list" in data:
+    if isinstance(data.get("$list"), list):
         return WolList(tuple(value_from_json(v, oid_decoder)
                              for v in data["$list"]))
     raise JsonIoError(f"cannot decode value {data!r}")
+
+
+# ----------------------------------------------------------------------
+# Object identities
+# ----------------------------------------------------------------------
+
+def dump_labels(instance: Instance) -> Dict[Oid, str]:
+    """The dump label of every anonymous oid of ``instance``.
+
+    Per class, anonymous oids are labelled ``Class#<index>`` in
+    sorted-string order.  This is the only place labels are derived
+    from an instance: dumps use it directly, and a durable store uses
+    it once, when it is created.
+    """
+    labels: Dict[Oid, str] = {}
+    for cname in instance.schema.class_names():
+        for index, oid in enumerate(
+                sorted(instance.objects_of(cname), key=str)):
+            if not oid.is_keyed:
+                labels[oid] = f"{cname}#{index}"
+    return labels
+
+
+def identity_encoder(label_of: Callable[[Oid], Optional[str]]
+                     ) -> Callable[[Oid], Dict[str, Any]]:
+    """The ``oid_encoder`` that names anonymous oids by ``label_of``.
+
+    A keyed oid encodes as its key (plain :func:`value_to_json`), an
+    anonymous oid as ``label_of(oid)``, and an anonymous oid without a
+    label as its process-local serial.  ``label_of`` is never called
+    for keyed oids.
+    """
+    def encode(oid: Oid) -> Dict[str, Any]:
+        if oid.is_keyed:
+            return {"$oid": oid.class_name, "key": value_to_json(oid.key)}
+        label = label_of(oid)
+        if label is None:
+            return {"$oid": oid.class_name, "serial": oid.serial}
+        return {"$oid": oid.class_name, "label": label}
+
+    return encode
+
+
+_by_serial = identity_encoder(lambda oid: None)
+
+
+def identity_decoder(labels: Dict[Tuple[str, str], Oid]
+                     ) -> Callable[[Any], Oid]:
+    """The ``oid_decoder`` that resolves labels through ``labels``.
+
+    It reads a key, a label or a serial.  A label is looked up in the
+    ``(class, label) -> oid`` table; an unknown one is minted into it
+    as a fresh oid, so equal labels name one object across every decode
+    that shares the table.  Any other shape raises
+    :class:`JsonIoError`.
+    """
+    def decode(data: Any) -> Oid:
+        cname = data.get("$oid") if isinstance(data, dict) else None
+        if not isinstance(cname, str):
+            raise JsonIoError(f"expected an object identity, got {data!r}")
+        if "key" in data:
+            return Oid.keyed(cname, value_from_json(data["key"], decode))
+        label = data.get("label")
+        if isinstance(label, str):
+            oid = labels.get((cname, label))
+            if oid is None:
+                oid = labels[(cname, label)] = Oid.fresh(cname)
+            return oid
+        serial = data.get("serial")
+        if isinstance(serial, int) and not isinstance(serial, bool):
+            return Oid(cname, serial=serial)
+        raise JsonIoError(f"object identity {data!r} has no key, label "
+                          f"or serial")
+
+    return decode
+
+
+def dump_oid_encoder(instance: Instance) -> Callable[[Oid], Dict[str, Any]]:
+    """The ``oid_encoder`` of a dump of ``instance``: its
+    :func:`dump_labels`.  Other serialisers (query rows over the
+    service, program result sets) use it to name each object the way a
+    dump of the same instance does."""
+    return identity_encoder(dump_labels(instance).get)
 
 
 # ----------------------------------------------------------------------
@@ -165,67 +249,23 @@ def schema_from_json(data: Dict[str, Any]):
 # Instances
 # ----------------------------------------------------------------------
 
-def dump_oid_encoder(instance: Instance):
-    """The ``oid_encoder`` used by dumps: stable per-dump labels.
-
-    Keyed oids encode as their key; anonymous oids get ``Class#n``
-    labels by sorted extent order — the exact addressing
-    :func:`instance_to_json` emits, exposed so other serialisers
-    (query rows over the service, program result sets) name the same
-    object the same way as a dump of the same instance.
-    """
-    labels: Dict[Oid, Any] = {}
-    for cname in instance.schema.class_names():
-        for index, oid in enumerate(
-                sorted(instance.objects_of(cname), key=str)):
-            if oid.is_keyed:
-                labels[oid] = {"key": value_to_json(oid.key)}
-            else:
-                labels[oid] = {"label": f"{cname}#{index}"}
-
-    def encode_oid(oid: Oid) -> Any:
-        entry = labels.get(oid)
-        if entry is None:
-            raise JsonIoError(f"dangling reference {oid}")
-        return {"$oid": oid.class_name, **entry}
-
-    return encode_oid
-
-
-def instance_to_json(instance: Instance) -> Dict[str, Any]:
+def instance_to_json(instance: Instance, oid_encoder=None
+                     ) -> Dict[str, Any]:
     """Encode an instance (schema embedded).
 
-    Anonymous oids get stable per-dump labels (``Class#n`` by sorted
-    order) so dumps are deterministic and references stay consistent.
+    Objects are listed per class in sorted-string order, named by
+    ``oid_encoder`` — by default :func:`dump_oid_encoder`, so dumps are
+    deterministic and references stay consistent.  A durable store
+    passes the encoder of its own label map instead.
     """
-    encode_oid = dump_oid_encoder(instance)
-
-    def encode(value: Value) -> Any:
-        if isinstance(value, Oid):
-            return encode_oid(value)
-        if isinstance(value, Record):
-            return {"$rec": {label: encode(v)
-                             for label, v in value.fields}}
-        if isinstance(value, Variant):
-            return {"$var": value.label, "of": encode(value.value)}
-        if isinstance(value, WolSet):
-            encoded = [encode(v) for v in value]
-            encoded.sort(key=json.dumps)
-            return {"$set": encoded}
-        if isinstance(value, WolList):
-            return {"$list": [encode(v) for v in value]}
-        return value_to_json(value)
-
+    if oid_encoder is None:
+        oid_encoder = dump_oid_encoder(instance)
     objects: Dict[str, List[Dict[str, Any]]] = {}
     for cname in instance.schema.class_names():
-        entries = []
-        for oid in sorted(instance.objects_of(cname), key=str):
-            entries.append({
-                "id": encode_oid(oid),
-                "value": encode(instance.value_of(oid)),
-            })
-        objects[cname] = entries
-
+        objects[cname] = [
+            {"id": oid_encoder(oid),
+             "value": value_to_json(instance.value_of(oid), oid_encoder)}
+            for oid in sorted(instance.objects_of(cname), key=str)]
     return {"schema": schema_to_json(instance.schema),
             "objects": objects}
 
@@ -236,12 +276,12 @@ def instance_from_json(data: Dict[str, Any],
                        ) -> Instance:
     """Decode an instance; ``schema`` overrides the embedded one.
 
-    Anonymous objects get fresh serials on load, so their dump labels
-    (``Class#n``) are the only durable way to address them from
-    outside.  Pass a dict as ``labels`` to capture the exact
-    ``(class, label) -> oid`` mapping of this load — deltas addressed
-    by label (:func:`repro.evolution.delta.load_delta`) resolve through
-    it; re-deriving the labels from the loaded instance would reorder
+    Anonymous objects get fresh serials on load, so their labels are
+    the only durable way to address them from outside.  Pass a dict as
+    ``labels`` to capture the exact ``(class, label) -> oid`` mapping
+    of this load — deltas addressed by label
+    (:func:`repro.evolution.delta.load_delta`) resolve through it;
+    re-deriving the labels from the loaded instance would reorder
     whenever fresh serials sort differently than the dumped ones.
     """
     if schema is None:
@@ -249,45 +289,11 @@ def instance_from_json(data: Dict[str, Any],
         schema = decoded.schema if isinstance(decoded, KeyedSchema) \
             else decoded
     builder = InstanceBuilder(schema)
-    anonymous: Dict[Tuple[str, str], Oid] = \
-        labels if labels is not None else {}
-
-    def decode_oid(entry: Any) -> Oid:
-        if not (isinstance(entry, dict) and "$oid" in entry):
-            raise JsonIoError(f"expected an oid, got {entry!r}")
-        cname = entry["$oid"]
-        if "key" in entry:
-            return Oid.keyed(cname, value_from_json(entry["key"]))
-        label = entry.get("label")
-        if label is None:
-            return Oid(cname, serial=int(entry["serial"]))
-        key = (cname, label)
-        if key not in anonymous:
-            anonymous[key] = Oid.fresh(cname)
-        return anonymous[key]
-
-    def decode(value: Any) -> Value:
-        if isinstance(value, dict):
-            if "$oid" in value:
-                return decode_oid(value)
-            if "$rec" in value:
-                return Record(tuple(
-                    (label, decode(v))
-                    for label, v in value["$rec"].items()))
-            if "$var" in value:
-                return Variant(value["$var"],
-                               decode(value.get("of", {"$unit": 1})))
-            if "$set" in value:
-                return WolSet(frozenset(decode(v)
-                                        for v in value["$set"]))
-            if "$list" in value:
-                return WolList(tuple(decode(v) for v in value["$list"]))
-        return value_from_json(value)
-
-    for cname, entries in data.get("objects", {}).items():
+    decode_oid = identity_decoder(labels if labels is not None else {})
+    for entries in data.get("objects", {}).values():
         for entry in entries:
-            oid = decode_oid(entry["id"])
-            builder.put(oid, decode(entry["value"]))
+            builder.put(decode_oid(entry["id"]),
+                        value_from_json(entry["value"], decode_oid))
     return builder.freeze()
 
 

@@ -407,13 +407,6 @@ class Clause:
             out |= atom.variables()
         return out
 
-    def head_only_variables(self) -> FrozenSet[str]:
-        """Variables occurring in the head but not in the body."""
-        body_vars: FrozenSet[str] = frozenset()
-        for atom in self.body:
-            body_vars |= atom.variables()
-        return self.variables() - body_vars
-
     def atoms(self) -> Tuple[Atom, ...]:
         return self.head + self.body
 

@@ -382,9 +382,6 @@ class Congruence:
     def same(self, left: Term, right: Term) -> bool:
         return self._node_of(left) == self._node_of(right)
 
-    def classes_of(self, term: Term) -> Set[str]:
-        return set(self._members.get(self._node_of(term), ()))
-
     def lookup_projection(self, subject: Term, attr: str) -> Optional[Term]:
         """The representative of ``subject.attr`` if recorded."""
         app = _App(f"proj:{attr}", (self._node_of(subject),))

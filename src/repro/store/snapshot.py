@@ -15,13 +15,16 @@ generation or the new one, never a half-written pointer.
 
 :class:`LabelMap` solves the identity problem that makes persistence
 of this data model non-trivial: anonymous oids carry process-local
-serials, so the only durable way to address them is the dump-label
-scheme (``Class#n``) of :mod:`repro.io.json_io`.  The map tracks the
-bidirectional ``(class, label) <-> oid`` relation for one store
-generation: derived from the snapshot dump on load, extended with
-fresh WAL labels (``Class#w<seq>.<n>``, a namespace no dump ever
-assigns) as deltas insert new anonymous objects, and re-derived when a
-new snapshot re-dumps the instance.
+serials, so a store names each one by a durable label instead.  The
+label contract: a label is issued once and names one object for the
+store's whole life.  A new store takes the dump labels of its initial
+instance (``Class#n``, :func:`repro.io.json_io.dump_labels`); a delta
+adds the client's labels for the objects it inserts, or fresh WAL
+labels (``Class#w<seq>.<n>``, a namespace no dump assigns) for objects
+inserted without one.  Nothing derives labels again: every snapshot —
+at creation and at each compaction — is written with the store's map,
+so labels survive compaction and reopen, and a follower seeded from a
+snapshot reads the leader's labels from it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
-from ..io.json_io import instance_from_json, instance_to_json
+from ..evolution.delta import Delta, delta_from_json
+from ..io.json_io import (identity_encoder, instance_from_json,
+                          instance_to_json)
 from ..model.instance import Instance
 from ..model.values import Oid
 
@@ -58,59 +63,47 @@ class LabelMap:
             oid: label for (_, label), oid in self.by_label.items()}
         self._fresh = 0
 
-    @classmethod
-    def derived_from_dump(cls, instance: Instance) -> "LabelMap":
-        """The labels a dump of ``instance`` would assign, exactly.
-
-        Mirrors :func:`repro.io.json_io.instance_to_json` — per class,
-        anonymous oids are labelled ``Class#<index>`` in sorted-string
-        order — so a map derived in-process agrees with one captured by
-        loading the written snapshot.
-        """
-        labels: Dict[Tuple[str, str], Oid] = {}
-        for cname in instance.schema.class_names():
-            for index, oid in enumerate(
-                    sorted(instance.objects_of(cname), key=str)):
-                if not oid.is_keyed:
-                    labels[(cname, f"{cname}#{index}")] = oid
-        return cls(labels)
-
     def record(self, cname: str, label: str, oid: Oid) -> None:
         self.by_label[(cname, label)] = oid
         self.by_oid[oid] = label
 
-    def absorb(self, labels: Dict[Tuple[str, str], Oid]) -> None:
-        """Merge labels captured by a delta decode."""
-        for (cname, label), oid in labels.items():
-            self.record(cname, label, oid)
+    def decode(self, data: Dict[str, Any], instance: Instance) -> Delta:
+        """Decode a label-addressed delta against ``instance``.
+
+        Labels the document mints (freshly inserted anonymous objects)
+        join the map only when the whole document decodes.
+        """
+        table = dict(self.by_label)
+        delta = delta_from_json(data, instance, table)
+        for (cname, label), oid in table.items():
+            if (cname, label) not in self.by_label:
+                self.record(cname, label, oid)
+        return delta
 
     def label_of(self, oid: Oid, seq: int) -> str:
         """The durable label for ``oid``, minting one if unseen.
 
         Fresh labels are namespaced by the WAL sequence number that
-        introduces them (``Class#w<seq>.<n>``) — unique within the
-        store generation and disjoint from dump-derived ``Class#<n>``
-        labels, so a replayed WAL resolves them to exactly one fresh
-        oid each.
+        introduces them (``Class#w<seq>.<n>``) and skip any label a
+        client already chose — unique for the store's whole life and
+        disjoint from dump-derived ``Class#<n>`` labels, so a replayed
+        WAL resolves them to exactly one fresh oid each.
         """
         label = self.by_oid.get(oid)
-        if label is None:
+        if label is not None:
+            return label
+        while True:
             self._fresh += 1
             label = f"{oid.class_name}#w{seq}.{self._fresh}"
-            self.record(oid.class_name, label, oid)
-        return label
+            if (oid.class_name, label) not in self.by_label:
+                self.record(oid.class_name, label, oid)
+                return label
 
     def encoder(self, seq: int):
         """An ``oid_encoder`` for
-        :func:`repro.evolution.delta.delta_to_json`."""
-        def encode(oid: Oid) -> Any:
-            if oid.is_keyed:
-                from ..io.json_io import value_to_json
-                return {"$oid": oid.class_name,
-                        "key": value_to_json(oid.key)}
-            return {"$oid": oid.class_name,
-                    "label": self.label_of(oid, seq)}
-        return encode
+        :func:`repro.evolution.delta.delta_to_json` that mints a label
+        for every anonymous oid still without one."""
+        return identity_encoder(lambda oid: self.label_of(oid, seq))
 
 
 # ----------------------------------------------------------------------
@@ -126,13 +119,18 @@ def snapshot_name(content: bytes) -> str:
     return f"snap-{hashlib.sha256(content).hexdigest()[:24]}.json"
 
 
-def write_snapshot(directory: str, instance: Instance,
-                   base_seq: int) -> str:
-    """Write a content-addressed snapshot; return its file name."""
+def write_snapshot(directory: str, instance: Instance, base_seq: int,
+                   labels: LabelMap) -> str:
+    """Write a content-addressed snapshot; return its file name.
+
+    Anonymous objects are named by their store ``labels``, so loading
+    the snapshot gives back the same map.
+    """
     document = {
         "format": FORMAT,
         "base_seq": base_seq,
-        "instance": instance_to_json(instance),
+        "instance": instance_to_json(
+            instance, identity_encoder(labels.by_oid.get)),
     }
     content = _canonical_bytes(document)
     name = snapshot_name(content)

@@ -22,8 +22,9 @@ service layer needs: a warm session starts from it with one production
 pass, exactly as a fresh run would.
 
 Compaction (:meth:`WarehouseStore.snapshot`) writes a new snapshot at
-the current sequence number, atomically repoints ``CURRENT``, resets
-the WAL and prunes unreferenced snapshots.  Every step is
+the current sequence number — naming anonymous objects by the store's
+own labels, which compaction never re-derives — atomically repoints
+``CURRENT``, resets the WAL and prunes unreferenced snapshots.  Every step is
 crash-ordered: interrupt it anywhere and reopening yields the same
 instance.
 """
@@ -34,7 +35,9 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..evolution.delta import Delta, delta_from_json, delta_to_json
+from ..evolution.delta import Delta, delta_to_json
+from ..io.json_io import (canonical_json, dump_labels, identity_encoder,
+                          schema_to_json, value_to_json)
 from ..model.instance import Instance
 from ..obs.events import log_event
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
@@ -94,13 +97,16 @@ class WarehouseStore:
         if cls.exists(path):
             raise StoreError(f"{path} already holds a warehouse store")
         os.makedirs(path, exist_ok=True)
-        name = write_snapshot(path, instance, base_seq=0)
+        # The only label derivation in a store's life: its initial
+        # instance takes the labels a dump of it assigns.
+        labels = LabelMap({(oid.class_name, label): oid for oid, label
+                           in dump_labels(instance).items()})
+        name = write_snapshot(path, instance, 0, labels)
         wal = WriteAheadLog(os.path.join(path, WAL_NAME), fsync=fsync)
         wal.reset()
         write_current(path, name, base_seq=0, wal=WAL_NAME)
         return cls(path, wal, instance, seq=0, base_seq=0,
-                   snapshot_file=name,
-                   labels=LabelMap.derived_from_dump(instance))
+                   snapshot_file=name, labels=labels)
 
     @classmethod
     def open(cls, path: str, fsync: bool = False) -> "WarehouseStore":
@@ -121,12 +127,8 @@ class WarehouseStore:
                 raise StoreError(
                     f"WAL gap: expected seq {seq + 1}, found "
                     f"{record.seq} — records were lost mid-log")
-            captured: Dict[Tuple[str, str], Any] = {}
-            delta = delta_from_json(record.payload, instance,
-                                    labels=labels.by_label,
-                                    capture_labels=captured)
-            labels.absorb(captured)
-            instance = delta.apply_to(instance)
+            instance = labels.decode(record.payload,
+                                     instance).apply_to(instance)
             seq = record.seq
         if torn is not None:
             wal.truncate_at(torn.offset)
@@ -137,18 +139,6 @@ class WarehouseStore:
                               for record in records
                               if record.seq > base_seq]
         return store
-
-    @classmethod
-    def open_or_create(cls, path: str,
-                       initial: Optional[Instance] = None,
-                       fsync: bool = False) -> "WarehouseStore":
-        if cls.exists(path):
-            return cls.open(path, fsync=fsync)
-        if initial is None:
-            raise StoreError(
-                f"{path} holds no store and no initial instance was "
-                f"given to create one")
-        return cls.create(path, initial, fsync=fsync)
 
     def close(self) -> None:
         self.wal.close()
@@ -184,12 +174,7 @@ class WarehouseStore:
         chosen label stays the durable address of the new object — the
         WAL encoder reuses it instead of minting another.
         """
-        captured: Dict[Tuple[str, str], Any] = {}
-        delta = delta_from_json(data, self.instance,
-                                labels=self.labels.by_label,
-                                capture_labels=captured)
-        self.labels.absorb(captured)
-        return delta
+        return self.labels.decode(data, self.instance)
 
     # ------------------------------------------------------------------
     # Replication export
@@ -227,7 +212,8 @@ class WarehouseStore:
         """
         start = time.perf_counter()
         subsumed = self.seq - self.base_seq
-        name = write_snapshot(self.path, self.instance, self.seq)
+        name = write_snapshot(self.path, self.instance, self.seq,
+                              self.labels)
         write_current(self.path, name, base_seq=self.seq, wal=WAL_NAME)
         self.wal.reset()
         self.snapshot_file = name
@@ -235,7 +221,6 @@ class WarehouseStore:
         # A fresh list, not .clear(): an exporter holding the old one
         # still sees a coherent pre-compaction tail.
         self.payload_tail = []
-        self.labels = LabelMap.derived_from_dump(self.instance)
         if prune:
             self._prune_snapshots(keep=name)
         elapsed = time.perf_counter() - start
@@ -270,33 +255,15 @@ class WarehouseStore:
         crash/reopen cycles minted their serials.  The differential
         recovery tests pin exactly this.
         """
-        import json as _json
-
-        from ..io.json_io import schema_to_json, value_to_json
-
-        def encode_oid(oid: Any) -> Dict[str, Any]:
-            if oid.is_keyed:
-                return {"$oid": oid.class_name,
-                        "key": value_to_json(oid.key)}
-            label = self.labels.by_oid.get(oid)
-            if label is None:
-                raise StoreError(
-                    f"{oid} has no durable label — it never entered "
-                    f"the store through a snapshot or delta")
-            return {"$oid": oid.class_name, "label": label}
-
+        encode_oid = identity_encoder(self.labels.by_oid.get)
         objects: Dict[str, Any] = {}
         for cname in self.instance.schema.class_names():
-            entries = []
-            for oid in self.instance.objects_of(cname):
-                identity = encode_oid(oid)
-                entries.append((_json.dumps(identity, sort_keys=True), {
-                    "id": identity,
-                    "value": value_to_json(self.instance.value_of(oid),
-                                           encode_oid),
-                }))
-            objects[cname] = [entry for _, entry in sorted(
-                entries, key=lambda item: item[0])]
+            entries = [{"id": encode_oid(oid),
+                        "value": value_to_json(self.instance.value_of(oid),
+                                               encode_oid)}
+                       for oid in self.instance.objects_of(cname)]
+            entries.sort(key=lambda entry: canonical_json(entry["id"]))
+            objects[cname] = entries
         return {"format": 1, "seq": self.seq,
                 "schema": schema_to_json(self.instance.schema),
                 "objects": objects}

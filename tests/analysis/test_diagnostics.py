@@ -55,7 +55,6 @@ class TestReport:
         assert [d.code for d in report.diagnostics] == [
             "WOL101", "WOL301", "WOL204"]
         assert report.counts() == {"error": 1, "warning": 1, "info": 1}
-        assert report.max_severity() == "error"
         assert not report.ok
 
     def test_at_or_above_threshold(self):

@@ -44,6 +44,10 @@ class TestValueRoundtrip:
             value_from_json({"$nope": 1})
         with pytest.raises(JsonIoError):
             value_from_json(None)
+        with pytest.raises(JsonIoError, match="no key, label or serial"):
+            instance_from_json({"objects": {"CityE": [
+                {"id": {"$oid": "CityE"}, "value": 1}]}},
+                schema=cities.euro_schema().schema)
 
 
 class TestSchemaRoundtrip:

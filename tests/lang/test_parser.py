@@ -135,11 +135,6 @@ class TestClauses:
         with pytest.raises(ParseError):
             parse_clause("X = Y <= X in CityE")
 
-    def test_head_only_variables(self):
-        clause = parse_clause(
-            "Y in CityT, Y.name = E.name <= E in CityE;")
-        assert clause.head_only_variables() == frozenset({"Y"})
-
 
 class TestPrograms:
     SOURCE = """

@@ -101,10 +101,6 @@ class TestMemberships:
         with pytest.raises(Unsatisfiable):
             congruence_of(body('X in CityE, X = "Paris"'))
 
-    def test_classes_of(self):
-        congruence = congruence_of(body("X in CityE, Y = X"))
-        assert congruence.classes_of(Var("Y")) == {"CityE"}
-
 
 class TestDisequalitiesAndComparisons:
     def test_neq_violated(self):

@@ -206,6 +206,34 @@ class TestFeedDiscipline:
             == json.dumps(session.target_json(), sort_keys=True)
         replica.close()
 
+    def test_caught_up_follower_follows_labels_across_compaction(
+            self, leader, tmp_path):
+        # A follower that is current when the leader compacts keeps
+        # tailing without a reseed, so the leader's labels must mean
+        # after compaction what they meant before it.
+        _, session, client, url = leader
+        for n in range(3):
+            client.ingest({"inserts": {"CityE": [
+                {"id": {"$oid": "CityE", "label": f"CityE#new{n}"},
+                 "value": {"$rec": {
+                     "name": f"Newtown{n}", "is_capital": False,
+                     "country": {"$oid": "CountryE",
+                                 "label": "CountryE#0"}}}}]}})
+        replica = make_replica(url, tmp_path)
+        rsession = replica.bootstrap()
+        replica.catch_up()
+        client.snapshot()
+        # Every CityE, addressed the way the leader's store names it.
+        updates = session.store.canonical_json()["objects"]["CityE"]
+        for entry in updates:
+            entry["value"]["$rec"]["name"] += "-renamed"
+        client.ingest({"updates": {"CityE": updates}})
+        assert replica.catch_up() == session.store.seq
+        assert rsession.metrics.value("repro_replication_resyncs") == 0
+        assert json.dumps(rsession.target_json(), sort_keys=True) \
+            == json.dumps(session.target_json(), sort_keys=True)
+        replica.close()
+
     def test_restart_resumes_from_local_store(self, leader, tmp_path):
         _, session, client, url = leader
         client.ingest(insert_delta())

@@ -148,17 +148,29 @@ class TestErrorMapping:
             urllib.request.urlopen(request)
         assert info.value.code == 400
 
-    def test_undecodable_delta_400(self, service):
-        _, _, client = service
-        bad = {"updates": {"CountryE": [
+    @pytest.mark.parametrize("bad, message", [
+        ({"updates": {"CountryE": [
             {"id": {"$oid": "CountryE", "label": "CountryE#ghost"},
              "value": {"$rec": {"name": "X", "language": "x",
-                                "currency": "X"}}}]}}
+                                "currency": "X"}}}]}}, "cannot update"),
+        ({"inserts": {"CityE": [
+            {"id": {"$oid": "CityE", "label": "CityE#x"},
+             "value": {"$rec": 5}}]}}, "cannot decode value"),
+        ({"inserts": {"CityE": [
+            {"id": {"$oid": "CityE", "label": "CityE#x"},
+             "value": [1, 2]}]}}, "cannot decode value"),
+        ({"deletes": {"CityE": [{"$oid": "CityE", "serial": "x"}]}},
+         "no key, label or serial"),
+        ({"inserts": {"CityE": 5}}, "expected a list"),
+    ], ids=["ghost-label", "rec-not-mapping", "value-is-list",
+            "serial-not-int", "class-entries-not-list"])
+    def test_undecodable_delta_400(self, service, bad, message):
+        _, _, client = service
         with pytest.raises(ServiceClientError) as info:
             client.ingest(bad)
         assert info.value.status == 400
         assert info.value.code == "bad_request"
-        assert "cannot update" in info.value.message
+        assert message in info.value.message
 
     def test_missing_query_parameter_400(self, service):
         _, _, client = service

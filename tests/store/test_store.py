@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.evolution.delta import Delta, DeltaError
+from repro.morphase import Morphase
 from repro.model.values import Oid, Record
 from repro.store import StoreError, WarehouseStore
 from repro.store.snapshot import SnapshotError
@@ -51,14 +52,6 @@ class TestLifecycle:
     def test_open_missing_refuses(self, tmp_path):
         with pytest.raises(SnapshotError, match="not a warehouse store"):
             WarehouseStore.open(str(tmp_path / "nothing"))
-
-    def test_open_or_create(self, tmp_path):
-        path = str(tmp_path / "s")
-        with pytest.raises(StoreError, match="no initial instance"):
-            WarehouseStore.open_or_create(path)
-        store = WarehouseStore.open_or_create(
-            path, cities.sample_euro_instance())
-        assert WarehouseStore.open_or_create(path).seq == store.seq
 
 
 class TestKillAndReopen:
@@ -168,18 +161,16 @@ class TestCompaction:
         reference = canonical(store)
         # simulate the crash: write snapshot + manifest, keep old WAL
         from repro.store.snapshot import write_current, write_snapshot
-        name = write_snapshot(store.path, store.instance, store.seq)
+        name = write_snapshot(store.path, store.instance, store.seq,
+                              store.labels)
         write_current(store.path, name, base_seq=store.seq, wal=WAL_NAME)
         store.close()
         recovered = WarehouseStore.open(store.path)
         assert recovered.base_seq == 2 and recovered.seq == 2
         assert recovered.stats()["wal_records"] == 0
         assert recovered.payload_tail == []
-        # labels re-derive at the snapshot, so compare structurally
-        from repro.model.isomorphism import isomorphic
-        assert isomorphic(recovered.instance, store.instance)
-        assert json.loads(reference)["objects"].keys() \
-            == recovered.canonical_json()["objects"].keys()
+        # the snapshot carries the store's labels: byte-identical
+        assert canonical(recovered) == reference
 
 
 class TestLabelAddressing:
@@ -209,6 +200,50 @@ class TestLabelAddressing:
                                 "currency": "X"}}}]}}
         with pytest.raises(DeltaError, match="cannot update"):
             store.append(store.decode_delta(update))
+
+    def test_labels_survive_compaction_and_reopen(self, tmp_path):
+        """A label names one object for the store's whole life."""
+        store = Morphase([cities.us_schema(), cities.euro_schema()],
+                         cities.target_schema(),
+                         cities.PROGRAM_TEXT).open_store(
+            str(tmp_path / "cities"),
+            [cities.sample_us_instance(), cities.sample_euro_instance()])
+        for n in range(3):
+            store.append(store.decode_delta({"inserts": {"CityE": [
+                {"id": {"$oid": "CityE", "label": f"CityE#new{n}"},
+                 "value": {"$rec": {
+                     "name": f"Newtown{n}", "is_capital": False,
+                     "country": {"$oid": "CountryE",
+                                 "label": "CountryE#0"}}}}]}}))
+        issued = dict(store.labels.by_label)
+        reference = canonical(store)
+        store.snapshot()
+        assert store.labels.by_label == issued
+        assert canonical(store) == reference
+        reopened = WarehouseStore.open(store.path)
+        assert reopened.labels.by_label.keys() == issued.keys()
+        assert canonical(reopened) == reference
+        for current in (store, reopened):
+            delete = current.decode_delta({"deletes": {"CityE": [
+                {"$oid": "CityE", "label": "CityE#new1"}]}})
+            (gone,) = delete.deletes["CityE"]
+            assert current.instance.value_of(gone).get("name") \
+                == "Newtown1"
+
+    def test_minted_label_skips_a_client_label(self, tmp_path):
+        # The client picks the label the WAL encoder would mint next;
+        # the minted one must not re-point it, or the WAL names two
+        # objects by one label and the store no longer reopens.
+        store = euro_store(tmp_path)
+        store.append(store.decode_delta({"inserts": {"CountryE": [
+            {"id": {"$oid": "CountryE", "label": "CountryE#w2.1"},
+             "value": {"$rec": {"name": "Utopia", "language": "u",
+                                "currency": "UTO"}}}]}}))
+        store.append(insert_country("minted")[1])
+        assert len(set(store.labels.by_oid.values())) \
+            == len(store.labels.by_oid)
+        assert canonical(WarehouseStore.open(store.path)) \
+            == canonical(store)
 
     def test_keyed_store_has_deterministic_snapshots(self, tmp_path):
         """All-keyed workloads content-address identically everywhere."""
