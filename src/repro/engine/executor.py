@@ -124,9 +124,10 @@ class ExecutionStats:
     #: One incremental step (``IncrementalTransform.apply_delta``):
     #: the delta's size, seed oids probed, program bindings
     #: retracted and re-derived, clauses (program and constraint)
-    #: skipped, seeded or run whole, pool indexes patched vs. rebuilt,
-    #: target objects re-assembled, and the violation-set diff with the
-    #: body rows whose heads were rechecked.
+    #: skipped, seeded or run whole, source pool indexes patched vs.
+    #: rebuilt, target objects changed and target pool indexes patched
+    #: vs. dropped, and the violation-set diff with the body rows whose
+    #: heads were rechecked.
     delta_size: int = 0
     seeds_probed: int = 0
     bindings_removed: int = 0
@@ -137,6 +138,8 @@ class ExecutionStats:
     indexes_maintained: int = 0
     indexes_rebuilt: int = 0
     target_objects_touched: int = 0
+    target_indexes_maintained: int = 0
+    target_indexes_dropped: int = 0
     violations_added: int = 0
     violations_removed: int = 0
     violations_rechecked: int = 0

@@ -314,17 +314,22 @@ def changed_attributes(delta: "Delta", old_instance: Instance
             changes[oid] = None
     for cname, objs in delta.updates.items():
         for oid, new_value in objs.items():
-            old_value = old_instance.value_of(oid)
-            if not (isinstance(old_value, Record)
-                    and isinstance(new_value, Record)):
-                changes[oid] = None
-                continue
-            labels = set(old_value.labels()) | set(new_value.labels())
-            changes[oid] = frozenset(
-                label for label in labels
-                if not (old_value.has(label) and new_value.has(label)
-                        and old_value.get(label) == new_value.get(label)))
+            changes[oid] = differing_labels(old_instance.value_of(oid),
+                                            new_value)
     return changes
+
+
+def differing_labels(old_value: Optional[Value], new_value: Optional[Value]
+                     ) -> Optional[frozenset]:
+    """The record labels whose values differ between an object's old
+    and new value, or None when either is absent or not a record."""
+    if not (isinstance(old_value, Record) and isinstance(new_value, Record)):
+        return None
+    labels = set(old_value.labels()) | set(new_value.labels())
+    return frozenset(
+        label for label in labels
+        if not (old_value.has(label) and new_value.has(label)
+                and old_value.get(label) == new_value.get(label)))
 
 
 def _seeded_plans(clauses: Sequence[Clause], instance: Instance,
@@ -414,10 +419,13 @@ def _violations_by_key(pool: IndexPool, plan: ConstraintPlan,
 
 @dataclass
 class DeltaResult:
-    """Outcome of one incremental step: the patched target and the
-    change to the session's constraint-violation set."""
+    """Outcome of one incremental step: the patched target, the target
+    oids whose values it changed (absent on one side = inserted or
+    removed) and the change to the session's constraint-violation
+    set."""
 
     target: Instance
+    changed: List[Oid]
     added: List[Violation]
     removed: List[Violation]
     violations: List[Violation]
@@ -471,6 +479,9 @@ class IncrementalTransform:
         self.stats = executor.stats
         self.source_rev = ReverseIndex(source)
         self.target_rev = ReverseIndex(self.target)
+        # What reads of the target probe: built lazily by its readers,
+        # rebased by every step that changes the target.
+        self.target_pool = IndexPool(self.target)
 
         self._head_plans = [_HeadPlan(clause, target_schema)
                             for clause in self.clauses]
@@ -530,7 +541,7 @@ class IncrementalTransform:
         stats = ExecutionStats(delta_size=delta.size())
         try:
             with stats.charging(self.plan.pool):
-                added, removed = self._apply_delta(delta, stats)
+                changed, (added, removed) = self._apply_delta(delta, stats)
         except Exception as exc:
             self._poisoned = str(exc)
             raise
@@ -539,12 +550,13 @@ class IncrementalTransform:
         stats.violations_removed = len(removed)
         self.stats = stats
         publish_engine_stats("incremental", stats)
-        return DeltaResult(target=self.target, added=added, removed=removed,
-                           violations=self.violations(), stats=stats,
-                           delta=delta)
+        return DeltaResult(target=self.target, changed=changed, added=added,
+                           removed=removed, violations=self.violations(),
+                           stats=stats, delta=delta)
 
     def _apply_delta(self, delta: Delta, stats: ExecutionStats
-                     ) -> Tuple[List[Violation], List[Violation]]:
+                     ) -> Tuple[List[Oid],
+                                Tuple[List[Violation], List[Violation]]]:
         old_source = self.source
         rev, pool = self.source_rev, self.plan.pool
         removed_by_class = delta.removed_by_class()
@@ -648,12 +660,37 @@ class IncrementalTransform:
         previous = self.target
         self.target, changed = self.store.freeze(
             touched, previous, self.defaults, self.target_rev.referrers)
-        for oid in changed:
-            self.target_rev.update_object(
-                oid, previous.valuations[oid.class_name].get(oid),
-                self.target.valuations[oid.class_name].get(oid))
         stats.target_objects_touched = len(changed)
-        return diff
+        if changed:
+            self._rebase_target(previous, changed, stats)
+        return changed, diff
+
+    def _rebase_target(self, previous: Instance, changed: List[Oid],
+                       stats: ExecutionStats) -> None:
+        """Advance the target's referrer relation and index pool over
+        the ``changed`` oids — the source side's phase 2, on the
+        target: closures on each side of the edit, plus strict sets
+        (``changed`` is in ``str`` order, which is the order the freeze
+        appended inserted objects in)."""
+        rev, target = self.target_rev, self.target
+        removal_seeds = _group_by_class(rev.closure(changed))
+        changes: Dict[Oid, Optional[frozenset]] = {}
+        for oid in changed:
+            old_value = previous.valuations[oid.class_name].get(oid)
+            new_value = target.valuations[oid.class_name].get(oid)
+            rev.update_object(oid, old_value, new_value)
+            changes[oid] = differing_labels(old_value, new_value)
+        addition_seeds = _group_by_class(rev.closure(changed))
+        (stats.target_indexes_maintained,
+         stats.target_indexes_dropped) = self.target_pool.rebase(
+            target, removal_seeds, addition_seeds,
+            strict_removed=_group_by_class(
+                oid for oid in changed
+                if oid in previous.valuations[oid.class_name]),
+            strict_added=_group_by_class(
+                oid for oid in changed
+                if oid in target.valuations[oid.class_name]),
+            changed_attrs=changes)
 
     # ------------------------------------------------------------------
     # Constraint clauses: phases 1 and 3

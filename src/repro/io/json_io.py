@@ -19,12 +19,16 @@ as its label and an unlabelled one as its process-local serial.
 table or minted into it) or a serial, and rejects any other shape with
 :class:`JsonIoError`.  Dumps, the durable store's snapshots, WAL records
 and canonical rendering, and label-addressed deltas all go through them.
+A transformation's target needs no labels — a Skolem term minted each
+of its oids — so its reads use :data:`keyed_oid_encoder`, and
+:class:`InstanceText` keeps its canonical text up to date per object.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..model.instance import Instance, InstanceBuilder
 from ..model.keys import KeyFunction, KeySpec, KeyedSchema
@@ -194,10 +198,22 @@ def identity_decoder(labels: Dict[Tuple[str, str], Oid]
 
 def dump_oid_encoder(instance: Instance) -> Callable[[Oid], Dict[str, Any]]:
     """The ``oid_encoder`` of a dump of ``instance``: its
-    :func:`dump_labels`.  Other serialisers (query rows over the
-    service, program result sets) use it to name each object the way a
-    dump of the same instance does."""
+    :func:`dump_labels`.  Other serialisers (program result sets) use
+    it to name each object the way a dump of the same instance does."""
     return identity_encoder(dump_labels(instance).get)
+
+
+def _no_label(oid: Oid) -> Optional[str]:
+    raise JsonIoError(f"{oid} is anonymous, and a keyed-only encoding "
+                      f"has no label for it")
+
+
+#: The ``oid_encoder`` of an instance whose objects are all keyed — a
+#: transformation's target, every oid of which a Skolem term minted.
+#: It encodes exactly what :func:`dump_oid_encoder` would, without a
+#: label table to derive or patch, and raises :class:`JsonIoError` on
+#: an anonymous oid rather than name it differently from a dump.
+keyed_oid_encoder = identity_encoder(_no_label)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +284,113 @@ def instance_to_json(instance: Instance, oid_encoder=None
             for oid in sorted(instance.objects_of(cname), key=str)]
     return {"schema": schema_to_json(instance.schema),
             "objects": objects}
+
+
+class InstanceText:
+    """``canonical_json(instance_to_json(instance, oid_encoder))`` as
+    UTF-8, kept as one encoded entry per object.
+
+    An edit that changes k objects costs k re-encoded entries, not a
+    dump: :meth:`advance` records which oids a step changed (O(k)) and
+    the next :meth:`render` re-encodes just those and splices the
+    document.  Entries stay per class in ``str(oid)`` order, as
+    :func:`instance_to_json` lists them.  An instance the text was not
+    advanced to renders with every object dirty — the same code as the
+    first render.  Not thread-safe: callers serialise both methods.
+    """
+
+    def __init__(self, oid_encoder: Callable[[Oid], Dict[str, Any]]
+                 ) -> None:
+        self._encode_oid = oid_encoder
+        #: The instance the entries plus ``_dirty`` describe.
+        self._instance: Optional[Instance] = None
+        self._dirty: Optional[set] = None      # None: every object
+        self._entries: Dict[Oid, bytes] = {}
+        self._order: Dict[str, List[Oid]] = {}  # per class, by str
+        self._segments: Dict[str, bytes] = {}  # per class, spliced
+        self._schema = b""
+        self._text = b""
+
+    def advance(self, previous: Instance, instance: Instance,
+                changed: Iterable[Oid]) -> None:
+        """Record that ``instance`` is ``previous`` with the values of
+        ``changed`` replaced (absent on one side = inserted or
+        removed)."""
+        if self._instance is previous and self._dirty is not None:
+            self._dirty.update(changed)
+        else:
+            self._dirty = None
+        self._instance = instance
+
+    def render(self, instance: Instance) -> Tuple[bytes, str, int]:
+        """``(text, outcome, entries encoded)`` for ``instance``, where
+        ``outcome`` is ``hit`` (nothing changed since the last render),
+        ``patch`` or ``build`` (every object encoded)."""
+        if instance is not self._instance:
+            self._instance, self._dirty = instance, None
+        dirty = self._dirty
+        if dirty is None:
+            self._build(instance)
+            outcome, encoded = "build", len(self._entries)
+        elif dirty:
+            outcome, encoded = "patch", self._patch(instance, dirty)
+        else:
+            return self._text, "hit", 0
+        self._dirty = set()
+        self._text = b"".join((
+            b'{"objects": {',
+            b", ".join(self._segments[cname]
+                       for cname in sorted(self._segments)),
+            b'}, "schema": ', self._schema, b"}"))
+        return self._text, outcome, encoded
+
+    def _entry(self, oid: Oid, value: Value) -> bytes:
+        encode = self._encode_oid
+        return canonical_json({"id": encode(oid),
+                               "value": value_to_json(value, encode)}
+                              ).encode("utf-8")
+
+    def _segment(self, cname: str) -> None:
+        entries = self._entries
+        self._segments[cname] = b"".join((
+            canonical_json(cname).encode("utf-8"), b": [",
+            b", ".join(entries[oid] for oid in self._order[cname]),
+            b"]"))
+
+    def _build(self, instance: Instance) -> None:
+        self._entries, self._order, self._segments = {}, {}, {}
+        for cname in instance.schema.class_names():
+            values = instance.valuations[cname]
+            oids = self._order[cname] = sorted(values, key=str)
+            for oid in oids:
+                self._entries[oid] = self._entry(oid, values[oid])
+            self._segment(cname)
+        self._schema = canonical_json(
+            schema_to_json(instance.schema)).encode("utf-8")
+
+    def _patch(self, instance: Instance, dirty: set) -> int:
+        entries, encoded, classes = self._entries, 0, set()
+        for oid in sorted(dirty, key=str):
+            cname = oid.class_name
+            oids = self._order[cname]
+            value = instance.valuations[cname].get(oid)
+            classes.add(cname)
+            if oid in entries:
+                if value is None:
+                    at = bisect_left(oids, str(oid), key=str)
+                    while oids[at] != oid:
+                        at += 1
+                    del oids[at], entries[oid]
+                    continue
+            elif value is None:
+                continue  # inserted and removed again since the render
+            else:
+                oids.insert(bisect_right(oids, str(oid), key=str), oid)
+            entries[oid] = self._entry(oid, value)
+            encoded += 1
+        for cname in classes:
+            self._segment(cname)
+        return encoded
 
 
 def instance_from_json(data: Dict[str, Any],

@@ -85,6 +85,10 @@ class IndexPool:
         self.builds = 0
         self.hits = 0
         self.misses = 0
+        # path_dependencies per (class, path): a schema walk, and every
+        # rebase asks it for every built index.
+        self._dependencies: Dict[Tuple[str, Tuple[str, ...]],
+                                 Optional[frozenset]] = {}
         # Columnar arrays over the same instance, shared like the
         # indexes themselves (built lazily, patched by rebase).
         self._column_store: Optional[ColumnStore] = None
@@ -161,6 +165,14 @@ class IndexPool:
         index therefore also depends on.  Returns ``None`` when the
         schema walk cannot determine the read set (conservative).
         """
+        key = (class_name, path)
+        if key not in self._dependencies:
+            self._dependencies[key] = self._walk_dependencies(class_name,
+                                                              path)
+        return self._dependencies[key]
+
+    def _walk_dependencies(self, class_name: str, path: Tuple[str, ...]
+                           ) -> Optional[frozenset]:
         from ..model.schema import SchemaError
         from ..model.types import (ClassType, ListType, RecordType, SetType)
         schema = self.instance.schema
@@ -234,7 +246,8 @@ class IndexPool:
             if deps is None:
                 dropped.append((class_name, path))
                 continue
-            if deps == {class_name}:  # a local path
+            local = deps == {class_name}
+            if local:
                 removed_here: Sequence[Oid] = [
                     oid for oid in strict_removed.get(class_name, ())
                     if _attr_touched(oid, path, changed_attrs)]
@@ -249,17 +262,22 @@ class IndexPool:
             for oid in removed_here:
                 for value in _reached_values(self.instance, oid, path):
                     entry = index.get(value)
-                    if entry is not None and oid in entry:
-                        kept = tuple(other for other in entry
-                                     if other != oid)
-                        if kept:
-                            index[value] = kept
-                        else:
-                            del index[value]
+                    if entry is None:
+                        continue
+                    try:
+                        at = entry.index(oid)
+                    except ValueError:
+                        continue
+                    if len(entry) > 1:
+                        index[value] = entry[:at] + entry[at + 1:]
+                    else:
+                        del index[value]
             for oid in added_here:
                 for value in _reached_values(new_instance, oid, path):
                     entry = index.get(value, ())
-                    if oid not in entry:
+                    # A local path's added oid is either new or was
+                    # just removed from every entry: no scan for it.
+                    if local or oid not in entry:
                         index[value] = entry + (oid,)
             maintained += 1
         for key in dropped:

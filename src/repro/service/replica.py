@@ -33,10 +33,11 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 from urllib import request as urlrequest
 from urllib.error import HTTPError
 
+from ..evolution.delta import Delta, DeltaError
 from ..obs.events import log_event
 from ..obs.trace import current_trace_id
 from ..store.snapshot import snapshot_name, write_current
@@ -124,44 +125,53 @@ class ReplicaSession(WarehouseSession):
         apply, like a leader group-commit.  Records at or below the
         local seq are duplicate deliveries (poll overlap) and skipped;
         a gap means the feed and the cursor disagree and poisons
-        nothing: the caller reseeds from the snapshot.
+        nothing: the caller reseeds from the snapshot.  A record that
+        fails to decode raises after the records appended before it
+        are applied: they are durable, and the next poll starts past
+        them.
         """
-        batch = []
+        batch: List[Tuple[int, Delta]] = []
         with self._intake:
             self._check_alive()
-            for record in records:
-                seq = int(record["seq"])
-                if seq <= self.store.seq:
-                    continue
-                if seq != self.store.seq + 1:
-                    raise ReplicaError(
-                        f"replication gap: local store is at seq "
-                        f"{self.store.seq}, leader sent {seq}")
-                delta = self.store.decode_delta(record["payload"])
-                appended = self.store.append(delta)
-                if appended != seq:
-                    raise ReplicaError(
-                        f"leader record {seq} decoded to an empty "
-                        f"delta — the feed is corrupt")
-                batch.append((seq, delta))
-            if batch:
-                try:
-                    self._apply_batch(batch)
-                except Exception as exc:
-                    # Same poisoning as the leader's group commit: the
-                    # durable log and the warm state disagree now, and
-                    # only a restart (full warm rebuild) reconciles.
-                    self._failure = str(exc)
-                    raise
-                with self._cond:
-                    self._applied_seq = batch[-1][0]
-                    self._applied_gauge.set(self._applied_seq)
-                    self._cond.notify_all()
-                self._records.inc(len(batch))
-                self._note_lag()
+            try:
+                for record in records:
+                    seq = int(record["seq"])
+                    if seq <= self.store.seq:
+                        continue
+                    if seq != self.store.seq + 1:
+                        raise ReplicaError(
+                            f"replication gap: local store is at seq "
+                            f"{self.store.seq}, leader sent {seq}")
+                    delta = self.store.decode_delta(record["payload"])
+                    appended = self.store.append(delta)
+                    if appended != seq:
+                        raise ReplicaError(
+                            f"leader record {seq} decoded to an empty "
+                            f"delta — the feed is corrupt")
+                    batch.append((seq, delta))
+            finally:
+                if batch:
+                    self._apply_replicated(batch)
         if batch:
             self._notify_wal()  # replicas can be chained: wake our own tailers
         return len(batch)
+
+    def _apply_replicated(self, batch: List[Tuple[int, Delta]]) -> None:
+        """Apply appended records; called under the intake lock."""
+        try:
+            self._apply_batch(batch)
+        except Exception as exc:
+            # Same poisoning as the leader's group commit: the durable
+            # log and the warm state disagree now, and only a restart
+            # (full warm rebuild) reconciles.
+            self._failure = str(exc)
+            raise
+        with self._cond:
+            self._applied_seq = batch[-1][0]
+            self._applied_gauge.set(self._applied_seq)
+            self._cond.notify_all()
+        self._records.inc(len(batch))
+        self._note_lag()
 
     def replace_store(self, store: WarehouseStore) -> None:
         """Swap in a freshly seeded store (snapshot-seeded catch-up).
@@ -377,7 +387,7 @@ class WalReplica:
         while not self._stop.is_set():
             try:
                 self.step()
-            except (ReplicaError, ServiceError, StoreError,
+            except (ReplicaError, ServiceError, StoreError, DeltaError,
                     OSError) as exc:
                 if self.session is not None:
                     if self.session.connected:

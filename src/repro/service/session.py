@@ -31,7 +31,8 @@ from functools import reduce
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..evolution.delta import Delta, compose_deltas
-from ..io.json_io import canonical_json, instance_to_json, value_to_json
+from ..io.json_io import (InstanceText, instance_to_json, keyed_oid_encoder,
+                          value_to_json)
 from ..lang.parser import ParseError
 from ..obs.metrics import (BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY,
                            MetricsRegistry)
@@ -45,9 +46,14 @@ from .locks import ReadWriteLock
 
 _TARGET_ENCODE_TOTAL = REGISTRY.counter(
     "repro_target_encode_total",
-    "GET /target reads answered from the per-seq encoded bytes (hit) "
-    "or by dumping and encoding the target afresh (miss: the first "
-    "read after a seq advance or a replica reseed).", ("outcome",))
+    "GET /target reads answered from the encoded text unchanged (hit), "
+    "after re-encoding the objects the batches since the last read "
+    "changed (patch), or by encoding every object (build: the first "
+    "read after a session start or a replica reseed).", ("outcome",))
+_TARGET_ENTRIES_ENCODED = REGISTRY.counter(
+    "repro_target_entries_encoded_total",
+    "Target objects GET /target encoded (one entry each: every object "
+    "on a build, the changed ones on a patch).").labels()
 
 
 class ServiceError(Exception):
@@ -182,15 +188,12 @@ class WarehouseSession:
         self._rebuild_seconds.set(time.perf_counter() - start)
         self._applied_seq = store.seq
         self._applied_gauge.set(store.seq)
-        # The encoded /target result, keyed by the applied sequence
-        # number it renders — the target only changes at batch
-        # boundaries, so reads between them share one encoding.
-        self._target_encoded: Optional[Tuple[int, bytes]] = None
-        # Warm query state over the *target*: a shared IndexPool (whose
-        # indexes amortise across /query?body= and /program requests)
-        # and the dump oid-encoder, both invalidated whenever a batch
-        # replaces the target.
-        self._warm_cache: Optional[Tuple[Any, Any]] = None
+        # The /target text, one encoded entry per target object: a
+        # batch marks the objects it changed, the next read re-encodes
+        # them.  Reads render it under the read lock, so they take
+        # turns on this mutex.
+        self._target_text = InstanceText(keyed_oid_encoder)
+        self._target_text_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Writes
@@ -278,8 +281,17 @@ class WarehouseSession:
                           (delta for _seq, delta in batch))
         start = time.perf_counter()
         with span("commit", batch=len(batch),
-                  seq=batch[-1][0]), self._state_lock.write():
-            self.transform.apply_delta(composed)
+                  seq=batch[-1][0]) as commit_span, \
+                self._state_lock.write():
+            previous = self.transform.target
+            result = self.transform.apply_delta(composed)
+            self._target_text.advance(previous, result.target,
+                                      result.changed)
+            commit_span.set(
+                target_changed=len(result.changed),
+                target_indexes_maintained=(
+                    result.stats.target_indexes_maintained),
+                target_indexes_dropped=result.stats.target_indexes_dropped)
         self._apply_seconds.observe(time.perf_counter() - start)
         self._batch_size.observe(len(batch))
         self._batches.inc()
@@ -361,46 +373,30 @@ class WarehouseSession:
             return instance_to_json(self.transform.target)
 
     def target_json_bytes(self) -> bytes:
-        """:meth:`target_json` as canonical JSON text, encoded once per
-        applied seq.
-
-        Concurrent misses under the read lock are idempotent (same seq
-        renders the same bytes), so the last writer winning is
-        harmless.
-        """
+        """:meth:`target_json` as canonical JSON text: the objects the
+        batches since the last read changed are re-encoded, the rest
+        are reused."""
         with self._state_lock.read():
             self._queries.inc()
-            seq = self._applied_seq
-            cached = self._target_encoded
-            if cached is not None and cached[0] == seq:
-                _TARGET_ENCODE_TOTAL.labels("hit").inc()
-                return cached[1]
-            encoded = canonical_json(
-                instance_to_json(self.transform.target)).encode("utf-8")
-            self._target_encoded = (seq, encoded)
-            _TARGET_ENCODE_TOTAL.labels("miss").inc()
-            return encoded
+            with self._target_text_lock:
+                text, outcome, encoded = self._target_text.render(
+                    self.transform.target)
+        _TARGET_ENCODE_TOTAL.labels(outcome).inc()
+        if encoded:
+            _TARGET_ENTRIES_ENCODED.inc(encoded)
+        return text
 
     def _warm_query_state(self):
-        """(IndexPool, oid-encoder) over the target, cached per target.
+        """The IndexPool over the target, for a read under the read lock.
 
-        Called under the read lock.  The pool's indexes amortise
-        across every ``/query?body=`` and ``/program`` request between
-        two batch boundaries — this cache is exactly the "warm session"
-        advantage ``benchmarks/bench_program.py`` measures.  It is keyed
-        by the target itself, not by the applied sequence number: a
-        batch replaces the target under the write lock but advances the
-        number only afterwards, and a read in between must not run on
-        the previous target's pool.
+        It is the incremental session's own target pool: every
+        ``apply_delta`` rebases it in place, so its indexes amortise
+        across every ``/query?body=`` and ``/program`` request and
+        across batches, and a read between a batch and the applied-seq
+        advance (or after a direct ``apply_delta``) already probes the
+        new target.
         """
-        target = self.transform.target
-        cached = self._warm_cache
-        if cached is not None and cached[0].instance is target:
-            return cached
-        from ..io.json_io import dump_oid_encoder
-        from ..semantics.match import IndexPool
-        self._warm_cache = (IndexPool(target), dump_oid_encoder(target))
-        return self._warm_cache
+        return self.transform.target_pool
 
     def query_body_json(self, body: str,
                         project: Optional[str] = None) -> Dict[str, Any]:
@@ -421,11 +417,11 @@ class WarehouseSession:
                 with span("parse"):
                     parsed = Query.parse(
                         text, classes=target.schema.class_names())
-                pool, encoder = self._warm_query_state()
+                pool = self._warm_query_state()
                 columns = parsed.projection or parsed.variables()
                 with span("execute") as execute_span:
                     rows = ResultSet.from_rows(tuple(columns), (
-                        {name: value_to_json(value, encoder)
+                        {name: value_to_json(value, keyed_oid_encoder)
                          for name, value in row.items()}
                         for row in parsed.run_planned(target,
                                                       pool=pool))).rows
@@ -478,7 +474,7 @@ class WarehouseSession:
             self._queries.inc()
             self._programs.inc()
             target = self.transform.target
-            pool, encoder = self._warm_query_state()
+            pool = self._warm_query_state()
             with span("compile"):
                 try:
                     compiled = compile_program(program, target,
@@ -488,7 +484,8 @@ class WarehouseSession:
                         str(exc), status=422, code="validation_failed",
                         details={"diagnostics":
                                  exc.report.to_json()}) from exc
-            outcome = run_compiled(compiled, target, oid_encoder=encoder)
+            outcome = run_compiled(compiled, target,
+                                   oid_encoder=keyed_oid_encoder)
         response = outcome.to_json()
         if compiled.report.diagnostics:
             response["diagnostics"] = compiled.report.to_json()

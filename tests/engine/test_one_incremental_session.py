@@ -3,7 +3,8 @@
 Transformation clauses and constraint clauses are Horn clauses in one
 language over one source, so one session maintains both: one source
 instance, one ``ReverseIndex`` of it, one index pool and one
-three-phase step that swaps the source once.  These scans fail when a
+three-phase step that swaps the source once (and rebases the target's
+own pool once).  These scans fail when a
 second session — its own poisoned state, source index, swap or rebase —
 comes back.
 """
@@ -41,8 +42,11 @@ def test_the_source_is_reverse_indexed_once():
 
 
 def test_one_swap_and_one_rebase_per_step():
+    """One rebase per pool: the source's, and the target's."""
     assert len(_calls("apply_to")) == 1
-    assert len(_calls("rebase")) == 1
+    assert sorted(ast.unparse(call.func.value)
+                  for call in _calls("rebase")) == ["pool",
+                                                    "self.target_pool"]
 
 
 def test_the_second_session_is_gone_from_the_source_tree():

@@ -132,6 +132,10 @@ class CitiesStream:
             oid = _pick(instance, cname, rng)
             return Delta(updates={cname: {
                 oid: instance.value_of(oid).with_field(label, value)}})
+        return self.insert(tag)
+
+    def insert(self, tag: str) -> Delta:
+        """A new country with its capital and a village."""
         country = Oid.fresh("CountryE")
         return Delta(inserts={
             "CountryE": {country: Record.of(

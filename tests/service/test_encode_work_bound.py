@@ -1,12 +1,15 @@
 """Deterministic work bounds on the read path's JSON text (no timing).
 
-Each piece of JSON text is produced once: ``GET /target`` dumps and
-encodes the target once per applied seq however often it is read, and
-a query program renders a row's canonical key once, where a ``query``
-statement emits the row — set algebra and ``limit`` fold the keys they
-were handed.  A read path that re-encodes per request, or re-keys rows
-per statement (8 366 renderings for the 2 988 rows of the benchmark's
-``p10`` at genome 4x), fails these counts at any size.
+Each piece of JSON text is produced once: ``GET /target`` encodes each
+target object once and, after an ingest, re-encodes only the objects
+the ingest changed — no dump, however often it is read — and the
+reads after an ingest probe the target pool the ingest rebased instead
+of building a new one.  A query program renders a row's canonical key
+once, where a ``query`` statement emits the row — set algebra and
+``limit`` fold the keys they were handed.  A read path that re-encodes
+per request or per write, or re-keys rows per statement (8 366
+renderings for the 2 988 rows of the benchmark's ``p10`` at genome
+4x), fails these counts at any size.
 """
 
 import threading
@@ -17,10 +20,12 @@ import pytest
 import repro.program.interp as interp
 import repro.service.session as session_module
 from repro.adapters.acedb import AceDatabase, schema_of_acedb
+from repro.io.json_io import canonical_json, instance_to_json
 from repro.morphase import Morphase
 from repro.obs.metrics import REGISTRY
 from repro.query.query import Query
-from repro.service import make_server
+from repro.semantics.match import IndexPool
+from repro.service import envelope_ok, make_server
 from repro.workloads import genome
 
 READS = 5
@@ -102,26 +107,45 @@ def read_target(address, times):
         conn.close()
 
 
-def test_target_is_dumped_and_encoded_once_per_applied_seq(served,
-                                                           monkeypatch):
+def test_a_read_after_an_ingest_encodes_what_the_ingest_changed(
+        served, monkeypatch):
     session, address = served
     dumps = Calls(monkeypatch, session_module, "instance_to_json")
-    encodes = Calls(monkeypatch, session_module, "canonical_json")
+    pools = []
+    pool_init = IndexPool.__init__
+
+    def counted_pool(pool, instance):
+        if instance.schema == session.target.schema:
+            pools.append(instance)
+        pool_init(pool, instance)
+    monkeypatch.setattr(IndexPool, "__init__", counted_pool)
 
     def outcome(value):
         return REGISTRY.value("repro_target_encode_total",
                               {"outcome": value})
 
+    def encoded():
+        return REGISTRY.value("repro_target_entries_encoded_total")
+
+    objects = sum(map(len, session.target.valuations.values()))
     before = read_target(address, READS)
-    assert (dumps.count, encodes.count) == (1, 1)
-    assert (outcome("miss"), outcome("hit")) == (1, READS - 1)
+    assert (outcome("build"), outcome("hit")) == (1, READS - 1)
+    assert encoded() == objects
     assert len(set(before)) == 1
 
     session.ingest_json(INSERT_GENE)
+    changed = session.transform.stats.target_objects_touched
     after = read_target(address, READS)
-    assert (dumps.count, encodes.count) == (2, 2)
-    assert (outcome("miss"), outcome("hit")) == (2, 2 * (READS - 1))
+    session.query_body_json(QUERIES["named"])
+    session.program_json({"text": f"q = query {{ {QUERIES['cloned']} }};"})
+    assert dumps.count == 0
+    assert 0 < encoded() - objects <= changed
+    assert (outcome("build"), outcome("patch"), outcome("hit")) \
+        == (1, 1, 2 * (READS - 1))
+    assert pools == []
     assert len(set(after)) == 1 and after[0] != before[0]
+    assert after[0] == canonical_json(envelope_ok(
+        instance_to_json(session.target))).encode("utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

@@ -8,7 +8,8 @@ once-compiled plans hold no Skolem identities between deltas, so a
 long-lived session's memory does not grow with the identities its
 deltas minted; and the program and its source constraints share one
 session, so the source is indexed once at start and swapped, re-indexed
-and rebased once per batch.
+and rebased once per batch — and the target's own pool is rebased once
+per batch too, not rebuilt by the next read.
 """
 
 import collections
@@ -105,22 +106,36 @@ def test_a_batch_swaps_the_source_once(store_with_tail, monkeypatch):
     session = morphase.serve(morphase.open_store(path))
     counts = collections.Counter()
     for owner, name in ((Delta, "apply_to"),
-                        (ReverseIndex, "apply_delta"),
-                        (IndexPool, "rebase")):
+                        (ReverseIndex, "apply_delta")):
         _count(monkeypatch, counts, owner, name)
+    rebase = IndexPool.rebase
+
+    def counted_rebase(pool, *args, **kwargs):
+        transform = session.transform
+        side = ("source" if pool is transform.plan.pool
+                else "target" if pool is transform.target_pool else "other")
+        counts[f"IndexPool.rebase[{side}]"] += 1
+        return rebase(pool, *args, **kwargs)
+    monkeypatch.setattr(IndexPool, "rebase", counted_rebase)
     per_batch = []
     apply_batch = WarehouseSession._apply_batch
 
     def counted_batch(self, batch):
         before = collections.Counter(counts)
         apply_batch(self, batch)
-        per_batch.append(dict(counts - before))
+        changed = self.transform.stats.target_objects_touched
+        per_batch.append((dict(counts - before), changed > 0))
     monkeypatch.setattr(WarehouseSession, "_apply_batch", counted_batch)
     for _ in range(INGESTS):
         session.ingest(writes.next(session.store.instance))
-    assert per_batch == [{"Delta.apply_to": 1,                        # (e)
-                          "ReverseIndex.apply_delta": 1,
-                          "IndexPool.rebase": 1}] * INGESTS
+    # The target's pool is rebased exactly when the batch changed the
+    # target (a batch may change no target object at all).
+    assert [counted for counted, _changed in per_batch] == [{   # (e)
+        "Delta.apply_to": 1, "ReverseIndex.apply_delta": 1,
+        "IndexPool.rebase[source]": 1,
+        **({"IndexPool.rebase[target]": 1} if changed else {})}
+        for _counted, changed in per_batch]
+    assert sum(changed for _counted, changed in per_batch) > INGESTS // 2
     session.close()
 
 

@@ -237,6 +237,26 @@ class TestTracing:
             assert attrs.get("mode") in ("vec", "fallback")
             assert "rows_in" in attrs and "rows_out" in attrs
 
+    def test_commit_span_reports_the_target_change(self, leader):
+        """The commit span says how many target objects the batch
+        changed and what rebasing the target pool cost."""
+        session, _client, _url = leader
+        session.query_body_json('X in CityT, X.name = "x", N = X.name')
+        with start_trace("ingest") as trace:
+            session.ingest_json({"inserts": {"CityE": [
+                {"id": {"$oid": "CityE", "label": "CityE#traced"},
+                 "value": {"$rec": {
+                     "name": "Traced", "is_capital": False,
+                     "country": {"$oid": "CountryE",
+                                 "label": "CountryE#0"}}}}]}})
+        commit, = [span for span in trace.root.to_json()["spans"]
+                   if span["name"] == "commit"]
+        attrs = commit["attrs"]
+        assert attrs["target_changed"] \
+            == session.transform.stats.target_objects_touched > 0
+        assert attrs["target_indexes_maintained"] >= 1
+        assert attrs["target_indexes_dropped"] == 0
+
     def test_untraced_response_has_no_trace(self, leader):
         _session, client, _url = leader
         client.query("X in CountryT, N = X.name", project=["N"])

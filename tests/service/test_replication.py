@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.evolution.delta import DeltaError
 from repro.morphase import Morphase
 from repro.service import (ReplicaError, ServiceClient,
                            ServiceConflictError, WalReplica,
@@ -185,6 +186,28 @@ class TestFeedDiscipline:
             rsession.replicate(with_gap)
         replica.close()
 
+    def test_a_record_that_fails_to_decode_leaves_its_prefix_applied(
+            self, leader, tmp_path):
+        """Records appended before a bad one are durable, so they are
+        applied before the error surfaces: the next poll starts past
+        them, and must not find them missing from the warm state."""
+        _, session, client, url = leader
+        for _ in range(3):
+            client.ingest(insert_delta())
+        replica = make_replica(url, tmp_path)
+        rsession = replica.bootstrap()
+        records = client.wal(1)["records"]
+        bad = {"seq": 2, "payload": {"deletes": {"CountryE": [
+            {"$oid": "CountryE", "label": "CountryE#no-such"}]}}}
+        with pytest.raises(DeltaError):
+            rsession.replicate([records[0], bad])
+        assert rsession.store.seq == rsession.applied_seq == 1
+        assert rsession.spent is None
+        assert rsession.replicate(records[1:]) == 2
+        assert rsession.applied_seq == session.applied_seq == 3
+        assert rsession.target_json_bytes() == session.target_json_bytes()
+        replica.close()
+
     def test_compaction_forces_snapshot_reseed(self, leader, tmp_path):
         _, session, client, url = leader
         client.ingest(insert_delta())
@@ -314,6 +337,53 @@ class TestThreadedTailing:
         replica.catch_up()
         assert rsession.connected is True
         replica.close()
+
+
+    def test_a_bad_record_holds_the_loop_at_it_with_lag(self, leader,
+                                                         tmp_path):
+        """A record the follower cannot decode stops the tailing loop
+        at that record, visibly behind, instead of killing the thread;
+        once the feed serves it intact the follower catches up."""
+        _, session, client, url = leader
+        replica = make_replica(url, tmp_path, poll_wait=0.1,
+                               retry_seconds=0.02)
+        rsession = replica.bootstrap()
+        fetch = replica._fetch
+        corrupt = threading.Event()
+        corrupt.set()
+
+        def corrupting_fetch(path):
+            response = fetch(path)
+            if corrupt.is_set() and path.startswith("/wal"):
+                for record in response["records"]:
+                    if record["seq"] == 2:
+                        record["payload"] = {"deletes": {"CountryE": [
+                            {"$oid": "CountryE",
+                             "label": "CountryE#no-such"}]}}
+            return response
+        replica._fetch = corrupting_fetch
+        for _ in range(3):
+            client.ingest(insert_delta())
+        replica.start()
+        try:
+            deadline = time.monotonic() + 15.0
+            while ((rsession.applied_seq, rsession.leader_seq) != (1, 3)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            time.sleep(0.2)  # several more polls hit the bad record
+            assert (rsession.store.seq, rsession.applied_seq) == (1, 1)
+            assert rsession.metrics.value("repro_replication_lag") == 2
+            assert replica._thread.is_alive()
+            corrupt.clear()
+            deadline = time.monotonic() + 15.0
+            while (rsession.applied_seq < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert rsession.applied_seq == 3
+            assert rsession.target_json_bytes() \
+                == session.target_json_bytes()
+        finally:
+            replica.close()
 
 
 class TestMonotonicReadsAcrossNodes:
