@@ -77,9 +77,8 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     CodeInfo("WOL304", SEVERITY_WARNING, "imprecise read-set",
              "a projection subject could not be typed; incremental "
              "seeding must treat the clause as reading everything"),
-    CodeInfo("WOL305", SEVERITY_INFO, "not vectorizable",
-             "no step of the clause's join plan admits columnar "
-             "execution; the whole body runs row-at-a-time"),
+    # WOL305 retired with the row-at-a-time fallback (every plan step
+    # is a batch stage); the number is not reused.
     CodeInfo("WOL401", SEVERITY_ERROR, "key-incomplete creation",
              "the head creates an object of a keyed class without "
              "binding every key attribute (a runtime conflict today)"),

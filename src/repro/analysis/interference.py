@@ -1,4 +1,4 @@
-"""Clause-interference analysis (WOL301, WOL302, WOL304, WOL305).
+"""Clause-interference analysis (WOL301, WOL302, WOL304).
 
 Computes every clause's static write-set (head effects on target
 classes) and read-set (:class:`~repro.engine.incremental.ClauseReads`,
@@ -17,18 +17,13 @@ the incremental engine's own notion), then:
 * **WOL304** — clauses whose read-set is imprecise (an untypeable
   projection subject): incremental seeding must over-approximate to
   "reads everything" for them.
-* **WOL305** — clauses whose join plan has no vectorizable step; the
-  columnar executor falls back to row-at-a-time enumeration for every
-  stage of the body.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..engine.columnar import step_vectorizable
 from ..engine.incremental import ClauseReads
-from ..engine.planner import PlanError, plan_clause
 from ..lang.ast import Clause, EqAtom, MemberAtom, Proj, SkolemTerm, Var
 from ..normalization.congruence import Unsatisfiable, congruence_of
 from .analyzer import AnalysisContext
@@ -41,7 +36,6 @@ def run(context: AnalysisContext) -> List[Diagnostic]:
     out.extend(_produce_consume_cycles(context))
     for index in range(len(context.clauses)):
         out.extend(_read_precision(context, index))
-        out.extend(_vectorizability(context, index))
     return out
 
 
@@ -233,7 +227,7 @@ def _classes_in_cycles(edges: Dict[str, Set[str]]) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# WOL304 / WOL305: read-set precision, vectorizability
+# WOL304: read-set precision
 # ----------------------------------------------------------------------
 
 def _read_precision(context: AnalysisContext,
@@ -254,22 +248,3 @@ def _read_precision(context: AnalysisContext,
         suggestion="bind projection subjects through class membership "
                    "so their types are statically known")]
 
-
-def _vectorizability(context: AnalysisContext,
-                     index: int) -> List[Diagnostic]:
-    clause = context.clauses[index]
-    if not clause.body:
-        return []
-    try:
-        plan = plan_clause(clause)
-    except PlanError:
-        return []  # already WOL104
-    if any(step_vectorizable(step) for step in plan.steps):
-        return []
-    return [Diagnostic(
-        "WOL305",
-        "no step of the join plan is vectorizable; columnar execution "
-        "falls back to row-at-a-time enumeration for every stage",
-        clause=context.label(index), clause_index=index,
-        suggestion="start the body with a class membership scan or "
-                   "attribute bindings so batches can form")]

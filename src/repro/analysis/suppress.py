@@ -4,7 +4,7 @@ WOL clauses carry no source positions, so suppressions are directives in
 comments, scoped to a code and optionally to one clause::
 
     -- lint: disable=WOL301                  (whole file)
-    -- lint: disable=WOL301,WOL305 clause=C6 (one clause)
+    -- lint: disable=WOL301,WOL204 clause=C6 (one clause)
 
 Both ``--`` and ``#`` comment leaders are accepted.  Unknown codes are
 kept (they may belong to a newer analyzer) but never match anything.

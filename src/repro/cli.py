@@ -80,7 +80,7 @@ Subcommands::
         and exits 1 when any finding reaches ``--fail-on`` (default
         ``error``; also ``warning`` or ``info``).  Suppress findings
         in the program text with ``-- lint: disable=WOL301`` or
-        ``-- lint: disable=WOL301,WOL305 clause=C6``.
+        ``-- lint: disable=WOL301,WOL204 clause=C6``.
 
 Schema files use the textual schema language; ``program.wol`` is WOL
 concrete syntax; instances are the JSON interchange format of
@@ -89,8 +89,7 @@ concrete syntax; instances are the JSON interchange format of
 path.  Every ``--stats`` line and ``--json`` ``stats`` object is a
 view of one run's :class:`~repro.engine.executor.ExecutionStats`.  Planned
 execution is vectorized: whole binding batches flow through each clause
-as columns, with a row-at-a-time fallback per step the vectorizer cannot
-compile.
+as columns, one batch stage per plan step.
 ``check`` and ``apply-delta`` accept ``--json`` for machine-readable
 reports (CI and external tools consume these without scraping text).
 """
@@ -180,10 +179,9 @@ def _cmd_transform(args) -> int:
         # Indexes prebuilt by the planner are counted on the plan; the
         # stats delta covers only lazy in-run builds.
         prebuilt = result.plan.prebuilt_indexes if result.plan else 0
-        if stats.vectorized_steps or stats.fallback_steps:
+        if stats.vectorized_steps:
             vector_note = (f"{stats.vectorized_steps} vectorized steps "
-                           f"({stats.fallback_steps} fallback, "
-                           f"{stats.vectorized_rows} rows, "
+                           f"({stats.vectorized_rows} rows, "
                            f"max batch {stats.max_batch_rows}), ")
         else:
             vector_note = ""
@@ -296,7 +294,6 @@ def _cmd_apply_delta(args) -> int:
                 "indexes_rebuilt": stats.indexes_rebuilt,
                 "target_objects_touched": stats.target_objects_touched,
                 "vectorized_steps": stats.vectorized_steps,
-                "fallback_steps": stats.fallback_steps,
                 "vectorized_rows": stats.vectorized_rows,
                 "max_batch_rows": stats.max_batch_rows,
                 "elapsed_ms": round(stats.elapsed_seconds * 1000, 3),
@@ -317,8 +314,7 @@ def _cmd_apply_delta(args) -> int:
               f"bindings, {stats.target_objects_touched} target objects "
               f"touched, {stats.indexes_maintained} indexes maintained "
               f"({stats.indexes_rebuilt} rebuilt), "
-              f"{stats.vectorized_steps} vectorized steps "
-              f"({stats.fallback_steps} fallback), "
+              f"{stats.vectorized_steps} vectorized steps, "
               f"{stats.elapsed_seconds * 1000:.1f} ms")
     for violation in result.added:
         print(f"  + {violation}")

@@ -17,19 +17,17 @@ body batch, and the body rows it never extends are the violations.
 The differential fuzz harness holds the batch path to results
 byte-equal with the oracle's dynamic matcher's.
 
-Steps the compiler cannot vectorize — membership or ``in`` generators
-whose element is a *pattern* (unification against record/Skolem
-structure) and equations binding a non-variable pattern — run as
-**fallback stages**: the batch is re-materialised row by row through
-:func:`_expand_step`, below, and re-columnarised, so a single
-slow step never forces a whole clause off the vectorized path.
-:func:`step_vectorizable` is the static rule, shared by the planner's
-``explain()`` flag and the ``WOL305`` lint.
+Every step is a batch stage.  A generator whose element is a
+*pattern* — variables and constants under record, variant and Skolem
+constructors — fills a hidden candidate column and destructures it,
+and an equation binding a pattern evaluates its other side and
+destructures that: :func:`compile_pattern` turns the unification into
+keep-masks, gathers and equality tests over whole columns.
 
 Terms are compiled once per plan into column evaluators; a failed
-per-row evaluation (the scalar path's :class:`EvalError`) marks the row
-:data:`~repro.semantics.columns.MISSING` and the consuming stage drops
-it, as the fallback expander's :func:`_try_eval` does.  Stages take the
+per-row evaluation (the scalar evaluator's :class:`EvalError`) marks
+the row :data:`~repro.semantics.columns.MISSING` and the consuming
+stage drops it.  Stages take the
 :class:`~repro.semantics.match.IndexPool` they run on — its instance,
 hash indexes and columns — and keep no state between calls, so one
 compilation serves any instance of the schema (the incremental engine
@@ -55,19 +53,19 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 from ..lang.ast import (Atom, Const, EqAtom, InAtom, LtAtom, MemberAtom,
                         NeqAtom, Proj, RecordTerm, SkolemTerm, Term, Var,
                         VariantTerm)
-from ..model.instance import Instance, InstanceError
+from ..model.instance import InstanceError
 from ..model.schema import Schema
 from ..model.types import ClassType, ListType, RecordType, SetType
 from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
 from ..obs.trace import current_span
 from ..obs.trace import span as trace_span
 from ..semantics.columns import MISSING, deterministic_order
-from ..semantics.eval import Binding, EvalError, evaluate, skolem_key
+from ..semantics.eval import Binding, skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
-                               STEP_MEMBER_TEST, IndexPool, MatchError,
-                               PlanStep, checked_steps, unify_term)
+                               STEP_MEMBER_TEST, IndexPool, PlanStep,
+                               checked_steps)
 from .executor import ExecutionStats
 
 #: A batch: parallel binding columns, all of one length.
@@ -79,9 +77,12 @@ Evaluator = Callable[[IndexPool, Columns, int], List[Value]]
 #: A compiled stage: ``(pool, columns, count) -> (columns, count)``.
 Stage = Callable[[IndexPool, Columns, int], Tuple[Columns, int]]
 
+#: A compiled pattern (:func:`compile_pattern`): ``(columns, values) ->
+#: (keep, bound)``, the matching rows and the columns bound over them.
+Pattern = Callable[[Columns, List[Value]], Tuple[List[int], Columns]]
+
 #: What :func:`compile_steps` returns: ``(stages, names, retains)``.
-CompiledPlan = Tuple[List[Tuple[bool, Stage]], Tuple[str, ...],
-                     List[Optional[frozenset]]]
+CompiledPlan = Tuple[List[Stage], Tuple[str, ...], List[Optional[frozenset]]]
 
 #: Hidden-column prefix: a scan that binds variable ``X`` also emits
 #: ``\0row\0X`` holding each oid's raw :class:`ColumnStore` row, so
@@ -96,58 +97,9 @@ _ROW_PREFIX = "\0row\0"
 #: (:func:`unextended_rows`).  Every hidden column starts with NUL.
 _PROBE_ROW = "\0probe"
 
-
-# ----------------------------------------------------------------------
-# Static vectorizability rule
-# ----------------------------------------------------------------------
-
-_GENERATORS = (STEP_MEMBER_SCAN, STEP_MEMBER_INDEX, STEP_IN_GENERATE)
-_TESTS = (STEP_MEMBER_TEST, STEP_IN_TEST, STEP_EQ_TEST, STEP_COMPARE)
-
-
-def _compilable(term: Optional[Term]) -> bool:
-    """Can the column compiler evaluate ``term``?  (Everything the
-    scalar evaluator handles; the walk guards future AST nodes.)"""
-    if term is None:
-        return True
-    if isinstance(term, (Var, Const)):
-        return True
-    if isinstance(term, Proj):
-        return _compilable(term.subject)
-    if isinstance(term, VariantTerm):
-        return _compilable(term.payload)
-    if isinstance(term, RecordTerm):
-        return all(_compilable(sub) for _, sub in term.fields)
-    if isinstance(term, SkolemTerm):
-        return all(_compilable(sub) for _, sub in term.args)
-    return False
-
-
-def step_vectorizable(step: PlanStep) -> bool:
-    """True when ``step`` runs as an array operation over whole batches.
-
-    Generators must introduce their candidates through a plain
-    variable — a *pattern* element (record/Skolem structure) needs
-    per-candidate unification, the scalar fallback.  Equation binds
-    likewise need a variable pattern.  Pure tests always vectorize,
-    provided every term is compilable.
-    """
-    mode = step.mode
-    if mode in _GENERATORS:
-        atom = step.atom
-        if not isinstance(atom.element, Var):
-            return False
-        if mode == STEP_MEMBER_INDEX:
-            return _compilable(step.selector_term)
-        if mode == STEP_IN_GENERATE:
-            return _compilable(atom.collection)
-        return True
-    if mode == STEP_EQ_BIND:
-        return (isinstance(step.pattern_term, Var)
-                and _compilable(step.eval_term))
-    if mode in _TESTS:
-        return all(_compilable(term) for term in step.atom.terms())
-    return False
+#: Hidden column a generator whose element is a pattern fills with its
+#: candidates, for :func:`compile_pattern` to destructure.
+_CANDIDATE = "\0candidate"
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +293,130 @@ def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
 
 
 # ----------------------------------------------------------------------
+# Pattern compilation: Term -> destructuring of a value column
+# ----------------------------------------------------------------------
+
+def compile_pattern(term: Term, binds: Iterable[str]) -> Pattern:
+    """Compile the unification of ``term`` against a value column.
+
+    ``term`` is a pattern (:func:`~repro.semantics.match._is_pattern`):
+    variables and constants under record, variant and Skolem
+    constructors.  The compiled pattern takes the batch and one
+    candidate value per row, and returns the rows whose candidate
+    matches, in order, with a column per variable of ``binds`` over
+    those rows.  It is a fixed sequence of column operations, in the
+    pattern's pre-order:
+
+    * a type, label-set, tag or Skolem-class test and a constant are
+      keep-masks;
+    * a record field, variant payload, Skolem key or key argument is a
+      gather into a new column (the key's layout is ``skolem_key``'s:
+      the bare value of one positional argument, else a record of
+      exactly ``arg0 … arg(n-1)`` or of the named labels);
+    * the first occurrence of a variable of ``binds`` names its
+      column; any other occurrence, and a variable the batch binds, is
+      an equality test against that column.
+    """
+    binds = frozenset(binds)
+    ops: List[Tuple[bool, Callable]] = []  # (gathers a column?, op)
+    first: Dict[str, int] = {}  # variable -> the column holding it
+
+    def gather(op: Callable) -> int:
+        """Append a gather; returns its column (0 holds the
+        candidates, gather ``i`` fills column ``i``)."""
+        ops.append((True, op))
+        return sum(1 for gathers, _ in ops if gathers)
+
+    def part(read: Callable[[Value], Value], at: int) -> int:
+        return gather(lambda columns, rows, regs: [
+            read(value) for value in regs[at]])
+
+    def test(predicate: Callable[[Value], bool], at: int) -> None:
+        ops.append((False, lambda columns, rows, regs: [
+            index for index, value in enumerate(regs[at])
+            if predicate(value)]))
+
+    def fields(pairs: Sequence[Tuple[str, Term]], at: int) -> None:
+        labels = frozenset(label for label, _ in pairs)
+        test(lambda value: isinstance(value, Record)
+             and set(value.labels()) == labels, at)
+        for label, sub in pairs:
+            walk(sub, part(lambda value, label=label: value.get(label), at))
+
+    def walk(term: Term, at: int) -> None:
+        if isinstance(term, Var):
+            name = term.name
+            if name not in first:
+                if name in binds:
+                    first[name] = at
+                    return
+                first[name] = gather(lambda columns, rows, regs: [
+                    columns[name][row] for row in rows])
+            bound_at = first[name]
+            ops.append((False, lambda columns, rows, regs: [
+                index for index, (bound, value)
+                in enumerate(zip(regs[bound_at], regs[at]))
+                if bound == value]))
+        elif isinstance(term, Const):
+            constant = term.value
+            test(lambda value: constant == value, at)
+        elif isinstance(term, RecordTerm):
+            fields(term.fields, at)
+        elif isinstance(term, VariantTerm):
+            tag = term.label
+            test(lambda value: isinstance(value, Variant)
+                 and value.label == tag, at)
+            walk(term.payload, part(lambda value: value.value, at))
+        elif isinstance(term, SkolemTerm):
+            class_name = term.class_name
+            test(lambda value: isinstance(value, Oid) and value.is_keyed
+                 and value.class_name == class_name, at)
+            key = part(lambda value: value.key, at)
+            args = term.args
+            if len(args) == 1 and args[0][0] is None:
+                walk(args[0][1], key)
+            elif args and args[0][0] is None:
+                fields([(f"arg{index}", sub)
+                        for index, (_, sub) in enumerate(args)], key)
+            else:
+                fields(args, key)
+        else:
+            raise NotImplementedError(f"{term!r} is not a pattern")
+
+    walk(term, 0)
+    bound_columns = tuple((name, at) for name, at in first.items()
+                          if name in binds)
+
+    def pattern(columns: Columns, values: List[Value]
+                ) -> Tuple[List[int], Columns]:
+        rows = list(range(len(values)))
+        regs = [values]
+        for gathers, op in ops:
+            if not rows:
+                return [], {name: [] for name, _ in bound_columns}
+            if gathers:
+                regs.append(op(columns, rows, regs))
+                continue
+            keep = op(columns, rows, regs)
+            if len(keep) < len(rows):
+                rows = [rows[index] for index in keep]
+                regs = [[reg[index] for index in keep] for reg in regs]
+        return rows, {name: regs[at] for name, at in bound_columns}
+    return pattern
+
+
+def _matched(columns: Columns, count: int, values: List[Value],
+             pattern: Pattern) -> Tuple[Columns, int]:
+    """The batch rows whose value ``pattern`` matches, extended with
+    the columns it binds."""
+    keep, bound = pattern(columns, values)
+    out = {name: [column[row] for row in keep]
+           for name, column in columns.items()}
+    out.update(bound)
+    return out, len(keep)
+
+
+# ----------------------------------------------------------------------
 # Stage compilation: PlanStep -> batch stage
 # ----------------------------------------------------------------------
 
@@ -352,12 +428,31 @@ def _take(columns: Columns, keep: List[int], count: int
              for name, column in columns.items()}, len(keep))
 
 
+def _element_name(element: Term) -> str:
+    """The column a generator fills: its element variable's, or the
+    hidden candidate column when the element is a pattern."""
+    return element.name if isinstance(element, Var) else _CANDIDATE
+
+
+def _destructuring(generate: Stage, pattern: Pattern) -> Stage:
+    """A generator whose element is a pattern: ``generate`` fills the
+    :data:`_CANDIDATE` column, then ``pattern`` destructures it."""
+    def stage(pool: IndexPool, columns: Columns,
+              count: int) -> Tuple[Columns, int]:
+        columns, count = generate(pool, columns, count)
+        if not count:
+            return columns, 0
+        values = columns.pop(_CANDIDATE)
+        columns.pop(_ROW_PREFIX + _CANDIDATE, None)
+        return _matched(columns, count, values, pattern)
+    return stage
+
+
 def _scan_stage(step: PlanStep) -> Stage:
     atom = step.atom
-    assert isinstance(atom, MemberAtom) and isinstance(atom.element, Var)
+    assert isinstance(atom, MemberAtom)
     class_name = atom.class_name
-    name = atom.element.name
-
+    name = _element_name(atom.element)
     row_name = _ROW_PREFIX + name
 
     def stage(pool: IndexPool, columns: Columns,
@@ -467,8 +562,8 @@ def _generated(columns: Columns, count: int, keep: List[int], name: str,
 def _in_generate_stage(step: PlanStep, var_class: Dict[str, str],
                        var_collection: Dict[str, Tuple[str, str]]) -> Stage:
     atom = step.atom
-    assert isinstance(atom, InAtom) and isinstance(atom.element, Var)
-    name = atom.element.name
+    assert isinstance(atom, InAtom)
+    name = _element_name(atom.element)
     collection = atom.collection
     if (isinstance(collection, Var)
             and collection.name in var_collection):
@@ -582,9 +677,18 @@ def _in_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
 
 
 def _eq_bind_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
-    assert isinstance(step.pattern_term, Var)
-    name = step.pattern_term.name
     evaluator = compile_term(step.eval_term, var_class)
+    if not isinstance(step.pattern_term, Var):
+        pattern = compile_pattern(step.pattern_term, step.binds)
+
+        def destructure(pool: IndexPool, columns: Columns,
+                        count: int) -> Tuple[Columns, int]:
+            # A row whose evaluation failed holds MISSING, which the
+            # constructor test at the pattern's root rejects.
+            return _matched(columns, count,
+                            evaluator(pool, columns, count), pattern)
+        return destructure
+    name = step.pattern_term.name
 
     def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
@@ -650,89 +754,7 @@ def _compare_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     return stage
 
 
-def _try_eval(term: Term, binding: Binding,
-              instance: Instance) -> Optional[Value]:
-    try:
-        return evaluate(term, binding, instance)
-    except EvalError:
-        return None
-
-
-def _expand_step(pool: IndexPool, step: PlanStep,
-                 binding: Binding) -> Iterator[Binding]:
-    """One binding through one non-vectorizable step (the fallback
-    stage's expander): a generator whose element is a pattern, or an
-    equation binding a pattern.  Test steps always vectorize, so any
-    other mode raises :class:`MatchError`."""
-    atom = step.atom
-    mode = step.mode
-    instance = pool.instance
-    if mode == STEP_MEMBER_SCAN:
-        candidates: Sequence[Value] = instance.objects_of(atom.class_name)
-        pattern = atom.element
-    elif mode == STEP_MEMBER_INDEX:
-        # An EvalError in the selector means no object can pass the
-        # equality test either, so the empty candidate set is exact.
-        value = _try_eval(step.selector_term, binding, instance)
-        candidates = () if value is None else pool.lookup(
-            atom.class_name, step.selector_path, value)
-        pattern = atom.element
-    elif mode == STEP_IN_GENERATE:
-        collection = _try_eval(atom.collection, binding, instance)
-        candidates = (deterministic_order(collection)
-                      if isinstance(collection, (WolSet, WolList))
-                      else ())
-        pattern = atom.element
-    elif mode == STEP_EQ_BIND:
-        value = _try_eval(step.eval_term, binding, instance)
-        candidates = () if value is None else (value,)
-        pattern = step.pattern_term
-    else:
-        raise MatchError(f"no fallback expansion for plan step mode "
-                         f"{mode!r}")
-    for candidate in candidates:
-        extended = unify_term(pattern, candidate, binding, instance)
-        if extended is not None:
-            yield extended
-
-
-def _fallback_stage(step: PlanStep) -> Stage:
-    """Row-at-a-time escape hatch: re-materialise each row as a binding
-    dict, run :func:`_expand_step`, re-columnarise the output.
-
-    The known columns are read off the runtime batch (not frozen at
-    compile time) so liveness filtering upstream narrows this stage's
-    re-materialisation cost too."""
-    binds = tuple(step.binds)
-
-    def stage(pool: IndexPool, columns: Columns,
-              count: int) -> Tuple[Columns, int]:
-        known = tuple(name for name in columns
-                      if not name.startswith("\0"))
-        hidden = tuple(name for name in columns if name.startswith("\0"))
-        out_names = known + tuple(name for name in binds
-                                  if name not in columns)
-        out: Columns = {name: [] for name in out_names}
-        for name in hidden:  # carried along, never shown to the expander
-            out[name] = []
-        appends = [(name, out[name].append) for name in out_names]
-        rows = 0
-        for row in range(count):
-            binding = {name: columns[name][row] for name in known}
-            emitted = 0
-            for extended in _expand_step(pool, step, binding):
-                emitted += 1
-                for name, append in appends:
-                    append(extended.get(name))
-            if emitted:
-                rows += emitted
-                for name in hidden:
-                    out[name].extend(repeat(columns[name][row], emitted))
-        return out, rows
-    return stage
-
-
-_VECTOR_STAGES = {
+_STAGES = {
     STEP_MEMBER_INDEX: _index_stage,
     STEP_MEMBER_TEST: _member_test_stage,
     STEP_IN_TEST: _in_test_stage,
@@ -785,8 +807,8 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
     """Compile a plan into batch stages (reads only the plan and the
     schema of the instances the stages will run over).
 
-    Returns ``(stages, names, retains)``: per-step ``(vectorized,
-    stage)`` pairs, the final column names in binding order, and — when
+    Returns ``(stages, names, retains)``: one stage per step, the
+    final column names in binding order, and — when
     ``needed`` (the variables the *caller* reads from the final batch)
     is given — per-step retention sets for liveness filtering: after
     stage ``i`` only ``retains[i]`` columns are still live, the rest
@@ -801,31 +823,32 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
     known: List[str] = list(initial_names)
     var_class = dict(var_class or {})
     var_collection: Dict[str, Tuple[str, str]] = {}
-    stages: List[Tuple[bool, Stage]] = []
+    stages: List[Stage] = []
     reads: List[frozenset] = []
     for step in steps:
         extra_reads: frozenset = frozenset()
-        if step_vectorizable(step):
-            mode = step.mode
-            if mode == STEP_MEMBER_SCAN:
-                stage = _scan_stage(step)
-            elif mode == STEP_IN_GENERATE:
-                collection = step.atom.collection
-                if (isinstance(collection, Var)
-                        and collection.name in var_collection):
-                    # The stage reads the rewrite's subject column,
-                    # not the collection variable (see the rewrite in
-                    # ``_in_generate_stage``) — keep the subject live.
-                    extra_reads = frozenset(
-                        (var_collection[collection.name][0],))
-                stage = _in_generate_stage(step, var_class, var_collection)
-            else:
-                stage = _VECTOR_STAGES[mode](step, var_class)
-            stages.append((True, stage))
-        else:
-            stages.append((False, _fallback_stage(step)))
-        reads.append(_step_variables(step) | extra_reads)
+        mode = step.mode
         atom = step.atom
+        if mode == STEP_MEMBER_SCAN:
+            stage = _scan_stage(step)
+        elif mode == STEP_IN_GENERATE:
+            collection = atom.collection
+            if (isinstance(collection, Var)
+                    and collection.name in var_collection):
+                # The stage reads the rewrite's subject column, not
+                # the collection variable (see the rewrite in
+                # ``_in_generate_stage``) — keep the subject live.
+                extra_reads = frozenset(
+                    (var_collection[collection.name][0],))
+            stage = _in_generate_stage(step, var_class, var_collection)
+        else:
+            stage = _STAGES[mode](step, var_class)
+        if (mode in (STEP_MEMBER_SCAN, STEP_IN_GENERATE)
+                and not isinstance(atom.element, Var)):
+            stage = _destructuring(
+                stage, compile_pattern(atom.element, step.binds))
+        stages.append(stage)
+        reads.append(_step_variables(step) | extra_reads)
         if isinstance(atom, MemberAtom) and isinstance(atom.element, Var):
             var_class[atom.element.name] = atom.class_name
         if (step.mode == STEP_IN_GENERATE
@@ -876,8 +899,8 @@ def run_steps_columnar(pool: IndexPool, steps: Sequence[PlanStep],
                        ) -> Tuple[Tuple[str, ...], Columns, int]:
     """Run a plan over an initial batch; returns final names/columns.
 
-    ``stats`` is the run's record: its vectorized / fallback step,
-    row and batch counters grow here.
+    ``stats`` is the run's record: its step, row and batch counters
+    grow here.
 
     With ``needed``, dead binding columns are dropped between stages
     (liveness filtering): the final batch holds only the columns the
@@ -892,23 +915,18 @@ def run_steps_columnar(pool: IndexPool, steps: Sequence[PlanStep],
     # One context-variable read decides whether per-step spans exist at
     # all — the untraced hot path keeps its original loop body.
     tracing = current_span() is not None
-    for index, (step, (vectorized, stage), retain) in enumerate(
+    for index, (step, stage, retain) in enumerate(
             zip(steps, stages, retains)):
         if count == 0:
             return names, {name: [] for name in names}, 0
         if stats is not None:
-            if vectorized:
-                stats.vectorized_steps += 1
-                stats.vectorized_rows += count
-                if count > stats.max_batch_rows:
-                    stats.max_batch_rows = count
-            else:
-                stats.fallback_steps += 1
+            stats.vectorized_steps += 1
+            stats.vectorized_rows += count
+            if count > stats.max_batch_rows:
+                stats.max_batch_rows = count
         if tracing:
-            with trace_span(
-                    f"{index + 1}. {step.mode} {step.atom}",
-                    mode="vec" if vectorized else "fallback",
-                    rows_in=count) as step_span:
+            with trace_span(f"{index + 1}. {step.mode} {step.atom}",
+                            rows_in=count) as step_span:
                 columns, count = stage(pool, columns, count)
                 step_span.set(rows_out=count)
         else:

@@ -27,10 +27,9 @@ precomputed plan): per clause a fixed atom order compiled into plan
 steps, and across clauses one shared, prebuilt index pool — no
 per-binding atom re-classification, no per-clause lazy index builds.
 Every clause runs its plan as batch stages over whole binding columns
-(:mod:`repro.engine.columnar`), with the scalar step expander serving
-only as the per-step fallback inside a batch.  A clause the planner
-cannot order raises :class:`~repro.engine.planner.PlanError` before
-any clause runs.  Running every clause on the dynamic matcher instead
+(:mod:`repro.engine.columnar`), one stage per plan step.  A clause the
+planner cannot order raises :class:`~repro.engine.planner.PlanError`
+before any clause runs.  Running every clause on the dynamic matcher instead
 is the naive reference of the differential tests; it lives in
 :mod:`repro.oracle`, not behind an option here (planned and naive
 execution must produce identical target instances).
@@ -114,11 +113,9 @@ class ExecutionStats:
     index_hits: int = 0
     index_misses: int = 0
     #: Vectorized execution (:mod:`repro.engine.columnar`): plan steps
-    #: run as whole-batch array operations vs. steps that fell back to
-    #: the scalar step expander, total rows entering vectorized steps,
-    #: and the largest batch seen.
+    #: run as whole-batch stages, total rows entering them, and the
+    #: largest batch seen.
     vectorized_steps: int = 0
-    fallback_steps: int = 0
     vectorized_rows: int = 0
     max_batch_rows: int = 0
     #: One incremental step (``IncrementalTransform.apply_delta``):

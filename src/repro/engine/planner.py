@@ -109,16 +109,12 @@ class JoinPlan:
         return max(0, scans - 1)
 
     def explain(self) -> str:
-        """A stable, human-readable rendering of the plan.
-
-        Each step is tagged ``[vec]`` or ``[fallback]`` by the static
-        vectorizability rule (:func:`repro.engine.columnar.
-        step_vectorizable`) — the same predicate the columnar compiler
-        applies, so the rendering predicts exactly which steps run as
-        batch stages and which drop to row-at-a-time enumeration.
-        Every extent scan after the first reads ``[nested scan C]``.
+        """A stable, human-readable rendering of the plan: one line
+        per step, each of which runs as one batch stage
+        (:mod:`repro.engine.columnar`).  An index probe names its
+        index, and every extent scan after the first reads
+        ``[nested scan C]``.
         """
-        from .columnar import step_vectorizable
         lines = [
             f"plan {self.label}: {len(self.steps)} steps, "
             f"{self.atoms_reordered} reordered, "
@@ -126,7 +122,6 @@ class JoinPlan:
         ]
         scanned = False
         for position, step in enumerate(self.steps):
-            tag = " [vec]" if step_vectorizable(step) else " [fallback]"
             note = ""
             if step.mode == STEP_MEMBER_INDEX:
                 path = ".".join(step.selector_path or ())
@@ -137,7 +132,7 @@ class JoinPlan:
                 note = f"  [{nested}scan {step.atom.class_name}]"
                 scanned = True
             lines.append(
-                f"  {position + 1}. {step.mode:<12} {step.atom}{tag}{note}")
+                f"  {position + 1}. {step.mode:<12} {step.atom}{note}")
         return "\n".join(lines)
 
 

@@ -455,7 +455,6 @@ def publish_engine_stats(engine: str, stats: ExecutionStats,
             ("index_misses", "index_misses", stats.index_misses),
             ("vectorized_steps", "vectorized_steps",
              stats.vectorized_steps),
-            ("fallback_steps", "fallback_steps", stats.fallback_steps),
             ("vectorized_rows", "vectorized_rows", stats.vectorized_rows)):
         if amount:
             registry.counter(

@@ -33,18 +33,83 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
 
 from .engine.executor import ExecutionStats, Executor, _HeadPlan
 from .lang.ast import (Atom, Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
-                       MemberAtom, NeqAtom, Proj, Term, Var)
+                       MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm, Term,
+                       Var, VariantTerm)
 from .model.instance import Instance
 from .model.schema import Schema
-from .model.values import Oid, Value, WolList, WolSet
+from .model.values import Oid, Record, Value, Variant, WolList, WolSet
 from .morphase.system import Morphase, MorphaseResult
 from .semantics.columns import deterministic_order
 from .semantics.eval import Binding, EvalError, evaluate, is_evaluable
-from .semantics.match import IndexPool, MatchError, _is_pattern, unify_term
+from .semantics.match import IndexPool, MatchError, _is_pattern
 from .semantics.satisfaction import Violation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .query.query import Query, Row
+
+
+def unify_term(term: Term, value: Value,
+               binding: Binding) -> Optional[Binding]:
+    """Unify a pattern against a concrete value, one value at a time:
+    the reference for :func:`repro.engine.columnar.compile_pattern`.
+
+    Returns an extended binding, or None when the unification fails.  The
+    input binding is never mutated.
+    """
+    if isinstance(term, Var):
+        bound = binding.get(term.name)
+        if bound is None:
+            extended = dict(binding)
+            extended[term.name] = value
+            return extended
+        return binding if bound == value else None
+    if isinstance(term, Const):
+        return binding if term.value == value else None
+    if isinstance(term, RecordTerm):
+        if not isinstance(value, Record):
+            return None
+        if set(term.labels()) != set(value.labels()):
+            return None
+        current: Optional[Binding] = binding
+        for label, sub in term.fields:
+            current = unify_term(sub, value.get(label), current)
+            if current is None:
+                return None
+        return current
+    if isinstance(term, VariantTerm):
+        if not isinstance(value, Variant) or value.label != term.label:
+            return None
+        return unify_term(term.payload, value.value, binding)
+    if isinstance(term, SkolemTerm):
+        if not (isinstance(value, Oid) and value.is_keyed
+                and value.class_name == term.class_name):
+            return None
+        return _unify_skolem_args(term, value.key, binding)
+    return None  # projections are not patterns (``_is_pattern``)
+
+
+def _unify_skolem_args(term: SkolemTerm, key: Value,
+                       binding: Binding) -> Optional[Binding]:
+    """Recover Skolem arguments from a keyed oid's key and unify them:
+    the inverse of :func:`~repro.semantics.eval.skolem_key`, so a key
+    must carry exactly the labels the term's arguments pack into."""
+    args = term.args
+    if not args:
+        return binding if key == Record(()) else None
+    if args[0][0] is None:
+        if len(args) == 1:
+            return unify_term(args[0][1], key, binding)
+        labels = [f"arg{index}" for index in range(len(args))]
+    else:
+        labels = [label for label, _ in args]
+    if not isinstance(key, Record) or set(key.labels()) != set(labels):
+        return None
+    current: Optional[Binding] = binding
+    for label, (_, sub) in zip(labels, args):
+        current = unify_term(sub, key.get(label), current)
+        if current is None:
+            return None
+    return current
 
 
 class Matcher:
@@ -173,8 +238,7 @@ class Matcher:
                 return
             candidates = self._member_candidates(atom, binding, rest)
             for oid in candidates:
-                extended = unify_term(atom.element, oid, binding,
-                                      self.instance)
+                extended = unify_term(atom.element, oid, binding)
                 if extended is not None:
                     yield extended
             return
@@ -188,8 +252,7 @@ class Matcher:
                     yield binding
                 return
             for element in deterministic_order(collection):
-                extended = unify_term(atom.element, element, binding,
-                                      self.instance)
+                extended = unify_term(atom.element, element, binding)
                 if extended is not None:
                     yield extended
             return
@@ -206,14 +269,12 @@ class Matcher:
                 value = self._try_eval(atom.left, binding)
                 if value is None:
                     return
-                extended = unify_term(atom.right, value, binding,
-                                      self.instance)
+                extended = unify_term(atom.right, value, binding)
             else:
                 value = self._try_eval(atom.right, binding)
                 if value is None:
                     return
-                extended = unify_term(atom.left, value, binding,
-                                      self.instance)
+                extended = unify_term(atom.left, value, binding)
             if extended is not None:
                 yield extended
             return

@@ -1,7 +1,7 @@
 """Semantics of WOL clauses: evaluation, matching, satisfaction."""
 
 from .eval import Binding, EvalError, evaluate, is_evaluable, project, skolem_key
-from .match import MatchError, unify_term
+from .match import MatchError
 from .satisfaction import (Violation, clause_violations, merge_instances,
                            program_violations, satisfies_clause,
                            satisfies_program)
@@ -9,7 +9,7 @@ from .satisfaction import (Violation, clause_violations, merge_instances,
 __all__ = [
     "Binding", "EvalError", "evaluate", "is_evaluable", "project",
     "skolem_key",
-    "MatchError", "unify_term",
+    "MatchError",
     "Violation", "clause_violations", "merge_instances",
     "program_violations", "satisfies_clause", "satisfies_program",
 ]

@@ -48,7 +48,7 @@ def deterministic_order(collection) -> List[Value]:
     """A collection's elements in the one deterministic order.
 
     Lists keep their order, sets sort by textual form.  Pre-sorted set
-    columns, the columnar fallback expander and the reference matcher
+    columns, the columnar ``in``-generator and the reference matcher
     (:mod:`repro.oracle`) all enumerate through it, so they can never
     diverge.
     """

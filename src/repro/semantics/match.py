@@ -5,13 +5,11 @@ as its join plan (:mod:`repro.engine.planner`) run in batch stages
 (:mod:`repro.engine.columnar`).  This module holds what those stages
 share with the planner: the :class:`PlanStep` records and their modes,
 the :class:`IndexPool` of hash indexes (and columns) over one instance,
-the boundness check :func:`checked_steps`, and pattern unification.
-The dynamic, per-binding enumeration those plans are tested against is
-the reference matcher of :mod:`repro.oracle`.
-
-Pattern unification against values supports the invertible positions of
-:mod:`repro.lang.range_restriction`: variables, record fields, variant
-payloads and Skolem arguments (recovering arguments from keyed identities).
+the boundness check :func:`checked_steps`, and :func:`_is_pattern`, the
+planner's test for a term a generator or equation can destructure.
+The dynamic, per-binding enumeration those plans are tested against,
+and its value-at-a-time pattern unification, are the reference
+matcher's in :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
@@ -22,13 +20,13 @@ from functools import cached_property
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from ..lang.ast import (Atom, Const, Proj, RecordTerm, SkolemTerm, Term, Var,
+from ..lang.ast import (Atom, Const, RecordTerm, SkolemTerm, Term, Var,
                         VariantTerm)
 from ..model.instance import Instance
-from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
+from ..model.values import Oid, Value, WolList, WolSet
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from .columns import ColumnStore
-from .eval import Binding, EvalError, evaluate, is_evaluable, project
+from .eval import EvalError, project
 
 
 class MatchError(Exception):
@@ -391,88 +389,10 @@ class PlanStep:
         return required
 
 
-def unify_term(term: Term, value: Value, binding: Binding,
-               instance: Optional[Instance]) -> Optional[Binding]:
-    """Unify a term pattern against a concrete value.
-
-    Returns an extended binding, or None when the unification fails.  The
-    input binding is never mutated.
-    """
-    if isinstance(term, Var):
-        bound = binding.get(term.name)
-        if bound is None:
-            extended = dict(binding)
-            extended[term.name] = value
-            return extended
-        return binding if bound == value else None
-    if isinstance(term, Const):
-        return binding if term.value == value else None
-    if isinstance(term, RecordTerm):
-        if not isinstance(value, Record):
-            return None
-        if set(term.labels()) != set(value.labels()):
-            return None
-        current: Optional[Binding] = binding
-        for label, sub in term.fields:
-            current = unify_term(sub, value.get(label), current, instance)
-            if current is None:
-                return None
-        return current
-    if isinstance(term, VariantTerm):
-        if not isinstance(value, Variant) or value.label != term.label:
-            return None
-        return unify_term(term.payload, value.value, binding, instance)
-    if isinstance(term, SkolemTerm):
-        if not (isinstance(value, Oid) and value.is_keyed
-                and value.class_name == term.class_name):
-            return None
-        return _unify_skolem_args(term, value.key, binding, instance)
-    if isinstance(term, Proj):
-        # Projections are not invertible: only usable when evaluable.
-        if not is_evaluable(term, binding):
-            return None
-        try:
-            actual = evaluate(term, binding, instance)
-        except EvalError:
-            return None
-        return binding if actual == value else None
-    return None
-
-
-def _unify_skolem_args(term: SkolemTerm, key: Value, binding: Binding,
-                       instance: Optional[Instance]) -> Optional[Binding]:
-    """Recover Skolem arguments from a keyed oid's key and unify them."""
-    args = list(term.args)
-    if not args:
-        return binding if key == Record(()) else None
-    if args[0][0] is None:
-        if len(args) == 1:
-            return unify_term(args[0][1], key, binding, instance)
-        if not isinstance(key, Record):
-            return None
-        current: Optional[Binding] = binding
-        for index, (_, sub) in enumerate(args):
-            label = f"arg{index}"
-            if not key.has(label):
-                return None
-            current = unify_term(sub, key.get(label), current, instance)
-            if current is None:
-                return None
-        return current
-    if not isinstance(key, Record):
-        return None
-    if set(key.labels()) != {label for label, _ in args}:
-        return None
-    current = binding
-    for label, sub in args:
-        current = unify_term(sub, key.get(label), current, instance)
-        if current is None:
-            return None
-    return current
-
-
 def _is_pattern(term: Term) -> bool:
-    """Can ``term`` be driven by unification against a value?"""
+    """Can ``term`` be driven by unification against a value?  (What
+    :func:`repro.engine.columnar.compile_pattern` compiles: variables
+    and constants under record, variant and Skolem constructors.)"""
     if isinstance(term, (Var, Const)):
         return True
     if isinstance(term, RecordTerm):

@@ -108,16 +108,18 @@ class TestSuppressions:
 
     def test_retired_wol303_directive_stays_inert(self, lint):
         """WOL303 ("not parallel-shardable") went with the parallel
-        engine.  A program still carrying the directive lints as
+        engine, WOL305 ("not vectorizable") with the row-at-a-time
+        fallback.  A program still carrying either directive lints as
         before: the code is kept like any unknown one, matches
         nothing, and is not an error."""
-        assert "WOL303" not in CODES
-        text = ("-- lint: disable=WOL303\n" + PREAMBLE
-                + 'transformation F: X in Out, X.name = N, X.v = N'
-                  ' <= N = "fixed";\n')
-        assert ("WOL303", None) in parse_suppressions(text)
-        report = lint(text)
-        assert report.ok and not report.suppressed
+        for code in ("WOL303", "WOL305"):
+            assert code not in CODES
+            text = (f"-- lint: disable={code}\n" + PREAMBLE
+                    + 'transformation F: X in Out, X.name = N, X.v = N'
+                      ' <= N = "fixed";\n')
+            assert (code, None) in parse_suppressions(text)
+            report = lint(text)
+            assert report.ok and not report.suppressed
 
     def test_non_directive_comments_ignored(self):
         assert parse_suppressions("-- a comment\n# another\n") == frozenset()

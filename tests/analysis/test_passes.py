@@ -137,18 +137,6 @@ transformation T: Y in Out, Y.name = N, Y.v = N
 """, [pair], tgt_schema)
         assert has(report, "WOL304", clause="T")
 
-    def test_wol305_not_vectorizable(self, lint):
-        """A record-pattern generator needs per-candidate unification,
-        so the single-step plan has nothing the columnar executor can
-        batch."""
-        report = lint(PREAMBLE + """
-transformation V: X in Out, X.name = N, X.v = N
-  <= (name = N, a = A, b = B) in Item;
-""")
-        found = has(report, "WOL305", clause="V")
-        assert found.severity == "info"
-        assert "vectorizable" in found.message
-
 
 class TestSchemaLintPass:
     def test_wol401_key_incomplete_creation(self, lint):

@@ -1,10 +1,10 @@
 """Unit tests for the vectorized plan executor (``engine.columnar``).
 
 The differential fuzz harness pins whole-engine byte equality; these
-tests pin the module-level contracts — the static vectorizability
-rule and the term compiler's totality behind it, set-wise equivalence
-with the dynamic matcher, seed grouping of seeded batches, fallback
-re-entry mid-plan, stats counters, the batched
+tests pin the module-level contracts — one batch stage per plan step
+and the term compiler's totality behind it, set-wise equivalence
+with the dynamic matcher, seed grouping of seeded batches, pattern
+stages mid-plan, stats counters, the batched
 head's duplicate/conflict semantics at every arity, n-ary Skolem
 identities and the row multiplicity of ``in``-generators nobody reads.
 """
@@ -14,8 +14,8 @@ import types
 
 import pytest
 
-from repro.engine.columnar import (_compilable, _expand_step, compile_term,
-                                   seeded_batch_columnar, step_vectorizable,
+from repro.engine.columnar import (compile_steps, compile_term,
+                                   seeded_batch_columnar,
                                    stream_plan_columnar)
 from repro.engine.executor import ExecutionError
 from repro.engine.planner import plan_clause
@@ -28,13 +28,13 @@ from repro.model import (INT, STR, InstanceBuilder, Oid, Record, Schema,
 from repro.model.schema import parse_schema
 from repro.morphase import Morphase
 from repro.oracle import Matcher, naive_transform
-from repro.semantics.match import STEP_COMPARE, IndexPool, MatchError
+from repro.semantics.match import IndexPool
 from repro.workloads.cities import sample_euro_instance
 
 
 def counters():
-    return types.SimpleNamespace(vectorized_steps=0, fallback_steps=0,
-                                 vectorized_rows=0, max_batch_rows=0)
+    return types.SimpleNamespace(vectorized_steps=0, vectorized_rows=0,
+                                 max_batch_rows=0)
 
 
 def body_plan(text, classes, initial_bound=()):
@@ -45,31 +45,43 @@ def body_plan(text, classes, initial_bound=()):
 EURO_CLASSES = ["CityE", "CountryE"]
 
 
+EURO_SCHEMA = sample_euro_instance().schema
+
+
+def stage_count(plan):
+    stages, _, _ = compile_steps(EURO_SCHEMA, plan.steps, ())
+    return len(stages)
+
+
 class TestVectorizabilityRule:
+    """Every plan step compiles to one batch stage: plain generators,
+    binds and tests, and the pattern steps that destructure."""
+
     def test_scans_binds_and_tests_vectorize(self):
         plan = body_plan(
             "E in CountryE, N = E.name, C in CityE, E = C.country",
             EURO_CLASSES)
-        assert all(step_vectorizable(step) for step in plan.steps)
+        assert stage_count(plan) == len(plan.steps) == 4
 
-    def test_pattern_equation_falls_back(self):
+    def test_pattern_equation_vectorizes(self):
         plan = body_plan("E in CountryE, (x = X, y = Y) = E.name",
                          EURO_CLASSES)
-        flags = [step_vectorizable(step) for step in plan.steps]
-        assert flags == [True, False]
+        assert stage_count(plan) == len(plan.steps) == 2
+        stats = counters()
+        assert list(stream_plan_columnar(
+            IndexPool(sample_euro_instance()), plan.steps, None,
+            stats)) == []
+        assert stats.vectorized_steps == 2
 
-    def test_pattern_generator_falls_back(self):
-        clause = parse_clause(
-            "T = T <= (name = N, a = A, b = B) in Item;",
-            classes=["Item"])
-        plan = plan_clause(clause)
-        assert not any(step_vectorizable(step) for step in plan.steps)
+    def test_pattern_generator_vectorizes(self):
+        plan = body_plan("(name = N, a = A, b = B) in CountryE",
+                         EURO_CLASSES)
+        assert stage_count(plan) == len(plan.steps) == 1
 
-    def test_explain_tags_match_the_rule(self):
+    def test_explain_carries_no_stage_tags(self):
         plan = body_plan("E in CountryE, N = E.name", EURO_CLASSES)
-        lines = plan.explain().splitlines()
-        assert any("[vec]" in line for line in lines)
-        assert not any("[fallback]" in line for line in lines)
+        assert "[vec]" not in plan.explain()
+        assert "[fallback]" not in plan.explain()
 
 
 def canonical(bindings):
@@ -97,7 +109,6 @@ class TestPositionalEquivalence:
             matcher.solutions(plan.clause.body))
         assert len(columnar) == len(euro.objects_of("CityE"))
         assert stats.vectorized_steps == len(plan.steps)
-        assert stats.fallback_steps == 0
         assert stats.max_batch_rows >= len(euro.objects_of("CityE"))
 
     def test_initial_binding_respected(self):
@@ -136,8 +147,8 @@ schema M {
 """)
 
 
-class TestFallbackReentry:
-    def test_fallback_mid_plan_preserves_order_and_counts(self):
+class TestPatternStages:
+    def test_pattern_mid_plan_preserves_order_and_counts(self):
         builder = InstanceBuilder(MIXED_SCHEMA)
         for index in range(5):
             builder.make("C", f"c{index}", Record.of(
@@ -149,29 +160,18 @@ class TestFallbackReentry:
         plan = body_plan(
             "C in C, M = C.name, (x = X, y = Y) = C.pt, W in C.tags",
             ["C"])
-        assert not all(step_vectorizable(step) for step in plan.steps)
         stats = counters()
         columnar = list(stream_plan_columnar(
             pool, plan.steps, None, stats))
-        assert canonical(columnar) == canonical(
-            matcher.solutions(plan.clause.body))
+        assert columnar == list(matcher.solutions(plan.clause.body))
         # Rows stay grouped by the driving scan, in extent order.
         assert [binding["C"] for binding in columnar] == [
             oid for oid in instance.objects_of("C") for _ in range(2)]
-        assert stats.vectorized_steps > 0
-        assert stats.fallback_steps > 0
-
-    def test_only_generators_and_pattern_binds_reach_the_expander(self):
-        """Test steps always vectorize, so the fallback expander has no
-        branch for them: one that got there would raise, not answer."""
-        plan = body_plan('C in CityE, N = C.name, N != "Paris"',
-                         EURO_CLASSES)
-        compare = next(step for step in plan.steps
-                       if step.mode == STEP_COMPARE)
-        assert step_vectorizable(compare)
-        with pytest.raises(MatchError):
-            list(_expand_step(IndexPool(sample_euro_instance()),
-                              compare, {"N": "Rome"}))
+        assert [(binding["X"], binding["Y"]) for binding in columnar] == [
+            (index, -index) for index in range(5) for _ in range(2)]
+        # One batch stage per step, the pattern equation's included.
+        assert stats.vectorized_steps == len(plan.steps) == 4
+        assert stats.vectorized_rows == 1 + 5 + 5 + 5
 
 
 def _term_samples():
@@ -188,16 +188,15 @@ def _term_samples():
 
 
 def test_every_term_kind_compiles_to_a_column():
-    """``step_vectorizable`` sends every test step to the batch stages
-    because ``_compilable`` accepts every term; a new AST node must be
-    taught to the column compiler before it can reach a plan."""
+    """Every step is a batch stage, so the column compiler accepts every
+    term; a new AST node must be taught to it before it can reach a
+    plan."""
     kinds = {cls for cls in vars(ast_module).values()
              if isinstance(cls, type) and issubclass(cls, Term)
              and cls is not Term}
     samples = _term_samples()
     assert kinds == set(samples)
     for term in samples.values():
-        assert _compilable(term), term
         compile_term(term)
 
 
@@ -401,6 +400,5 @@ class TestUnreadGenerators:
             classes=["Item", "Out"])
         target, stats = execute_both(program, builder.freeze(), GEN_TGT)
         assert stats.bindings_found == bindings
-        assert stats.fallback_steps == 0
         # One vectorized stage per plan step: nothing is fused away.
         assert stats.vectorized_steps == 2 + body.count(",") + 1

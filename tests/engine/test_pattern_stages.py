@@ -9,14 +9,18 @@ produce exactly the reference matcher's bindings, in the same order.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.columnar import stream_plan_columnar
+from repro.engine.columnar import compile_pattern, stream_plan_columnar
 from repro.engine.planner import plan_clause
 from repro.lang import parse_clause
-from repro.lang.ast import Var
+from repro.lang.ast import Const, RecordTerm, SkolemTerm, Var, VariantTerm
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Oid, Record,
                          Schema, Variant, WolSet, record, set_of, variant)
-from repro.oracle import Matcher
+from repro.oracle import Matcher, unify_term
+from repro.query import Query
+from repro.semantics.eval import skolem_key
 from repro.semantics.match import (STEP_EQ_BIND, STEP_IN_GENERATE,
                                    STEP_MEMBER_SCAN, IndexPool)
 
@@ -134,12 +138,119 @@ def test_pattern_step_enumerates_the_reference_rows(body, mode, rows):
     assert columnar == reference
 
 
-def test_every_mode_and_pattern_kind_is_covered():
-    kinds = {"Mk_K()", "Mk_K(X)", "Mk_K(X, Y)", "Mk_K(a = X", "ins_l",
-             "ins_z", "(p = (x", "(x = 1", "(x = 0", "(x = X, y = X)",
-             "(name = N", "= C.opt"}
-    for kind in kinds:
-        assert any(kind in body for body, _, _ in CASES), kind
-    assert {mode for _, mode, _ in CASES} == {
-        STEP_MEMBER_SCAN, STEP_IN_GENERATE, STEP_EQ_BIND}
+LONG_KEY_SCHEMA = Schema.of("LongKey", K=record(a=INT, b=INT))
 
+
+def long_key_instance():
+    """One ``K`` object, keyed by three positional arguments."""
+    builder = InstanceBuilder(LONG_KEY_SCHEMA)
+    builder.make("K", Record.of(arg0=1, arg1=2, arg2=3), Record.of(a=1, b=2))
+    return builder.freeze()
+
+
+@pytest.mark.parametrize("text", [
+    "X, Y | Mk_K(X, Y) in K",
+    "X, Y | O in K, X = O.a, Y = O.b, O = Mk_K(X, Y)",
+])
+def test_positional_skolem_pattern_needs_the_exact_key(text):
+    """``Mk_K(1, 2)`` is keyed ``(arg0 = 1, arg1 = 2)``: an object keyed
+    ``(arg0 = 1, arg1 = 2, arg2 = 3)`` is another identity, so neither
+    destructuring it nor comparing against it finds a row, whatever
+    the join order."""
+    query = Query.parse(text, classes=["K"])
+    instance = long_key_instance()
+    assert list(query.run_planned(instance)) == []
+    assert list(query.run(instance)) == []
+
+
+# ----------------------------------------------------------------------
+# compile_pattern against the oracle's unify_term, value by value
+# ----------------------------------------------------------------------
+
+LEAVES = (0, 1, "a")
+LABELS = ("x", "y")
+NAMES = ("X", "Y", "Z")
+
+
+def _labelled(children):
+    """Distinct labels from :data:`LABELS`, each with a child."""
+    return st.lists(st.tuples(st.sampled_from(LABELS), children),
+                    max_size=2, unique_by=lambda pair: pair[0])
+
+
+def _skolem_args(children):
+    """Positional (0-3) or named arguments, as ``(label, child)``."""
+    return st.one_of(
+        st.lists(children, max_size=3).map(
+            lambda subs: tuple((None, sub) for sub in subs)),
+        _labelled(children).map(tuple))
+
+
+def _values(children):
+    return st.one_of(
+        _labelled(children).map(Record),
+        st.builds(Variant, st.sampled_from(("l", "m")), children),
+        st.builds(lambda name, args: Oid.keyed(name, skolem_key(name, args)),
+                  st.sampled_from(("K", "J")), _skolem_args(children)))
+
+
+def _patterns(children):
+    return st.one_of(
+        _labelled(children).map(lambda fields: RecordTerm(tuple(fields))),
+        st.builds(VariantTerm, st.sampled_from(("l", "m")), children),
+        st.builds(SkolemTerm, st.sampled_from(("K", "J")),
+                  _skolem_args(children)))
+
+
+VALUES = st.recursive(
+    st.sampled_from(LEAVES) | st.just(Oid.fresh("K")), _values,
+    max_leaves=6)
+PATTERNS = st.recursive(
+    st.sampled_from(NAMES).map(Var) | st.sampled_from(LEAVES).map(Const),
+    _patterns, max_leaves=6)
+
+
+def _instance(draw, term):
+    """A value shaped like ``term``: each variable a random leaf, so
+    repeated and batch-bound variables agree often enough to test, and
+    sometimes one field or Skolem argument too many."""
+    if isinstance(term, Var):
+        return draw(st.sampled_from(LEAVES))
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, VariantTerm):
+        return Variant(term.label, _instance(draw, term.payload))
+    parts = [(label, _instance(draw, sub)) for label, sub in (
+        term.fields if isinstance(term, RecordTerm) else term.args)]
+    if parts and draw(st.booleans()):
+        parts.append((parts[0][0] and "z", 0))
+    if isinstance(term, RecordTerm):
+        return Record(tuple(parts))
+    return Oid.keyed(term.class_name, skolem_key(term.class_name, parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=PATTERNS, data=st.data(), batch_binds_z=st.booleans())
+def test_compile_pattern_agrees_with_unify_term(pattern, data,
+                                                batch_binds_z):
+    """Over random patterns and candidate values (random ones, and
+    ones shaped like the pattern), with ``Z`` optionally bound by the
+    batch, the compiled pattern keeps exactly the rows ``unify_term``
+    extends, in row order, with the same bindings."""
+    rows = [(_instance(data.draw, pattern) if shaped
+             else data.draw(VALUES), data.draw(st.sampled_from(LEAVES)))
+            for shaped in data.draw(st.lists(st.booleans(), max_size=6))]
+    columns = {"Z": [z for _, z in rows]} if batch_binds_z else {}
+    binds = pattern.variables() - set(columns)
+    expected = []
+    for row, (candidate, z) in enumerate(rows):
+        binding = {"Z": z} if batch_binds_z else {}
+        extended = unify_term(pattern, candidate, binding)
+        if extended is not None:
+            expected.append((row, {name: extended[name]
+                                   for name in binds}))
+    keep, bound = compile_pattern(pattern, binds)(
+        columns, [candidate for candidate, _ in rows])
+    assert set(bound) == binds
+    assert [(row, {name: bound[name][index] for name in binds})
+            for index, row in enumerate(keep)] == expected

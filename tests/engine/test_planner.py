@@ -191,8 +191,8 @@ class TestDeterminismAndExplain:
         assert plan.explain() == (
             "plan T = T <= E in CountryE, N = E.name;: "
             "2 steps, 0 reordered, est. cost 8\n"
-            "  1. member-scan  E in CountryE [vec]  [scan CountryE]\n"
-            "  2. eq-bind      N = E.name [vec]")
+            "  1. member-scan  E in CountryE  [scan CountryE]\n"
+            "  2. eq-bind      N = E.name")
 
     def test_program_plan_explain_lists_shared_indexes(self):
         morphase = Morphase([cities.us_schema(), cities.euro_schema()],

@@ -9,7 +9,9 @@ which alone enumerates with it (:meth:`repro.query.Query.run`
 delegates there).  Production has no matcher at all — its stages run
 on an :class:`~repro.semantics.match.IndexPool`.  The scalar plan
 runner is gone as well: a constraint's head runs once over its whole
-body batch, as an anti-join.
+body batch, as an anti-join.  And so is the row-at-a-time step
+fallback: every plan step, a pattern's included, is a batch stage, and
+value-at-a-time unification is the reference's.
 """
 
 import ast
@@ -52,11 +54,11 @@ def test_only_the_references_enumerate_in_the_dynamic_order():
     assert callers.keys() == REFERENCE_MODULES, callers
 
 
-def _matcher_uses(text):
-    """Lines defining, importing or naming a ``Matcher``."""
+def _name_uses(text, word):
+    """Lines defining, importing or naming ``word``."""
     uses = []
     for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             names = [node.name]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rpartition(".")[2] for alias in node.names]
@@ -66,13 +68,24 @@ def _matcher_uses(text):
             names = [node.id]
         else:
             continue
-        uses.extend(node.lineno for name in names if name == "Matcher")
+        uses.extend(node.lineno for name in names if name == word)
     return sorted(uses)
 
 
 def test_no_matcher_outside_the_oracle():
     users = {name: lines for name, text in MODULES.items()
-             if (lines := _matcher_uses(text))}
+             if (lines := _name_uses(text, "Matcher"))}
+    assert users.keys() == REFERENCE_MODULES, users
+
+
+def test_unification_is_the_oracles():
+    """Production destructures a pattern with column operations
+    (``repro.engine.columnar.compile_pattern``); value-at-a-time
+    unification is the reference matcher's alone — nothing under
+    ``engine/`` nor ``semantics/match.py`` defines, imports or calls
+    it."""
+    users = {name: lines for name, text in MODULES.items()
+             if (lines := _name_uses(text, "unify_term"))}
     assert users.keys() == REFERENCE_MODULES, users
 
 
@@ -100,7 +113,8 @@ def test_plan_errors_are_caught_only_by_analysis_and_the_read_side():
 
 def test_the_fallback_vocabulary_is_gone():
     words = ("unplanned", "planned_bodies", "planned_heads", "use_indexes",
-             "repro_matcher_plan_fallback_total")
+             "repro_matcher_plan_fallback_total", "_fallback_stage",
+             "_expand_step", "step_vectorizable", "fallback_steps")
     found = sorted((name, word) for name, text in MODULES.items()
                    for word in words if re.search(rf"\b{word}\b", text))
     assert found == []
@@ -145,7 +159,9 @@ def test_the_scans_see_what_they_look_for():
         "def run_plan(s):\n    return s._run_steps(plan_satisfiable)\n"
         "m.run_plan_columnar(p)\n") == [
             (1, "run_plan"), (2, "_run_steps"), (2, "plan_satisfiable")]
-    assert _matcher_uses(
+    assert _name_uses(
         "from .match import Matcher as M\nclass Matcher:\n    pass\n"
         "import repro.oracle.Matcher\nx = oracle.Matcher(i)\n"
-        "y = Matcher\nMatchError\n") == [1, 2, 4, 5, 6]
+        "y = Matcher\nMatchError\n", "Matcher") == [1, 2, 4, 5, 6]
+    assert _name_uses("def unify_term(t):\n    return unify_term(t)\n",
+                      "unify_term") == [1, 2]

@@ -59,7 +59,7 @@ def start(warehouse):
 def test_session_start_is_the_batched_pass(warehouses, work, name):
     session = start(warehouses[name])
     assert session.stats.bindings_found > 0
-    assert session.stats.fallback_steps == 0
+    assert session.stats.vectorized_steps > 0
     assert work == {}
 
 

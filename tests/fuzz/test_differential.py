@@ -197,7 +197,7 @@ class TestTransformEngines:
 
 
 # ----------------------------------------------------------------------
-# Columnar vs naive on a mixed vectorizable/fallback program
+# Columnar vs naive on a program with a pattern equation
 # ----------------------------------------------------------------------
 
 MIXED_SRC_TEXT = """
@@ -212,10 +212,9 @@ schema MTgt {
 }
 """
 
-#: The record-pattern equation ``(x = X, y = Y) = C.pt`` needs
-#: per-candidate unification, so its plan step is a scalar fallback
-#: sandwiched between vectorizable stages — the batch must survive the
-#: round-trip through row-at-a-time enumeration.
+#: The record-pattern equation ``(x = X, y = Y) = C.pt`` destructures
+#: each row's point between two other batch stages: a type and
+#: label-set test, then one gather per field.
 MIXED_PROGRAM_TEXT = """
 transformation TC:
   Z in CT, Z.name = M, Z.x = X, Z.y = Y
@@ -223,11 +222,11 @@ transformation TC:
 """
 
 
-class TestMixedVectorizability:
+class TestPatternStages:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                     min_size=1, max_size=8))
-    def test_fallback_steps_preserve_byte_equality(self, points):
+    def test_pattern_equation_preserves_byte_equality(self, points):
         schema = parse_schema(MIXED_SRC_TEXT)
         builder = InstanceBuilder(schema)
         for index, (x, y) in enumerate(points):
@@ -239,13 +238,15 @@ class TestMixedVectorizability:
         columnar = morphase.transform(source)
         naive = naive_transform(morphase, source)
         assert serialized(columnar.target) == serialized(naive.target)
-        # The clause genuinely mixes modes: batches formed AND the
-        # pattern equation fell back to the row-at-a-time path.
-        assert columnar.stats.vectorized_steps > 0
-        assert columnar.stats.fallback_steps > 0
+        # Every step, the pattern equation's included, ran as one
+        # batch stage.
+        (plan,) = columnar.plan.plans
+        assert any(step.mode == "eq-bind" and step.binds == ("X", "Y")
+                   for step in plan.steps)
+        assert columnar.stats.vectorized_steps == len(plan.steps)
         assert naive.stats.vectorized_steps == 0
-        # Effect counts agree — fallback re-entry neither duplicates
-        # nor drops work.
+        # Effect counts agree — destructuring neither duplicates nor
+        # drops work.
         assert (columnar.stats.objects_created
                 == naive.stats.objects_created)
         assert (columnar.stats.attributes_set

@@ -150,7 +150,7 @@ class TestRegistry:
 class TestEngineStatsBridge:
     def test_publishes_nonzero_fields_per_engine(self):
         registry = MetricsRegistry()
-        # Zero fields (fallback_steps here) are skipped entirely.
+        # Zero fields (vectorized_rows here) are skipped entirely.
         stats = ExecutionStats(clauses_run=4, bindings_found=10,
                                vectorized_steps=7)
         publish_engine_stats("columnar", stats, registry)
@@ -160,4 +160,4 @@ class TestEngineStatsBridge:
         assert registry.value("repro_engine_clauses_total", label) == 8
         assert registry.value("repro_engine_bindings_total",
                               label) == 20
-        assert registry.get("repro_engine_fallback_steps_total") is None
+        assert registry.get("repro_engine_vectorized_rows_total") is None

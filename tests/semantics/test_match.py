@@ -6,7 +6,7 @@ from repro.lang import parse_clause, parse_term
 from repro.model import (STR, InstanceBuilder, Oid, Record, Schema, WolSet,
                          record, set_of)
 from repro.oracle import Matcher
-from repro.semantics import unify_term
+from repro.oracle import unify_term
 from repro.workloads.cities import sample_euro_instance
 
 CLASSES = ["CityE", "CountryE"]
@@ -24,57 +24,53 @@ def atoms(text, classes=CLASSES):
 
 class TestUnifyTerm:
     def test_variable_binds(self):
-        out = unify_term(parse_term("X"), 5, {}, None)
+        out = unify_term(parse_term("X"), 5, {})
         assert out == {"X": 5}
 
     def test_bound_variable_checks(self):
-        assert unify_term(parse_term("X"), 5, {"X": 5}, None) == {"X": 5}
-        assert unify_term(parse_term("X"), 6, {"X": 5}, None) is None
+        assert unify_term(parse_term("X"), 5, {"X": 5}) == {"X": 5}
+        assert unify_term(parse_term("X"), 6, {"X": 5}) is None
 
     def test_const_matches(self):
-        assert unify_term(parse_term("42"), 42, {}, None) == {}
-        assert unify_term(parse_term("42"), 41, {}, None) is None
+        assert unify_term(parse_term("42"), 42, {}) == {}
+        assert unify_term(parse_term("42"), 41, {}) is None
 
     def test_record_decomposition(self):
         value = Record.of(a=1, b=2)
-        out = unify_term(parse_term("(a = X, b = Y)"), value, {}, None)
+        out = unify_term(parse_term("(a = X, b = Y)"), value, {})
         assert out == {"X": 1, "Y": 2}
 
     def test_record_field_mismatch(self):
         value = Record.of(a=1)
-        assert unify_term(parse_term("(a = X, b = Y)"), value, {},
-                          None) is None
+        assert unify_term(parse_term("(a = X, b = Y)"), value, {}) is None
 
     def test_variant_decomposition(self):
         from repro.model import Variant
-        out = unify_term(parse_term("ins_l(X)"), Variant("l", 3), {}, None)
+        out = unify_term(parse_term("ins_l(X)"), Variant("l", 3), {})
         assert out == {"X": 3}
-        assert unify_term(parse_term("ins_m(X)"), Variant("l", 3), {},
-                          None) is None
+        assert unify_term(parse_term("ins_m(X)"), Variant("l", 3), {}) is None
 
     def test_skolem_inversion_single(self):
         oid = Oid.keyed("CountryT", "France")
-        out = unify_term(parse_term("Mk_CountryT(N)"), oid, {}, None)
+        out = unify_term(parse_term("Mk_CountryT(N)"), oid, {})
         assert out == {"N": "France"}
 
     def test_skolem_inversion_named(self):
         oid = Oid.keyed("CityT", Record.of(name="Paris", cn="France"))
         out = unify_term(parse_term("Mk_CityT(name = N, cn = C)"), oid,
-                         {}, None)
+                         {})
         assert out == {"N": "Paris", "C": "France"}
 
     def test_skolem_class_mismatch(self):
         oid = Oid.keyed("StateT", "Iowa")
-        assert unify_term(parse_term("Mk_CountryT(N)"), oid, {},
-                          None) is None
+        assert unify_term(parse_term("Mk_CountryT(N)"), oid, {}) is None
 
     def test_anonymous_oid_never_matches_skolem(self):
-        assert unify_term(parse_term("Mk_C(N)"), Oid.fresh("C"), {},
-                          None) is None
+        assert unify_term(parse_term("Mk_C(N)"), Oid.fresh("C"), {}) is None
 
     def test_binding_not_mutated(self):
         binding = {}
-        unify_term(parse_term("X"), 5, binding, None)
+        unify_term(parse_term("X"), 5, binding)
         assert binding == {}
 
 

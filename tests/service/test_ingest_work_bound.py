@@ -173,7 +173,7 @@ def test_seeded_skolem_stages_keep_no_identities(store_with_tail):
         assert transform.stats.bindings_added > 0
         seen = set()
         for stages, _names, _retains in skolem_stages:
-            for _vectorized, stage in stages:
+            for stage in stages:
                 for held in _closure_dicts(stage, seen):
                     assert not any(isinstance(value, Oid)
                                    for value in held.values())

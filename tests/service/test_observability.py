@@ -229,12 +229,13 @@ class TestTracing:
         execute = root["spans"][names.index("execute")]
         assert "rows" in execute.get("attrs", {})
         # The columnar engine's per-PlanStep spans ride inside
-        # execute: numbered, labelled by atom, with row counts.
+        # execute: numbered, labelled by atom, with row counts (every
+        # step is a batch stage, so no span names a mode).
         steps = execute.get("spans", [])
         assert steps and steps[0]["name"].startswith("1. ")
         for step in steps:
             attrs = step.get("attrs", {})
-            assert attrs.get("mode") in ("vec", "fallback")
+            assert "mode" not in attrs
             assert "rows_in" in attrs and "rows_out" in attrs
 
     def test_commit_span_reports_the_target_change(self, leader):
