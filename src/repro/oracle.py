@@ -428,9 +428,10 @@ def naive_violations(instance: Instance, clauses: Iterable[Clause],
 
 
 def naive_query(query: "Query", instance: Instance) -> Iterator["Row"]:
-    """The reference for :meth:`repro.query.Query.run_planned` (and the
-    body of :meth:`~repro.query.Query.run`): the query's rows, lazily,
-    in the dynamic matcher's order."""
+    """The reference for the rows of the column batch
+    :meth:`repro.query.Query.run_planned` returns (and the body of
+    :meth:`~repro.query.Query.run`): the query's rows, lazily, in the
+    dynamic matcher's order."""
     columns = query.projection or query.variables()
     for binding in Matcher(instance).solutions(query.body):
         yield {name: binding[name] for name in columns if name in binding}

@@ -5,10 +5,11 @@ duplicate-free set of rows in *canonical order*.  Rows are JSON-encoded
 at the engine boundary (``value_to_json`` with the instance's dump
 oid-encoder, so anonymous objects carry the same ``Class#n`` labels a
 dump of the instance would) and ordered by their sorted-key JSON
-rendering — the row's *key*, rendered once, where a ``query`` statement
-emits the row (:meth:`ResultSet.from_rows`), and carried by the result
-set from then on.  That single definition buys three guarantees at
-once:
+rendering — the row's *key*.  A ``query`` statement keys its rows a
+column at a time (:meth:`ResultSet.from_columns`): each distinct value
+of a column is encoded and rendered once, and a row's key is spliced
+from its columns' fragments.  The result set carries the keys from
+then on.  That single definition buys three guarantees at once:
 
 * set algebra (``union``/``intersect``/``difference``) is well-defined
   — row equality is JSON equality;
@@ -17,25 +18,29 @@ once:
   erases it.
 
 ``query`` statements run their join plans (vectorized columnar
-batches, :func:`~repro.engine.columnar.stream_plan_columnar`) on the
-compiled program's index pool; compilation already refused every body
-with no join order.
+batches, :func:`~repro.engine.columnar.run_steps_columnar`, keeping
+only the statement's columns alive between stages) on the compiled
+program's index pool; compilation already refused every body with no
+join order.
 Set-algebra statements never touch the instance — ``union``,
 ``intersect``, ``difference`` and ``limit`` fold earlier result sets'
 keys and never render a row again (``project`` changes the rows, so it
-keys its output afresh).
+keys its output afresh, a row at a time: :meth:`ResultSet.from_rows`).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..io.json_io import canonical_json, dump_oid_encoder, value_to_json
 from ..model.instance import Instance
+from ..model.values import Value
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span
-from ..engine.columnar import stream_plan_columnar
+from ..engine.columnar import run_steps_columnar
 from ..semantics.match import IndexPool
 from .ast import (DifferenceOp, IntersectOp, LimitOp, ProgramError,
                   ProjectOp, QueryOp, QueryProgram, UnionOp)
@@ -56,7 +61,9 @@ class ResultSet:
 
     ``rows`` are JSON-compatible dicts, duplicate-free, sorted by their
     ``json.dumps(..., sort_keys=True)`` rendering; ``row_keys`` holds
-    those renderings, parallel to ``rows``.  A set built directly from
+    those renderings, parallel to ``rows``.  :meth:`from_columns` splices
+    the keys of a column batch from per-value fragments,
+    :meth:`from_rows` renders one per row.  A set built directly from
     ``columns`` and ``rows`` (already canonical) may leave ``row_keys``
     out — :meth:`keys` then derives them on demand.  Equality compares
     ``columns`` and ``rows`` only.
@@ -66,6 +73,46 @@ class ResultSet:
     rows: Tuple[Row, ...]
     row_keys: Optional[Tuple[str, ...]] = field(
         default=None, compare=False, repr=False)
+
+    @staticmethod
+    def from_columns(columns: Tuple[str, ...],
+                     batch: Mapping[str, Sequence[Value]], count: int,
+                     oid_encoder) -> "ResultSet":
+        """Dedup + canonically order the rows of a column batch.
+
+        ``batch`` holds ``count`` values for each name of ``columns`` it
+        binds (other entries, such as hidden columns, are not read).
+        The result equals :meth:`from_rows` over the rows
+        ``{name: value_to_json(batch[name][i], oid_encoder)}``, but each
+        distinct value of a column is encoded and rendered once
+        (:func:`_fragments`), every key is one template over the sorted
+        column names filled with its row's fragments, and row dicts are
+        built only for the rows that survive dedup, in ``columns``
+        order.
+        """
+        if not count:
+            return ResultSet(columns, (), ())
+        names = tuple(name for name in columns if name in batch)
+        encoded = {name: _fragments(batch[name], oid_encoder)
+                   for name in names}
+        order = sorted(names)
+        if order:
+            template = "{{%s}}" % ", ".join(
+                json.dumps(name).replace("{", "{{").replace("}", "}}")
+                + ": {}" for name in order)
+            keys: Iterable[str] = map(
+                template.format, *(encoded[name][0] for name in order))
+        else:
+            keys = ("{}",) * count
+        # Rows with one key have one fragment per column, so any of them
+        # stands for all: the last one indexed is as good as the first.
+        index = dict(zip(keys, range(count)))
+        ordered = sorted(index)
+        cells = [(name, *encoded[name]) for name in names]
+        rows = tuple({name: data[fragments[row]]
+                      for name, fragments, data in cells}
+                     for row in map(index.__getitem__, ordered))
+        return ResultSet(columns, rows, tuple(ordered))
 
     @staticmethod
     def from_rows(columns: Tuple[str, ...],
@@ -185,14 +232,53 @@ def run_program(program: QueryProgram, instance: Instance,
 # Statement execution
 # ----------------------------------------------------------------------
 
+#: JSON values whose renderings hold no ``", "``: a list of them
+#: renders as its items' renderings joined by that separator.
+_NUMBERS = frozenset((int, float, bool))
+
+
+def _fragments(values: Sequence[Value], encoder
+               ) -> Tuple[List[str], Dict[str, Any]]:
+    """One column's canonical JSON fragments, row by row, and the JSON
+    value each fragment renders.
+
+    Each distinct value is encoded once.  The memo keys a string by
+    its value (a string is its own JSON value) and anything else by
+    identity (``values`` keeps every object alive, so no identity is
+    reused): values that compare equal may encode differently — ``1``
+    / ``True`` / ``1.0``, ``0.0`` / ``-0.0``, ``WolSet.of(1)`` /
+    ``WolSet.of(True)`` — and must not share a fragment.  Numbers and
+    booleans are rendered together, as one list split back into its
+    items.
+    """
+    ids = [value if value.__class__ is str else id(value)
+           for value in values]
+    memo: Dict[Any, str] = {}
+    data: Dict[str, Any] = {}
+    numbers: List[Tuple[Any, Any]] = []
+    for key, value in dict(zip(ids, values)).items():
+        encoded = value if value.__class__ is str \
+            else value_to_json(value, encoder)
+        if encoded.__class__ in _NUMBERS:
+            numbers.append((key, encoded))
+            continue
+        fragment = memo[key] = canonical_json(encoded)
+        data.setdefault(fragment, encoded)
+    if numbers:
+        rendered = canonical_json([encoded for _key, encoded in numbers])
+        for (key, encoded), fragment in zip(
+                numbers, rendered[1:-1].split(", ")):
+            memo[key] = fragment
+            data.setdefault(fragment, encoded)
+    return list(map(memo.__getitem__, ids)), data
+
+
 def _run_query(statement: CompiledStatement, pool: IndexPool,
                encoder) -> Tuple[ResultSet, StatementTrace]:
     columns = statement.columns
-    bindings = stream_plan_columnar(pool, statement.plan.steps)
-    result = ResultSet.from_rows(
-        columns, ({name: value_to_json(binding[name], encoder)
-                   for name in columns if name in binding}
-                  for binding in bindings))
+    _names, batch, count = run_steps_columnar(
+        pool, statement.plan.steps, {}, 1, needed=frozenset(columns))
+    result = ResultSet.from_columns(columns, batch, count, encoder)
     trace = StatementTrace(name=statement.statement.name, op="query",
                            rows=len(result.rows))
     return result, trace

@@ -17,8 +17,10 @@ clause body.
 :meth:`Query.run` enumerates in the dynamic matcher's order — it
 delegates to :func:`repro.oracle.naive_query`, the reference the tests
 and the end-to-end harness compare against.  The service runs
-:meth:`Query.run_planned`: the body's join plan, batch at a time.  A
-range-restricted body can still admit no join order (an atom that
+:meth:`Query.run_planned`: the body's join plan, batch at a time,
+returning the final column batch rather than rows — the service keys
+it a column at a time (:meth:`repro.program.ResultSet.from_columns`).
+A range-restricted body can still admit no join order (an atom that
 waits on a variable only it could bind); ``run_planned`` refuses it
 with :class:`QueryError`, where ``run`` would stop at the same atom
 with :class:`~repro.semantics.match.MatchError`.
@@ -27,7 +29,7 @@ with :class:`~repro.semantics.match.MatchError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..lang.ast import Atom, Clause
 from ..lang.parser import ParseError, parse_clause
@@ -42,6 +44,9 @@ class QueryError(Exception):
 
 
 Row = Dict[str, Value]
+
+#: A query's result as columns: ``(names, columns, count)``.
+Batch = Tuple[Tuple[str, ...], Dict[str, Sequence[Value]], int]
 
 
 @dataclass(frozen=True)
@@ -107,29 +112,37 @@ class Query:
         return naive_query(self, instance)
 
     def run_planned(self, instance: Instance,
-                    pool: Optional[IndexPool] = None) -> Iterator[Row]:
-        """Result rows via the static planner (the service hot path).
+                    pool: Optional[IndexPool] = None) -> Batch:
+        """The result as one column batch, via the static planner (the
+        service hot path): ``(names, columns, count)``.
 
-        Plans the body once (:func:`repro.engine.planner.plan_clause`),
-        prebuilds the plan's indexes on ``pool`` (a warm session passes
-        its shared :class:`~repro.semantics.match.IndexPool`, which must
-        index ``instance``; by default a private one is built) and runs
-        the plan in batch stages
-        (:func:`repro.engine.columnar.stream_plan_columnar`).  A body
-        with no join order raises :class:`QueryError`, and a pool over
-        another instance :class:`ValueError`, on the first ``next()``.
+        ``names`` is the projection (every variable, in first-occurrence
+        order, when it is empty), ``columns`` maps each name to its
+        ``count`` values, one per solution, in plan order — duplicates
+        included.  Plans the body once
+        (:func:`repro.engine.planner.plan_clause`), prebuilds the plan's
+        indexes on ``pool`` (a warm session passes its shared
+        :class:`~repro.semantics.match.IndexPool`, which must index
+        ``instance``; by default a private one is built) and runs the
+        plan in batch stages
+        (:func:`repro.engine.columnar.run_steps_columnar`), dropping
+        every column the projection does not read as soon as no later
+        stage reads it.  A body with no join order raises
+        :class:`QueryError`, and a pool over another instance
+        :class:`ValueError`.
         """
-        from ..engine.columnar import stream_plan_columnar
+        from ..engine.columnar import run_steps_columnar
         from ..engine.planner import PlanError, plan_clause
         pool = IndexPool(instance) if pool is None \
             else pool.checked_for(instance)
-        columns = self.projection or self.variables()
+        names = self.projection or self.variables()
         probe = Clause(self.body, self.body)
         try:
             plan = plan_clause(probe, instance.class_sizes())
         except PlanError as exc:
             raise QueryError(f"query admits no join order: {exc}") from exc
         pool.prebuild(plan.index_paths)
-        for binding in stream_plan_columnar(pool, plan.steps):
-            yield {name: binding[name] for name in columns
-                   if name in binding}
+        _, columns, count = run_steps_columnar(
+            pool, plan.steps, {}, 1, needed=frozenset(names))
+        return names, {name: columns[name] for name in names
+                       if name in columns}, count

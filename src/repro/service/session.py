@@ -31,8 +31,7 @@ from functools import reduce
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..evolution.delta import Delta, compose_deltas
-from ..io.json_io import (InstanceText, instance_to_json, keyed_oid_encoder,
-                          value_to_json)
+from ..io.json_io import InstanceText, instance_to_json, keyed_oid_encoder
 from ..lang.parser import ParseError
 from ..obs.metrics import (BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY,
                            MetricsRegistry)
@@ -418,14 +417,10 @@ class WarehouseSession:
                     parsed = Query.parse(
                         text, classes=target.schema.class_names())
                 pool = self._warm_query_state()
-                columns = parsed.projection or parsed.variables()
                 with span("execute") as execute_span:
-                    rows = ResultSet.from_rows(tuple(columns), (
-                        {name: value_to_json(value, keyed_oid_encoder)
-                         for name, value in row.items()}
-                        for row in parsed.run_planned(target,
-                                                      pool=pool))).rows
-                    execute_span.set(rows=len(rows))
+                    columns, batch, count = parsed.run_planned(
+                        target, pool=pool)
+                    execute_span.set(rows=count)
             except QueryError as exc:
                 # Unparsable: 400.  Unsafe, or admits no join order: 422.
                 parse_failure = isinstance(exc.__cause__, ParseError)
@@ -434,8 +429,12 @@ class WarehouseSession:
                     status=400 if parse_failure else 422,
                     code="parse_error" if parse_failure
                     else "validation_failed") from exc
-        return {"body": body, "columns": list(columns),
-                "count": len(rows), "rows": list(rows)}
+            with span("encode") as encode_span:
+                rows = ResultSet.from_columns(
+                    columns, batch, count, keyed_oid_encoder).rows
+                encode_span.set(rows=len(rows))
+                return {"body": body, "columns": list(columns),
+                        "count": len(rows), "rows": list(rows)}
 
     def program_json(self, document: Dict[str, Any]) -> Dict[str, Any]:
         """Compile and run a query program against the warm target.
@@ -460,12 +459,13 @@ class WarehouseSession:
             raise ServiceError(
                 f"unknown request field(s): {', '.join(sorted(unknown))}")
         try:
-            if text is not None:
-                if not isinstance(text, str):
-                    raise ServiceError("'text' must be a string")
-                program = parse_program_text(text)
-            else:
-                program = QueryProgram.from_json(ast)
+            with span("parse"):
+                if text is not None:
+                    if not isinstance(text, str):
+                        raise ServiceError("'text' must be a string")
+                    program = parse_program_text(text)
+                else:
+                    program = QueryProgram.from_json(ast)
         except ProgramParseError as exc:
             raise ServiceError(str(exc), status=400,
                                code="parse_error") from exc
@@ -486,11 +486,12 @@ class WarehouseSession:
                                  exc.report.to_json()}) from exc
             outcome = run_compiled(compiled, target,
                                    oid_encoder=keyed_oid_encoder)
-        response = outcome.to_json()
-        if compiled.report.diagnostics:
-            response["diagnostics"] = compiled.report.to_json()
-        if explain:
-            response["explain"] = compiled.explain()
+        with span("encode"):
+            response = outcome.to_json()
+            if compiled.report.diagnostics:
+                response["diagnostics"] = compiled.report.to_json()
+            if explain:
+                response["explain"] = compiled.explain()
         return response
 
     def check_json(self) -> Dict[str, Any]:

@@ -64,6 +64,7 @@ def test_run_planned_refuses_a_pool_over_another_instance():
     euro = cities.sample_euro_instance()
     other = cities.generate_euro_instance(3, 3, seed=1)
     query = Query.parse(JOIN, classes=euro.schema.class_names())
-    assert len(list(query.run_planned(other))) == 9
+    _names, _columns, count = query.run_planned(other)
+    assert count == 9
     with pytest.raises(ValueError, match="different instance"):
-        list(query.run_planned(other, pool=IndexPool(euro)))
+        query.run_planned(other, pool=IndexPool(euro))

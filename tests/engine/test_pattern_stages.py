@@ -159,7 +159,7 @@ def test_positional_skolem_pattern_needs_the_exact_key(text):
     the join order."""
     query = Query.parse(text, classes=["K"])
     instance = long_key_instance()
-    assert list(query.run_planned(instance)) == []
+    assert query.run_planned(instance) == (("X", "Y"), {"X": [], "Y": []}, 0)
     assert list(query.run(instance)) == []
 
 

@@ -207,11 +207,11 @@ def ingest_burst(session, writes, kind, step):
 def query_rows(target, body):
     """A query's rows over ``target`` on a fresh index pool."""
     parsed = Query.parse(body, classes=target.schema.class_names())
-    columns = tuple(parsed.projection or parsed.variables())
+    columns, batch, count = parsed.run_planned(target)
     return list(ResultSet.from_rows(columns, (
-        {name: value_to_json(value, keyed_oid_encoder)
-         for name, value in row.items()}
-        for row in parsed.run_planned(target))).rows)
+        {name: value_to_json(batch[name][row], keyed_oid_encoder)
+         for name in columns}
+        for row in range(count))).rows)
 
 
 def assert_node_reads_a_cold_transform(morphase, session, url, queries):

@@ -225,9 +225,12 @@ class TestTracing:
         root = trace["root"]
         assert root["name"] == "GET /query"
         names = [child["name"] for child in root.get("spans", [])]
-        assert "parse" in names and "execute" in names
+        assert names == ["parse", "execute", "encode"]
         execute = root["spans"][names.index("execute")]
         assert "rows" in execute.get("attrs", {})
+        assert root["spans"][2]["attrs"]["rows"] \
+            == client.query("X in CountryT, N = X.name",
+                            project=["N"])["count"]
         # The columnar engine's per-PlanStep spans ride inside
         # execute: numbered, labelled by atom, with row counts (every
         # step is a batch stage, so no span names a mode).
@@ -237,6 +240,17 @@ class TestTracing:
             attrs = step.get("attrs", {})
             assert "mode" not in attrs
             assert "rows_in" in attrs and "rows_out" in attrs
+
+    def test_traced_program_spans_parse_and_encode(self, leader):
+        """Parsing the program and building the response are spans
+        too, not time outside every span."""
+        _session, client, _url = leader
+        client.program(text="n = query { N | X in CountryT, N = X.name };",
+                       trace=True)
+        root = client.last_trace["root"]
+        names = [child["name"] for child in root.get("spans", [])]
+        assert names[0] == "parse" and names[-1] == "encode"
+        assert "compile" in names and "query n" in names
 
     def test_commit_span_reports_the_target_change(self, leader):
         """The commit span says how many target objects the batch
