@@ -243,8 +243,9 @@ def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
     subject = term.subject
     if isinstance(subject, Var) and subject.name in var_class:
         # Gather from the prebuilt attribute column: the variable is
-        # membership-bound, so every row is a (live-or-dead) oid of one
-        # class; dead rows miss the intern table and read MISSING.
+        # class-typed (see ``compile_steps``), so every row is a
+        # (live-or-dead) oid of one class; dead rows miss the intern
+        # table and read MISSING.
         class_name = var_class[subject.name]
         name = subject.name
         row_name = _ROW_PREFIX + name
@@ -764,11 +765,11 @@ _STAGES = {
 }
 
 
-def _element_class(schema: Schema, class_name: str,
-                   attr: str) -> Optional[str]:
-    """The class of ``class_name.attr``'s collection elements, when the
-    schema declares one — so a well-formed instance guarantees every
-    stored element is a live oid of that class."""
+def _attr_class(schema: Schema, class_name: str, attr: str,
+                elements: bool = False) -> Optional[str]:
+    """The class of ``class_name.attr`` (of its collection's elements,
+    with ``elements``), when the schema declares one — so a well-formed
+    instance guarantees every stored value is an oid of that class."""
     try:
         ctype = schema.class_type(class_name)
     except Exception:
@@ -776,10 +777,11 @@ def _element_class(schema: Schema, class_name: str,
     if not isinstance(ctype, RecordType) or not ctype.has_field(attr):
         return None
     fty = ctype.field_type(attr)
-    if (isinstance(fty, (SetType, ListType))
-            and isinstance(fty.element, ClassType)):
-        return fty.element.name
-    return None
+    if elements:
+        if not isinstance(fty, (SetType, ListType)):
+            return None
+        fty = fty.element
+    return fty.name if isinstance(fty, ClassType) else None
 
 
 def _step_variables(step: PlanStep) -> frozenset:
@@ -818,7 +820,9 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
     one class's oids, so projections off them gather: the initial
     names' typing (e.g. :func:`member_classes` of the body that bound
     them), extended by every membership bind and passed membership
-    test of ``steps``.
+    test of ``steps``, every element an ``in``-generator draws from a
+    class-typed collection attribute, and every ``V = X.a`` whose
+    ``X`` is typed and whose ``a`` the schema declares a class.
     """
     known: List[str] = list(initial_names)
     var_class = dict(var_class or {})
@@ -867,16 +871,25 @@ def compile_steps(schema: Schema, steps: Sequence[PlanStep],
             else:
                 source_var = None
             if source_var is not None and source_var in var_class:
-                element_class = _element_class(
-                    schema, var_class[source_var], source_attr)
+                element_class = _attr_class(
+                    schema, var_class[source_var], source_attr,
+                    elements=True)
                 if element_class is not None:
                     var_class[atom.element.name] = element_class
         if (step.mode == STEP_EQ_BIND
                 and isinstance(step.pattern_term, Var)
                 and isinstance(step.eval_term, Proj)
                 and isinstance(step.eval_term.subject, Var)):
-            var_collection[step.pattern_term.name] = (
-                step.eval_term.subject.name, step.eval_term.attr)
+            subject, attr = step.eval_term.subject.name, step.eval_term.attr
+            var_collection[step.pattern_term.name] = (subject, attr)
+            # ``V = X.a`` with ``a`` declared a class: V holds that
+            # class's oids, so projections off V gather too (a dangling
+            # reference misses the intern table and reads MISSING, as
+            # it does for a membership-bound variable).
+            if subject in var_class:
+                target_class = _attr_class(schema, var_class[subject], attr)
+                if target_class is not None:
+                    var_class[step.pattern_term.name] = target_class
         known.extend(step.binds)
     retains: List[Optional[frozenset]] = [None] * len(stages)
     if needed is not None:

@@ -1,16 +1,18 @@
 """Compiling validated query programs for execution.
 
 Compilation is the bridge between the AST and the engine: each
-``query`` statement's body is parsed twice — once by static validation
-(:func:`~repro.program.validate.check_program`), then again here
-(:meth:`repro.query.Query.parse`) — wrapped in a probe clause and
-handed to the static join planner
+``query`` statement's body is parsed once, by static validation
+(:func:`~repro.program.validate.checked_queries`, through
+:meth:`repro.query.Query.parse`), and the parsed query is wrapped in a
+probe clause and handed to the static join planner
 (:func:`repro.engine.planner.plan_clause`), and the union of
 every plan's index selectors is prebuilt on one shared
 :class:`~repro.semantics.match.IndexPool` — the same amortisation the
 batch transformation engine applies across clauses, applied across the
 statements of a program.  Set-algebra statements compile to nothing;
-they run on materialised result sets in the interpreter.
+they run on materialised result sets in the interpreter, whose rows
+are their canonical JSON keys — ``/program`` splices the result's keys
+into the response text as ``/target`` splices its objects'.
 
 A statement whose body the planner cannot order
 (:class:`~repro.engine.planner.PlanError`) is refused here with a WOL504
@@ -30,8 +32,8 @@ from ..lang.ast import Clause
 from ..model.instance import Instance
 from ..query.query import Query
 from ..semantics.match import IndexPool
-from .ast import ProgramValidationError, QueryOp, QueryProgram, Statement
-from .validate import check_program
+from .ast import ProgramValidationError, QueryProgram, Statement
+from .validate import checked_queries
 
 
 @dataclass(frozen=True)
@@ -97,20 +99,17 @@ def compile_program(program: QueryProgram, instance: Instance,
     """
     pool = IndexPool(instance) if pool is None \
         else pool.checked_for(instance)
-    classes = instance.schema.class_names()
-    report = check_program(program, classes=classes)
+    report, queries = checked_queries(
+        program, classes=instance.schema.class_names())
 
     cardinalities = instance.class_sizes()
     compiled: List[CompiledStatement] = []
     index_paths: List[Tuple[str, Tuple[str, ...]]] = []
     columns_by_name: Dict[str, Tuple[str, ...]] = {}
 
-    for index, statement in enumerate(program.statements):
-        op = statement.op
-        if isinstance(op, QueryOp):
-            text = (f"{', '.join(op.project)} | {op.body}"
-                    if op.project else op.body)
-            query = Query.parse(text, classes=classes)
+    for index, (statement, query) in enumerate(
+            zip(program.statements, queries)):
+        if query is not None:
             columns = query.projection or query.variables()
             probe = Clause(query.body, query.body, name=statement.name)
             try:
@@ -127,7 +126,7 @@ def compile_program(program: QueryProgram, instance: Instance,
                 statement=statement, columns=columns, query=query,
                 plan=plan))
         else:
-            columns = _derived_columns(op, columns_by_name)
+            columns = _derived_columns(statement.op, columns_by_name)
             compiled.append(CompiledStatement(
                 statement=statement, columns=columns))
         columns_by_name[statement.name] = compiled[-1].columns

@@ -8,8 +8,13 @@ dump of the instance would) and ordered by their sorted-key JSON
 rendering — the row's *key*.  A ``query`` statement keys its rows a
 column at a time (:meth:`ResultSet.from_columns`): each distinct value
 of a column is encoded and rendered once, and a row's key is spliced
-from its columns' fragments.  The result set carries the keys from
-then on.  That single definition buys three guarantees at once:
+from its columns' fragments.  The result set carries only the keys
+from then on, and they are the rows' wire form: ``/query`` and
+``/program`` splice them into the response text as they stand
+(:meth:`ResultSet.to_json_bytes`, spliced into the envelope like
+``/target``'s text), and row dicts are decoded from them only when an
+in-process reader asks (:attr:`ResultSet.rows`).  That single
+definition buys three guarantees at once:
 
 * set algebra (``union``/``intersect``/``difference``) is well-defined
   — row equality is JSON equality;
@@ -25,13 +30,15 @@ join order.
 Set-algebra statements never touch the instance — ``union``,
 ``intersect``, ``difference`` and ``limit`` fold earlier result sets'
 keys and never render a row again (``project`` changes the rows, so it
-keys its output afresh, a row at a time: :meth:`ResultSet.from_rows`).
+decodes its input's rows and keys its output afresh, a row at a time:
+:meth:`ResultSet.from_rows`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -55,24 +62,35 @@ _STATEMENTS_TOTAL = REGISTRY.counter(
     "Query-program statements executed, by operator.", ("op",))
 
 
-@dataclass(frozen=True)
 class ResultSet:
-    """A statement's materialised result: canonical-order row set.
+    """A statement's materialised result: a canonical-order row set.
 
-    ``rows`` are JSON-compatible dicts, duplicate-free, sorted by their
-    ``json.dumps(..., sort_keys=True)`` rendering; ``row_keys`` holds
-    those renderings, parallel to ``rows``.  :meth:`from_columns` splices
-    the keys of a column batch from per-value fragments,
-    :meth:`from_rows` renders one per row.  A set built directly from
-    ``columns`` and ``rows`` (already canonical) may leave ``row_keys``
-    out — :meth:`keys` then derives them on demand.  Equality compares
-    ``columns`` and ``rows`` only.
+    Its state is ``columns`` and ``row_keys``: each row's canonical
+    JSON rendering (``json.dumps(..., sort_keys=True)``), duplicate-free
+    and sorted.  :meth:`from_columns` splices the keys of a column batch
+    from per-value fragments, :meth:`from_rows` renders one per row, and
+    ``ResultSet(columns, rows)`` keys rows that are already canonical
+    (duplicate-free, in key order).  ``rows`` is a view for in-process
+    readers, decoded from the keys on first use and cached: keys are
+    canonical JSON, so the decode is lossless.  Equality compares
+    ``columns`` and the keys.
     """
 
-    columns: Tuple[str, ...]
-    rows: Tuple[Row, ...]
-    row_keys: Optional[Tuple[str, ...]] = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("columns", "row_keys", "_rows")
+
+    def __init__(self, columns: Sequence[str],
+                 rows: Iterable[Row] = ()) -> None:
+        self.columns: Tuple[str, ...] = tuple(columns)
+        self.row_keys: Tuple[str, ...] = tuple(map(canonical_json, rows))
+        self._rows: Optional[Tuple[Row, ...]] = None
+
+    @classmethod
+    def _of_keys(cls, columns: Tuple[str, ...],
+                 keys: Tuple[str, ...]) -> "ResultSet":
+        """A set over ``keys``, which must be duplicate-free and sorted."""
+        result = cls(columns)
+        result.row_keys = keys
+        return result
 
     @staticmethod
     def from_columns(columns: Tuple[str, ...],
@@ -85,72 +103,87 @@ class ResultSet:
         The result equals :meth:`from_rows` over the rows
         ``{name: value_to_json(batch[name][i], oid_encoder)}``, but each
         distinct value of a column is encoded and rendered once
-        (:func:`_fragments`), every key is one template over the sorted
-        column names filled with its row's fragments, and row dicts are
-        built only for the rows that survive dedup, in ``columns``
-        order.
+        (:func:`_fragments`) and every key is one template over the
+        sorted column names filled with its row's fragments.
         """
         if not count:
-            return ResultSet(columns, (), ())
-        names = tuple(name for name in columns if name in batch)
-        encoded = {name: _fragments(batch[name], oid_encoder)
-                   for name in names}
-        order = sorted(names)
-        if order:
-            template = "{{%s}}" % ", ".join(
-                json.dumps(name).replace("{", "{{").replace("}", "}}")
-                + ": {}" for name in order)
-            keys: Iterable[str] = map(
-                template.format, *(encoded[name][0] for name in order))
-        else:
-            keys = ("{}",) * count
-        # Rows with one key have one fragment per column, so any of them
-        # stands for all: the last one indexed is as good as the first.
-        index = dict(zip(keys, range(count)))
-        ordered = sorted(index)
-        cells = [(name, *encoded[name]) for name in names]
-        rows = tuple({name: data[fragments[row]]
-                      for name, fragments, data in cells}
-                     for row in map(index.__getitem__, ordered))
-        return ResultSet(columns, rows, tuple(ordered))
+            return ResultSet(columns)
+        order = sorted(name for name in columns if name in batch)
+        if not order:
+            return ResultSet._of_keys(columns, ("{}",))
+        template = "{{%s}}" % ", ".join(
+            json.dumps(name).replace("{", "{{").replace("}", "}}")
+            + ": {}" for name in order)
+        keys = map(template.format,
+                   *(_fragments(batch[name], oid_encoder) for name in order))
+        return ResultSet._of_keys(columns, tuple(sorted(set(keys))))
 
     @staticmethod
     def from_rows(columns: Tuple[str, ...],
                   rows: Iterable[Row]) -> "ResultSet":
         """Dedup + canonically order an arbitrary row enumeration."""
-        return ResultSet._from_keyed(
-            columns, ((canonical_json(row), row) for row in rows))
-
-    @staticmethod
-    def _from_keyed(columns: Tuple[str, ...],
-                    keyed: Iterable[Tuple[str, Row]]) -> "ResultSet":
-        """Dedup (first row per key wins) + order ``(key, row)`` pairs."""
-        by_key: Dict[str, Row] = {}
-        for key, row in keyed:
-            by_key.setdefault(key, row)
-        keys = tuple(sorted(by_key))
-        return ResultSet(columns, tuple(by_key[key] for key in keys), keys)
+        return ResultSet._of_keys(
+            columns, tuple(sorted(set(map(canonical_json, rows)))))
 
     def keys(self) -> Tuple[str, ...]:
         """The canonical key of every row, in row order."""
-        if self.row_keys is not None:
-            return self.row_keys
-        return tuple(canonical_json(row) for row in self.rows)
+        return self.row_keys
 
-    def _keyed(self) -> Iterable[Tuple[str, Row]]:
-        return zip(self.keys(), self.rows)
+    @property
+    def rows(self) -> Tuple[Row, ...]:
+        """The rows as JSON-compatible dicts in ``columns`` order."""
+        rows = self._rows
+        if rows is None:
+            columns = self.columns
+            rows = self._rows = tuple(
+                {name: row[name] for name in columns if name in row}
+                for row in map(json.loads, self.row_keys))
+        return rows
 
     def _where(self, columns: Tuple[str, ...],
                keep: Callable[[str], bool]) -> "ResultSet":
         """The rows whose key satisfies ``keep`` — a subsequence, so
         already duplicate-free and in canonical order."""
-        kept = [pair for pair in self._keyed() if keep(pair[0])]
-        return ResultSet(columns, tuple(row for _key, row in kept),
-                         tuple(key for key, _row in kept))
+        return ResultSet._of_keys(columns,
+                                  tuple(filter(keep, self.row_keys)))
 
-    def to_json(self) -> Dict[str, Any]:
-        return {"columns": list(self.columns),
-                "rows": [dict(row) for row in self.rows]}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        return (self.columns, self.row_keys) \
+            == (other.columns, other.row_keys)
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.row_keys))
+
+    def __repr__(self) -> str:
+        return (f"ResultSet(columns={self.columns!r}, "
+                f"rows={len(self.row_keys)})")
+
+    def _head(self, fields: Mapping[str, Any]) -> Dict[str, Any]:
+        return {**fields, "columns": list(self.columns)}
+
+    def to_json(self, **fields: Any) -> Dict[str, Any]:
+        """The result document: ``fields`` plus ``columns`` and
+        ``rows``."""
+        document = self._head(fields)
+        document["rows"] = [dict(row) for row in self.rows]
+        return document
+
+    def to_json_bytes(self, **fields: Any) -> bytes:
+        """``canonical_json(self.to_json(**fields))`` as UTF-8, with
+        every row's key spliced in as it stands — no row is decoded or
+        rendered again.  The other fields render around it in sorted
+        order, as ``sort_keys`` places them."""
+        head = self._head(fields)
+        before = canonical_json({name: value for name, value
+                                 in head.items() if name < "rows"})
+        after = canonical_json({name: value for name, value
+                                in head.items() if name > "rows"})
+        return "".join((
+            before[:-1], ", " if len(before) > 2 else "", '"rows": [',
+            ", ".join(self.row_keys), "]", ", " if len(after) > 2 else "",
+            after[1:])).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -174,15 +207,24 @@ class ProgramResult:
     traces: Tuple[StatementTrace, ...]
     sets: Dict[str, ResultSet] = field(default_factory=dict, compare=False)
 
-    def to_json(self) -> Dict[str, Any]:
-        document: Dict[str, Any] = {}
+    def _fields(self, extra: Mapping[str, Any]) -> Dict[str, Any]:
+        fields: Dict[str, Any] = {}
         if self.program.name is not None:
-            document["program"] = self.program.name
-        document["result"] = self.program.result_name
-        document["columns"] = list(self.result.columns)
-        document["rows"] = [dict(row) for row in self.result.rows]
-        document["statements"] = [t.to_json() for t in self.traces]
-        return document
+            fields["program"] = self.program.name
+        fields["result"] = self.program.result_name
+        fields["statements"] = [t.to_json() for t in self.traces]
+        fields.update(extra)
+        return fields
+
+    def to_json(self, **extra: Any) -> Dict[str, Any]:
+        """The result document (``extra`` adds top-level fields, such
+        as ``explain``)."""
+        return self.result.to_json(**self._fields(extra))
+
+    def to_json_bytes(self, **extra: Any) -> bytes:
+        """:meth:`to_json` as canonical JSON text, the result rows'
+        keys spliced in (:meth:`ResultSet.to_json_bytes`)."""
+        return self.result.to_json_bytes(**self._fields(extra))
 
 
 def run_compiled(compiled: CompiledProgram, instance: Instance,
@@ -208,15 +250,15 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
             else:
                 result = _run_algebra(op, statement.columns, sets)
                 trace = StatementTrace(name=name, op=op.op,
-                                       rows=len(result.rows))
-            stmt_span.set(rows=len(result.rows))
+                                       rows=len(result.row_keys))
+            stmt_span.set(rows=len(result.row_keys))
         _STATEMENTS_TOTAL.labels(op.op).inc()
         sets[name] = result
         traces.append(trace)
 
     result_name = compiled.program.result_name
     final = sets[result_name] if result_name is not None \
-        else ResultSet(columns=(), rows=())
+        else ResultSet(columns=())
     return ProgramResult(program=compiled.program, result=final,
                          traces=tuple(traces), sets=sets)
 
@@ -237,40 +279,42 @@ def run_program(program: QueryProgram, instance: Instance,
 _NUMBERS = frozenset((int, float, bool))
 
 
-def _fragments(values: Sequence[Value], encoder
-               ) -> Tuple[List[str], Dict[str, Any]]:
-    """One column's canonical JSON fragments, row by row, and the JSON
-    value each fragment renders.
+def _fragments(values: Sequence[Value], encoder) -> List[str]:
+    """One column's canonical JSON fragments, row by row.
 
-    Each distinct value is encoded once.  The memo keys a string by
-    its value (a string is its own JSON value) and anything else by
-    identity (``values`` keeps every object alive, so no identity is
-    reused): values that compare equal may encode differently — ``1``
-    / ``True`` / ``1.0``, ``0.0`` / ``-0.0``, ``WolSet.of(1)`` /
-    ``WolSet.of(True)`` — and must not share a fragment.  Numbers and
-    booleans are rendered together, as one list split back into its
-    items.
+    Each distinct value is encoded once.  A string renders through
+    ``encode_basestring_ascii`` — exactly what ``canonical_json`` calls
+    for one — and a column of nothing but strings is memoised by value.
+    Otherwise the memo keys a string by its value (a string is its own
+    JSON value) and anything else by identity (``values`` keeps every
+    object alive, so no identity is reused): values that compare equal
+    may encode differently — ``1`` / ``True`` / ``1.0``, ``0.0`` /
+    ``-0.0``, ``WolSet.of(1)`` / ``WolSet.of(True)`` — and must not
+    share a fragment.  Numbers and booleans are rendered together, as
+    one list split back into its items.
     """
+    if set(map(type, values)) == {str}:
+        distinct = set(values)
+        escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+        return list(map(escaped.__getitem__, values))
     ids = [value if value.__class__ is str else id(value)
            for value in values]
     memo: Dict[Any, str] = {}
-    data: Dict[str, Any] = {}
     numbers: List[Tuple[Any, Any]] = []
     for key, value in dict(zip(ids, values)).items():
-        encoded = value if value.__class__ is str \
-            else value_to_json(value, encoder)
+        if value.__class__ is str:
+            memo[key] = encode_basestring_ascii(value)
+            continue
+        encoded = value_to_json(value, encoder)
         if encoded.__class__ in _NUMBERS:
             numbers.append((key, encoded))
-            continue
-        fragment = memo[key] = canonical_json(encoded)
-        data.setdefault(fragment, encoded)
+        else:
+            memo[key] = canonical_json(encoded)
     if numbers:
         rendered = canonical_json([encoded for _key, encoded in numbers])
-        for (key, encoded), fragment in zip(
-                numbers, rendered[1:-1].split(", ")):
-            memo[key] = fragment
-            data.setdefault(fragment, encoded)
-    return list(map(memo.__getitem__, ids)), data
+        memo.update(zip((key for key, _encoded in numbers),
+                        rendered[1:-1].split(", ")))
+    return list(map(memo.__getitem__, ids))
 
 
 def _run_query(statement: CompiledStatement, pool: IndexPool,
@@ -280,7 +324,7 @@ def _run_query(statement: CompiledStatement, pool: IndexPool,
         pool, statement.plan.steps, {}, 1, needed=frozenset(columns))
     result = ResultSet.from_columns(columns, batch, count, encoder)
     trace = StatementTrace(name=statement.statement.name, op="query",
-                           rows=len(result.rows))
+                           rows=len(result.row_keys))
     return result, trace
 
 
@@ -288,16 +332,15 @@ def _run_algebra(op, columns: Tuple[str, ...],
                  sets: Dict[str, ResultSet]) -> ResultSet:
     """Fold earlier result sets; all inputs exist (validation ensures)."""
     if isinstance(op, UnionOp):
-        return ResultSet._from_keyed(
-            columns, (pair for source in op.sources
-                      for pair in sets[source]._keyed()))
+        return ResultSet._of_keys(columns, tuple(sorted(set().union(
+            *(sets[source].row_keys for source in op.sources)))))
     if isinstance(op, IntersectOp):
         first, *others = (sets[source] for source in op.sources)
-        shared = set(first.keys()).intersection(
-            *(other.keys() for other in others))
+        shared = set(first.row_keys).intersection(
+            *(other.row_keys for other in others))
         return first._where(columns, shared.__contains__)
     if isinstance(op, DifferenceOp):
-        right = set(sets[op.right].keys())
+        right = set(sets[op.right].row_keys)
         return sets[op.left]._where(
             columns, lambda key: key not in right)
     if isinstance(op, ProjectOp):
@@ -307,7 +350,6 @@ def _run_algebra(op, columns: Tuple[str, ...],
                        if name in row}
                       for row in source.rows))
     if isinstance(op, LimitOp):
-        source = sets[op.source]
-        return ResultSet(columns, source.rows[:op.count],
-                         source.keys()[:op.count])
+        return ResultSet._of_keys(
+            columns, sets[op.source].row_keys[:op.count])
     raise ProgramError(f"unhandled operator {op!r}")  # pragma: no cover

@@ -27,7 +27,7 @@ WOL508    (warning) statements that feed nothing and are not the result
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..analysis.diagnostics import Diagnostic, DiagnosticReport
 from ..query.query import Query, QueryError
@@ -50,7 +50,15 @@ def validate_program(program: QueryProgram,
     skips only the class-name resolution inside bodies, never the
     structural checks.
     """
+    return _validated(program, classes)[0]
+
+
+def _validated(program: QueryProgram, classes: Optional[Iterable[str]]
+               ) -> Tuple[DiagnosticReport, Tuple[Optional[Query], ...]]:
+    """The report, and each statement's parsed query (None for a
+    set-algebra statement or a body that failed to parse)."""
     diagnostics: List[Diagnostic] = []
+    queries: List[Optional[Query]] = []
     class_list = list(classes) if classes is not None else None
 
     if not program.statements:
@@ -70,7 +78,8 @@ def validate_program(program: QueryProgram,
 
     for index, statement in enumerate(program.statements):
         produced = _validate_statement(statement, index, columns,
-                                       consumed, class_list, diagnostics)
+                                       consumed, class_list, diagnostics,
+                                       queries)
         if statement.name not in columns:
             columns[statement.name] = produced
             consumed.setdefault(statement.name, False)
@@ -86,17 +95,20 @@ def validate_program(program: QueryProgram,
                 suggestion="drop it, or move it last to make it the "
                            "result"))
 
-    return DiagnosticReport(diagnostics=diagnostics,
-                            passes_run=(PASS_NAME,))
+    return (DiagnosticReport(diagnostics=diagnostics,
+                             passes_run=(PASS_NAME,)), tuple(queries))
 
 
 def _validate_statement(statement: Statement, index: int,
                         columns: Dict[str, Optional[FrozenSet[str]]],
                         consumed: Dict[str, bool],
                         classes: Optional[List[str]],
-                        diagnostics: List[Diagnostic]
+                        diagnostics: List[Diagnostic],
+                        queries: List[Optional[Query]]
                         ) -> Optional[FrozenSet[str]]:
-    """Check one statement; returns the column set it produces."""
+    """Check one statement; returns the column set it produces and
+    appends its parsed query (or None) to ``queries``."""
+    queries.append(None)
     name = statement.name
     op = statement.op
 
@@ -135,6 +147,7 @@ def _validate_statement(statement: Statement, index: int,
             diagnostics.append(Diagnostic(
                 "WOL504", str(exc), clause=name, clause_index=index))
             return None
+        queries[-1] = query
         return frozenset(query.projection or query.variables())
 
     if isinstance(op, (UnionOp, IntersectOp)):
@@ -229,9 +242,19 @@ def check_program(program: QueryProgram,
     Returns the report (which may still carry warnings) when the
     program is executable; raises :class:`ProgramValidationError`
     carrying it otherwise.  The service's 422 path and the compiler
-    both come through here.
+    both come through here (the compiler through
+    :func:`checked_queries`).
     """
-    report = validate_program(program, classes=classes)
+    return checked_queries(program, classes)[0]
+
+
+def checked_queries(program: QueryProgram,
+                    classes: Optional[Iterable[str]] = None
+                    ) -> Tuple[DiagnosticReport, Tuple[Optional[Query], ...]]:
+    """:func:`check_program`, plus each statement's parsed query (None
+    for a set-algebra statement): compilation plans the queries
+    validation parsed instead of parsing every body again."""
+    report, queries = _validated(program, classes)
     if report.errors():
         raise ProgramValidationError(report)
-    return report
+    return report, queries

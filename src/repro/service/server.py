@@ -171,8 +171,9 @@ def encode_envelope(envelope: Dict[str, Any],
     """The wire bytes of one envelope: its canonical JSON text.
 
     ``trace`` (a serialised span tree) rides as one more top-level
-    field.  A ``bytes`` result is spliced in as it stands, never
-    decoded and re-encoded: in sorted order ``ok`` and ``result`` lead
+    field.  A ``bytes`` result — the canonical JSON text ``/target``,
+    ``/query`` and ``/program`` answer with — is spliced in as it
+    stands, never decoded and re-encoded: in sorted order ``ok`` and ``result`` lead
     and ``trace`` / ``version`` follow, so the bytes equal those of
     encoding the same envelope around the decoded result.
     """

@@ -398,14 +398,16 @@ class WarehouseSession:
         return self.transform.target_pool
 
     def query_body_json(self, body: str,
-                        project: Optional[str] = None) -> Dict[str, Any]:
+                        project: Optional[str] = None) -> bytes:
         """Run a WOL conjunctive body against the warm target.
 
         ``body`` is the atom list of :meth:`repro.query.Query.parse`;
-        ``project`` an optional comma-separated projection.  Rows come
-        back JSON-encoded with dump oid labels, duplicate-free, in
-        canonical (sorted JSON) order — the same row semantics as one
-        ``query`` statement of a program.
+        ``project`` an optional comma-separated projection.  Returns the
+        result document ``{"body", "columns", "count", "rows"}`` as
+        canonical JSON text: rows JSON-encoded with keyed oids,
+        duplicate-free, in canonical (sorted JSON) order — the same row
+        semantics as one ``query`` statement of a program — each
+        spliced in as its key (:meth:`ResultSet.to_json_bytes`).
         """
         text = f"{project} | {body}" if project else body
         with self._state_lock.read():
@@ -430,18 +432,22 @@ class WarehouseSession:
                     code="parse_error" if parse_failure
                     else "validation_failed") from exc
             with span("encode") as encode_span:
-                rows = ResultSet.from_columns(
-                    columns, batch, count, keyed_oid_encoder).rows
-                encode_span.set(rows=len(rows))
-                return {"body": body, "columns": list(columns),
-                        "count": len(rows), "rows": list(rows)}
+                result = ResultSet.from_columns(
+                    columns, batch, count, keyed_oid_encoder)
+                rows = len(result.row_keys)
+                encode_span.set(rows=rows)
+                return result.to_json_bytes(body=body, count=rows)
 
-    def program_json(self, document: Dict[str, Any]) -> Dict[str, Any]:
+    def program_json(self, document: Dict[str, Any]) -> bytes:
         """Compile and run a query program against the warm target.
 
         ``document`` carries the program as ``{"text": "<DSL>"}`` or
         ``{"ast": {<canonical JSON AST>}}`` (exactly one), plus
-        optional ``"explain": true``.
+        optional ``"explain": true``.  Returns the result document
+        (:meth:`~repro.program.ProgramResult.to_json`, plus
+        ``diagnostics`` when validation warned and ``explain`` when
+        asked) as canonical JSON text, the result rows spliced in as
+        their keys.
         Program parse failures surface as 400, validation failures as
         422 with the WOL5xx diagnostics in the error details.
         """
@@ -487,12 +493,12 @@ class WarehouseSession:
             outcome = run_compiled(compiled, target,
                                    oid_encoder=keyed_oid_encoder)
         with span("encode"):
-            response = outcome.to_json()
+            extra: Dict[str, Any] = {}
             if compiled.report.diagnostics:
-                response["diagnostics"] = compiled.report.to_json()
+                extra["diagnostics"] = compiled.report.to_json()
             if explain:
-                response["explain"] = compiled.explain()
-        return response
+                extra["explain"] = compiled.explain()
+            return outcome.to_json_bytes(**extra)
 
     def check_json(self) -> Dict[str, Any]:
         with self._state_lock.read():

@@ -9,7 +9,9 @@ canonical JSON and on each row's column order — strings that JSON must
 escape, floats including ``-0.0`` and NaN, records, variants, sets,
 lists, keyed and anonymous oids, and columns mixing values that compare
 equal but encode differently (``1`` / ``True`` / ``1.0``, ``0.0`` /
-``-0.0``, ``WolSet.of(1)`` / ``WolSet.of(True)``).
+``-0.0``, ``WolSet.of(1)`` / ``WolSet.of(True)``).  A string's fragment
+is its ``canonical_json`` text for any code point, lone surrogates
+included.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from repro.io.json_io import (JsonIoError, canonical_json, identity_encoder,
                               keyed_oid_encoder, value_to_json)
 from repro.model.values import (UNIT_VALUE, Oid, Record, Variant, WolList,
                                 WolSet)
-from repro.program import ResultSet
+from repro.program import ResultSet, interp
 
 from tests.properties.strategies import values as wol_values
 from tests.properties.strategies import var_names
@@ -129,6 +131,25 @@ def test_lookalikes_keep_their_own_encodings():
     assert_same(result, reference(("V",), {"V": column}, len(column),
                                   keyed_oid_encoder))
     assert len(result.rows) == len(LOOKALIKES)
+
+
+#: Any code point, lone surrogates included.
+any_text = st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                  exclude_categories=())), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(any_text, st.sampled_from(AWKWARD_STRINGS)),
+                min_size=1, max_size=8),
+       st.sampled_from(((), (1,), (1.0, True))))
+def test_string_fragments_are_their_canonical_json(strings, others):
+    """An all-string column and a string in a mixed column render as
+    ``canonical_json`` renders the string."""
+    for column in (strings, strings + list(others)):
+        assert interp._fragments(column, keyed_oid_encoder) \
+            == [canonical_json(value) for value in column]
 
 
 def test_an_anonymous_oid_is_refused_as_a_row_would_be():

@@ -143,13 +143,14 @@ class TestCarriedKeys:
 
     def test_set_built_without_keys_derives_them_on_demand(self, euro):
         """``ResultSet(columns, rows)`` is public API (``run_compiled``
-        builds the empty result that way): ``keys()`` must answer from
-        the rows, never with a silently empty tuple."""
+        builds the empty result that way): the keys are rendered from
+        the rows it is handed, never a silently empty tuple, and the
+        rows it decodes back are those rows."""
         alln = run_program(parse_program_text(PROGRAM_TEXT),
                            euro).sets["alln"]
         bare = ResultSet(columns=alln.columns, rows=alln.rows)
-        assert bare.row_keys is None
-        assert bare.keys() == alln.keys() and len(bare.keys()) > 3
+        assert bare.row_keys == alln.row_keys and len(bare.keys()) > 3
+        assert bare.rows == alln.rows
         assert ResultSet(columns=(), rows=()).keys() == ()
 
     def test_equality_compares_columns_and_rows_only(self, euro):
@@ -158,6 +159,20 @@ class TestCarriedKeys:
         assert ResultSet(columns=alln.columns, rows=alln.rows) == alln
         assert ResultSet(columns=alln.columns, rows=alln.rows[:1]) != alln
         assert ResultSet(columns=("M",), rows=alln.rows) != alln
+
+
+    @pytest.mark.parametrize("left, right", [
+        (1, True), (1, 1.0), (0.0, -0.0)])
+    def test_rows_that_compare_equal_but_key_apart_are_unequal(
+            self, left, right):
+        """Row equality is JSON equality: ``1`` and ``true``, ``1`` and
+        ``1.0``, ``0.0`` and ``-0.0`` compare equal in Python but are
+        different rows."""
+        ones = ResultSet.from_rows(("X",), [{"X": left}])
+        trues = ResultSet.from_rows(("X",), [{"X": right}])
+        assert ones.keys() != trues.keys()
+        assert ones != trues
+        assert ones == ResultSet.from_rows(("X",), [{"X": left}])
 
 
 class TestCompiledPrograms:

@@ -18,7 +18,7 @@ import random
 import sys
 import threading
 from http.client import HTTPConnection
-from urllib.parse import urlparse
+from urllib.parse import quote, urlparse
 
 import pytest
 
@@ -58,6 +58,18 @@ def get(url, path):
     conn = HTTPConnection(address.hostname, address.port)
     try:
         conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def post(url, path, document):
+    """(status, raw body bytes) of one POST of a JSON document."""
+    address = urlparse(url)
+    conn = HTTPConnection(address.hostname, address.port)
+    try:
+        conn.request("POST", path, body=json.dumps(document))
         response = conn.getresponse()
         return response.status, response.read()
     finally:
@@ -222,7 +234,7 @@ def assert_node_reads_a_cold_transform(morphase, session, url, queries):
     assert status == 200
     assert body == canonical(envelope_ok(instance_to_json(cold)))
     for query in queries:
-        assert session.query_body_json(query)["rows"] \
+        assert json.loads(session.query_body_json(query))["rows"] \
             == query_rows(cold, query), query
     target = session.target
     pool = session.transform.target_pool
@@ -348,11 +360,28 @@ def test_error_and_plain_envelopes_are_canonical_text(node):
     assert body == canonical(envelope_error("not_found",
                                             "no route /no-such-route"))
     for path in ("/health", "/check",
-                 "/query?body=X%20in%20CountryT"):
+                 "/query?body=X%20in%20CountryT",
+                 "/query?body=X%20in%20CountryT&trace=1",
+                 "/query?body=" + quote('N | X in CountryT, N = X.name, '
+                                        'N = "Atlantis"')):
         status, body = get(url, path)
         assert status == 200
         assert body == canonical(json.loads(body)), path
         assert b"\n" not in body, path
+    assert json.loads(body)["result"]["rows"] == []
+    names = "N | X in CityT, N = X.name"
+    for request, fields in (
+            ({"text": f"a = query {{ {names} }};\nb = limit a 2;",
+              "explain": True},
+             ["columns", "explain", "result", "rows", "statements"]),
+            # WOL508: ``a`` feeds nothing and is not the result.
+            ({"text": f"a = query {{ {names} }};\nb = query {{ {names} }};"},
+             ["columns", "diagnostics", "result", "rows", "statements"])):
+        status, body = post(url, "/program", request)
+        assert status == 200
+        assert body == canonical(json.loads(body)), request
+        assert list(json.loads(body)["result"]) == fields
+        assert json.loads(body)["result"]["rows"]
 
 
 @pytest.mark.parametrize("trace", [None, {"trace_id": "t", "spans": []}])

@@ -5,9 +5,12 @@ target object once and, after an ingest, re-encodes only the objects
 the ingest changed — no dump, however often it is read — and the
 reads after an ingest probe the target pool the ingest rebased instead
 of building a new one.  A ``query`` statement of a query program
-renders each distinct (column, value) pair of its batch once and
-splices the rows' keys from those fragments — set algebra and
-``limit`` fold the keys they were handed and render nothing.  The
+renders each distinct (column, value) pair of its batch once (a
+string through the escaper ``canonical_json`` itself uses, anything
+else through ``canonical_json``) and splices the rows' keys from those
+fragments — set algebra and ``limit`` fold the keys they were handed
+and render nothing — and ``/query`` and ``/program`` splice those keys
+into the response text: no row dict is decoded on the way.  The
 benchmark's ``p10`` at genome 4x (seed 11) emits 2 988 rows holding
 2 776 distinct pairs: 2 776 renderings, where keying each row renders
 2 988 and re-keying rows per statement 8 366.  A read path that
@@ -15,8 +18,10 @@ re-encodes per request or per write, renders per row, or re-keys rows
 per statement fails these counts.
 """
 
+import json
 import threading
 from http.client import HTTPConnection
+from urllib.parse import quote
 
 import pytest
 
@@ -26,6 +31,7 @@ from repro.adapters.acedb import AceDatabase, schema_of_acedb
 from repro.io.json_io import canonical_json, instance_to_json
 from repro.morphase import Morphase
 from repro.obs.metrics import REGISTRY
+from repro.program import ResultSet
 from repro.query.query import Query
 from repro.semantics.match import IndexPool
 from repro.service import envelope_ok, make_server
@@ -151,14 +157,18 @@ def test_a_read_after_an_ingest_encodes_what_the_ingest_changed(
         instance_to_json(session.target))).encode("utf-8")
 
 
+def program_text(name):
+    queried, algebra = PROGRAMS[name]
+    return "".join(f"{q} = query {{ {QUERIES[q]} }};\n"
+                   for q in queried) + algebra
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_rows_are_keyed_once_where_a_query_statement_emits_them(
         served, monkeypatch, name):
     session, _address = served
     target = session.target
     queried, algebra = PROGRAMS[name]
-    text = "".join(f"{q} = query {{ {QUERIES[q]} }};\n"
-                   for q in queried) + algebra
     emitted = distinct = 0
     for q in queried:
         columns, batch, count = Query.parse(
@@ -166,21 +176,79 @@ def test_rows_are_keyed_once_where_a_query_statement_emits_them(
         ).run_planned(target)
         emitted += count
         distinct += sum(len(set(batch[column])) for column in columns)
-    keyed = Calls(monkeypatch, interp, "canonical_json")
-    during_algebra = []
-    run_algebra = interp._run_algebra
+    # A fragment renders through the string escaper or canonical_json.
+    escaped = Calls(monkeypatch, interp, "encode_basestring_ascii")
+    rendered = Calls(monkeypatch, interp, "canonical_json")
 
-    def counted_algebra(*args):
-        before = keyed.count
-        try:
-            return run_algebra(*args)
-        finally:
-            during_algebra.append(keyed.count - before)
-    monkeypatch.setattr(interp, "_run_algebra", counted_algebra)
-    response = session.program_json({"text": text})
-    assert 0 < keyed.count <= distinct < emitted
+    def renderings():
+        return escaped.count + rendered.count
+
+    during = {"query": [], "algebra": []}
+
+    def counting(kind, run):
+        def counted(*args):
+            before = renderings()
+            try:
+                return run(*args)
+            finally:
+                during[kind].append(renderings() - before)
+        return counted
+    monkeypatch.setattr(interp, "_run_query",
+                        counting("query", interp._run_query))
+    monkeypatch.setattr(interp, "_run_algebra",
+                        counting("algebra", interp._run_algebra))
+    response = json.loads(session.program_json({"text": program_text(name)}))
+    assert 0 < escaped.count
+    assert 0 < sum(during["query"]) <= distinct < emitted
+    assert len(during["query"]) == len(queried)
     assert len(response["rows"]) > 0
-    assert during_algebra == [0] * algebra.count(";")
+    assert during["algebra"] == [0] * algebra.count(";")
     statements = {entry["name"]: entry for entry in response["statements"]}
     assert len(statements) == len(queried) + algebra.count(";")
     assert all(statements[q]["rows"] > 0 for q in statements)
+
+
+def test_query_and_program_responses_decode_no_rows(served, monkeypatch):
+    """``/query`` and ``/program`` splice the rows' keys into the
+    response: no result set's row dicts are decoded on the way."""
+    _session, address = served
+    decoded = []
+    rows = ResultSet.rows
+
+    def counted(result):
+        decoded.append(result)
+        return rows.fget(result)
+    monkeypatch.setattr(ResultSet, "rows", property(counted))
+    conn = HTTPConnection(*address)
+    try:
+        for body in QUERIES.values():
+            conn.request("GET", f"/query?body={quote(body)}")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["result"]["count"] > 0
+        for name in sorted(PROGRAMS):
+            conn.request("POST", "/program", body=json.dumps(
+                {"text": program_text(name), "explain": True}))
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["result"]["rows"]
+    finally:
+        conn.close()
+    assert decoded == []
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_a_program_parses_each_query_body_once(served, monkeypatch, name):
+    """Validation parses every ``query`` body and compilation plans
+    the parsed queries: one ``Query.parse`` per query statement."""
+    session, _address = served
+    parsed = []
+    parse = Query.parse
+
+    def counted(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+    monkeypatch.setattr(Query, "parse", staticmethod(counted))
+    session.program_json({"text": program_text(name)})
+    queried, _algebra = PROGRAMS[name]
+    assert parsed == [QUERIES[q] for q in queried]

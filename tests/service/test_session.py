@@ -183,7 +183,7 @@ class TestMaintenance:
         gets a pool over the new target, not the cached one over the
         old target (whose index probes would miss the new country)."""
         body = 'X in CountryT, N = X.name, N = "Utopia"'
-        assert session.query_body_json(body)["count"] == 0
+        assert json.loads(session.query_body_json(body))["count"] == 0
         country = Oid.fresh("CountryE")
         session.transform.apply_delta(Delta(inserts={
             "CountryE": {country: Record.of(
@@ -191,7 +191,7 @@ class TestMaintenance:
             "CityE": {Oid.fresh("CityE"): Record.of(
                 name="Nowhere", is_capital=True, country=country)}}))
         assert session.applied_seq == 0
-        assert session.query_body_json(body)["count"] == 1
+        assert json.loads(session.query_body_json(body))["count"] == 1
 
     def test_stats_shape(self, session):
         session.ingest(insert_country("A")[1])
