@@ -391,8 +391,9 @@ def _cmd_program(args) -> int:
             outcome = run_compiled(compiled, merged)
         if trace is not None:
             trace_doc = trace.to_json()
-        result = outcome.to_json(
-            **({"explain": compiled.explain()} if args.explain else {}))
+        result = outcome.to_json()
+        if args.explain:
+            result["explain"] = compiled.explain()
 
     if args.json:
         if trace_doc is not None:

@@ -260,12 +260,8 @@ def _compile_proj(term: Proj, var_class: Dict[str, str]) -> Evaluator:
                 # rows along — pure integer indexing, no oid hashing.
                 return [column[row] for row in rows]
             get = store.row_map(class_name).get
-            out: List[Value] = []
-            append = out.append
-            for oid in columns[name]:
-                row = get(oid)
-                append(MISSING if row is None else column[row])
-            return out
+            return [MISSING if row is None else column[row]
+                    for row in map(get, columns[name])]
         return gather
 
     inner = compile_term(subject, var_class)

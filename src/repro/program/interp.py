@@ -153,12 +153,9 @@ class ResultSet:
         return (self.columns, self.row_keys) \
             == (other.columns, other.row_keys)
 
-    def __hash__(self) -> int:
-        return hash((self.columns, self.row_keys))
-
     def __repr__(self) -> str:
         return (f"ResultSet(columns={self.columns!r}, "
-                f"rows={len(self.row_keys)})")
+                f"row_keys={self.row_keys!r})")
 
     def _head(self, fields: Mapping[str, Any]) -> Dict[str, Any]:
         return {**fields, "columns": list(self.columns)}
@@ -174,16 +171,16 @@ class ResultSet:
         """``canonical_json(self.to_json(**fields))`` as UTF-8, with
         every row's key spliced in as it stands — no row is decoded or
         rendered again.  The other fields render around it in sorted
-        order, as ``sort_keys`` places them."""
+        order, as ``sort_keys`` places them (``columns`` always
+        precedes ``rows``)."""
         head = self._head(fields)
         before = canonical_json({name: value for name, value
                                  in head.items() if name < "rows"})
         after = canonical_json({name: value for name, value
                                 in head.items() if name > "rows"})
         return "".join((
-            before[:-1], ", " if len(before) > 2 else "", '"rows": [',
-            ", ".join(self.row_keys), "]", ", " if len(after) > 2 else "",
-            after[1:])).encode("utf-8")
+            before[:-1], ', "rows": [', ", ".join(self.row_keys), "]",
+            ", " if len(after) > 2 else "", after[1:])).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -207,24 +204,21 @@ class ProgramResult:
     traces: Tuple[StatementTrace, ...]
     sets: Dict[str, ResultSet] = field(default_factory=dict, compare=False)
 
-    def _fields(self, extra: Mapping[str, Any]) -> Dict[str, Any]:
+    def _fields(self) -> Dict[str, Any]:
         fields: Dict[str, Any] = {}
         if self.program.name is not None:
             fields["program"] = self.program.name
         fields["result"] = self.program.result_name
         fields["statements"] = [t.to_json() for t in self.traces]
-        fields.update(extra)
         return fields
 
-    def to_json(self, **extra: Any) -> Dict[str, Any]:
-        """The result document (``extra`` adds top-level fields, such
-        as ``explain``)."""
-        return self.result.to_json(**self._fields(extra))
+    def to_json(self) -> Dict[str, Any]:
+        return self.result.to_json(**self._fields())
 
     def to_json_bytes(self, **extra: Any) -> bytes:
-        """:meth:`to_json` as canonical JSON text, the result rows'
-        keys spliced in (:meth:`ResultSet.to_json_bytes`)."""
-        return self.result.to_json_bytes(**self._fields(extra))
+        """``canonical_json({**self.to_json(), **extra})`` as UTF-8, the
+        result rows' keys spliced in (:meth:`ResultSet.to_json_bytes`)."""
+        return self.result.to_json_bytes(**self._fields(), **extra)
 
 
 def run_compiled(compiled: CompiledProgram, instance: Instance,
