@@ -123,3 +123,28 @@ class TestHeadBinding:
         bad = clause("X = X <= X in CityA, X.name < N;")
         bad_body, _ = unrestricted_variables(bad)
         assert "N" in bad_body
+
+
+class TestErrorTexts:
+    """The refusal texts, byte for byte: ``Query.parse``'s 422 and the
+    WOL504 diagnostics quote them."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("X.population < Y <= X in CityA;",
+         "clause X.population < Y <= X in CityA;: not range-restricted: "
+         "head variables ['Y']"),
+        ("X = X <= X in CityA, X.name < N;",
+         "clause X = X <= X in CityA, X.name < N;: not range-restricted: "
+         "body variables ['N']"),
+        ("Y = Z <= X in CityA, W in S, X.name = Y.name;",
+         "clause Y = Z <= X in CityA, W in S, X.name = Y.name;: not "
+         "range-restricted: body variables ['S', 'W', 'Y'] and head "
+         "variables ['Y', 'Z']"),
+        ("named: X = Y <= Y in CityA, Z = Y.name, W = Q;",
+         "clause named: not range-restricted: body variables ['Q', 'W']"),
+    ])
+    def test_message(self, text, message):
+        with pytest.raises(RangeRestrictionError) as excinfo:
+            check_range_restriction(clause(text))
+        assert str(excinfo.value) == message
+
