@@ -10,6 +10,8 @@ that system end to end:
 2. start the HTTP service — one long-lived session holding the
    compiled program, shared indexes and incremental state warm,
 3. POST a source delta and watch it group-commit into the warm target,
+   then read it back: a repeated /query or /program is answered from
+   the session's compiled-statement cache, byte for byte as the first,
 4. verify the served target equals a cold batch transform of the
    updated source (the differential guarantee),
 5. scrape GET /metrics and assert the Prometheus families a
@@ -27,6 +29,8 @@ import json
 import sys
 import tempfile
 import threading
+from urllib.parse import quote
+from urllib.request import Request, urlopen
 
 from repro.io.json_io import instance_to_json
 from repro.morphase import Morphase
@@ -78,6 +82,16 @@ def check_metrics(client: ServiceClient, role: str,
     return ok
 
 
+def twice(url: str, path: str, body: bytes = None) -> bool:
+    """Send one request twice; True when both answers are the same
+    bytes."""
+    answers = []
+    for _ in range(2):
+        with urlopen(Request(url + path, data=body), timeout=30) as resp:
+            answers.append(resp.read())
+    return answers[0] == answers[1]
+
+
 def main() -> int:
     # 1. A durable store initialised from the merged sources.
     morphase = Morphase([cities.us_schema(), cities.euro_schema()],
@@ -121,6 +135,20 @@ def main() -> int:
           + ", ".join(f"{t['name']}={t['rows']}"
                       for t in outcome['statements']))
 
+    # A repeat is a compiled-statement cache hit: it skips parse,
+    # validation, planning and stage compilation, and answers the
+    # same bytes.
+    repeated = (twice(server.url, "/query?body="
+                      + quote("N | X in CityT, N = X.name")),
+                twice(server.url, "/program", json.dumps({
+                    "text": "alln = query { N | X in CityT, N = X.name };"
+                }).encode("utf-8")))
+    if repeated != (True, True):
+        print(f"MISMATCH: a repeated /query, /program answered other "
+              f"bytes: {repeated}")
+        return 1
+    print("  a repeated /query and /program answered the same bytes")
+
     # 4. Differential guarantee: served target == cold batch transform.
     cold = morphase.transform(store.instance).target
     if json.dumps(client.target(), sort_keys=True) != dumps(cold):
@@ -139,6 +167,9 @@ def main() -> int:
             "repro_wal_append_seconds_count": 1,
             'repro_session_role{role="leader"}': 1,
             "repro_session_ingested": 1,
+            'repro_statement_cache_total{route="query",outcome="hit"}': 1,
+            'repro_statement_cache_total{route="program",'
+            'outcome="hit"}': 1,
     }):
         return 1
 

@@ -30,7 +30,7 @@ class-membership atoms and head equations.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .ast import (
     Atom, Clause, Const, EqAtom, InAtom, MemberAtom, Proj, RecordTerm,
@@ -66,49 +66,61 @@ def determinable_vars(term: Term) -> FrozenSet[str]:
     return frozenset()
 
 
-def _bound_step(atoms: Iterable[Atom], bound: Set[str]) -> bool:
-    """One propagation round; returns True when anything new was bound."""
-    changed = False
+#: One binding rule: once every variable of the first set is bound, so
+#: is every variable of the second.
+_Rule = Tuple[FrozenSet[str], FrozenSet[str]]
 
-    def mark(names: FrozenSet[str]) -> None:
-        nonlocal changed
-        for name in names:
-            if name not in bound:
-                bound.add(name)
-                changed = True
 
+def _rules(atoms: Iterable[Atom]) -> List[_Rule]:
+    """The binding rules of ``atoms``, in atom order (each term is
+    walked once here, not once per propagation round)."""
+    rules: List[_Rule] = []
     for atom in atoms:
         if isinstance(atom, MemberAtom):
             # Class membership ranges over a finite class extent (body) or
             # asserts existence of such an object (head); either way the
             # element is bound.
-            mark(determinable_vars(atom.element))
+            rules.append((frozenset(), determinable_vars(atom.element)))
         elif isinstance(atom, InAtom):
-            if atom.collection.variables() <= bound:
-                mark(determinable_vars(atom.element))
+            rules.append((atom.collection.variables(),
+                          determinable_vars(atom.element)))
         elif isinstance(atom, EqAtom):
-            if atom.left.variables() <= bound:
-                mark(determinable_vars(atom.right))
-            if atom.right.variables() <= bound:
-                mark(determinable_vars(atom.left))
+            rules.append((atom.left.variables(),
+                          determinable_vars(atom.right)))
+            rules.append((atom.right.variables(),
+                          determinable_vars(atom.left)))
         # NeqAtom / LtAtom / LeqAtom bind nothing.
-    return changed
+    return rules
+
+
+def _closure(rules: Sequence[_Rule], bound: Set[str]) -> FrozenSet[str]:
+    """Propagate ``rules`` from ``bound`` to a fixpoint."""
+    changed = True
+    while changed:
+        changed = False
+        for required, determinable in rules:
+            if required <= bound and not determinable <= bound:
+                bound |= determinable
+                changed = True
+    return frozenset(bound)
 
 
 def body_bound_variables(clause: Clause) -> FrozenSet[str]:
     """Variables bound by the clause body alone."""
-    bound: Set[str] = set()
-    while _bound_step(clause.body, bound):
-        pass
-    return frozenset(bound)
+    return _closure(_rules(clause.body), set())
+
+
+def _bound(clause: Clause) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """The variables the body binds, and those body plus head bind."""
+    body_rules = _rules(clause.body)
+    body_bound = _closure(body_rules, set())
+    return body_bound, _closure(_rules(clause.head) + body_rules,
+                                set(body_bound))
 
 
 def clause_bound_variables(clause: Clause) -> FrozenSet[str]:
     """Variables bound by body plus head binding atoms (existentials)."""
-    bound: Set[str] = set(body_bound_variables(clause))
-    while _bound_step(clause.head + clause.body, bound):
-        pass
-    return frozenset(bound)
+    return _bound(clause)[1]
 
 
 def unrestricted_variables(clause: Clause) -> Tuple[FrozenSet[str],
@@ -121,8 +133,7 @@ def unrestricted_variables(clause: Clause) -> Tuple[FrozenSet[str],
     for atom in clause.head:
         head_vars |= atom.variables()
 
-    body_bound = body_bound_variables(clause)
-    all_bound = clause_bound_variables(clause)
+    body_bound, all_bound = _bound(clause)
     bad_body = frozenset(body_vars) - body_bound
     bad_head = frozenset(head_vars) - all_bound
     return bad_body, bad_head

@@ -5,8 +5,12 @@ Compilation is the bridge between the AST and the engine: each
 (:func:`~repro.program.validate.checked_queries`, through
 :meth:`repro.query.Query.parse`), and the parsed query is wrapped in a
 probe clause and handed to the static join planner
-(:func:`repro.engine.planner.plan_clause`), and the union of
-every plan's index selectors is prebuilt on one shared
+(:func:`repro.engine.planner.plan_clause`), whose plan is compiled to
+batch stages (:func:`repro.engine.columnar.compile_steps`).  Plans and
+stages read only the schema and the class sizes, so a compiled program
+runs over any instance of the same sizes (the service keeps one per
+program while the sizes hold).  A run prebuilds the union of every
+plan's index selectors on one shared
 :class:`~repro.semantics.match.IndexPool` — the same amortisation the
 batch transformation engine applies across clauses, applied across the
 statements of a program.  Set-algebra statements compile to nothing;
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.diagnostics import Diagnostic, DiagnosticReport
+from ..engine.columnar import CompiledPlan, compile_steps
 from ..engine.planner import JoinPlan, PlanError, plan_clause
 from ..lang.ast import Clause
 from ..model.instance import Instance
@@ -40,7 +45,9 @@ from .validate import checked_queries
 class CompiledStatement:
     """One statement, ready to run.
 
-    ``query``/``plan`` are populated for ``query`` statements only.
+    ``query``/``plan``/``compiled`` (the plan's
+    :func:`~repro.engine.columnar.compile_steps` stages, keeping only
+    ``columns`` live) are populated for ``query`` statements only.
     ``columns`` is the statement's output column order —
     projection order for explicit projections, first-occurrence
     variable order otherwise (the :meth:`Query.variables` convention).
@@ -50,17 +57,28 @@ class CompiledStatement:
     columns: Tuple[str, ...]
     query: Optional[Query] = None
     plan: Optional[JoinPlan] = None
+    compiled: Optional[CompiledPlan] = None
 
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A validated program plus per-statement plans and the shared pool."""
+    """A validated program plus per-statement plans and the shared pool.
+
+    ``sizes`` are the class sizes the plans were made for, and
+    ``index_paths`` the union of the plans' index selectors, which a
+    run prebuilds on ``pool``.
+    """
 
     program: QueryProgram
     statements: Tuple[CompiledStatement, ...]
     pool: IndexPool
     report: DiagnosticReport
-    prebuilt_indexes: int
+    sizes: Dict[str, int]
+    index_paths: Tuple[Tuple[str, Tuple[str, ...]], ...]
+
+    @property
+    def prebuilt_indexes(self) -> int:
+        return len(self.index_paths)
 
     def explain(self) -> str:
         """Stable rendering of every statement's execution strategy."""
@@ -85,8 +103,7 @@ class CompiledProgram:
 
 
 def compile_program(program: QueryProgram, instance: Instance,
-                    pool: Optional[IndexPool] = None,
-                    prebuild: bool = True) -> CompiledProgram:
+                    pool: Optional[IndexPool] = None) -> CompiledProgram:
     """Validate and compile ``program`` against ``instance``.
 
     Raises :class:`~repro.program.ast.ProgramValidationError` when
@@ -94,8 +111,7 @@ def compile_program(program: QueryProgram, instance: Instance,
     (WOL504); warnings ride along on the returned report.  ``pool``
     lets a warm session share its prebuilt indexes across requests (one
     built over another instance raises :class:`ValueError`); by default
-    a fresh pool is built and the union of all statements' index
-    selectors is materialised up front.
+    a fresh pool is built.
     """
     pool = IndexPool(instance) if pool is None \
         else pool.checked_for(instance)
@@ -124,20 +140,18 @@ def compile_program(program: QueryProgram, instance: Instance,
             index_paths.extend(plan.index_paths)
             compiled.append(CompiledStatement(
                 statement=statement, columns=columns, query=query,
-                plan=plan))
+                plan=plan, compiled=compile_steps(
+                    instance.schema, plan.steps, (), frozenset(columns))))
         else:
             columns = _derived_columns(statement.op, columns_by_name)
             compiled.append(CompiledStatement(
                 statement=statement, columns=columns))
         columns_by_name[statement.name] = compiled[-1].columns
 
-    unique_paths = sorted(set(index_paths))
-    if prebuild:
-        pool.prebuild(unique_paths)
     return CompiledProgram(program=program,
                            statements=tuple(compiled),
-                           pool=pool, report=report,
-                           prebuilt_indexes=len(unique_paths))
+                           pool=pool, report=report, sizes=cardinalities,
+                           index_paths=tuple(sorted(set(index_paths))))
 
 
 def _derived_columns(op, columns_by_name: Dict[str, Tuple[str, ...]]

@@ -225,11 +225,13 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
                  oid_encoder=None) -> ProgramResult:
     """Run a compiled program against ``instance``.
 
-    ``instance`` must be the instance the program was compiled against
-    (the pool's indexes address its oids); any other raises
-    :class:`ValueError`.
+    ``instance`` must be the instance the compiled program's pool
+    indexes (its indexes address that instance's oids); any other
+    raises :class:`ValueError`.  The plans' indexes are prebuilt on the
+    pool first (a no-op for each one it still holds).
     """
     pool = compiled.pool.checked_for(instance)
+    pool.prebuild(compiled.index_paths)
     encoder = oid_encoder if oid_encoder is not None \
         else dump_oid_encoder(instance)
 
@@ -315,7 +317,8 @@ def _run_query(statement: CompiledStatement, pool: IndexPool,
                encoder) -> Tuple[ResultSet, StatementTrace]:
     columns = statement.columns
     _names, batch, count = run_steps_columnar(
-        pool, statement.plan.steps, {}, 1, needed=frozenset(columns))
+        pool, statement.plan.steps, {}, 1, needed=frozenset(columns),
+        compiled=statement.compiled)
     result = ResultSet.from_columns(columns, batch, count, encoder)
     trace = StatementTrace(name=statement.statement.name, op="query",
                            rows=len(result.row_keys))

@@ -20,6 +20,9 @@ and the end-to-end harness compare against.  The service runs
 :meth:`Query.run_planned`: the body's join plan, batch at a time,
 returning the final column batch rather than rows — the service keys
 it a column at a time (:meth:`repro.program.ResultSet.from_columns`).
+:meth:`Query.prepare` makes the plan and its batch stages once, for
+one vector of class sizes; the service keeps the result and hands it
+to every ``run_planned`` of the same text while the sizes hold.
 A range-restricted body can still admit no join order (an atom that
 waits on a variable only it could bind); ``run_planned`` refuses it
 with :class:`QueryError`, where ``run`` would stop at the same atom
@@ -29,14 +32,20 @@ with :class:`~repro.semantics.match.MatchError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..lang.ast import Atom, Clause
+from ..lang.lexer import LexError
 from ..lang.parser import ParseError, parse_clause
 from ..lang.range_restriction import check_range_restriction
 from ..model.instance import Instance
 from ..model.values import Value
 from ..semantics.match import IndexPool
+
+if TYPE_CHECKING:
+    from ..engine.columnar import CompiledPlan
+    from ..engine.planner import JoinPlan
 
 
 class QueryError(Exception):
@@ -59,16 +68,21 @@ class Query:
     @staticmethod
     def parse(text: str,
               classes: Optional[Iterable[str]] = None) -> "Query":
-        """Parse ``"X, Y | atoms"`` (or just ``"atoms"`` for all vars)."""
-        if "|" in text:
-            head_text, _, body_text = text.partition("|")
+        """Parse ``"X, Y | atoms"`` (or just ``"atoms"`` for all vars).
+
+        The projection ends at the first ``|`` outside a string
+        literal.  Text that does not lex or parse raises
+        :class:`QueryError` caused by a
+        :class:`~repro.lang.parser.ParseError`.
+        """
+        head_text, body_text = _split_projection(text)
+        if head_text is not None:
             names = tuple(part.strip() for part in head_text.split(",")
                           if part.strip())
             if names == ("*",):
                 names = ()
         else:
             names = ()
-            body_text = text
         body_text = body_text.strip().rstrip(";")
         if not body_text:
             raise QueryError("empty query body")
@@ -77,6 +91,9 @@ class Query:
                                   classes=classes)
         except ParseError as exc:
             raise QueryError(f"cannot parse query body: {exc}") from exc
+        except LexError as exc:
+            raise QueryError(f"cannot parse query body: {exc}") \
+                from ParseError(str(exc))
         query = Query(names, clause.body)
         query.validate()
         return query
@@ -111,38 +128,82 @@ class Query:
         from ..oracle import naive_query
         return naive_query(self, instance)
 
+    def prepare(self, instance: Instance) -> "PreparedQuery":
+        """Plan and compile the body for ``instance``'s class sizes.
+
+        The plan (:func:`repro.engine.planner.plan_clause`) and its
+        batch stages (:func:`repro.engine.columnar.compile_steps`) read
+        only the schema and :meth:`Instance.class_sizes`, so the result
+        runs over any instance of the same schema and sizes.  A body
+        with no join order raises :class:`QueryError`.
+        """
+        from ..engine.columnar import compile_steps
+        from ..engine.planner import PlanError, plan_clause
+        names = self.projection or self.variables()
+        sizes = instance.class_sizes()
+        try:
+            plan = plan_clause(Clause(self.body, self.body), sizes)
+        except PlanError as exc:
+            raise QueryError(f"query admits no join order: {exc}") from exc
+        compiled = compile_steps(instance.schema, plan.steps, (),
+                                 frozenset(names))
+        return PreparedQuery(names, plan, sizes, compiled)
+
     def run_planned(self, instance: Instance,
-                    pool: Optional[IndexPool] = None) -> Batch:
+                    pool: Optional[IndexPool] = None,
+                    prepared: Optional["PreparedQuery"] = None) -> Batch:
         """The result as one column batch, via the static planner (the
         service hot path): ``(names, columns, count)``.
 
         ``names`` is the projection (every variable, in first-occurrence
         order, when it is empty), ``columns`` maps each name to its
         ``count`` values, one per solution, in plan order — duplicates
-        included.  Plans the body once
-        (:func:`repro.engine.planner.plan_clause`), prebuilds the plan's
-        indexes on ``pool`` (a warm session passes its shared
+        included.  Runs ``prepared`` (:meth:`prepare` of this query; by
+        default prepared here for ``instance``), after prebuilding the
+        plan's indexes on ``pool`` (a warm session passes its shared
         :class:`~repro.semantics.match.IndexPool`, which must index
-        ``instance``; by default a private one is built) and runs the
-        plan in batch stages
-        (:func:`repro.engine.columnar.run_steps_columnar`), dropping
-        every column the projection does not read as soon as no later
-        stage reads it.  A body with no join order raises
+        ``instance``; by default a private one is built), in batch
+        stages (:func:`repro.engine.columnar.run_steps_columnar`),
+        dropping every column the projection does not read as soon as
+        no later stage reads it.  A body with no join order raises
         :class:`QueryError`, and a pool over another instance
         :class:`ValueError`.
         """
         from ..engine.columnar import run_steps_columnar
-        from ..engine.planner import PlanError, plan_clause
         pool = IndexPool(instance) if pool is None \
             else pool.checked_for(instance)
-        names = self.projection or self.variables()
-        probe = Clause(self.body, self.body)
-        try:
-            plan = plan_clause(probe, instance.class_sizes())
-        except PlanError as exc:
-            raise QueryError(f"query admits no join order: {exc}") from exc
-        pool.prebuild(plan.index_paths)
+        if prepared is None:
+            prepared = self.prepare(instance)
+        names = prepared.names
+        pool.prebuild(prepared.plan.index_paths)
         _, columns, count = run_steps_columnar(
-            pool, plan.steps, {}, 1, needed=frozenset(names))
+            pool, prepared.plan.steps, {}, 1, needed=frozenset(names),
+            compiled=prepared.compiled)
         return names, {name: columns[name] for name in names
                        if name in columns}, count
+
+
+@dataclass(frozen=True)
+class PreparedQuery:
+    """A query planned and compiled for one vector of class sizes."""
+
+    names: Tuple[str, ...]          #: the output columns
+    plan: "JoinPlan"
+    sizes: Dict[str, int]           #: the class sizes ``plan`` assumed
+    compiled: "CompiledPlan"        #: ``compile_steps`` of ``plan``
+
+
+def _split_projection(text: str) -> Tuple[Optional[str], str]:
+    """``(projection text, body text)`` around the first ``|`` outside a
+    string literal; the projection is None when there is no such bar."""
+    quoted = escaped = False
+    for index, char in enumerate(text):
+        if escaped:
+            escaped = False
+        elif quoted and char == "\\":
+            escaped = True
+        elif char == '"':
+            quoted = not quoted
+        elif char == "|" and not quoted:
+            return text[:index], text[index + 1:]
+    return None, text

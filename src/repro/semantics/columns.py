@@ -14,6 +14,14 @@ executor (:mod:`repro.engine.columnar`) touches a class:
   pre-sorted into the matcher's deterministic order (so a vectorized
   ``in``-generator never re-sorts per binding).
 
+A reference a column holds is *interned*: an oid stored in an object's
+value is replaced by the equal oid of the referenced class's extent,
+the very key of that class's intern table (and the object an extent
+scan binds).  A gather through the table then finds its key by
+identity instead of comparing two oids (and the key records behind
+them) field by field; :class:`~repro.semantics.match.IndexPool` interns
+its index keys the same way.
+
 The store is *patchable under deltas*: :meth:`patch` applies exactly the
 edit order of :meth:`repro.evolution.delta.Delta.apply_to` — deletions
 tombstone rows, updates rewrite columns in place (dict insertion order
@@ -23,7 +31,8 @@ byte-identical to a rebuild from the updated instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..model.instance import Instance
 from ..model.values import Oid, Record, Value, WolList, WolSet
@@ -212,6 +221,7 @@ class ColumnStore:
                     _scalar_entry(value_of(oid), attr) if alive[row]
                     else MISSING
                     for row, oid in enumerate(columns.oids)]
+            column = self.interned(column)
             columns.scalars[attr] = column
             self.columns_built += 1
         return column
@@ -245,9 +255,33 @@ class ColumnStore:
                     column.append_row(
                         _set_entry(value_of(oid), attr) if alive[row]
                         else ())
+            column.values = self.interned(column.values)
             columns.sets[attr] = column
             self.columns_built += 1
         return column
+
+    def interned(self, values: List[Value]) -> List[Value]:
+        """``values`` with every oid replaced by the equal key of its
+        class's intern table (a dangling one stays as it is).  Builds
+        the referenced classes from the store's instance, so a patch,
+        which runs before the store moves to the new instance, must
+        not call it."""
+        classes = {value.class_name for value in values
+                   if value.__class__ is Oid}
+        if not classes:
+            return values
+        for class_name in classes & self.instance.valuations.keys():
+            self._class(class_name)
+        canonical = self._canonical
+        return [canonical(value) if value.__class__ is Oid else value
+                for value in values]
+
+    def _canonical(self, oid: Oid) -> Oid:
+        """The key equal to ``oid`` in its built class's intern table,
+        else ``oid`` itself."""
+        columns = self._classes.get(oid.class_name)
+        row = None if columns is None else columns.rows.get(oid)
+        return oid if row is None else columns.oids[row]
 
     def set_slice(self, oid: Oid, attr: str) -> Sequence[Value]:
         """``oid``'s collection elements at ``attr``, pre-ordered.
@@ -282,6 +316,7 @@ class ColumnStore:
         patching falls back to invalidating the class.
         """
         touched = set(strict_removed) | set(strict_added)
+        references: List[Tuple[List[Value], int]] = []
         for class_name in touched:
             columns = self._classes.get(class_name)
             if columns is None:
@@ -302,16 +337,23 @@ class ColumnStore:
                 self.rows_patched += 1
             if ok:
                 ok = self._patch_added(new_instance, columns, added,
-                                       removed)
+                                       removed, references)
             columns.invalidate_views()
             expected = len(new_instance.valuations.get(class_name, ()))
             if not ok or columns.live != expected:
                 del self._classes[class_name]
         self.instance = new_instance
+        # Interned once every class is patched: a reference may name an
+        # object the same delta inserts into a class patched later.
+        for column, at in references:
+            column[at] = self._canonical(column[at])
 
     def _patch_added(self, new_instance: Instance,
                      columns: _ClassColumns, added: Sequence[Oid],
-                     removed: Iterable[Oid]) -> bool:
+                     removed: Iterable[Oid],
+                     references: List[Tuple[List[Value], int]]) -> bool:
+        """Write the rows of ``added``; every position that now holds
+        an oid is appended to ``references``."""
         removed = set(removed)
         for oid in added:
             try:
@@ -336,11 +378,18 @@ class ColumnStore:
                     column.append(entry)
                 else:
                     column[row] = entry
+                if entry.__class__ is Oid:
+                    references.append((column, row))
             for attr, column in columns.sets.items():
                 elements = _set_entry(value, attr)
+                start = len(column.values)
                 if row == len(column.starts):
                     column.append_row(elements)
                 else:
                     column.rewrite_row(row, elements)
+                references.extend(
+                    (column.values, start + at)
+                    for at, element in enumerate(elements)
+                    if element.__class__ is Oid)
             self.rows_patched += 1
         return True

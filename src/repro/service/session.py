@@ -20,15 +20,21 @@ as *one* incremental step — callers block only until the batch holding
 their delta lands.  Reads (query/check/target) share a
 writer-preferring read-write lock, so they run concurrently with each
 other and never observe a half-applied batch.
+
+``/query`` bodies and ``/program`` programs are compiled once per
+vector of target class sizes: a :class:`StatementCache` keeps the
+prepared query or compiled program, so a repeated read only executes
+and encodes.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..evolution.delta import Delta, compose_deltas
 from ..io.json_io import InstanceText, instance_to_json, keyed_oid_encoder
@@ -96,6 +102,60 @@ MAX_WAL_WAIT = 30.0
 #: slicing).
 MAX_WAL_BATCH = 1000
 
+#: Most compiled statements (``/query`` bodies and ``/program``
+#: programs) one session keeps; the least recently used goes first.
+MAX_STATEMENT_CACHE = 256
+
+
+class StatementCache:
+    """Compiled statements by key, for one vector of class sizes.
+
+    A plan and its batch stages read only the schema and the class
+    sizes (:meth:`repro.query.Query.prepare`,
+    :func:`repro.program.compile_program`), so an entry serves every
+    read while the target's sizes hold, and yields the plan an
+    uncached read would make.  A lookup under other sizes empties the
+    cache and counts an invalidation; past ``capacity`` entries the
+    least recently used is evicted and counted.  One mutex guards the
+    dict: callers compile outside it and store only what compiled.
+    """
+
+    def __init__(self, capacity: int, invalidations, evictions) -> None:
+        self._capacity = capacity
+        self._invalidations = invalidations
+        self._evictions = evictions
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._sizes: Optional[Dict[str, int]] = None
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, sizes: Dict[str, int]) -> Optional[Any]:
+        """The entry for ``key`` compiled under ``sizes``, or None."""
+        with self._lock:
+            if sizes != self._sizes:
+                if self._sizes is not None:
+                    self._invalidations.inc()
+                self._entries.clear()
+                self._sizes = sizes
+                return None
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Hashable, sizes: Dict[str, int], entry: Any) -> None:
+        """Keep ``entry``, compiled under ``sizes``, for ``key``."""
+        with self._lock:
+            if sizes != self._sizes:
+                return
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
+
 
 class WarehouseSession:
     """A long-lived, thread-safe Morphase serving session."""
@@ -148,6 +208,20 @@ class WarehouseSession:
         self._snapshots = counter(
             "repro_session_snapshots",
             "Compactions requested through this session.").labels()
+        lookups = counter(
+            "repro_statement_cache_total",
+            "Compiled-statement cache lookups, by route (query, program) "
+            "and outcome (hit, miss).", ("route", "outcome"))
+        self._lookups = {(route, outcome): lookups.labels(route, outcome)
+                         for route in ("query", "program")
+                         for outcome in ("hit", "miss")}
+        self._invalidations = counter(
+            "repro_statement_cache_invalidations_total",
+            "Times the compiled-statement cache was emptied because the "
+            "target's class sizes changed.").labels()
+        self._evictions = counter(
+            "repro_statement_cache_evictions_total",
+            "Compiled statements evicted as least recently used.").labels()
         self._batch_size = self.metrics.histogram(
             "repro_commit_batch_size",
             "Deltas composed into one group-commit batch.",
@@ -193,6 +267,17 @@ class WarehouseSession:
         # turns on this mutex.
         self._target_text = InstanceText(keyed_oid_encoder)
         self._target_text_lock = threading.Lock()
+        # Compiled /query and /program statements; a reseed starts
+        # empty, so no entry outlives the pool it runs on.
+        self.statements = StatementCache(
+            MAX_STATEMENT_CACHE, self._invalidations, self._evictions)
+
+    def _cached(self, route: str, key: Hashable, target) -> Optional[Any]:
+        """The statement cache's entry for ``key`` under ``target``'s
+        class sizes, counted."""
+        entry = self.statements.get(key, target.class_sizes())
+        self._lookups[route, "miss" if entry is None else "hit"].inc()
+        return entry
 
     # ------------------------------------------------------------------
     # Writes
@@ -415,13 +500,23 @@ class WarehouseSession:
             self._body_queries.inc()
             target = self.transform.target
             try:
-                with span("parse"):
-                    parsed = Query.parse(
-                        text, classes=target.schema.class_names())
+                with span("parse") as parse_span:
+                    entry = self._cached("query", text, target)
+                    parse_span.set(cache="miss" if entry is None else "hit")
+                    if entry is None:
+                        parsed = Query.parse(
+                            text, classes=target.schema.class_names())
+                        prepared = None
+                    else:
+                        parsed, prepared = entry
                 pool = self._warm_query_state()
                 with span("execute") as execute_span:
+                    if prepared is None:
+                        prepared = parsed.prepare(target)
+                        self.statements.put(text, prepared.sizes,
+                                            (parsed, prepared))
                     columns, batch, count = parsed.run_planned(
-                        target, pool=pool)
+                        target, pool=pool, prepared=prepared)
                     execute_span.set(rows=count)
             except QueryError as exc:
                 # Unparsable: 400.  Unsafe, or admits no join order: 422.
@@ -480,16 +575,20 @@ class WarehouseSession:
             self._queries.inc()
             self._programs.inc()
             target = self.transform.target
-            pool = self._warm_query_state()
-            with span("compile"):
-                try:
-                    compiled = compile_program(program, target,
-                                               pool=pool)
-                except ProgramValidationError as exc:
-                    raise ServiceError(
-                        str(exc), status=422, code="validation_failed",
-                        details={"diagnostics":
-                                 exc.report.to_json()}) from exc
+            with span("compile") as compile_span:
+                compiled = self._cached("program", program, target)
+                compile_span.set(cache="miss" if compiled is None
+                                 else "hit")
+                if compiled is None:
+                    try:
+                        compiled = compile_program(
+                            program, target, pool=self._warm_query_state())
+                    except ProgramValidationError as exc:
+                        raise ServiceError(
+                            str(exc), status=422, code="validation_failed",
+                            details={"diagnostics":
+                                     exc.report.to_json()}) from exc
+                    self.statements.put(program, compiled.sizes, compiled)
             outcome = run_compiled(compiled, target,
                                    oid_encoder=keyed_oid_encoder)
         with span("encode"):

@@ -6,7 +6,9 @@ prebuilt column of ``b`` instead of decoding each referenced object
 (``Instance.value_of`` plus ``Record.get`` per row).  Rows must equal
 the oracle's over two hops, and after an ingest deletes a referenced
 object its dangling references drop their rows, as the oracle drops
-them.
+them.  The references a column or an index key holds are the
+referenced class's extent objects, built or patched, so a warm pass
+finds every one by identity: no two oids are compared field by field.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.io.json_io import canonical_json, instance_to_json
 from repro.lang import parse_program
 from repro.model import parse_schema
 from repro.model.instance import Instance, InstanceBuilder
-from repro.model.values import Record
+from repro.model.values import Oid, Record
 from repro.morphase import Morphase
 from repro.oracle import naive_execute
 from repro.query.query import Query
@@ -96,6 +98,17 @@ def count_value_of(monkeypatch):
     return calls
 
 
+def count_oid_comparisons(monkeypatch):
+    calls = []
+    equal = Oid.__eq__
+
+    def counted(oid, other):
+        calls.append(oid)
+        return equal(oid, other)
+    monkeypatch.setattr(Oid, "__eq__", counted)
+    return calls
+
+
 def test_two_hop_references_gather_the_oracle_rows(monkeypatch):
     instance, _cs = chain()
     pool = IndexPool(instance)
@@ -125,6 +138,41 @@ def test_a_dangling_reference_drops_its_row_after_an_ingest():
     assert len(result.target.objects_of("Out")) == 1
 
 
+def respelled(oid):
+    """An oid equal to ``oid`` that is another object."""
+    spelled = Oid(oid.class_name, serial=oid.serial)
+    assert spelled == oid and spelled is not oid
+    return spelled
+
+
+def test_a_patched_reference_is_the_extent_object(monkeypatch):
+    """A row an ingest appends holds its reference as the referenced
+    extent's object, even when the delta spelled it as another, equal
+    oid — also when it names an object the same delta inserts into a
+    class patched after it."""
+    instance, _cs = chain()
+    session = IncrementalTransform(PROGRAM, instance, TARGET)
+    pool = session.plan.pool
+    planned_rows(session.source, TWO_HOPS, pool)     # build the columns
+    b0 = next(oid for oid in instance.objects_of("B")
+              if instance.value_of(oid).get("name") == "b0")
+    c_new, b_new = Oid.fresh("C"), Oid.fresh("B")
+    session.apply_delta(Delta(inserts={
+        "A": {Oid.fresh("A"): Record.of(name="a-old", next=respelled(b0)),
+              Oid.fresh("A"): Record.of(name="a-new",
+                                        next=respelled(b_new))},
+        "B": {b_new: Record.of(name="b-new", next=respelled(c_new))},
+        "C": {c_new: Record.of(name="c-new")}}))
+    assert pool.columns().rows_patched == 4
+    calls = count_oid_comparisons(monkeypatch)
+    planned = planned_rows(session.source, TWO_HOPS, pool)
+    assert calls == []
+    assert {canonical_json({"E": "c0", "N": "a-old"}),
+            canonical_json({"E": "c-new", "N": "a-new"})} <= set(planned)
+    monkeypatch.undo()
+    assert planned == oracle_rows(session.source, TWO_HOPS)
+
+
 @pytest.fixture(scope="module")
 def genome_target():
     morphase = Morphase(
@@ -142,3 +190,12 @@ def test_read_mix_reference_bodies_read_no_object_values(
     planned = planned_rows(genome_target, body, pool)
     assert calls == []
     assert planned == oracle_rows(genome_target, body) and planned
+
+
+@pytest.mark.parametrize("body", GENOME_BODIES)
+def test_a_warm_pass_compares_no_oids(monkeypatch, genome_target, body):
+    pool = IndexPool(genome_target)
+    first = planned_rows(genome_target, body, pool)
+    calls = count_oid_comparisons(monkeypatch)
+    assert planned_rows(genome_target, body, pool) == first
+    assert calls == [] and first

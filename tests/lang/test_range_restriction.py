@@ -148,3 +148,27 @@ class TestErrorTexts:
             check_range_restriction(clause(text))
         assert str(excinfo.value) == message
 
+
+class TestWorkBound:
+    def test_term_walks_are_linear_in_the_atoms(self, monkeypatch):
+        """Each atom's binding rule is read once per check, not once
+        per fixpoint round: a chain that binds one variable a round
+        walks each term a constant number of times."""
+        from repro.lang.ast import Term
+        calls = []
+        variables = Term.variables
+
+        def counted(term):
+            calls.append(term)
+            return variables(term)
+        monkeypatch.setattr(Term, "variables", counted)
+
+        def walks(length):
+            chain = "".join(f"V{i + 1} = V{i}, " for i in range(length))
+            probe = clause(f"V0 = V0 <= {chain}V0 in CityA;")
+            calls.clear()
+            check_range_restriction(probe)
+            return len(calls)
+        # Per equation: its rule pair reads each side once, and the
+        # variable census reads each side once more.
+        assert walks(40) - walks(20) == walks(20) - walks(0) == 20 * 4

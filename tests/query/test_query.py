@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang.ast import Const
 from repro.model import Record
 from repro.query import Query, QueryError
 from repro.workloads import cities, persons
@@ -50,6 +51,23 @@ class TestParse:
         with pytest.raises(QueryError):
             Query.parse("N | X in in CityE", classes=CLASSES)
 
+    def test_lexer_error_is_a_parse_error(self):
+        from repro.lang.parser import ParseError
+        with pytest.raises(QueryError) as info:
+            Query.parse('X in CityE, X.name = "abc', classes=CLASSES)
+        assert isinstance(info.value.__cause__, ParseError)
+        assert "unterminated string" in str(info.value)
+
+    @pytest.mark.parametrize("text, projection, constant", [
+        ('X in CityE, X.name = "a|b"', (), "a|b"),
+        ('N | X in CityE, N = X.name, N != "a|b"', ("N",), "a|b"),
+        ('X in CityE, X.name = "say \\"a|b\\""', (), 'say "a|b"'),
+    ])
+    def test_bar_inside_a_string_is_part_of_the_body(self, text,
+                                                     projection, constant):
+        q = Query.parse(text, classes=CLASSES)
+        assert q.projection == projection
+        assert q.body[-1].right == Const(constant)
 
 class TestRun:
     def test_filter_and_project(self, euro):

@@ -240,7 +240,9 @@ def test_query_and_program_responses_decode_no_rows(served, monkeypatch):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_a_program_parses_each_query_body_once(served, monkeypatch, name):
     """Validation parses every ``query`` body and compilation plans
-    the parsed queries: one ``Query.parse`` per query statement."""
+    the parsed queries: a program's first request makes one
+    ``Query.parse`` per query statement, and a repeat is answered from
+    the session's compiled-statement cache without parsing any."""
     session, _address = served
     parsed = []
     parse = Query.parse
@@ -249,6 +251,11 @@ def test_a_program_parses_each_query_body_once(served, monkeypatch, name):
         parsed.append(text)
         return parse(text, *args, **kwargs)
     monkeypatch.setattr(Query, "parse", staticmethod(counted))
-    session.program_json({"text": program_text(name)})
+    # A program name of its own: no earlier test compiled this value.
+    text = f"program {name}_parsed;\n" + program_text(name)
+    first = session.program_json({"text": text})
     queried, _algebra = PROGRAMS[name]
     assert parsed == [QUERIES[q] for q in queried]
+    parsed.clear()
+    assert session.program_json({"text": text}) == first
+    assert parsed == []

@@ -17,6 +17,7 @@ import pytest
 from repro.io.json_io import dump_oid_encoder, value_to_json
 from repro.morphase import Morphase
 from repro.program import parse_program_text
+from repro.program.ast import QueryOp, QueryProgram, Statement
 from repro.query.query import Query
 from repro.service import (ServiceClient, ServiceParseError,
                            ServiceValidationError, make_server)
@@ -148,6 +149,19 @@ class TestProgramErrors:
         with pytest.raises(ServiceParseError) as info:
             client.program(ast={"version": 99, "statements": []})
         assert info.value.status == 400
+
+    def test_unlexable_ast_body_is_422_wol504(self, service):
+        """An AST body that does not lex fails validation like one
+        that does not parse (a diagnostic, not an internal error)."""
+        _, client = service
+        ast = QueryProgram((Statement(
+            "a", QueryOp('X in CityT, X.name = "abc')),)).to_json()
+        with pytest.raises(ServiceValidationError) as info:
+            client.program(ast=ast)
+        assert info.value.status == 422
+        diagnostic, = info.value.diagnostics["diagnostics"]
+        assert diagnostic["code"] == "WOL504"
+        assert "unterminated string" in diagnostic["message"]
 
     def test_invalid_program_is_422_with_diagnostics(self, service):
         _, client = service

@@ -198,6 +198,23 @@ class TestErrorMapping:
             client.query("X in in in")
         assert info.value.status == 400
 
+    def test_unlexable_body_is_parse_error_400(self, service):
+        """A lexer error (an unterminated string) is a parse error,
+        not an internal one."""
+        from repro.service import ServiceParseError
+        _, _, client = service
+        with pytest.raises(ServiceParseError) as info:
+            client.query('X in CountryT, X.name = "abc')
+        assert info.value.status == 400
+        assert "unterminated string" in info.value.message
+
+    def test_a_bar_inside_a_string_is_no_projection(self, service):
+        _, session, client = service
+        result = client.query('X in CountryT, X.name != "a|b"')
+        assert result["columns"] == ["X"]
+        assert result["count"] == len(
+            session.target.objects_of("CountryT")) > 0
+
     def test_unsafe_body_is_validation_error_422(self, service):
         from repro.service import ServiceValidationError
         _, _, client = service
