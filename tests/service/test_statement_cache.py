@@ -249,6 +249,10 @@ def test_a_warm_repeat_parses_plans_and_compiles_nothing(
     assert lookups(session, "query", "hit") == len(BODIES)
     assert lookups(session, "program", "hit") \
         == len(programs) * 2 - len(PROGRAMS)
+    # The counters see a miss's work.
+    fresh = "N | S in SequenceT, N = S.name, N != \"S1\""
+    session.query_body_json(fresh)
+    assert (parsed, plans.count, stages.count) == ([fresh], 1, 1)
 
 
 class Counter:
