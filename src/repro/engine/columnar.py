@@ -713,15 +713,10 @@ def _eq_test_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
               count: int) -> Tuple[Columns, int]:
         lefts = left(pool, columns, count)
         rights = right(pool, columns, count)
-        keep: List[int] = []
-        for row, (value, other) in enumerate(zip(lefts, rights)):
-            if value is MISSING or other is MISSING:
-                continue
-            # Interned references (``repro.semantics.columns``) are
-            # equal by identity, without a field-by-field comparison.
-            if (value is other and value.__class__ is Oid) \
-                    or value == other:
-                keep.append(row)
+        keep = [row for row in range(count)
+                if lefts[row] is not MISSING
+                and rights[row] is not MISSING
+                and lefts[row] == rights[row]]
         return _take(columns, keep, count)
     return stage
 

@@ -19,8 +19,7 @@ value is replaced by the equal oid of the referenced class's extent,
 the very key of that class's intern table (and the object an extent
 scan binds).  A gather through the table then finds its key by
 identity instead of comparing two oids (and the key records behind
-them) field by field; :class:`~repro.semantics.match.IndexPool` interns
-its index keys the same way.
+them) field by field.
 
 The store is *patchable under deltas*: :meth:`patch` applies exactly the
 edit order of :meth:`repro.evolution.delta.Delta.apply_to` — deletions

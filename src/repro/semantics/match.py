@@ -125,10 +125,7 @@ class IndexPool:
         for oid in self.instance.objects_of(class_name):
             for value in _reached_values(self.instance, oid, path):
                 built.setdefault(value, []).append(oid)
-        # Oid keys are interned like the pool's columns, so probing
-        # with a column's or an extent's oid finds its key by identity.
-        frozen = dict(zip(self.columns().interned(list(built)),
-                          map(tuple, built.values())))
+        frozen = {value: tuple(oids) for value, oids in built.items()}
         self._indexes[key] = frozen
         self.builds += 1
         _BUILD_SECONDS.labels(class_name).observe(
