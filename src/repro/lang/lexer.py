@@ -13,7 +13,7 @@ The concrete syntax follows the paper's notation as closely as ASCII allows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 class LexError(Exception):
@@ -111,6 +111,32 @@ def tokenize(source: str) -> List[Token]:
                 f"unexpected character {ch!r} at line {line}, column {column}")
     tokens.append(Token(EOF, "", line, column))
     return tokens
+
+
+def find_unquoted(source: str, char: str) -> Optional[int]:
+    """The index of the first ``char`` in ``source`` outside a comment
+    or string literal, read as :func:`tokenize` reads them, or None
+    (also when an unterminated string comes first: the text does not
+    lex up to any such ``char``)."""
+    pos = 0
+    length = len(source)
+    while pos < length:
+        ch = source[pos]
+        if source.startswith("--", pos) or ch == "#":
+            pos = source.find("\n", pos)
+            if pos < 0:
+                return None
+        elif ch == '"':
+            try:
+                _, consumed = _read_string(source, pos, 0, 0)
+            except LexError:
+                return None
+            pos += consumed
+        elif ch == char:
+            return pos
+        else:
+            pos += 1
+    return None
 
 
 def _read_string(source: str, pos: int, line: int,

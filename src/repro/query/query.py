@@ -21,8 +21,9 @@ and the end-to-end harness compare against.  The service runs
 returning the final column batch rather than rows — the service keys
 it a column at a time (:meth:`repro.program.ResultSet.from_columns`).
 :meth:`Query.prepare` makes the plan and its batch stages once, for
-one vector of class sizes; the service keeps the result and hands it
-to every ``run_planned`` of the same text while the sizes hold.
+one vector of class sizes; the service keeps the parsed query and its
+preparation and hands them to every ``run_planned`` of the same text,
+preparing it again when the sizes change.
 A range-restricted body can still admit no join order (an atom that
 waits on a variable only it could bind); ``run_planned`` refuses it
 with :class:`QueryError`, where ``run`` would stop at the same atom
@@ -36,7 +37,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from ..lang.ast import Atom, Clause
-from ..lang.lexer import LexError
+from ..lang.lexer import LexError, find_unquoted
 from ..lang.parser import ParseError, parse_clause
 from ..lang.range_restriction import check_range_restriction
 from ..model.instance import Instance
@@ -70,19 +71,20 @@ class Query:
               classes: Optional[Iterable[str]] = None) -> "Query":
         """Parse ``"X, Y | atoms"`` (or just ``"atoms"`` for all vars).
 
-        The projection ends at the first ``|`` outside a string
-        literal.  Text that does not lex or parse raises
+        The projection ends at the first ``|`` outside a comment or
+        string literal.  Text that does not lex or parse raises
         :class:`QueryError` caused by a
         :class:`~repro.lang.parser.ParseError`.
         """
-        head_text, body_text = _split_projection(text)
-        if head_text is not None:
+        bar = find_unquoted(text, "|")
+        if bar is not None:
+            head_text, body_text = text[:bar], text[bar + 1:]
             names = tuple(part.strip() for part in head_text.split(",")
                           if part.strip())
             if names == ("*",):
                 names = ()
         else:
-            names = ()
+            names, body_text = (), text
         body_text = body_text.strip().rstrip(";")
         if not body_text:
             raise QueryError("empty query body")
@@ -140,14 +142,14 @@ class Query:
         from ..engine.columnar import compile_steps
         from ..engine.planner import PlanError, plan_clause
         names = self.projection or self.variables()
-        sizes = instance.class_sizes()
         try:
-            plan = plan_clause(Clause(self.body, self.body), sizes)
+            plan = plan_clause(Clause(self.body, self.body),
+                               instance.class_sizes())
         except PlanError as exc:
             raise QueryError(f"query admits no join order: {exc}") from exc
         compiled = compile_steps(instance.schema, plan.steps, (),
                                  frozenset(names))
-        return PreparedQuery(names, plan, sizes, compiled)
+        return PreparedQuery(names, plan, compiled)
 
     def run_planned(self, instance: Instance,
                     pool: Optional[IndexPool] = None,
@@ -189,21 +191,5 @@ class PreparedQuery:
 
     names: Tuple[str, ...]          #: the output columns
     plan: "JoinPlan"
-    sizes: Dict[str, int]           #: the class sizes ``plan`` assumed
     compiled: "CompiledPlan"        #: ``compile_steps`` of ``plan``
 
-
-def _split_projection(text: str) -> Tuple[Optional[str], str]:
-    """``(projection text, body text)`` around the first ``|`` outside a
-    string literal; the projection is None when there is no such bar."""
-    quoted = escaped = False
-    for index, char in enumerate(text):
-        if escaped:
-            escaped = False
-        elif quoted and char == "\\":
-            escaped = True
-        elif char == '"':
-            quoted = not quoted
-        elif char == "|" and not quoted:
-            return text[:index], text[index + 1:]
-    return None, text

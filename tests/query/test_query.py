@@ -62,6 +62,10 @@ class TestParse:
         ('X in CityE, X.name = "a|b"', (), "a|b"),
         ('N | X in CityE, N = X.name, N != "a|b"', ("N",), "a|b"),
         ('X in CityE, X.name = "say \\"a|b\\""', (), 'say "a|b"'),
+        # Comments are read as the lexer reads them: a quote inside
+        # one opens no string, and a bar inside one is no projection.
+        ('X in CityE -- the "name\n, X.name = "a|b"', (), "a|b"),
+        ('X in CityE # keep a|b\n, X.name = "x"', (), "x"),
     ])
     def test_bar_inside_a_string_is_part_of_the_body(self, text,
                                                      projection, constant):
