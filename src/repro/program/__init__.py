@@ -15,7 +15,8 @@ from .ast import (ALL_OPS, MAX_STATEMENTS, PROGRAM_VERSION, DifferenceOp,
                   IntersectOp, LimitOp, Op, ProgramError, ProgramParseError,
                   ProgramValidationError, ProjectOp, QueryOp, QueryProgram,
                   Statement, UnionOp)
-from .compile import CompiledProgram, CompiledStatement, compile_program
+from .compile import (CompiledProgram, CompiledStatement, compile_program,
+                      replan_program)
 from .interp import (ProgramResult, ResultSet, StatementTrace, run_compiled,
                      run_program)
 from .parser import format_program, format_statement, parse_program_text
@@ -28,7 +29,8 @@ __all__ = [
     "LimitOp", "Op", "Statement", "QueryProgram",
     "parse_program_text", "format_program", "format_statement",
     "validate_program", "check_program", "validate_text",
-    "compile_program", "CompiledProgram", "CompiledStatement",
+    "compile_program", "replan_program", "CompiledProgram",
+    "CompiledStatement",
     "run_program", "run_compiled", "ProgramResult", "ResultSet",
     "StatementTrace",
 ]

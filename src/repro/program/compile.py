@@ -8,8 +8,10 @@ probe clause and handed to the static join planner
 (:func:`repro.engine.planner.plan_clause`), whose plan is compiled to
 batch stages (:func:`repro.engine.columnar.compile_steps`).  Plans and
 stages read only the schema and the class sizes, so a compiled program
-runs over any instance of the same sizes (the service keeps one per
-program while the sizes hold).  A run prebuilds the union of every
+runs over any instance of the same sizes, and
+:func:`replan_program` makes its plans again for other sizes without
+validating it again (the service keeps one compiled program per
+program).  A run prebuilds the union of every
 plan's index selectors on one shared
 :class:`~repro.semantics.match.IndexPool` — the same amortisation the
 batch transformation engine applies across clauses, applied across the
@@ -64,8 +66,7 @@ class CompiledStatement:
 class CompiledProgram:
     """A validated program plus per-statement plans and the shared pool.
 
-    ``sizes`` are the class sizes the plans were made for, and
-    ``index_paths`` the union of the plans' index selectors, which a
+    ``index_paths`` is the union of the plans' index selectors, which a
     run prebuilds on ``pool``.
     """
 
@@ -73,7 +74,6 @@ class CompiledProgram:
     statements: Tuple[CompiledStatement, ...]
     pool: IndexPool
     report: DiagnosticReport
-    sizes: Dict[str, int]
     index_paths: Tuple[Tuple[str, Tuple[str, ...]], ...]
 
     @property
@@ -117,7 +117,27 @@ def compile_program(program: QueryProgram, instance: Instance,
         else pool.checked_for(instance)
     report, queries = checked_queries(
         program, classes=instance.schema.class_names())
+    return _planned(program, queries, report, instance, pool)
 
+
+def replan_program(compiled: CompiledProgram,
+                   instance: Instance) -> CompiledProgram:
+    """``compiled`` with its plans made again for ``instance``'s class
+    sizes, on the same pool; its validation (report and parsed queries)
+    is kept.  Raises what :func:`compile_program` raises for a body
+    that admits no join order.
+    """
+    return _planned(compiled.program,
+                    (statement.query for statement in compiled.statements),
+                    compiled.report, instance,
+                    compiled.pool.checked_for(instance))
+
+
+def _planned(program: QueryProgram, queries: Iterable[Optional[Query]],
+             report: DiagnosticReport, instance: Instance,
+             pool: IndexPool) -> CompiledProgram:
+    """Plan and compile the validated ``program``, whose ``query``
+    statements parsed to ``queries`` (None for the others)."""
     cardinalities = instance.class_sizes()
     compiled: List[CompiledStatement] = []
     index_paths: List[Tuple[str, Tuple[str, ...]]] = []
@@ -150,7 +170,7 @@ def compile_program(program: QueryProgram, instance: Instance,
 
     return CompiledProgram(program=program,
                            statements=tuple(compiled),
-                           pool=pool, report=report, sizes=cardinalities,
+                           pool=pool, report=report,
                            index_paths=tuple(sorted(set(index_paths))))
 
 

@@ -21,10 +21,11 @@ their delta lands.  Reads (query/check/target) share a
 writer-preferring read-write lock, so they run concurrently with each
 other and never observe a half-applied batch.
 
-``/query`` bodies and ``/program`` programs are compiled once per
-vector of target class sizes: a :class:`StatementCache` keeps the
-prepared query or compiled program, so a repeated read only executes
-and encodes.
+``/query`` bodies and ``/program`` programs are compiled once: a
+:class:`StatementCache` keeps the prepared query or compiled program,
+so a repeated read only executes and encodes.  Only the plans depend
+on the target's class sizes; after a write changes them, a cached
+statement is planned again without being parsed or validated again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from ..obs.metrics import (BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY,
 from ..obs.trace import span
 from ..program import (ProgramParseError, ProgramValidationError,
                        QueryProgram, ResultSet, compile_program,
-                       parse_program_text, run_compiled)
+                       parse_program_text, replan_program, run_compiled)
 from ..query.query import Query, QueryError
 from ..store.store import WarehouseStore
 from .locks import ReadWriteLock
@@ -108,49 +109,43 @@ MAX_STATEMENT_CACHE = 256
 
 
 class StatementCache:
-    """Compiled statements by key, for one vector of class sizes.
+    """Compiled statements by key, each with the class sizes its plans
+    were made for.
 
     A plan and its batch stages read only the schema and the class
     sizes (:meth:`repro.query.Query.prepare`,
     :func:`repro.program.compile_program`), so an entry serves every
-    read while the target's sizes hold, and yields the plan an
-    uncached read would make.  A lookup under other sizes empties the
-    cache and counts an invalidation; past ``capacity`` entries the
-    least recently used is evicted and counted.  One mutex guards the
-    dict: callers compile outside it and store only what compiled.
+    read under the sizes it is stored with, and yields the plan an
+    uncached read would make; under other sizes its caller plans it
+    again (:func:`repro.program.replan_program`) and stores it anew.
+    Past ``capacity`` entries the least recently used is evicted and
+    counted.  One mutex guards the dict: callers compile outside it and
+    store only what compiled.
     """
 
-    def __init__(self, capacity: int, invalidations, evictions) -> None:
+    def __init__(self, capacity: int, evictions) -> None:
         self._capacity = capacity
-        self._invalidations = invalidations
         self._evictions = evictions
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._sizes: Optional[Dict[str, int]] = None
+        # key -> (class sizes, compiled statement)
+        self._entries: "OrderedDict[Hashable, Tuple[Dict, Any]]" = \
+            OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, sizes: Dict[str, int]) -> Optional[Any]:
-        """The entry for ``key`` compiled under ``sizes``, or None."""
+    def get(self, key: Hashable) -> Optional[Tuple[Dict[str, int], Any]]:
+        """``(sizes, entry)`` for ``key``, or None."""
         with self._lock:
-            if sizes != self._sizes:
-                if self._sizes is not None:
-                    self._invalidations.inc()
-                self._entries.clear()
-                self._sizes = sizes
-                return None
-            entry = self._entries.get(key)
-            if entry is not None:
+            found = self._entries.get(key)
+            if found is not None:
                 self._entries.move_to_end(key)
-            return entry
+            return found
 
     def put(self, key: Hashable, sizes: Dict[str, int], entry: Any) -> None:
-        """Keep ``entry``, compiled under ``sizes``, for ``key``."""
+        """Keep ``entry``, planned for ``sizes``, for ``key``."""
         with self._lock:
-            if sizes != self._sizes:
-                return
-            self._entries[key] = entry
+            self._entries[key] = (sizes, entry)
             self._entries.move_to_end(key)
             if len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
@@ -217,8 +212,9 @@ class WarehouseSession:
                          for outcome in ("hit", "miss")}
         self._invalidations = counter(
             "repro_statement_cache_invalidations_total",
-            "Times the compiled-statement cache was emptied because the "
-            "target's class sizes changed.").labels()
+            "Cached statements planned again because the target's class "
+            "sizes changed since their plans were made (each also counts "
+            "as a miss; its parse and validation are kept).").labels()
         self._evictions = counter(
             "repro_statement_cache_evictions_total",
             "Compiled statements evicted as least recently used.").labels()
@@ -269,15 +265,21 @@ class WarehouseSession:
         self._target_text_lock = threading.Lock()
         # Compiled /query and /program statements; a reseed starts
         # empty, so no entry outlives the pool it runs on.
-        self.statements = StatementCache(
-            MAX_STATEMENT_CACHE, self._invalidations, self._evictions)
+        self.statements = StatementCache(MAX_STATEMENT_CACHE,
+                                         self._evictions)
 
-    def _cached(self, route: str, key: Hashable, target) -> Optional[Any]:
-        """The statement cache's entry for ``key`` under ``target``'s
-        class sizes, counted."""
-        entry = self.statements.get(key, target.class_sizes())
-        self._lookups[route, "miss" if entry is None else "hit"].inc()
-        return entry
+    def _cached(self, route: str, key: Hashable,
+                sizes: Dict[str, int]) -> Tuple[Optional[Any], bool]:
+        """``(entry, current)``: the statement cache's entry for
+        ``key`` (None when it has none) and whether its plans were made
+        for ``sizes``, counted: a hit when current, else a miss (and an
+        invalidation when the entry was there)."""
+        found = self.statements.get(key)
+        current = found is not None and found[0] == sizes
+        if found is not None and not current:
+            self._invalidations.inc()
+        self._lookups[route, "hit" if current else "miss"].inc()
+        return (None if found is None else found[1]), current
 
     # ------------------------------------------------------------------
     # Writes
@@ -499,21 +501,21 @@ class WarehouseSession:
             self._queries.inc()
             self._body_queries.inc()
             target = self.transform.target
+            sizes = target.class_sizes()
             try:
                 with span("parse") as parse_span:
-                    entry = self._cached("query", text, target)
-                    parse_span.set(cache="miss" if entry is None else "hit")
+                    entry, current = self._cached("query", text, sizes)
+                    parse_span.set(cache="hit" if current else "miss")
                     if entry is None:
                         parsed = Query.parse(
                             text, classes=target.schema.class_names())
-                        prepared = None
                     else:
                         parsed, prepared = entry
                 pool = self._warm_query_state()
                 with span("execute") as execute_span:
-                    if prepared is None:
+                    if not current:
                         prepared = parsed.prepare(target)
-                        self.statements.put(text, prepared.sizes,
+                        self.statements.put(text, sizes,
                                             (parsed, prepared))
                     columns, batch, count = parsed.run_planned(
                         target, pool=pool, prepared=prepared)
@@ -575,20 +577,24 @@ class WarehouseSession:
             self._queries.inc()
             self._programs.inc()
             target = self.transform.target
+            sizes = target.class_sizes()
             with span("compile") as compile_span:
-                compiled = self._cached("program", program, target)
-                compile_span.set(cache="miss" if compiled is None
-                                 else "hit")
-                if compiled is None:
+                compiled, current = self._cached("program", program, sizes)
+                compile_span.set(cache="hit" if current else "miss")
+                if not current:
                     try:
-                        compiled = compile_program(
-                            program, target, pool=self._warm_query_state())
+                        if compiled is None:
+                            compiled = compile_program(
+                                program, target,
+                                pool=self._warm_query_state())
+                        else:
+                            compiled = replan_program(compiled, target)
                     except ProgramValidationError as exc:
                         raise ServiceError(
                             str(exc), status=422, code="validation_failed",
                             details={"diagnostics":
                                      exc.report.to_json()}) from exc
-                    self.statements.put(program, compiled.sizes, compiled)
+                    self.statements.put(program, sizes, compiled)
             outcome = run_compiled(compiled, target,
                                    oid_encoder=keyed_oid_encoder)
         with span("encode"):

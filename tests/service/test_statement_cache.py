@@ -2,14 +2,16 @@
 
 ``/query`` bodies (keyed on their text) and ``/program`` programs
 (keyed on the :class:`~repro.program.QueryProgram` value, so the text
-and AST forms of one program share an entry) are parsed, validated,
-planned and compiled once per vector of target class sizes.  A hit
-must answer byte for byte what the miss answered and what the
+and AST forms of one program share an entry) are parsed and validated
+once, and planned and compiled once per vector of target class sizes.
+A hit must answer byte for byte what the miss answered and what the
 dynamic-matcher reference answers (the read-mix pins of
 ``test_read_mix_pinned``); an update-only ingest keeps the sizes, so
 reads after it still hit and see the new values; an insert changes
-them and empties the cache; errors are never kept; and a warm repeat
-of the whole read mix makes no parse, plan or stage-compile call.
+them, and the next read of a cached statement plans it again without
+parsing it again, making the plans an uncached read makes; errors are
+never kept; and a warm repeat of the whole read mix makes no parse,
+plan or stage-compile call.
 """
 
 import json
@@ -144,25 +146,39 @@ def test_an_update_keeps_the_sizes_hits_and_reads_the_new_values(served):
         "repro_statement_cache_invalidations_total") == 0
 
 
-def test_an_insert_changes_the_sizes_and_empties_the_cache(served):
+def test_an_insert_changes_the_sizes_and_replans_without_parsing(
+        served, monkeypatch):
     session, address = served
     body, project = READ_POOL[1]
     path = query_path(body, project)
+    program = program_bodies("p2")[2]           # text, with explain
     send(address, "GET", path)
-    send(address, "POST", "/program", program_bodies("p2")[0])
+    send(address, "POST", "/program", program)
     assert len(session.statements) == 2
     seq = Oid.keyed("Sequence", "S-new")
     session.ingest(Delta(inserts={"Sequence": {seq: Record.of(
         name="S-new", dna_length=WolSet.of(1234),
         method=WolSet.of("shotgun"), gene=WolSet.of())}}))
+    parsed = count_parses(monkeypatch)
+    plans = Calls(monkeypatch, "plan_clause", planner, program_compile)
     after = send(address, "GET", path)
+    status, raw = send(address, "POST", "/program", program)
+    # One plan for the body, one for p2's only query statement.
+    assert (parsed, plans.count) == ([], 2)
     assert after == (200, wire(query_document(session.target, body,
                                               project)))
     assert "S-new" in after[1].decode("utf-8")
+    assert status == 200
+    uncached = compile_program(parse_program_text(program_text("p2")),
+                               session.target)
+    assert json.loads(raw)["result"]["explain"] == uncached.explain()
     assert session.metrics.value(
-        "repro_statement_cache_invalidations_total") == 1
-    assert lookups(session, "query", "miss") == 2
-    assert len(session.statements) == 1
+        "repro_statement_cache_invalidations_total") == 2
+    assert (lookups(session, "query", "miss"),
+            lookups(session, "program", "miss")) == (2, 2)
+    assert len(session.statements) == 2
+    assert send(address, "GET", path) == after
+    assert lookups(session, "query", "hit") == 1
 
 
 def test_an_error_is_answered_afresh_and_never_kept(served):
@@ -223,6 +239,18 @@ class Calls:
             monkeypatch.setattr(module, name, counted)
 
 
+def count_parses(monkeypatch):
+    """The texts :meth:`Query.parse` is called with, from now on."""
+    parsed = []
+    parse = Query.parse
+
+    def counted_parse(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+    monkeypatch.setattr(Query, "parse", staticmethod(counted_parse))
+    return parsed
+
+
 def test_a_warm_repeat_parses_plans_and_compiles_nothing(
         served, monkeypatch):
     session, _address = served
@@ -235,13 +263,7 @@ def test_a_warm_repeat_parses_plans_and_compiles_nothing(
                 + [session.program_json(document) for document in programs])
 
     cold = read_mix()
-    parsed = []
-    parse = Query.parse
-
-    def counted_parse(text, *args, **kwargs):
-        parsed.append(text)
-        return parse(text, *args, **kwargs)
-    monkeypatch.setattr(Query, "parse", staticmethod(counted_parse))
+    parsed = count_parses(monkeypatch)
     plans = Calls(monkeypatch, "plan_clause", planner, program_compile)
     stages = Calls(monkeypatch, "compile_steps", columnar, program_compile)
     assert read_mix() == cold
@@ -264,18 +286,17 @@ class Counter:
 
 
 def test_the_cache_evicts_the_least_recently_used():
-    invalidations, evictions = Counter(), Counter()
-    cache = StatementCache(2, invalidations, evictions)
+    evictions = Counter()
+    cache = StatementCache(2, evictions)
     sizes = {"A": 1}
-    assert cache.get("a", sizes) is None
+    assert cache.get("a") is None
     cache.put("a", sizes, 1)
-    cache.put("b", sizes, 2)
-    assert cache.get("a", sizes) == 1      # "b" is now the oldest
+    cache.put("b", {"A": 2}, 2)
+    assert cache.get("a") == (sizes, 1)    # "b" is now the oldest
     cache.put("c", sizes, 3)
-    assert (cache.get("b", sizes), cache.get("a", sizes),
-            cache.get("c", sizes)) == (None, 1, 3)
-    assert (len(cache), evictions.count, invalidations.count) == (2, 1, 0)
-    assert cache.get("a", {"A": 2}) is None
-    assert (len(cache), invalidations.count) == (0, 1)
-    cache.put("a", sizes, 1)               # compiled under stale sizes
-    assert len(cache) == 0
+    assert (cache.get("b"), cache.get("a"), cache.get("c")) \
+        == (None, (sizes, 1), (sizes, 3))
+    assert (len(cache), evictions.count) == (2, 1)
+    cache.put("a", {"A": 2}, 4)            # planned again: replaced
+    assert (len(cache), cache.get("a"), evictions.count) \
+        == (2, ({"A": 2}, 4), 1)
