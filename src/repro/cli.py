@@ -258,7 +258,7 @@ def _cmd_apply_delta(args) -> int:
               else merge_instances("__delta__", instances))
     delta = load_delta(args.delta, merged, labels=labels)
     session = morphase.begin_incremental(instances)
-    violations_before = len(session.violations())
+    violations_before = session.violation_count()
     result = session.apply_delta(delta)
     dump_instance(result.target, args.out)
     stats = result.stats
@@ -280,7 +280,7 @@ def _cmd_apply_delta(args) -> int:
             "violations": {
                 "added": [str(v) for v in result.added],
                 "removed": [str(v) for v in result.removed],
-                "remaining": len(result.violations),
+                "remaining": result.violation_count,
             },
             "stats": {
                 "delta_size": stats.delta_size,
@@ -300,7 +300,7 @@ def _cmd_apply_delta(args) -> int:
             },
         }
         print(json.dumps(document, indent=2, sort_keys=True))
-        return 0 if not result.violations else 1
+        return 0 if not result.violation_count else 1
     sizes = ", ".join(f"{cname}={count}" for cname, count in
                       sorted(result.target.class_sizes().items()))
     print(f"{delta.summary()}")
@@ -320,7 +320,7 @@ def _cmd_apply_delta(args) -> int:
         print(f"  + {violation}")
     for violation in result.removed:
         print(f"  - {violation}")
-    remaining = len(result.violations)
+    remaining = result.violation_count
     print(f"violations: {violations_before} -> {remaining} "
           f"(+{len(result.added)} new, "
           f"-{len(result.removed)} retracted)")

@@ -417,20 +417,38 @@ def _violations_by_key(pool: IndexPool, plan: ConstraintPlan,
             for violation in clause_violations(pool, plan, head=head)}
 
 
+def _in_order(per_clause_sets: Iterable[Mapping[frozenset, Violation]]
+              ) -> List[Violation]:
+    """Violations clause by clause, each clause's in a stable order."""
+    return [per_clause[key] for per_clause in per_clause_sets
+            for key in sorted(per_clause, key=lambda k: sorted(map(str, k)))]
+
+
 @dataclass
 class DeltaResult:
     """Outcome of one incremental step: the patched target, the target
     oids whose values it changed (absent on one side = inserted or
     removed) and the change to the session's constraint-violation
-    set."""
+    set.  ``violation_sets`` is the session's violation set after the
+    step, clause by clause; :attr:`violations` orders it when read."""
 
     target: Instance
     changed: List[Oid]
     added: List[Violation]
     removed: List[Violation]
-    violations: List[Violation]
+    violation_sets: Tuple[Dict[frozenset, Violation], ...]
     stats: ExecutionStats
     delta: Delta
+
+    @property
+    def violations(self) -> List[Violation]:
+        """The violation set after the step (stable order)."""
+        return _in_order(self.violation_sets)
+
+    @property
+    def violation_count(self) -> int:
+        """The size of the violation set after the step."""
+        return sum(map(len, self.violation_sets))
 
 
 class IncrementalTransform:
@@ -517,9 +535,11 @@ class IncrementalTransform:
     # ------------------------------------------------------------------
     def violations(self) -> List[Violation]:
         """The current violation set (stable order)."""
-        return [per_clause[key] for per_clause in self._violations
-                for key in sorted(per_clause,
-                                  key=lambda k: sorted(map(str, k)))]
+        return _in_order(self._violations)
+
+    def violation_count(self) -> int:
+        """The size of the current violation set."""
+        return sum(map(len, self._violations))
 
     def apply_delta(self, delta: Delta) -> DeltaResult:
         """Advance the source by ``delta``; patch the target and the
@@ -551,7 +571,8 @@ class IncrementalTransform:
         self.stats = stats
         publish_engine_stats("incremental", stats)
         return DeltaResult(target=self.target, changed=changed, added=added,
-                           removed=removed, violations=self.violations(),
+                           removed=removed,
+                           violation_sets=tuple(map(dict, self._violations)),
                            stats=stats, delta=delta)
 
     def _apply_delta(self, delta: Delta, stats: ExecutionStats

@@ -7,10 +7,14 @@ oid-encoder, so anonymous objects carry the same ``Class#n`` labels a
 dump of the instance would) and ordered by their sorted-key JSON
 rendering — the row's *key*.  A ``query`` statement keys its rows a
 column at a time (:meth:`ResultSet.from_columns`): each distinct value
-of a column is encoded and rendered once, and a row's key is spliced
-from its columns' fragments.  The result set carries only the keys
-from then on, and they are the rows' wire form: ``/query`` and
-``/program`` splice them into the response text as they stand
+of a column is encoded and rendered once, and a row's key is one
+``str.join`` of its columns' fragments between the column names.  The
+result set carries only the keys from then on, as a set, and sorts
+them once, where their order is first read: the program's result
+statement, a ``limit`` operand, a ``/query`` result, a reader of
+:attr:`ResultSet.rows`.  A statement's row count is the set's size.
+The keys are the rows' wire form: ``/query`` and ``/program`` splice
+them into the response text as they stand
 (:meth:`ResultSet.to_json_bytes`, spliced into the envelope like
 ``/target``'s text), and row dicts are decoded from them only when an
 in-process reader asks (:attr:`ResultSet.rows`).  That single
@@ -30,7 +34,7 @@ join order.
 Set-algebra statements never touch the instance — ``union``,
 ``intersect``, ``difference`` and ``limit`` fold earlier result sets'
 keys and never render a row again (``project`` changes the rows, so it
-decodes its input's rows and keys its output afresh, a row at a time:
+decodes its input's keys and keys its output afresh, a row at a time:
 :meth:`ResultSet.from_rows`).
 """
 
@@ -38,9 +42,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..io.json_io import canonical_json, dump_oid_encoder, value_to_json
 from ..model.instance import Instance
@@ -65,65 +70,76 @@ _STATEMENTS_TOTAL = REGISTRY.counter(
 class ResultSet:
     """A statement's materialised result: a canonical-order row set.
 
-    Its state is ``columns`` and ``row_keys``: each row's canonical
-    JSON rendering (``json.dumps(..., sort_keys=True)``), duplicate-free
-    and sorted.  :meth:`from_columns` splices the keys of a column batch
-    from per-value fragments, :meth:`from_rows` renders one per row, and
-    ``ResultSet(columns, rows)`` keys rows that are already canonical
-    (duplicate-free, in key order).  ``rows`` is a view for in-process
-    readers, decoded from the keys on first use and cached: keys are
-    canonical JSON, so the decode is lossless.  Equality compares
-    ``columns`` and the keys.
+    Its state is ``columns`` and the rows' keys: each row's canonical
+    JSON rendering (``json.dumps(..., sort_keys=True)``), duplicate-free.
+    The set is held unordered and sorted once, where its order is first
+    read (:attr:`row_keys`, :attr:`rows`, :meth:`to_json_bytes`); its
+    size (``len``), equality and the set algebra read the unordered
+    keys.  :meth:`from_columns` joins the keys of a column batch from
+    per-value fragments with ``str.join``, and :meth:`from_rows` (as
+    ``ResultSet(columns, rows)``) renders one per row.  ``rows`` is a
+    view for in-process readers, decoded from the sorted keys on first
+    use and cached: keys are canonical JSON, so the decode is lossless.
+    Equality compares ``columns`` and the key sets.
     """
 
-    __slots__ = ("columns", "row_keys", "_rows")
+    __slots__ = ("columns", "_keys", "_ordered", "_rows")
 
     def __init__(self, columns: Sequence[str],
                  rows: Iterable[Row] = ()) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
-        self.row_keys: Tuple[str, ...] = tuple(map(canonical_json, rows))
+        self._keys: Set[str] = set(map(canonical_json, rows))
+        self._ordered: Optional[Tuple[str, ...]] = None
         self._rows: Optional[Tuple[Row, ...]] = None
 
     @classmethod
-    def _of_keys(cls, columns: Tuple[str, ...],
-                 keys: Tuple[str, ...]) -> "ResultSet":
-        """A set over ``keys``, which must be duplicate-free and sorted."""
+    def _of_keys(cls, columns: Tuple[str, ...], keys: Set[str],
+                 ordered: Optional[Tuple[str, ...]] = None) -> "ResultSet":
+        """A set over ``keys``; ``ordered``, when given, is them sorted."""
         result = cls(columns)
-        result.row_keys = keys
+        result._keys, result._ordered = keys, ordered
         return result
 
     @staticmethod
     def from_columns(columns: Tuple[str, ...],
                      batch: Mapping[str, Sequence[Value]], count: int,
                      oid_encoder) -> "ResultSet":
-        """Dedup + canonically order the rows of a column batch.
+        """Dedup the rows of a column batch.
 
         ``batch`` holds ``count`` values for each name of ``columns`` it
         binds (other entries, such as hidden columns, are not read).
         The result equals :meth:`from_rows` over the rows
         ``{name: value_to_json(batch[name][i], oid_encoder)}``, but each
         distinct value of a column is encoded and rendered once
-        (:func:`_fragments`) and every key is one template over the
-        sorted column names filled with its row's fragments.
+        (:func:`_fragments`) and every key is one ``str.join`` of its
+        row's fragments between the sorted column names.
         """
-        if not count:
-            return ResultSet(columns)
         order = sorted(name for name in columns if name in batch)
         if not order:
-            return ResultSet._of_keys(columns, ("{}",))
-        template = "{{%s}}" % ", ".join(
-            json.dumps(name).replace("{", "{{").replace("}", "}}")
-            + ": {}" for name in order)
-        keys = map(template.format,
-                   *(_fragments(batch[name], oid_encoder) for name in order))
-        return ResultSet._of_keys(columns, tuple(sorted(set(keys))))
+            return ResultSet._of_keys(columns, {"{}"} if count else set())
+        parts: List[Iterable[str]] = []
+        for separator, name in zip(["{"] + [", "] * len(order), order):
+            parts += (repeat(separator + json.dumps(name) + ": "),
+                      _fragments(batch[name], oid_encoder))
+        keys = map("".join, zip(*parts, repeat("}")))
+        return ResultSet._of_keys(columns, set(keys))
 
     @staticmethod
     def from_rows(columns: Tuple[str, ...],
                   rows: Iterable[Row]) -> "ResultSet":
-        """Dedup + canonically order an arbitrary row enumeration."""
-        return ResultSet._of_keys(
-            columns, tuple(sorted(set(map(canonical_json, rows)))))
+        """Dedup an arbitrary row enumeration."""
+        return ResultSet(columns, rows)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def row_keys(self) -> Tuple[str, ...]:
+        """The canonical key of every row, in canonical order (sorted
+        on the first read)."""
+        if self._ordered is None:
+            self._ordered = tuple(sorted(self._keys))
+        return self._ordered
 
     def keys(self) -> Tuple[str, ...]:
         """The canonical key of every row, in row order."""
@@ -134,24 +150,15 @@ class ResultSet:
         """The rows as JSON-compatible dicts in ``columns`` order."""
         rows = self._rows
         if rows is None:
-            columns = self.columns
             rows = self._rows = tuple(
-                {name: row[name] for name in columns if name in row}
+                {name: row[name] for name in self.columns if name in row}
                 for row in map(json.loads, self.row_keys))
         return rows
-
-    def _where(self, columns: Tuple[str, ...],
-               keep: Callable[[str], bool]) -> "ResultSet":
-        """The rows whose key satisfies ``keep`` — a subsequence, so
-        already duplicate-free and in canonical order."""
-        return ResultSet._of_keys(columns,
-                                  tuple(filter(keep, self.row_keys)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResultSet):
             return NotImplemented
-        return (self.columns, self.row_keys) \
-            == (other.columns, other.row_keys)
+        return (self.columns, self._keys) == (other.columns, other._keys)
 
     def __repr__(self) -> str:
         return (f"ResultSet(columns={self.columns!r}, "
@@ -246,8 +253,8 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
             else:
                 result = _run_algebra(op, statement.columns, sets)
                 trace = StatementTrace(name=name, op=op.op,
-                                       rows=len(result.row_keys))
-            stmt_span.set(rows=len(result.row_keys))
+                                       rows=len(result))
+            stmt_span.set(rows=len(result))
         _STATEMENTS_TOTAL.labels(op.op).inc()
         sets[name] = result
         traces.append(trace)
@@ -278,21 +285,25 @@ _NUMBERS = frozenset((int, float, bool))
 def _fragments(values: Sequence[Value], encoder) -> List[str]:
     """One column's canonical JSON fragments, row by row.
 
-    Each distinct value is encoded once.  A string renders through
-    ``encode_basestring_ascii`` — exactly what ``canonical_json`` calls
-    for one — and a column of nothing but strings is memoised by value.
-    Otherwise the memo keys a string by its value (a string is its own
-    JSON value) and anything else by identity (``values`` keeps every
-    object alive, so no identity is reused): values that compare equal
-    may encode differently — ``1`` / ``True`` / ``1.0``, ``0.0`` /
-    ``-0.0``, ``WolSet.of(1)`` / ``WolSet.of(True)`` — and must not
-    share a fragment.  Numbers and booleans are rendered together, as
+    Each distinct value is encoded once.  A column of nothing but
+    strings, or of nothing but exact ``int`` s, is memoised by value: a
+    string renders through ``encode_basestring_ascii`` and an int
+    through ``repr`` (``int.__repr__``) — exactly what
+    ``canonical_json`` calls for one.  Otherwise the memo keys a string
+    by its value (a string is its own JSON value) and anything else by
+    identity (``values`` keeps every object alive, so no identity is
+    reused): values that compare equal may encode differently — ``1`` /
+    ``True`` / ``1.0``, ``0.0`` / ``-0.0``, ``WolSet.of(1)`` /
+    ``WolSet.of(True)`` — and must not share a fragment.  Numbers and booleans are rendered together, as
     one list split back into its items.
     """
-    if set(map(type, values)) == {str}:
+    kinds = set(map(type, values))
+    if kinds == {str} or kinds == {int}:
         distinct = set(values)
-        escaped = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
-        return list(map(escaped.__getitem__, values))
+        by_value = dict(zip(distinct, map(
+            encode_basestring_ascii if kinds == {str} else repr,
+            distinct)))
+        return list(map(by_value.__getitem__, values))
     ids = [value if value.__class__ is str else id(value)
            for value in values]
     memo: Dict[Any, str] = {}
@@ -321,7 +332,7 @@ def _run_query(statement: CompiledStatement, pool: IndexPool,
         compiled=statement.compiled)
     result = ResultSet.from_columns(columns, batch, count, encoder)
     trace = StatementTrace(name=statement.statement.name, op="query",
-                           rows=len(result.row_keys))
+                           rows=len(result))
     return result, trace
 
 
@@ -329,24 +340,20 @@ def _run_algebra(op, columns: Tuple[str, ...],
                  sets: Dict[str, ResultSet]) -> ResultSet:
     """Fold earlier result sets; all inputs exist (validation ensures)."""
     if isinstance(op, UnionOp):
-        return ResultSet._of_keys(columns, tuple(sorted(set().union(
-            *(sets[source].row_keys for source in op.sources)))))
+        return ResultSet._of_keys(columns, set().union(
+            *(sets[source]._keys for source in op.sources)))
     if isinstance(op, IntersectOp):
-        first, *others = (sets[source] for source in op.sources)
-        shared = set(first.row_keys).intersection(
-            *(other.row_keys for other in others))
-        return first._where(columns, shared.__contains__)
+        first, *others = (sets[source]._keys for source in op.sources)
+        return ResultSet._of_keys(columns, first.intersection(*others))
     if isinstance(op, DifferenceOp):
-        right = set(sets[op.right].row_keys)
-        return sets[op.left]._where(
-            columns, lambda key: key not in right)
+        return ResultSet._of_keys(
+            columns, sets[op.left]._keys - sets[op.right]._keys)
     if isinstance(op, ProjectOp):
-        source = sets[op.source]
         return ResultSet.from_rows(
             columns, ({name: row[name] for name in op.columns
                        if name in row}
-                      for row in source.rows))
+                      for row in map(json.loads, sets[op.source]._keys)))
     if isinstance(op, LimitOp):
-        return ResultSet._of_keys(
-            columns, sets[op.source].row_keys[:op.count])
+        ordered = sets[op.source].row_keys[:op.count]
+        return ResultSet._of_keys(columns, set(ordered), ordered)
     raise ProgramError(f"unhandled operator {op!r}")  # pragma: no cover

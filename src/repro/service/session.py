@@ -357,7 +357,7 @@ class WarehouseSession:
                 batch_size = len(batch)
                 self._cond.notify_all()
         with self._state_lock.read():
-            violations = len(self.transform.violations())
+            violations = self.transform.violation_count()
         return IngestResult(seq=seq, applied_seq=self._applied_seq,
                             batch_size=batch_size,
                             violations=violations)
@@ -531,7 +531,7 @@ class WarehouseSession:
             with span("encode") as encode_span:
                 result = ResultSet.from_columns(
                     columns, batch, count, keyed_oid_encoder)
-                rows = len(result.row_keys)
+                rows = len(result)
                 encode_span.set(rows=rows)
                 return result.to_json_bytes(body=body, count=rows)
 

@@ -6,14 +6,16 @@ relibase ``RC``) never fail there.  Here each of them is made to fail
 more than five times and the planned audit must report exactly the
 oracle's violations, and under a limit exactly the first
 ``min(limit, total)`` of them per clause, in order.  The incremental
-session keeps the same set while the damage is done and undone.
+session keeps the same set while the damage is done and undone, and
+orders it only for a reader of the list: a step, and a count of the
+set, order nothing.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.engine import IncrementalTransform
+from repro.engine import IncrementalTransform, incremental
 from repro.evolution.delta import Delta
 from repro.model.instance import Instance
 from repro.oracle import naive_violations
@@ -134,3 +136,38 @@ def test_the_session_follows_damage_and_repair(warehouses):
     # whole: its head reads the class the delta rewrites).  The count
     # is of rows, however many head batches carried them.
     assert rechecked == [0, CORRUPTED, 0, CORRUPTED]
+
+
+def test_a_step_orders_its_violations_only_when_they_are_read(
+        warehouses, monkeypatch):
+    """``apply_delta`` and ``violation_count`` (what a served ingest's
+    acknowledgement reads) order no violation; a step's
+    ``violations`` are ordered when read, and show that step's set
+    even after later steps."""
+    warehouse = warehouses["genome"]
+    program = list(warehouse.morphase.program)
+    clean = warehouse.combined
+    session = IncrementalTransform((), clean, clean.schema,
+                                   constraints=program)
+    ordered = []
+    in_order = incremental._in_order
+
+    def counted(per_clause_sets):
+        ordered.append(per_clause_sets)
+        return in_order(per_clause_sets)
+    monkeypatch.setattr(incremental, "_in_order", counted)
+
+    genes = clean.objects_of("GeneT")
+    damage = session.apply_delta(_updates(
+        clean, "SeqGene", "gene",
+        lambda gene: genes[(genes.index(gene) + 1) % len(genes)]))
+    damaged = sorted(map(str, program_violations(session.source, program)))
+    repair = session.apply_delta(_updates(clean, "SeqGene", "gene",
+                                          lambda gene: gene))
+    assert len(damaged) > CORRUPTED
+    assert damage.violation_count == len(damaged)
+    assert (repair.violation_count, session.violation_count()) == (0, 0)
+    assert ordered == []
+    assert sorted(map(str, damage.violations)) == damaged
+    assert repair.violations == []
+    assert len(ordered) == 2

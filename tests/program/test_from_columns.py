@@ -152,9 +152,49 @@ def test_string_fragments_are_their_canonical_json(strings, others):
             == [canonical_json(value) for value in column]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(), min_size=1, max_size=8),
+       st.sampled_from(((), (True,), (False, 1.0))))
+def test_int_fragments_are_their_canonical_json(ints, others):
+    """An all-int column renders each int as ``canonical_json`` does;
+    a boolean or a float among them keeps its own text."""
+    for column in (ints, ints + list(others)):
+        assert interp._fragments(column, keyed_oid_encoder) \
+            == [canonical_json(value) for value in column]
+
+
 def test_an_anonymous_oid_is_refused_as_a_row_would_be():
     batch = {"X": [Oid.keyed("K", 1), ANONYMOUS[0]]}
     with pytest.raises(JsonIoError, match="anonymous"):
         reference(("X",), batch, 2, keyed_oid_encoder)
     with pytest.raises(JsonIoError, match="anonymous"):
         ResultSet.from_columns(("X",), batch, 2, keyed_oid_encoder)
+
+
+#: Columns whose values' texts are prefixes of one another, with the
+#: canonical key order: ``"3" < "}"`` and ``"e" < "}"`` put the longer
+#: number first in the last sorted column, ``", " < "3"`` and
+#: ``", " < "e"`` put it second in a middle one.
+PREFIX_CASES = [
+    ({"N": [12, 123]}, ['{"N": 123}', '{"N": 12}']),
+    ({"N": [1.5, 1.5e20]}, ['{"N": 1.5e+20}', '{"N": 1.5}']),
+    ({"A": ["x", "x"], "N": [123, 12]},
+     ['{"A": "x", "N": 123}', '{"A": "x", "N": 12}']),
+    ({"N": [123, 12], "Z": [True, True]},
+     ['{"N": 12, "Z": true}', '{"N": 123, "Z": true}']),
+    ({"A": [0, 0], "N": [1.5e20, 1.5], "Z": ["z", "z"]},
+     ['{"A": 0, "N": 1.5, "Z": "z"}', '{"A": 0, "N": 1.5e+20, "Z": "z"}']),
+]
+
+
+@pytest.mark.parametrize("batch, ordered", PREFIX_CASES)
+def test_prefix_numbers_order_by_their_keys(batch, ordered):
+    """Keys sort as whole strings: sorting rows by their values, or
+    by their fragments, puts the shorter number first everywhere."""
+    columns = tuple(reversed(sorted(batch)))
+    count = len(next(iter(batch.values())))
+    result = ResultSet.from_columns(columns, batch, count,
+                                    keyed_oid_encoder)
+    assert list(result.row_keys) == ordered
+    assert result.row_keys == reference(columns, batch, count,
+                                        keyed_oid_encoder).row_keys

@@ -15,11 +15,16 @@ benchmark's ``p10`` at genome 4x (seed 11) emits 2 988 rows holding
 2 776 distinct pairs: 2 776 renderings, where keying each row renders
 2 988 and re-keying rows per statement 8 366.  A read path that
 re-encodes per request or per write, renders per row, or re-keys rows
-per statement fails these counts.
+per statement fails these counts.  A result set is sorted only where
+its order is read — the program's result and a ``limit`` operand, one
+sort per program for ``p6`` and ``p10`` (a limit's output is a prefix
+of its sorted operand), one per ``/query`` — never for an
+intermediate statement that only feeds set algebra.
 """
 
 import json
 import threading
+from collections.abc import Set
 from http.client import HTTPConnection
 from urllib.parse import quote
 
@@ -259,3 +264,39 @@ def test_a_program_parses_each_query_body_once(served, monkeypatch, name):
     parsed.clear()
     assert session.program_json({"text": text}) == first
     assert parsed == []
+
+
+#: The statements whose key set each program sorts: the result of
+#: ``p6`` (``all``) and the ``limit`` operand of ``p10`` (``rest``,
+#: whose first 200 keys are the result ``top``, already in order).
+SORTED = {"p6": ["all"], "p10": ["rest"]}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_only_sets_whose_order_is_read_are_sorted(served, monkeypatch,
+                                                  name):
+    session, _address = served
+    sorts = []
+
+    def counted_sorted(iterable, *args, **kwargs):
+        if isinstance(iterable, Set):       # a result set's keys
+            sorts.append(iterable)
+        return sorted(iterable, *args, **kwargs)
+    monkeypatch.setattr(interp, "sorted", counted_sorted, raising=False)
+    outcomes = []
+    run = session_module.run_compiled
+
+    def captured(*args, **kwargs):
+        outcomes.append(run(*args, **kwargs))
+        return outcomes[-1]
+    monkeypatch.setattr(session_module, "run_compiled", captured)
+
+    session.program_json({"text": program_text(name)})
+    (outcome,) = outcomes
+    assert len(sorts) == len(SORTED[name])
+    assert [statement for statement, result in outcome.sets.items()
+            if any(keys is result._keys for keys in sorts)] == SORTED[name]
+
+    sorts.clear()
+    session.query_body_json(QUERIES["named"])
+    assert len(sorts) == 1

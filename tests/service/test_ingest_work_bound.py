@@ -17,7 +17,7 @@ import collections
 import pytest
 
 from repro.engine import (Executor, IncrementalTransform, ReverseIndex,
-                          columnar)
+                          columnar, incremental)
 from repro.evolution.delta import Delta
 from repro.lang.ast import SkolemTerm
 from repro.model.values import Oid
@@ -82,6 +82,21 @@ def test_ingest_compiles_nothing(store_with_tail, calls):
     during = calls - started
     assert during["IncrementalTransform.apply_delta"] == INGESTS
     assert during["columnar.compile_steps"] == 0                    # (b)
+    session.close()
+
+
+def test_an_ingest_counts_violations_without_ordering_them(
+        store_with_tail, monkeypatch):
+    """The acknowledgement carries the live violation count: no
+    ingest orders or stringifies the violation set."""
+    morphase, path, writes = store_with_tail
+    session = morphase.serve(morphase.open_store(path))
+    ordered = []
+    monkeypatch.setattr(incremental, "_in_order", ordered.append)
+    for _ in range(INGESTS):
+        result = session.ingest(writes.next(session.store.instance))
+        assert result.violations == session.transform.violation_count()
+    assert ordered == []
     session.close()
 
 
