@@ -42,9 +42,10 @@ filters = st.one_of(st.none(), st.sampled_from(INTS))
 
 @st.composite
 def programs(draw):
-    """``(objects, statements)``: statements as (name, op, columns)."""
+    """``(objects, statements, bounds)``: statements as (name, op,
+    columns), and each query statement's bound on ``N`` (or None)."""
     rows = draw(objects)
-    statements = []
+    statements, bounds = [], {}
     for index in range(draw(st.integers(1, 3))):
         columns = tuple(draw(st.permutations(tuple(FIELDS)))[
             :draw(st.integers(1, 3))])
@@ -53,6 +54,7 @@ def programs(draw):
             f"{name} = X.{field}" for name, field in FIELDS.items())
         if bound is not None:
             body += f", N < {bound}"
+        bounds[f"q{index}"] = bound
         statements.append((f"q{index}", QueryOp(body, columns), columns))
     for index in range(draw(st.integers(1, 6))):
         name, _op, columns = draw(st.sampled_from(statements))
@@ -75,7 +77,7 @@ def programs(draw):
                 :draw(st.integers(1, len(columns)))])
             op = ProjectOp(name, columns)
         statements.append((f"a{index}", op, columns))
-    return rows, statements
+    return rows, statements, bounds
 
 
 def instance_of(rows):
@@ -85,13 +87,12 @@ def instance_of(rows):
     return builder.freeze()
 
 
-def reference_fold(rows, statements):
+def reference_fold(rows, statements, bounds):
     """Each statement's rows as a sorted tuple of canonical keys."""
     sets = {}
     for name, op, columns in statements:
         if isinstance(op, QueryOp):
-            bound = int(op.body.rpartition("< ")[2]) \
-                if " < " in op.body else None
+            bound = bounds[name]
             keys = {canonical_json(dict(zip(("N", "S", "F"), row)))
                     for row in rows if bound is None or row[0] < bound}
             keys = {canonical_json({column: json.loads(key)[column]
@@ -121,13 +122,13 @@ def reference_fold(rows, statements):
 @settings(max_examples=150, deadline=None)
 @given(programs())
 def test_program_algebra_matches_a_fold_over_sorted_keys(case):
-    rows, statements = case
+    rows, statements, bounds = case
     program = QueryProgram(tuple(Statement(name, op)
                                  for name, op, _columns in statements))
     instance = instance_of(rows)
     compiled = compile_program(program, instance)
     outcome = run_compiled(compiled, instance)
-    expected = reference_fold(rows, statements)
+    expected = reference_fold(rows, statements, bounds)
 
     last = statements[-1][0]
     assert outcome.to_json_bytes() == canonical_json({
