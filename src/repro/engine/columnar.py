@@ -47,8 +47,8 @@ end-to-end metric of ``benchmarks/e2e`` can see it.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..lang.ast import (Atom, Const, EqAtom, InAtom, LtAtom, MemberAtom,
                         NeqAtom, Proj, RecordTerm, SkolemTerm, Term, Var,
@@ -59,8 +59,9 @@ from ..model.types import ClassType, ListType, RecordType, SetType
 from ..model.values import Oid, Record, Value, Variant, WolList, WolSet
 from ..obs.trace import current_span
 from ..obs.trace import span as trace_span
-from ..semantics.columns import MISSING, deterministic_order
-from ..semantics.eval import Binding, skolem_key
+from ..semantics.columns import (MISSING, deterministic_order,
+                                 first_missing)
+from ..semantics.eval import skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
@@ -690,12 +691,12 @@ def _eq_bind_stage(step: PlanStep, var_class: Dict[str, str]) -> Stage:
     def stage(pool: IndexPool, columns: Columns,
               count: int) -> Tuple[Columns, int]:
         values = evaluator(pool, columns, count)
-        keep = [row for row, value in enumerate(values)
-                if value is not MISSING]
-        if len(keep) == count:
+        if first_missing(values) is None:
             out = dict(columns)
             out[name] = values
             return out, count
+        keep = [row for row, value in enumerate(values)
+                if value is not MISSING]
         out = {variable: [column[row] for row in keep]
                for variable, column in columns.items()}
         out[name] = [values[row] for row in keep]
@@ -988,41 +989,3 @@ def unextended_rows(pool: IndexPool, steps: Sequence[PlanStep],
     for row in out[_PROBE_ROW]:
         extended[row] = 1
     return [row for row in range(count) if not extended[row]]
-
-
-def stream_plan_columnar(pool: IndexPool, steps: Sequence[PlanStep],
-                         initial: Optional[Binding] = None,
-                         stats: Optional[ExecutionStats] = None
-                         ) -> Iterator[Binding]:
-    """The solutions of a plan run once from ``initial``, one binding
-    dict each.
-
-    The batch runs when this is called, so a plan whose boundness does
-    not fit ``initial`` (:func:`~repro.semantics.match.checked_steps`)
-    raises :class:`~repro.semantics.match.MatchError` at call time.
-    ``stats`` as for :func:`run_steps_columnar`.
-    """
-    columns: Columns = {name: [value]
-                        for name, value in (initial or {}).items()}
-    names, columns, count = run_steps_columnar(
-        pool, checked_steps(steps, columns), columns, 1, stats)
-    return ({name: columns[name][row] for name in names}
-            for row in range(count))
-
-
-def seeded_batch_columnar(pool: IndexPool, steps: Sequence[PlanStep],
-                          variable: str, oids: Sequence[Oid],
-                          stats: Optional[ExecutionStats] = None,
-                          compiled: Optional[CompiledPlan] = None):
-    """Binding iterator for a whole seed vector in one batch.
-
-    Equivalent to running the seeded plan once per oid — batch rows
-    stay grouped by seed oid in seed order, so downstream deduplication
-    sees bindings in the same order.  ``compiled`` is the plan compiled
-    with ``(variable,)`` as its initial names.
-    """
-    columns: Columns = {variable: list(oids)}
-    names, columns, count = run_steps_columnar(
-        pool, steps, columns, len(oids), stats, compiled=compiled)
-    for row in range(count):
-        yield {name: columns[name][row] for name in names}

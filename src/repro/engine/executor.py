@@ -45,10 +45,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Set, Tuple)
+                    NoReturn, Optional, Set, Tuple)
 
-from ..lang.ast import (
-    Clause, EqAtom, InAtom, MemberAtom, Program, Proj, SkolemTerm, Term, Var)
+from ..lang.ast import (Clause, Const, EqAtom, InAtom, MemberAtom, Program,
+                        Proj, SkolemTerm, Term, Var)
 from ..model.instance import Instance, empty_instance
 from ..model.schema import Schema
 from ..model.types import RecordType, SetType
@@ -56,6 +56,7 @@ from ..model.values import (Oid, Record, Value, ValueError_, WolSet,
                             check_value, format_value, oids_in)
 from ..obs.metrics import publish_engine_stats
 from ..obs.trace import span
+from ..semantics.columns import MISSING, first_missing
 from ..semantics.eval import Binding, EvalError, evaluate
 from ..semantics.match import IndexPool
 from .planner import JoinPlan, ProgramPlan, plan_program
@@ -63,18 +64,6 @@ from .planner import JoinPlan, ProgramPlan, plan_program
 
 class ExecutionError(Exception):
     """Raised on conflicting or ill-formed inserts."""
-
-
-#: Primitive head-effect kinds (the unit of incremental maintenance).
-EFFECT_CREATE = "create"
-EFFECT_SET = "set"
-EFFECT_INSERT = "insert"
-
-#: One primitive consequence of a clause firing:
-#: ``(EFFECT_CREATE, oid)``, ``(EFFECT_SET, oid, attr, value)`` or
-#: ``(EFFECT_INSERT, oid, attr, element)``.  :meth:`TargetStore.apply`
-#: counts them, signed.
-Effect = Tuple
 
 
 @dataclass
@@ -175,11 +164,12 @@ class TargetStore:
     """The one pending target state: counted head effects per object.
 
     An object exists while any of its counts is live — ``objects``
-    holds exactly those.  The batch appliers only ever add, and check
-    functionality eagerly before they write; the incremental engine
-    retracts and re-derives through the signed :meth:`apply`, unchecked,
-    and :meth:`assemble` reports whatever conflict is left once a step's
-    counts have settled.
+    holds exactly those.  The one head applier (:meth:`_HeadPlan.apply`)
+    counts whole body batches into it: a batch pass adds and checks
+    functionality eagerly before it writes; an incremental step retracts
+    and re-derives with a sign, unchecked, :meth:`settle` drops what a
+    retraction zeroed, and :meth:`assemble` reports whatever conflict is
+    left once the step's counts have settled.
     """
 
     def __init__(self, target_schema: Schema) -> None:
@@ -195,29 +185,31 @@ class TargetStore:
             pending = self.objects[oid] = _PendingObject()
         return pending
 
-    def apply(self, effect: Effect, sign: int) -> None:
-        """Count one head effect ``sign`` (+1 derived, -1 retracted)."""
-        kind, oid = effect[0], effect[1]
-        pending = self.ensure(oid)
-        if kind == EFFECT_CREATE:
-            count = pending.creates = pending.creates + sign
-        else:
-            group = (pending.attributes if kind == EFFECT_SET
-                     else pending.set_attributes)
-            attr, value = effect[2], effect[3]
-            counts = group.setdefault(attr, {})
-            count = counts[value] = counts.get(value, 0) + sign
-            if count <= 0:
-                del counts[value]
-                if not counts:
-                    del group[attr]
-        if count < 0:
-            raise ExecutionError(
-                f"bookkeeping underflow on {oid}: retracted "
-                f"{effect[:3]} was never recorded")
-        if not (pending.creates or pending.attributes
-                or pending.set_attributes):
-            del self.objects[oid]
+    def settle(self, oids: Iterable[Oid]) -> None:
+        """Drop what a retraction counted down to zero among ``oids``:
+        values, then attributes and objects left with no count.  Below
+        zero, a retracted effect was never recorded."""
+        for oid in oids:
+            pending = self.objects.get(oid)
+            if pending is None:
+                continue
+            groups = (pending.attributes, pending.set_attributes)
+            if pending.creates < 0 or any(
+                    count < 0 for group in groups
+                    for counts in group.values() for count in counts.values()):
+                raise ExecutionError(
+                    f"bookkeeping underflow on {oid}: a retracted effect "
+                    f"was never recorded")
+            for group in groups:
+                for attr, counts in list(group.items()):
+                    if 0 in counts.values():
+                        group[attr] = {value: count for value, count
+                                       in counts.items() if count}
+                        if not group[attr]:
+                            del group[attr]
+            if not (pending.creates or pending.attributes
+                    or pending.set_attributes):
+                del self.objects[oid]
 
     def assemble(self, oid: Oid,
                  defaults: Mapping[Tuple[str, str], Value]
@@ -368,251 +360,25 @@ class Executor:
     def run_clause(self, clause: Clause, join_plan: JoinPlan,
                    pool: IndexPool) -> None:
         """Execute one normal-form clause: the precompiled steps run as
-        batch stages on ``pool`` and the head effects apply
-        column-wise."""
+        batch stages on ``pool`` and the head applies to the whole
+        batch, functionality checked eagerly."""
+        from .columnar import run_steps_columnar
         self._check_source_only(clause)
-        plan = _HeadPlan(clause, self.target_schema)
+        head = _HeadPlan(clause, self.target_schema)
         self.stats.clauses_run += 1
-        before = self.stats.bindings_found
-        with span(f"clause {clause.name or clause}",
-                  mode="columnar") as clause_span:
-            self.stats.clauses_planned += 1
-            self.stats.atoms_reordered += join_plan.atoms_reordered
-            self._run_clause_columnar(clause, plan, join_plan, pool)
-            clause_span.set(rows=self.stats.bindings_found - before)
-
-    def _run_clause_columnar(self, clause: Clause, plan: "_HeadPlan",
-                             join_plan: JoinPlan, pool: IndexPool) -> None:
-        """Vectorized clause execution: body as batch stages, head
-        effects applied column-wise.
-
-        The head path is *optimistic*: identity, assignment, insertion
-        and check terms are evaluated as whole columns and applied
-        row-major (preserving the scalar conflict-detection order).  On
-        any anomaly a column cannot express — a failed evaluation, a
-        non-oid identity, a failed check — the batch replays row by row
-        through the scalar :func:`head_effects`, so errors surface with
-        exactly the scalar message at exactly the scalar position.
-        Every head identity is recomputed and compared with what the
-        body bound — also when the body evaluated the same Skolem term.
-        """
-        from .columnar import member_classes, run_steps_columnar
-        # The head reads exactly these variables (``head_effects``'s
-        # evaluation surface); every other binding column is dead after
-        # the body and gets dropped between stages.
-        needed = set(plan.created)
-        for var, skolem in plan.identity_order:
-            needed.add(var)
-            needed |= skolem.variables()
-        for var, _attr, term in plan.assignments:
-            needed.add(var)
-            needed |= term.variables()
-        for var, _attr, term in plan.insertions:
-            needed.add(var)
-            needed |= term.variables()
-        for check in plan.checks:
-            needed |= check.variables()
-        names, columns, count = run_steps_columnar(
-            pool, join_plan.steps, {}, 1, self.stats,
-            needed=frozenset(needed))
-        self.stats.bindings_found += count
-        if count == 0:
-            return
-        label = clause.name or str(clause)
-        # Head terms compile against the same class typing the body
-        # derived (membership-bound vars), so head projections gather
-        # from attribute columns and reuse the hidden row columns the
-        # scans threaded through.
-        var_class = member_classes(step.atom for step in join_plan.steps)
-        if not self._apply_heads_batch(plan, pool, columns, count, label,
-                                       var_class=var_class):
-            # Liveness filtering may have dropped columns `names`
-            # mentions; the surviving ones are exactly what the head
-            # reads, so replay bindings from the batch itself.
-            for row in range(count):
-                binding = {name: column[row]
-                           for name, column in columns.items()}
-                self._apply_head(plan, binding, clause)
-
-    def _apply_heads_batch(self, plan: "_HeadPlan", pool: IndexPool,
-                           columns: Mapping, count: int, label: str,
-                           var_class: Optional[Dict[str, str]] = None
-                           ) -> bool:
-        """Apply a whole batch of head effects; False = replay scalar.
-
-        Every anomaly the scalar path reports with an error — a failed
-        evaluation, an identity mismatch, an unknown target class, a
-        functionality conflict — is detected *before* any attribute is
-        written, so a False return leaves the pending attributes
-        untouched and the scalar replay raises exactly the scalar
-        error at exactly the scalar position.  (Pending *objects* may
-        already exist by then: creation is idempotent and observable
-        only through the class check, which is part of the precheck.)
-
-        After the precheck every head shape applies the same way:
-        resolve each subject column to its pending objects, scan for
-        functionality conflicts — within the batch and against whatever
-        earlier clauses left in the store — then add every row to the
-        store's counts.
-        """
-        from ..semantics.columns import MISSING
-        from .columnar import compile_term
-        local: Dict[str, List[Value]] = dict(columns)
-
-        def evaluate_column(term: Term) -> Optional[List[Value]]:
-            try:
-                column = compile_term(term, var_class)(pool, local, count)
-            except NotImplementedError:
-                return None
-            if MISSING in column:  # identity-first C scan, no genexpr
-                return None
-            return column
-
-        for var, skolem in plan.identity_order:
-            column = evaluate_column(skolem)
-            if column is None:
-                return False
-            existing = local.get(var)
-            if existing is not None and existing != column:
-                return False  # identity mismatch somewhere in the batch
-            local[var] = column
-
-        has_class = self.target_schema.has_class
-        # A subject column is scanned for validity at most once even
-        # when several attributes write through it (same list object).
-        valid_subjects: Set[int] = set()
-
-        def subjects_ok(column: List[Value]) -> bool:
-            if id(column) in valid_subjects:
-                return True
-            if any(not isinstance(oid, Oid) or not has_class(oid.class_name)
-                   for oid in column):
-                return False
-            valid_subjects.add(id(column))
-            return True
-
-        creates: List[List[Value]] = []
-        for var, class_name in plan.created.items():
-            column = local.get(var)
-            if column is None or any(
-                    not isinstance(oid, Oid) or oid.class_name != class_name
-                    for oid in column):
-                return False
-            if has_class(class_name):
-                valid_subjects.add(id(column))
-            creates.append(column)
-
-        assignments: List[Tuple[List[Value], str, List[Value]]] = []
-        for var, attr, value_term in plan.assignments:
-            subjects = local.get(var)
-            if subjects is None or not subjects_ok(subjects):
-                return False
-            column = evaluate_column(value_term)
-            if column is None:
-                return False
-            assignments.append((subjects, attr, column))
-        # Two entries writing the same attribute could conflict across
-        # columns; the per-entry conflict scan below would miss that.
-        attrs = [attr for _, attr, _ in assignments]
-        if len(set(attrs)) != len(attrs):
-            return False
-
-        insertions: List[Tuple[List[Value], str, List[Value]]] = []
-        for var, attr, element_term in plan.insertions:
-            subjects = local.get(var)
-            if subjects is None or not subjects_ok(subjects):
-                return False
-            column = evaluate_column(element_term)
-            if column is None:
-                return False
-            insertions.append((subjects, attr, column))
-
-        for check in plan.checks:
-            lefts = evaluate_column(check.left)
-            rights = evaluate_column(check.right)
-            if lefts is None or rights is None or lefts != rights:
-                return False
-
-        # Materialise every pending object column-wise (idempotent, so
-        # safe before the conflict scan; class validity is prechecked).
-        # Each distinct subject column resolves to its pending objects
-        # exactly once.  Identity columns intern their oids (the skolem
-        # stages hand every duplicate key the same object), so the
-        # id()-keyed memo turns the per-row probe into an int hash and
-        # the value-hashing pending-store lookup runs once per *unique*
-        # oid, not once per row.
-        objects = self.store.objects
-        get, ensure = objects.get, self.store.ensure
-        known = len(objects)
-        resolved_columns: Dict[int, List[_PendingObject]] = {}
-        by_identity: Dict[int, _PendingObject] = {}
-
-        def resolve(column: List[Value]) -> List[_PendingObject]:
-            pendings = resolved_columns.get(id(column))
-            if pendings is not None:
-                return pendings
-            pendings = []
-            append = pendings.append
-            memo_get = by_identity.get
-            for oid in column:
-                pending = memo_get(id(oid))
-                if pending is None:
-                    pending = by_identity[id(oid)] = get(oid) or ensure(oid)
-                append(pending)
-            resolved_columns[id(column)] = pendings
-            return pendings
-
-        creates = [resolve(column) for column in creates]
-        assignments = [(resolve(subjects), attr, column)
-                       for subjects, attr, column in assignments]
-        insertions = [(resolve(subjects), attr, column)
-                      for subjects, attr, column in insertions]
-        self.stats.objects_created += len(objects) - known
-
-        # Functionality conflict scan — within the batch and against
-        # attributes earlier clauses derived.  Nothing has been written
-        # yet, so a conflict can still hand the whole batch to the
-        # scalar replay for the canonical error.
-        for pendings, attr, column in assignments:
-            seen: Dict[int, Value] = {}
-            seen_get = seen.get
-            for pending, value in zip(pendings, column):
-                prev = seen_get(id(pending))
-                if prev is None:
-                    existing = pending.attributes.get(attr)
-                    if existing is not None and value not in existing:
-                        return False
-                    seen[id(pending)] = value
-                elif prev is not value and prev != value:
-                    return False
-
-        # Apply.  The precheck proved no effect can fail, so the
-        # column-major order is observationally identical to the scalar
-        # row-major order, and every row counts once — in the store and
-        # in ``attributes_set`` — as it does on the scalar path (rows
-        # sharing a subject were just proved to agree on the value).
-        attributes_set = 0
-        for pendings in creates:
-            for pending in pendings:
-                pending.creates += 1
-        for pendings, attr, column in assignments:
-            for pending, value in zip(pendings, column):
-                counts = pending.attributes.get(attr)
-                if counts is None:
-                    pending.attributes[attr] = {value: 1}
-                else:
-                    counts[value] += 1
-                pending.provenance[attr] = label
-            attributes_set += len(column)
-        for pendings, attr, column in insertions:
-            for pending, value in zip(pendings, column):
-                counts = pending.set_attributes.get(attr)
-                if counts is None:
-                    counts = pending.set_attributes[attr] = {}
-                counts[value] = counts.get(value, 0) + 1
-            attributes_set += len(column)
-        self.stats.attributes_set += attributes_set
-        return True
+        self.stats.clauses_planned += 1
+        self.stats.atoms_reordered += join_plan.atoms_reordered
+        with span(f"clause {head.label}", mode="columnar") as clause_span:
+            _, columns, count = run_steps_columnar(
+                pool, join_plan.steps, {}, 1, self.stats,
+                needed=head.needed)
+            self.stats.bindings_found += count
+            known = len(self.store.objects)
+            head.apply(self.store, pool, columns, count)
+            self.stats.objects_created += len(self.store.objects) - known
+            self.stats.attributes_set += count * (len(head.assignments)
+                                                  + len(head.insertions))
+            clause_span.set(rows=count)
 
     def _check_source_only(self, clause: Clause) -> None:
         source_classes = set(self.source.schema.class_names())
@@ -623,58 +389,6 @@ class Executor:
                     f"clause {clause.name or clause}: body mentions "
                     f"non-source class {atom.class_name}; not in normal "
                     f"form")
-
-    # ------------------------------------------------------------------
-    def _apply_head(self, plan: "_HeadPlan", binding: Binding,
-                    clause: Clause) -> None:
-        """The scalar applier: each effect of one firing, checked
-        eagerly, counted +1 by the store's signed ``apply``."""
-        label = clause.name or str(clause)
-        objects = self.store.objects
-        known = len(objects)
-        for effect in head_effects(plan, binding, self.source, label):
-            if effect[0] == EFFECT_SET:
-                self._set_attribute(effect[1], effect[2], effect[3], label)
-            if effect[0] != EFFECT_CREATE:
-                self.stats.attributes_set += 1
-            self.store.apply(effect, +1)
-        self.stats.objects_created += len(objects) - known
-
-    def provenance(self) -> Dict[Oid, Dict[str, str]]:
-        """Which clause derived each attribute of each pending object.
-
-        Normal-form clause names encode their ancestry (e.g. ``T1+T3``),
-        so this answers "where did this value come from?" for debugging
-        transformation programs.
-        """
-        return {oid: dict(pending.provenance)
-                for oid, pending in self.store.objects.items()}
-
-    def explain(self, oid: Oid) -> str:
-        """A human-readable derivation summary for one object."""
-        pending = self.store.objects.get(oid)
-        if pending is None:
-            return f"{oid}: not derived by this execution"
-        lines = [f"{oid}:"]
-        for attr in sorted(set(pending.attributes)
-                           | set(pending.set_attributes)):
-            source = pending.provenance.get(attr, "<set accumulation>")
-            lines.append(f"  .{attr} from clause {source}")
-        return "\n".join(lines)
-
-    def _set_attribute(self, oid: Oid, attr: str, value: Value,
-                       label: str) -> None:
-        """The eager functionality check of one scalar assignment."""
-        pending = self.store.ensure(oid)
-        existing = pending.attributes.get(attr)
-        if existing is not None and value not in existing:
-            raise ExecutionError(
-                f"conflict on {oid}.{attr}: clause {label} derives "
-                f"{format_value(value)} but clause "
-                f"{pending.provenance.get(attr, '?')} derived "
-                f"{format_value(next(iter(existing)))} (the program is "
-                f"not functional)")
-        pending.provenance[attr] = label
 
     # ------------------------------------------------------------------
     def freeze(self,
@@ -696,93 +410,6 @@ class Executor:
             self.store.objects, empty_instance(self.target_schema),
             defaults or {})
         return instance
-
-
-def head_effects(plan: "_HeadPlan", binding: Binding, source: Instance,
-                 label: str) -> List[Effect]:
-    """The primitive effects of one clause firing under ``binding``.
-
-    This is the single scalar evaluation path for clause heads: the
-    batch replay and the oracle count the effects +1 into the store,
-    the incremental engine -1 / +1 — all therefore create the same
-    objects, set the same attributes and fail on the same inputs.
-    Residual head checks are verified here and raise
-    :class:`ExecutionError` when they fail.
-    """
-    effects: List[Effect] = []
-    # 1. Evaluate identities for created objects (fixpoint order).
-    local = dict(binding)
-    for var, skolem in plan.identity_order:
-        try:
-            oid = evaluate(skolem, local, source)
-        except EvalError as exc:
-            raise ExecutionError(
-                f"clause {label}: cannot evaluate identity "
-                f"{skolem}: {exc}") from exc
-        assert isinstance(oid, Oid)
-        if var in local and local[var] != oid:
-            raise ExecutionError(
-                f"clause {label}: identity mismatch for {var}: body "
-                f"binds {local[var]} but the head identity is {oid}")
-        local[var] = oid
-
-    # 2. Create objects.
-    for var, class_name in plan.created.items():
-        oid = local.get(var)
-        if not isinstance(oid, Oid):
-            raise ExecutionError(
-                f"clause {label}: created object {var} has no "
-                f"identity")
-        if oid.class_name != class_name:
-            raise ExecutionError(
-                f"clause {label}: identity {oid} does not belong to "
-                f"class {class_name}")
-        effects.append((EFFECT_CREATE, oid))
-
-    # 3. Assignments.
-    for var, attr, value_term in plan.assignments:
-        oid = local.get(var)
-        if not isinstance(oid, Oid):
-            raise ExecutionError(
-                f"clause {label}: assignment to {var}.{attr} but "
-                f"{var} is not an object")
-        try:
-            value = evaluate(value_term, local, source)
-        except EvalError as exc:
-            raise ExecutionError(
-                f"clause {label}: cannot evaluate value of "
-                f"{var}.{attr}: {exc}") from exc
-        effects.append((EFFECT_SET, oid, attr, value))
-
-    # 4. Set insertions.
-    for var, attr, element_term in plan.insertions:
-        oid = local.get(var)
-        if not isinstance(oid, Oid):
-            raise ExecutionError(
-                f"clause {label}: insertion into {var}.{attr} but "
-                f"{var} is not an object")
-        try:
-            element = evaluate(element_term, local, source)
-        except EvalError as exc:
-            raise ExecutionError(
-                f"clause {label}: cannot evaluate element of "
-                f"{var}.{attr}: {exc}") from exc
-        effects.append((EFFECT_INSERT, oid, attr, element))
-
-    # 5. Residual checks (equalities between evaluated values).
-    for check in plan.checks:
-        try:
-            left = evaluate(check.left, local, source)
-            right = evaluate(check.right, local, source)
-        except EvalError as exc:
-            raise ExecutionError(
-                f"clause {label}: cannot evaluate head check "
-                f"{check}: {exc}") from exc
-        if left != right:
-            raise ExecutionError(
-                f"clause {label}: head check {check} failed "
-                f"({format_value(left)} != {format_value(right)})")
-    return effects
 
 
 def assemble_target_value(class_name: str, oid: Oid, ctype,
@@ -828,7 +455,9 @@ def assemble_target_value(class_name: str, oid: Oid, ctype,
 
 
 class _HeadPlan:
-    """Decomposition of a normal-form head into executable pieces."""
+    """Decomposition of a normal-form head into executable pieces, and
+    the one head applier (:meth:`apply`): a batch pass and an
+    incremental step alike count whole body batches through it."""
 
     def __init__(self, clause: Clause, target_schema: Schema) -> None:
         self.created: Dict[str, str] = {}
@@ -897,6 +526,257 @@ class _HeadPlan:
         # Identity evaluation order: an identity may reference another
         # created object (e.g. a keyed city embeds its keyed country).
         self.identity_order = _order_identities(identities, self.created)
+        self.label = clause.name or str(clause)
+        # What the head reads; every other body column is dead.
+        self.needed = frozenset().union(
+            *(atom.variables() for atom in clause.head))
+        # Column evaluators, compiled once, typed as the body binds its
+        # variables: head projections gather from attribute columns.
+        from .columnar import compile_term, member_classes
+        var_class = member_classes(clause.body)
+
+        def compiled(term: Term):
+            # A variable's or a constant's column cannot hold MISSING.
+            return (term.variables(), compile_term(term, var_class),
+                    isinstance(term, (Var, Const)))
+        self._identities = [compiled(skolem)
+                            for _, skolem in self.identity_order]
+        self._values = [compiled(term) for _, _, term in self.assignments]
+        self._elements = [compiled(term) for _, _, term in self.insertions]
+        self._sides = [(compiled(check.left), compiled(check.right))
+                       for check in self.checks]
+
+    def apply(self, store: TargetStore, pool: IndexPool,
+              columns: Mapping[str, List[Value]], count: int,
+              sign: int = 1, checked: bool = True) -> List[List[Value]]:
+        """Count the effects of every row of a body batch into
+        ``store``, ``sign`` times (+1 derived, -1 retracted); returns
+        the object columns written through (created objects, subjects).
+
+        ``checked`` (a batch pass) tests functionality eagerly, against
+        the store and every row before; an incremental step leaves a
+        conflict to :meth:`TargetStore.assemble`, since a later
+        retraction of the step may lift it.  Nothing is written until
+        the whole batch is known to apply; otherwise :meth:`_fail`
+        raises what applying the rows one at a time would meet first.
+        """
+        if not count:
+            return []
+        local: Dict[str, List[Value]] = dict(columns)
+        clean = True
+
+        def column_of(compiled) -> List[Value]:
+            """A term's column; a row it fails on fails the batch."""
+            nonlocal clean
+            variables, evaluator, total = compiled
+            if not local.keys() >= variables:
+                clean = False  # an unbound variable fails every row
+                return [MISSING] * count
+            column = evaluator(pool, local, count)
+            if not total and first_missing(column) is not None:
+                clean = False
+            return column
+
+        identities: List[List[Value]] = []
+        for (var, _), compiled in zip(self.identity_order, self._identities):
+            column = column_of(compiled)
+            bound = local.get(var)
+            clean = clean and (bound is None or bound == column)
+            identities.append(column)
+            local[var] = column
+        for var, class_name in self.created.items():
+            column = local.get(var)
+            clean = clean and column is not None and all(
+                isinstance(oid, Oid) and oid.class_name == class_name
+                for oid in column)
+        sets = [(local.get(var), attr, column_of(compiled))
+                for (var, attr, _), compiled in zip(self.assignments,
+                                                    self._values)]
+        inserts = [(local.get(var), attr, column_of(compiled))
+                   for (var, attr, _), compiled in zip(self.insertions,
+                                                       self._elements)]
+        checks = [(column_of(left), column_of(right))
+                  for left, right in self._sides]
+        # Created columns were just proved to hold target objects.
+        targets = {id(local[var]) for var in self.created if var in local}
+        has_class = store.target_schema.has_class
+        clean = clean and all(
+            subjects is not None and (id(subjects) in targets or all(
+                isinstance(oid, Oid) and has_class(oid.class_name)
+                for oid in subjects))
+            for subjects, _, _ in sets + inserts) and all(
+            lefts == rights for lefts, rights in checks)
+        if not clean:
+            self._fail(store, pool.instance, columns, count, checked,
+                       identities, sets, inserts, checks)
+
+        # Each distinct subject column resolves to its pending objects
+        # once.  Identity columns intern their oids (the Skolem stages
+        # hand every duplicate key the same object), so the id()-keyed
+        # memo turns the per-row probe into an int hash and the
+        # value-hashing store lookup runs once per *unique* oid.
+        get, ensure = store.objects.get, store.ensure
+        by_identity: Dict[int, _PendingObject] = {}
+        resolved: Dict[int, List[_PendingObject]] = {}
+
+        def resolve(column: List[Value]) -> List[_PendingObject]:
+            pendings = resolved.get(id(column))
+            if pendings is None:
+                pendings = resolved[id(column)] = []
+                append, memo = pendings.append, by_identity.get
+                for oid in column:
+                    pending = memo(id(oid))
+                    if pending is None:
+                        pending = by_identity[id(oid)] = (get(oid)
+                                                          or ensure(oid))
+                    append(pending)
+            return pendings
+
+        creates = [resolve(local[var]) for var in self.created]
+        set_pendings = [resolve(subjects) for subjects, _, _ in sets]
+        insert_pendings = [resolve(subjects) for subjects, _, _ in inserts]
+        if checked and not _functional(sets, set_pendings):
+            self._fail(store, pool.instance, columns, count, checked,
+                       identities, sets, inserts, checks)
+
+        label = self.label
+        for pendings in creates:
+            for pending in pendings:
+                pending.creates += sign
+        for (_, attr, values), pendings in zip(sets, set_pendings):
+            for pending, value in zip(pendings, values):
+                counts = pending.attributes.get(attr)
+                if counts is None:
+                    pending.attributes[attr] = {value: sign}
+                else:
+                    counts[value] = counts.get(value, 0) + sign
+                pending.provenance[attr] = label
+        for (_, attr, values), pendings in zip(inserts, insert_pendings):
+            for pending, value in zip(pendings, values):
+                counts = pending.set_attributes.get(attr)
+                if counts is None:
+                    counts = pending.set_attributes[attr] = {}
+                counts[value] = counts.get(value, 0) + sign
+        written = [local[var] for var in self.created]
+        written += [subjects for subjects, _, _ in sets + inserts]
+        if sign < 0:
+            store.settle({oid for column in written for oid in column})
+        return written
+
+    def _fail(self, store: TargetStore, instance: Instance,
+              columns: Mapping[str, List[Value]], count: int,
+              checked: bool, identities, sets, inserts, checks) -> NoReturn:
+        """Raise the error of the first failing row of a batch
+        :meth:`apply` refused: row by row, the checks one firing makes
+        in order — identities, created objects, assignments, insertions,
+        head checks — then per effect its subject's class and, when
+        ``checked``, its functionality against the store and the
+        effects before it.  A failed evaluation's reason is the scalar
+        evaluator's, at that one row."""
+        label = self.label
+
+        def reason(term: Term, binding: Binding) -> EvalError:
+            try:
+                evaluate(term, binding, instance)
+            except EvalError as exc:
+                return exc
+            raise AssertionError(f"{term} fails as a column, not at a row")
+
+        body = [(name, column) for name, column in columns.items()
+                if not name.startswith("\0")]
+        written: Dict[Tuple[Value, str], Tuple[Value, str]] = {}
+        for row in range(count):
+            binding = {name: column[row] for name, column in body}
+            for (var, skolem), column in zip(self.identity_order,
+                                             identities):
+                oid = column[row]
+                if oid is MISSING:
+                    raise ExecutionError(
+                        f"clause {label}: cannot evaluate identity "
+                        f"{skolem}: {reason(skolem, binding)}")
+                if var in binding and binding[var] != oid:
+                    raise ExecutionError(
+                        f"clause {label}: identity mismatch for {var}: "
+                        f"body binds {binding[var]} but the head identity "
+                        f"is {oid}")
+                binding[var] = oid
+            for var, class_name in self.created.items():
+                oid = binding.get(var)
+                if not isinstance(oid, Oid):
+                    raise ExecutionError(
+                        f"clause {label}: created object {var} has no "
+                        f"identity")
+                if oid.class_name != class_name:
+                    raise ExecutionError(
+                        f"clause {label}: identity {oid} does not belong "
+                        f"to class {class_name}")
+            for entries, evaluated, noun, part in (
+                    (self.assignments, sets, "assignment to", "value"),
+                    (self.insertions, inserts, "insertion into", "element")):
+                for (var, attr, term), (_, _, values) in zip(entries,
+                                                              evaluated):
+                    if not isinstance(binding.get(var), Oid):
+                        raise ExecutionError(
+                            f"clause {label}: {noun} {var}.{attr} but "
+                            f"{var} is not an object")
+                    if values[row] is MISSING:
+                        raise ExecutionError(
+                            f"clause {label}: cannot evaluate {part} of "
+                            f"{var}.{attr}: {reason(term, binding)}")
+            for check, (lefts, rights) in zip(self.checks, checks):
+                for term, values in ((check.left, lefts),
+                                     (check.right, rights)):
+                    if values[row] is MISSING:
+                        raise ExecutionError(
+                            f"clause {label}: cannot evaluate head check "
+                            f"{check}: {reason(term, binding)}")
+                if lefts[row] != rights[row]:
+                    raise ExecutionError(
+                        f"clause {label}: head check {check} failed "
+                        f"({format_value(lefts[row])} != "
+                        f"{format_value(rights[row])})")
+            # The effects: ``ensure`` refuses an object outside the
+            # target classes.
+            for (var, attr, _), (_, _, values) in zip(self.assignments,
+                                                       sets):
+                oid, value = binding[var], values[row]
+                pending = store.ensure(oid)
+                if checked:
+                    existing = pending.attributes.get(attr)
+                    derived, provenance = written.setdefault((oid, attr), (
+                        next(iter(existing)),
+                        pending.provenance.get(attr, "?"))
+                        if existing else (value, label))
+                    if value != derived:
+                        raise ExecutionError(
+                            f"conflict on {oid}.{attr}: clause {label} "
+                            f"derives {format_value(value)} but clause "
+                            f"{provenance} derived {format_value(derived)} "
+                            f"(the program is not functional)")
+                    written[oid, attr] = (derived, label)
+            for var, _, _ in self.insertions:
+                store.ensure(binding[var])
+        raise AssertionError("a refused head batch has no failing row")
+
+
+def _functional(sets, pendings) -> bool:
+    """Does every (object, attribute) the batch assigns take one value,
+    the one the store already holds if any?  One scan over all entries,
+    keyed by attribute and pending object."""
+    seen_by_attr: Dict[str, Dict[int, Value]] = {}
+    for (_, attr, values), targets in zip(sets, pendings):
+        seen = seen_by_attr.setdefault(attr, {})
+        seen_get = seen.get
+        for pending, value in zip(targets, values):
+            prev = seen_get(id(pending))
+            if prev is None:
+                existing = pending.attributes.get(attr)
+                if existing is not None and value not in existing:
+                    return False
+                seen[id(pending)] = value
+            elif prev is not value and prev != value:
+                return False
+    return True
 
 
 def _order_identities(identities: Dict[str, SkolemTerm],

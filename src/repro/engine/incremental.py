@@ -22,10 +22,10 @@ through the shared, delta-maintained
 :class:`IncrementalTransform` is *production under deltas*: it starts
 from :meth:`repro.engine.executor.Executor.run_program` and keeps the
 counted :class:`~repro.engine.executor.TargetStore` that pass filled;
-under a source delta retracted bindings decrement the counts of their
-primitive head effects (:func:`repro.engine.executor.head_effects`),
-new bindings increment them, and only target objects whose counts moved
-are re-assembled — by the batch pass's own freeze
+under a source delta each clause's retracted body rows go through the
+pass's own batch head applier (:meth:`~repro.engine.executor._HeadPlan.apply`)
+with sign -1, its new rows with +1, and only target objects whose counts
+moved are re-assembled — by the batch pass's own freeze
 (:meth:`~repro.engine.executor.TargetStore.freeze`), which checks only
 what changed and so raises the error a full validation would.  The
 same session maintains the violation set of constraint clauses over
@@ -71,9 +71,8 @@ from ..semantics.eval import Binding
 from ..semantics.match import IndexPool
 from ..semantics.satisfaction import Violation, clause_violations
 from . import columnar
-from .columnar import CompiledPlan, seeded_batch_columnar
-from .executor import (ExecutionError, ExecutionStats, Executor, _HeadPlan,
-                       head_effects)
+from .columnar import Columns, CompiledPlan
+from .executor import ExecutionError, ExecutionStats, Executor, _HeadPlan
 from .planner import (AuditPlan, ConstraintPlan, DeltaSeed, ProgramPlan,
                       plan_audit, plan_delta_seeds, plan_program)
 
@@ -354,8 +353,9 @@ def seeded_solutions(pool: IndexPool, seeds: Sequence[DeltaSeed],
                      stages: Sequence[Optional[CompiledPlan]],
                      seed_oids: Mapping[str, Sequence[Oid]],
                      counters: Optional[ExecutionStats] = None
-                     ) -> Optional[List[Binding]]:
-    """All clause-body solutions binding a member atom to a seed oid.
+                     ) -> Optional[Tuple[Columns, int]]:
+    """All clause-body solutions binding a member atom to a seed oid,
+    as one column batch ``(columns, count)`` over the body's variables.
 
     Each member atom is seeded independently with the seed oids of its
     class; solutions are deduplicated across seeds (a binding touching
@@ -364,17 +364,14 @@ def seeded_solutions(pool: IndexPool, seeds: Sequence[DeltaSeed],
     be delta-joined exactly and the caller must recompute it fully.
 
     The whole seed vector of each member atom runs as one batch through
-    its precompiled stages (``stages``, parallel to ``seeds``;
-    :func:`repro.engine.columnar.seeded_batch_columnar`); rows stay
-    grouped by seed oid in seed order, so the deduplication keeps the
-    first binding in per-seed order.
+    its precompiled stages (``stages``, parallel to ``seeds``); rows
+    stay grouped by seed oid in seed order, so the deduplication keeps
+    the first row in per-seed order.
     """
     relevant = [(seed, tuple(seed_oids.get(seed.class_name, ())))
                 for seed in seeds]
-    if all(not oids for _, oids in relevant):
-        return []
-    bindings: List[Binding] = []
-    keys: Set[frozenset] = set()
+    out: Columns = {}
+    keys: Set[Tuple[Value, ...]] = set()
     for (seed, oids), compiled in zip(relevant, stages):
         if not oids:
             continue
@@ -382,14 +379,29 @@ def seeded_solutions(pool: IndexPool, seeds: Sequence[DeltaSeed],
             return None
         if counters is not None:
             counters.seeds_probed += len(oids)
-        for binding in seeded_batch_columnar(
-                pool, seed.plan.steps, seed.variable, oids, counters,
-                compiled=compiled):
-            key = frozenset(binding.items())
+        names, columns, count = columnar.run_steps_columnar(
+            pool, seed.plan.steps, {seed.variable: list(oids)}, len(oids),
+            counters, compiled=compiled)
+        if not count:
+            continue
+        if not out:  # the first rows fix the order of every row's key
+            out = {name: [] for name in names}
+        keep = []
+        for row, key in enumerate(zip(*map(columns.__getitem__, out))):
             if key not in keys:
                 keys.add(key)
-                bindings.append(binding)
-    return bindings
+                keep.append(row)
+        for name, column in out.items():
+            column.extend(map(columns[name].__getitem__, keep))
+    return out, len(keys)
+
+
+def _rows(columns: Columns, names: frozenset) -> List[Binding]:
+    """The rows of a batch, each a binding of its columns in ``names``
+    (how the constraint side reads a seeded batch)."""
+    kept = [name for name in columns if name in names]
+    return [dict(zip(kept, values))
+            for values in zip(*(columns[name] for name in kept))]
 
 
 def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
@@ -545,13 +557,11 @@ class IncrementalTransform:
         """Advance the source by ``delta``; patch the target and the
         violation set.
 
-        Raises exactly what a full recompute over the updated source
-        raises at freeze time — the same :class:`ExecutionError` and
-        message for an incomplete or ill-formed target — and an
-        :class:`ExecutionError` on a conflict (the batch pass names the
-        two clauses eagerly, the session reports the values once its
-        counts settle); after such an error the session is spent and
-        must be rebuilt.
+        A step that fails raises exactly what a batch pass over the
+        updated source raises — the same :class:`ExecutionError` and
+        message, also for a conflict, which the step itself meets only
+        once its counts settle (:meth:`_batch_error`); after such an
+        error the session is spent and must be rebuilt.
         """
         if self._poisoned is not None:
             raise ExecutionError(
@@ -563,8 +573,10 @@ class IncrementalTransform:
             with stats.charging(self.plan.pool):
                 changed, (added, removed) = self._apply_delta(delta, stats)
         except Exception as exc:
+            if isinstance(exc, ExecutionError):
+                exc = self._batch_error(exc)
             self._poisoned = str(exc)
-            raise
+            raise exc
         stats.elapsed_seconds = time.perf_counter() - start
         stats.violations_added = len(added)
         stats.violations_removed = len(removed)
@@ -574,6 +586,16 @@ class IncrementalTransform:
                            removed=removed,
                            violation_sets=tuple(map(dict, self._violations)),
                            stats=stats, delta=delta)
+
+    def _batch_error(self, error: ExecutionError) -> ExecutionError:
+        """What a batch pass over the current source raises in place of
+        the step's ``error`` (a conflict's clauses, not its values)."""
+        try:
+            Executor(self.source, self.target_schema).run_program(
+                self.clauses).freeze(self.defaults)
+        except ExecutionError as batch:
+            return batch
+        return error
 
     def _apply_delta(self, delta: Delta, stats: ExecutionStats
                      ) -> Tuple[List[Oid],
@@ -610,29 +632,26 @@ class IncrementalTransform:
         def propagate(groups, sign: int) -> int:
             """Count ``sign`` for every program binding over the pool's
             current instance the delta can affect; returns how many
-            the seeds found.  The scalar :func:`head_effects` feeds the
-            store's signed ``apply`` — unchecked, since a retraction
-            later in the same step may lift a transient conflict
-            (``assemble`` reports what is left)."""
-            instance = pool.instance
+            the seeds found.  Each clause's batch goes through the
+            pass's head applier unchecked, since a retraction later in
+            the same step may lift a transient conflict (``assemble``
+            reports what is left)."""
             found = 0
-            for index, clause in enumerate(self.clauses):
+            for index, head in enumerate(self._head_plans):
                 if index in whole:
-                    bindings = columnar.stream_plan_columnar(
-                        pool, self.plan.plans[index].steps)
+                    _, columns, count = columnar.run_steps_columnar(
+                        pool, self.plan.plans[index].steps, {}, 1,
+                        needed=head.needed)
                 else:  # every seed it can reach has a plan: never None
-                    bindings = seeded_solutions(
+                    columns, count = seeded_solutions(
                         pool, self._seeds[index], self._stages[index],
                         groups(self._reads[index]), stats)
-                    found += len(bindings)
-                    if bindings:
+                    found += count
+                    if count:
                         seeded.add(index)
-                label = clause.name or str(clause)
-                for binding in bindings:
-                    for effect in head_effects(self._head_plans[index],
-                                               binding, instance, label):
-                        touched.add(effect[1])
-                        self.store.apply(effect, sign)
+                for column in head.apply(self.store, pool, columns, count,
+                                         sign, checked=False):
+                    touched.update(column)
             return found
 
         # Phase 1 — retracted bindings, enumerated over the *old*
@@ -738,17 +757,15 @@ class IncrementalTransform:
             if self._head_member_classes[index] & removal_trigger:
                 full_recheck.add(index)
                 continue
-            bindings = seeded_solutions(
+            batch = seeded_solutions(
                 pool, self._audit_seeds[index], self._audit_stages[index],
                 groups(self._audit_reads[index]), stats)
-            if bindings is None:
+            if batch is None:
                 full_recheck.add(index)
-            elif bindings:
+            elif batch[1]:
                 retract_keys[index] = {
-                    frozenset((name, value)
-                              for name, value in binding.items()
-                              if name in body_vars)
-                    for binding in bindings}
+                    frozenset(binding.items())
+                    for binding in _rows(batch[0], body_vars)}
         return retract_keys, full_recheck
 
     def _satisfied(self, index: int, pool: IndexPool,
@@ -781,11 +798,11 @@ class IncrementalTransform:
         for index, clause in enumerate(self.constraints):
             per_clause = self._violations[index]
             if index not in full_recheck:
-                bindings = seeded_solutions(
+                batch = seeded_solutions(
                     pool, self._audit_seeds[index],
                     self._audit_stages[index],
                     groups(self._audit_reads[index]), stats)
-                if bindings is None:
+                if batch is None:
                     full_recheck.add(index)
             if index in full_recheck:
                 stats.clauses_recomputed += 1
@@ -809,9 +826,7 @@ class IncrementalTransform:
                 violation = per_clause.pop(key, None)
                 if violation is not None:
                     retracted_now[key] = violation
-            body_vars = self._body_vars[index]
-            projected = [{name: value for name, value in binding.items()
-                          if name in body_vars} for binding in bindings]
+            projected = _rows(batch[0], self._body_vars[index])
             for binding, satisfied in zip(projected, self._satisfied(
                     index, pool, projected, stats)):
                 key = frozenset(binding.items())
@@ -829,7 +844,7 @@ class IncrementalTransform:
                     per_clause[key] = violation
                     added.append(violation)
             removed.extend(retracted_now.values())
-            if bindings or retract_keys.get(index):
+            if projected or retract_keys.get(index):
                 stats.clauses_seeded += 1
             else:
                 stats.clauses_skipped += 1

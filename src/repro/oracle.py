@@ -19,11 +19,11 @@ readiness depends only on *which* variables are bound, and
 ``tests/fuzz/test_join_order.py`` pins them together (a body the
 planner refuses is one this matcher stops on).
 
-The naive executor shares the production head applier
-(``Executor._apply_head``) and :meth:`TargetStore.freeze`, so this
-chain does not test head application; the cpl leg
-(``tests/fuzz/test_differential.py::test_naive_planned_cpl_byte_equal``)
-does, which is why the fuzz keeps cpl in its chain.
+The naive executor applies heads one firing at a time through its own
+scalar applier (:func:`head_effects`), not production's batch applier
+(:meth:`repro.engine.executor._HeadPlan.apply`): the two meet only in
+the pending :class:`~repro.engine.executor.TargetStore` and its freeze,
+so the chain tests head application — its errors' text included — too.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
-from .engine.executor import ExecutionStats, Executor, _HeadPlan
+from .engine.executor import (ExecutionError, ExecutionStats, Executor,
+                              _HeadPlan)
 from .lang.ast import (Atom, Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
                        MemberAtom, NeqAtom, Proj, RecordTerm, SkolemTerm, Term,
                        Var, VariantTerm)
 from .model.instance import Instance
 from .model.schema import Schema
-from .model.values import Oid, Record, Value, Variant, WolList, WolSet
+from .model.values import (Oid, Record, Value, Variant, WolList, WolSet,
+                           format_value)
 from .morphase.system import Morphase, MorphaseResult
 from .semantics.columns import deterministic_order
 from .semantics.eval import Binding, EvalError, evaluate, is_evaluable
@@ -368,13 +370,133 @@ class Matcher:
         return best
 
 
+def head_effects(plan: _HeadPlan, binding: Binding, source: Instance,
+                 label: str) -> List[Tuple]:
+    """The primitive effects of one clause firing under ``binding`` —
+    ``("create", oid)``, ``("set", oid, attr, value)``, ``("insert",
+    oid, attr, element)`` — the reference for
+    :meth:`repro.engine.executor._HeadPlan.apply`, one binding at a
+    time.  Residual head checks are verified here and raise
+    :class:`ExecutionError` when they fail."""
+    effects: List[Tuple] = []
+    # 1. Evaluate identities for created objects (fixpoint order).
+    local = dict(binding)
+    for var, skolem in plan.identity_order:
+        try:
+            oid = evaluate(skolem, local, source)
+        except EvalError as exc:
+            raise ExecutionError(
+                f"clause {label}: cannot evaluate identity "
+                f"{skolem}: {exc}") from exc
+        assert isinstance(oid, Oid)
+        if var in local and local[var] != oid:
+            raise ExecutionError(
+                f"clause {label}: identity mismatch for {var}: body "
+                f"binds {local[var]} but the head identity is {oid}")
+        local[var] = oid
+
+    # 2. Create objects.
+    for var, class_name in plan.created.items():
+        oid = local.get(var)
+        if not isinstance(oid, Oid):
+            raise ExecutionError(
+                f"clause {label}: created object {var} has no "
+                f"identity")
+        if oid.class_name != class_name:
+            raise ExecutionError(
+                f"clause {label}: identity {oid} does not belong to "
+                f"class {class_name}")
+        effects.append(("create", oid))
+
+    # 3. Assignments.
+    for var, attr, value_term in plan.assignments:
+        oid = local.get(var)
+        if not isinstance(oid, Oid):
+            raise ExecutionError(
+                f"clause {label}: assignment to {var}.{attr} but "
+                f"{var} is not an object")
+        try:
+            value = evaluate(value_term, local, source)
+        except EvalError as exc:
+            raise ExecutionError(
+                f"clause {label}: cannot evaluate value of "
+                f"{var}.{attr}: {exc}") from exc
+        effects.append(("set", oid, attr, value))
+
+    # 4. Set insertions.
+    for var, attr, element_term in plan.insertions:
+        oid = local.get(var)
+        if not isinstance(oid, Oid):
+            raise ExecutionError(
+                f"clause {label}: insertion into {var}.{attr} but "
+                f"{var} is not an object")
+        try:
+            element = evaluate(element_term, local, source)
+        except EvalError as exc:
+            raise ExecutionError(
+                f"clause {label}: cannot evaluate element of "
+                f"{var}.{attr}: {exc}") from exc
+        effects.append(("insert", oid, attr, element))
+
+    # 5. Residual checks (equalities between evaluated values).
+    for check in plan.checks:
+        try:
+            left = evaluate(check.left, local, source)
+            right = evaluate(check.right, local, source)
+        except EvalError as exc:
+            raise ExecutionError(
+                f"clause {label}: cannot evaluate head check "
+                f"{check}: {exc}") from exc
+        if left != right:
+            raise ExecutionError(
+                f"clause {label}: head check {check} failed "
+                f"({format_value(left)} != {format_value(right)})")
+    return effects
+
+
+def _apply_head(executor: Executor, plan: _HeadPlan, binding: Binding,
+                label: str) -> None:
+    """The scalar applier: each effect of one firing counted once into
+    the executor's store, an assignment after the eager functionality
+    check against what the store holds."""
+    store = executor.store
+    known = len(store.objects)
+    for effect in head_effects(plan, binding, executor.source, label):
+        pending = store.ensure(effect[1])
+        if effect[0] == "create":
+            pending.creates += 1
+            continue
+        kind, oid, attr, value = effect
+        if kind == "set":
+            _set_attribute(pending, oid, attr, value, label)
+        group = (pending.attributes if kind == "set"
+                 else pending.set_attributes)
+        counts = group.setdefault(attr, {})
+        counts[value] = counts.get(value, 0) + 1
+        executor.stats.attributes_set += 1
+    executor.stats.objects_created += len(store.objects) - known
+
+
+def _set_attribute(pending, oid: Oid, attr: str, value: Value,
+                   label: str) -> None:
+    existing = pending.attributes.get(attr)
+    if existing is not None and value not in existing:
+        raise ExecutionError(
+            f"conflict on {oid}.{attr}: clause {label} derives "
+            f"{format_value(value)} but clause "
+            f"{pending.provenance.get(attr, '?')} derived "
+            f"{format_value(next(iter(existing)))} (the program is "
+            f"not functional)")
+    pending.provenance[attr] = label
+
+
 def naive_execute(program: Iterable[Clause], source: Instance,
                   target_schema: Schema,
                   defaults: Optional[Mapping[Tuple[str, str], Value]] = None
                   ) -> Tuple[Instance, ExecutionStats]:
     """The reference for :func:`repro.engine.executor.execute`: same
     arguments, same target, every clause on the dynamic matcher and the
-    executor's scalar head applier."""
+    scalar head applier above."""
     executor = Executor(source, target_schema)
     matcher = Matcher(source)
     for clause in program:
@@ -383,7 +505,7 @@ def naive_execute(program: Iterable[Clause], source: Instance,
         executor.stats.clauses_run += 1
         for binding in matcher.solutions(clause.body):
             executor.stats.bindings_found += 1
-            executor._apply_head(head, binding, clause)
+            _apply_head(executor, head, binding, head.label)
     return executor.freeze(defaults=defaults), executor.stats
 
 

@@ -30,6 +30,8 @@ byte-identical to a rebuild from the updated instance.
 
 from __future__ import annotations
 
+from itertools import compress, count, repeat
+from operator import is_
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -50,6 +52,15 @@ class _Missing:
 #: vectorized executor treats it exactly like the scalar matcher treats
 #: an :class:`~repro.semantics.eval.EvalError`: the row is dropped.
 MISSING = _Missing()
+
+
+def first_missing(values: Iterable[Value]) -> Optional[int]:
+    """The position of the first :data:`MISSING` entry, or None.
+
+    One identity scan in C: ``MISSING in values`` would call each oid's
+    Python-level ``__eq__``.
+    """
+    return next(compress(count(), map(is_, repeat(MISSING), values)), None)
 
 
 def deterministic_order(collection) -> List[Value]:

@@ -15,11 +15,12 @@ body batch, never once per body row.
 import pytest
 
 from repro.engine import columnar, plan_audit
-from repro.engine.columnar import stream_plan_columnar
 from repro.engine.executor import ExecutionStats
 from repro.oracle import Matcher
 from repro.semantics.match import STEP_MEMBER_SCAN
 from repro.semantics.satisfaction import program_violations
+
+from tests.batches import plan_rows
 
 
 @pytest.mark.parametrize("name", ["genome", "relibase", "cities"])
@@ -32,7 +33,7 @@ def test_audit_bodies_stay_linear(warehouses, name):
     dynamic = Matcher(combined)
     for plan in audit_plan.plans:
         stats = ExecutionStats()
-        solutions = sum(1 for _ in stream_plan_columnar(
+        solutions = sum(1 for _ in plan_rows(
             planned, plan.body.steps, None, stats))
         assert stats.max_batch_rows <= max(extents), plan.label     # (a)
         assert stats.vectorized_rows <= 8 * sum(extents), plan.label  # (b)

@@ -15,8 +15,7 @@ import types
 import pytest
 
 from repro.engine.columnar import (compile_steps, compile_term,
-                                   seeded_batch_columnar,
-                                   stream_plan_columnar)
+                                   run_steps_columnar)
 from repro.engine.executor import ExecutionError
 from repro.engine.planner import plan_clause
 from repro.lang import ast as ast_module
@@ -30,6 +29,8 @@ from repro.morphase import Morphase
 from repro.oracle import Matcher, naive_transform
 from repro.semantics.match import IndexPool
 from repro.workloads.cities import sample_euro_instance
+
+from tests.batches import plan_rows
 
 
 def counters():
@@ -68,7 +69,7 @@ class TestVectorizabilityRule:
                          EURO_CLASSES)
         assert stage_count(plan) == len(plan.steps) == 2
         stats = counters()
-        assert list(stream_plan_columnar(
+        assert list(plan_rows(
             IndexPool(sample_euro_instance()), plan.steps, None,
             stats)) == []
         assert stats.vectorized_steps == 2
@@ -103,7 +104,7 @@ class TestPositionalEquivalence:
             "M = C.name", EURO_CLASSES)
         matcher, pool = Matcher(euro), IndexPool(euro)
         stats = counters()
-        columnar = list(stream_plan_columnar(
+        columnar = list(plan_rows(
             pool, plan.steps, None, stats))
         assert canonical(columnar) == canonical(
             matcher.solutions(plan.clause.body))
@@ -117,7 +118,7 @@ class TestPositionalEquivalence:
         country = euro.objects_of("CountryE")[0]
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
-        columnar = list(stream_plan_columnar(
+        columnar = list(plan_rows(
             pool, plan.steps, {"E": country}))
         assert columnar
         assert canonical(columnar) == canonical(matcher.solutions(
@@ -131,11 +132,13 @@ class TestPositionalEquivalence:
                          EURO_CLASSES, initial_bound=("E",))
         steps = tuple(plan.steps)
         per_seed = [binding for oid in seeds
-                    for binding in stream_plan_columnar(
+                    for binding in plan_rows(
                         pool, steps, {"E": oid})]
         stats = counters()
-        columnar = list(seeded_batch_columnar(
-            pool, steps, "E", seeds, stats))
+        names, columns, count = run_steps_columnar(
+            pool, steps, {"E": seeds}, len(seeds), stats)
+        columnar = [{name: columns[name][row] for name in names}
+                    for row in range(count)]
         assert columnar == per_seed  # same rows, grouped in seed order
         assert stats.vectorized_rows > 0
 
@@ -161,7 +164,7 @@ class TestPatternStages:
             "C in C, M = C.name, (x = X, y = Y) = C.pt, W in C.tags",
             ["C"])
         stats = counters()
-        columnar = list(stream_plan_columnar(
+        columnar = list(plan_rows(
             pool, plan.steps, None, stats))
         assert columnar == list(matcher.solutions(plan.clause.body))
         # Rows stay grouped by the driving scan, in extent order.

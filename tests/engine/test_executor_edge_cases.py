@@ -165,40 +165,6 @@ class TestFreezeEdgeCases:
             execute_both(prog, source(), TARGET)
 
 
-class TestProvenance:
-    def test_provenance_names_clauses(self):
-        prog = program(
-            """
-            T1: X in Out, X = Mk_Out(N), X.name = N
-                <= I in Item, N = I.name;
-            T2: X in Out, X = Mk_Out(N), X.rank = R
-                <= I in Item, N = I.name, R = I.rank;
-            """)
-        executor = Executor(source(), TARGET)
-        executor.run_program(prog)
-        provenance = executor.provenance()
-        assert provenance
-        for attrs in provenance.values():
-            assert attrs["name"] == "T1"
-            assert attrs["rank"] == "T2"
-
-    def test_explain_renders(self):
-        prog = program(
-            "T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R"
-            " <= I in Item, N = I.name, R = I.rank;")
-        executor = Executor(source(), TARGET)
-        executor.run_program(prog)
-        oid = next(iter(executor.provenance()))
-        text = executor.explain(oid)
-        assert ".name from clause T" in text
-        assert ".rank from clause T" in text
-
-    def test_explain_unknown_object(self):
-        from repro.model import Oid
-        executor = Executor(source(), TARGET)
-        assert "not derived" in executor.explain(Oid.fresh("Out"))
-
-
 class TestRunAgainstFilledStore:
     """A clause meeting attributes an earlier clause left in the
     pending store must see them — the oracle's conflict, text and all,

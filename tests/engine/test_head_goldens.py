@@ -155,6 +155,10 @@ PROGRAMS = {
         out("T: X in Out, X = Mk_Out(N), X.name = I.c, X.rank = R"
             " <= I in Item, N = I.name, R = I.rank;"),
         items(), TGT),
+    "assign: value reads an unbound variable": (
+        out("T: X in Out, X = Mk_Out(N), X.name = N, X.rank = Q"
+            " <= I in Item, N = I.name;"),
+        items(), TGT),
     "insert: subject is not an object": (
         out("T: X in Out, X = Mk_Out(N), X.name = N, X.rank = R,"
             " N in Y.tags <= I in Item, N = I.name, R = I.rank,"

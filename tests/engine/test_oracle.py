@@ -117,9 +117,9 @@ def test_oracle_is_the_naive_functions_and_the_reference_matcher():
     public = [name for name, value in vars(oracle).items()
               if not name.startswith("_") and inspect.isfunction(value)
               and value.__module__ == oracle.__name__]
-    assert sorted(public) == ["naive_execute", "naive_query",
-                              "naive_transform", "naive_violations",
-                              "unify_term"]
+    assert sorted(public) == ["head_effects", "naive_execute",
+                              "naive_query", "naive_transform",
+                              "naive_violations", "unify_term"]
     assert [name for name, value in vars(oracle).items()
             if inspect.isclass(value)
             and value.__module__ == oracle.__name__] == ["Matcher"]

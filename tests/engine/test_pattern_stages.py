@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.columnar import compile_pattern, stream_plan_columnar
+from repro.engine.columnar import compile_pattern
 from repro.engine.planner import plan_clause
 from repro.lang import parse_clause
 from repro.lang.ast import Const, RecordTerm, SkolemTerm, Var, VariantTerm
@@ -23,6 +23,8 @@ from repro.query import Query
 from repro.semantics.eval import skolem_key
 from repro.semantics.match import (STEP_EQ_BIND, STEP_IN_GENERATE,
                                    STEP_MEMBER_SCAN, IndexPool)
+
+from tests.batches import plan_rows
 
 POINT = record(x=INT, y=INT)
 KEY = ClassType("K")
@@ -86,7 +88,7 @@ def both(body, instance=None):
     instance = instance or pattern_instance()
     clause = parse_clause(f"T = T <= {body};", classes=["C", "K"])
     plan = plan_clause(clause, instance.class_sizes())
-    columnar = list(stream_plan_columnar(IndexPool(instance), plan.steps))
+    columnar = list(plan_rows(IndexPool(instance), plan.steps))
     reference = list(Matcher(instance).solutions(clause.body))
     return columnar, reference, pattern_step(plan)
 

@@ -5,8 +5,7 @@ import pytest
 from repro.engine import (Executor, execute, plan_audit, plan_clause,
                           plan_program)
 from repro.engine import planner as planner_module
-from repro.engine.columnar import (compile_probe, stream_plan_columnar,
-                                   unextended_rows)
+from repro.engine.columnar import compile_probe, unextended_rows
 from repro.engine.planner import JoinPlan, PlanError, ProgramPlan
 from repro.lang import parse_clause
 from repro.model import (STR, InstanceBuilder, Record, Schema, WolSet, record,
@@ -21,6 +20,8 @@ from repro.semantics.match import (IndexPool, MatchError, STEP_EQ_BIND,
                                    STEP_MEMBER_SCAN)
 from repro.workloads import cities, genome
 from repro.workloads.cities import sample_euro_instance
+
+from tests.batches import plan_rows
 
 CLASSES = ["CityE", "CountryE"]
 
@@ -273,10 +274,10 @@ class TestIndexPool:
             'C in CityE, V = C.country, N = V.name, N = "France"'),
             instance.class_sizes())
         assert STEP_MEMBER_INDEX in [step.mode for step in plan.steps]
-        assert list(stream_plan_columnar(pool, plan.steps))
+        assert list(plan_rows(pool, plan.steps))
         builds = pool.builds
         assert builds == 1  # built lazily by the first run
-        assert list(stream_plan_columnar(pool, plan.steps))
+        assert list(plan_rows(pool, plan.steps))
         assert pool.builds == builds  # reused, not rebuilt
 
 
@@ -295,7 +296,7 @@ class TestPlannedNaiveAgreement:
         plain = canonical(Matcher(instance).solutions(c.body))
         pool = IndexPool(instance)
         plan = plan_clause(c, cards)
-        planned = canonical(stream_plan_columnar(pool,
+        planned = canonical(plan_rows(pool,
                                                  plan.steps, None))
         return plain, planned
 
@@ -339,13 +340,13 @@ class TestPlannedNaiveAgreement:
                            initial_bound=["C"])
         pool = IndexPool(instance)
         city = instance.objects_of("CityE")[0]
-        out = list(stream_plan_columnar(pool, plan.steps,
+        out = list(plan_rows(pool, plan.steps,
                                         initial={"C": city}))
         assert len(out) == 1
         assert out[0]["C"] == city and "N" in out[0]
         # Running without the declared seed must error, not return [].
         with pytest.raises(MatchError):
-            list(stream_plan_columnar(pool, plan.steps))
+            list(plan_rows(pool, plan.steps))
 
     @pytest.mark.parametrize("entry", ["run_plan_columnar",
                                        "unextended_rows"])
@@ -361,7 +362,7 @@ class TestPlannedNaiveAgreement:
         pool = IndexPool(instance)
         if entry == "run_plan_columnar":
             def run(steps, initial=None):
-                return stream_plan_columnar(pool, steps, initial)
+                return plan_rows(pool, steps, initial)
         else:
             def run(steps, initial=None):
                 columns = {name: [value]

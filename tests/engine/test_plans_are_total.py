@@ -11,7 +11,9 @@ on an :class:`~repro.semantics.match.IndexPool`.  The scalar plan
 runner is gone as well: a constraint's head runs once over its whole
 body batch, as an anti-join.  And so is the row-at-a-time step
 fallback: every plan step, a pattern's included, is a batch stage, and
-value-at-a-time unification is the reference's.
+value-at-a-time unification is the reference's.  So is the scalar head
+applier: a head applies to its clause's whole body batch, in the pass
+and in a delta step, and one firing at a time only in the reference.
 """
 
 import ast
@@ -86,6 +88,54 @@ def test_unification_is_the_oracles():
     it."""
     users = {name: lines for name, text in MODULES.items()
              if (lines := _name_uses(text, "unify_term"))}
+    assert users.keys() == REFERENCE_MODULES, users
+
+
+#: The scalar head applier: one firing at a time, then counted.  The
+#: production head is one batch applier (``_HeadPlan.apply`` in
+#: ``repro.engine.executor``).
+SCALAR_HEAD = ("head_effects", "_apply_head", "_set_attribute")
+
+
+def _scalar_head_uses(text):
+    """Lines defining, importing or naming the scalar head applier.
+    ``head_effects`` is the module-level function — defined at module
+    level, or read off an imported module — not a method of that name
+    (``AnalysisContext.head_effects`` reads a head's static effects)."""
+    tree = ast.parse(text)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.asname or alias.name.rpartition(".")[2]
+               for node in imports for alias in node.names}
+    uses = [(node.lineno, alias.name.rpartition(".")[2])
+            for node in imports for alias in node.names
+            if alias.name.rpartition(".")[2] in SCALAR_HEAD]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+            if name == "head_effects" and node not in tree.body:
+                continue
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+            if name == "head_effects" and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                continue
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in SCALAR_HEAD:
+            uses.append((node.lineno, name))
+    return sorted(uses)
+
+
+def test_head_application_is_the_oracles():
+    """Production applies a head to a whole body batch, for the pass
+    and the delta step alike; the scalar applier, one firing at a time,
+    is the reference's — nothing else defines, imports or calls it."""
+    users = {name: uses for name, text in MODULES.items()
+             if (uses := _scalar_head_uses(text))}
     assert users.keys() == REFERENCE_MODULES, users
 
 
@@ -165,3 +215,12 @@ def test_the_scans_see_what_they_look_for():
         "y = Matcher\nMatchError\n", "Matcher") == [1, 2, 4, 5, 6]
     assert _name_uses("def unify_term(t):\n    return unify_term(t)\n",
                       "unify_term") == [1, 2]
+    assert _scalar_head_uses(
+        "from .executor import head_effects as h\n"
+        "class A:\n    def head_effects(self):\n        pass\n"
+        "def head_effects(p):\n    return ctx.head_effects(p)\n"
+        "x._apply_head(p)\nhead_effects(p)\ne._set_attribute(o)\n"
+        "from repro import oracle\noracle.head_effects(p)\n") == [
+            (1, "head_effects"), (5, "head_effects"), (7, "_apply_head"),
+            (8, "head_effects"), (9, "_set_attribute"),
+            (11, "head_effects")]

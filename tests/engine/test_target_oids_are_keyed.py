@@ -1,7 +1,7 @@
 """Every oid of a transformation's target is keyed.
 
 A target object is created only by a Skolem term: a head identity
-(:func:`repro.engine.executor.head_effects`) evaluates to
+(:meth:`repro.engine.executor._HeadPlan.apply`) evaluates to
 ``Oid.keyed``, and the target's values may reference target objects
 only.  So a target — of a batch pass or of any incremental step — holds
 no anonymous oid, and the service encodes every target read with

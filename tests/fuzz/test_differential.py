@@ -15,17 +15,22 @@ serials).
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints.library import schema_constraints
+from repro.engine import ExecutionError, IncrementalTransform, execute
 from repro.io.json_io import instance_to_json
 from repro.evolution.delta import Delta
-from repro.model import InstanceBuilder, Record
+from repro.lang import parse_program
+from repro.model import INT, STR, InstanceBuilder, Record, Schema, record
 from repro.model.schema import parse_schema
 from repro.model.values import Oid
 from repro.morphase import Morphase
 from repro.oracle import naive_transform, naive_violations
 from repro.semantics.satisfaction import program_violations
+
+from tests.differential import execute_both
 
 
 def serialized(instance) -> str:
@@ -280,3 +285,77 @@ class TestAuditEngines:
         naive = sorted(str(v) for v in naive_violations(
             target, constraints))
         assert naive == planned
+
+
+# ----------------------------------------------------------------------
+# Conflicting heads: keyed rows collide with different values
+# ----------------------------------------------------------------------
+
+COLLIDE_SRC = Schema.of("CSrc", S=record(k=STR, a0=INT, a1=INT, a2=INT))
+COLLIDE_TGT = Schema.of("CTgt", T=record(k=STR, v=INT))
+
+
+def collide_program(clauses: int):
+    """Clause ``Ti`` writes ``T(k).v`` from source attribute ``ai``: rows
+    sharing a key collide within a clause when their ``ai`` differ, and
+    across clauses when their ``ai`` and ``aj`` do."""
+    return parse_program(" ".join(
+        f"T{i}: X in T, X = Mk_T(K), X.k = K, X.v = V"
+        f" <= S in S, K = S.k, V = S.a{i};" for i in range(clauses)),
+        classes=["S", "T"])
+
+
+def collide_record(key: str, values) -> Record:
+    return Record.of(k=key, **{f"a{i}": value
+                               for i, value in enumerate(values)})
+
+
+ROWS = st.lists(st.tuples(st.sampled_from("pq"),
+                          st.tuples(*([st.integers(0, 2)] * 3))),
+                min_size=1, max_size=6)
+
+
+class TestConflictingHeads:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), ROWS)
+    def test_every_leg_raises_one_text(self, clauses, rows):
+        builder = InstanceBuilder(COLLIDE_SRC)
+        for index, (key, values) in enumerate(rows):
+            builder.make("S", f"s{index}", collide_record(key, values))
+        try:
+            target, _ = execute_both(collide_program(clauses),
+                                     builder.freeze(), COLLIDE_TGT)
+        except ExecutionError as exc:
+            assert str(exc).endswith("(the program is not functional)")
+        else:
+            assert target.size() == len({key for key, _ in rows})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.dictionaries(st.sampled_from("pq"),
+                                              st.integers(0, 2),
+                                              min_size=1), ROWS)
+    def test_a_colliding_delta_spends_the_session_with_the_batch_text(
+            self, clauses, base, rows):
+        program = collide_program(clauses)
+        builder = InstanceBuilder(COLLIDE_SRC)
+        for key, value in base.items():
+            builder.make("S", f"b{key}", collide_record(key, [value] * 3))
+        session = IncrementalTransform(program, builder.freeze(),
+                                       COLLIDE_TGT)
+        delta = Delta(inserts={"S": {
+            Oid.keyed("S", f"s{index}"): collide_record(key, values)
+            for index, (key, values) in enumerate(rows)}})
+        try:
+            recomputed, _ = execute(program, delta.apply_to(session.source),
+                                    COLLIDE_TGT)
+        except ExecutionError as batch:
+            with pytest.raises(ExecutionError) as step:
+                session.apply_delta(delta)
+            assert str(step.value) == str(batch)
+            with pytest.raises(ExecutionError) as spent:
+                session.apply_delta(Delta())
+            assert str(spent.value) == (f"incremental session is spent "
+                                        f"({batch}); start a new one")
+        else:
+            result = session.apply_delta(delta)
+            assert serialized(result.target) == serialized(recomputed)

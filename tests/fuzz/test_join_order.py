@@ -37,13 +37,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import PlanError, plan_clause
 from repro.engine import planner
-from repro.engine.columnar import stream_plan_columnar
 from repro.lang import parse_clause
 from repro.model import InstanceBuilder, Record
 from repro.model.schema import parse_schema
 from repro.model.values import WolSet
 from repro.oracle import Matcher
 from repro.semantics.match import IndexPool, MatchError, STEP_MEMBER_SCAN
+
+from tests.batches import plan_rows
 
 CLASSES = ("A", "B", "C")
 SCHEMA = parse_schema("""
@@ -178,5 +179,5 @@ def test_driving_extent_search(case):
         assert len(scans) == 1, plan.explain()
 
     planned = IndexPool(instance)
-    assert _canonical(stream_plan_columnar(planned, plan.steps, None)) \
+    assert _canonical(plan_rows(planned, plan.steps, None)) \
         == _canonical(Matcher(instance).solutions(clause.body))
