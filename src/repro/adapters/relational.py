@@ -1,15 +1,10 @@
 """Relational substrate and adapter.
 
-Stands in for the Sybase/Oracle sources the paper's trials connected to via
-Kleisli (Section 5): a minimal in-memory relational database — named tables
-of flat rows with primary and foreign keys — plus a bidirectional adapter
-to the WOL data model:
-
-* :func:`import_database` maps each table to a class; rows become keyed
-  objects (Skolem on the primary key) and foreign-key columns become object
-  references;
-* :func:`export_instance` maps a (flat enough) instance back to tables,
-  deriving foreign-key columns from references.
+Stands in for the Sybase/Oracle databases the paper's trials connected to
+via Kleisli (Section 5): a minimal in-memory relational database — named
+tables of flat rows with primary and foreign keys — plus
+:func:`export_instance`, which maps a (flat enough) WOL instance to tables,
+deriving foreign-key columns from references.
 
 This is what "complex relational databases" look like on the WOL side, and
 it is the target substrate of the genome-warehouse experiment (E7).
@@ -20,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..model.instance import Instance, InstanceBuilder
-from ..model.keys import KeySpec, KeyedSchema, attribute_key, attributes_key
-from ..model.schema import Schema
-from ..model.types import (BOOL, FLOAT, INT, STR, BaseType, ClassType,
-                           RecordType, Type)
-from ..model.values import Oid, Record, Value, format_value
+from ..model.instance import Instance
+from ..model.values import Oid, Record, format_value
 
 RowValue = Union[int, str, bool, float]
 Row = Dict[str, RowValue]
@@ -35,7 +26,7 @@ class RelationalError(Exception):
     """Raised for schema violations in the relational substrate."""
 
 
-_COLUMN_TYPES = {"int": INT, "str": STR, "bool": BOOL, "float": FLOAT}
+_COLUMN_TYPES = {"int": int, "str": str, "bool": bool, "float": float}
 
 
 @dataclass(frozen=True)
@@ -50,10 +41,6 @@ class Column:
         if self.type_name not in _COLUMN_TYPES:
             raise RelationalError(
                 f"column {self.name}: unknown type {self.type_name!r}")
-
-    @property
-    def base_type(self) -> BaseType:
-        return _COLUMN_TYPES[self.type_name]
 
 
 @dataclass(frozen=True)
@@ -107,8 +94,7 @@ class Table:
                 f"do not match schema columns {sorted(expected)}")
         for column in self.schema.columns:
             value = values[column.name]
-            expected_type = {"int": int, "str": str, "bool": bool,
-                             "float": float}[column.type_name]
+            expected_type = _COLUMN_TYPES[column.type_name]
             if expected_type is int and isinstance(value, bool):
                 raise RelationalError(
                     f"table {self.schema.name}: column {column.name} "
@@ -196,81 +182,6 @@ class RelationalDatabase:
 
 
 # ----------------------------------------------------------------------
-# Import: relational -> WOL
-# ----------------------------------------------------------------------
-
-def schema_of_database(database: RelationalDatabase) -> KeyedSchema:
-    """The WOL keyed schema induced by a relational database.
-
-    Each table becomes a class; foreign-key columns become class-typed
-    attributes; the primary key becomes the surrogate key (foreign-key
-    columns in the primary key contribute ``<col>.<referenced key>``
-    paths, keeping key types class-free).
-    """
-    classes: List[Tuple[str, Type]] = []
-    for table in database.tables.values():
-        fields: List[Tuple[str, Type]] = []
-        for column in table.schema.columns:
-            if column.references is not None:
-                fields.append((column.name, ClassType(column.references)))
-            else:
-                fields.append((column.name, column.base_type))
-        classes.append((table.schema.name, RecordType(tuple(fields))))
-    schema = Schema(database.name, tuple(classes))
-
-    functions = {}
-    for table in database.tables.values():
-        paths = []
-        for key_col in table.schema.primary_key:
-            column = table.schema.column(key_col)
-            if column.references is not None:
-                referenced = database.table(column.references)
-                (ref_key,) = referenced.schema.primary_key
-                paths.append(f"{key_col}.{ref_key}")
-            else:
-                paths.append(key_col)
-        if len(paths) == 1:
-            functions[table.schema.name] = attribute_key(
-                schema, table.schema.name, paths[0])
-        else:
-            functions[table.schema.name] = attributes_key(
-                schema, table.schema.name, tuple(paths))
-    return KeyedSchema(schema, KeySpec(functions))
-
-
-def import_database(database: RelationalDatabase) -> Instance:
-    """Import all rows as a WOL instance (keyed oids on primary keys)."""
-    problems = database.check_foreign_keys()
-    if problems:
-        raise RelationalError(
-            "cannot import database with dangling foreign keys: "
-            + "; ".join(problems[:5]))
-    keyed = schema_of_database(database)
-    builder = InstanceBuilder(keyed.schema)
-
-    def oid_for(table_name: str, key_value: RowValue) -> Oid:
-        return Oid.keyed(table_name, key_value)
-
-    for table in database.tables.values():
-        for row in table:
-            fields: List[Tuple[str, Value]] = []
-            for column in table.schema.columns:
-                value = row[column.name]
-                if column.references is not None:
-                    fields.append((column.name,
-                                   oid_for(column.references, value)))
-                else:
-                    fields.append((column.name, value))
-            key = tuple(row[c] for c in table.schema.primary_key)
-            oid = Oid.keyed(table.schema.name,
-                            key[0] if len(key) == 1 else
-                            Record(tuple(zip(table.schema.primary_key,
-                                             key, strict=True))))
-            builder.put(oid, Record(tuple(fields)))
-    return builder.freeze()
-
-
-# ----------------------------------------------------------------------
 # Export: WOL -> relational
 # ----------------------------------------------------------------------
 
@@ -282,7 +193,7 @@ def export_instance(instance: Instance,
     Classes must match table names; attributes must be base-typed or
     references to keyed objects of the referenced table, whose primary key
     is recovered from the oid key (objects must carry keyed oids, as
-    produced by :func:`import_database` or by transformations).
+    transformations produce).
     """
     database = RelationalDatabase(instance.schema.name,
                                   list(database_schema))

@@ -12,7 +12,7 @@ from .analyzer import (AnalysisContext, analyze_program, analyze_text,
                        default_passes)
 from .diagnostics import (CODES, SEVERITY_ERROR, SEVERITY_INFO,
                           SEVERITY_RANK, SEVERITY_WARNING, Diagnostic,
-                          DiagnosticReport, merge_reports)
+                          DiagnosticReport)
 from .suppress import parse_suppressions
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "analyze_program",
     "analyze_text",
     "default_passes",
-    "merge_reports",
     "parse_suppressions",
 ]

@@ -14,7 +14,7 @@ transform preflight compare against that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -87,9 +87,10 @@ CODES: Dict[str, CodeInfo] = {info.code: info for info in (
     CodeInfo("WOL403", SEVERITY_WARNING, "dangling Skolem argument",
              "a named Skolem-term argument labels no attribute of its "
              "class"),
-    CodeInfo("WOL500", SEVERITY_ERROR, "program parse error",
-             "the query program (text DSL or JSON AST) is not "
-             "syntactically well-formed"),
+    # WOL500 retired with the report-folding text validator: a program
+    # that does not parse is a parse error (400 ``parse_error`` on
+    # /program, exit 2 on the CLI), never a report; the number is not
+    # reused.
     CodeInfo("WOL501", SEVERITY_ERROR, "program bounds violated",
              "the program is empty, exceeds the statement limit, or "
              "names a statement with a non-identifier"),
@@ -184,10 +185,6 @@ class DiagnosticReport:
         return [d for d in self.diagnostics
                 if d.severity == SEVERITY_ERROR]
 
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity == SEVERITY_WARNING]
-
     def counts(self) -> Dict[str, int]:
         out = {SEVERITY_ERROR: 0, SEVERITY_WARNING: 0, SEVERITY_INFO: 0}
         for diagnostic in self.diagnostics:
@@ -233,19 +230,3 @@ class DiagnosticReport:
             "suppressed": len(self.suppressed),
             "passes": list(self.passes_run),
         }
-
-
-def merge_reports(reports: Sequence[DiagnosticReport]) -> DiagnosticReport:
-    """Union several reports (used by the dogfood runner)."""
-    merged = DiagnosticReport()
-    passes: List[str] = []
-    for report in reports:
-        merged.diagnostics.extend(report.diagnostics)
-        merged.suppressed.extend(report.suppressed)
-        for name in report.passes_run:
-            if name not in passes:
-                passes.append(name)
-    merged.diagnostics.sort(key=_sort_key)
-    merged.suppressed.sort(key=_sort_key)
-    merged.passes_run = tuple(passes)
-    return merged

@@ -67,7 +67,6 @@ from ..model.types import (ClassType, ListType, RecordType, SetType, Type)
 from ..model.instance import Instance
 from ..model.values import Oid, Record, Value, oids_in, type_of_base
 from ..obs.metrics import publish_engine_stats
-from ..semantics.eval import Binding
 from ..semantics.match import IndexPool
 from ..semantics.satisfaction import Violation, clause_violations
 from . import columnar
@@ -396,12 +395,15 @@ def seeded_solutions(pool: IndexPool, seeds: Sequence[DeltaSeed],
     return out, len(keys)
 
 
-def _rows(columns: Columns, names: frozenset) -> List[Binding]:
-    """The rows of a batch, each a binding of its columns in ``names``
-    (how the constraint side reads a seeded batch)."""
-    kept = [name for name in columns if name in names]
-    return [dict(zip(kept, values))
-            for values in zip(*(columns[name] for name in kept))]
+def _body_keys(columns: Columns, names: frozenset
+               ) -> Tuple[Columns, List[frozenset]]:
+    """A seeded batch projected to a constraint body's variables, and
+    each row's violation key, read from the columns: the constraint
+    side decodes no row into a binding."""
+    body = {name: column for name, column in columns.items()
+            if name in names}
+    return body, [frozenset(zip(body, values))
+                  for values in zip(*body.values())]
 
 
 def _pruned_seed_groups(reads: ClauseReads, all_changed: Sequence[Oid],
@@ -763,25 +765,24 @@ class IncrementalTransform:
             if batch is None:
                 full_recheck.add(index)
             elif batch[1]:
-                retract_keys[index] = {
-                    frozenset(binding.items())
-                    for binding in _rows(batch[0], body_vars)}
+                _, keys = _body_keys(batch[0], body_vars)
+                retract_keys[index] = set(keys)
         return retract_keys, full_recheck
 
-    def _satisfied(self, index: int, pool: IndexPool,
-                   bindings: Sequence[Binding], stats: ExecutionStats
-                   ) -> List[bool]:
-        """Per body binding of constraint ``index``: does its head have
-        a witness?  One batch probe for all of them
+    def _satisfied(self, index: int, pool: IndexPool, columns: Columns,
+                   count: int, stats: ExecutionStats) -> List[bool]:
+        """Per row of a batch of constraint ``index``'s body solutions
+        (``columns``, the body's variables): does its head have a
+        witness?  One batch probe for all of them
         (:func:`repro.engine.columnar.unextended_rows`), each counted
         in ``stats.violations_rechecked``."""
-        stats.violations_rechecked += len(bindings)
-        columns = {name: [binding[name] for binding in bindings]
-                   for name in self._body_vars[index]}
+        if not count:
+            return []
+        stats.violations_rechecked += count
         missing = set(columnar.unextended_rows(
             pool, self.audit_plan.plans[index].head.steps, columns,
-            len(bindings), self._head_stages[index]))
-        return [row not in missing for row in range(len(bindings))]
+            count, self._head_stages[index]))
+        return [row not in missing for row in range(count)]
 
     def _rederive_violations(self, pool: IndexPool, groups,
                              retract_keys: Mapping[int, Set[frozenset]],
@@ -826,12 +827,11 @@ class IncrementalTransform:
                 violation = per_clause.pop(key, None)
                 if violation is not None:
                     retracted_now[key] = violation
-            projected = _rows(batch[0], self._body_vars[index])
-            for binding, satisfied in zip(projected, self._satisfied(
-                    index, pool, projected, stats)):
-                key = frozenset(binding.items())
+            body, keys = _body_keys(batch[0], self._body_vars[index])
+            witnessed = self._satisfied(index, pool, body, len(keys), stats)
+            for row, key in enumerate(keys):
                 rechecked.add(key)
-                if satisfied:
+                if witnessed[row]:
                     prior = per_clause.pop(key, None)
                     if prior is not None:
                         removed.append(prior)
@@ -840,11 +840,12 @@ class IncrementalTransform:
                 elif key in retracted_now:
                     per_clause[key] = retracted_now.pop(key)
                 elif key not in per_clause:
-                    violation = Violation(clause, binding)
+                    violation = Violation(clause, {
+                        name: column[row] for name, column in body.items()})
                     per_clause[key] = violation
                     added.append(violation)
             removed.extend(retracted_now.values())
-            if projected or retract_keys.get(index):
+            if keys or retract_keys.get(index):
                 stats.clauses_seeded += 1
             else:
                 stats.clauses_skipped += 1
@@ -852,9 +853,11 @@ class IncrementalTransform:
             # violations whose bodies the delta never touched.
             if self._head_member_classes[index] & addition_trigger:
                 pending = [key for key in per_clause if key not in rechecked]
+                columns = {name: [per_clause[key].binding[name]
+                                  for key in pending]
+                           for name in self._body_vars[index]}
                 for key, satisfied in zip(pending, self._satisfied(
-                        index, pool, [dict(key) for key in pending],
-                        stats)):
+                        index, pool, columns, len(pending), stats)):
                     if satisfied:
                         removed.append(per_clause.pop(key))
         return added, removed

@@ -1,12 +1,10 @@
 """Schema and instance evolution: operators generating WOL programs
-(paper Section 6 future work), schema diffing, and instance deltas."""
+(paper Section 6 future work) and instance deltas."""
 
 from .operators import Evolution, EvolutionError, EvolutionResult
-from .diff import DiffError, SchemaDiff, diff_schemas
 from .delta import (Delta, DeltaError, compose_deltas, delta_between,
-                    delta_from_json, delta_to_json, dump_delta, load_delta)
+                    delta_from_json, delta_to_json, load_delta)
 
 __all__ = ["Evolution", "EvolutionError", "EvolutionResult",
-           "DiffError", "SchemaDiff", "diff_schemas",
            "Delta", "DeltaError", "compose_deltas", "delta_between",
-           "delta_from_json", "delta_to_json", "dump_delta", "load_delta"]
+           "delta_from_json", "delta_to_json", "load_delta"]

@@ -404,12 +404,6 @@ def compose_deltas(first: Delta, second: Delta) -> Delta:
                  updates=updates)
 
 
-def dump_delta(delta: Delta, path: str) -> None:
-    import json
-    with open(path, "w") as handle:
-        json.dump(delta_to_json(delta), handle, indent=2, sort_keys=True)
-
-
 def load_delta(path: str, instance: Optional[Instance] = None,
                labels: Optional[Dict[Tuple[str, str], Oid]] = None
                ) -> Delta:

@@ -436,13 +436,3 @@ def load_instance(path: str, schema: Optional[Schema] = None,
     with open(path) as handle:
         return instance_from_json(json.load(handle), schema,
                                   labels=labels)
-
-
-def dump_schema(schema, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(schema_to_json(schema), handle, indent=2, sort_keys=True)
-
-
-def load_schema(path: str):
-    with open(path) as handle:
-        return schema_from_json(json.load(handle))

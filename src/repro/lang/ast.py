@@ -212,10 +212,6 @@ class SkolemTerm(Term):
             object.__setattr__(self, "args", canonical)
 
     @staticmethod
-    def positional(class_name: str, *args: Term) -> "SkolemTerm":
-        return SkolemTerm(class_name, tuple((None, arg) for arg in args))
-
-    @staticmethod
     def named(class_name: str, **args: Term) -> "SkolemTerm":
         return SkolemTerm(class_name, tuple(args.items()))
 
@@ -508,20 +504,3 @@ class Program:
         if clause.name is not None:
             prefix += clause.name + ": "
         return prefix + str(clause)
-
-
-def fresh_var_factory(prefix: str = "V") -> "_FreshVars":
-    """A generator of variable names unseen so far: ``V1``, ``V2``..."""
-    return _FreshVars(prefix)
-
-
-class _FreshVars:
-    def __init__(self, prefix: str) -> None:
-        self._prefix = prefix
-        self._counter = itertools.count(1)
-
-    def __call__(self, avoid: FrozenSet[str] = frozenset()) -> str:
-        while True:
-            name = f"{self._prefix}{next(self._counter)}"
-            if name not in avoid:
-                return name

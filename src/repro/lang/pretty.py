@@ -2,9 +2,8 @@
 
 ``str(term)`` / ``str(atom)`` / ``str(clause)`` already render valid
 concrete syntax; this module adds layout for whole programs (wrapping long
-clauses, aligning the implication arrow) and a :func:`roundtrip` helper used
-heavily by property-based tests: pretty-printed output re-parses to an
-equal AST.
+clauses, aligning the implication arrow).  Pretty-printed output re-parses
+to an equal AST (``tests/properties/test_lang_properties.py``).
 """
 
 from __future__ import annotations
@@ -54,9 +53,3 @@ def format_clause(clause: Clause, width: int = 72) -> str:
 def format_program(program: Program, width: int = 72) -> str:
     """Render a whole program, one blank line between clauses."""
     return "\n\n".join(format_clause(clause, width) for clause in program)
-
-
-def roundtrip(program: Program) -> Program:
-    """Parse the pretty-printed program back (for tests)."""
-    from .parser import parse_program
-    return parse_program(format_program(program))

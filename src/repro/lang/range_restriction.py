@@ -118,11 +118,6 @@ def _bound(clause: Clause) -> Tuple[FrozenSet[str], FrozenSet[str]]:
                                 set(body_bound))
 
 
-def clause_bound_variables(clause: Clause) -> FrozenSet[str]:
-    """Variables bound by body plus head binding atoms (existentials)."""
-    return _bound(clause)[1]
-
-
 def unrestricted_variables(clause: Clause) -> Tuple[FrozenSet[str],
                                                     FrozenSet[str]]:
     """Return (unrestricted body variables, unrestricted head variables)."""
@@ -139,12 +134,6 @@ def unrestricted_variables(clause: Clause) -> Tuple[FrozenSet[str],
     return bad_body, bad_head
 
 
-def is_range_restricted(clause: Clause) -> bool:
-    """True iff every variable of the clause is range-restricted."""
-    bad_body, bad_head = unrestricted_variables(clause)
-    return not bad_body and not bad_head
-
-
 def check_range_restriction(clause: Clause) -> None:
     """Raise :class:`RangeRestrictionError` for unrestricted variables."""
     bad_body, bad_head = unrestricted_variables(clause)
@@ -158,9 +147,3 @@ def check_range_restriction(clause: Clause) -> None:
         raise RangeRestrictionError(
             f"clause {label}: not range-restricted: "
             + " and ".join(parts))
-
-
-def check_program_range_restriction(program) -> None:
-    """Check every clause of a program."""
-    for clause in program:
-        check_range_restriction(clause)

@@ -66,13 +66,6 @@ class TypeReport:
     def unresolved_obligations(self) -> List[str]:
         return list(self.obligations)
 
-    def type_of(self, name: str) -> Type:
-        try:
-            return self.variable_types[name]
-        except KeyError:
-            raise TypecheckError(
-                f"no type recorded for variable {name!r}") from None
-
     def is_ground(self, name: str) -> bool:
         ty = self.variable_types.get(name)
         return ty is not None and ty.is_ground()
@@ -394,10 +387,3 @@ def check_clause(schema: Schema, clause: Clause,
     except TypecheckError as exc:
         label = clause.name or str(clause)
         raise TypecheckError(f"clause {label}: {exc}") from exc
-
-
-def check_program(schema: Schema, program, require_ground: bool = False
-                  ) -> Dict[int, TypeReport]:
-    """Type-check every clause of a program; returns reports by index."""
-    return {index: check_clause(schema, clause, require_ground)
-            for index, clause in enumerate(program)}

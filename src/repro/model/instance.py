@@ -13,7 +13,7 @@ execution engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .schema import Schema
 from .values import (Oid, Record, Value, ValueError_, check_value,
@@ -138,22 +138,6 @@ class Instance:
                 builder.put(oid, value)
         return builder
 
-    def restrict(self, class_names: Iterable[str]) -> "Instance":
-        """Sub-instance keeping only the objects of the given classes.
-
-        The schema is unchanged (class types may reference dropped classes),
-        so the result may dangle; callers wanting a well-formed result should
-        validate it.
-        """
-        keep = set(class_names)
-        for cname in keep:
-            if not self.schema.has_class(cname):
-                raise InstanceError(
-                    f"schema {self.schema.name!r} has no class {cname!r}")
-        return Instance(self.schema, {
-            cname: dict(objs) for cname, objs in self.valuations.items()
-            if cname in keep})
-
     def __str__(self) -> str:
         lines = [f"instance of {self.schema.name}:"]
         for cname in sorted(self.valuations):
@@ -214,25 +198,6 @@ class InstanceBuilder:
         """Insert or overwrite ``oid`` with ``value``."""
         self._class_store(oid.class_name)[oid] = value
         return oid
-
-    def set_attribute(self, oid: Oid, attr: str, value: Value) -> None:
-        """Set one attribute of a record-valued object.
-
-        Raises on conflict with an existing different value for ``attr`` —
-        this is how the engine detects non-functional transformation
-        programs.
-        """
-        store = self._class_store(oid.class_name)
-        current = store.get(oid, Record(()))
-        if not isinstance(current, Record):
-            raise InstanceError(
-                f"object {oid} carries non-record value; "
-                f"cannot set attribute {attr!r}")
-        if current.has(attr) and current.get(attr) != value:
-            raise InstanceError(
-                f"conflicting values for {oid}.{attr}: "
-                f"{format_value(current.get(attr))} vs {format_value(value)}")
-        store[oid] = current.with_field(attr, value)
 
     def has_object(self, oid: Oid) -> bool:
         return (oid.class_name in self._valuations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .instance import Instance
-from .values import (Oid, Record, Value, Variant, WolList, WolSet, map_oids)
+from .values import Oid, Record, Value, Variant, WolList, WolSet
 
 
 def _shape(value: Value, colour: Dict[Oid, int]) -> object:
@@ -201,24 +201,3 @@ def find_isomorphism(left: Instance, right: Instance,
 def isomorphic(left: Instance, right: Instance) -> bool:
     """True iff the instances are equal up to renaming of oids."""
     return find_isomorphism(left, right) is not None
-
-
-def rename_oids(instance: Instance, mapping: Dict[Oid, Oid]) -> Instance:
-    """Apply an oid renaming to a whole instance.
-
-    ``mapping`` must be injective on the instance's oids and preserve
-    classes; unmapped oids keep their identity.
-    """
-    valuations: Dict[str, Dict[Oid, Value]] = {}
-    for cname in instance.schema.class_names():
-        valuations[cname] = {}
-        for oid in instance.objects_of(cname):
-            new_oid = mapping.get(oid, oid)
-            if new_oid.class_name != oid.class_name:
-                raise ValueError(
-                    f"renaming moves {oid} across classes to {new_oid}")
-            if new_oid in valuations[cname]:
-                raise ValueError(f"renaming is not injective at {new_oid}")
-            valuations[cname][new_oid] = map_oids(
-                instance.value_of(oid), mapping)
-    return Instance(instance.schema, valuations)

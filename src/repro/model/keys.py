@@ -239,8 +239,3 @@ def key_violations(instance: "Instance", keys: KeySpec) -> List[KeyViolation]:
             else:
                 seen[key_value] = oid
     return violations
-
-
-def satisfies_keys(instance: "Instance", keys: KeySpec) -> bool:
-    """True iff ``instance`` satisfies the key specification."""
-    return not key_violations(instance, keys)

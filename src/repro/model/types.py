@@ -229,11 +229,6 @@ def set_of(element: Type) -> SetType:
     return SetType(element)
 
 
-def list_of(element: Type) -> ListType:
-    """Build a list type over ``element``."""
-    return ListType(element)
-
-
 def resolve_class_refs(ty: Type, known_classes: frozenset) -> None:
     """Check that every class type inside ``ty`` names a known class.
 

@@ -386,23 +386,3 @@ def oids_in(value: Value) -> Iterator[Oid]:
     elif isinstance(value, (WolSet, WolList)):
         for element in value:
             yield from oids_in(element)
-
-
-def map_oids(value: Value, mapping: Dict[Oid, Oid]) -> Value:
-    """Return ``value`` with every oid replaced through ``mapping``.
-
-    Oids absent from ``mapping`` are left unchanged.  Used by the isomorphism
-    checker and by adapters that re-key identities on import/export.
-    """
-    if isinstance(value, Oid):
-        return mapping.get(value, value)
-    if isinstance(value, Record):
-        return Record(tuple(
-            (label, map_oids(fval, mapping)) for label, fval in value.fields))
-    if isinstance(value, Variant):
-        return Variant(value.label, map_oids(value.value, mapping))
-    if isinstance(value, WolSet):
-        return WolSet(frozenset(map_oids(e, mapping) for e in value))
-    if isinstance(value, WolList):
-        return WolList(tuple(map_oids(e, mapping) for e in value))
-    return value

@@ -1,12 +1,9 @@
 """The Morphase system: compile WOL programs and run transformations."""
 
-from .metadata import (generate_source_key_clauses,
-                       generate_target_key_clauses, key_clause_for,
-                       source_key_clause_for)
+from .metadata import generate_target_key_clauses, key_clause_for
 from .system import Morphase, MorphaseError, MorphaseResult
 
 __all__ = [
-    "generate_source_key_clauses", "generate_target_key_clauses",
-    "key_clause_for", "source_key_clause_for",
+    "generate_target_key_clauses", "key_clause_for",
     "Morphase", "MorphaseError", "MorphaseResult",
 ]

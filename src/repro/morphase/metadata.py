@@ -5,13 +5,11 @@ automatically generated from the meta-data associated with the source and
 target databases, in order to complete a transformation program.  Such
 constraints are time consuming and tedious to program by hand."
 
-Given a :class:`~repro.model.keys.KeyedSchema` this module generates:
-
-* **target key clauses** ``X = Mk_C(...) <= X in C, ...`` — the Skolem
-  identity clauses the normaliser uses to identify created objects;
-* **source key clauses** ``X = Y <= X in C, Y in C, X.p = Y.p, ...`` —
-  (C8)-style functional dependencies the optimiser uses to collapse
-  self-joins (Example 4.1).
+Given a :class:`~repro.model.keys.KeyedSchema` this module generates the
+**target key clauses** ``X = Mk_C(...) <= X in C, ...`` — the Skolem
+identity clauses the normaliser uses to identify created objects.  The
+optimiser reads source keys straight from the key specification
+(:func:`~repro.normalization.key_paths_from_spec`).
 """
 
 from __future__ import annotations
@@ -60,22 +58,6 @@ def key_clause_for(fn: KeyFunction, name: Optional[str] = None) -> Clause:
                   kind=KIND_CONSTRAINT)
 
 
-def source_key_clause_for(fn: KeyFunction,
-                          name: Optional[str] = None) -> Clause:
-    """The (C8)-style merging clause induced by one key function:
-    two members of the class with equal key paths are the same object."""
-    counter = [0]
-    body: List = [MemberAtom(Var("X"), fn.class_name),
-                  MemberAtom(Var("Y"), fn.class_name)]
-    for index, (_, path) in enumerate(fn.components):
-        shared = f"K{index + 1}"
-        body.extend(_path_definitions("X", path, shared, counter))
-        body.extend(_path_definitions("Y", path, shared, counter))
-    return Clause((EqAtom(Var("X"), Var("Y")),), tuple(body),
-                  name=name or f"srckey_{fn.class_name}",
-                  kind=KIND_CONSTRAINT)
-
-
 def generate_target_key_clauses(keyed: KeyedSchema,
                                 skip: Iterable[str] = ()) -> List[Clause]:
     """Key clauses for every keyed class not in ``skip``.
@@ -86,12 +68,4 @@ def generate_target_key_clauses(keyed: KeyedSchema,
     """
     skipped = set(skip)
     return [key_clause_for(keyed.keys.key_for(cname))
-            for cname in keyed.keys.classes() if cname not in skipped]
-
-
-def generate_source_key_clauses(keyed: KeyedSchema,
-                                skip: Iterable[str] = ()) -> List[Clause]:
-    """(C8)-style clauses for every keyed class not in ``skip``."""
-    skipped = set(skip)
-    return [source_key_clause_for(keyed.keys.key_for(cname))
             for cname in keyed.keys.classes() if cname not in skipped]

@@ -28,10 +28,6 @@ from ..model.keys import KeySpec
 from .congruence import Congruence, Unsatisfiable, congruence_of
 
 
-class KeyClauseError(Exception):
-    """Raised for malformed or missing key clauses."""
-
-
 @dataclass(frozen=True)
 class KeyClause:
     """A recognised target key clause.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from ..lang.ast import (Atom, Clause, Const, EqAtom, InAtom, LeqAtom, LtAtom,
-                        MemberAtom, NeqAtom, Program, Proj, RecordTerm,
+                        MemberAtom, NeqAtom, Proj, RecordTerm,
                         SkolemTerm, Term, Var, VariantTerm)
 
 
@@ -269,11 +269,6 @@ def snf_clause(clause: Clause) -> Clause:
 
     return Clause(tuple(_dedup(kept)), tuple(_dedup(body)),
                   name=clause.name, kind=clause.kind)
-
-
-def snf_program(program: Program) -> Program:
-    """Convert every clause of a program to semi-normal form."""
-    return Program(tuple(snf_clause(clause) for clause in program))
 
 
 def _dedup(atoms: List[Atom]) -> List[Atom]:

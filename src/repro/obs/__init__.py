@@ -19,9 +19,9 @@ from .events import (EVENT_LOGGER_NAME, JsonEventFormatter,
                      configure_event_log, emit_slow_query, log_event)
 from .metrics import (BATCH_BUCKETS, LATENCY_BUCKETS, REGISTRY,
                       SIZE_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, enabled, get_registry,
+                      MetricsRegistry, enabled,
                       publish_engine_stats, set_enabled)
-from .trace import (NULL_SPAN, Span, Trace, current_span, current_trace,
+from .trace import (NULL_SPAN, Span, Trace, current_span,
                     current_trace_id, new_trace_id, render_trace_json,
                     span, start_trace)
 
@@ -41,11 +41,9 @@ __all__ = [
     "Trace",
     "configure_event_log",
     "current_span",
-    "current_trace",
     "current_trace_id",
     "emit_slow_query",
     "enabled",
-    "get_registry",
     "log_event",
     "new_trace_id",
     "publish_engine_stats",

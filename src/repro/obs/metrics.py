@@ -43,7 +43,6 @@ __all__ = [
     "REGISTRY",
     "SIZE_BUCKETS",
     "enabled",
-    "get_registry",
     "publish_engine_stats",
     "set_enabled",
 ]
@@ -419,11 +418,6 @@ class MetricsRegistry:
 #: explicitly per-session records here, and ``GET /metrics`` renders it
 #: before the serving session's own.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-default :class:`MetricsRegistry`."""
-    return REGISTRY
 
 
 # ----------------------------------------------------------------------

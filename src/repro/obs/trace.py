@@ -27,7 +27,6 @@ __all__ = [
     "Span",
     "Trace",
     "current_span",
-    "current_trace",
     "current_trace_id",
     "new_trace_id",
     "render_trace_json",
@@ -200,11 +199,6 @@ def start_trace(name: str, trace_id: Optional[str] = None,
 def current_span() -> Optional[Span]:
     """The active span, or None when nothing is tracing."""
     return _CURRENT.get()
-
-
-def current_trace() -> Optional[Trace]:
-    """The active trace, or None."""
-    return _TRACE.get()
 
 
 def current_trace_id() -> Optional[str]:

@@ -20,7 +20,6 @@ from .compile import (CompiledProgram, CompiledStatement, compile_program,
 from .interp import (ProgramResult, ResultSet, StatementTrace, run_compiled,
                      run_program)
 from .parser import format_program, format_statement, parse_program_text
-from .validate import check_program, validate_program, validate_text
 
 __all__ = [
     "PROGRAM_VERSION", "MAX_STATEMENTS", "ALL_OPS",
@@ -28,7 +27,6 @@ __all__ = [
     "QueryOp", "UnionOp", "IntersectOp", "DifferenceOp", "ProjectOp",
     "LimitOp", "Op", "Statement", "QueryProgram",
     "parse_program_text", "format_program", "format_statement",
-    "validate_program", "check_program", "validate_text",
     "compile_program", "replan_program", "CompiledProgram",
     "CompiledStatement",
     "run_program", "run_compiled", "ProgramResult", "ResultSet",

@@ -208,9 +208,6 @@ class QueryProgram:
         """The statement whose result set the program returns (the last)."""
         return self.statements[-1].name if self.statements else None
 
-    def statement_names(self) -> Tuple[str, ...]:
-        return tuple(statement.name for statement in self.statements)
-
     def to_json(self) -> Dict[str, Any]:
         """The canonical JSON AST (deterministic field set and order)."""
         document: Dict[str, Any] = {"version": PROGRAM_VERSION}

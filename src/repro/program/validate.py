@@ -32,25 +32,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from ..analysis.diagnostics import Diagnostic, DiagnosticReport
 from ..query.query import Query, QueryError
 from .ast import (MAX_STATEMENTS, DifferenceOp, IntersectOp, LimitOp,
-                  ProgramParseError, ProgramValidationError, ProjectOp,
-                  QueryOp, QueryProgram, Statement, UnionOp,
-                  is_statement_name)
+                  ProgramValidationError, ProjectOp, QueryOp, QueryProgram,
+                  Statement, UnionOp, is_statement_name)
 
 #: The pass name recorded on validation reports.
 PASS_NAME = "program"
-
-
-def validate_program(program: QueryProgram,
-                     classes: Optional[Iterable[str]] = None
-                     ) -> DiagnosticReport:
-    """Statically validate ``program``; returns the full report.
-
-    ``classes`` is the class vocabulary query bodies parse against
-    (pass the serving instance's ``schema.class_names()``); omitting it
-    skips only the class-name resolution inside bodies, never the
-    structural checks.
-    """
-    return _validated(program, classes)[0]
 
 
 def _validated(program: QueryProgram, classes: Optional[Iterable[str]]
@@ -215,45 +201,16 @@ def _common_columns(op_name: str, name: str, index: int,
     return first
 
 
-def validate_text(text: str,
-                  classes: Optional[Iterable[str]] = None
-                  ) -> DiagnosticReport:
-    """Validate text-DSL source, folding parse failures into the report.
-
-    A program that does not parse yields a single WOL500 diagnostic
-    instead of an exception — the "everything is a report" entry point
-    for linters and editors, mirroring the analyzer's WOL100 gate.
-    """
-    from .parser import parse_program_text
-    try:
-        program = parse_program_text(text)
-    except ProgramParseError as exc:
-        return DiagnosticReport(
-            diagnostics=[Diagnostic("WOL500", str(exc))],
-            passes_run=(PASS_NAME,))
-    return validate_program(program, classes=classes)
-
-
-def check_program(program: QueryProgram,
-                  classes: Optional[Iterable[str]] = None
-                  ) -> DiagnosticReport:
-    """Validate and *enforce*: raise on error-severity findings.
-
-    Returns the report (which may still carry warnings) when the
-    program is executable; raises :class:`ProgramValidationError`
-    carrying it otherwise.  The service's 422 path and the compiler
-    both come through here (the compiler through
-    :func:`checked_queries`).
-    """
-    return checked_queries(program, classes)[0]
-
-
 def checked_queries(program: QueryProgram,
                     classes: Optional[Iterable[str]] = None
                     ) -> Tuple[DiagnosticReport, Tuple[Optional[Query], ...]]:
-    """:func:`check_program`, plus each statement's parsed query (None
-    for a set-algebra statement): compilation plans the queries
-    validation parsed instead of parsing every body again."""
+    """Validate and *enforce*: the report (which may still carry
+    warnings) and each statement's parsed query (None for a set-algebra
+    statement), so compilation plans the queries validation parsed
+    instead of parsing every body again.  Error-severity findings raise
+    :class:`ProgramValidationError` carrying the report;
+    :func:`~repro.program.compile_program` is the caller, and through it
+    the service's 422 path and ``repro program``."""
     report, queries = _validated(program, classes)
     if report.errors():
         raise ProgramValidationError(report)

@@ -147,9 +147,6 @@ class IndexPool:
             self.misses += 1
         return candidates
 
-    def indexed_keys(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-        return tuple(sorted(self._indexes))
-
     # ------------------------------------------------------------------
     # Delta maintenance
     # ------------------------------------------------------------------

@@ -172,9 +172,3 @@ def program_violations(instance: Instance, program: Iterable[Clause],
         violations.extend(clause_violations(pool, clause_plan,
                                             limit_per_clause))
     return violations
-
-
-def satisfies_program(instance: Instance,
-                      program: Iterable[Clause]) -> bool:
-    """True iff every clause is satisfied."""
-    return not program_violations(instance, program, limit_per_clause=1)

@@ -273,16 +273,6 @@ class ServiceClient:
     def ingest(self, delta_document: Dict[str, Any]) -> Dict[str, Any]:
         return self._call("POST", "/ingest", body=delta_document)
 
-    def lint(self, program: Optional[str] = None) -> Dict[str, Any]:
-        """Lint ``program`` (or the session's own program when None).
-
-        Always a report — a program full of findings is a successful
-        lint (HTTP 200), not a transport failure.
-        """
-        body: Dict[str, Any] = (
-            {} if program is None else {"program": program})
-        return self._call("POST", "/lint", body=body)
-
     def snapshot(self) -> Dict[str, Any]:
         return self._call("POST", "/snapshot", body={})
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.adapters import (Column, RelationalDatabase, RelationalError,
-                            TableSchema, export_instance, import_database,
-                            schema_of_database)
-from repro.model import ClassType, Oid, Record, STR, INT
+                            TableSchema, export_instance)
+from repro.model import (ClassType, InstanceBuilder, Oid, Record, STR, INT,
+                         Schema, record)
 
 
 def city_tables():
@@ -85,48 +85,29 @@ class TestSubstrate:
                 ), ("k",))])
 
 
-class TestImport:
-    def test_schema_induction(self):
-        keyed = schema_of_database(populated())
-        schema = keyed.schema
-        assert schema.attribute_type("City", "country") == ClassType(
-            "Country")
-        assert schema.attribute_type("City", "population") == INT
-        assert keyed.keys.has_key("City")
-
-    def test_import_produces_valid_instance(self):
-        instance = import_database(populated())
-        instance.validate()
-        assert instance.class_sizes() == {"City": 3, "Country": 2}
-
-    def test_references_resolved_to_oids(self):
-        instance = import_database(populated())
-        paris = Oid.keyed("City", "Paris")
-        country = instance.attribute(paris, "country")
-        assert country == Oid.keyed("Country", "France")
-        assert instance.attribute(country, "language") == "French"
-
-    def test_import_rejects_dangling_fk(self):
-        db = populated()
-        db.insert("City", name="Ghost", country="Atlantis", population=0)
-        with pytest.raises(RelationalError):
-            import_database(db)
-
-    def test_composite_key_import(self):
-        tables = [TableSchema("Edge", (
-            Column("src", "str"), Column("dst", "str"),
-            Column("weight", "int")), ("src", "dst"))]
-        db = RelationalDatabase("G", tables)
-        db.insert("Edge", src="a", dst="b", weight=1)
-        instance = import_database(db)
-        (oid,) = instance.objects_of("Edge")
-        assert oid.key == Record.of(src="a", dst="b")
+def city_instance():
+    """The rows of :func:`populated` as keyed WOL objects."""
+    schema = Schema.of(
+        "Cities",
+        Country=record(name=STR, language=STR),
+        City=record(name=STR, country=ClassType("Country"),
+                    population=INT))
+    builder = InstanceBuilder(schema)
+    for name, language in [("France", "French"), ("Spain", "Spanish")]:
+        builder.put(Oid.keyed("Country", name),
+                    Record.of(name=name, language=language))
+    for name, country, population in [("Paris", "France", 2_000_000),
+                                      ("Lyon", "France", 500_000),
+                                      ("Madrid", "Spain", 3_000_000)]:
+        builder.put(Oid.keyed("City", name), Record.of(
+            name=name, country=Oid.keyed("Country", country),
+            population=population))
+    return builder.freeze()
 
 
 class TestExport:
-    def test_roundtrip(self):
-        original = populated()
-        instance = import_database(original)
+    def test_export(self):
+        instance = city_instance()
         exported = export_instance(instance, city_tables())
         assert exported.check_foreign_keys() == []
         assert {n: len(t) for n, t in exported.tables.items()} == {
@@ -134,7 +115,7 @@ class TestExport:
         assert exported.table("City").lookup("Paris")["country"] == "France"
 
     def test_export_rejects_missing_column(self):
-        instance = import_database(populated())
+        instance = city_instance()
         tables = city_tables()
         tables[0] = TableSchema("Country", (
             Column("name", "str"),
@@ -145,7 +126,6 @@ class TestExport:
             export_instance(instance, tables)
 
     def test_export_rejects_anonymous_references(self):
-        from repro.model import InstanceBuilder, Schema, record
         schema = Schema.of(
             "D",
             Country=record(name=STR, language=STR),

@@ -9,8 +9,7 @@ import json
 import re
 
 from repro.analysis import (CODES, Diagnostic, DiagnosticReport,
-                            SEVERITY_RANK, merge_reports,
-                            parse_suppressions)
+                            SEVERITY_RANK, parse_suppressions)
 from repro.analysis.diagnostics import (SEVERITY_ERROR, SEVERITY_INFO,
                                         SEVERITY_WARNING)
 from repro.analysis.suppress import is_suppressed
@@ -30,7 +29,7 @@ class TestRegistry:
         families = {code[:4] + "0" for code in CODES} - {"WOL10"}
         assert families == {"WOL20", "WOL30", "WOL40", "WOL50"}
         assert "WOL100" in CODES  # the analyzer's own entry gate
-        assert "WOL500" in CODES  # the program validator's entry gate
+        assert "WOL500" not in CODES  # retired: a parse error is no report
 
     def test_severity_order(self):
         assert (SEVERITY_RANK[SEVERITY_ERROR]
@@ -85,11 +84,6 @@ class TestReport:
         assert first["code"] == "WOL101"
         assert first["severity"] == "error"
         assert first["title"] == CODES["WOL101"].title
-
-    def test_merge_reports(self):
-        merged = merge_reports([_sample_report(), _sample_report()])
-        assert len(merged.diagnostics) == 6
-        assert merged.passes_run == ("safety", "interference")
 
 
 class TestSuppressions:

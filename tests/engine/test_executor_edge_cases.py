@@ -6,7 +6,7 @@ from repro.adapters.acedb import AceDatabase
 from repro.engine import ExecutionError, Executor
 from repro.lang import parse_program
 from repro.model import (INT, STR, ClassType, InstanceBuilder, Record,
-                         Schema, WolList, WolSet, list_of, record, set_of)
+                         ListType, Schema, WolList, WolSet, record, set_of)
 from repro.oracle import Matcher
 from repro.workloads import genome
 
@@ -81,7 +81,7 @@ class TestDuplicateFirings:
 
 class TestListsAndSets:
     def test_list_attribute_membership(self):
-        schema = Schema.of("Src", Doc=record(tags=list_of(STR)))
+        schema = Schema.of("Src", Doc=record(tags=ListType(STR)))
         builder = InstanceBuilder(schema)
         builder.new("Doc", Record.of(tags=WolList.of("x", "y", "x")))
         instance = builder.freeze()

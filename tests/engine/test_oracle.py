@@ -19,8 +19,7 @@ from repro.engine import Executor, execute
 from repro.lang import parse_program
 from repro.model.values import Record
 from repro.morphase import Morphase
-from repro.semantics.satisfaction import (program_violations,
-                                          satisfies_program)
+from repro.semantics.satisfaction import program_violations
 from repro.workloads import cities
 
 
@@ -72,8 +71,6 @@ FORMER_KNOB_SITES = {
         [], cities.sample_euro_instance(), cities.target_schema().schema,
         **kw),
     "program_violations": lambda **kw: program_violations(
-        cities.sample_euro_instance(), [], **kw),
-    "satisfies_program": lambda **kw: satisfies_program(
         cities.sample_euro_instance(), [], **kw),
     "audit_constraints": lambda **kw: audit_constraints(
         cities.sample_euro_instance(), [], **kw),

@@ -38,22 +38,10 @@ def work(monkeypatch):
                 yield binding
         return wrapper
 
-    def rows(key, function):
-        def wrapper(*args, **kwargs):
-            decoded = function(*args, **kwargs)
-            counts[key] += len(decoded)
-            return decoded
-        return wrapper
-
     monkeypatch.setattr(oracle, "head_effects",
                         calls("head_effects", oracle.head_effects))
     monkeypatch.setattr(Matcher, "solutions", yields(
         "binding_dicts", Matcher.solutions))
-    # The one place a session decodes a batch into binding dicts: the
-    # constraint side (the genome warehouse declares no source
-    # constraints, so a program clause decoding its rows shows here).
-    monkeypatch.setattr(incremental, "_rows", rows(
-        "binding_dicts", incremental._rows))
     return counts
 
 

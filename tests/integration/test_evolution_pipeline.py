@@ -89,5 +89,5 @@ class TestInformationCapacity:
             1 for p in source.objects_of("Person"))
         assert target.class_sizes()["Marriage"] < spouse_links
         constraints = morphase.compile().source_constraints
-        from repro.semantics import satisfies_program
-        assert not satisfies_program(source, constraints)
+        from repro.semantics import program_violations
+        assert program_violations(source, constraints)

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.io import (JsonIoError, dump_instance, dump_schema,
-                      instance_from_json, instance_to_json, load_instance,
-                      load_schema, schema_from_json, schema_to_json,
-                      value_from_json, value_to_json)
+from repro.io import (JsonIoError, dump_instance, instance_from_json,
+                      instance_to_json, load_instance, schema_from_json,
+                      schema_to_json, value_from_json, value_to_json)
 from repro.model import (KeyedSchema, Oid, Record, Schema, UNIT_VALUE,
                          Variant, WolList, WolSet, isomorphic)
 from repro.workloads import cities, genome, persons
@@ -115,12 +114,6 @@ class TestInstanceRoundtrip:
         dump_instance(instance, str(path))
         loaded = load_instance(str(path))
         assert isomorphic(instance, loaded)
-
-    def test_schema_file_roundtrip(self, tmp_path):
-        path = tmp_path / "schema.json"
-        dump_schema(cities.euro_schema(), str(path))
-        loaded = load_schema(str(path))
-        assert isinstance(loaded, KeyedSchema)
 
     def test_explicit_schema_override(self):
         instance = cities.sample_euro_instance()

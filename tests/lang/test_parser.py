@@ -32,8 +32,8 @@ class TestTerms:
         assert parse_term("ins_male()") == VariantTerm("male")
 
     def test_skolem_positional(self):
-        assert parse_term("Mk_CountryT(N)") == SkolemTerm.positional(
-            "CountryT", Var("N"))
+        assert parse_term("Mk_CountryT(N)") == SkolemTerm(
+            "CountryT", ((None, Var("N")),))
 
     def test_skolem_named(self):
         term = parse_term("Mk_CityT(name = N, country = C)")
@@ -56,7 +56,7 @@ class TestTerms:
 
     def test_projection_off_skolem(self):
         assert parse_term("Mk_C(N).name") == Proj(
-            SkolemTerm.positional("C", Var("N")), "name")
+            SkolemTerm("C", ((None, Var("N")),)), "name")
 
     @pytest.mark.parametrize("bad", [
         "", "X.", "ins_x", "Mk_C", "Mk_C(", "(a = )", "(a = 1",

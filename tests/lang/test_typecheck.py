@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import TypecheckError, check_clause, check_program, parse_clause
+from repro.lang import TypecheckError, check_clause, parse_clause
 from repro.model import (BOOL, INT, STR, ClassType, merge_schemas, record,
                          set_of)
 from repro.workloads.cities import (euro_schema, integration_program,
@@ -22,29 +22,29 @@ def clause(text, schema):
 class TestPaperClauses:
     def test_whole_integration_program_checks(self, schema):
         program = integration_program()
-        reports = check_program(schema, program)
+        reports = [check_clause(schema, c) for c in program]
         assert len(reports) == len(program)
 
     def test_c1_types(self, schema):
         report = check_clause(
             schema, clause("X.state = Y <= Y in StateA, X = Y.capital;",
                            schema))
-        assert report.type_of("X") == ClassType("CityA")
-        assert report.type_of("Y") == ClassType("StateA")
+        assert report.variable_types["X"] == ClassType("CityA")
+        assert report.variable_types["Y"] == ClassType("StateA")
 
     def test_t2_variant_payload_inferred(self, schema):
         report = check_clause(schema, clause(
             "Y in CityT, Y.name = E.name, Y.place = ins_euro_city(X)"
             " <= E in CityE, X in CountryT, X.name = E.country.name;",
             schema))
-        assert report.type_of("X") == ClassType("CountryT")
-        assert report.type_of("E") == ClassType("CityE")
+        assert report.variable_types["X"] == ClassType("CountryT")
+        assert report.variable_types["E"] == ClassType("CityE")
 
     def test_skolem_returns_class_type(self, schema):
         report = check_clause(schema, clause(
             "Y = Mk_CountryT(N) <= Y in CountryT, N = Y.name;", schema))
-        assert report.type_of("Y") == ClassType("CountryT")
-        assert report.type_of("N") == STR
+        assert report.variable_types["Y"] == ClassType("CountryT")
+        assert report.variable_types["N"] == STR
 
 
 class TestIllTyped:
@@ -138,7 +138,7 @@ class TestComparisons:
             "X.name = Y.name <= X in Item, Y in Item, X.rank < Y.rank;",
             classes=["Item"])
         report = check_clause(schema, good)
-        assert report.type_of("X") == ClassType("Item")
+        assert report.variable_types["X"] == ClassType("Item")
 
     def test_string_comparison_ok(self):
         from repro.model import Schema
@@ -167,7 +167,7 @@ class TestSetTypes:
             "X.name = N <= X in Person, N in X.nicknames;",
             classes=["Person"])
         report = check_clause(schema, good)
-        assert report.type_of("N") == STR
+        assert report.variable_types["N"] == STR
 
     def test_set_membership_type_clash(self):
         from repro.model import Schema
@@ -183,12 +183,12 @@ class TestSetTypes:
 
 class TestListMembership:
     def test_list_membership_infers_element_type(self):
-        from repro.model import Schema, list_of
-        schema = Schema.of("S", Doc=record(tags=list_of(STR)))
+        from repro.model import ListType, Schema
+        schema = Schema.of("S", Doc=record(tags=ListType(STR)))
         clause = parse_clause("T = T <= D in Doc, A in D.tags;",
                               classes=["Doc"])
         report = check_clause(schema, clause)
-        assert report.type_of("A") == STR
+        assert report.variable_types["A"] == STR
 
     def test_membership_in_scalar_rejected(self):
         from repro.model import Schema
@@ -199,8 +199,8 @@ class TestListMembership:
             check_clause(schema, clause)
 
     def test_element_type_clash_in_list(self):
-        from repro.model import Schema, list_of
-        schema = Schema.of("S", Doc=record(tags=list_of(STR), rank=INT))
+        from repro.model import ListType, Schema
+        schema = Schema.of("S", Doc=record(tags=ListType(STR), rank=INT))
         clause = parse_clause(
             "T = T <= D in Doc, A in D.tags, A = D.rank;",
             classes=["Doc"])

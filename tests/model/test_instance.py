@@ -127,46 +127,7 @@ class TestBuilder:
                          Record.of(name="France", language="French",
                                    currency="euro"))
 
-    def test_set_attribute_accumulates(self):
-        builder = InstanceBuilder(euro_schema())
-        oid = builder.make("CountryE", "France")
-        builder.set_attribute(oid, "name", "France")
-        builder.set_attribute(oid, "language", "French")
-        builder.set_attribute(oid, "currency", "franc")
-        inst = builder.freeze()
-        assert inst.attribute(oid, "language") == "French"
-
-    def test_set_attribute_conflict_rejected(self):
-        builder = InstanceBuilder(euro_schema())
-        oid = builder.make("CountryE", "France")
-        builder.set_attribute(oid, "language", "French")
-        with pytest.raises(InstanceError):
-            builder.set_attribute(oid, "language", "Breton")
-
-    def test_set_attribute_same_value_ok(self):
-        builder = InstanceBuilder(euro_schema())
-        oid = builder.make("CountryE", "France")
-        builder.set_attribute(oid, "language", "French")
-        builder.set_attribute(oid, "language", "French")
-
     def test_builder_roundtrip(self):
         inst = example_instance()
         again = inst.builder().freeze()
         assert again.valuations == inst.valuations
-
-
-class TestRestrict:
-    def test_restrict_keeps_selected_classes(self):
-        inst = example_instance()
-        countries = inst.restrict(["CountryE"])
-        assert countries.class_sizes() == {"CityE": 0, "CountryE": 2}
-        countries.validate()
-
-    def test_restrict_unknown_class_rejected(self):
-        with pytest.raises(InstanceError):
-            example_instance().restrict(["Nope"])
-
-    def test_restrict_can_dangle(self):
-        inst = example_instance()
-        cities = inst.restrict(["CityE"])
-        assert not cities.is_valid()

@@ -5,7 +5,7 @@ import pytest
 from repro.model import (BOOL, STR, ClassType, InstanceBuilder, KeyError_,
                          KeyFunction, KeySpec, KeyedSchema, Record, Schema,
                          attribute_key, attributes_key, key_violations,
-                         record, satisfies_keys)
+                         record)
 
 
 def euro_schema() -> Schema:
@@ -91,7 +91,7 @@ class TestKeySatisfaction:
             [("Paris", "France", True), ("London", "UK", True),
              ("Paris", "UK", False)],  # a second Paris, different country
             [("France", "French", "franc"), ("UK", "English", "sterling")])
-        assert satisfies_keys(inst, euro_keys(schema))
+        assert not key_violations(inst, euro_keys(schema))
 
     def test_violated_by_duplicate_country_names(self):
         schema = euro_schema()
@@ -105,7 +105,7 @@ class TestKeySatisfaction:
         assert len(violations) == 1
         assert violations[0].class_name == "CountryE"
         assert violations[0].key_value == "France"
-        assert not satisfies_keys(inst, euro_keys(schema))
+        assert key_violations(inst, euro_keys(schema))
 
     def test_same_city_name_in_different_countries_ok(self):
         schema = euro_schema()
@@ -113,7 +113,7 @@ class TestKeySatisfaction:
             schema,
             [("Paris", "France", True), ("Paris", "UK", False)],
             [("France", "French", "franc"), ("UK", "English", "sterling")])
-        assert satisfies_keys(inst, euro_keys(schema))
+        assert not key_violations(inst, euro_keys(schema))
 
     def test_same_city_name_same_country_violates(self):
         schema = euro_schema()
@@ -121,14 +121,14 @@ class TestKeySatisfaction:
             schema,
             [("Paris", "France", True), ("Paris", "France", False)],
             [("France", "French", "franc")])
-        assert not satisfies_keys(inst, euro_keys(schema))
+        assert key_violations(inst, euro_keys(schema))
 
     def test_keys_for_absent_classes_ignored(self):
         schema = euro_schema()
         other = Schema.of("Other", Thing=record(name=STR))
         spec = KeySpec({"Thing": attribute_key(other, "Thing", "name")})
         inst = build(schema, [], [])
-        assert satisfies_keys(inst, spec)
+        assert not key_violations(inst, spec)
 
 
 class TestKeyedSchema:

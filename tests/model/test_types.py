@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model import (BOOL, FLOAT, INT, STR, UNIT, BaseType, ClassType,
-                         RecordType, TypeError_, VariantType, list_of,
+                         ListType, RecordType, TypeError_, VariantType,
                          parse_type, record, set_of, variant)
 
 
@@ -104,10 +104,10 @@ class TestVariantTypes:
 class TestCompositeTypes:
     def test_set_and_list_children(self):
         assert set_of(INT).children() == (INT,)
-        assert list_of(STR).children() == (STR,)
+        assert ListType(STR).children() == (STR,)
 
     def test_deep_nesting_walk(self):
-        ty = set_of(record(cities=list_of(ClassType("CityA")),
+        ty = set_of(record(cities=ListType(ClassType("CityA")),
                            tag=variant(a=INT, b=STR)))
         names = ty.class_names()
         assert names == ("CityA",)
@@ -129,7 +129,7 @@ class TestParseType:
         ("unit", UNIT),
         ("CityA", ClassType("CityA")),
         ("{int}", set_of(INT)),
-        ("[str]", list_of(STR)),
+        ("[str]", ListType(STR)),
         ("{CityA}", set_of(ClassType("CityA"))),
         ("()", RecordType(())),
         ("(name: str)", record(name=STR)),
@@ -149,7 +149,7 @@ class TestParseType:
             place=variant(euro_city=ClassType("CountryT"),
                           us_city=ClassType("StateT")),
             tags=set_of(STR),
-            ranks=list_of(INT))
+            ranks=ListType(INT))
 
     def test_parse_roundtrips_via_str(self):
         samples = [

@@ -4,7 +4,7 @@ import pytest
 
 from repro.model import (BOOL, INT, STR, UNIT, UNIT_VALUE, ClassType, Oid,
                          Record, ValueError_, Variant, WolList, WolSet,
-                         check_value, format_value, map_oids, oids_in,
+                         check_value, format_value, oids_in,
                          record, set_of, variant)
 
 
@@ -154,17 +154,6 @@ class TestOidTraversal:
         found = list(oids_in(value))
         assert found.count(a) == 2
         assert found.count(b) == 1
-
-    def test_map_oids_rewrites_everywhere(self):
-        a, b = Oid.fresh("A"), Oid.fresh("A")
-        value = Record.of(x=a, y=WolSet.of(a), z=Variant("v", a))
-        mapped = map_oids(value, {a: b})
-        assert list(oids_in(mapped)) == [b, b, b]
-
-    def test_map_oids_leaves_unmapped_alone(self):
-        a = Oid.fresh("A")
-        assert map_oids(a, {}) == a
-        assert map_oids(5, {a: a}) == 5
 
 
 class TestFormatValue:

@@ -1,8 +1,7 @@
 """Span trees: nesting, the null fast path, rendering."""
 
-from repro.obs.trace import (NULL_SPAN, current_span, current_trace,
-                             current_trace_id, render_trace_json, span,
-                             start_trace)
+from repro.obs.trace import (NULL_SPAN, current_span, current_trace_id,
+                             render_trace_json, span, start_trace)
 
 
 class TestNesting:
@@ -28,7 +27,7 @@ class TestNesting:
             assert node is NULL_SPAN
             assert not node
             node.set(rows=1)  # no-op, no error
-        assert current_trace() is None
+        assert current_trace_id() is None
 
     def test_context_restored_after_trace(self):
         with start_trace("outer"):

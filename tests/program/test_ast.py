@@ -57,7 +57,7 @@ class TestTextRoundTrip:
     def test_statement_named_program_is_not_a_header(self):
         parsed = parse_program_text("program = query { X in CityE };")
         assert parsed.name is None
-        assert parsed.statement_names() == ("program",)
+        assert [s.name for s in parsed.statements] == ["program"]
 
     def test_star_projection_means_all_variables(self):
         parsed = parse_program_text(

@@ -195,7 +195,7 @@ class TestCompiledPrograms:
             == {"name", "op", "rows"}
         assert document["result"] == "top"
         assert [t["name"] for t in document["statements"]] \
-            == list(program.statement_names())
+            == [s.name for s in program.statements]
 
     def test_explain_is_stable(self, euro):
         program = parse_program_text(PROGRAM_TEXT)

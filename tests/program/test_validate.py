@@ -9,16 +9,20 @@ here.
 
 import pytest
 
-from repro.program import (MAX_STATEMENTS, ProgramValidationError,
-                           check_program, parse_program_text,
-                           validate_program, validate_text)
+from repro.program import (MAX_STATEMENTS, ProgramParseError,
+                           ProgramValidationError, parse_program_text)
+from repro.program.validate import checked_queries
 from repro.workloads import cities
 
 CLASSES = ("CityE", "CountryE")
 
 
-def validate(text):
-    return validate_program(parse_program_text(text), classes=CLASSES)
+def validate(text, classes=CLASSES):
+    """The full report: the one an error raises, or the clean one."""
+    try:
+        return checked_queries(parse_program_text(text), classes)[0]
+    except ProgramValidationError as exc:
+        return exc.report
 
 
 def has(report, code, clause=None):
@@ -32,10 +36,9 @@ def has(report, code, clause=None):
 
 
 class TestBoundsAndNames:
-    def test_wol500_parse_error_as_report(self):
-        report = validate_text("x = nonsense a;", classes=CLASSES)
-        assert has(report, "WOL500")
-        assert not report.ok
+    def test_parse_error_raises_before_validation(self):
+        with pytest.raises(ProgramParseError):
+            validate("x = nonsense a;")
 
     def test_wol501_empty_program(self):
         report = validate("")
@@ -126,13 +129,15 @@ class TestCheckProgram:
             "N = X.name };\n"
             "alln = query { N | X in CityE, N = X.name };\n"
             "rest = difference alln, caps;")
-        report = check_program(program, classes=CLASSES)
+        report, queries = checked_queries(program, classes=CLASSES)
         assert report.ok
+        assert [query is not None for query in queries] == [
+            True, True, False]
 
     def test_errors_raise_with_report_attached(self):
         program = parse_program_text("b = union a, a;")
         with pytest.raises(ProgramValidationError) as info:
-            check_program(program, classes=CLASSES)
+            checked_queries(program, classes=CLASSES)
         assert any(d.code == "WOL503"
                    for d in info.value.report.errors())
 
@@ -144,7 +149,6 @@ class TestCheckProgram:
             compile_program(program, instance)
 
     def test_without_classes_structure_still_checked(self):
-        report = validate_program(
-            parse_program_text("a = query { X in Anything };\n"
-                               "b = union a, ghost;"))
+        report = validate("a = query { X in Anything };\n"
+                          "b = union a, ghost;", classes=None)
         assert has(report, "WOL503", clause="b")

@@ -3,8 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import (Oid, Record, isomorphic, map_oids, oids_in,
-                         parse_type, rename_oids)
+from repro.model import Oid, Record, isomorphic, oids_in, parse_type
 
 from .strategies import types, values
 
@@ -38,12 +37,6 @@ class TestValueProperties:
     def test_no_oids_without_context(self, value):
         assert list(oids_in(value)) == []
 
-    @given(values())
-    @settings(max_examples=200)
-    def test_map_oids_identity_on_oid_free_values(self, value):
-        a, b = Oid.fresh("A"), Oid.fresh("A")
-        assert map_oids(value, {a: b}) == value
-
 
 class TestIsomorphismProperties:
     @staticmethod
@@ -61,9 +54,8 @@ class TestIsomorphismProperties:
     @given(st.lists(st.text("ab", max_size=2), min_size=1, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_renaming_is_isomorphic(self, names):
-        instance = self._ring(names)
-        mapping = {oid: Oid.fresh("Node") for oid in instance.all_oids()}
-        assert isomorphic(instance, rename_oids(instance, mapping))
+        # two builds of one ring differ only in their (fresh) oids
+        assert isomorphic(self._ring(names), self._ring(names))
 
     @given(st.lists(st.text("ab", max_size=2), min_size=1, max_size=4),
            st.integers(min_value=1, max_value=3))

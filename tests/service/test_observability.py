@@ -3,7 +3,6 @@ leader and follower, trace propagation across the replication hop,
 slow-query events correlated by trace id, and the client's handling
 of non-envelope 5xx bodies."""
 
-import io
 import itertools
 import json
 import logging
@@ -60,13 +59,53 @@ def leader(tmp_path):
     session.close()
 
 
+class EventStream:
+    """The event log's stream: keeps every JSON line written to it and
+    wakes whoever waits for an event.
+
+    A server logs a request's ``http_request`` event (and its
+    ``slow_query`` event) after the response is written, so the client
+    can hold the response before the event exists.  Tests wait on the
+    event itself, not on time.
+    """
+
+    def __init__(self):
+        self._lines = []
+        self._written = threading.Condition()
+
+    def write(self, text):
+        with self._written:
+            self._lines.append(text)
+            self._written.notify_all()
+
+    def flush(self):
+        pass
+
+    def _events(self):
+        return [json.loads(line)
+                for line in "".join(self._lines).splitlines() if line]
+
+    def __call__(self):
+        with self._written:
+            return self._events()
+
+    def wait_for(self, predicate, timeout=10.0):
+        """Every event so far, once one satisfies ``predicate``."""
+        with self._written:
+            if not self._written.wait_for(
+                    lambda: any(map(predicate, self._events())), timeout):
+                raise AssertionError(
+                    f"no matching event within {timeout} s: "
+                    f"{self._events()}")
+            return self._events()
+
+
 @pytest.fixture()
 def events():
     """Capture structured events emitted anywhere in-process."""
-    stream = io.StringIO()
+    stream = EventStream()
     handler = configure_event_log(stream, level=logging.DEBUG)
-    yield lambda: [json.loads(line)
-                   for line in stream.getvalue().splitlines() if line]
+    yield stream
     event_logger.removeHandler(handler)
     event_logger.setLevel(logging.NOTSET)
 
@@ -299,12 +338,9 @@ class TestTracing:
                 replica.catch_up()
         finally:
             replica.close()
-        wal_requests = [e for e in events()
-                        if e["event"] == "http_request"
-                        and e["endpoint"] == "/wal"]
-        assert wal_requests, "leader never logged the /wal poll"
-        assert any(e.get("trace_id") == "beef8765dead4321"
-                   for e in wal_requests)
+        events.wait_for(lambda e: e["event"] == "http_request"
+                        and e["endpoint"] == "/wal"
+                        and e.get("trace_id") == "beef8765dead4321")
 
 
 class TestSlowQueryLog:
@@ -322,11 +358,12 @@ class TestSlowQueryLog:
             client.query("X in CountryT, N = X.name", project=["N"],
                          trace=True)
             trace_id = client.last_trace["trace_id"]
+            slow = [e for e in events.wait_for(
+                        lambda e: e["event"] == "slow_query")
+                    if e["event"] == "slow_query"]
         finally:
             stop(server)
             session.close()
-        slow = [e for e in events() if e["event"] == "slow_query"]
-        assert slow, "no slow_query event fired"
         event = slow[-1]
         assert event["level"] == "warning"
         assert event["endpoint"] == "/query"
@@ -345,10 +382,14 @@ class TestSlowQueryLog:
         server = serve(session, slow_query_ms=0.0)
         try:
             ServiceClient(server.url).ingest(insert_delta())
+            # a slow-query event would precede the request's own event
+            logged = events.wait_for(
+                lambda e: e["event"] == "http_request"
+                and e["endpoint"] == "/ingest")
         finally:
             stop(server)
             session.close()
-        assert not [e for e in events()
+        assert not [e for e in logged
                     if e["event"] == "slow_query"
                     and e["endpoint"] == "/ingest"]
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.model import satisfies_keys
+from repro.model import key_violations
 from repro.morphase import Morphase
-from repro.semantics import satisfies_program
+from repro.semantics import program_violations
 from repro.workloads import cities, genome, persons
 
 
@@ -14,16 +14,16 @@ class TestCitiesWorkload:
         cities.sample_euro_instance().validate()
 
     def test_sample_satisfies_keys(self):
-        assert satisfies_keys(cities.sample_euro_instance(),
-                              cities.euro_schema().keys)
-        assert satisfies_keys(cities.sample_us_instance(),
-                              cities.us_schema().keys)
+        assert not key_violations(cities.sample_euro_instance(),
+                                  cities.euro_schema().keys)
+        assert not key_violations(cities.sample_us_instance(),
+                                  cities.us_schema().keys)
 
     def test_sample_satisfies_source_constraints(self):
         euro = cities.sample_euro_instance()
         program = cities.integration_program()
         constraints = [program.clause("C4"), program.clause("C5")]
-        assert satisfies_program(euro, constraints)
+        assert not program_violations(euro, constraints)
 
     def test_generator_scales(self):
         inst = cities.generate_euro_instance(10, 5, seed=2)
@@ -33,7 +33,7 @@ class TestCitiesWorkload:
     def test_generator_satisfies_constraints(self):
         inst = cities.generate_euro_instance(6, 3, seed=5)
         program = cities.integration_program()
-        assert satisfies_program(
+        assert not program_violations(
             inst, [program.clause("C4"), program.clause("C5")])
 
     def test_generator_requires_capital(self):
@@ -55,12 +55,12 @@ class TestPersonsWorkload:
         program = persons.evolution_program()
         constraints = [program.clause("C9"), program.clause("C10"),
                        program.clause("C11")]
-        assert satisfies_program(inst, constraints)
+        assert not program_violations(inst, constraints)
 
     def test_asymmetric_violates_c11(self):
         inst = persons.asymmetric_instance()
         program = persons.evolution_program()
-        assert not satisfies_program(inst, [program.clause("C11")])
+        assert program_violations(inst, [program.clause("C11")])
 
     def test_generator_scales(self):
         inst = persons.generate_instance(25)
