@@ -5,7 +5,7 @@ import pytest
 from repro.adapters import (Column, RelationalDatabase, RelationalError,
                             TableSchema, export_instance)
 from repro.model import (ClassType, InstanceBuilder, Oid, Record, STR, INT,
-                         Schema, record)
+                         Schema, WolSet, record, set_of)
 
 
 def city_tables():
@@ -85,6 +85,40 @@ class TestSubstrate:
                 ), ("k",))])
 
 
+class TestSchemaChecks:
+    def test_unknown_column_type_rejected(self):
+        with pytest.raises(RelationalError):
+            Column("born", "date")
+
+    def test_duplicate_columns_rejected(self):
+        with pytest.raises(RelationalError):
+            TableSchema("T", (Column("k", "str"), Column("k", "int")),
+                        ("k",))
+
+    def test_primary_key_column_must_exist(self):
+        with pytest.raises(RelationalError):
+            TableSchema("T", (Column("k", "str"),), ("id",))
+
+    def test_primary_key_required(self):
+        with pytest.raises(RelationalError):
+            TableSchema("T", (Column("k", "str"),), ())
+
+    def test_duplicate_table_rejected(self):
+        with pytest.raises(RelationalError):
+            RelationalDatabase("Twice", city_tables()[:1] * 2)
+
+    def test_unknown_table_rejected(self):
+        db = populated()
+        with pytest.raises(RelationalError):
+            db.table("Region")
+        with pytest.raises(RelationalError):
+            db.insert("Region", name="Brittany")
+
+    def test_lookup_of_absent_key_rejected(self):
+        with pytest.raises(RelationalError):
+            populated().table("Country").lookup("Italy")
+
+
 def city_instance():
     """The rows of :func:`populated` as keyed WOL objects."""
     schema = Schema.of(
@@ -138,3 +172,33 @@ class TestExport:
             name="Paris", country=anon, population=1))
         with pytest.raises(RelationalError):
             export_instance(builder.freeze(), city_tables())
+
+    def test_export_rejects_table_without_class(self):
+        tables = city_tables() + [
+            TableSchema("Region", (Column("name", "str"),), ("name",))]
+        with pytest.raises(RelationalError):
+            export_instance(city_instance(), tables)
+
+    def test_export_rejects_composite_key_references(self):
+        schema = Schema.of(
+            "D",
+            Country=record(name=STR, language=STR),
+            City=record(name=STR, country=ClassType("Country"),
+                        population=INT))
+        builder = InstanceBuilder(schema)
+        country = builder.put(
+            Oid.keyed("Country", Record.of(name="France", zone="EU")),
+            Record.of(name="France", language="French"))
+        builder.put(Oid.keyed("City", "Paris"), Record.of(
+            name="Paris", country=country, population=1))
+        with pytest.raises(RelationalError):
+            export_instance(builder.freeze(), city_tables())
+
+    def test_export_rejects_non_scalar_values(self):
+        schema = Schema.of(
+            "D", Country=record(name=STR, language=set_of(STR)))
+        builder = InstanceBuilder(schema)
+        builder.put(Oid.keyed("Country", "Belgium"), Record.of(
+            name="Belgium", language=WolSet.of("Dutch", "French")))
+        with pytest.raises(RelationalError):
+            export_instance(builder.freeze(), city_tables()[:1])

@@ -61,6 +61,11 @@ class TestDeltaModel:
         with pytest.raises(DeltaError):
             Delta(inserts={"Vendor": {p1: v1}})
 
+    def test_wrong_class_filing_of_a_delete_rejected(self):
+        p1, _ = product("S1")
+        with pytest.raises(DeltaError):
+            Delta(deletes={"Vendor": (p1,)})
+
     def test_overlapping_groups_rejected(self):
         p1, v1 = product("S1")
         with pytest.raises(DeltaError):
@@ -172,6 +177,16 @@ class TestDeltaBetween:
         assert delta_between(instance, instance).is_empty()
 
 
+    def test_instances_of_different_schemas_refused(self):
+        other = parse_schema("""
+            schema Shop {
+              class Product = (sku: str, label: str, price: int) key sku;
+            }
+        """)
+        with pytest.raises(DeltaError):
+            delta_between(base_instance(),
+                          InstanceBuilder(other.schema).freeze())
+
 class TestJsonRoundTrip:
     def test_keyed_round_trip(self, tmp_path):
         instance = base_instance()
@@ -232,6 +247,12 @@ class TestJsonRoundTrip:
             delta_from_json({"inserts": {"Product": [{"value": 1}]}})
         with pytest.raises(DeltaError):
             delta_from_json({"deletes": {"Product": [{"no": "oid"}]}})
+
+    def test_malformed_groups_rejected(self):
+        with pytest.raises(DeltaError):
+            delta_from_json({"inserts": [["Product", []]]})
+        with pytest.raises(DeltaError):
+            delta_from_json({"deletes": {"Product": "S1"}})
 
     def test_labels_survive_reload_across_serial_digit_boundary(
             self, tmp_path):

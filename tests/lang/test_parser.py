@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lang import (AstError, Const, EqAtom, InAtom, KIND_CONSTRAINT,
+from repro.lang import (AstError, Clause, Const, EqAtom, InAtom,
+                        KIND_CONSTRAINT,
                         KIND_TRANSFORMATION, LeqAtom, LtAtom, MemberAtom,
                         NeqAtom, ParseError, Proj, RecordTerm, SkolemTerm,
                         UNIT_CONST, Var, VariantTerm, parse_atom, parse_clause,
@@ -172,6 +173,45 @@ class TestPrograms:
         with pytest.raises(AstError):
             program.clause("T9")
 
+
+
+@pytest.mark.parametrize("parse, source", [
+    (parse_term, "X Y"),
+    (parse_atom, "X = Y Z"),
+    (parse_clause, "X in C <= Y in C; Z"),
+])
+def test_trailing_input_rejected(parse, source):
+    with pytest.raises(ParseError, match="trailing input"):
+        parse(source)
+
+
+class TestAstInvariants:
+    """The AST refuses malformed nodes however they are built."""
+
+    @pytest.mark.parametrize("name", ["", "1X", "-X"])
+    def test_invalid_variable_name(self, name):
+        with pytest.raises(AstError):
+            Var(name)
+
+    def test_duplicate_record_labels(self):
+        with pytest.raises(AstError):
+            RecordTerm((("a", Const(1)), ("a", Const(2))))
+
+    def test_skolem_mixes_named_and_positional_args(self):
+        with pytest.raises(AstError):
+            SkolemTerm("CityT", (("name", Var("N")), (None, Var("C"))))
+
+    def test_skolem_duplicate_arg_labels(self):
+        with pytest.raises(AstError):
+            SkolemTerm("CityT", (("name", Var("N")), ("name", Var("M"))))
+
+    def test_clause_needs_a_head(self):
+        with pytest.raises(AstError):
+            Clause((), (EqAtom(Var("X"), Var("Y")),))
+
+    def test_unknown_clause_kind(self):
+        with pytest.raises(AstError):
+            Clause((EqAtom(Var("X"), Var("Y")),), (), kind="rule")
 
 class TestSubstitution:
     def test_clause_rename_apart(self):

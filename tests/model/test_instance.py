@@ -55,6 +55,14 @@ class TestInstanceAccess:
         with pytest.raises(InstanceError):
             inst.objects_of("CityX")
 
+    def test_attribute_of_non_record_object_raises(self):
+        builder = InstanceBuilder(Schema.of("Tags", Tag=STR))
+        tag = builder.new("Tag", "red")
+        inst = builder.freeze()
+        assert inst.value_of(tag) == "red"
+        with pytest.raises(InstanceError):
+            inst.attribute(tag, "name")
+
     def test_empty_instance(self):
         inst = empty_instance(euro_schema())
         assert inst.size() == 0
@@ -126,6 +134,24 @@ class TestBuilder:
             builder.make("CountryE", "France",
                          Record.of(name="France", language="French",
                                    currency="euro"))
+
+    def test_put_overwrites_and_reads_back(self):
+        builder = InstanceBuilder(euro_schema())
+        oid = builder.make("CountryE", "France")
+        assert builder.has_object(oid)
+        value = Record.of(name="France", language="French",
+                          currency="euro")
+        assert builder.put(oid, value) == oid
+        assert builder.value_of(oid) == value
+        assert builder.freeze().attribute(oid, "currency") == "euro"
+
+    def test_builder_value_of_unknown_object_raises(self):
+        builder = InstanceBuilder(euro_schema())
+        ghost = Oid.keyed("CountryE", "Atlantis")
+        assert not builder.has_object(ghost)
+        assert not builder.has_object(Oid.keyed("Nowhere", "x"))
+        with pytest.raises(InstanceError):
+            builder.value_of(ghost)
 
     def test_builder_roundtrip(self):
         inst = example_instance()

@@ -5,7 +5,7 @@ import pytest
 from repro.model import (BOOL, STR, ClassType, InstanceBuilder, KeyError_,
                          KeyFunction, KeySpec, KeyedSchema, Record, Schema,
                          attribute_key, attributes_key, key_violations,
-                         record)
+                         record, set_of)
 
 
 def euro_schema() -> Schema:
@@ -77,6 +77,36 @@ class TestKeyFunctions:
         with pytest.raises(KeyError_):
             KeyFunction("CityE", ((None, ("name",)), (None, ("x",))))
 
+    def test_duplicate_component_labels_rejected(self):
+        with pytest.raises(KeyError_):
+            KeyFunction("CityE", (("n", ("name",)), ("n", ("country",))))
+
+    def test_empty_path_rejected(self):
+        fn = KeyFunction("CountryE", ((None, ()),))
+        with pytest.raises(KeyError_):
+            fn.key_type(euro_schema())
+
+    def test_projection_from_base_value_rejected(self):
+        with pytest.raises(KeyError_):
+            attribute_key(euro_schema(), "CountryE", "name.first")
+
+    def test_component_type_may_not_nest_a_class(self):
+        schema = Schema.of(
+            "Nested",
+            Country=record(name=STR),
+            Union=record(name=STR, members=set_of(ClassType("Country"))))
+        with pytest.raises(KeyError_):
+            attribute_key(schema, "Union", "members")
+
+    def test_apply_through_base_value_rejected(self):
+        schema = euro_schema()
+        inst = build(schema, [], [("France", "French", "franc")])
+        (oid,) = inst.objects_of("CountryE")
+        # key_type would refuse this path; apply checks it on its own
+        fn = KeyFunction("CountryE", ((None, ("name", "first")),))
+        with pytest.raises(KeyError_):
+            fn.apply(inst, oid)
+
     def test_str_rendering(self):
         schema = euro_schema()
         fn = attribute_key(schema, "CountryE", "name")
@@ -144,6 +174,13 @@ class TestKeyedSchema:
         spec = KeySpec({"Thing": attribute_key(other, "Thing", "name")})
         with pytest.raises(KeyError_):
             KeyedSchema(schema, spec)
+
+    def test_key_for_unkeyed_class_raises(self):
+        spec = euro_keys(euro_schema())
+        assert spec.classes() == ("CityE", "CountryE")
+        assert not spec.has_key("Mayor")
+        with pytest.raises(KeyError_):
+            spec.key_for("Mayor")
 
     def test_misregistered_function_rejected(self):
         schema = euro_schema()

@@ -65,6 +65,13 @@ class TestRecordTypes:
         with pytest.raises(TypeError_):
             RecordType((("a", INT), ("a", STR)))
 
+    @pytest.mark.parametrize("label", ["", "1st", "-x"])
+    def test_invalid_labels_rejected(self, label):
+        with pytest.raises(TypeError_):
+            RecordType(((label, INT),))
+        with pytest.raises(TypeError_):
+            VariantType(((label, INT),))
+
     def test_empty_record_is_unit_like(self):
         ty = RecordType(())
         assert ty.labels() == ()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.model import (BOOL, INT, STR, UNIT, UNIT_VALUE, ClassType, Oid,
-                         Record, ValueError_, Variant, WolList, WolSet,
+from repro.model import (BOOL, INT, STR, UNIT, UNIT_VALUE, ClassType,
+                         ListType, Oid, Record, ValueError_, Variant, WolList,
+                         WolSet,
                          check_value, format_value, oids_in,
                          record, set_of, variant)
 
@@ -143,6 +144,21 @@ class TestCheckValue:
             check_value(WolSet.of(1, "x"), set_of(INT))
         with pytest.raises(ValueError_):
             check_value(WolList.of(1), set_of(INT))
+
+    def test_list_elements_checked(self):
+        check_value(WolList.of(1, 1, 2), ListType(INT))
+        with pytest.raises(ValueError_):
+            check_value(WolList.of(1, "x"), ListType(INT))
+        with pytest.raises(ValueError_):
+            check_value(WolSet.of(1), ListType(INT))
+
+    def test_non_record_rejected_for_record_type(self):
+        with pytest.raises(ValueError_):
+            check_value("Paris", record(name=STR))
+
+    def test_non_variant_rejected_for_variant_type(self):
+        with pytest.raises(ValueError_):
+            check_value("male", variant(male=UNIT, female=UNIT))
 
 
 class TestOidTraversal:

@@ -6,7 +6,7 @@ from repro.lang import MemberAtom, parse_program
 from repro.model import merge_schemas
 from repro.normalization import (NormalizationError, NormalizationOptions,
                                  normalize)
-from repro.workloads import cities, persons
+from repro.workloads import cities, persons, synthetic
 
 
 def norm_cities(program=None, **opts):
@@ -100,6 +100,24 @@ class TestConstraintAblation:
         raw = norm_cities(simplify=False)
         assert raw.report.normal_size >= simplified.report.normal_size
 
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_variant_split_blows_up_only_without_constraints(self, width):
+        """Section 6: without constraints the normal form can be
+        exponential in the program; with them it stays one clause per
+        variant choice."""
+        choices = 2
+        source, target = synthetic.variant_schemas(width, choices)
+
+        def normal_clauses(use_constraints):
+            return normalize(
+                synthetic.variant_split_program(width, choices),
+                source.schema, target.schema, source_keys=source.keys,
+                options=NormalizationOptions(
+                    use_constraints=use_constraints)).report.normal_clauses
+
+        assert normal_clauses(True) == choices
+        assert normal_clauses(False) == choices * choices ** width
 
 class TestPersonsProgram:
     @staticmethod

@@ -109,6 +109,27 @@ class TestRegistry:
         with pytest.raises(ValueError):
             family.labels("GET")  # wrong arity
 
+    def test_label_values_by_position_or_name_not_both(self):
+        registry = MetricsRegistry()
+        family = registry.counter("req_total", "h", ("method", "code"))
+        with pytest.raises(ValueError):
+            family.labels("GET", code="200")
+        with pytest.raises(ValueError):
+            family.labels(method="GET")  # code missing
+
+    def test_value_of_untouched_metrics_is_zero(self):
+        registry = MetricsRegistry()
+        registry.counter("req_total", "h", ("method",))
+        assert registry.value("never_registered") == 0.0
+        assert registry.value("req_total", {"method": "PUT"}) == 0.0
+
+    def test_value_refuses_a_histogram(self):
+        registry = MetricsRegistry()
+        registry.histogram("latency_seconds", "h").observe(0.2)
+        with pytest.raises(TypeError):
+            registry.value("latency_seconds")
+        assert registry.get("latency_seconds").labels().count == 1
+
     def test_reset_zeroes_but_keeps_registrations(self):
         registry = MetricsRegistry()
         family = registry.counter("x_total", "h", ("k",))

@@ -185,6 +185,19 @@ class TestProgramErrors:
         assert info.value.status == 400
         assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize("field, body", [
+        ("explain", {"text": "a = query { X in CityT };", "explain": "yes"}),
+        ("text", {"text": 42}),
+    ])
+    def test_mistyped_request_field_is_400(self, service, field, body):
+        from repro.service import ServiceClientError
+        _, client = service
+        with pytest.raises(ServiceClientError) as info:
+            client._call("POST", "/program", body=body)
+        assert info.value.status == 400
+        assert info.value.code == "bad_request"
+        assert f"'{field}'" in info.value.message
+
     @pytest.mark.parametrize("field, value", [("shards", 4),
                                               ("columnar", False)])
     def test_unknown_request_field_is_400(self, service, field, value):

@@ -498,6 +498,19 @@ class TestWalEndpoint:
                 client._call("GET", path)
             assert info.value.status == 400
 
+    @pytest.mark.parametrize("path, param", [
+        ("/wal?from=0", "from"),
+        ("/wal?from=1&limit=-1", "limit"),
+        ("/wal?from=1&wait=-1", "wait"),
+    ])
+    def test_out_of_range_params_are_400(self, service, path, param):
+        _, _, client = service
+        with pytest.raises(ServiceClientError) as info:
+            client._call("GET", path)
+        assert info.value.status == 400
+        assert info.value.code == "bad_request"
+        assert f"'{param}'" in info.value.message
+
     def test_compacted_cursor_answers_reset(self, service):
         _, session, client = service
         client.ingest(next_insert_delta("compactme"))

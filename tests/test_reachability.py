@@ -243,48 +243,106 @@ def _tree(root, files):
     return root
 
 
-def test_the_scan_sees_test_only_and_reexported_code(tmp_path):
-    root = _tree(tmp_path, {
-        "pyproject.toml": '[project.scripts]\ntool = "repro.cli:main"\n',
-        "src/repro/__init__.py":
-            "from .mod import reexported\n__all__ = ['reexported']\n",
-        "src/repro/cli.py": "def main():\n    return 0\n",
-        "src/repro/mod.py": (
-            "from http.server import BaseHTTPRequestHandler\n"
-            "def used():\n    return helper()\n"
-            "def helper():\n    return 1\n"
-            "def reexported():\n    return 2\n"
-            "def test_only():\n    return 3\n"
-            "def recursive(n):\n    return recursive(n - 1)\n"
-            "def dead():\n    return dead_helper()\n"
-            "def dead_helper():\n    return 4\n"
-            "def aliased():\n    return 5\n"
-            "class Handler(BaseHTTPRequestHandler):\n"
-            "    def __init__(self):\n        pass\n"
-            "    def do_GET(self):\n        pass\n"
-            "    def unused(self):\n        pass\n"),
-        "src/repro/other.py":
-            "from .mod import aliased as renamed\nVALUE = renamed()\n",
-        "benchmarks/run.py":
-            "from repro.mod import Handler, used\nHandler()\nused()\n",
-        "examples/demo.py": "import repro\nprint(repro.__name__)\n",
-        "tests/test_mod.py": (
-            "from repro import reexported\n"
-            "from repro.mod import test_only\n"
-            "def test():\n    assert test_only() == 3 and reexported()\n"),
-    })
-    unreached, stale = scan(root, {})
+#: A tree with one instance of every rule the scan applies.
+SYNTHETIC = {
+    "pyproject.toml": '[project.scripts]\ntool = "repro.cli:main"\n',
+    "src/repro/__init__.py":
+        "from .mod import reexported\n__all__ = ['reexported']\n",
+    "src/repro/cli.py": "def main():\n    return 0\n",
+    "src/repro/mod.py": (
+        "from http.server import BaseHTTPRequestHandler\n"
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def reexported():\n    return 2\n"
+        "def test_only():\n    return 3\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def dead():\n    return dead_helper()\n"
+        "def dead_helper():\n    return 4\n"
+        "def aliased():\n    return 5\n"
+        "class Handler(BaseHTTPRequestHandler):\n"
+        "    def __init__(self):\n        pass\n"
+        "    def do_GET(self):\n        pass\n"
+        "    def unused(self):\n        pass\n"
+        "class Dead:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def method(self):\n        pass\n"),
+    "src/repro/other.py":
+        "from .mod import aliased as renamed\nVALUE = renamed()\n",
+    "benchmarks/run.py":
+        "from repro.mod import Handler, used\nHandler()\nused()\n",
+    "examples/demo.py": "import repro\nprint(repro.__name__)\n",
+    "tests/test_mod.py": (
+        "from repro import reexported\n"
+        "from repro.mod import Dead, test_only\n"
+        "def test():\n"
+        "    assert test_only() == 3 and reexported() and Dead()\n"),
+}
+
+
+def _synthetic_scan(tmp_path, allowlist=None):
+    return scan(_tree(tmp_path, SYNTHETIC), allowlist or {})
+
+
+def test_the_scan_reports_exactly_the_unreached_definitions(tmp_path):
+    unreached, stale = _synthetic_scan(tmp_path)
     assert unreached == [
-        "repro.mod:Handler.unused", "repro.mod:dead",
+        "repro.mod:Dead", "repro.mod:Handler.unused", "repro.mod:dead",
         "repro.mod:dead_helper", "repro.mod:recursive",
         "repro.mod:reexported", "repro.mod:test_only"]
     assert stale == []
 
-    unreached, stale = scan(root, {
+
+def test_a_helper_read_only_from_tests_is_reported(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    assert "repro.mod:test_only" in unreached
+
+
+def test_a_name_read_only_through_a_reexport_is_reported(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    assert "repro.mod:reexported" in unreached
+
+
+def test_dunders_overrides_and_console_scripts_are_not_reported(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    for key in ("repro.mod:Handler.__init__", "repro.mod:Handler.do_GET",
+                "repro.cli:main"):
+        assert key not in unreached
+
+
+def test_code_read_only_from_unreached_code_is_reported(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    # dead_helper is read, but only from dead; recursive only by itself
+    assert {"repro.mod:dead_helper", "repro.mod:recursive"} <= set(
+        unreached)
+    # helper is read from used, which a benchmark reads
+    assert "repro.mod:helper" not in unreached
+
+
+def test_a_name_imported_under_an_alias_is_read_through_it(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    assert "repro.mod:aliased" not in unreached
+
+
+def test_a_dead_class_is_reported_once_not_per_method(tmp_path):
+    unreached, _ = _synthetic_scan(tmp_path)
+    assert "repro.mod:Dead" in unreached
+    assert not any(key.startswith("repro.mod:Dead.") for key in unreached)
+    # a live class still has its unread methods reported
+    assert "repro.mod:Handler.unused" in unreached
+
+
+def test_an_allowlist_entry_keeps_the_definition_and_its_reads(tmp_path):
+    unreached, stale = _synthetic_scan(tmp_path, {
         "repro.mod:test_only": "kept on purpose",
-        "repro.mod:dead": "kept on purpose",
+        "repro.mod:dead": "kept on purpose"})
+    assert unreached == ["repro.mod:Dead", "repro.mod:Handler.unused",
+                         "repro.mod:recursive", "repro.mod:reexported"]
+    assert stale == []
+
+
+def test_a_stale_allowlist_entry_fails(tmp_path):
+    _, stale = _synthetic_scan(tmp_path, {
+        "repro.mod:test_only": "kept on purpose",
         "repro.mod:helper": "read by used(), so stale",
         "repro.mod:gone": "no longer defined, so stale"})
-    assert unreached == ["repro.mod:Handler.unused", "repro.mod:recursive",
-                         "repro.mod:reexported"]
     assert stale == ["repro.mod:gone", "repro.mod:helper"]

@@ -92,6 +92,11 @@ class TestGenomeWorkload:
             genome.generate_acedb(10, 20, 30, sparsity=0.4, seed=4)))
         assert (sparse.target.size() < dense.target.size())
 
+    @pytest.mark.parametrize("sparsity", [-0.1, 1.5])
+    def test_sparsity_outside_the_unit_interval_rejected(self, sparsity):
+        with pytest.raises(ValueError):
+            genome.generate_acedb(2, 2, 2, sparsity=sparsity)
+
     def test_full_sparsity_keeps_everything(self):
         from repro.adapters.acedb import schema_of_acedb
         source_schema = schema_of_acedb(genome.sample_acedb())
