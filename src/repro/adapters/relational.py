@@ -69,13 +69,6 @@ class TableSchema:
                 # column — checked at database level.
                 pass
 
-    def column(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise RelationalError(
-            f"table {self.name}: no column {name!r}")
-
 
 class Table:
     """A mutable table of rows."""

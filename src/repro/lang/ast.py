@@ -168,12 +168,6 @@ class RecordTerm(Term):
     def labels(self) -> Tuple[str, ...]:
         return tuple(label for label, _ in self.fields)
 
-    def get(self, label: str) -> Term:
-        for flabel, term in self.fields:
-            if flabel == label:
-                return term
-        raise AstError(f"record term has no field {label!r}")
-
     def children(self) -> Tuple[Term, ...]:
         return tuple(term for _, term in self.fields)
 

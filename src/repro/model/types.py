@@ -137,15 +137,18 @@ class RecordType(Type):
     fields: Tuple[Tuple[str, Type], ...]
     _index: Dict[str, Type] = field(init=False, repr=False, compare=False,
                                     hash=False, default=None)  # type: ignore[assignment]
+    _labels: Tuple[str, ...] = field(init=False, repr=False, compare=False,
+                                     hash=False, default=())
 
     def __post_init__(self) -> None:
         _check_labels("record", self.fields)
         canonical = tuple(sorted(self.fields, key=lambda item: item[0]))
         object.__setattr__(self, "fields", canonical)
         object.__setattr__(self, "_index", dict(canonical))
+        object.__setattr__(self, "_labels", tuple(self._index))
 
     def labels(self) -> Tuple[str, ...]:
-        return tuple(label for label, _ in self.fields)
+        return self._labels
 
     def field_type(self, label: str) -> Type:
         try:

@@ -49,7 +49,7 @@ UNIT_VALUE = UnitValue()
 _OID_COUNTER = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Oid:
     """An object identity.
 
@@ -62,6 +62,9 @@ class Oid:
     class_name: str
     key: Optional["Value"] = None
     serial: Optional[int] = None
+    # Caches, unset until first use (see :func:`_getstate`).
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+    _str: str = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if (self.key is None) == (self.serial is None):
@@ -73,20 +76,11 @@ class Oid:
         # stores, intern tables) and keyed identities hash a whole key
         # record each time — cache the hash on first use.
         try:
-            return self._hash  # type: ignore[attr-defined]
+            return self._hash
         except AttributeError:
             value = hash((self.class_name, self.key, self.serial))
             object.__setattr__(self, "_hash", value)
             return value
-
-    def __getstate__(self):
-        # str hashes are salted per process: a pickled value must
-        # never carry a cached hash into another process.  The cached
-        # rendering is dropped too — it is pure payload.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        state.pop("_str", None)
-        return state
 
     @staticmethod
     def fresh(class_name: str) -> "Oid":
@@ -113,11 +107,11 @@ class Oid:
         hash formula) known to nobody else.
         """
         oid = object.__new__(Oid)
-        fields = oid.__dict__
-        fields["class_name"] = class_name
-        fields["key"] = key
-        fields["serial"] = None
-        fields["_hash"] = hash((class_name, key, None))
+        setattr_ = object.__setattr__
+        setattr_(oid, "class_name", class_name)
+        setattr_(oid, "key", key)
+        setattr_(oid, "serial", None)
+        setattr_(oid, "_hash", hash((class_name, key, None)))
         return oid
 
     @property
@@ -128,7 +122,7 @@ class Oid:
         # The deterministic collection order sorts by textual form, so
         # set-heavy workloads render each oid many times — cache it.
         try:
-            return self._str  # type: ignore[attr-defined]
+            return self._str
         except AttributeError:
             if self.is_keyed:
                 text = f"&{self.class_name}[{format_value(self.key)}]"
@@ -138,7 +132,7 @@ class Oid:
             return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """A record value with named fields.
 
@@ -148,7 +142,10 @@ class Record:
 
     fields: Tuple[Tuple[str, "Value"], ...]
     _index: Dict[str, "Value"] = field(init=False, repr=False, compare=False,
-                                       hash=False, default=None)  # type: ignore[assignment]
+                                       hash=False)
+    # Caches, unset until first use (see :func:`_getstate`).
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
+    _str: str = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         labels = [label for label, _ in self.fields]
@@ -160,17 +157,11 @@ class Record:
 
     def __hash__(self) -> int:
         try:
-            return self._hash  # type: ignore[attr-defined]
+            return self._hash
         except AttributeError:
             value = hash(self.fields)
             object.__setattr__(self, "_hash", value)
             return value
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)  # per-process str-hash salt
-        state.pop("_str", None)
-        return state
 
     @staticmethod
     def of(**fields: "Value") -> "Record":
@@ -189,14 +180,14 @@ class Record:
         hashed as soon as they are built.
         """
         record = object.__new__(Record)
-        state = record.__dict__
-        state["fields"] = fields
-        state["_index"] = dict(fields)
-        state["_hash"] = hash(fields)
+        setattr_ = object.__setattr__
+        setattr_(record, "fields", fields)
+        setattr_(record, "_index", dict(fields))
+        setattr_(record, "_hash", hash(fields))
         return record
 
     def labels(self) -> Tuple[str, ...]:
-        return tuple(label for label, _ in self.fields)
+        return tuple(self._index)  # in field (label) order
 
     def get(self, label: str) -> "Value":
         try:
@@ -215,7 +206,7 @@ class Record:
 
     def __str__(self) -> str:
         try:
-            return self._str  # type: ignore[attr-defined]
+            return self._str
         except AttributeError:
             inner = ", ".join(
                 f"{label} = {format_value(value)}"
@@ -225,7 +216,7 @@ class Record:
             return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variant:
     """A variant value: a choice label paired with a carried value."""
 
@@ -238,7 +229,7 @@ class Variant:
         return f"ins_{self.label}({format_value(self.value)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WolSet:
     """A finite set value."""
 
@@ -266,7 +257,7 @@ class WolSet:
         return "{%s}" % inner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WolList:
     """A finite list value (ordered, duplicates allowed)."""
 
@@ -289,6 +280,31 @@ class WolList:
     def __str__(self) -> str:
         inner = ", ".join(format_value(v) for v in self.elements)
         return "[%s]" % inner
+
+
+_CACHES = ("_hash", "_str")
+
+
+def _getstate(value) -> Dict[str, object]:
+    # str hashes are salted per process: a pickled value must never
+    # carry a cached hash into another process.  The cached rendering
+    # is dropped too — it is pure payload.
+    return {name: getattr(value, name) for name in value.__slots__
+            if name not in _CACHES}
+
+
+def _setstate(value, state: Dict[str, object]) -> None:
+    for name, item in state.items():
+        object.__setattr__(value, name, item)
+
+
+# Assigned after the decorator ran: on Python 3.10,
+# ``dataclass(slots=True, frozen=True)`` replaces a class's own pair with
+# one that reads every field, the unset caches included.
+for _cls in (Oid, Record, Variant, WolSet, WolList):
+    _cls.__getstate__ = _getstate
+    _cls.__setstate__ = _setstate
+del _cls
 
 
 Value = Union[int, str, bool, float, UnitValue, Oid, Record, Variant,
@@ -353,12 +369,11 @@ def check_value(value: Value, ty: Type) -> None:
     if isinstance(ty, RecordType):
         if not isinstance(value, Record):
             raise ValueError_(f"value {format_value(value)} is not a record")
-        expected = set(ty.labels())
-        actual = set(value.labels())
-        if expected != actual:
+        # Both label tuples are sorted and duplicate-free.
+        if value.labels() != ty.labels():
             raise ValueError_(
-                f"record {value} has fields {sorted(actual)}, "
-                f"type {ty} expects {sorted(expected)}")
+                f"record {value} has fields {list(value.labels())}, "
+                f"type {ty} expects {list(ty.labels())}")
         for label, fty in ty.fields:
             check_value(value.get(label), fty)
         return

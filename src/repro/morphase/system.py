@@ -36,6 +36,7 @@ from ..normalization.keyclauses import recognise_key_clause
 from ..normalization.normalize import (
     NormalizationOptions, NormalizedProgram, normalize)
 from ..normalization.snf import snf_clause
+from ..obs.collector import pauses_collector
 from ..obs.trace import span
 from ..semantics.satisfaction import (Violation, merge_instances,
                                       program_violations)
@@ -224,6 +225,7 @@ class Morphase:
                     else merge_instances("__source__", [sources]))
         return merge_instances("__source__", list(sources))
 
+    @pauses_collector
     def transform(self, sources: Union[Instance, Sequence[Instance]],
                   check_source_constraints: bool = False,
                   backend: str = "direct",
@@ -289,6 +291,7 @@ class Morphase:
     # ------------------------------------------------------------------
     # Incremental execution (delta-driven change propagation)
     # ------------------------------------------------------------------
+    @pauses_collector
     def begin_incremental(self, sources: Union[Instance,
                                                Sequence[Instance]],
                           defaults=None):
@@ -364,6 +367,7 @@ class Morphase:
         return WarehouseSession(self, store, defaults=defaults)
 
     # ------------------------------------------------------------------
+    @pauses_collector
     def audit(self, sources: Union[Instance, Sequence[Instance]],
               target: Instance) -> List[Violation]:
         """Check the original program (transformations + constraints)

@@ -11,7 +11,11 @@ Design:
   interns one child per label-value combination; hot paths resolve
   their child once and call ``inc``/``observe``/``set`` on it.
 * Every child guards its state with its own small lock, so two
-  threads bumping different counters never contend.
+  threads bumping different counters never contend.  The lock is
+  reentrant: the garbage-collection hook
+  (:mod:`repro.obs.collector`) records into children from whatever
+  thread a collection interrupts, which may be one holding that
+  child's lock.
 * ``registry.reset()`` zeroes every sample but keeps registrations —
   the test-isolation primitive.
 * :func:`set_enabled` flips one module-global flag; when off, every
@@ -84,7 +88,7 @@ class Counter:
     __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -111,7 +115,7 @@ class Gauge:
     __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -157,7 +161,7 @@ class Histogram:
             raise ValueError(
                 f"histogram buckets must be strictly increasing: "
                 f"{buckets!r}")
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.buckets = ordered
         self._counts = [0] * (len(ordered) + 1)  # trailing +Inf
         self._sum = 0.0
@@ -269,10 +273,6 @@ class _Family:
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self.labels().value
 
     def samples(self) -> Dict[Tuple[str, ...], object]:
         with self._lock:

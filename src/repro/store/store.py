@@ -39,6 +39,7 @@ from ..evolution.delta import Delta, delta_to_json
 from ..io.json_io import (canonical_json, dump_labels, identity_encoder,
                           schema_to_json, value_to_json)
 from ..model.instance import Instance
+from ..obs.collector import pauses_collector
 from ..obs.events import log_event
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from .snapshot import (CURRENT_NAME, LabelMap, load_snapshot,
@@ -109,6 +110,7 @@ class WarehouseStore:
                    snapshot_file=name, labels=labels)
 
     @classmethod
+    @pauses_collector
     def open(cls, path: str, fsync: bool = False) -> "WarehouseStore":
         """Recover: latest snapshot + WAL tail, torn final record dropped."""
         manifest = read_current(path)

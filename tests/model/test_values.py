@@ -1,5 +1,8 @@
 """Unit tests for WOL values (paper Section 2.1)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.model import (BOOL, INT, STR, UNIT, UNIT_VALUE, ClassType,
@@ -122,9 +125,11 @@ class TestCheckValue:
     def test_record_fields_checked(self):
         ty = record(name=STR, state=ClassType("StateA"))
         check_value(Record.of(name="P", state=Oid.fresh("StateA")), ty)
-        with pytest.raises(ValueError_):
+        with pytest.raises(ValueError_, match=r"has fields \['name'\], "
+                           r"type .* expects \['name', 'state'\]$"):
             check_value(Record.of(name="P"), ty)  # missing field
-        with pytest.raises(ValueError_):
+        with pytest.raises(ValueError_, match=r"has fields \['extra', "
+                           r"'name', 'state'\], type .* expects"):
             check_value(Record.of(name="P", state=Oid.fresh("StateA"),
                                   extra=1), ty)  # extra field
         with pytest.raises(ValueError_):
@@ -182,3 +187,55 @@ class TestFormatValue:
 
     def test_record_rendering(self):
         assert format_value(Record.of(b=2, a=1)) == "(a = 1, b = 2)"
+
+
+def _values():
+    """One value of each class; the first two have their cached hash
+    and rendering primed, as the engine's unchecked constructors do."""
+    key = Record.presorted((("a", "x"), ("b", 1)))
+    return [
+        Oid.keyed_unchecked("Out", key), key,
+        Oid.keyed("CityT", Record.of(name="Paris")), Oid.fresh("CityA"),
+        Record.of(b=Oid.fresh("B"), a=WolList.of(1, 2)),
+        Variant("v", WolSet.of(1)), Variant("u"),
+        WolSet.of("p", "q"), WolList.of(True, 2.5),
+    ]
+
+
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "pickle-0": lambda value: pickle.loads(pickle.dumps(value, 0)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestSlottedValues:
+    """Values are slotted: each is one object with no ``__dict__``, and
+    a copy carries no cached hash (``str`` hashes are salted per
+    process) and no cached rendering."""
+
+    @pytest.mark.parametrize("value", _values(),
+                             ids=lambda value: type(value).__name__)
+    def test_no_value_has_an_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("primed", [True, False])
+    def test_a_copy_equals_the_original_and_carries_no_cache(
+            self, how, primed):
+        for value in _values():
+            if primed:
+                hash(value)
+                str(value)
+            copied = COPIES[how](value)
+            assert copied == value and copied is not value
+            assert not hasattr(copied, "_hash")
+            assert not hasattr(copied, "_str")
+            assert hash(copied) == hash(value)
+            assert str(copied) == str(value)
+
+    def test_an_unchecked_constructor_primes_the_hash(self):
+        key = Record.presorted((("a", "x"),))
+        assert key._hash == hash(Record.of(a="x"))
+        assert Oid.keyed_unchecked("C", key)._hash == hash(
+            Oid.keyed("C", Record.of(a="x")))
